@@ -90,6 +90,7 @@ from .selection import (
     CvGrid,
     CvResult,
     default_h_grid,
+    default_k_grid,
     loocv_alpha,
     loocv_gwar,
     loocv_slx,

@@ -28,7 +28,14 @@ from .exceptions import (
 from .optim import LmOptions
 from .regression import fitted_mean
 from .run import RunConfig, run_fit
-from .selection import CvGrid, loocv_alpha, loocv_gwar, loocv_slx
+from .selection import (
+    CvGrid,
+    default_h_grid,
+    default_k_grid,
+    loocv_alpha,
+    loocv_gwar,
+    loocv_slx,
+)
 from .spatial import GeoCoordinates, predict_gwar
 from ._parallel import resolve_threads
 from .run import _selection_doc  # selection echo shared with full runs
@@ -166,7 +173,10 @@ def _run_config(args):
 
 
 def _emit(doc, out_path):
-    text = json.dumps(doc, indent=2) + "\n"
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:  # NaN or infinity, which strict JSON forbids
+        raise NumericalError(f"result document is not valid JSON: {exc}") from None
     if out_path:
         Path(out_path).write_text(text, encoding="utf-8")
     else:
@@ -186,7 +196,9 @@ def _export_tables(doc, fitted, csv_dir, D):
     out.mkdir(parents=True, exist_ok=True)
     comp = [f"component_{j + 1}" for j in range(D)]
     corr = doc["fit"]["observed_fitted_correlation"]
-    _write_csv(out / "correlations.csv", comp, [list(map(float, corr))])
+    # a constant column has no correlation (None): its cell stays empty
+    _write_csv(out / "correlations.csv", comp,
+               [[None if v is None else float(v) for v in corr]])
     for name, table in doc["marginal_effects"].items():
         rows = [[cov] + [float(v) for v in vals] for cov, vals in table.items()]
         _write_csv(out / f"{name}.csv", ["covariate"] + comp, rows)
@@ -229,13 +241,10 @@ def _cmd_cv(args):
         cv = loocv_alpha(Y, X, config.grid, config.solver, threads=threads)
     elif config.model == "slx":
         grid = config.grid if config.grid.ks is not None else CvGrid(
-            alphas=config.grid.alphas,
-            ks=tuple(k for k in (3, 5, 7, 9) if k <= Y.shape[0] - 2),
+            alphas=config.grid.alphas, ks=default_k_grid(Y.shape[0]),
         )
         cv = loocv_slx(Y, X, coords, grid, config.solver, threads=threads)
     else:
-        from .selection import default_h_grid
-
         grid = config.grid if config.grid.hs is not None else CvGrid(
             alphas=config.grid.alphas, hs=tuple(default_h_grid(coords)),
         )

@@ -25,6 +25,7 @@ class Convergence(Enum):
     SSE_TOL = "sse_tol"
     GRAD_TOL = "grad_tol"
     MAX_ITER = "max_iter"
+    STALLED = "stalled"  # no step lowers the SSE, even at MAX_DAMPING
 
 
 @dataclass
@@ -121,7 +122,8 @@ def levenberg_marquardt(system, theta0, opts=None):
     Returns an :class:`LmResult` whose trace of accepted steps has
     non-increasing SSE.  Stops when the gradient infinity norm falls below
     ``grad_inf_tol``, the relative SSE decrease of an accepted step falls
-    below ``sse_rel_tol``, or ``max_iterations`` is reached.
+    below ``sse_rel_tol``, ``max_iterations`` is reached, or no step lowers
+    the SSE even at ``MAX_DAMPING`` (stalled).
 
     Raises
     ------
@@ -184,7 +186,7 @@ def levenberg_marquardt(system, theta0, opts=None):
             else:
                 if lam >= MAX_DAMPING:
                     # No descent direction remains at machine precision.
-                    converged_by = Convergence.SSE_TOL
+                    converged_by = Convergence.STALLED
                     break
                 lam = _next_damping(lam, accepted=False, opts=opts)
                 rejections += 1

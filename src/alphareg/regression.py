@@ -16,11 +16,16 @@ where ``z`` is the transform of :mod:`alphareg.simplex` at a fixed power
 mean: the power transform of ``mu`` equals the multinomial-logit map of
 ``alpha * eta``, so transformed means never require forming ``mu`` first.
 
-The analytic gradient and Hessian of ``l = -SSE/2`` are assembled from the
-chain of three Jacobians (Helmert rows, power transform in ``mu``,
-multinomial logit in ``eta``); both are exposed for diagnostics and
-covariance estimation, while the solver consumes the stacked residual
-Jacobian built from the same chain.
+The same identity collapses the derivatives.  With ``u = fitted_mean(X,
+alpha*B)`` the Jacobian of the transformed mean in the linear predictors is
+``D * H @ logit_jacobian(u)`` and its second derivative is
+``D * alpha * H @ logit_hessian(u)``: the ``1/alpha`` of the transform
+cancels against the chain rule through ``alpha * eta``, no power of ``mu``
+is ever formed, and ``alpha == 0`` (uniform ``u``, ``H @ 1 = 0``) needs no
+special case.  The analytic gradient and Hessian of ``l = -SSE/2`` are built
+from these closed forms and exposed for diagnostics and covariance
+estimation; the solver consumes the stacked residual Jacobian built from the
+same mean Jacobian.
 
 Parameter layout: ``theta = B.ravel(order="F")`` stacks coefficient columns
 component by component, so ``theta[k*(p+1) + a]`` is covariate ``a`` of
@@ -37,7 +42,6 @@ from .optim import LmOptions, LmResult, ResidualSystem, levenberg_marquardt
 from .simplex import alpha_transform, helmert_submatrix, _check_alpha
 
 LINPRED_CLAMP = 700.0
-MU_FLOOR = 1e-300
 
 
 @dataclass
@@ -73,6 +77,13 @@ def coef_to_theta(B):
     return np.asarray(B, dtype=np.float64).ravel(order="F")
 
 
+def _logit_map(X, B):
+    """:func:`fitted_mean` without the shape checks (hot-loop form)."""
+    e = np.exp(np.clip(X @ B, -LINPRED_CLAMP, LINPRED_CLAMP))
+    denom = 1.0 + e.sum(axis=1, keepdims=True)
+    return np.hstack([1.0 / denom, e / denom])
+
+
 def fitted_mean(X, B):
     """Multinomial-logit mean compositions, one row per observation.
 
@@ -80,10 +91,15 @@ def fitted_mean(X, B):
     never overflows; rows sum to 1 with all entries in (0, 1).
     """
     X, B = _check_design(X, B)
-    eta = np.clip(X @ B, -LINPRED_CLAMP, LINPRED_CLAMP)
-    e = np.exp(eta)
-    denom = 1.0 + e.sum(axis=1, keepdims=True)
-    return np.hstack([1.0 / denom, e / denom])
+    return _logit_map(X, B)
+
+
+def _transformed_mean(X, B, alpha, H):
+    """:func:`transformed_mean` for checked inputs and a precomputed Helmert H."""
+    if alpha == 0.0:
+        return np.clip(X @ B, -LINPRED_CLAMP, LINPRED_CLAMP) @ H[:, 1:].T
+    u = _logit_map(X, alpha * B)
+    return (H.shape[1] * u - 1.0) @ H.T / alpha
 
 
 def transformed_mean(X, B, alpha):
@@ -96,13 +112,7 @@ def transformed_mean(X, B, alpha):
     """
     alpha = _check_alpha(alpha)
     X, B = _check_design(X, B)
-    d = B.shape[1]
-    H = helmert_submatrix(d + 1)
-    if alpha == 0.0:
-        eta = np.clip(X @ B, -LINPRED_CLAMP, LINPRED_CLAMP)
-        return eta @ H[:, 1:].T
-    u = fitted_mean(X, alpha * B)
-    return ((d + 1) * u - 1.0) @ H.T / alpha
+    return _transformed_mean(X, B, alpha, helmert_submatrix(B.shape[1] + 1))
 
 
 def _check_response(Y, X, B):
@@ -145,64 +155,54 @@ def kld(observed, fitted):
 
 # -- derivative chain ---------------------------------------------------------
 
-def _power_jacobian(mu, alpha):
-    """d u_l / d mu_p for the stay-in-simplex power transform, per row.
-
-    Compact form with T = sum_j mu_j**alpha:
-        (alpha * mu_p**(alpha-1) / T) * (delta_lp - mu_l**alpha / T)
-    Returns an (n, D, D) array indexed [i, l, p].
-    """
-    mu = np.maximum(mu, MU_FLOOR)
-    ma = mu**alpha
-    T = ma.sum(axis=1, keepdims=True)
-    u = ma / T
-    mp = mu ** (alpha - 1.0)
-    D = mu.shape[1]
-    eye = np.eye(D)
-    return (alpha * mp / T)[:, None, :] * (eye[None, :, :] - u[:, :, None])
+def _jacobian_factors(X, B, alpha, H):
+    """``u = fitted_mean(X, alpha*B)`` and ``G[i, m, k] = H[m, k+1] - (H u_i)_m``."""
+    u = _logit_map(X, alpha * B)
+    G = H[None, :, 1:] - (u @ H.T)[:, :, None]
+    return u, G
 
 
-def _logit_jacobian(mu):
-    """d mu_p / d eta_k for the multinomial-logit map, per row.
-
-    ``mu_p * (delta_{p,k+1} - mu_{k+1})``; returns (n, D, d) indexed [i, p, k].
-    """
-    D = mu.shape[1]
-    E = np.eye(D)[:, 1:]
-    return mu[:, :, None] * (E[None, :, :] - mu[:, None, 1:])
+def _mean_jacobian_unchecked(X, B, alpha, H):
+    u, G = _jacobian_factors(X, B, alpha, H)
+    return H.shape[1] * G * u[:, None, 1:]
 
 
 def _mean_jacobian(X, B, alpha):
     """Sensitivity of the transformed mean to the linear predictors.
 
-    Returns A with shape (n, d, d): ``A[i, m, k] = d z(mu_i)_m / d eta_{ik}``.
+    Returns A with shape (n, d, d): ``A[i, m, k] = d z(mu_i)_m / d eta_{ik}``,
+    which is ``D * H @ logit_jacobian(u_i)`` with ``u = fitted_mean(X, alpha*B)``:
+
+        A[i, m, k] = D * (H[m, k+1] - (H u_i)_m) * u_i[k+1]
+
     The full parameter Jacobian is ``A[i, m, k] * X[i, a]``.
     """
+    alpha = _check_alpha(alpha)
     X, B = _check_design(X, B)
-    n = X.shape[0]
-    d = B.shape[1]
-    D = d + 1
-    H = helmert_submatrix(D)
-    if alpha == 0.0:
-        return np.broadcast_to(H[:, 1:], (n, d, d)).copy()
-    mu = fitted_mean(X, B)
-    Ju = _power_jacobian(mu, alpha)
-    C = _logit_jacobian(mu)
-    return (D / alpha) * np.einsum("ml,ilp,ipk->imk", H, Ju, C, optimize=True)
+    return _mean_jacobian_unchecked(X, B, alpha, helmert_submatrix(B.shape[1] + 1))
+
+
+def _stacked_jacobian(A, X):
+    """Parameter Jacobian of the stacked means, shape (n*d, (p+1)*d).
+
+    Row ``i*d + m``, column ``k*(p+1) + a`` holds ``A[i, m, k] * X[i, a]``.
+    """
+    n, d, _ = A.shape
+    return (A[:, :, :, None] * X[:, None, None, :]).reshape(n * d, d * X.shape[1])
 
 
 def gradient(Y, X, alpha, B):
     """Gradient of ``l = -SSE/2`` with respect to ``theta = vec(B)``.
 
     Assembled as ``sum_i sum_m r_im * A[i, m, k] * x_ia`` with the residuals
-    ``r = z(y) - z(mu)`` and the chain Jacobian of :func:`_mean_jacobian`.
+    ``r = z(y) - z(mu)`` and the mean Jacobian of :func:`_mean_jacobian`.
     """
     alpha = _check_alpha(alpha)
     X, B = _check_design(X, B)
     Y = _check_response(Y, X, B)
     r = alpha_transform(Y, alpha) - transformed_mean(X, B, alpha)
     A = _mean_jacobian(X, B, alpha)
-    return np.einsum("im,imk,ia->ka", r, A, X, optimize=True).ravel()
+    return (np.einsum("im,imk->ki", r, A) @ X).ravel()
 
 
 def hessian_gauss_newton(Y, X, alpha, B):
@@ -214,89 +214,39 @@ def hessian_gauss_newton(Y, X, alpha, B):
     """
     alpha = _check_alpha(alpha)
     X, B = _check_design(X, B)
-    A = _mean_jacobian(X, B, alpha)
-    P = B.size
-    blocks = np.einsum("imk,ia,imq,ib->kaqb", A, X, A, X, optimize=True)
-    return -blocks.reshape(P, P)
-
-
-def _power_hessian(mu, alpha):
-    """Second derivatives d2 u_l / (d mu_p d mu_q), shape (n, D, D, D).
-
-    General Kronecker-delta form, symmetric in (p, q):
-        a(a-1) mu_l^(a-2) d_lp d_lq / T
-      - a^2 mu_l^(a-1) mu_q^(a-1) d_lp / T^2
-      - a^2 mu_l^(a-1) mu_p^(a-1) d_lq / T^2
-      - a(a-1) mu_l^a mu_p^(a-2) d_pq / T^2
-      + 2 a^2 mu_l^a mu_p^(a-1) mu_q^(a-1) / T^3
-    """
-    a = alpha
-    mu = np.maximum(mu, MU_FLOOR)
-    D = mu.shape[1]
-    ma = mu**a
-    m1 = mu ** (a - 1.0)
-    m2 = mu ** (a - 2.0)
-    T = ma.sum(axis=1)
-    eye = np.eye(D)
-    t1 = np.einsum("il,lp,lq->ilpq", a * (a - 1.0) * m2 / T[:, None], eye, eye)
-    t2 = -(a * a) * np.einsum("il,iq,lp->ilpq", m1 / T[:, None] ** 2, m1, eye)
-    t3 = -(a * a) * np.einsum("il,ip,lq->ilpq", m1 / T[:, None] ** 2, m1, eye)
-    t4 = -a * (a - 1.0) * np.einsum("il,ip,pq->ilpq", ma / T[:, None] ** 2, m2, eye)
-    t5 = 2.0 * a * a * np.einsum("il,ip,iq->ilpq", ma / T[:, None] ** 3, m1, m1)
-    return t1 + t2 + t3 + t4 + t5
-
-
-def _logit_hessian(mu):
-    """Second derivatives d2 mu_q / (d eta_k d eta_k'), shape (n, D, d, d).
-
-    ``mu_q * (d_{q,k+1} d_{q,k'+1} - d_{q,k+1} mu_{k'+1} - d_{q,k'+1} mu_{k+1}
-    - mu_{k+1} d_{kk'} + 2 mu_{k+1} mu_{k'+1})``.
-    """
-    D = mu.shape[1]
-    d = D - 1
-    E = np.eye(D)[:, 1:]
-    mm = mu[:, 1:]
-    part = (
-        (E[:, :, None] * E[:, None, :])[None, :, :, :]
-        - E[None, :, :, None] * mm[:, None, None, :]
-        - E[None, :, None, :] * mm[:, None, :, None]
-        - np.eye(d)[None, None, :, :] * mm[:, None, :, None]
-        + 2.0 * mm[:, None, :, None] * mm[:, None, None, :]
-    )
-    return mu[:, :, None, None] * part
+    J = _stacked_jacobian(_mean_jacobian(X, B, alpha), X)
+    return -(J.T @ J)
 
 
 def hessian_exact(Y, X, alpha, B):
     """Exact Hessian of ``l = -SSE/2``: Gauss-Newton block plus the
     residual-weighted second-derivative correction.
 
-    The correction applies the product rule to the Jacobian chain, combining
-    the power-transform Hessian contracted with two logit Jacobians and the
-    logit Hessian contracted with the power Jacobian.  It vanishes when the
-    residuals are identically zero.
+    The second derivative of the transformed mean is
+    ``D * alpha * H @ logit_hessian(u)`` with ``u = fitted_mean(X, alpha*B)``;
+    per row, with ``v = u[1:]`` and G as in :func:`_jacobian_factors`,
+
+        d2 z_m / (d eta_k d eta_j) = D * alpha * (delta_kj v_k G[m, k]
+                                     - v_k v_j (G[m, k] + G[m, j]))
+
+    It vanishes at ``alpha == 0`` (the mean is linear in B there) and the
+    correction vanishes when the residuals are identically zero.
     """
     alpha = _check_alpha(alpha)
     X, B = _check_design(X, B)
     Y = _check_response(Y, X, B)
-    P = B.size
-    H1 = hessian_gauss_newton(Y, X, alpha, B)
-    if alpha == 0.0:
-        return H1  # transformed mean is linear in B
-    d = B.shape[1]
-    D = d + 1
-    Hm = helmert_submatrix(D)
-    mu = fitted_mean(X, B)
-    r = alpha_transform(Y, alpha) - transformed_mean(X, B, alpha)
-    Ju = _power_jacobian(mu, alpha)
-    C = _logit_jacobian(mu)
-    Hu = _power_hessian(mu, alpha)
-    D2 = _logit_hessian(mu)
-    t_power = np.einsum("ilqp,ipj,iqk->ilkj", Hu, C, C, optimize=True)
-    t_logit = np.einsum("ilq,iqkj->ilkj", Ju, D2, optimize=True)
-    s = (D / alpha) * np.einsum("ml,ilkj->imkj", Hm, t_power + t_logit, optimize=True)
-    w2 = np.einsum("im,imkj->ikj", r, s, optimize=True)
-    H2 = np.einsum("ikj,ia,ib->kajb", w2, X, X, optimize=True).reshape(P, P)
-    return H1 + H2
+    H = helmert_submatrix(B.shape[1] + 1)
+    r = alpha_transform(Y, alpha) - _transformed_mean(X, B, alpha, H)
+    u, G = _jacobian_factors(X, B, alpha, H)
+    v = u[:, 1:]
+    J = _stacked_jacobian(H.shape[1] * G * v[:, None, :], X)
+    g = np.einsum("im,imk->ik", r, G)  # residual-contracted G
+    w = -v[:, :, None] * v[:, None, :] * (g[:, :, None] + g[:, None, :])
+    idx = np.arange(v.shape[1])
+    w[:, idx, idx] += v * g
+    w *= H.shape[1] * alpha
+    H2 = np.einsum("ikj,ia,ib->kajb", w, X, X).reshape(B.size, B.size)
+    return H2 - J.T @ J
 
 
 # -- fitting ------------------------------------------------------------------
@@ -312,20 +262,23 @@ def residual_system(Y, X, alpha, weights=None):
     Y = np.asarray(Y, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
     n, D = Y.shape
+    if X.ndim != 2:
+        raise DimensionMismatch("design matrix must be 2-D")
     if X.shape[0] != n:
         raise DimensionMismatch("response and design row counts differ")
     d = D - 1
     n_cols = X.shape[1]
+    H = helmert_submatrix(D)
     y_a = alpha_transform(Y, alpha)
+    neg_X = -X  # residuals are y_a minus the mean, so J = -dmean/dtheta
 
     def res(theta):
         B = theta_to_coef(theta, n_cols, d)
-        return (y_a - transformed_mean(X, B, alpha)).ravel()
+        return (y_a - _transformed_mean(X, B, alpha, H)).ravel()
 
     def jac(theta):
         B = theta_to_coef(theta, n_cols, d)
-        A = _mean_jacobian(X, B, alpha)
-        return -np.einsum("imk,ia->imka", A, X).reshape(n * d, n_cols * d)
+        return _stacked_jacobian(_mean_jacobian_unchecked(X, B, alpha, H), neg_X)
 
     w = None
     if weights is not None:

@@ -28,7 +28,14 @@ from .inference import (
 )
 from .optim import LmOptions
 from .regression import fit_alpha_regression
-from .selection import CvGrid, default_h_grid, loocv_alpha, loocv_gwar, loocv_slx
+from .selection import (
+    CvGrid,
+    default_h_grid,
+    default_k_grid,
+    loocv_alpha,
+    loocv_gwar,
+    loocv_slx,
+)
 from .spatial import contiguity_matrix, fit_alpha_slx, fit_gwar
 
 log = logging.getLogger(__name__)
@@ -57,8 +64,8 @@ class RunConfig:
 def _correlations(Y, fitted):
     out = []
     for j in range(Y.shape[1]):
-        sy, sf = np.std(Y[:, j]), np.std(fitted[:, j])
-        if sy == 0 or sf == 0:
+        # np.std of a constant column need not round to 0; ptp is exact
+        if np.ptp(Y[:, j]) == 0 or np.ptp(fitted[:, j]) == 0:
             out.append(None)
         else:
             out.append(float(np.corrcoef(Y[:, j], fitted[:, j])[0, 1]))
@@ -111,8 +118,7 @@ def run_fit(config, Y, X, coords=None, covariate_names=None):
                            alphas=None if alpha is None else (alpha,),
                            ks=None if k is None else (k,), hs=None)
             if grid.ks is None:
-                grid = CvGrid(alphas=grid.alphas,
-                              ks=tuple(kk for kk in (3, 5, 7, 9) if kk <= Y.shape[0] - 2),
+                grid = CvGrid(alphas=grid.alphas, ks=default_k_grid(Y.shape[0]),
                               hs=None)
             cv = loocv_slx(Y, X, coords, grid, config.solver, threads=threads)
             selection = _selection_doc(cv)
@@ -191,7 +197,8 @@ def _narrow(grid, alphas, ks, hs):
 def _selection_doc(cv):
     doc = {
         "alphas": list(cv.alphas),
-        "scores": cv.scores.tolist(),
+        # a grid point whose folds all failed scores +inf; JSON has no inf
+        "scores": np.where(np.isfinite(cv.scores), cv.scores, None).tolist(),
         "best": list(cv.best),
     }
     if cv.ks is not None:

@@ -9,8 +9,10 @@ held-out location leaks into its own prediction.
 
 Fold-by-grid work units are independent; scores are reduced in index order,
 making results identical for any thread count.  A fold whose solve fails
-marks its grid point +inf instead of aborting the search.  Ties at the
-minimum resolve to the smallest alpha, then the smallest k or h.
+marks its grid point +inf instead of aborting the search; a grid on which
+every point scores +inf raises :class:`NumericalError` rather than naming a
+winner.  Ties at the minimum resolve to the smallest alpha, then the
+smallest k or h.
 """
 
 from dataclasses import dataclass
@@ -38,6 +40,7 @@ from .spatial import (
 )
 
 DEFAULT_ALPHAS = (0.1, 0.25, 0.5, 0.75, 1.0)
+DEFAULT_KS = (3, 5, 7, 9)
 
 
 @dataclass
@@ -93,6 +96,26 @@ def default_h_grid(coords):
     """Ten log-spaced bandwidths spanning median/16 up to 4*median."""
     med = median_heuristic_bandwidth(coords)
     return np.geomspace(med / 16.0, 4.0 * med, 10)
+
+
+def default_k_grid(n):
+    """Neighbor counts from (3, 5, 7, 9) that every leave-one-out fold can use.
+
+    A fold keeps n-1 locations, so k must not exceed n-2.
+    """
+    return tuple(k for k in DEFAULT_KS if k <= n - 2)
+
+
+def _best_point(scores):
+    """Index of the lowest finite score (first in grid order on ties).
+
+    Raises :class:`NumericalError` when no grid point has a finite score.
+    """
+    if not np.isfinite(scores).any():
+        raise NumericalError(
+            "every cross-validation grid point failed; no finite score to select"
+        )
+    return np.unravel_index(int(np.argmin(scores)), scores.shape)
 
 
 def _check_zeros_rule(Y, alphas):
@@ -151,7 +174,7 @@ def loocv_alpha(Y, X, grid=None, opts=None, threads=1, keep_folds=False):
     vals = np.array(parallel_map(score, units, threads=threads))
     per_fold = vals.reshape(len(grid.alphas), n).T
     scores = per_fold.sum(axis=0)
-    best_gi = int(np.argmin(scores))
+    (best_gi,) = _best_point(scores)
     return CvResult(
         scores=scores,
         best=(grid.alphas[best_gi],),
@@ -229,7 +252,7 @@ def loocv_slx(Y, X, coords, grid=None, opts=None, threads=1, keep_folds=False):
     vals = np.array(parallel_map(score, units, threads=threads))
     per_fold = vals.reshape(len(grid.alphas), len(grid.ks), n)
     scores = per_fold.sum(axis=2)
-    ai, ki = np.unravel_index(int(np.argmin(scores)), scores.shape)
+    ai, ki = _best_point(scores)
     return CvResult(
         scores=scores,
         best=(grid.alphas[ai], grid.ks[ki]),
@@ -286,7 +309,7 @@ def loocv_gwar(Y, X, coords, grid=None, opts=None, threads=1, keep_folds=False):
     vals = np.array(parallel_map(score, units, threads=threads))
     per_fold = vals.reshape(len(grid.alphas), len(grid.hs), n)
     scores = per_fold.sum(axis=2)
-    ai, hi = np.unravel_index(int(np.argmin(scores)), scores.shape)
+    ai, hi = _best_point(scores)
     return CvResult(
         scores=scores,
         best=(grid.alphas[ai], grid.hs[hi]),

@@ -54,6 +54,28 @@ class TestFitCommand:
         assert (exp / "correlations.csv").exists()
         assert (exp / "fitted.csv").exists()
 
+    @pytest.mark.parametrize("n", [30, 32])
+    def test_csv_export_with_constant_component(self, n, tmp_path):
+        # y1 is constant, so its observed-fitted correlation is undefined;
+        # np.std of the column is exactly 0 at n=32 but not at n=30
+        rng = np.random.default_rng(5)
+        share = rng.uniform(0.2, 0.8, size=n)
+        x = rng.normal(size=(n, 2))
+        rows = [f"0.2,{0.8 * s:.17g},{0.8 * (1 - s):.17g},{a:.17g},{b:.17g}"
+                for s, (a, b) in zip(share, x)]
+        data = tmp_path / "const.csv"
+        data.write_text("y1,y2,y3,x1,x2\n" + "\n".join(rows) + "\n",
+                        encoding="utf-8")
+        exp, out = tmp_path / "out", tmp_path / "f.json"
+        code = main(["fit", "--data", str(data), *DATA_ARGS, "--alpha", "1",
+                     "--csv-dir", str(exp), "--out", str(out)])
+        assert code == 0
+        doc = json.loads(out.read_text())
+        assert doc["fit"]["observed_fitted_correlation"][0] is None
+        corr = (exp / "correlations.csv").read_text().splitlines()
+        assert corr[1].split(",")[0] == ""
+        assert (exp / "ame.csv").exists() and (exp / "fitted.csv").exists()
+
     def test_slx_fit(self, dataset, tmp_path):
         out = tmp_path / "slx.json"
         code = main(["fit", "--data", str(dataset), *DATA_ARGS, *GEO_ARGS,
@@ -135,6 +157,22 @@ class TestOtherCommands:
         doc = json.loads(out.read_text())
         assert len(doc["selection"]["scores"]) == 2
 
+    def test_failed_grid_point_serialised_as_null(self, dataset, tmp_path):
+        # k = 39 = n-1 is infeasible inside every fold and scores +inf
+        out = tmp_path / "cv.json"
+        code = main(["cv", "--data", str(dataset), *DATA_ARGS, *GEO_ARGS,
+                     "--model", "slx", "--alphas", "0.5", "--ks", "3,39",
+                     "--threads", "1", "--out", str(out)])
+        assert code == 0
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        doc = json.loads(out.read_text(), parse_constant=reject)
+        scores = doc["selection"]["scores"]
+        assert scores[0][1] is None and scores[0][0] > 0
+        assert doc["selection"]["best"] == [0.5, 3]
+
     def test_margins(self, dataset, tmp_path):
         out = tmp_path / "m.json"
         code = main(["margins", "--data", str(dataset), *DATA_ARGS,
@@ -181,6 +219,14 @@ class TestExitCodes:
                      "--composition-cols", "y1,y2,y3",
                      "--covariate-cols", "x1", "--alpha", "-0.5"])
         assert code == 2
+
+    def test_all_grid_points_failing_is_numerical_error(self, dataset, tmp_path):
+        out = tmp_path / "cv.json"
+        code = main(["cv", "--data", str(dataset), *DATA_ARGS, *GEO_ARGS,
+                     "--model", "slx", "--alphas", "0.5", "--ks", "39",
+                     "--threads", "1", "--out", str(out)])
+        assert code == 3
+        assert not out.exists()
 
     def test_degenerate_bandwidth_is_numerical_error(self, dataset):
         code = main(["fit", "--data", str(dataset), *DATA_ARGS, *GEO_ARGS,

@@ -76,6 +76,22 @@ class TestSolver:
         assert result.converged_by is Convergence.MAX_ITER
         assert result.iterations == 2
 
+    def test_no_descent_direction_stalls(self):
+        # |t| + 1 has its minimum at the kink t = 0, where the one-sided
+        # slope keeps the gradient nonzero: every step is rejected until the
+        # damping cap, which must read as a stall, not SSE convergence.
+        kink = ResidualSystem(
+            residual_fn=lambda t: np.abs(t) + 1.0,
+            jacobian_fn=lambda t: np.array([[1.0]]),
+            n_params=1,
+            n_residuals=1,
+        )
+        result = levenberg_marquardt(kink, np.zeros(1))
+        assert result.converged_by is Convergence.STALLED
+        assert result.theta[0] == 0.0
+        assert result.final_sse == 1.0
+        assert result.rejections > 0 and result.trace == []
+
     def test_non_finite_residual_at_start(self):
         bad = ResidualSystem(
             residual_fn=lambda t: np.array([np.nan]),

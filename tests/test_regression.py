@@ -212,6 +212,49 @@ class TestResidualSystem:
             J_fd[:, j] = (system.residual_fn(tp) - system.residual_fn(tm)) / (2 * step)
         assert rel_err(J, J_fd) < 1e-5
 
+    @staticmethod
+    def _central_differences(system, theta, step=1e-6):
+        J_fd = np.empty((system.n_residuals, theta.size))
+        for j in range(theta.size):
+            tp, tm = theta.copy(), theta.copy()
+            tp[j] += step
+            tm[j] -= step
+            J_fd[:, j] = (system.residual_fn(tp) - system.residual_fn(tm)) / (2 * step)
+        return J_fd
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.1, 0.0, -0.5])
+    def test_jacobian_matches_finite_differences_over_alpha(self, alpha, rng):
+        Y, X, B = random_instance(rng, n=15, D=4, p=2)
+        system = residual_system(Y, X, alpha)
+        theta = coef_to_theta(B)
+        J = system.jacobian_fn(theta)
+        assert rel_err(J, self._central_differences(system, theta)) < 1e-5
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.1, 0.0, -0.5])
+    def test_jacobian_finite_at_tiny_fitted_means(self, alpha, rng):
+        # |eta| reaches 600 on the outer rows, so fitted means there are
+        # ~1e-260 (or underflow to 0); the inner rows keep O(1) derivatives.
+        n = 12
+        t = np.concatenate([np.linspace(-1.0, 1.0, 7), np.linspace(-0.005, 0.005, 5)])
+        X = np.column_stack([np.ones(n), t])
+        B = np.array([[0.0, 0.0], [600.0, -300.0]])
+        Y = rng.dirichlet(np.full(3, 2.0), size=n)
+        assert fitted_mean(X, B).min() < 1e-250
+        system = residual_system(Y, X, alpha)
+        theta = coef_to_theta(B)
+        J = system.jacobian_fn(theta)
+        assert np.all(np.isfinite(J))
+        assert rel_err(J, self._central_differences(system, theta)) < 1e-5
+
+    def test_mean_jacobian_at_alpha_zero_is_helmert_block(self, rng):
+        from alphareg import helmert_submatrix
+        from alphareg.regression import _mean_jacobian
+
+        _, X, B = random_instance(rng, n=20, D=4, p=2)
+        A = _mean_jacobian(X, B, 0.0)
+        H = helmert_submatrix(4)
+        np.testing.assert_allclose(A, np.broadcast_to(H[:, 1:], A.shape), atol=1e-15)
+
     def test_shapes(self, rng):
         Y, X, B = random_instance(rng, n=10, D=4, p=1)
         system = residual_system(Y, X, 1.0)

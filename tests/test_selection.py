@@ -10,10 +10,12 @@ from alphareg import (
     GeoCoordinates,
     InvalidParameters,
     NonpositiveFitted,
+    NumericalError,
     ShapeMismatch,
     ZeroWithNonpositiveAlpha,
     closure,
     default_h_grid,
+    default_k_grid,
     fit_alpha_regression,
     kld,
     loocv_alpha,
@@ -127,6 +129,24 @@ class TestLoocvAlpha:
         assert fit.kld <= kld(sim["Y"], uniform)
 
 
+    def test_every_fold_failing_raises(self, monkeypatch):
+        from alphareg import NonFiniteResidual, selection
+
+        sim = synthesize(n=12, D=3, p=1, alpha=0.5, noise_scale=0.1, seed=4)
+        real_fit = selection.fit_alpha_regression
+        calls = []
+
+        def fails_after_warm_start(Y, X, alpha, **kwargs):
+            calls.append(alpha)
+            if len(calls) > 2:  # the two full-data warm-start fits succeed
+                raise NonFiniteResidual("forced failure")
+            return real_fit(Y, X, alpha, **kwargs)
+
+        monkeypatch.setattr(selection, "fit_alpha_regression", fails_after_warm_start)
+        with pytest.raises(NumericalError):
+            loocv_alpha(sim["Y"], sim["X"], CvGrid(alphas=(0.5, 1.0)))
+
+
 class TestLoocvSlx:
     def test_gamma_zero_keeps_plain_competitive(self):
         # without true spillovers the lagged model should not win decisively
@@ -165,6 +185,20 @@ class TestLoocvSlx:
         assert cv.best == (0.5, n - 2)
 
 
+    def test_every_grid_point_infeasible_raises(self):
+        # k = n-1 fits the full data but no (n-1)-point fold
+        sim = synthesize(n=12, D=3, p=1, alpha=0.5, noise_scale=0.1,
+                         spatial_mode="slx", seed=7)
+        with pytest.raises(NumericalError):
+            loocv_slx(sim["Y"], sim["X"], sim["coords"],
+                      CvGrid(alphas=(0.5,), ks=(11,)))
+
+    def test_default_k_grid_fits_inside_folds(self):
+        assert default_k_grid(40) == (3, 5, 7, 9)
+        assert default_k_grid(9) == (3, 5, 7)
+        assert default_k_grid(4) == ()
+
+
 class TestLoocvGwar:
     def test_flat_bandwidth_matches_plain(self):
         sim = synthesize(n=25, D=3, p=1, alpha=0.5, noise_scale=0.1,
@@ -197,6 +231,14 @@ class TestLoocvGwar:
                         CvGrid(alphas=(0.5,), hs=(1e-9, 1e6)))
         assert np.isinf(cv.scores[0, 0])
         assert np.isfinite(cv.scores[0, 1])
+
+
+    def test_every_bandwidth_degenerate_raises(self):
+        sim = synthesize(n=15, D=3, p=1, alpha=0.5, noise_scale=0.1,
+                         spatial_mode="two_cluster", seed=11)
+        with pytest.raises(NumericalError):
+            loocv_gwar(sim["Y"], sim["X"], sim["coords"],
+                       CvGrid(alphas=(0.5,), hs=(1e-9,)))
 
 
 class TestCvGrid:
