@@ -28,6 +28,7 @@ from .exceptions import (
     ShapeMismatch,
     SingularH,
     SingularNormalEquations,
+    TrainingDataChanged,
     ZeroRow,
     ZeroWithLogRatio,
     ZeroWithNonpositiveAlpha,
@@ -70,8 +71,11 @@ from .spatial import (
     fit_alpha_slx,
     fit_gwar,
     gaussian_kernel_weights,
+    neighbor_lag,
+    neighbor_table,
     pairwise_chordal_sq,
     predict_gwar,
+    row_weights,
     spatial_lag,
     to_cartesian,
 )
@@ -95,6 +99,7 @@ from .selection import (
     loocv_gwar,
     loocv_slx,
     median_heuristic_bandwidth,
+    select,
 )
 from .datasets import DatasetSpec, generate_synthetic, load_dataset, synthesize
 from .run import RunConfig, run_fit

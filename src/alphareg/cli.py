@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 
 import argparse
 import csv
+import hashlib
 import json
 import logging
 import sys
@@ -24,19 +25,14 @@ from .exceptions import (
     InvalidParameters,
     MissingColumn,
     NumericalError,
+    TrainingDataChanged,
 )
 from .optim import LmOptions
 from .regression import fitted_mean
 from .run import RunConfig, run_fit
-from .selection import (
-    CvGrid,
-    default_h_grid,
-    default_k_grid,
-    loocv_alpha,
-    loocv_gwar,
-    loocv_slx,
-)
-from .spatial import GeoCoordinates, predict_gwar
+from .selection import CvGrid, select
+from .spatial import (GeoCoordinates, neighbor_lag, neighbor_table, predict_gwar,
+                      row_weights)
 from ._parallel import resolve_threads
 from .run import _selection_doc  # selection echo shared with full runs
 
@@ -214,6 +210,8 @@ def _cmd_fit(args, margins_only=False):
                        covariate_names=args.covariate_cols)
     doc["dataset"] = {
         "path": args.data,
+        "resolved_path": str(Path(args.data).resolve()),
+        "sha256": _sha256(args.data),
         "composition_columns": args.composition_cols,
         "covariate_columns": args.covariate_cols,
         "lat_column": args.lat_col,
@@ -237,18 +235,7 @@ def _cmd_cv(args):
     Y, X, coords = load_dataset(spec)
     config = _run_config(args)
     threads = resolve_threads(config.threads)
-    if config.model == "alpha":
-        cv = loocv_alpha(Y, X, config.grid, config.solver, threads=threads)
-    elif config.model == "slx":
-        grid = config.grid if config.grid.ks is not None else CvGrid(
-            alphas=config.grid.alphas, ks=default_k_grid(Y.shape[0]),
-        )
-        cv = loocv_slx(Y, X, coords, grid, config.solver, threads=threads)
-    else:
-        grid = config.grid if config.grid.hs is not None else CvGrid(
-            alphas=config.grid.alphas, hs=tuple(default_h_grid(coords)),
-        )
-        cv = loocv_gwar(Y, X, coords, grid, config.solver, threads=threads)
+    cv = select(config.model, Y, X, coords, config.grid, config.solver, threads)
     _emit({"model": config.model, "selection": _selection_doc(cv)}, args.out)
     return 0
 
@@ -306,29 +293,32 @@ def _load_for_predict(spec):
         return None, X, coords
 
 
+def _sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 def _train_data(dataset):
-    spec = DatasetSpec(
-        path=dataset["path"],
-        composition_columns=dataset["composition_columns"],
-        covariate_columns=dataset["covariate_columns"],
-        lat_column=dataset["lat_column"],
-        lon_column=dataset["lon_column"],
-    )
-    return load_dataset(spec)
+    """Reload the training file by its resolved path, checking its hash."""
+    path = dataset.get("resolved_path")
+    try:  # a document from before paths and hashes were recorded fails here too
+        same = _sha256(path) == dataset["sha256"]
+    except (OSError, KeyError, TypeError) as exc:
+        raise TrainingDataChanged(f"cannot check training file {path}: {exc}") from None
+    if not same:
+        raise TrainingDataChanged(f"training file {path} changed since the fit")
+    columns = ("composition_columns", "covariate_columns", "lat_column", "lon_column")
+    return load_dataset(DatasetSpec(path=path, **{c: dataset[c] for c in columns}))
 
 
 def _predict_slx(doc, dataset, X_new, coords_new):
-    from .selection import _heldout_lag
-
+    """Lag each new row by its k nearest training locations, as fit-time W does."""
     if coords_new is None:
         raise InvalidParameters("prediction for this model needs coordinates")
     _, X_train, coords_train = _train_data(dataset)
     k = int(doc["hyperparameters"]["k"])
     C = np.asarray(doc["fit"]["coefficients"])
-    lags = np.vstack([
-        _heldout_lag(coords_new.cart[j], coords_train.cart, k, X_train)
-        for j in range(coords_new.n)
-    ])
+    idx, d2 = neighbor_table(coords_train, k, query=coords_new)
+    lags = neighbor_lag(idx, row_weights(d2), X_train)
     return fitted_mean(np.hstack([X_new, lags]), C)
 
 

@@ -93,6 +93,10 @@ class InvalidParameters(DataError):
     """A parameter value violates its documented range."""
 
 
+class TrainingDataChanged(DataError):
+    """The training file a result document names is missing or was edited."""
+
+
 # -- numerical errors ---------------------------------------------------------
 
 class OutOfImage(NumericalError):

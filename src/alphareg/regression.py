@@ -310,10 +310,11 @@ def fit_alpha_regression(Y, X, alpha, opts=None, theta0=None, weights=None):
     lm = levenberg_marquardt(system, theta0, opts or LmOptions())
     B = theta_to_coef(lm.theta, n_cols, d)
     mu = fitted_mean(X, B)
+    r = system.residual_fn(lm.theta)  # unweighted, whatever the fit's weights
     return FitResult(
         coefficients=B,
         fitted=mu,
-        sse=sse(Y, X, alpha, B),
+        sse=float(r @ r),
         kld=kld(Y, mu),
         alpha=float(alpha),
         lm=lm,

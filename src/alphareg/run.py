@@ -11,7 +11,7 @@ log instead).
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -28,19 +28,13 @@ from .inference import (
 )
 from .optim import LmOptions
 from .regression import fit_alpha_regression
-from .selection import (
-    CvGrid,
-    default_h_grid,
-    default_k_grid,
-    loocv_alpha,
-    loocv_gwar,
-    loocv_slx,
-)
+from .selection import CvGrid, select
 from .spatial import contiguity_matrix, fit_alpha_slx, fit_gwar
 
 log = logging.getLogger(__name__)
 
-MODELS = ("alpha", "slx", "gwar")
+HYPERPARAMETERS = {"alpha": ("alpha",), "slx": ("alpha", "k"), "gwar": ("alpha", "h")}
+MODELS = tuple(HYPERPARAMETERS)
 
 
 @dataclass
@@ -93,12 +87,17 @@ def run_fit(config, Y, X, coords=None, covariate_names=None):
     t0 = time.perf_counter()
 
     selection = None
+    names = HYPERPARAMETERS[config.model]
+    values = tuple(getattr(config, name) for name in names)
+    if None in values:
+        # a fixed value narrows its grid axis (alphas, ks or hs) to itself
+        grid = replace(config.grid, **{
+            f"{name}s": (v,) for name, v in zip(names, values) if v is not None})
+        cv = select(config.model, Y, X, coords, grid, config.solver, threads)
+        selection = _selection_doc(cv)
+        values = cv.best
     if config.model == "alpha":
-        alpha = config.alpha
-        if alpha is None:
-            cv = loocv_alpha(Y, X, config.grid, config.solver, threads=threads)
-            selection = _selection_doc(cv)
-            alpha = cv.best[0]
+        (alpha,) = values
         fit = fit_alpha_regression(Y, X, alpha, opts=config.solver)
         hyper = {"alpha": float(alpha)}
         doc_fit = {
@@ -112,17 +111,7 @@ def run_fit(config, Y, X, coords=None, covariate_names=None):
         margins = {"ame": ame}
         se = _standard_errors(config, Y, X, alpha, fit, threads)
     elif config.model == "slx":
-        alpha, k = config.alpha, config.k
-        if alpha is None or k is None:
-            grid = _narrow(config.grid,
-                           alphas=None if alpha is None else (alpha,),
-                           ks=None if k is None else (k,), hs=None)
-            if grid.ks is None:
-                grid = CvGrid(alphas=grid.alphas, ks=default_k_grid(Y.shape[0]),
-                              hs=None)
-            cv = loocv_slx(Y, X, coords, grid, config.solver, threads=threads)
-            selection = _selection_doc(cv)
-            alpha, k = cv.best
+        alpha, k = values
         W = contiguity_matrix(coords, int(k))
         fit = fit_alpha_slx(Y, X, W, alpha, opts=config.solver)
         hyper = {"alpha": float(alpha), "k": int(k)}
@@ -146,17 +135,7 @@ def run_fit(config, Y, X, coords=None, covariate_names=None):
         X_aug = np.hstack([X, W @ X[:, 1:]])
         se = _standard_errors(config, Y, X_aug, alpha, fit, threads)
     else:  # gwar
-        alpha, h = config.alpha, config.h
-        if alpha is None or h is None:
-            grid = _narrow(config.grid,
-                           alphas=None if alpha is None else (alpha,),
-                           ks=None, hs=None if h is None else (h,))
-            if grid.hs is None:
-                grid = CvGrid(alphas=grid.alphas, ks=None,
-                              hs=tuple(default_h_grid(coords)))
-            cv = loocv_gwar(Y, X, coords, grid, config.solver, threads=threads)
-            selection = _selection_doc(cv)
-            alpha, h = cv.best
+        alpha, h = values
         fit = fit_gwar(Y, X, coords, alpha, h, opts=config.solver, threads=threads)
         hyper = {"alpha": float(alpha), "h": float(h)}
         doc_fit = {
@@ -184,14 +163,6 @@ def run_fit(config, Y, X, coords=None, covariate_names=None):
         doc["covariate_names"] = list(covariate_names)
     log.info("run completed in %.2fs", time.perf_counter() - t0)
     return doc, fit
-
-
-def _narrow(grid, alphas, ks, hs):
-    return CvGrid(
-        alphas=grid.alphas if alphas is None else alphas,
-        ks=grid.ks if ks is None else ks,
-        hs=grid.hs if hs is None else hs,
-    )
 
 
 def _selection_doc(cv):

@@ -3,9 +3,10 @@
 Every model is scored by the Kullback-Leibler divergence between held-out
 compositions and their predictions: the plain model grids over the transform
 power alpha, the lagged-covariate model over (alpha, k neighbors), and the
-locally weighted model over (alpha, bandwidth h).  Spatial structure is
-rebuilt per fold from the retained locations only, so nothing about a
-held-out location leaks into its own prediction.
+locally weighted model over (alpha, bandwidth h).  Nothing about a held-out
+location leaks into its own prediction: lagged-covariate folds take their
+neighbors from the full data's neighbor table with location i dropped, which
+is identical to the table of the retained locations and uses nothing of i.
 
 Fold-by-grid work units are independent; scores are reduced in index order,
 making results identical for any thread count.  A fold whose solve fails
@@ -15,7 +16,7 @@ winner.  Ties at the minimum resolve to the smallest alpha, then the
 smallest k or h.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -31,12 +32,11 @@ from .exceptions import (
 from .optim import LmOptions
 from .regression import fit_alpha_regression, fitted_mean, kld
 from .spatial import (
-    COINCIDENT_DIST_SQ,
-    GeoCoordinates,
-    contiguity_matrix,
-    fit_alpha_slx,
     kernel_weights_at,
+    neighbor_lag,
+    neighbor_table,
     pairwise_chordal_sq,
+    row_weights,
 )
 
 DEFAULT_ALPHAS = (0.1, 0.25, 0.5, 0.75, 1.0)
@@ -104,6 +104,22 @@ def default_k_grid(n):
     A fold keeps n-1 locations, so k must not exceed n-2.
     """
     return tuple(k for k in DEFAULT_KS if k <= n - 2)
+
+
+def select(model, Y, X, coords=None, grid=None, opts=None, threads=1):
+    """Leave-one-out search for ``model`` ("alpha", "slx" or "gwar") over ``grid``,
+    the one place a missing k or h grid gets its default (:func:`default_k_grid`
+    of the sample size, :func:`default_h_grid` of the coordinates)."""
+    grid = grid or CvGrid()
+    if model == "alpha":
+        return loocv_alpha(Y, X, grid, opts, threads=threads)
+    if model == "slx":
+        grid = replace(grid, ks=grid.ks or default_k_grid(len(Y)))
+        return loocv_slx(Y, X, coords, grid, opts, threads=threads)
+    if model == "gwar":
+        grid = replace(grid, hs=grid.hs or tuple(default_h_grid(coords)))
+        return loocv_gwar(Y, X, coords, grid, opts, threads=threads)
+    raise InvalidParameters(f"unknown model {model!r}")
 
 
 def _best_point(scores):
@@ -183,27 +199,13 @@ def loocv_alpha(Y, X, grid=None, opts=None, threads=1, keep_folds=False):
     )
 
 
-def _subset_coords(coords, mask):
-    return GeoCoordinates(
-        lat=coords.lat[mask], lon=coords.lon[mask], cart=coords.cart[mask]
-    )
-
-
-def _heldout_lag(cart_row, cart_retained, k, X_retained):
-    """Spatial lag of a held-out location from its k nearest retained points."""
-    d2 = np.maximum(2.0 * (1.0 - cart_retained @ cart_row), 0.0)
-    neighbors = np.argsort(d2, kind="stable")[:k]
-    w = 1.0 / np.maximum(d2[neighbors], COINCIDENT_DIST_SQ)
-    w = w / w.sum()
-    return w @ X_retained[neighbors, 1:]
-
-
 def loocv_slx(Y, X, coords, grid=None, opts=None, threads=1, keep_folds=False):
     """Select (alpha, k) for the lagged-covariate model.
 
-    Each fold rebuilds the contiguity matrix on the retained locations and
-    predicts the held-out row with a lag computed from its k nearest
-    retained neighbors.  Scores form a (len(alphas), len(ks)) matrix.
+    One neighbor table (``max(ks)+1`` columns) serves every fold: fold i lags
+    each retained row by its k nearest table entries other than i, and the
+    held-out row by its own k nearest.  A fold keeps n-1 locations, so
+    ``k > n-2`` scores +inf.  Scores form a (len(alphas), len(ks)) matrix.
     """
     grid = grid or CvGrid(ks=(5,))
     if grid.ks is None:
@@ -218,13 +220,13 @@ def loocv_slx(Y, X, coords, grid=None, opts=None, threads=1, keep_folds=False):
         raise InvalidK(f"k={max(grid.ks)} exceeds n-1={n - 1} neighbors")
     _check_zeros_rule(Y, grid.alphas)
 
-    # k == n-1 is fine on the full data but infeasible inside an (n-1)-point
-    # fold; such folds score +inf below instead of aborting the grid.
-    W_full = {k: contiguity_matrix(coords, k) for k in grid.ks}
+    idx, d2 = neighbor_table(coords, min(max(grid.ks) + 1, n - 1))
+    # full-data lags: the warm starts' design, and held-out row i's lag
+    lag = {k: neighbor_lag(idx[:, :k], row_weights(d2[:, :k]), X) for k in grid.ks}
     points = [(a, k) for a in grid.alphas for k in grid.ks]
     warm = _warm_chain(
-        lambda pt, t0: fit_alpha_slx(
-            Y, X, W_full[pt[1]], pt[0], opts=opts, theta0=t0
+        lambda pt, t0: fit_alpha_regression(
+            Y, np.hstack([X, lag[pt[1]]]), pt[0], opts=opts, theta0=t0
         ).lm.theta,
         points,
     )
@@ -236,17 +238,21 @@ def loocv_slx(Y, X, coords, grid=None, opts=None, threads=1, keep_folds=False):
     def score(unit):
         ai, ki, i = unit
         a, k = grid.alphas[ai], grid.ks[ki]
-        mask = np.arange(n) != i
-        sub = _subset_coords(coords, mask)
-        try:
-            W_r = contiguity_matrix(sub, k)
-            fit = fit_alpha_slx(
-                Y[mask], X[mask], W_r, a, opts=opts, theta0=warm[(a, k)]
-            )
-        except (NumericalError, InvalidK):
+        if k > n - 2:
             return np.inf
-        lag = _heldout_lag(coords.cart[i], sub.cart, k, X[mask])
-        x_aug = np.concatenate([X[i], lag])[None, :]
+        mask = np.arange(n) != i
+        nb = idx[mask, : k + 1]
+        keep = nb != i
+        keep[:, k] = ~keep[:, :k].all(axis=1)  # entry k only replaces a dropped i
+        w = row_weights(d2[mask, : k + 1][keep].reshape(n - 1, k))
+        X_aug = np.hstack([X[mask], neighbor_lag(nb[keep].reshape(n - 1, k), w, X)])
+        try:
+            fit = fit_alpha_regression(
+                Y[mask], X_aug, a, opts=opts, theta0=warm[(a, k)]
+            )
+        except NumericalError:
+            return np.inf
+        x_aug = np.concatenate([X[i], lag[k][i]])[None, :]
         return kld(Y[i : i + 1], fitted_mean(x_aug, fit.coefficients))
 
     vals = np.array(parallel_map(score, units, threads=threads))
@@ -294,8 +300,7 @@ def loocv_gwar(Y, X, coords, grid=None, opts=None, threads=1, keep_folds=False):
         ai, hi, i = unit
         a, h = grid.alphas[ai], grid.hs[hi]
         mask = np.arange(n) != i
-        sub = _subset_coords(coords, mask)
-        w = kernel_weights_at(sub, coords.cart[i], h)
+        w = kernel_weights_at(coords, coords.cart[i], h)[mask]
         if np.max(w) == 0.0:
             return np.inf
         try:

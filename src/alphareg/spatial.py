@@ -8,6 +8,10 @@ Locations are mapped from (latitude, longitude) degrees to unit 3-vectors
 Subtracting raw degrees would misjudge pairs that straddle the +-180
 longitude seam; the chordal route does not.
 
+Neighbors come from one table per dataset (:func:`neighbor_table`, ties to
+the lower index); the dense :func:`contiguity_matrix`, leave-one-out folds
+and out-of-sample lags are all read off it with :func:`row_weights`.
+
 Two models build on the plain compositional regression:
 
 * the lagged-covariate model adds neighborhood averages ``W x`` of the
@@ -95,13 +99,45 @@ def chordal_distance_sq(ci, cj):
     return np.where(d2 < ROUNDING_DIST_SQ, 0.0, d2)
 
 
-def pairwise_chordal_sq(cart):
-    """n x n matrix of squared chordal distances with an exactly zero diagonal."""
-    gram = cart @ cart.T
-    d2 = np.maximum(2.0 * (1.0 - gram), 0.0)
+def pairwise_chordal_sq(cart, other=None):
+    """Squared chordal distances between the rows of ``cart`` and of ``other``.
+
+    ``other`` defaults to ``cart``, and then the diagonal is exactly zero.
+    """
+    d2 = np.maximum(2.0 * (1.0 - cart @ (cart if other is None else other).T), 0.0)
     d2[d2 < ROUNDING_DIST_SQ] = 0.0
-    np.fill_diagonal(d2, 0.0)
+    if other is None:
+        np.fill_diagonal(d2, 0.0)
     return d2
+
+
+def neighbor_table(coords, m, query=None):
+    """Each location's m nearest other locations, nearest first.
+
+    Returns ``(idx, d2)`` of shape (n, m): neighbor indices and squared
+    chordal distances.  Ties keep the lower index, so ``idx[:, :k]`` is the
+    k-nearest set, and dropping a location from a row leaves the nearest
+    sets of the remaining data.  With ``query``, rows are the query
+    locations' nearest among ``coords``, a coincident one included.
+    """
+    if query is None:
+        d2 = pairwise_chordal_sq(coords.cart)
+        np.fill_diagonal(d2, np.inf)
+    else:
+        d2 = pairwise_chordal_sq(query.cart, coords.cart)
+    idx = np.argsort(d2, axis=1, kind="stable")[:, :m]
+    return idx, np.take_along_axis(d2, idx, axis=1)
+
+
+def row_weights(d2):
+    """Inverse squared-distance weights (capped at 1e12), each row summing to 1."""
+    w = 1.0 / np.maximum(d2, COINCIDENT_DIST_SQ)
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+def neighbor_lag(idx, w, X):
+    """Spatial lags from a neighbor table: ``sum_t w[i, t] X[idx[i, t], 1:]``."""
+    return np.einsum("ij,ijp->ip", w, X[idx, 1:])
 
 
 def contiguity_matrix(coords, k):
@@ -110,19 +146,15 @@ def contiguity_matrix(coords, k):
     Each row keeps its k nearest non-self neighbors at weight ``1/d2``
     (capped at 1e12 for coincident locations) and zeros elsewhere, then is
     divided by its sum.  Distance ties at the k-th position keep the
-    lower-index observation.
+    lower-index observation (the first k columns of :func:`neighbor_table`).
     """
     n = coords.n
     if not 1 <= k <= n - 1:
         raise InvalidK(f"k must satisfy 1 <= k <= n-1 = {n - 1}, got {k}")
-    d2 = pairwise_chordal_sq(coords.cart)
-    np.fill_diagonal(d2, np.inf)
+    idx, d2 = neighbor_table(coords, k)
     W = np.zeros((n, n))
-    for i in range(n):
-        # stable sort keeps the lower index first among tied distances
-        neighbors = np.argsort(d2[i], kind="stable")[:k]
-        W[i, neighbors] = 1.0 / np.maximum(d2[i, neighbors], COINCIDENT_DIST_SQ)
-    return W / W.sum(axis=1, keepdims=True)
+    np.put_along_axis(W, idx, row_weights(d2), axis=1)
+    return W
 
 
 def gaussian_kernel_weights(coords, focal, h):

@@ -119,6 +119,71 @@ class TestPredictCommand:
                      "--data", str(dataset), "--out", str(tmp_path / "p.csv")])
         assert code == 0
 
+    def test_slx_prediction_lags_are_rows_of_w(self, dataset, tmp_path):
+        # predicting at the training locations: each row's lag is the row
+        # that contiguity_matrix gives a duplicate of that location appended
+        # to the training data (its coincident twin first, then the nearest)
+        from alphareg import GeoCoordinates, contiguity_matrix, fitted_mean
+        from alphareg.datasets import DatasetSpec, load_dataset
+
+        doc_path, pred_path = tmp_path / "slx.json", tmp_path / "p.csv"
+        main(["fit", "--data", str(dataset), *DATA_ARGS, *GEO_ARGS,
+              "--model", "slx", "--alpha", "0.5", "--k", "4", "--out", str(doc_path)])
+        assert main(["predict", "--model-doc", str(doc_path), "--data", str(dataset),
+                     "--out", str(pred_path)]) == 0
+        _, X, coords = load_dataset(DatasetSpec(
+            path=str(dataset), composition_columns=["y1", "y2", "y3"],
+            covariate_columns=["x1", "x2"], lat_column="lat", lon_column="lon",
+        ))
+        n = X.shape[0]
+        lags = np.vstack([
+            contiguity_matrix(GeoCoordinates.from_degrees(
+                np.append(coords.lat, coords.lat[j]),
+                np.append(coords.lon, coords.lon[j])), 4)[n, :n] @ X[:, 1:]
+            for j in range(n)
+        ])
+        C = np.asarray(json.loads(doc_path.read_text())["fit"]["coefficients"])
+        rows = pred_path.read_text().strip().splitlines()[1:]
+        pred = np.array([[float(v) for v in r.split(",")] for r in rows])
+        np.testing.assert_allclose(pred, fitted_mean(np.hstack([X, lags]), C),
+                                   rtol=1e-12)
+
+    def test_edited_training_file_is_data_error(self, dataset, tmp_path, capsys):
+        doc_path = tmp_path / "slx.json"
+        main(["fit", "--data", str(dataset), *DATA_ARGS, *GEO_ARGS,
+              "--model", "slx", "--alpha", "0.5", "--k", "4", "--out", str(doc_path)])
+        new_data = tmp_path / "new.csv"
+        new_data.write_bytes(dataset.read_bytes())
+        lines = dataset.read_text().splitlines()
+        lines[1] = lines[2]  # the first observation silently replaced
+        dataset.write_text("\n".join(lines) + "\n")
+        code = main(["predict", "--model-doc", str(doc_path),
+                     "--data", str(new_data), "--out", str(tmp_path / "p.csv")])
+        assert code == 2
+        assert "changed since the fit" in capsys.readouterr().err
+        dataset.unlink()
+        code = main(["predict", "--model-doc", str(doc_path),
+                     "--data", str(new_data), "--out", str(tmp_path / "p.csv")])
+        assert code == 2
+
+    def test_prediction_from_another_working_directory(self, dataset, tmp_path,
+                                                       monkeypatch):
+        doc_path = tmp_path / "slx.json"
+        monkeypatch.chdir(dataset.parent)
+        assert main(["fit", "--data", dataset.name, *DATA_ARGS, *GEO_ARGS,
+                     "--model", "slx", "--alpha", "0.5", "--k", "4",
+                     "--out", str(doc_path)]) == 0
+        recorded = json.loads(doc_path.read_text())["dataset"]
+        assert recorded["path"] == dataset.name
+        assert recorded["resolved_path"] == str(dataset.resolve())
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        code = main(["predict", "--model-doc", str(doc_path),
+                     "--data", str(dataset), "--out", "p.csv"])
+        assert code == 0
+        assert len((elsewhere / "p.csv").read_text().splitlines()) == 41
+
     def test_gwar_prediction_matches_document_fit(self, dataset, tmp_path):
         doc_path = tmp_path / "gwar.json"
         main(["fit", "--data", str(dataset), *DATA_ARGS, *GEO_ARGS,

@@ -190,6 +190,24 @@ class TestFit:
         fit = fit_alpha_regression(Y, X, 0.25)
         assert abs(fit.sse - sse(Y, X, 0.25, fit.coefficients)) < 1e-10
 
+    def test_weighted_fit_reports_unweighted_sse(self, rng):
+        Y, X, _ = random_instance(rng, n=30, D=3, p=1)
+        w = rng.uniform(0.1, 2.0, size=30)
+        fit = fit_alpha_regression(Y, X, 0.5, weights=w)
+        assert abs(fit.sse - sse(Y, X, 0.5, fit.coefficients)) < 1e-10
+        assert abs(fit.lm.final_sse - fit.sse) > 1e-6  # the solver's is weighted
+
+    def test_response_transformed_once_per_fit(self, rng, monkeypatch):
+        from alphareg import regression
+
+        calls = []
+        original = regression.alpha_transform
+        monkeypatch.setattr(regression, "alpha_transform",
+                            lambda *a: calls.append(1) or original(*a))
+        Y, X, _ = random_instance(rng, n=30, D=3, p=1)
+        fit_alpha_regression(Y, X, 0.5)
+        assert len(calls) == 1
+
     def test_deterministic(self, rng):
         Y, X, _ = random_instance(rng, n=30, D=3, p=1)
         f1 = fit_alpha_regression(Y, X, 0.5)

@@ -14,15 +14,20 @@ from alphareg import (
     ShapeMismatch,
     ZeroWithNonpositiveAlpha,
     closure,
+    contiguity_matrix,
     default_h_grid,
     default_k_grid,
     fit_alpha_regression,
+    fit_alpha_slx,
+    fitted_mean,
     kld,
     loocv_alpha,
     loocv_gwar,
     loocv_slx,
     median_heuristic_bandwidth,
+    select,
 )
+from alphareg import selection, spatial
 from alphareg.datasets import synthesize
 from alphareg.spatial import pairwise_chordal_sq
 
@@ -197,6 +202,138 @@ class TestLoocvSlx:
         assert default_k_grid(40) == (3, 5, 7, 9)
         assert default_k_grid(9) == (3, 5, 7)
         assert default_k_grid(4) == ()
+
+
+def rebuilt_fold_scores(Y, X, coords, alphas, ks):
+    """Leave-one-out slx scores with every fold's W rebuilt from scratch.
+
+    Each fold builds ``contiguity_matrix`` on the retained locations and lags
+    the held-out row by its k nearest retained points, distances taken
+    directly against that row; warm starts chain through the full-data fits
+    in grid order.  Returns per-fold scores of shape (n, alphas, ks).
+    """
+    n = Y.shape[0]
+    out = np.full((n, len(alphas), len(ks)), np.inf)
+    warm = None
+    for ai, a in enumerate(alphas):
+        for ki, k in enumerate(ks):
+            warm = fit_alpha_slx(Y, X, contiguity_matrix(coords, k), a,
+                                 theta0=warm).lm.theta
+            if k > n - 2:
+                continue  # an (n-1)-point fold has no k nearest others
+            for i in range(n):
+                mask = np.arange(n) != i
+                sub = GeoCoordinates(lat=coords.lat[mask], lon=coords.lon[mask],
+                                     cart=coords.cart[mask])
+                fit = fit_alpha_slx(Y[mask], X[mask], contiguity_matrix(sub, k),
+                                    a, theta0=warm)
+                d2 = np.maximum(2.0 * (1.0 - sub.cart @ coords.cart[i]), 0.0)
+                nb = np.argsort(d2, kind="stable")[:k]
+                w = 1.0 / np.maximum(d2[nb], 1e-12)
+                lag = (w / w.sum()) @ X[mask][nb, 1:]
+                x_aug = np.concatenate([X[i], lag])[None, :]
+                out[i, ai, ki] = kld(Y[i : i + 1], fitted_mean(x_aug, fit.coefficients))
+    return out
+
+
+# Three groups of three points on a parallel, the outer two of each group at
+# longitudes symmetric about the middle one: their distances to it tie
+# exactly, in the Gram form of the table and in the direct dot products of
+# the rebuild alike.  (Some symmetric pairs are 1 ulp apart in one form and
+# tied in the other, which would compare the two distance formulas rather
+# than the fold neighbors; the group at 3-5 is irregular for that reason.)
+TIE_LAT = [10.0, 10.0, 10.0, 10.4, 10.0, 9.7, 12.0, 12.0, 12.0, 11.0, 11.0, 11.0]
+TIE_LON = [20.0, 21.0, 19.0, 25.0, 26.1, 24.3, 20.0, 21.0, 19.0, 22.5, 23.5, 21.5]
+
+
+def _fold_data(lat, lon, seed):
+    n = len(lat)
+    sim = synthesize(n=n, D=3, p=1, alpha=0.5, noise_scale=0.1,
+                     spatial_mode="none", seed=seed)
+    return sim["Y"], sim["X"], GeoCoordinates.from_degrees(lat, lon)
+
+
+class TestLoocvSlxNeighborTable:
+    @pytest.mark.parametrize("case", ["tie", "coincident", "boundary"])
+    def test_matches_per_fold_rebuild(self, case):
+        lat, lon, ks = TIE_LAT, TIE_LON, (1, 2)
+        if case == "coincident":
+            # observations 12 and 13 share the locations of 3 and 9
+            lat, lon, ks = lat + [lat[3], lat[9]], lon + [lon[3], lon[9]], (1, 3)
+        elif case == "boundary":
+            ks = (len(lat) - 2, len(lat) - 1)
+        Y, X, coords = _fold_data(lat, lon, seed=11)
+        n = len(lat)
+        if case == "tie":
+            # location 0's nearest is 1 by index alone: dropping 1 promotes 2
+            d2 = pairwise_chordal_sq(coords.cart)
+            assert d2[0, 1] == d2[0, 2] and d2[0, 1] < np.delete(d2[0], [0, 1, 2]).min()
+        alphas = (0.5, 1.0)
+        cv = loocv_slx(Y, X, coords, CvGrid(alphas=alphas, ks=ks), keep_folds=True)
+        oracle = rebuilt_fold_scores(Y, X, coords, alphas, ks)
+        np.testing.assert_array_equal(np.isinf(cv.per_fold), np.isinf(oracle))
+        finite = np.isfinite(oracle)
+        np.testing.assert_allclose(cv.per_fold[finite], oracle[finite], rtol=1e-7)
+        np.testing.assert_allclose(cv.scores, oracle.sum(axis=0), rtol=1e-9)
+        if case == "boundary":
+            assert np.all(np.isinf(cv.per_fold[:, :, 1]))  # k = n-1 in every fold
+            assert np.all(np.isfinite(cv.per_fold[:, :, 0]))
+        assert cv.per_fold.shape == (n, len(alphas), len(ks))
+
+    def test_geometry_built_once_per_search(self, monkeypatch):
+        calls = {"contiguity_matrix": 0, "pairwise_chordal_sq": 0}
+
+        def counted(name):
+            original = getattr(spatial, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            wrapper = counted(name)
+            monkeypatch.setattr(spatial, name, wrapper)
+            monkeypatch.setattr(selection, name, wrapper, raising=False)
+        sim = synthesize(n=20, D=3, p=1, alpha=0.5, noise_scale=0.1,
+                         spatial_mode="slx", seed=6)
+        ks = (3, 5)
+        loocv_slx(sim["Y"], sim["X"], sim["coords"], CvGrid(alphas=(0.5,), ks=ks))
+        assert calls["contiguity_matrix"] <= len(ks)
+        assert calls["pairwise_chordal_sq"] <= len(ks)
+
+
+class TestSelect:
+    @staticmethod
+    def searched_grids(monkeypatch, grid):
+        """The grid each model's search receives from ``select``."""
+        seen = {}
+        for name in ("loocv_alpha", "loocv_slx", "loocv_gwar"):
+            monkeypatch.setattr(selection, name, lambda *args, name=name, **kw:
+                                seen.__setitem__(name, args[-2]))
+        coords = GeoCoordinates.from_degrees(TIE_LAT, TIE_LON)
+        for model in ("alpha", "slx", "gwar"):
+            select(model, np.zeros((12, 3)), None, coords, grid)
+        return seen, coords
+
+    def test_fills_only_the_missing_model_grid(self, monkeypatch):
+        bare = CvGrid(alphas=(0.5,))
+        seen, coords = self.searched_grids(monkeypatch, bare)
+        assert seen["loocv_alpha"] is bare
+        assert seen["loocv_slx"].ks == default_k_grid(12)
+        assert seen["loocv_slx"].hs is None
+        np.testing.assert_array_equal(seen["loocv_gwar"].hs, default_h_grid(coords))
+        assert seen["loocv_gwar"].ks is None
+        assert all(g.alphas == (0.5,) for g in seen.values())
+
+    def test_keeps_a_given_grid(self, monkeypatch):
+        grid = CvGrid(alphas=(0.5,), ks=(2,), hs=(0.1,))
+        seen, _ = self.searched_grids(monkeypatch, grid)
+        assert all(g == grid for g in seen.values())
+
+    def test_unknown_model(self):
+        with pytest.raises(InvalidParameters):
+            select("ols", np.zeros((12, 3)), None)
 
 
 class TestLoocvGwar:

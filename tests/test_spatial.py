@@ -18,7 +18,11 @@ from alphareg import (
     fit_gwar,
     fitted_mean,
     gaussian_kernel_weights,
+    neighbor_lag,
+    neighbor_table,
+    pairwise_chordal_sq,
     predict_gwar,
+    row_weights,
     spatial_lag,
     to_cartesian,
 )
@@ -107,6 +111,80 @@ class TestContiguity:
             contiguity_matrix(coords, 5)
         with pytest.raises(InvalidK):
             contiguity_matrix(coords, 0)
+
+
+def looped_contiguity(coords, k):
+    """Row-by-row k-nearest inverse-distance weights, row-standardized."""
+    n = coords.n
+    d2 = pairwise_chordal_sq(coords.cart)
+    np.fill_diagonal(d2, np.inf)
+    W = np.zeros((n, n))
+    for i in range(n):
+        neighbors = np.argsort(d2[i], kind="stable")[:k]
+        W[i, neighbors] = 1.0 / np.maximum(d2[i, neighbors], 1e-12)
+    return W / W.sum(axis=1, keepdims=True)
+
+
+class TestNeighborTable:
+    @pytest.mark.parametrize("k", [1, 4, 29])
+    def test_contiguity_matches_row_loop(self, rng, k):
+        coords = random_coords(rng, 30)
+        np.testing.assert_allclose(contiguity_matrix(coords, k),
+                                   looped_contiguity(coords, k), rtol=0, atol=1e-15)
+
+    def test_contiguity_with_ties_and_coincident_points(self):
+        lat = [10.0, 10.0, 10.0, 10.0, 10.0, 11.0, 11.0]
+        lon = [20.0, 21.0, 19.0, 21.0, 25.0, 20.0, 20.0]
+        coords = GeoCoordinates.from_degrees(lat, lon)
+        for k in range(1, 7):
+            np.testing.assert_allclose(contiguity_matrix(coords, k),
+                                       looped_contiguity(coords, k), rtol=0, atol=1e-15)
+
+    def test_sorted_rows_without_self(self, rng):
+        coords = random_coords(rng, 25)
+        idx, d2 = neighbor_table(coords, 6)
+        assert idx.shape == d2.shape == (25, 6)
+        assert np.all(idx != np.arange(25)[:, None])
+        assert np.all(np.diff(d2, axis=1) >= 0)
+        full = pairwise_chordal_sq(coords.cart)
+        np.testing.assert_array_equal(d2, np.take_along_axis(full, idx, axis=1))
+
+    def test_tie_keeps_lower_index(self):
+        coords = GeoCoordinates.from_degrees([10.0, 10.0, 10.0], [20.0, 21.0, 19.0])
+        idx, d2 = neighbor_table(coords, 2)
+        assert idx[0].tolist() == [1, 2] and d2[0, 0] == d2[0, 1]
+
+    def test_table_lags_are_rows_of_w(self, rng):
+        # 3-5: symmetric longitudes that are 1 ulp apart in the Gram form
+        lat = [10.0, 10.0, 10.0, 10.0, 10.0, 10.0, 12.0, 12.0]
+        lon = [20.0, 21.0, 19.0, 25.0, 26.0, 24.0, 20.0, 20.0]
+        coords = GeoCoordinates.from_degrees(lat, lon)
+        X = np.hstack([np.ones((8, 1)), rng.normal(size=(8, 2))])
+        idx, d2 = neighbor_table(coords, 7)
+        for k in range(1, 8):
+            lag = neighbor_lag(idx[:, :k], row_weights(d2[:, :k]), X)
+            W = contiguity_matrix(coords, k)
+            np.testing.assert_allclose(lag, spatial_lag(W, X), rtol=1e-13, atol=1e-13)
+
+    def test_query_at_a_duplicated_location_is_a_row_of_w(self, rng):
+        # a query point appended to the training locations gets the row of W
+        # that its k nearest training points give it, coincident ones first
+        train = random_coords(rng, 12)
+        X = np.hstack([np.ones((12, 1)), rng.normal(size=(12, 2))])
+        for j in (0, 5, 11):
+            query = GeoCoordinates.from_degrees(train.lat[[j]], train.lon[[j]])
+            idx, d2 = neighbor_table(train, 4, query=query)
+            assert idx[0, 0] == j and d2[0, 0] == 0.0
+            both = GeoCoordinates.from_degrees(np.append(train.lat, train.lat[j]),
+                                               np.append(train.lon, train.lon[j]))
+            W_row = contiguity_matrix(both, 4)[12, :12]
+            np.testing.assert_allclose(neighbor_lag(idx, row_weights(d2), X),
+                                       (W_row @ X[:, 1:])[None], rtol=1e-13)
+
+    def test_row_weights_cap_coincident(self):
+        w = row_weights(np.array([[0.0, 1.0], [1.0, 4.0]]))
+        np.testing.assert_allclose(w, [[1e12 / (1e12 + 1.0), 1.0 / (1e12 + 1.0)],
+                                       [0.8, 0.2]])
 
 
 class TestKernel:
