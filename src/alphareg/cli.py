@@ -327,13 +327,11 @@ def _predict_gwar_from_doc(doc, dataset, X_new, coords_new, threads):
     if coords_new is None:
         raise InvalidParameters("prediction for this model needs coordinates")
     from .regression import kld
-    from .spatial import GwarFit
+    from .spatial import GwarFit, local_fitted_mean
 
     Y_train, X_train, coords_train = _train_data(dataset)
     local = np.asarray(doc["fit"]["local_coefficients"])
-    fitted = np.vstack([
-        fitted_mean(X_train[i : i + 1], local[i]) for i in range(local.shape[0])
-    ])
+    fitted = local_fitted_mean(X_train, local)
     fit = GwarFit(
         local_coefficients=local,
         alpha=doc["hyperparameters"]["alpha"],

@@ -15,10 +15,15 @@ formula per location with that location's coefficients.
 Coefficient covariance comes in three flavors: the sandwich estimator
 ``H^-1 J H^-1 / n`` built from per-observation mean Jacobians and residual
 outer products, its spherical special case ``sigma2 * H^-1 / n``, and a
-nonparametric pairs bootstrap that resamples whole observation rows.
+nonparametric pairs bootstrap that resamples whole observation rows.  The
+bootstrap makes one pass: each replicate is refit once, warm-started from the
+full-data fit, and that refit yields both its coefficients and its average
+marginal effects, so the covariance and the effects' standard errors come
+from the same replicates.
 """
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -47,18 +52,21 @@ def marginal_effects(B, mu, k):
 
     ``B`` is the (p+1) x d coefficient matrix (row 0 is the intercept), so
     ``k`` indexes both the covariate and its coefficient row; ``mu`` holds
-    the fitted compositions.  Returns an n x D table whose rows sum to 0.
+    the fitted compositions.  ``B`` may also be an n x (p+1) x d stack, row
+    i of ``mu`` then using ``B[i]`` (locally weighted fits).  Returns an
+    n x D table whose rows sum to 0.
     """
     B = np.asarray(B, dtype=np.float64)
     mu = np.atleast_2d(np.asarray(mu, dtype=np.float64))
     if k == 0:
         raise InterceptEffectRequested("the intercept has no marginal effect")
-    if not 1 <= k < B.shape[0]:
-        raise InvalidParameters(f"covariate index {k} outside 1..{B.shape[0] - 1}")
-    bk = B[k]  # length d, coefficient of covariate k per non-reference component
-    s = mu[:, 1:] @ bk
-    coeff_full = np.concatenate([[0.0], bk])  # implicit zero for the reference
-    return mu * (coeff_full[None, :] - s[:, None])
+    if not 1 <= k < B.shape[-2]:
+        raise InvalidParameters(f"covariate index {k} outside 1..{B.shape[-2] - 1}")
+    bk = B[..., k, :]  # coefficient of covariate k per non-reference component
+    s = mu[:, 1:] @ bk if bk.ndim == 1 else np.einsum("ij,ij->i", mu[:, 1:], bk)
+    # implicit zero coefficient for the reference component
+    coeff_full = np.concatenate([np.zeros(bk.shape[:-1] + (1,)), bk], axis=-1)
+    return mu * (coeff_full - s[:, None])
 
 
 def average_marginal_effects(fit, k):
@@ -89,12 +97,7 @@ def slx_effects(fit, k):
 
 def gwar_marginal_effects(fit, k):
     """Location-specific effects: each row evaluated with its own coefficients."""
-    n = fit.fitted.shape[0]
-    rows = [
-        marginal_effects(fit.local_coefficients[i], fit.fitted[i : i + 1], k)[0]
-        for i in range(n)
-    ]
-    return np.vstack(rows)
+    return marginal_effects(fit.local_coefficients, fit.fitted, k)
 
 
 @dataclass
@@ -103,6 +106,7 @@ class CovarianceEstimate:
     kind: str  # "sandwich" | "spherical" | "bootstrap"
     replicates: int = 0
     failed_replicates: int = 0
+    ame_standard_errors: Optional[np.ndarray] = None  # p x D, bootstrap only
 
 
 def _enforce_psd(M):
@@ -157,68 +161,59 @@ def sandwich_covariance(Y, X, alpha, B_hat, kind="sandwich"):
     return CovarianceEstimate(matrix=_enforce_psd(cov), kind=kind)
 
 
-def bootstrap_covariance(Y, X, alpha, opts=None, replicates=200, seed=0, threads=1):
-    """Pairs-bootstrap covariance of ``vec(B_hat)``.
+def bootstrap_covariance(Y, X, alpha, opts=None, replicates=200, seed=0, threads=1,
+                         theta0=None):
+    """Pairs-bootstrap covariance of ``vec(B_hat)`` and of the AMEs, in one pass.
 
     Observation rows ``(y_i, x_i)`` are resampled with replacement and the
-    model refit per replicate; replicate RNG streams derive from the seed by
-    replicate index, so results are identical for any thread count.  Failed
-    replicates are dropped and counted; more than 20% failing is an error.
+    model refit once per replicate, warm-started from ``theta0``: the
+    full-data fit's parameters, fit here when ``None``.  Each refit gives
+    its coefficients and the average marginal effect of every covariate, so
+    ``matrix`` and the p x D ``ame_standard_errors`` come from the same
+    replicates.  Replicate RNG streams derive from the seed by replicate
+    index, so results are identical for any thread count.  A failed
+    replicate is dropped from both statistics and counted once; more than
+    20% failing is an error.
     """
-    draws, failed = _bootstrap_draws(Y, X, alpha, opts, replicates, seed, threads)
-    cov = np.cov(np.vstack(draws), rowvar=False, ddof=1)
-    return CovarianceEstimate(
-        matrix=np.atleast_2d(cov),
-        kind="bootstrap",
-        replicates=len(draws),
-        failed_replicates=failed,
-    )
-
-
-def bootstrap_ame_standard_errors(Y, X, alpha, opts=None, replicates=200, seed=0,
-                                  threads=1):
-    """Bootstrap standard errors of the average marginal effects.
-
-    Re-evaluates the AME of every covariate on each bootstrap refit and
-    returns a p x D matrix of standard deviations across replicates.
-    """
-    Y = np.asarray(Y, dtype=np.float64)
-    p = np.asarray(X).shape[1] - 1
-
-    def ame_stat(fit):
-        return np.stack([average_marginal_effects(fit, k) for k in range(1, p + 1)])
-
-    draws, _ = _bootstrap_draws(
-        Y, X, alpha, opts, replicates, seed, threads, stat=ame_stat
-    )
-    return np.std(np.stack(draws), axis=0, ddof=1)
-
-
-def _bootstrap_draws(Y, X, alpha, opts, replicates, seed, threads, stat=None):
     if replicates < 2:
         raise InvalidParameters("bootstrap needs at least 2 replicates")
     Y = np.asarray(Y, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
-    n = Y.shape[0]
-    base = fit_alpha_regression(Y, X, alpha, opts=opts)
-    theta_hat = base.lm.theta
+    n, D = Y.shape
+    p = X.shape[1] - 1
+    if theta0 is None:
+        theta0 = fit_alpha_regression(Y, X, alpha, opts=opts).lm.theta
 
     def one(rep):
-        rng = np.random.default_rng([seed, rep])
-        idx = rng.integers(0, n, size=n)
+        idx = np.random.default_rng([seed, rep]).integers(0, n, size=n)
         try:
-            fit = fit_alpha_regression(
-                Y[idx], X[idx], alpha, opts=opts, theta0=theta_hat
-            )
+            fit = fit_alpha_regression(Y[idx], X[idx], alpha, opts=opts, theta0=theta0)
         except NumericalError:
             return None
-        return stat(fit) if stat is not None else fit.lm.theta.copy()
+        ames = [average_marginal_effects(fit, k) for k in range(1, p + 1)]
+        return fit.lm.theta, np.array(ames).reshape(p, D)
 
-    results = parallel_map(one, range(replicates), threads=threads)
-    draws = [r for r in results if r is not None]
+    draws = [r for r in parallel_map(one, range(replicates), threads=threads)
+             if r is not None]
     failed = replicates - len(draws)
     if failed > 0.2 * replicates:
         raise NumericalError(
             f"{failed} of {replicates} bootstrap replicates failed to fit"
         )
-    return draws, failed
+    thetas, ames = zip(*draws)
+    cov = np.cov(np.vstack(thetas), rowvar=False, ddof=1)
+    return CovarianceEstimate(
+        matrix=np.atleast_2d(cov),
+        kind="bootstrap",
+        replicates=len(draws),
+        failed_replicates=failed,
+        ame_standard_errors=np.std(np.stack(ames), axis=0, ddof=1),
+    )
+
+
+def bootstrap_ame_standard_errors(Y, X, alpha, opts=None, replicates=200, seed=0,
+                                  threads=1):
+    """Bootstrap standard errors (p x D) of the average marginal effects: the
+    ``ame_standard_errors`` of :func:`bootstrap_covariance`."""
+    return bootstrap_covariance(
+        Y, X, alpha, opts, replicates, seed, threads).ame_standard_errors

@@ -79,7 +79,12 @@ def coef_to_theta(B):
 
 def _logit_map(X, B):
     """:func:`fitted_mean` without the shape checks (hot-loop form)."""
-    e = np.exp(np.clip(X @ B, -LINPRED_CLAMP, LINPRED_CLAMP))
+    return _inverse_logit(X @ B)
+
+
+def _inverse_logit(eta):
+    """Compositions from n x d linear predictors; component 1 is the reference."""
+    e = np.exp(np.clip(eta, -LINPRED_CLAMP, LINPRED_CLAMP))
     denom = 1.0 + e.sum(axis=1, keepdims=True)
     return np.hstack([1.0 / denom, e / denom])
 

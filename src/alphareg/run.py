@@ -20,7 +20,6 @@ from ._parallel import resolve_threads
 from .exceptions import InvalidParameters, MissingColumn
 from .inference import (
     average_marginal_effects,
-    bootstrap_ame_standard_errors,
     bootstrap_covariance,
     gwar_marginal_effects,
     sandwich_covariance,
@@ -124,13 +123,11 @@ def run_fit(config, Y, X, coords=None, covariate_names=None):
             "iterations": fit.lm.iterations,
             "converged_by": fit.lm.converged_by.value,
         }
+        effects = {kk: slx_effects(fit, kk) for kk in range(1, p + 1)}
         margins = {
-            "ame_direct": _ame_table(
-                lambda kk: slx_effects(fit, kk).direct.mean(axis=0), p),
-            "ame_indirect": _ame_table(
-                lambda kk: slx_effects(fit, kk).indirect.mean(axis=0), p),
-            "ame_total": _ame_table(
-                lambda kk: slx_effects(fit, kk).total.mean(axis=0), p),
+            f"ame_{part}": _ame_table(
+                lambda kk: getattr(effects[kk], part).mean(axis=0), p)
+            for part in ("direct", "indirect", "total")
         }
         X_aug = np.hstack([X, W @ X[:, 1:]])
         se = _standard_errors(config, Y, X_aug, alpha, fit, threads)
@@ -208,6 +205,8 @@ def _config_doc(config):
 def _standard_errors(config, Y, X_model, alpha, fit, threads):
     """Sandwich SEs by default; pairs bootstrap when replicates requested.
 
+    The bootstrap replicates warm-start from ``fit``, the final fit on
+    ``X_model``, and give the coefficient and AME standard errors together.
     Also attaches the covariance matrix to the fit object.
     """
     if not (config.with_se or config.bootstrap_replicates):
@@ -217,12 +216,7 @@ def _standard_errors(config, Y, X_model, alpha, fit, threads):
         cov = bootstrap_covariance(
             Y, X_model, alpha, opts=config.solver,
             replicates=config.bootstrap_replicates, seed=config.seed,
-            threads=threads,
-        )
-        ame_se = bootstrap_ame_standard_errors(
-            Y, X_model, alpha, opts=config.solver,
-            replicates=config.bootstrap_replicates, seed=config.seed,
-            threads=threads,
+            threads=threads, theta0=fit.lm.theta,
         )
         fit.covariance = cov.matrix
         return {
@@ -230,7 +224,7 @@ def _standard_errors(config, Y, X_model, alpha, fit, threads):
             "replicates": cov.replicates,
             "failed_replicates": cov.failed_replicates,
             "coefficients": _se_matrix(cov.matrix, shape).tolist(),
-            "ame": ame_se.tolist(),
+            "ame": cov.ame_standard_errors.tolist(),
         }
     cov = sandwich_covariance(Y, X_model, alpha, fit.coefficients)
     fit.covariance = cov.matrix

@@ -205,7 +205,8 @@ def loocv_slx(Y, X, coords, grid=None, opts=None, threads=1, keep_folds=False):
     One neighbor table (``max(ks)+1`` columns) serves every fold: fold i lags
     each retained row by its k nearest table entries other than i, and the
     held-out row by its own k nearest.  A fold keeps n-1 locations, so
-    ``k > n-2`` scores +inf.  Scores form a (len(alphas), len(ks)) matrix.
+    ``k > n-2`` scores +inf, without a full-data warm-start fit.  Scores form
+    a (len(alphas), len(ks)) matrix.
     """
     grid = grid or CvGrid(ks=(5,))
     if grid.ks is None:
@@ -223,7 +224,8 @@ def loocv_slx(Y, X, coords, grid=None, opts=None, threads=1, keep_folds=False):
     idx, d2 = neighbor_table(coords, min(max(grid.ks) + 1, n - 1))
     # full-data lags: the warm starts' design, and held-out row i's lag
     lag = {k: neighbor_lag(idx[:, :k], row_weights(d2[:, :k]), X) for k in grid.ks}
-    points = [(a, k) for a in grid.alphas for k in grid.ks]
+    # every k gives the same design width, so the chain carries across k
+    points = [(a, k) for a in grid.alphas for k in grid.ks if k <= n - 2]
     warm = _warm_chain(
         lambda pt, t0: fit_alpha_regression(
             Y, np.hstack([X, lag[pt[1]]]), pt[0], opts=opts, theta0=t0

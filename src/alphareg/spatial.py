@@ -37,6 +37,7 @@ from .exceptions import (
 )
 from .optim import LmOptions, LmResult
 from .regression import (
+    _inverse_logit,
     coef_to_theta,
     fit_alpha_regression,
     fitted_mean,
@@ -295,7 +296,7 @@ def fit_gwar(Y, X, coords, alpha, h, opts=None, threads=1):
 
     thetas = parallel_map(solve_location, range(n), threads=threads)
     local = np.stack([theta_to_coef(t, X.shape[1], d) for t in thetas])
-    fitted = np.vstack([fitted_mean(X[i : i + 1], local[i]) for i in range(n)])
+    fitted = local_fitted_mean(X, local)
     return GwarFit(
         local_coefficients=local,
         alpha=float(alpha),
@@ -308,6 +309,11 @@ def fit_gwar(Y, X, coords, alpha, h, opts=None, threads=1):
         train_coords=coords,
         opts=opts,
     )
+
+
+def local_fitted_mean(X, local):
+    """Mean compositions where row i of ``X`` uses its own coefficients ``local[i]``."""
+    return _inverse_logit(np.einsum("ip,ipd->id", X, local))
 
 
 def predict_gwar(fit, X_new, coords_new, threads=1):

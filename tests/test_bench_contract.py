@@ -1,0 +1,51 @@
+"""The benchmark's tracing contract: every function ``perfbench/spans.py``
+wraps by name exists, and a traced bootstrap run reports one solve per
+replicate.
+
+``spans.py`` is loaded by file path (it imports only the standard library and
+numpy); a renamed or removed target then fails here rather than partway
+through a traced benchmark run.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from alphareg import RunConfig, run_fit
+from alphareg.datasets import synthesize
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+@pytest.fixture(scope="module")
+def spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_target_resolves_to_a_callable(spans):
+    # the tracer also wraps _parallel.parallel_map, outside TARGETS
+    names = [(module, function) for _, module, function, _ in spans.TARGETS]
+    missing = [
+        f"alphareg.{module}.{function}"
+        for module, function in names + [("_parallel", "parallel_map")]
+        if not callable(getattr(importlib.import_module(f"alphareg.{module}"),
+                                function, None))
+    ]
+    assert not missing, f"traced functions not found: {missing}"
+
+
+def test_traced_bootstrap_counts_one_solve_per_replicate(spans):
+    sim = synthesize(n=40, D=3, p=1, alpha=0.5, noise_scale=0.1, seed=14)
+    config = RunConfig(model="alpha", alpha=0.5, bootstrap_replicates=5)
+    with spans.Tracer(spans.Recorder()) as recorder:
+        run_fit(config, sim["Y"], sim["X"])
+    metrics = spans.layer_metrics(recorder.spans, wall=0.0)
+    assert metrics["inference.bootstrap.solves"] == 5
+    assert metrics["regression.fit.calls"] == 6
+    assert metrics["parallel.parallel_map.items"] == 5
+    assert metrics["inference.bootstrap.failed"] == 0

@@ -7,8 +7,10 @@ import pytest
 
 from alphareg import (
     InterceptEffectRequested,
+    NumericalError,
     SingularH,
     average_marginal_effects,
+    bootstrap_ame_standard_errors,
     bootstrap_covariance,
     contiguity_matrix,
     fit_alpha_regression,
@@ -20,6 +22,7 @@ from alphareg import (
     sandwich_covariance,
     slx_effects,
 )
+from alphareg import inference
 from alphareg.datasets import synthesize
 from alphareg.simplex import alpha_transform, alpha_transform_inverse
 from conftest import random_instance
@@ -140,6 +143,18 @@ class TestGwarEffects:
         eff = gwar_marginal_effects(gfit, 1)
         np.testing.assert_allclose(eff[7], 0.0, atol=1e-15)
 
+    def test_batched_rows_match_per_location_loop(self):
+        sim = synthesize(n=40, D=4, p=2, alpha=0.5, noise_scale=0.05,
+                         spatial_mode="two_cluster", seed=5)
+        gfit = fit_gwar(sim["Y"], sim["X"], sim["coords"], 0.5, 0.02)
+        for k in (1, 2):
+            loop = np.vstack([
+                marginal_effects(gfit.local_coefficients[i], gfit.fitted[i : i + 1], k)
+                for i in range(40)
+            ])
+            np.testing.assert_allclose(gwar_marginal_effects(gfit, k), loop,
+                                       rtol=0, atol=1e-14)
+
 
 class TestSandwich:
     def test_symmetry_and_psd(self, rng):
@@ -235,3 +250,91 @@ class TestBootstrap:
         monkeypatch.setattr(inference, "fit_alpha_regression", broken)
         with pytest.raises(NumericalError):
             bootstrap_covariance(Y, X, 0.5, replicates=20, seed=1)
+
+
+def two_pass_oracle(Y, X, alpha, replicates, seed, skip=()):
+    """The bootstrap as two loops over the same resamples, each refit from the
+    full-data fit: coefficient draws for the covariance, AME draws for the SEs."""
+    n, p = len(Y), X.shape[1] - 1
+    theta_hat = fit_alpha_regression(Y, X, alpha).lm.theta
+    resamples = [np.random.default_rng([seed, rep]).integers(0, n, size=n)
+                 for rep in range(replicates) if rep not in skip]
+    thetas = [fit_alpha_regression(Y[i], X[i], alpha, theta0=theta_hat).lm.theta
+              for i in resamples]
+    ames = []
+    for i in resamples:
+        fit = fit_alpha_regression(Y[i], X[i], alpha, theta0=theta_hat)
+        ames.append([average_marginal_effects(fit, k) for k in range(1, p + 1)])
+    cov = np.cov(np.vstack(thetas), rowvar=False, ddof=1)
+    return cov, np.std(np.array(ames), axis=0, ddof=1)
+
+
+class TestBootstrapSinglePass:
+    @pytest.mark.parametrize("failing_rep", [None, 3])
+    def test_matches_two_pass_oracle(self, rng, monkeypatch, failing_rep):
+        Y, X, _ = homoskedastic_sim(rng, 60, D=4, p=2)
+        R, seed = 12, 9
+        oracle_cov, oracle_se = two_pass_oracle(
+            Y, X, 0.5, R, seed, skip=() if failing_rep is None else (failing_rep,))
+        if failing_rep is not None:
+            bad = np.random.default_rng([seed, failing_rep]).integers(0, 60, size=60)
+            real_fit = inference.fit_alpha_regression
+
+            def fail_one(Yb, *args, **kwargs):
+                if np.array_equal(Yb, Y[bad]):
+                    raise NumericalError("forced")
+                return real_fit(Yb, *args, **kwargs)
+
+            monkeypatch.setattr(inference, "fit_alpha_regression", fail_one)
+        cov = bootstrap_covariance(Y, X, 0.5, replicates=R, seed=seed)
+        np.testing.assert_array_equal(cov.matrix, oracle_cov)
+        np.testing.assert_array_equal(cov.ame_standard_errors, oracle_se)
+        assert cov.failed_replicates == (0 if failing_rep is None else 1)
+        assert cov.replicates + cov.failed_replicates == R
+
+    def test_one_refit_per_replicate_from_theta0(self, rng, monkeypatch):
+        Y, X, _ = homoskedastic_sim(rng, 50)
+        theta0 = fit_alpha_regression(Y, X, 0.5).lm.theta
+        real_fit = inference.fit_alpha_regression
+        starts = []
+
+        def counted(*args, **kwargs):
+            starts.append(kwargs.get("theta0"))
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "fit_alpha_regression", counted)
+        warm = bootstrap_covariance(Y, X, 0.5, replicates=8, seed=2, theta0=theta0)
+        assert len(starts) == 8 and all(t is theta0 for t in starts)
+        cold = bootstrap_covariance(Y, X, 0.5, replicates=8, seed=2)
+        assert len(starts) == 8 + 1 + 8  # the full-data fit when theta0 is None
+        np.testing.assert_array_equal(warm.matrix, cold.matrix)
+        np.testing.assert_array_equal(warm.ame_standard_errors,
+                                      cold.ame_standard_errors)
+
+    def test_ame_standard_errors_thread_invariant(self, rng):
+        Y, X, _ = homoskedastic_sim(rng, 60, D=4, p=2)
+        one = bootstrap_covariance(Y, X, 0.5, replicates=10, seed=4, threads=1)
+        two = bootstrap_covariance(Y, X, 0.5, replicates=10, seed=4, threads=2)
+        assert one.ame_standard_errors.shape == (2, 4)
+        np.testing.assert_array_equal(one.ame_standard_errors,
+                                      two.ame_standard_errors)
+        np.testing.assert_array_equal(one.matrix, two.matrix)
+
+    def test_ame_wrapper_returns_the_field(self, rng):
+        Y, X, _ = homoskedastic_sim(rng, 40)
+        cov = bootstrap_covariance(Y, X, 0.5, replicates=6, seed=1)
+        se = bootstrap_ame_standard_errors(Y, X, 0.5, replicates=6, seed=1)
+        np.testing.assert_array_equal(se, cov.ame_standard_errors)
+
+    def test_intercept_only_has_empty_ame_table(self, rng):
+        Y = rng.dirichlet(np.array([3.0, 2.0, 1.0]), size=40)
+        cov = bootstrap_covariance(Y, np.ones((40, 1)), 0.5, replicates=6, seed=0)
+        assert cov.matrix.shape == (2, 2)
+        assert cov.ame_standard_errors.shape == (0, 3)
+
+    def test_analytic_estimators_have_no_ame_errors(self, rng):
+        Y, X, _ = homoskedastic_sim(rng, 40)
+        fit = fit_alpha_regression(Y, X, 0.5)
+        for kind in ("sandwich", "spherical"):
+            cov = sandwich_covariance(Y, X, 0.5, fit.coefficients, kind=kind)
+            assert cov.ame_standard_errors is None

@@ -2,6 +2,7 @@
 intercept-only closed form."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -11,8 +12,11 @@ from alphareg import (
     InvalidParameters,
     MissingColumn,
     RunConfig,
+    bootstrap_covariance,
+    contiguity_matrix,
     run_fit,
 )
+from alphareg import regression
 from alphareg.datasets import synthesize
 
 
@@ -120,3 +124,50 @@ class TestRunFit:
         doc, _ = run_fit(config, sim["Y"], sim["X"], sim["coords"])
         assert len(doc["selection"]["hs"]) == 10
         assert doc["hyperparameters"]["h"] in doc["selection"]["hs"]
+
+
+def count_fits(monkeypatch):
+    """Count ``fit_alpha_regression`` calls made through any alphareg module."""
+    calls = []
+    original = regression.fit_alpha_regression
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("theta0"))
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("alphareg") and \
+                getattr(module, "fit_alpha_regression", None) is original:
+            monkeypatch.setattr(module, "fit_alpha_regression", counted)
+    return calls
+
+
+class TestBootstrapRun:
+    @pytest.mark.parametrize("model", ["alpha", "slx"])
+    def test_one_fit_per_replicate_plus_the_final_fit(self, monkeypatch, model):
+        sim = synthesize(n=40, D=3, p=2, alpha=0.5, noise_scale=0.1,
+                         spatial_mode="slx", seed=12)
+        calls = count_fits(monkeypatch)
+        R = 7
+        config = RunConfig(model=model, alpha=0.5, k=3, bootstrap_replicates=R)
+        doc, fit = run_fit(config, sim["Y"], sim["X"], sim["coords"])
+        assert len(calls) == R + 1
+        assert all(t is fit.lm.theta for t in calls[1:])
+        assert doc["standard_errors"]["replicates"] == R
+
+    @pytest.mark.parametrize("model", ["alpha", "slx"])
+    def test_standard_errors_equal_a_fresh_bootstrap(self, model):
+        # the final fit is the bootstrap's full-data fit, bit for bit
+        sim = synthesize(n=40, D=3, p=2, alpha=0.5, noise_scale=0.1,
+                         spatial_mode="slx", seed=13)
+        X = sim["X"]
+        if model == "slx":
+            X = np.hstack([X, contiguity_matrix(sim["coords"], 3) @ X[:, 1:]])
+        config = RunConfig(model=model, alpha=0.5, k=3, bootstrap_replicates=6,
+                           seed=4)
+        doc, _ = run_fit(config, sim["Y"], sim["X"], sim["coords"])
+        cov = bootstrap_covariance(sim["Y"], X, 0.5, replicates=6, seed=4)
+        se = doc["standard_errors"]
+        assert se["ame"] == cov.ame_standard_errors.tolist()
+        assert se["coefficients"] == np.sqrt(np.diag(cov.matrix)).reshape(
+            (X.shape[1], 2), order="F").tolist()

@@ -190,6 +190,24 @@ class TestLoocvSlx:
         assert cv.best == (0.5, n - 2)
 
 
+    def test_infeasible_k_gets_no_warm_start_fit(self, monkeypatch):
+        sim = synthesize(n=12, D=3, p=1, alpha=0.5, noise_scale=0.1,
+                         spatial_mode="slx", seed=7)
+        args = (sim["Y"], sim["X"], sim["coords"])
+        feasible = loocv_slx(*args, CvGrid(alphas=(0.5,), ks=(10,)))
+        calls = {"n": 0}
+        original = selection.fit_alpha_regression
+
+        def counted(*a, **kw):
+            calls["n"] += 1
+            return original(*a, **kw)
+
+        monkeypatch.setattr(selection, "fit_alpha_regression", counted)
+        cv = loocv_slx(*args, CvGrid(alphas=(0.5,), ks=(10, 11)))
+        assert calls["n"] == 1 + 12  # one warm start (k=10) and its 12 folds
+        np.testing.assert_array_equal(cv.scores[:, 0], feasible.scores[:, 0])
+        assert np.isinf(cv.scores[0, 1])
+
     def test_every_grid_point_infeasible_raises(self):
         # k = n-1 fits the full data but no (n-1)-point fold
         sim = synthesize(n=12, D=3, p=1, alpha=0.5, noise_scale=0.1,

@@ -27,6 +27,7 @@ from alphareg import (
     to_cartesian,
 )
 from alphareg.datasets import synthesize
+from alphareg.spatial import local_fitted_mean
 
 
 def random_coords(rng, n, lat_span=(30.0, 45.0), lon_span=(10.0, 30.0)):
@@ -290,6 +291,17 @@ class TestGwarFit:
         sim = synthesize(n=12, D=3, p=1, alpha=0.5, noise_scale=0.05, seed=1)
         with pytest.raises(DegenerateWeights):
             fit_gwar(sim["Y"], sim["X"], coords, 0.5, 1e-9)
+
+    def test_batched_fitted_rows_match_per_location_loop(self):
+        sim = synthesize(n=40, D=4, p=2, alpha=0.5, noise_scale=0.05,
+                         spatial_mode="two_cluster", seed=6)
+        gfit = fit_gwar(sim["Y"], sim["X"], sim["coords"], 0.5, 0.02)
+        local = gfit.local_coefficients
+        loop = np.vstack([fitted_mean(sim["X"][i : i + 1], local[i])
+                          for i in range(40)])
+        np.testing.assert_allclose(gfit.fitted, loop, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(local_fitted_mean(sim["X"], local), loop,
+                                   rtol=0, atol=1e-14)
 
     def test_kld_and_fitted_rows(self):
         sim = synthesize(n=40, D=3, p=1, alpha=0.5, noise_scale=0.05,
