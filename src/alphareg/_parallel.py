@@ -8,6 +8,8 @@ thread count.
 import os
 from concurrent.futures import ThreadPoolExecutor
 
+from .exceptions import InvalidParameters
+
 THREADS_ENV_VAR = "ALPHAREG_THREADS"
 
 
@@ -15,7 +17,11 @@ def resolve_threads(threads):
     """Resolve a thread-count setting, honoring the environment override."""
     env = os.environ.get(THREADS_ENV_VAR)
     if env is not None:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise InvalidParameters(
+                f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from None
     if threads in (None, "auto", 0):
         return os.cpu_count() or 1
     return max(1, int(threads))

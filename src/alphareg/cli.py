@@ -57,6 +57,17 @@ def _int_list(text):
     return tuple(int(v) for v in text.split(","))
 
 
+def _threads(text):
+    """A worker-thread count, or ``auto`` (0) for one per CPU."""
+    if text == "auto":
+        return 0
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected 'auto' or an integer, got {text!r}") from None
+
+
 def _add_dataset_args(sp):
     sp.add_argument("--data", required=True, help="CSV file with a header row")
     sp.add_argument("--composition-cols", required=True, type=_csv_list,
@@ -77,11 +88,11 @@ def _add_model_args(sp):
                     help="comma-separated alpha grid")
     sp.add_argument("--ks", type=_int_list, default=None)
     sp.add_argument("--hs", type=_float_list, default=None)
-    sp.add_argument("--max-iterations", type=int, default=200)
-    sp.add_argument("--sse-rel-tol", type=float, default=1e-10)
-    sp.add_argument("--grad-inf-tol", type=float, default=1e-8)
+    sp.add_argument("--max-iterations", type=int, default=LmOptions.max_iterations)
+    sp.add_argument("--sse-rel-tol", type=float, default=LmOptions.sse_rel_tol)
+    sp.add_argument("--grad-inf-tol", type=float, default=LmOptions.grad_inf_tol)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", default="auto",
+    sp.add_argument("--threads", type=_threads, default="auto",
                     help="worker threads (or 'auto'); ALPHAREG_THREADS overrides")
     sp.add_argument("--out", default=None, help="result path (default stdout)")
     sp.add_argument("--csv-dir", default=None,
@@ -116,7 +127,7 @@ def build_parser():
                          help="result document produced by `fit`")
     predict.add_argument("--data", required=True, help="CSV of new observations")
     predict.add_argument("--out", default=None, help="output CSV (default stdout)")
-    predict.add_argument("--threads", default="auto")
+    predict.add_argument("--threads", type=_threads, default="auto")
 
     gen = sub.add_parser("generate", help="write a synthetic dataset")
     gen.add_argument("--n", type=int, required=True)
@@ -163,7 +174,7 @@ def _run_config(args):
         ),
         bootstrap_replicates=getattr(args, "bootstrap_replicates", 0),
         seed=args.seed,
-        threads=0 if args.threads == "auto" else int(args.threads),
+        threads=args.threads,
         with_se=getattr(args, "with_se", False),
     )
 
@@ -241,9 +252,13 @@ def _cmd_cv(args):
 
 
 def _cmd_predict(args):
-    doc = json.loads(Path(args.model_doc).read_text(encoding="utf-8"))
-    dataset = doc["dataset"]
-    model = doc["config"]["model"]
+    try:
+        doc = json.loads(Path(args.model_doc).read_text(encoding="utf-8"))
+        dataset, model = doc["dataset"], doc["config"]["model"]
+    except (OSError, ValueError, LookupError, TypeError) as exc:
+        raise DataError(
+            f"model document {args.model_doc} is not readable as a fit result: "
+            f"{type(exc).__name__}: {exc}") from None
     new_spec = DatasetSpec(
         path=args.data,
         composition_columns=dataset["composition_columns"],
@@ -252,7 +267,7 @@ def _cmd_predict(args):
         lon_column=dataset["lon_column"] if model != "alpha" else None,
     )
     _, X_new, coords_new = _load_for_predict(new_spec)
-    threads = resolve_threads(0 if args.threads == "auto" else int(args.threads))
+    threads = resolve_threads(args.threads)
 
     if model == "alpha":
         B = np.asarray(doc["fit"]["coefficients"])

@@ -165,8 +165,9 @@ def run_fit(config, Y, X, coords=None, covariate_names=None):
 def _selection_doc(cv):
     doc = {
         "alphas": list(cv.alphas),
-        # a grid point whose folds all failed scores +inf; JSON has no inf
+        # a grid point with a failed fold scores +inf; JSON has no inf
         "scores": np.where(np.isfinite(cv.scores), cv.scores, None).tolist(),
+        "failed_folds": np.isinf(cv.per_fold).sum(axis=0).tolist(),
         "best": list(cv.best),
     }
     if cv.ks is not None:

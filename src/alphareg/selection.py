@@ -3,17 +3,20 @@
 Every model is scored by the Kullback-Leibler divergence between held-out
 compositions and their predictions: the plain model grids over the transform
 power alpha, the lagged-covariate model over (alpha, k neighbors), and the
-locally weighted model over (alpha, bandwidth h).  Nothing about a held-out
+locally weighted model over (alpha, bandwidth h).  One engine, ``_loocv``,
+runs all three searches; a model only says what its fold i fits on: the
+other rows (plain), those rows lagged without i (lagged-covariate), or those
+rows kernel-weighted at i (locally weighted).  Nothing about a held-out
 location leaks into its own prediction: lagged-covariate folds take their
 neighbors from the full data's neighbor table with location i dropped, which
 is identical to the table of the retained locations and uses nothing of i.
 
 Fold-by-grid work units are independent; scores are reduced in index order,
-making results identical for any thread count.  A fold whose solve fails
-marks its grid point +inf instead of aborting the search; a grid on which
-every point scores +inf raises :class:`NumericalError` rather than naming a
-winner.  Ties at the minimum resolve to the smallest alpha, then the
-smallest k or h.
+making results identical for any thread count.  A fold whose solve fails or
+whose weights are degenerate scores +inf instead of aborting the search; a
+grid on which every point scores +inf raises :class:`NumericalError` rather
+than naming a winner.  Ties at the minimum resolve to the smallest alpha,
+then the smallest k or h.
 """
 
 from dataclasses import dataclass, replace
@@ -69,14 +72,18 @@ class CvGrid:
 
 @dataclass
 class CvResult:
-    """Grid scores (sums of held-out divergences) and the winning point."""
+    """Grid scores (sums of held-out divergences) and the winning point.
+
+    ``per_fold[i]`` holds fold i's score at every grid point (+inf where the
+    fold failed), so ``scores`` is its sum over folds.
+    """
 
     scores: np.ndarray
     best: tuple
     alphas: tuple
+    per_fold: np.ndarray
     ks: Optional[tuple] = None
     hs: Optional[tuple] = None
-    per_fold: Optional[np.ndarray] = None
 
 
 def median_heuristic_bandwidth(coords):
@@ -141,18 +148,63 @@ def _check_zeros_rule(Y, alphas):
         )
 
 
-def _warm_chain(fit_fn, grid_points):
-    """Full-data fits over the grid, each warm-started from the previous."""
-    warm = None
-    thetas = {}
-    for point in grid_points:
-        result = fit_fn(point, warm)
-        warm = result
-        thetas[point] = result
-    return thetas
+def _loocv(Y, X, grid, axis, setup, opts, threads):
+    """The leave-one-out search of every model, over ``grid.alphas`` x the
+    ``axis`` grid ("ks" or "hs"; ``None`` for alpha alone).
+
+    ``setup(X, n)`` runs after the size check and before the zero rule and
+    returns the model's ``(designs, fold)``.  ``designs[e]`` is the full-data
+    design of extra e, or ``None`` when no fold can use e (its folds score
+    +inf without a fit).  Full-data fits run once per (alpha, distinct design)
+    in grid order, each warm-started from the previous, and warm-start the
+    folds at their point.  ``fold(i, mask, extra)`` gives fold i's training
+    design, fit weights and held-out design row, or ``None`` when its weights
+    are degenerate.  Per-fold scores have shape (n, alphas[, extras]).
+    """
+    opts = opts or LmOptions()
+    Y = np.asarray(Y, dtype=np.float64)
+    X = np.asarray(X, dtype=np.float64)
+    n = Y.shape[0]
+    if n < 3:
+        raise InvalidParameters("leave-one-out needs at least 3 observations")
+    designs, fold = setup(X, n)
+    _check_zeros_rule(Y, grid.alphas)
+    extras = (None,) if axis is None else getattr(grid, axis)
+
+    warm, theta = {}, None
+    for a in grid.alphas:
+        for design in {id(d): d for d in designs if d is not None}.values():
+            theta = fit_alpha_regression(Y, design, a, opts=opts, theta0=theta).lm.theta
+            warm[a, id(design)] = theta
+
+    def score(unit):
+        a, e, i = unit
+        mask = np.arange(n) != i
+        part = None if designs[e] is None else fold(i, mask, extras[e])
+        if part is None:
+            return np.inf
+        X_train, weights, x_held = part
+        try:
+            fit = fit_alpha_regression(Y[mask], X_train, a, opts=opts,
+                                       theta0=warm[a, id(designs[e])], weights=weights)
+        except NumericalError:
+            return np.inf
+        return kld(Y[i : i + 1], fitted_mean(x_held[None, :], fit.coefficients))
+
+    units = [(a, e, i) for a in grid.alphas for e in range(len(extras)) for i in range(n)]
+    vals = np.array(parallel_map(score, units, threads=threads))
+    per_fold = vals.reshape(len(grid.alphas), len(extras), n)
+    scores = per_fold.sum(axis=2)
+    ai, ei = _best_point(scores)
+    if axis is None:
+        return CvResult(scores=scores[:, 0], best=(grid.alphas[ai],),
+                        alphas=grid.alphas, per_fold=per_fold[:, 0].T)
+    return CvResult(scores=scores, best=(grid.alphas[ai], extras[ei]),
+                    alphas=grid.alphas, per_fold=np.moveaxis(per_fold, 2, 0),
+                    **{axis: extras})
 
 
-def loocv_alpha(Y, X, grid=None, opts=None, threads=1, keep_folds=False):
+def loocv_alpha(Y, X, grid=None, opts=None, threads=1):
     """Select alpha for the plain model by leave-one-out divergence.
 
     For every grid alpha and every observation, the model is refit without
@@ -161,45 +213,14 @@ def loocv_alpha(Y, X, grid=None, opts=None, threads=1, keep_folds=False):
     alpha grid.
     """
     grid = grid or CvGrid()
-    opts = opts or LmOptions()
-    Y = np.asarray(Y, dtype=np.float64)
-    X = np.asarray(X, dtype=np.float64)
-    n = Y.shape[0]
-    if n < 3:
-        raise InvalidParameters("leave-one-out needs at least 3 observations")
-    _check_zeros_rule(Y, grid.alphas)
 
-    warm = _warm_chain(
-        lambda a, t0: fit_alpha_regression(Y, X, a, opts=opts, theta0=t0).lm.theta,
-        grid.alphas,
-    )
-    units = [(gi, i) for gi in range(len(grid.alphas)) for i in range(n)]
+    def setup(X, n):
+        return [X], lambda i, mask, _: (X[mask], None, X[i])
 
-    def score(unit):
-        gi, i = unit
-        a = grid.alphas[gi]
-        mask = np.arange(n) != i
-        try:
-            fit = fit_alpha_regression(
-                Y[mask], X[mask], a, opts=opts, theta0=warm[a]
-            )
-        except NumericalError:
-            return np.inf
-        return kld(Y[i : i + 1], fitted_mean(X[i : i + 1], fit.coefficients))
-
-    vals = np.array(parallel_map(score, units, threads=threads))
-    per_fold = vals.reshape(len(grid.alphas), n).T
-    scores = per_fold.sum(axis=0)
-    (best_gi,) = _best_point(scores)
-    return CvResult(
-        scores=scores,
-        best=(grid.alphas[best_gi],),
-        alphas=grid.alphas,
-        per_fold=per_fold if keep_folds else None,
-    )
+    return _loocv(Y, X, grid, None, setup, opts, threads)
 
 
-def loocv_slx(Y, X, coords, grid=None, opts=None, threads=1, keep_folds=False):
+def loocv_slx(Y, X, coords, grid=None, opts=None, threads=1):
     """Select (alpha, k) for the lagged-covariate model.
 
     One neighbor table (``max(ks)+1`` columns) serves every fold: fold i lags
@@ -211,66 +232,29 @@ def loocv_slx(Y, X, coords, grid=None, opts=None, threads=1, keep_folds=False):
     grid = grid or CvGrid(ks=(5,))
     if grid.ks is None:
         raise InvalidParameters("the lagged-covariate search needs a k grid")
-    opts = opts or LmOptions()
-    Y = np.asarray(Y, dtype=np.float64)
-    X = np.asarray(X, dtype=np.float64)
-    n = Y.shape[0]
-    if n < 3:
-        raise InvalidParameters("leave-one-out needs at least 3 observations")
-    if max(grid.ks) > n - 1:
-        raise InvalidK(f"k={max(grid.ks)} exceeds n-1={n - 1} neighbors")
-    _check_zeros_rule(Y, grid.alphas)
 
-    idx, d2 = neighbor_table(coords, min(max(grid.ks) + 1, n - 1))
-    # full-data lags: the warm starts' design, and held-out row i's lag
-    lag = {k: neighbor_lag(idx[:, :k], row_weights(d2[:, :k]), X) for k in grid.ks}
-    # every k gives the same design width, so the chain carries across k
-    points = [(a, k) for a in grid.alphas for k in grid.ks if k <= n - 2]
-    warm = _warm_chain(
-        lambda pt, t0: fit_alpha_regression(
-            Y, np.hstack([X, lag[pt[1]]]), pt[0], opts=opts, theta0=t0
-        ).lm.theta,
-        points,
-    )
-    units = [(ai, ki, i)
-             for ai in range(len(grid.alphas))
-             for ki in range(len(grid.ks))
-             for i in range(n)]
+    def setup(X, n):
+        if max(grid.ks) > n - 1:
+            raise InvalidK(f"k={max(grid.ks)} exceeds n-1={n - 1} neighbors")
+        idx, d2 = neighbor_table(coords, min(max(grid.ks) + 1, n - 1))
+        # full-data lags: the warm starts' design, and held-out row i's lag
+        lag = {k: neighbor_lag(idx[:, :k], row_weights(d2[:, :k]), X) for k in grid.ks}
 
-    def score(unit):
-        ai, ki, i = unit
-        a, k = grid.alphas[ai], grid.ks[ki]
-        if k > n - 2:
-            return np.inf
-        mask = np.arange(n) != i
-        nb = idx[mask, : k + 1]
-        keep = nb != i
-        keep[:, k] = ~keep[:, :k].all(axis=1)  # entry k only replaces a dropped i
-        w = row_weights(d2[mask, : k + 1][keep].reshape(n - 1, k))
-        X_aug = np.hstack([X[mask], neighbor_lag(nb[keep].reshape(n - 1, k), w, X)])
-        try:
-            fit = fit_alpha_regression(
-                Y[mask], X_aug, a, opts=opts, theta0=warm[(a, k)]
-            )
-        except NumericalError:
-            return np.inf
-        x_aug = np.concatenate([X[i], lag[k][i]])[None, :]
-        return kld(Y[i : i + 1], fitted_mean(x_aug, fit.coefficients))
+        def fold(i, mask, k):
+            nb = idx[mask, : k + 1]
+            keep = nb != i
+            keep[:, k] = ~keep[:, :k].all(axis=1)  # entry k only replaces a dropped i
+            w = row_weights(d2[mask, : k + 1][keep].reshape(n - 1, k))
+            lags = neighbor_lag(nb[keep].reshape(n - 1, k), w, X)
+            return np.hstack([X[mask], lags]), None, np.concatenate([X[i], lag[k][i]])
 
-    vals = np.array(parallel_map(score, units, threads=threads))
-    per_fold = vals.reshape(len(grid.alphas), len(grid.ks), n)
-    scores = per_fold.sum(axis=2)
-    ai, ki = _best_point(scores)
-    return CvResult(
-        scores=scores,
-        best=(grid.alphas[ai], grid.ks[ki]),
-        alphas=grid.alphas,
-        ks=grid.ks,
-        per_fold=np.moveaxis(per_fold, 2, 0) if keep_folds else None,
-    )
+        # every k gives the same design width, so the chain carries across k
+        return [np.hstack([X, lag[k]]) if k <= n - 2 else None for k in grid.ks], fold
+
+    return _loocv(Y, X, grid, "ks", setup, opts, threads)
 
 
-def loocv_gwar(Y, X, coords, grid=None, opts=None, threads=1, keep_folds=False):
+def loocv_gwar(Y, X, coords, grid=None, opts=None, threads=1):
     """Select (alpha, bandwidth) for the locally weighted model.
 
     Each fold fits the local model at the held-out location's coordinates
@@ -281,46 +265,12 @@ def loocv_gwar(Y, X, coords, grid=None, opts=None, threads=1, keep_folds=False):
     grid = grid or CvGrid(hs=tuple(default_h_grid(coords)))
     if grid.hs is None:
         raise InvalidParameters("the locally weighted search needs an h grid")
-    opts = opts or LmOptions()
-    Y = np.asarray(Y, dtype=np.float64)
-    X = np.asarray(X, dtype=np.float64)
-    n = Y.shape[0]
-    if n < 3:
-        raise InvalidParameters("leave-one-out needs at least 3 observations")
-    _check_zeros_rule(Y, grid.alphas)
 
-    warm = _warm_chain(
-        lambda a, t0: fit_alpha_regression(Y, X, a, opts=opts, theta0=t0).lm.theta,
-        grid.alphas,
-    )
-    units = [(ai, hi, i)
-             for ai in range(len(grid.alphas))
-             for hi in range(len(grid.hs))
-             for i in range(n)]
+    def setup(X, n):
+        def fold(i, mask, h):
+            w = kernel_weights_at(coords, coords.cart[i], h)[mask]
+            return None if np.max(w) == 0.0 else (X[mask], w, X[i])
 
-    def score(unit):
-        ai, hi, i = unit
-        a, h = grid.alphas[ai], grid.hs[hi]
-        mask = np.arange(n) != i
-        w = kernel_weights_at(coords, coords.cart[i], h)[mask]
-        if np.max(w) == 0.0:
-            return np.inf
-        try:
-            fit = fit_alpha_regression(
-                Y[mask], X[mask], a, opts=opts, theta0=warm[a], weights=w
-            )
-        except NumericalError:
-            return np.inf
-        return kld(Y[i : i + 1], fitted_mean(X[i : i + 1], fit.coefficients))
+        return [X] * len(grid.hs), fold
 
-    vals = np.array(parallel_map(score, units, threads=threads))
-    per_fold = vals.reshape(len(grid.alphas), len(grid.hs), n)
-    scores = per_fold.sum(axis=2)
-    ai, hi = _best_point(scores)
-    return CvResult(
-        scores=scores,
-        best=(grid.alphas[ai], grid.hs[hi]),
-        alphas=grid.alphas,
-        hs=grid.hs,
-        per_fold=np.moveaxis(per_fold, 2, 0) if keep_folds else None,
-    )
+    return _loocv(Y, X, grid, "hs", setup, opts, threads)

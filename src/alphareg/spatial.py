@@ -159,14 +159,9 @@ def contiguity_matrix(coords, k):
 
 
 def gaussian_kernel_weights(coords, focal, h):
-    """Gaussian kernel weights of every location relative to a focal one.
-
-    Uses the simplification ``exp(-d2/(2 h^2)) = exp((c_i'c_j - 1)/h^2)``;
-    the focal location's own weight is exactly 1.
-    """
-    if h <= 0:
-        raise NonpositiveBandwidth(f"bandwidth must be > 0, got {h}")
-    w = np.exp(_dot_gap(coords.cart @ coords.cart[focal]) / (h * h))
+    """Kernel weights (:func:`kernel_weights_at`) of every location relative
+    to a focal one, whose own weight is exactly 1."""
+    w = kernel_weights_at(coords, coords.cart[focal], h)
     w[focal] = 1.0
     return w
 
@@ -178,7 +173,10 @@ def _dot_gap(dots):
 
 
 def kernel_weights_at(coords, cart_point, h):
-    """Kernel weights of training locations relative to an arbitrary point."""
+    """Gaussian kernel weights of training locations relative to any point.
+
+    Uses the simplification ``exp(-d2/(2 h^2)) = exp((c_i'c_j - 1)/h^2)``.
+    """
     if h <= 0:
         raise NonpositiveBandwidth(f"bandwidth must be > 0, got {h}")
     dots = coords.cart @ np.asarray(cart_point, dtype=np.float64)

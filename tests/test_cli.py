@@ -2,10 +2,13 @@
 documents, and the exit-code contract (0 ok, 1 usage, 2 data, 3 numerical)."""
 
 import json
+import os
 
 import numpy as np
 import pytest
 
+from alphareg import InvalidParameters
+from alphareg._parallel import THREADS_ENV_VAR, resolve_threads
 from alphareg.cli import main
 
 
@@ -238,6 +241,19 @@ class TestOtherCommands:
         assert scores[0][1] is None and scores[0][0] > 0
         assert doc["selection"]["best"] == [0.5, 3]
 
+    @pytest.mark.parametrize("command", ["cv", "fit"])
+    def test_failed_folds_per_grid_point(self, command, dataset, tmp_path):
+        # k = 39 = n-1 fails in all 40 folds; k = 3 in none
+        out = tmp_path / "doc.json"
+        code = main([command, "--data", str(dataset), *DATA_ARGS, *GEO_ARGS,
+                     "--model", "slx", "--alphas", "0.5,1.0", "--ks", "3,39",
+                     "--threads", "1", "--out", str(out)])
+        assert code == 0
+        selection = json.loads(out.read_text())["selection"]
+        assert selection["failed_folds"] == [[0, 40], [0, 40]]
+        assert [[s is None for s in row] for row in selection["scores"]] == \
+            [[False, True], [False, True]]
+
     def test_margins(self, dataset, tmp_path):
         out = tmp_path / "m.json"
         code = main(["margins", "--data", str(dataset), *DATA_ARGS,
@@ -297,3 +313,43 @@ class TestExitCodes:
         code = main(["fit", "--data", str(dataset), *DATA_ARGS, *GEO_ARGS,
                      "--model", "gwar", "--alpha", "0.5", "--h", "1e-9"])
         assert code == 3
+
+    @pytest.mark.parametrize("command", ["fit", "cv", "margins", "predict"])
+    def test_bad_thread_count_is_usage_error(self, command, capsys):
+        args = (["--model-doc", "doc.json", "--data", "new.csv"] if command == "predict"
+                else ["--data", "data.csv", *DATA_ARGS])
+        assert main([command, *args, "--threads", "abc"]) == 1
+        assert "'auto' or an integer" in capsys.readouterr().err
+
+    def test_non_integer_threads_variable_is_data_error(self, dataset, monkeypatch,
+                                                        capsys):
+        monkeypatch.setenv("ALPHAREG_THREADS", "two")
+        code = main(["fit", "--data", str(dataset), *DATA_ARGS, "--alpha", "0.5"])
+        assert code == 2
+        assert "ALPHAREG_THREADS" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", [None, "not json", "{}"])
+    def test_unreadable_model_document_is_data_error(self, content, dataset, tmp_path,
+                                                     capsys):
+        doc_path = tmp_path / "doc.json"
+        if content is not None:
+            doc_path.write_text(content, encoding="utf-8")
+        code = main(["predict", "--model-doc", str(doc_path), "--data", str(dataset)])
+        assert code == 2
+        assert str(doc_path) in capsys.readouterr().err
+
+
+class TestResolveThreads:
+    def test_non_integer_variable(self, monkeypatch):
+        monkeypatch.setenv(THREADS_ENV_VAR, "two")
+        with pytest.raises(InvalidParameters, match="two"):
+            resolve_threads("auto")
+
+    def test_variable_overrides_setting(self, monkeypatch):
+        monkeypatch.setenv(THREADS_ENV_VAR, "3")
+        assert resolve_threads("auto") == resolve_threads(1) == 3
+
+    def test_auto_is_one_per_cpu(self, monkeypatch):
+        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+        assert resolve_threads("auto") == resolve_threads(0) == (os.cpu_count() or 1)
+        assert resolve_threads(2) == 2

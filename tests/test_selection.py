@@ -151,6 +151,28 @@ class TestLoocvAlpha:
         with pytest.raises(NumericalError):
             loocv_alpha(sim["Y"], sim["X"], CvGrid(alphas=(0.5, 1.0)))
 
+    def test_per_fold_matches_plain_fold_loop(self, monkeypatch):
+        sim = synthesize(n=20, D=3, p=2, alpha=0.5, noise_scale=0.1, seed=12)
+        Y, X, n = sim["Y"], sim["X"], 20
+        alphas = (0.25, 0.5, 1.0)
+        oracle = np.empty((n, len(alphas)))
+        warm = None
+        for ai, a in enumerate(alphas):
+            warm = fit_alpha_regression(Y, X, a, theta0=warm).lm.theta
+            for i in range(n):
+                mask = np.arange(n) != i
+                fit = fit_alpha_regression(Y[mask], X[mask], a, theta0=warm)
+                oracle[i, ai] = kld(Y[i : i + 1],
+                                    fitted_mean(X[i : i + 1], fit.coefficients))
+        calls = []
+        original = selection.fit_alpha_regression
+        monkeypatch.setattr(selection, "fit_alpha_regression",
+                            lambda *a, **kw: calls.append(1) or original(*a, **kw))
+        cv = loocv_alpha(Y, X, CvGrid(alphas=alphas), threads=2)
+        np.testing.assert_array_equal(cv.per_fold, oracle)
+        np.testing.assert_array_equal(cv.scores, oracle.sum(axis=0))
+        assert len(calls) == len(alphas) * (n + 1)
+
 
 class TestLoocvSlx:
     def test_gamma_zero_keeps_plain_competitive(self):
@@ -287,7 +309,7 @@ class TestLoocvSlxNeighborTable:
             d2 = pairwise_chordal_sq(coords.cart)
             assert d2[0, 1] == d2[0, 2] and d2[0, 1] < np.delete(d2[0], [0, 1, 2]).min()
         alphas = (0.5, 1.0)
-        cv = loocv_slx(Y, X, coords, CvGrid(alphas=alphas, ks=ks), keep_folds=True)
+        cv = loocv_slx(Y, X, coords, CvGrid(alphas=alphas, ks=ks))
         oracle = rebuilt_fold_scores(Y, X, coords, alphas, ks)
         np.testing.assert_array_equal(np.isinf(cv.per_fold), np.isinf(oracle))
         finite = np.isfinite(oracle)
@@ -354,6 +376,35 @@ class TestSelect:
             select("ols", np.zeros((12, 3)), None)
 
 
+def plain_gwar_folds(Y, X, coords, alphas, hs):
+    """Leave-one-out gwar scores from a plain loop over (alpha, h, fold).
+
+    Calls ``selection.fit_alpha_regression`` (so a test's patch applies) with
+    warm starts chained through the full-data fits in alpha order; a fold
+    whose kernel weights all underflow or whose fit fails stays +inf.
+    Returns per-fold scores of shape (n, alphas, hs).
+    """
+    n = Y.shape[0]
+    out = np.full((n, len(alphas), len(hs)), np.inf)
+    warm = None
+    for ai, a in enumerate(alphas):
+        warm = selection.fit_alpha_regression(Y, X, a, theta0=warm).lm.theta
+        for hi, h in enumerate(hs):
+            for i in range(n):
+                mask = np.arange(n) != i
+                w = spatial.kernel_weights_at(coords, coords.cart[i], h)[mask]
+                if np.max(w) == 0.0:
+                    continue
+                try:
+                    fit = selection.fit_alpha_regression(
+                        Y[mask], X[mask], a, theta0=warm, weights=w)
+                except NumericalError:
+                    continue
+                out[i, ai, hi] = kld(Y[i : i + 1],
+                                     fitted_mean(X[i : i + 1], fit.coefficients))
+    return out
+
+
 class TestLoocvGwar:
     def test_flat_bandwidth_matches_plain(self):
         sim = synthesize(n=25, D=3, p=1, alpha=0.5, noise_scale=0.1,
@@ -394,6 +445,32 @@ class TestLoocvGwar:
         with pytest.raises(NumericalError):
             loocv_gwar(sim["Y"], sim["X"], sim["coords"],
                        CvGrid(alphas=(0.5,), hs=(1e-9,)))
+
+    def test_per_fold_matches_plain_fold_loop(self, monkeypatch):
+        from alphareg import NonFiniteResidual
+
+        sim = synthesize(n=15, D=3, p=1, alpha=0.5, noise_scale=0.1,
+                         spatial_mode="two_cluster", seed=11)
+        Y, X, coords, n = sim["Y"], sim["X"], sim["coords"], 15
+        med = median_heuristic_bandwidth(coords)
+        alphas, hs = (0.5, 1.0), (1e-9, med / 4.0, 1e6)
+        real_fit = selection.fit_alpha_regression
+
+        def fails_without_row_4_at_alpha_1(Y_, X_, alpha, **kwargs):
+            if alpha == 1.0 and len(Y_) == n - 1 and not (Y_ == Y[4]).all(axis=1).any():
+                raise NonFiniteResidual("forced failure")
+            return real_fit(Y_, X_, alpha, **kwargs)
+
+        monkeypatch.setattr(selection, "fit_alpha_regression",
+                            fails_without_row_4_at_alpha_1)
+        oracle = plain_gwar_folds(Y, X, coords, alphas, hs)
+        cv = loocv_gwar(Y, X, coords, CvGrid(alphas=alphas, hs=hs), threads=2)
+        np.testing.assert_array_equal(cv.per_fold, oracle)
+        np.testing.assert_array_equal(cv.scores, oracle.sum(axis=0))
+        assert np.all(np.isinf(cv.per_fold[:, :, 0]))  # h = 1e-9 underflows
+        assert np.all(np.isinf(cv.per_fold[4, 1, 1:]))  # the forced failure
+        assert np.isfinite(cv.per_fold[:, :, 1:]).sum() == 2 * 2 * n - 2
+        assert cv.best[0] == 0.5
 
 
 class TestCvGrid:

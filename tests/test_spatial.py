@@ -27,7 +27,7 @@ from alphareg import (
     to_cartesian,
 )
 from alphareg.datasets import synthesize
-from alphareg.spatial import local_fitted_mean
+from alphareg.spatial import kernel_weights_at, local_fitted_mean
 
 
 def random_coords(rng, n, lat_span=(30.0, 45.0), lon_span=(10.0, 30.0)):
@@ -210,6 +210,14 @@ class TestKernel:
         coords = random_coords(rng, 4)
         with pytest.raises(NonpositiveBandwidth):
             gaussian_kernel_weights(coords, 0, 0.0)
+
+    def test_focal_form_is_the_point_form_with_self_weight_one(self, rng):
+        coords = random_coords(rng, 20)
+        for focal, h in ((3, 0.05), (7, 1e-9), (0, 1e6)):
+            expected = kernel_weights_at(coords, coords.cart[focal], h)
+            expected[focal] = 1.0
+            np.testing.assert_array_equal(
+                gaussian_kernel_weights(coords, focal, h), expected)
 
 
 class TestSpatialLag:
