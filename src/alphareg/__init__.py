@@ -51,6 +51,8 @@ from .optim import (
 )
 from .regression import (
     FitResult,
+    RowBlocks,
+    fit_alpha_batch,
     fit_alpha_regression,
     fitted_mean,
     gradient,

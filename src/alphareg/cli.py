@@ -252,32 +252,25 @@ def _cmd_cv(args):
 
 
 def _cmd_predict(args):
-    try:
-        doc = json.loads(Path(args.model_doc).read_text(encoding="utf-8"))
-        dataset, model = doc["dataset"], doc["config"]["model"]
-    except (OSError, ValueError, LookupError, TypeError) as exc:
-        raise DataError(
-            f"model document {args.model_doc} is not readable as a fit result: "
-            f"{type(exc).__name__}: {exc}") from None
+    model, columns, dataset, params = _read_model_doc(args.model_doc)
     new_spec = DatasetSpec(
         path=args.data,
-        composition_columns=dataset["composition_columns"],
-        covariate_columns=dataset["covariate_columns"],
-        lat_column=dataset["lat_column"] if model != "alpha" else None,
-        lon_column=dataset["lon_column"] if model != "alpha" else None,
+        composition_columns=columns["composition_columns"],
+        covariate_columns=columns["covariate_columns"],
+        lat_column=columns.get("lat_column"),
+        lon_column=columns.get("lon_column"),
     )
     _, X_new, coords_new = _load_for_predict(new_spec)
     threads = resolve_threads(args.threads)
 
     if model == "alpha":
-        B = np.asarray(doc["fit"]["coefficients"])
-        mu = fitted_mean(X_new, B)
+        mu = fitted_mean(X_new, params["coefficients"])
     elif model == "slx":
-        mu = _predict_slx(doc, dataset, X_new, coords_new)
+        mu = _predict_slx(params, dataset, X_new, coords_new)
     else:
-        mu = _predict_gwar_from_doc(doc, dataset, X_new, coords_new, threads)
+        mu = _predict_gwar_from_doc(params, dataset, X_new, coords_new, threads)
 
-    comp = dataset["composition_columns"]
+    comp = columns["composition_columns"]
     rows = [[float(v) for v in row] for row in mu]
     if args.out:
         _write_csv(args.out, comp, rows)
@@ -286,6 +279,40 @@ def _cmd_predict(args):
         writer.writerow(comp)
         writer.writerows([f"{v:.17g}" for v in row] for row in rows)
     return 0
+
+
+def _read_model_doc(path):
+    """The model, dataset columns, dataset block and fitted parameters that
+    ``predict`` reads from a fit document.
+
+    A missing or non-JSON file, or any missing or malformed field, is a
+    :class:`DataError` naming the file.
+    """
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        model, dataset, fit = doc["config"]["model"], doc["dataset"], doc["fit"]
+        keys = ["composition_columns", "covariate_columns"]
+        if model != "alpha":
+            keys += ["lat_column", "lon_column"]
+        columns = {key: dataset[key] for key in keys}
+        if model == "alpha":
+            params = {"coefficients": np.asarray(fit["coefficients"], dtype=np.float64)}
+        elif model == "slx":
+            params = {"coefficients": np.asarray(fit["coefficients"], dtype=np.float64),
+                      "k": int(doc["hyperparameters"]["k"])}
+        else:
+            params = {
+                "local": np.asarray(fit["local_coefficients"], dtype=np.float64),
+                "global": np.asarray(fit["global_coefficients"], dtype=np.float64),
+                "alpha": float(doc["hyperparameters"]["alpha"]),
+                "h": float(doc["hyperparameters"]["h"]),
+                "opts": LmOptions(**doc["config"]["solver"]),
+            }
+    except (OSError, ValueError, LookupError, TypeError) as exc:
+        raise DataError(
+            f"model document {path} is not readable as a fit result: "
+            f"{type(exc).__name__}: {exc}") from None
+    return model, columns, dataset, params
 
 
 def _load_for_predict(spec):
@@ -325,19 +352,17 @@ def _train_data(dataset):
     return load_dataset(DatasetSpec(path=path, **{c: dataset[c] for c in columns}))
 
 
-def _predict_slx(doc, dataset, X_new, coords_new):
+def _predict_slx(params, dataset, X_new, coords_new):
     """Lag each new row by its k nearest training locations, as fit-time W does."""
     if coords_new is None:
         raise InvalidParameters("prediction for this model needs coordinates")
     _, X_train, coords_train = _train_data(dataset)
-    k = int(doc["hyperparameters"]["k"])
-    C = np.asarray(doc["fit"]["coefficients"])
-    idx, d2 = neighbor_table(coords_train, k, query=coords_new)
+    idx, d2 = neighbor_table(coords_train, params["k"], query=coords_new)
     lags = neighbor_lag(idx, row_weights(d2), X_train)
-    return fitted_mean(np.hstack([X_new, lags]), C)
+    return fitted_mean(np.hstack([X_new, lags]), params["coefficients"])
 
 
-def _predict_gwar_from_doc(doc, dataset, X_new, coords_new, threads):
+def _predict_gwar_from_doc(params, dataset, X_new, coords_new, threads):
     """Rebuild the locally weighted fit from its document (no refitting)."""
     if coords_new is None:
         raise InvalidParameters("prediction for this model needs coordinates")
@@ -345,19 +370,18 @@ def _predict_gwar_from_doc(doc, dataset, X_new, coords_new, threads):
     from .spatial import GwarFit, local_fitted_mean
 
     Y_train, X_train, coords_train = _train_data(dataset)
-    local = np.asarray(doc["fit"]["local_coefficients"])
-    fitted = local_fitted_mean(X_train, local)
+    fitted = local_fitted_mean(X_train, params["local"])
     fit = GwarFit(
-        local_coefficients=local,
-        alpha=doc["hyperparameters"]["alpha"],
-        h=doc["hyperparameters"]["h"],
+        local_coefficients=params["local"],
+        alpha=params["alpha"],
+        h=params["h"],
         fitted=fitted,
         kld=kld(Y_train, fitted),
-        global_coefficients=np.asarray(doc["fit"]["global_coefficients"]),
+        global_coefficients=params["global"],
         train_Y=Y_train,
         train_X=X_train,
         train_coords=coords_train,
-        opts=LmOptions(**doc["config"]["solver"]),
+        opts=params["opts"],
     )
     return predict_gwar(fit, X_new, coords_new, threads=threads)
 

@@ -8,6 +8,16 @@ residual vector and its Jacobian.  Damping uses Marquardt scaling,
 with ``lam`` decreased after an accepted step and increased after a
 rejection.  The normal equations are solved by Cholesky factorization with a
 pseudo-inverse fallback when the damped matrix is not positive definite.
+
+There is one loop, :func:`lm_batch`, over a leading problem axis: a stack of
+m independent problems, each with its own damping, acceptance test,
+stopping reason, iteration and rejection counts.  A problem whose residuals
+or Jacobian turn non-finite, or whose damped equations cannot be solved, is
+marked failed with that exception and the others go on.
+:func:`levenberg_marquardt` is the one-problem call of that loop on a
+:class:`ResidualSystem`; batched weighted fits
+(``regression.fit_alpha_batch``) hand it their normal equations in closed
+form.
 """
 
 from dataclasses import dataclass, field
@@ -19,6 +29,7 @@ import numpy as np
 from .exceptions import NegativeWeight, NonFiniteResidual, SingularNormalEquations
 
 MAX_DAMPING = 1e12
+TINY = np.finfo(float).tiny
 
 
 class Convergence(Enum):
@@ -101,29 +112,141 @@ def _next_damping(lam, accepted, opts):
 
 
 def _solve_damped(JtJ, g, lam):
-    """Solve (JtJ + lam*diag(JtJ)) delta = g; None if the factorization fails."""
-    diag = np.diag(JtJ).copy()
-    diag[diag <= 0] = np.finfo(float).tiny
-    M = JtJ + lam * np.diag(diag)
+    """Solve (JtJ + lam*diag(JtJ)) delta = g for every problem of a stack.
+
+    ``JtJ`` is (m, P, P), ``g`` (m, P) and ``lam`` (m,).  A problem whose
+    damped matrix cannot be factorized, even by pseudo-inverse, gets a NaN
+    row.
+    """
+    on_diag = (slice(None),) + np.diag_indices(JtJ.shape[1])
+    diag = JtJ[on_diag]
+    diag[diag <= 0] = TINY
+    M = JtJ.copy()
+    M[on_diag] += lam[:, None] * diag
     try:
         L = np.linalg.cholesky(M)
-        return np.linalg.solve(L.T, np.linalg.solve(L, g))
+        z = np.linalg.solve(L, g[:, :, None])
+        return np.linalg.solve(np.swapaxes(L, 1, 2), z)[:, :, 0]
     except np.linalg.LinAlgError:
         pass
+    if len(M) > 1:  # factorize the problems one at a time
+        return np.concatenate([_solve_damped(JtJ[j : j + 1], g[j : j + 1], lam[j : j + 1])
+                               for j in range(len(M))])
     try:
-        return np.linalg.pinv(M) @ g
+        return (np.linalg.pinv(M[0]) @ g[0])[None]
     except np.linalg.LinAlgError:
-        return None
+        return np.full_like(g, np.nan)
+
+
+def lm_batch(residuals, normal_equations, theta0, opts=None):
+    """Minimize m independent (weighted) sums of squares from ``theta0`` (m, P).
+
+    ``residuals(theta, rows)`` evaluates problems ``rows`` at the parameter
+    rows ``theta`` and returns their residuals, stacked on a leading axis,
+    and their SSEs, NaN where a residual is non-finite.
+    ``normal_equations(theta, r, rows)`` returns, for the same problems at
+    their residuals ``r``, the stacks ``J'J`` (k, P, P) and ``J'r`` (k, P)
+    and whether each Jacobian is finite.
+
+    Every problem runs the schedule of :func:`levenberg_marquardt` with its
+    own damping, acceptance test, stopping reason and counts; the stack only
+    shares the numpy calls.  Returns one outcome per problem, in order: its
+    :class:`LmResult`, or the :class:`NonFiniteResidual` or
+    :class:`SingularNormalEquations` that failed it.
+    """
+    opts = opts or LmOptions()
+    theta = np.array(theta0, dtype=np.float64)
+    m = theta.shape[0]
+    r, sse = residuals(theta, np.arange(m))
+    out = [None] * m
+    for j in np.flatnonzero(np.isnan(sse)):
+        out[j] = NonFiniteResidual(f"residual is non-finite at theta={theta[j]!r}")
+    lam = np.zeros(m)
+    iterations = np.zeros(m, dtype=int)
+    rejections = np.zeros(m, dtype=int)
+    converged_by = [Convergence.MAX_ITER] * m
+    traces = [[] for _ in range(m)]
+    active = np.flatnonzero(~np.isnan(sse))
+
+    for it in range(1, opts.max_iterations + 1):
+        if active.size == 0:
+            break
+        iterations[active] = it
+        JtJ, g, finite = normal_equations(theta[active], r[active], active)
+        for j in active[~finite]:
+            out[j] = NonFiniteResidual(f"Jacobian is non-finite at theta={theta[j]!r}")
+        small = finite & (np.abs(g).max(axis=1, initial=0.0) <= opts.grad_inf_tol)
+        for j in active[small]:
+            converged_by[j] = Convergence.GRAD_TOL
+            iterations[j] = it - 1
+        going = finite & ~small
+        rows, JtJ, g = active[going], JtJ[going], g[going]
+        if it == 1:
+            peak = np.diagonal(JtJ, axis1=1, axis2=2).max(axis=1, initial=0.0)
+            lam[rows] = opts.initial_damping_scale * np.maximum(peak, TINY)
+        carry_on = np.zeros(m, dtype=bool)  # accepted a step short of convergence
+
+        pending = np.arange(rows.size)  # positions in rows
+        while pending.size:
+            now = rows[pending]
+            delta = _solve_damped(JtJ[pending], g[pending], lam[now])
+            solved = np.isfinite(delta).all(axis=1)
+            capped = lam[now] >= MAX_DAMPING
+            for j in now[~solved & capped]:
+                out[j] = SingularNormalEquations(
+                    f"damped normal equations unsolvable at damping {lam[j]:.3e}")
+            accepted = np.zeros(now.size, dtype=bool)
+            tried = now[solved]
+            if tried.size:
+                candidate = theta[tried] - delta[solved]
+                r_new, sse_new = residuals(candidate, tried)
+                better = sse_new <= sse[tried]  # never at a non-finite (NaN) residual
+                accepted[solved] = better
+                won, new = tried[better], sse_new[better]
+                old = sse[won]
+                rel_drop = (old - new) / np.maximum(old, TINY)
+                theta[won] = candidate[better]
+                r[won] = r_new[better]
+                sse[won] = new
+                for j, s in zip(won, new):
+                    traces[j].append((float(s), float(lam[j])))
+                lam[won] = _next_damping(lam[won], accepted=True, opts=opts)
+                for j in won[rel_drop <= opts.sse_rel_tol]:
+                    converged_by[j] = Convergence.SSE_TOL
+                carry_on[won[rel_drop > opts.sse_rel_tol]] = True
+
+            for j in now[solved & ~accepted & capped]:
+                # no descent direction remains at machine precision
+                converged_by[j] = Convergence.STALLED
+            retry = ~accepted & ~capped
+            again = now[retry]
+            lam[again] = _next_damping(lam[again], accepted=False, opts=opts)
+            rejections[again] += 1
+            pending = pending[retry]
+        active = np.flatnonzero(carry_on)
+
+    return [
+        out[j] if out[j] is not None else LmResult(
+            theta=theta[j],
+            final_sse=float(sse[j]),
+            iterations=int(iterations[j]),
+            converged_by=converged_by[j],
+            trace=traces[j],
+            rejections=int(rejections[j]),
+        )
+        for j in range(m)
+    ]
 
 
 def levenberg_marquardt(system, theta0, opts=None):
     """Minimize the (weighted) sum of squared residuals from ``theta0``.
 
-    Returns an :class:`LmResult` whose trace of accepted steps has
-    non-increasing SSE.  Stops when the gradient infinity norm falls below
-    ``grad_inf_tol``, the relative SSE decrease of an accepted step falls
-    below ``sse_rel_tol``, ``max_iterations`` is reached, or no step lowers
-    the SSE even at ``MAX_DAMPING`` (stalled).
+    The one-problem call of :func:`lm_batch`.  Returns an :class:`LmResult`
+    whose trace of accepted steps has non-increasing SSE.  Stops when the
+    gradient infinity norm falls below ``grad_inf_tol``, the relative SSE
+    decrease of an accepted step falls below ``sse_rel_tol``,
+    ``max_iterations`` is reached, or no step lowers the SSE even at
+    ``MAX_DAMPING`` (stalled).
 
     Raises
     ------
@@ -133,71 +256,21 @@ def levenberg_marquardt(system, theta0, opts=None):
     SingularNormalEquations
         If the damped system cannot be solved even at maximum damping.
     """
-    opts = opts or LmOptions()
     system = apply_weights(system)
-    theta = np.asarray(theta0, dtype=np.float64).copy()
 
-    r = system.residual_fn(theta)
-    if not np.all(np.isfinite(r)):
-        raise NonFiniteResidual(f"residual is non-finite at theta={theta!r}")
-    sse = float(r @ r)
-    lam = None
-    trace = []
-    rejections = 0
-    converged_by = Convergence.MAX_ITER
-    iterations = 0
+    def residuals(theta, rows):
+        r = system.residual_fn(theta[0])
+        return r[None], np.array([float(r @ r) if np.all(np.isfinite(r)) else np.nan])
 
-    for iterations in range(1, opts.max_iterations + 1):
-        J = system.jacobian_fn(theta)
+    def normal_equations(theta, r, rows):
+        J = system.jacobian_fn(theta[0])
         if not np.all(np.isfinite(J)):
-            raise NonFiniteResidual(f"Jacobian is non-finite at theta={theta!r}")
-        g = J.T @ r
-        if np.max(np.abs(g), initial=0.0) <= opts.grad_inf_tol:
-            converged_by = Convergence.GRAD_TOL
-            iterations -= 1
-            break
-        JtJ = J.T @ J
-        if lam is None:
-            lam = opts.initial_damping_scale * max(np.max(np.diag(JtJ)), np.finfo(float).tiny)
+            n_params = theta.shape[1]
+            return np.zeros((1, n_params, n_params)), np.zeros((1, n_params)), np.array([False])
+        return (J.T @ J)[None], (J.T @ r[0])[None], np.array([True])
 
-        accepted = False
-        while not accepted:
-            delta = _solve_damped(JtJ, g, lam)
-            if delta is None or not np.all(np.isfinite(delta)):
-                if lam >= MAX_DAMPING:
-                    raise SingularNormalEquations(
-                        f"damped normal equations unsolvable at damping {lam:.3e}"
-                    )
-                lam = _next_damping(lam, accepted=False, opts=opts)
-                rejections += 1
-                continue
-            candidate = theta - delta
-            r_new = system.residual_fn(candidate)
-            sse_new = float(r_new @ r_new) if np.all(np.isfinite(r_new)) else np.inf
-            if sse_new <= sse:
-                accepted = True
-                theta, r = candidate, r_new
-                rel_drop = (sse - sse_new) / max(sse, np.finfo(float).tiny)
-                sse = sse_new
-                trace.append((sse, lam))
-                lam = _next_damping(lam, accepted=True, opts=opts)
-                if rel_drop <= opts.sse_rel_tol:
-                    converged_by = Convergence.SSE_TOL
-            else:
-                if lam >= MAX_DAMPING:
-                    # No descent direction remains at machine precision.
-                    converged_by = Convergence.STALLED
-                    break
-                lam = _next_damping(lam, accepted=False, opts=opts)
-                rejections += 1
-        if converged_by is not Convergence.MAX_ITER:
-            break
-
-    return LmResult(
-        theta=theta,
-        final_sse=sse,
-        iterations=iterations,
-        converged_by=converged_by,
-        trace=trace,
-        rejections=rejections,
-    )
+    theta = np.asarray(theta0, dtype=np.float64)
+    outcome, = lm_batch(residuals, normal_equations, theta[None], opts)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome

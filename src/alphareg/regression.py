@@ -37,11 +37,19 @@ from typing import Optional
 
 import numpy as np
 
-from .exceptions import DimensionMismatch, NonpositiveFitted, ShapeMismatch
-from .optim import LmOptions, LmResult, ResidualSystem, levenberg_marquardt
+from ._parallel import parallel_map
+from .exceptions import (
+    DegenerateWeights,
+    DimensionMismatch,
+    NegativeWeight,
+    NonpositiveFitted,
+    ShapeMismatch,
+)
+from .optim import LmOptions, LmResult, ResidualSystem, levenberg_marquardt, lm_batch
 from .simplex import alpha_transform, helmert_submatrix, _check_alpha
 
 LINPRED_CLAMP = 700.0
+CHUNK_DOUBLES = 1 << 17  # working set of one chunk of batched fits (1 MiB)
 
 
 @dataclass
@@ -83,10 +91,10 @@ def _logit_map(X, B):
 
 
 def _inverse_logit(eta):
-    """Compositions from n x d linear predictors; component 1 is the reference."""
+    """Compositions from (..., n, d) linear predictors; component 1 is the reference."""
     e = np.exp(np.clip(eta, -LINPRED_CLAMP, LINPRED_CLAMP))
-    denom = 1.0 + e.sum(axis=1, keepdims=True)
-    return np.hstack([1.0 / denom, e / denom])
+    denom = 1.0 + e.sum(axis=-1, keepdims=True)
+    return np.concatenate([1.0 / denom, e / denom], axis=-1)
 
 
 def fitted_mean(X, B):
@@ -148,6 +156,11 @@ def kld(observed, fitted):
     """
     obs = np.atleast_2d(np.asarray(observed, dtype=np.float64))
     fit = np.atleast_2d(np.asarray(fitted, dtype=np.float64))
+    return float(_kld_terms(obs, fit).sum())
+
+
+def _kld_terms(obs, fit):
+    """Cell terms ``y log(y/mu)`` of :func:`kld` (0 where y is 0), checked."""
     if obs.shape != fit.shape:
         raise ShapeMismatch(f"observed {obs.shape} vs fitted {fit.shape}")
     if np.any(fit <= 0):
@@ -155,7 +168,7 @@ def kld(observed, fitted):
     mask = obs > 0
     terms = np.zeros_like(obs)
     terms[mask] = obs[mask] * np.log(obs[mask] / fit[mask])
-    return float(terms.sum())
+    return terms
 
 
 # -- derivative chain ---------------------------------------------------------
@@ -324,6 +337,153 @@ def fit_alpha_regression(Y, X, alpha, opts=None, theta0=None, weights=None):
         alpha=float(alpha),
         lm=lm,
     )
+
+
+class RowBlocks:
+    """A stack of ``m`` rows that is built a block at a time.
+
+    ``stack[a:b]`` returns ``build(rows)`` for ``rows = np.arange(a, b)``, so
+    :func:`fit_alpha_batch` can take per-problem weights or designs without
+    the whole (m, ...) array ever existing.
+    """
+
+    def __init__(self, m, build):
+        self.m, self.build = m, build
+
+    def __len__(self):
+        return self.m
+
+    def __getitem__(self, block):
+        return self.build(np.arange(*block.indices(self.m)))
+
+
+def _chunk_size(m, n, D, q, per_problem_design):
+    """Problems per chunk: at most ``CHUNK_DOUBLES`` over one problem's
+    working set, evened out over the chunks that m problems need."""
+    d = D - 1
+    footprint = n * (3 * d * d + 4 * D + q + (q * q if per_problem_design else 0))
+    chunks = max(1, -(-m // max(1, CHUNK_DOUBLES // footprint)))
+    return max(1, -(-m // chunks))
+
+
+def fit_alpha_batch(Y, X, alpha, weights, theta0, opts=None, threads=1):
+    """Weighted fits of m problems that share the response ``Y``, at one alpha.
+
+    Problem j minimizes ``sum_i weights[j, i] * ||z(y_i) - z(mu_ji)||^2``: a
+    leave-one-out fold is the full data with weight 0 on its row, a local
+    fit is the data under its kernel weights.  ``X`` is one (n, q) design
+    for every problem or per-problem designs (m, n, q); ``weights`` is
+    (m, n).  Either per-problem argument may be a :class:`RowBlocks`.
+    ``theta0`` is one start (P,) for every problem, or (m, P).
+
+    ``Y`` is transformed once, and the normal equations come from the
+    Kronecker form ``J'WJ = sum_i w_i (A_i'A_i) kron (x_i x_i')`` with the
+    mean Jacobian ``A_i`` of :func:`_mean_jacobian` (``A_i'A_i`` and
+    ``A_i'r_i`` in closed form), so the (n*d, P) stacked Jacobian is never
+    formed.  Problems are solved in chunks sized by
+    ``CHUNK_DOUBLES`` (never by ``threads``), each chunk one
+    :func:`parallel_map` item and one :func:`optim.lm_batch` stack, so the
+    outcomes do not depend on the thread count.
+
+    Returns m outcomes in problem order: the problem's :class:`LmResult`, or
+    the :class:`NumericalError` that failed it (:class:`DegenerateWeights`
+    when every weight is zero, else the solver's error).
+    """
+    alpha = _check_alpha(alpha)
+    opts = opts or LmOptions()
+    Y = np.asarray(Y, dtype=np.float64)
+    n, D = Y.shape
+    d = D - 1
+    if not isinstance(X, RowBlocks):
+        X = np.asarray(X, dtype=np.float64)
+    shared = isinstance(X, np.ndarray) and X.ndim == 2
+    if shared and X.shape[0] != n:
+        raise DimensionMismatch("response and design row counts differ")
+    theta0 = np.asarray(theta0, dtype=np.float64)
+    m = len(weights)
+    q = theta0.shape[-1] // d
+    starts = np.broadcast_to(theta0, (m, q * d))
+    y_a = alpha_transform(Y, alpha)
+    H = helmert_submatrix(D)
+    outer = _outer_rows(X) if shared else None
+    size = _chunk_size(m, n, D, q, not shared)
+
+    def solve(first):
+        block = slice(first, min(first + size, m))
+        w = np.asarray(weights[block], dtype=np.float64)
+        if np.any(w < 0):
+            raise NegativeWeight("observation weights must be nonnegative")
+        live = np.flatnonzero(np.max(w, axis=1) > 0)
+        Xs = X if shared else np.asarray(X[block], dtype=np.float64)[live]
+        if Xs.shape[-2:] != (n, q):
+            raise DimensionMismatch(f"designs {Xs.shape} do not fit {n} rows and {q} columns")
+        outs = [DegenerateWeights(f"every weight of problem {j} is zero")
+                for j in range(block.start, block.stop)]
+        solved = lm_batch(*_batch_system(y_a, Xs, outer, w[live], alpha, H),
+                          starts[block][live], opts) if live.size else []
+        for j, outcome in zip(live, solved):
+            outs[j] = outcome
+        return outs
+
+    chunks = parallel_map(solve, range(0, m, size), threads=threads)
+    return [outcome for chunk in chunks for outcome in chunk]
+
+
+def _outer_rows(X):
+    """Row outer products ``x_i x_i'`` flattened to (..., n, q*q)."""
+    return (X[..., :, None] * X[..., None, :]).reshape(X.shape[:-1] + (-1,))
+
+
+def _batch_system(y_a, X, outer, w, alpha, H):
+    """The ``residuals`` and ``normal_equations`` of :func:`optim.lm_batch`
+    for weighted fits at one alpha; ``X`` is shared (n, q) with its
+    :func:`_outer_rows` ``outer``, or per problem (k, n, q) with ``outer``
+    ``None``."""
+    n, d = y_a.shape
+    D, q = d + 1, X.shape[-1]
+
+    def coefficients(theta):  # parameter rows to (k, q, d), as theta_to_coef
+        return theta.reshape(-1, d, q).transpose(0, 2, 1)
+
+    def design(rows):
+        return X if X.ndim == 2 else X[rows]
+
+    def residuals(theta, rows):
+        r = y_a - _transformed_mean(design(rows), coefficients(theta), alpha, H)
+        finite = np.all(np.isfinite(r), axis=(1, 2))
+        if not finite.all():
+            r = np.where(finite[:, None, None], r, 0.0)
+        sse = np.einsum("kn,kn->k", w[rows], np.einsum("knm,knm->kn", r, r))
+        return r, np.where(finite, sse, np.nan)
+
+    def normal_equations(theta, r, rows):
+        Xr = design(rows)
+        u = _logit_map(Xr, alpha * coefficients(theta))
+        finite = np.all(np.isfinite(u), axis=(1, 2))
+        if not finite.all():
+            u = np.where(finite[:, None, None], u, 0.0)
+        k, wk = len(rows), w[rows]
+        # With A_i = D (H[:, 1:] - H u_i 1') diag(v_i), v_i = u_i[1:], and
+        # Helmert rows orthonormal and orthogonal to 1:
+        #   A_i'A_i = D^2 v_a v_b (delta_ab - v_a - v_b + u_i'u_i)
+        #   A_i'r_i = D v_i * (H[:, 1:]'r_i - (H u_i)'r_i)
+        # computed observation-last, (k, d, d, n), for long inner loops
+        v = np.ascontiguousarray(np.swapaxes(u[..., 1:], 1, 2))
+        C = np.einsum("knm,knm->kn", u, u)[:, None, None, :] - v[:, :, None, :] - v[:, None]
+        C[:, np.arange(d), np.arange(d)] += 1.0
+        C *= v[:, :, None, :]
+        C *= v[:, None]
+        C = C.reshape(k, d * d, n) * (D * D * wk)[:, None, :]
+        # J'WJ[(a, j), (b, l)] = sum_i w_i (A_i'A_i)[a, b] x_ij x_il
+        XX = outer if outer is not None else _outer_rows(Xr)
+        JtJ = (C @ XX).reshape(k, d, d, q, q).transpose(0, 1, 3, 2, 4)
+        # J'Wr[(a, j)] = -sum_i w_i (A_i'r_i)[a] x_ij, since J = -A kron x
+        hr = np.einsum("knm,knm->kn", u @ H.T, r)
+        Ar = (H[:, 1:].T @ np.swapaxes(r, 1, 2) - hr[:, None, :]) * v * (D * wk)[:, None, :]
+        g = -(Ar @ Xr)
+        return JtJ.reshape(k, d * q, d * q), g.reshape(k, d * q), finite
+
+    return residuals, normal_equations
 
 
 def predict(X_new, fit):

@@ -11,9 +11,15 @@ location leaks into its own prediction: lagged-covariate folds take their
 neighbors from the full data's neighbor table with location i dropped, which
 is identical to the table of the retained locations and uses nothing of i.
 
-Fold-by-grid work units are independent; scores are reduced in index order,
-making results identical for any thread count.  A fold whose solve fails or
-whose weights are degenerate scores +inf instead of aborting the search; a
+A fold is the full system with weight 0 on its held-out row, so it needs no
+re-sliced data and no re-transformed response: the n folds of a grid point
+are one set of weighted fits (``regression.fit_alpha_batch``), solved in
+chunks of folds whose weights and designs are built chunk by chunk, so no
+n x n array appears.  Chunks do not depend on the thread count and scores
+are reduced in index order, making results identical for any thread count.
+Held-out rows are scored by one vectorised divergence.  A fold whose solve
+fails or whose weights are degenerate scores +inf instead of aborting the
+search; a
 grid on which every point scores +inf raises :class:`NumericalError` rather
 than naming a winner.  Ties at the minimum resolve to the smallest alpha,
 then the smallest k or h.
@@ -24,7 +30,6 @@ from typing import Optional
 
 import numpy as np
 
-from ._parallel import parallel_map
 from .exceptions import (
     AllCoincident,
     InvalidK,
@@ -33,9 +38,16 @@ from .exceptions import (
     NumericalError,
 )
 from .optim import LmOptions
-from .regression import fit_alpha_regression, fitted_mean, kld
+from .regression import (
+    RowBlocks,
+    _kld_terms,
+    fit_alpha_batch,
+    fit_alpha_regression,
+    theta_to_coef,
+)
 from .spatial import (
     kernel_weights_at,
+    local_fitted_mean,
     neighbor_lag,
     neighbor_table,
     pairwise_chordal_sq,
@@ -153,13 +165,16 @@ def _loocv(Y, X, grid, axis, setup, opts, threads):
     ``axis`` grid ("ks" or "hs"; ``None`` for alpha alone).
 
     ``setup(X, n)`` runs after the size check and before the zero rule and
-    returns the model's ``(designs, fold)``.  ``designs[e]`` is the full-data
-    design of extra e, or ``None`` when no fold can use e (its folds score
-    +inf without a fit).  Full-data fits run once per (alpha, distinct design)
-    in grid order, each warm-started from the previous, and warm-start the
-    folds at their point.  ``fold(i, mask, extra)`` gives fold i's training
-    design, fit weights and held-out design row, or ``None`` when its weights
-    are degenerate.  Per-fold scores have shape (n, alphas[, extras]).
+    returns the model's ``(designs, folds)``.  ``designs[e]`` is the
+    full-data design of extra e, or ``None`` when no fold can use e (its
+    folds score +inf without a fit).  Full-data fits run once per (alpha,
+    distinct design) in grid order, each warm-started from the previous, and
+    warm-start the folds at their point.  ``folds(extra)`` gives the n folds'
+    weights and designs for :func:`fit_alpha_batch` (as :class:`RowBlocks`
+    or a shared design): fold i is the full data with weight 0 on row i, and
+    row i of a per-fold design is row i of the full-data design, on which
+    the fold is scored.  Per-fold scores have shape (n, alphas[, extras]),
+    C-contiguous, and ``scores`` is their sum over axis 0.
     """
     opts = opts or LmOptions()
     Y = np.asarray(Y, dtype=np.float64)
@@ -167,41 +182,56 @@ def _loocv(Y, X, grid, axis, setup, opts, threads):
     n = Y.shape[0]
     if n < 3:
         raise InvalidParameters("leave-one-out needs at least 3 observations")
-    designs, fold = setup(X, n)
+    designs, folds = setup(X, n)
     _check_zeros_rule(Y, grid.alphas)
     extras = (None,) if axis is None else getattr(grid, axis)
 
-    warm, theta = {}, None
-    for a in grid.alphas:
+    per_fold = np.full((n, len(grid.alphas), len(extras)), np.inf)
+    theta = None
+    for ai, a in enumerate(grid.alphas):
+        warm = {}
         for design in {id(d): d for d in designs if d is not None}.values():
             theta = fit_alpha_regression(Y, design, a, opts=opts, theta0=theta).lm.theta
-            warm[a, id(design)] = theta
+            warm[id(design)] = theta
+        for e, design in enumerate(designs):
+            if design is not None:
+                weights, fold_X = folds(extras[e])
+                outcomes = fit_alpha_batch(Y, fold_X, a, weights, warm[id(design)],
+                                           opts, threads)
+                per_fold[:, ai, e] = _heldout_divergence(Y, design, outcomes)
 
-    def score(unit):
-        a, e, i = unit
-        mask = np.arange(n) != i
-        part = None if designs[e] is None else fold(i, mask, extras[e])
-        if part is None:
-            return np.inf
-        X_train, weights, x_held = part
-        try:
-            fit = fit_alpha_regression(Y[mask], X_train, a, opts=opts,
-                                       theta0=warm[a, id(designs[e])], weights=weights)
-        except NumericalError:
-            return np.inf
-        return kld(Y[i : i + 1], fitted_mean(x_held[None, :], fit.coefficients))
-
-    units = [(a, e, i) for a in grid.alphas for e in range(len(extras)) for i in range(n)]
-    vals = np.array(parallel_map(score, units, threads=threads))
-    per_fold = vals.reshape(len(grid.alphas), len(extras), n)
-    scores = per_fold.sum(axis=2)
-    ai, ei = _best_point(scores)
     if axis is None:
-        return CvResult(scores=scores[:, 0], best=(grid.alphas[ai],),
-                        alphas=grid.alphas, per_fold=per_fold[:, 0].T)
-    return CvResult(scores=scores, best=(grid.alphas[ai], extras[ei]),
-                    alphas=grid.alphas, per_fold=np.moveaxis(per_fold, 2, 0),
-                    **{axis: extras})
+        per_fold = per_fold.reshape(n, len(grid.alphas))
+    scores = per_fold.sum(axis=0)
+    best = _best_point(scores)
+    point = {"alphas": grid.alphas}
+    if axis is not None:
+        point[axis] = extras
+    return CvResult(scores=scores, best=tuple(v[i] for v, i in zip(point.values(), best)),
+                    per_fold=per_fold, **point)
+
+
+def _heldout_divergence(Y, design, outcomes):
+    """Divergence of each fold's prediction at its held-out row i (row i of
+    ``design``), +inf where the fold's fit failed."""
+    ok = np.array([not isinstance(o, NumericalError) for o in outcomes])
+    out = np.full(len(outcomes), np.inf)
+    if ok.any():
+        q, d = design.shape[1], Y.shape[1] - 1
+        B = np.stack([theta_to_coef(o.theta, q, d) for o, good in zip(outcomes, ok) if good])
+        out[ok] = _kld_terms(Y[ok], local_fitted_mean(design[ok], B)).sum(axis=1)
+    return out
+
+
+def _drop_own_row(w, rows):
+    """Zero each fold's weight on its own row: fold ``rows[j]`` is row j of ``w``."""
+    w[np.arange(len(rows)), rows] = 0.0
+    return w
+
+
+def _unit_fold_weights(n):
+    """Fold weights of the unweighted models: 1, and 0 on the fold's own row."""
+    return RowBlocks(n, lambda rows: _drop_own_row(np.ones((len(rows), n)), rows))
 
 
 def loocv_alpha(Y, X, grid=None, opts=None, threads=1):
@@ -215,7 +245,7 @@ def loocv_alpha(Y, X, grid=None, opts=None, threads=1):
     grid = grid or CvGrid()
 
     def setup(X, n):
-        return [X], lambda i, mask, _: (X[mask], None, X[i])
+        return [X], lambda _: (_unit_fold_weights(n), X)
 
     return _loocv(Y, X, grid, None, setup, opts, threads)
 
@@ -225,7 +255,8 @@ def loocv_slx(Y, X, coords, grid=None, opts=None, threads=1):
 
     One neighbor table (``max(ks)+1`` columns) serves every fold: fold i lags
     each retained row by its k nearest table entries other than i, and the
-    held-out row by its own k nearest.  A fold keeps n-1 locations, so
+    held-out row by its own k nearest (the full-data lag).  Fold designs are
+    built a chunk of folds at a time.  A fold keeps n-1 locations, so
     ``k > n-2`` scores +inf, without a full-data warm-start fit.  Scores form
     a (len(alphas), len(ks)) matrix.
     """
@@ -240,16 +271,20 @@ def loocv_slx(Y, X, coords, grid=None, opts=None, threads=1):
         # full-data lags: the warm starts' design, and held-out row i's lag
         lag = {k: neighbor_lag(idx[:, :k], row_weights(d2[:, :k]), X) for k in grid.ks}
 
-        def fold(i, mask, k):
-            nb = idx[mask, : k + 1]
-            keep = nb != i
-            keep[:, k] = ~keep[:, :k].all(axis=1)  # entry k only replaces a dropped i
-            w = row_weights(d2[mask, : k + 1][keep].reshape(n - 1, k))
-            lags = neighbor_lag(nb[keep].reshape(n - 1, k), w, X)
-            return np.hstack([X[mask], lags]), None, np.concatenate([X[i], lag[k][i]])
+        def fold_designs(rows, k):
+            shape = (len(rows), n, k + 1)
+            keep = idx[:, : k + 1] != rows[:, None, None]
+            keep[:, :, k] = ~keep[:, :, :k].all(axis=2)  # entry k only replaces a dropped i
+            nb = np.broadcast_to(idx[:, : k + 1], shape)[keep].reshape(shape[:2] + (k,))
+            w = row_weights(np.broadcast_to(d2[:, : k + 1], shape)[keep].reshape(nb.shape))
+            return np.concatenate([np.broadcast_to(X, shape[:2] + X.shape[1:]),
+                                   neighbor_lag(nb, w, X)], axis=2)
+
+        def folds(k):
+            return _unit_fold_weights(n), RowBlocks(n, lambda rows: fold_designs(rows, k))
 
         # every k gives the same design width, so the chain carries across k
-        return [np.hstack([X, lag[k]]) if k <= n - 2 else None for k in grid.ks], fold
+        return [np.hstack([X, lag[k]]) if k <= n - 2 else None for k in grid.ks], folds
 
     return _loocv(Y, X, grid, "ks", setup, opts, threads)
 
@@ -258,19 +293,19 @@ def loocv_gwar(Y, X, coords, grid=None, opts=None, threads=1):
     """Select (alpha, bandwidth) for the locally weighted model.
 
     Each fold fits the local model at the held-out location's coordinates
-    using the other observations, warm-started from the full-data global
-    fit at the same alpha.  Degenerate kernel weights surface as +inf for
-    that grid point.
+    using the other observations (its own row at weight 0), warm-started
+    from the full-data global fit at the same alpha.  A fold whose kernel
+    weights all underflow scores +inf, and so does its grid point.
     """
     grid = grid or CvGrid(hs=tuple(default_h_grid(coords)))
     if grid.hs is None:
         raise InvalidParameters("the locally weighted search needs an h grid")
 
     def setup(X, n):
-        def fold(i, mask, h):
-            w = kernel_weights_at(coords, coords.cart[i], h)[mask]
-            return None if np.max(w) == 0.0 else (X[mask], w, X[i])
+        def folds(h):
+            return RowBlocks(n, lambda rows: _drop_own_row(
+                kernel_weights_at(coords, coords.cart[rows], h), rows)), X
 
-        return [X] * len(grid.hs), fold
+        return [X] * len(grid.hs), folds
 
     return _loocv(Y, X, grid, "hs", setup, opts, threads)

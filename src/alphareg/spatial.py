@@ -19,7 +19,10 @@ Two models build on the plain compositional regression:
   and spillover ``gamma``), and
 * the locally weighted model refits at every location with Gaussian kernel
   weights ``w_ij = exp((c_i'c_j - 1) / h^2)``, giving location-specific
-  coefficient matrices.
+  coefficient matrices.  :func:`fit_gwar` and :func:`predict_gwar` solve
+  their locations as one set of weighted fits
+  (``regression.fit_alpha_batch``), with kernel weights built a chunk of
+  locations at a time.
 """
 
 from dataclasses import dataclass
@@ -27,7 +30,6 @@ from typing import Optional
 
 import numpy as np
 
-from ._parallel import parallel_map
 from .exceptions import (
     DegenerateWeights,
     DimensionMismatch,
@@ -37,10 +39,11 @@ from .exceptions import (
 )
 from .optim import LmOptions, LmResult
 from .regression import (
+    RowBlocks,
     _inverse_logit,
     coef_to_theta,
+    fit_alpha_batch,
     fit_alpha_regression,
-    fitted_mean,
     kld,
     theta_to_coef,
 )
@@ -137,8 +140,9 @@ def row_weights(d2):
 
 
 def neighbor_lag(idx, w, X):
-    """Spatial lags from a neighbor table: ``sum_t w[i, t] X[idx[i, t], 1:]``."""
-    return np.einsum("ij,ijp->ip", w, X[idx, 1:])
+    """Spatial lags from a neighbor table: ``sum_t w[i, t] X[idx[i, t], 1:]``
+    (tables may carry leading axes, e.g. one per leave-one-out fold)."""
+    return np.einsum("...t,...tp->...p", w, X[idx, 1:])
 
 
 def contiguity_matrix(coords, k):
@@ -173,13 +177,14 @@ def _dot_gap(dots):
 
 
 def kernel_weights_at(coords, cart_point, h):
-    """Gaussian kernel weights of training locations relative to any point.
+    """Gaussian kernel weights of training locations relative to any point,
+    or one row per point for a (k, 3) block of points.
 
     Uses the simplification ``exp(-d2/(2 h^2)) = exp((c_i'c_j - 1)/h^2)``.
     """
     if h <= 0:
         raise NonpositiveBandwidth(f"bandwidth must be > 0, got {h}")
-    dots = coords.cart @ np.asarray(cart_point, dtype=np.float64)
+    dots = (coords.cart @ np.asarray(cart_point, dtype=np.float64).T).T
     return np.exp(_dot_gap(dots) / (h * h))
 
 
@@ -262,38 +267,49 @@ class GwarFit:
     opts: LmOptions
 
 
-def _local_theta(Y, X, alpha, weights, theta0, opts):
-    fit = fit_alpha_regression(Y, X, alpha, opts=opts, theta0=theta0, weights=weights)
-    return fit.lm.theta
+def _local_coefficients(outcomes, n_cols, d, degenerate):
+    """Coefficient stack of a set of local fits; the lowest-index failure is
+    raised, a :class:`DegenerateWeights` one with ``degenerate(j)`` as its
+    message."""
+    for j, outcome in enumerate(outcomes):
+        if isinstance(outcome, DegenerateWeights):
+            raise DegenerateWeights(degenerate(j))
+        if isinstance(outcome, Exception):
+            raise outcome
+    return np.stack([theta_to_coef(o.theta, n_cols, d) for o in outcomes])
 
 
 def fit_gwar(Y, X, coords, alpha, h, opts=None, threads=1):
     """Fit the locally weighted model at every observed location.
 
     Each location minimizes the kernel-weighted squared residuals over the
-    whole sample; local solves warm-start from the global fit.  The n local
-    problems are independent and run on ``threads`` workers with results
-    gathered by location index.
+    whole sample, its own weight 1; local solves warm-start from the global
+    fit.  The n locations are one set of weighted fits
+    (:func:`fit_alpha_batch`), solved in chunks on ``threads`` workers;
+    results do not depend on the thread count.  Raises the exception of the
+    lowest-index location that fails, :class:`DegenerateWeights` where all
+    its other weights underflow.
     """
     Y = np.asarray(Y, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
     opts = opts or LmOptions()
     n, D = Y.shape
-    d = D - 1
     global_fit = fit_alpha_regression(Y, X, alpha, opts=opts)
-    theta_g = global_fit.lm.theta
 
-    def solve_location(i):
-        w = gaussian_kernel_weights(coords, i, h)
-        others = np.delete(w, i)
-        if others.size and np.max(others) == 0.0:
-            raise DegenerateWeights(
-                f"all non-self kernel weights underflowed at location {i} (h={h:g})"
-            )
-        return _local_theta(Y, X, alpha, w, theta_g, opts)
+    def location_weights(rows):
+        w = kernel_weights_at(coords, coords.cart[rows], h)
+        own = (np.arange(len(rows)), rows)
+        w[own] = 0.0
+        # a location whose other weights all underflow gets no data at all,
+        # so its fit fails as degenerate
+        w[own] = np.where((np.max(w, axis=1) == 0.0) & (n > 1), 0.0, 1.0)
+        return w
 
-    thetas = parallel_map(solve_location, range(n), threads=threads)
-    local = np.stack([theta_to_coef(t, X.shape[1], d) for t in thetas])
+    outcomes = fit_alpha_batch(Y, X, alpha, RowBlocks(n, location_weights),
+                               global_fit.lm.theta, opts, threads)
+    local = _local_coefficients(
+        outcomes, X.shape[1], D - 1,
+        lambda i: f"all non-self kernel weights underflowed at location {i} (h={h:g})")
     fitted = local_fitted_mean(X, local)
     return GwarFit(
         local_coefficients=local,
@@ -319,24 +335,15 @@ def predict_gwar(fit, X_new, coords_new, threads=1):
 
     Each new location gets its own kernel-weighted fit on the training data
     only (warm-started from the stored global solution), evaluated at the
-    matching row of ``X_new``.
+    matching row of ``X_new``; the locations are one set of weighted fits,
+    as in :func:`fit_gwar`.
     """
     X_new = np.asarray(X_new, dtype=np.float64)
-    theta_g = coef_to_theta(fit.global_coefficients)
-    n_cols = fit.train_X.shape[1]
-    d = fit.train_Y.shape[1] - 1
-
-    def solve_new(j):
-        w = kernel_weights_at(fit.train_coords, coords_new.cart[j], fit.h)
-        if np.max(w) == 0.0:
-            raise DegenerateWeights(
-                f"all kernel weights underflowed at prediction point {j} (h={fit.h:g})"
-            )
-        local_fit = fit_alpha_regression(
-            fit.train_Y, fit.train_X, fit.alpha,
-            opts=fit.opts, theta0=theta_g, weights=w,
-        )
-        return fitted_mean(X_new[j : j + 1], local_fit.coefficients)[0]
-
-    rows = parallel_map(solve_new, range(coords_new.n), threads=threads)
-    return np.vstack(rows)
+    weights = RowBlocks(coords_new.n, lambda rows: kernel_weights_at(
+        fit.train_coords, coords_new.cart[rows], fit.h))
+    outcomes = fit_alpha_batch(fit.train_Y, fit.train_X, fit.alpha, weights,
+                               coef_to_theta(fit.global_coefficients), fit.opts, threads)
+    local = _local_coefficients(
+        outcomes, fit.train_X.shape[1], fit.train_Y.shape[1] - 1,
+        lambda j: f"all kernel weights underflowed at prediction point {j} (h={fit.h:g})")
+    return local_fitted_mean(X_new, local)

@@ -339,6 +339,41 @@ class TestExitCodes:
         assert str(doc_path) in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("model, path", [
+        ("alpha", "fit"),
+        ("alpha", "fit.coefficients"),
+        ("alpha", "dataset.composition_columns"),
+        ("alpha", "dataset.covariate_columns"),
+        ("slx", "hyperparameters.k"),
+        ("slx", "dataset.lat_column"),
+        ("slx", "dataset.lon_column"),
+        ("gwar", "hyperparameters.alpha"),
+        ("gwar", "hyperparameters.h"),
+        ("gwar", "fit.local_coefficients"),
+        ("gwar", "fit.global_coefficients"),
+        ("gwar", "config.solver"),
+    ])
+    def test_incomplete_model_document_is_data_error(self, model, path, dataset,
+                                                     tmp_path, capsys):
+        doc_path = tmp_path / "doc.json"
+        fixed = {"alpha": [], "slx": ["--k", "4"], "gwar": ["--h", "0.05"]}[model]
+        assert main(["fit", "--data", str(dataset), *DATA_ARGS, *GEO_ARGS,
+                     "--model", model, "--alpha", "0.5", *fixed,
+                     "--out", str(doc_path)]) == 0
+        doc = json.loads(doc_path.read_text())
+        *parents, key = path.split(".")
+        block = doc
+        for name in parents:
+            block = block[name]
+        del block[key]
+        doc_path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        code = main(["predict", "--model-doc", str(doc_path), "--data", str(dataset)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(doc_path) in err and key in err
+
+
 class TestResolveThreads:
     def test_non_integer_variable(self, monkeypatch):
         monkeypatch.setenv(THREADS_ENV_VAR, "two")

@@ -103,10 +103,65 @@ class TestSolver:
             levenberg_marquardt(bad, np.zeros(1))
 
     def test_singular_at_max_damping(self, monkeypatch):
-        monkeypatch.setattr(optim, "_solve_damped", lambda *a: None)
+        monkeypatch.setattr(optim, "_solve_damped",
+                            lambda JtJ, g, lam: np.full_like(g, np.nan))
         sys_ = rosenbrock_system()
         with pytest.raises(SingularNormalEquations):
             levenberg_marquardt(sys_, np.array([-1.2, 1.0]))
+
+
+def stacked(systems):
+    """:func:`optim.lm_batch` callbacks for same-shaped systems, one per row,
+    with the arithmetic of :func:`levenberg_marquardt`."""
+
+    def residuals(theta, rows):
+        r = np.array([systems[j].residual_fn(t) for t, j in zip(theta, rows)])
+        sse = [float(x @ x) if np.all(np.isfinite(x)) else np.nan for x in r]
+        return r, np.array(sse)
+
+    def normal_equations(theta, r, rows):
+        J = np.array([systems[j].jacobian_fn(t) for t, j in zip(theta, rows)])
+        finite = np.all(np.isfinite(J), axis=(1, 2))
+        return (np.array([j.T @ j for j in J]), np.array([j.T @ x for j, x in zip(J, r)]),
+                finite)
+
+    return residuals, normal_equations
+
+
+class TestBatch:
+    def test_each_problem_runs_its_own_schedule(self, rng):
+        A = rng.normal(size=(2, 2))
+        kink = ResidualSystem(lambda t: np.abs(t) + 1.0, lambda t: np.eye(2), 2, 2)
+        systems = [rosenbrock_system(), kink, linear_system(A, np.ones(2)),
+                   rosenbrock_system(), rosenbrock_system()]
+        theta0 = np.array([[-1.2, 1.0], [0.0, 0.0], [0.0, 0.0], [np.nan, 1.0], [2.0, 2.0]])
+        outcomes = optim.lm_batch(*stacked(systems), theta0)
+        assert isinstance(outcomes[3], NonFiniteResidual)  # fails alone
+        reasons = set()
+        for system, start, got in zip(systems, theta0, outcomes):
+            if got is outcomes[3]:
+                continue
+            want = levenberg_marquardt(system, start)
+            np.testing.assert_array_equal(got.theta, want.theta)
+            assert (got.iterations, got.rejections, got.converged_by, got.trace) == \
+                (want.iterations, want.rejections, want.converged_by, want.trace)
+            assert got.final_sse == want.final_sse
+            reasons.add(got.converged_by)
+        assert Convergence.STALLED in reasons and outcomes[0].rejections > 0
+
+    def test_singular_problem_fails_alone(self, monkeypatch):
+        real = optim._solve_damped
+
+        def second_unsolvable(JtJ, g, lam):
+            delta = real(JtJ, g, lam)
+            delta[np.isclose(JtJ[:, 0, 0], 1.0)] = np.nan  # the problem with J = I
+            return delta
+
+        monkeypatch.setattr(optim, "_solve_damped", second_unsolvable)
+        systems = [rosenbrock_system(), linear_system(np.eye(2), np.ones(2))]
+        outcomes = optim.lm_batch(*stacked(systems), np.array([[-1.2, 1.0], [0.0, 0.0]]))
+        assert isinstance(outcomes[1], SingularNormalEquations)
+        np.testing.assert_allclose(outcomes[0].theta, [1.0, 1.0], atol=1e-6)
 
 
 class TestWeights:

@@ -5,19 +5,24 @@ import numpy as np
 import pytest
 
 from alphareg import (
+    DegenerateWeights,
     DimensionMismatch,
+    NonFiniteResidual,
     alpha_transform,
     fit_alpha_regression,
     fitted_mean,
     gradient,
     hessian_exact,
     hessian_gauss_newton,
+    levenberg_marquardt,
     predict,
     residual_system,
     sse,
     transformed_mean,
 )
-from alphareg.regression import coef_to_theta
+from alphareg import regression
+from alphareg.regression import RowBlocks, coef_to_theta, fit_alpha_batch
+from alphareg.simplex import helmert_submatrix
 from conftest import fd_gradient, fd_hessian, random_instance, rel_err
 
 
@@ -330,3 +335,74 @@ class TestPredict:
         np.testing.assert_allclose(
             predict(X[:10], fit).sum(axis=1), 1.0, atol=1e-12
         )
+
+
+def batch_problems(rng, n=25, D=4, p=2, m=6):
+    """Weights with zero and fractional entries (row 0 all ones, row 1 a
+    leave-one-out fold), per-problem designs that share the intercept, and
+    random parameter rows."""
+    Y, X, _ = random_instance(rng, n=n, D=D, p=p)
+    W = rng.uniform(0.0, 2.0, size=(m, n))
+    W[:, ::4] = 0.0
+    W[0], W[1] = 1.0, 1.0
+    W[1, 3] = 0.0
+    Xs = X + rng.normal(scale=0.2, size=(m, n, p + 1)) * (np.arange(p + 1) > 0)
+    theta = rng.normal(scale=0.4, size=(m, (p + 1) * (D - 1)))
+    return Y, X, Xs, W, theta
+
+
+class TestFitAlphaBatch:
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.1, 0.0, -0.5])
+    @pytest.mark.parametrize("per_problem", [False, True])
+    def test_normal_equations_match_residual_system(self, alpha, per_problem, rng):
+        Y, X, Xs, W, theta = batch_problems(rng)
+        design = Xs if per_problem else X
+        D = Y.shape[1]
+        outer = None if per_problem else regression._outer_rows(X)
+        residuals, normal_equations = regression._batch_system(
+            alpha_transform(Y, alpha), design, outer, W, alpha, helmert_submatrix(D))
+        rows = np.arange(len(W))
+        r, sse_ = residuals(theta, rows)
+        JtJ, g, finite = normal_equations(theta, r, rows)
+        assert finite.all()
+        for j in rows:
+            system = residual_system(Y, design[j] if per_problem else X, alpha, weights=W[j])
+            J, res, w = system.jacobian_fn(theta[j]), system.residual_fn(theta[j]), system.weights
+            want_JtJ, want_g = J.T @ (w[:, None] * J), J.T @ (w * res)
+            assert np.max(np.abs(JtJ[j] - want_JtJ)) <= 1e-12 * np.max(np.abs(want_JtJ))
+            assert np.max(np.abs(g[j] - want_g)) <= 1e-12 * np.max(np.abs(want_g))
+            assert abs(sse_[j] - w @ res ** 2) <= 1e-12 * (w @ res ** 2)
+
+    @pytest.mark.parametrize("per_problem", [False, True])
+    def test_matches_independent_solves(self, per_problem, rng):
+        Y, X, Xs, W, _ = batch_problems(rng, n=30, D=3, p=1)
+        design = Xs if per_problem else X
+        W[4] = 0.0  # no data at all
+        theta0 = np.tile(fit_alpha_regression(Y, X, 0.5).lm.theta, (len(W), 1))
+        theta0[2] = -10.0  # far out: the damping must reject steps
+        theta0[3, 0] = np.nan  # fails alone
+        outcomes = fit_alpha_batch(Y, design, 0.5, W, theta0)
+        assert isinstance(outcomes[3], NonFiniteResidual)
+        assert isinstance(outcomes[4], DegenerateWeights)
+        assert outcomes[2].rejections > 0
+        for j in (0, 1, 2, 5):
+            system = residual_system(Y, design[j] if per_problem else X, 0.5, weights=W[j])
+            want = levenberg_marquardt(system, theta0[j])
+            got = outcomes[j]
+            assert (got.iterations, got.converged_by) == (want.iterations, want.converged_by)
+            np.testing.assert_allclose(got.theta, want.theta, rtol=0, atol=1e-10)
+
+    def test_chunks_and_threads_do_not_change_results(self, rng, monkeypatch):
+        Y, X, Xs, W, _ = batch_problems(rng, n=20, D=3, p=1, m=9)
+        theta0 = fit_alpha_regression(Y, X, 0.5).lm.theta
+        whole = fit_alpha_batch(Y, Xs, 0.5, W, theta0)
+        monkeypatch.setattr(regression, "CHUNK_DOUBLES", 2000)  # chunks of 3 or fewer
+        assert regression._chunk_size(9, 20, 3, 2, True) < 9
+        lazy_W = RowBlocks(9, lambda rows: W[rows])
+        lazy_X = RowBlocks(9, lambda rows: Xs[rows])
+        for threads in (1, 2):
+            chunked = fit_alpha_batch(Y, lazy_X, 0.5, lazy_W, theta0, threads=threads)
+            for a, b in zip(whole, chunked):
+                np.testing.assert_array_equal(a.theta, b.theta)
+                assert (a.iterations, a.rejections, a.converged_by) == \
+                    (b.iterations, b.rejections, b.converged_by)

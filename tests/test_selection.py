@@ -94,6 +94,24 @@ class TestDefaultHGrid:
         assert len(grid) == 10
 
 
+def count_engine_calls(monkeypatch):
+    """Count a search's full-data fits and the size of each fold set it solves."""
+    calls = {"fit": 0, "batch": []}
+    fit, batch = selection.fit_alpha_regression, selection.fit_alpha_batch
+
+    def counted_fit(*a, **kw):
+        calls["fit"] += 1
+        return fit(*a, **kw)
+
+    def counted_batch(*a, **kw):
+        calls["batch"].append(len(a[3]))
+        return batch(*a, **kw)
+
+    monkeypatch.setattr(selection, "fit_alpha_regression", counted_fit)
+    monkeypatch.setattr(selection, "fit_alpha_batch", counted_batch)
+    return calls
+
+
 class TestLoocvAlpha:
     def test_single_grid_point(self, rng):
         sim = synthesize(n=20, D=3, p=1, alpha=0.5, noise_scale=0.05, seed=0)
@@ -138,18 +156,17 @@ class TestLoocvAlpha:
         from alphareg import NonFiniteResidual, selection
 
         sim = synthesize(n=12, D=3, p=1, alpha=0.5, noise_scale=0.1, seed=4)
-        real_fit = selection.fit_alpha_regression
         calls = []
 
-        def fails_after_warm_start(Y, X, alpha, **kwargs):
+        def every_fold_fails(Y, X, alpha, weights, theta0, *args):
             calls.append(alpha)
-            if len(calls) > 2:  # the two full-data warm-start fits succeed
-                raise NonFiniteResidual("forced failure")
-            return real_fit(Y, X, alpha, **kwargs)
+            return [NonFiniteResidual("forced failure")] * len(weights)
 
-        monkeypatch.setattr(selection, "fit_alpha_regression", fails_after_warm_start)
+        # the full-data warm-start fits succeed; every fold set fails
+        monkeypatch.setattr(selection, "fit_alpha_batch", every_fold_fails)
         with pytest.raises(NumericalError):
             loocv_alpha(sim["Y"], sim["X"], CvGrid(alphas=(0.5, 1.0)))
+        assert calls == [0.5, 1.0]
 
     def test_per_fold_matches_plain_fold_loop(self, monkeypatch):
         sim = synthesize(n=20, D=3, p=2, alpha=0.5, noise_scale=0.1, seed=12)
@@ -164,14 +181,13 @@ class TestLoocvAlpha:
                 fit = fit_alpha_regression(Y[mask], X[mask], a, theta0=warm)
                 oracle[i, ai] = kld(Y[i : i + 1],
                                     fitted_mean(X[i : i + 1], fit.coefficients))
-        calls = []
-        original = selection.fit_alpha_regression
-        monkeypatch.setattr(selection, "fit_alpha_regression",
-                            lambda *a, **kw: calls.append(1) or original(*a, **kw))
+        calls = count_engine_calls(monkeypatch)
         cv = loocv_alpha(Y, X, CvGrid(alphas=alphas), threads=2)
-        np.testing.assert_array_equal(cv.per_fold, oracle)
-        np.testing.assert_array_equal(cv.scores, oracle.sum(axis=0))
-        assert len(calls) == len(alphas) * (n + 1)
+        # a fold is a zero-weight row, so J'WJ sums in another order
+        np.testing.assert_allclose(cv.per_fold, oracle, rtol=1e-9, atol=0)
+        np.testing.assert_allclose(cv.scores, oracle.sum(axis=0), rtol=1e-11, atol=0)
+        assert calls["fit"] == len(alphas)  # the warm starts
+        assert calls["batch"] == [n] * len(alphas)  # one fold set per alpha
 
 
 class TestLoocvSlx:
@@ -217,16 +233,10 @@ class TestLoocvSlx:
                          spatial_mode="slx", seed=7)
         args = (sim["Y"], sim["X"], sim["coords"])
         feasible = loocv_slx(*args, CvGrid(alphas=(0.5,), ks=(10,)))
-        calls = {"n": 0}
-        original = selection.fit_alpha_regression
-
-        def counted(*a, **kw):
-            calls["n"] += 1
-            return original(*a, **kw)
-
-        monkeypatch.setattr(selection, "fit_alpha_regression", counted)
+        calls = count_engine_calls(monkeypatch)
         cv = loocv_slx(*args, CvGrid(alphas=(0.5,), ks=(10, 11)))
-        assert calls["n"] == 1 + 12  # one warm start (k=10) and its 12 folds
+        assert calls["fit"] == 1  # one warm start (k=10)
+        assert calls["batch"] == [12]  # and its 12 folds, as one set
         np.testing.assert_array_equal(cv.scores[:, 0], feasible.scores[:, 0])
         assert np.isinf(cv.scores[0, 1])
 
@@ -454,23 +464,49 @@ class TestLoocvGwar:
         Y, X, coords, n = sim["Y"], sim["X"], sim["coords"], 15
         med = median_heuristic_bandwidth(coords)
         alphas, hs = (0.5, 1.0), (1e-9, med / 4.0, 1e6)
-        real_fit = selection.fit_alpha_regression
+        real_fit, real_batch = selection.fit_alpha_regression, selection.fit_alpha_batch
 
+        # fold 4 fails at alpha 1: in the oracle's fits (without row 4) ...
         def fails_without_row_4_at_alpha_1(Y_, X_, alpha, **kwargs):
             if alpha == 1.0 and len(Y_) == n - 1 and not (Y_ == Y[4]).all(axis=1).any():
                 raise NonFiniteResidual("forced failure")
             return real_fit(Y_, X_, alpha, **kwargs)
 
+        # ... and in the engine's fold sets
+        def fold_4_fails_at_alpha_1(Y_, X_, alpha, *args):
+            outcomes = real_batch(Y_, X_, alpha, *args)
+            if alpha == 1.0:
+                outcomes[4] = NonFiniteResidual("forced failure")
+            return outcomes
+
         monkeypatch.setattr(selection, "fit_alpha_regression",
                             fails_without_row_4_at_alpha_1)
+        monkeypatch.setattr(selection, "fit_alpha_batch", fold_4_fails_at_alpha_1)
         oracle = plain_gwar_folds(Y, X, coords, alphas, hs)
         cv = loocv_gwar(Y, X, coords, CvGrid(alphas=alphas, hs=hs), threads=2)
-        np.testing.assert_array_equal(cv.per_fold, oracle)
-        np.testing.assert_array_equal(cv.scores, oracle.sum(axis=0))
+        np.testing.assert_array_equal(np.isinf(cv.per_fold), np.isinf(oracle))
+        finite = np.isfinite(oracle)
+        # a fold is a zero-weight row, so J'WJ sums in another order
+        np.testing.assert_allclose(cv.per_fold[finite], oracle[finite], rtol=1e-9, atol=0)
+        np.testing.assert_allclose(cv.scores, oracle.sum(axis=0), rtol=1e-11, atol=0)
         assert np.all(np.isinf(cv.per_fold[:, :, 0]))  # h = 1e-9 underflows
         assert np.all(np.isinf(cv.per_fold[4, 1, 1:]))  # the forced failure
         assert np.isfinite(cv.per_fold[:, :, 1:]).sum() == 2 * 2 * n - 2
         assert cv.best[0] == 0.5
+
+
+class TestScoreSum:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("model", ["alpha", "slx", "gwar"])
+    def test_scores_are_the_fold_sum_bitwise(self, model, threads):
+        sim = synthesize(n=15, D=3, p=1, alpha=0.5, noise_scale=0.1,
+                         spatial_mode="two_cluster", seed=11)
+        med = median_heuristic_bandwidth(sim["coords"])
+        grid = CvGrid(alphas=(0.5, 1.0), ks=(3, 5), hs=(med / 4.0, 1e6))
+        cv = select(model, sim["Y"], sim["X"], sim["coords"], grid, threads=threads)
+        assert cv.per_fold.shape == (15,) + cv.scores.shape
+        assert cv.per_fold.flags.c_contiguous  # fold axis first, in memory too
+        np.testing.assert_array_equal(cv.scores, cv.per_fold.sum(axis=0))
 
 
 class TestCvGrid:
