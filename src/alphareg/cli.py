@@ -28,13 +28,11 @@ from .exceptions import (
     TrainingDataChanged,
 )
 from .optim import LmOptions
-from .regression import fitted_mean
-from .run import RunConfig, run_fit
+from .regression import fitted_mean, kld
+from .run import RunConfig, _selection_doc, run_fit
 from .selection import CvGrid, select
-from .spatial import (GeoCoordinates, neighbor_lag, neighbor_table, predict_gwar,
-                      row_weights)
-from ._parallel import resolve_threads
-from .run import _selection_doc  # selection echo shared with full runs
+from .spatial import (GeoCoordinates, GwarFit, local_fitted_mean, neighbor_lag,
+                      neighbor_table, predict_gwar, row_weights)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,11 +90,19 @@ def _add_model_args(sp):
     sp.add_argument("--sse-rel-tol", type=float, default=LmOptions.sse_rel_tol)
     sp.add_argument("--grad-inf-tol", type=float, default=LmOptions.grad_inf_tol)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=_threads, default="auto",
-                    help="worker threads (or 'auto'); ALPHAREG_THREADS overrides")
     sp.add_argument("--out", default=None, help="result path (default stdout)")
     sp.add_argument("--csv-dir", default=None,
                     help="additionally export tables as CSV files here")
+
+
+def _add_se_args(sp):
+    sp.add_argument("--with-se", action="store_true",
+                    help="include sandwich standard errors")
+    sp.add_argument("--bootstrap-replicates", type=int, default=0,
+                    help="use a pairs bootstrap of this size for the SEs")
+    sp.add_argument("--threads", type=_threads, default="auto",
+                    help="bootstrap worker threads (or 'auto'); "
+                         "ALPHAREG_THREADS overrides")
 
 
 def build_parser():
@@ -107,10 +113,7 @@ def build_parser():
     fit = sub.add_parser("fit", help="select, fit, and report")
     _add_dataset_args(fit)
     _add_model_args(fit)
-    fit.add_argument("--with-se", action="store_true",
-                     help="include sandwich standard errors")
-    fit.add_argument("--bootstrap-replicates", type=int, default=0,
-                     help="use a pairs bootstrap of this size for the SEs")
+    _add_se_args(fit)
 
     cv = sub.add_parser("cv", help="cross-validation scores only")
     _add_dataset_args(cv)
@@ -119,15 +122,13 @@ def build_parser():
     margins = sub.add_parser("margins", help="marginal-effect tables")
     _add_dataset_args(margins)
     _add_model_args(margins)
-    margins.add_argument("--with-se", action="store_true")
-    margins.add_argument("--bootstrap-replicates", type=int, default=0)
+    _add_se_args(margins)
 
     predict = sub.add_parser("predict", help="predict compositions for new data")
     predict.add_argument("--model-doc", required=True,
                          help="result document produced by `fit`")
     predict.add_argument("--data", required=True, help="CSV of new observations")
     predict.add_argument("--out", default=None, help="output CSV (default stdout)")
-    predict.add_argument("--threads", type=_threads, default="auto")
 
     gen = sub.add_parser("generate", help="write a synthetic dataset")
     gen.add_argument("--n", type=int, required=True)
@@ -174,7 +175,7 @@ def _run_config(args):
         ),
         bootstrap_replicates=getattr(args, "bootstrap_replicates", 0),
         seed=args.seed,
-        threads=args.threads,
+        threads=getattr(args, "threads", 1),
         with_se=getattr(args, "with_se", False),
     )
 
@@ -245,8 +246,7 @@ def _cmd_cv(args):
     spec = _dataset_spec(args)
     Y, X, coords = load_dataset(spec)
     config = _run_config(args)
-    threads = resolve_threads(config.threads)
-    cv = select(config.model, Y, X, coords, config.grid, config.solver, threads)
+    cv = select(config.model, Y, X, coords, config.grid, config.solver)
     _emit({"model": config.model, "selection": _selection_doc(cv)}, args.out)
     return 0
 
@@ -261,14 +261,13 @@ def _cmd_predict(args):
         lon_column=columns.get("lon_column"),
     )
     _, X_new, coords_new = _load_for_predict(new_spec)
-    threads = resolve_threads(args.threads)
 
     if model == "alpha":
         mu = fitted_mean(X_new, params["coefficients"])
     elif model == "slx":
         mu = _predict_slx(params, dataset, X_new, coords_new)
     else:
-        mu = _predict_gwar_from_doc(params, dataset, X_new, coords_new, threads)
+        mu = _predict_gwar_from_doc(params, dataset, X_new, coords_new)
 
     comp = columns["composition_columns"]
     rows = [[float(v) for v in row] for row in mu]
@@ -362,13 +361,10 @@ def _predict_slx(params, dataset, X_new, coords_new):
     return fitted_mean(np.hstack([X_new, lags]), params["coefficients"])
 
 
-def _predict_gwar_from_doc(params, dataset, X_new, coords_new, threads):
+def _predict_gwar_from_doc(params, dataset, X_new, coords_new):
     """Rebuild the locally weighted fit from its document (no refitting)."""
     if coords_new is None:
         raise InvalidParameters("prediction for this model needs coordinates")
-    from .regression import kld
-    from .spatial import GwarFit, local_fitted_mean
-
     Y_train, X_train, coords_train = _train_data(dataset)
     fitted = local_fitted_mean(X_train, params["local"])
     fit = GwarFit(
@@ -383,7 +379,7 @@ def _predict_gwar_from_doc(params, dataset, X_new, coords_new, threads):
         train_coords=coords_train,
         opts=params["opts"],
     )
-    return predict_gwar(fit, X_new, coords_new, threads=threads)
+    return predict_gwar(fit, X_new, coords_new)
 
 
 def _cmd_generate(args):

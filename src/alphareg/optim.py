@@ -14,10 +14,11 @@ m independent problems, each with its own damping, acceptance test,
 stopping reason, iteration and rejection counts.  A problem whose residuals
 or Jacobian turn non-finite, or whose damped equations cannot be solved, is
 marked failed with that exception and the others go on.
-:func:`levenberg_marquardt` is the one-problem call of that loop on a
-:class:`ResidualSystem`; batched weighted fits
-(``regression.fit_alpha_batch``) hand it their normal equations in closed
-form.
+Every fit of the package (``regression.fit_alpha_batch``) hands that loop
+its normal equations in closed form.  :func:`levenberg_marquardt` is the
+one-problem call of the same loop on a generic :class:`ResidualSystem`,
+which forms ``J'J`` from the stacked Jacobian; it serves as the reference
+for the closed forms and the damping schedule.
 """
 
 from dataclasses import dataclass, field

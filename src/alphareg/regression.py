@@ -24,8 +24,9 @@ cancels against the chain rule through ``alpha * eta``, no power of ``mu``
 is ever formed, and ``alpha == 0`` (uniform ``u``, ``H @ 1 = 0``) needs no
 special case.  The analytic gradient and Hessian of ``l = -SSE/2`` are built
 from these closed forms and exposed for diagnostics and covariance
-estimation; the solver consumes the stacked residual Jacobian built from the
-same mean Jacobian.
+estimation.  Every fit goes through :func:`fit_alpha_batch`, which hands
+the solver ``J'WJ`` and ``J'Wr`` in closed form from the same mean Jacobian;
+:func:`residual_system` keeps the stacked residual Jacobian as a reference.
 
 Parameter layout: ``theta = B.ravel(order="F")`` stacks coefficient columns
 component by component, so ``theta[k*(p+1) + a]`` is covariate ``a`` of
@@ -37,7 +38,6 @@ from typing import Optional
 
 import numpy as np
 
-from ._parallel import parallel_map
 from .exceptions import (
     DegenerateWeights,
     DimensionMismatch,
@@ -45,7 +45,7 @@ from .exceptions import (
     NonpositiveFitted,
     ShapeMismatch,
 )
-from .optim import LmOptions, LmResult, ResidualSystem, levenberg_marquardt, lm_batch
+from .optim import LmOptions, LmResult, ResidualSystem, lm_batch
 from .simplex import alpha_transform, helmert_submatrix, _check_alpha
 
 LINPRED_CLAMP = 700.0
@@ -314,29 +314,28 @@ def fit_alpha_regression(Y, X, alpha, opts=None, theta0=None, weights=None):
     """Estimate the coefficient matrix at a fixed alpha.
 
     Starts from ``B = 0`` (uniform fitted compositions) unless ``theta0`` is
-    given; deterministic for fixed inputs.  ``weights`` (length n,
-    nonnegative) fit the kernel-weighted objective used by the locally
-    weighted model.
+    given; deterministic for fixed inputs.  ``weights`` (length n, finite,
+    nonnegative, not all zero) fit the kernel-weighted objective of the
+    locally weighted model; ``sse`` is unweighted either way.  This is the
+    one-problem call of :func:`fit_alpha_batch`; a failed outcome is raised.
     """
+    alpha = _check_alpha(alpha)
     Y = np.asarray(Y, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
-    d = Y.shape[1] - 1
-    n_cols = X.shape[1]
-    system = residual_system(Y, X, alpha, weights=weights)
-    if theta0 is None:
-        theta0 = np.zeros(n_cols * d)
-    lm = levenberg_marquardt(system, theta0, opts or LmOptions())
-    B = theta_to_coef(lm.theta, n_cols, d)
+    if X.ndim != 2:
+        raise DimensionMismatch("design matrix must be 2-D")
+    (n, D), q = Y.shape, X.shape[1]
+    w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
+    y_a = alpha_transform(Y, alpha)
+    lm, = _fit_batch(y_a, X, alpha, w[None],
+                     np.zeros(q * (D - 1)) if theta0 is None else theta0, opts)
+    if isinstance(lm, Exception):
+        raise lm
+    B = theta_to_coef(lm.theta, q, D - 1)
     mu = fitted_mean(X, B)
-    r = system.residual_fn(lm.theta)  # unweighted, whatever the fit's weights
-    return FitResult(
-        coefficients=B,
-        fitted=mu,
-        sse=float(r @ r),
-        kld=kld(Y, mu),
-        alpha=float(alpha),
-        lm=lm,
-    )
+    r = y_a - _transformed_mean(X, B, alpha, helmert_submatrix(D))
+    return FitResult(coefficients=B, fitted=mu, sse=float(np.sum(r * r)), kld=kld(Y, mu),
+                     alpha=float(alpha), lm=lm)
 
 
 class RowBlocks:
@@ -366,34 +365,38 @@ def _chunk_size(m, n, D, q, per_problem_design):
     return max(1, -(-m // chunks))
 
 
-def fit_alpha_batch(Y, X, alpha, weights, theta0, opts=None, threads=1):
+def fit_alpha_batch(Y, X, alpha, weights, theta0, opts=None):
     """Weighted fits of m problems that share the response ``Y``, at one alpha.
 
     Problem j minimizes ``sum_i weights[j, i] * ||z(y_i) - z(mu_ji)||^2``: a
     leave-one-out fold is the full data with weight 0 on its row, a local
-    fit is the data under its kernel weights.  ``X`` is one (n, q) design
-    for every problem or per-problem designs (m, n, q); ``weights`` is
-    (m, n).  Either per-problem argument may be a :class:`RowBlocks`.
-    ``theta0`` is one start (P,) for every problem, or (m, P).
+    fit is the data under its kernel weights, and a plain fit
+    (:func:`fit_alpha_regression`) is one problem with weights all ones.
+    ``X`` is one (n, q) design for every problem or per-problem designs
+    (m, n, q); ``weights`` is (m, n), finite and nonnegative.  Either
+    per-problem argument may be a :class:`RowBlocks`.  ``theta0`` is one
+    start (P,) for every problem, or (m, P).
 
     ``Y`` is transformed once, and the normal equations come from the
     Kronecker form ``J'WJ = sum_i w_i (A_i'A_i) kron (x_i x_i')`` with the
     mean Jacobian ``A_i`` of :func:`_mean_jacobian` (``A_i'A_i`` and
     ``A_i'r_i`` in closed form), so the (n*d, P) stacked Jacobian is never
-    formed.  Problems are solved in chunks sized by
-    ``CHUNK_DOUBLES`` (never by ``threads``), each chunk one
-    :func:`parallel_map` item and one :func:`optim.lm_batch` stack, so the
-    outcomes do not depend on the thread count.
+    formed.  Chunks of problems, sized by ``CHUNK_DOUBLES``, are solved one
+    after another, each as one :func:`optim.lm_batch` stack.
 
     Returns m outcomes in problem order: the problem's :class:`LmResult`, or
     the :class:`NumericalError` that failed it (:class:`DegenerateWeights`
     when every weight is zero, else the solver's error).
     """
     alpha = _check_alpha(alpha)
-    opts = opts or LmOptions()
     Y = np.asarray(Y, dtype=np.float64)
-    n, D = Y.shape
-    d = D - 1
+    return _fit_batch(alpha_transform(Y, alpha), X, alpha, weights, theta0, opts)
+
+
+def _fit_batch(y_a, X, alpha, weights, theta0, opts):
+    """:func:`fit_alpha_batch` on the transformed response ``y_a``."""
+    opts = opts or LmOptions()
+    n, d = y_a.shape
     if not isinstance(X, RowBlocks):
         X = np.asarray(X, dtype=np.float64)
     shared = isinstance(X, np.ndarray) and X.ndim == 2
@@ -402,17 +405,20 @@ def fit_alpha_batch(Y, X, alpha, weights, theta0, opts=None, threads=1):
     theta0 = np.asarray(theta0, dtype=np.float64)
     m = len(weights)
     q = theta0.shape[-1] // d
+    if q * d != theta0.shape[-1] or (shared and X.shape[1] != q):
+        raise DimensionMismatch(f"{theta0.shape[-1]} start parameters do not fit the design")
     starts = np.broadcast_to(theta0, (m, q * d))
-    y_a = alpha_transform(Y, alpha)
-    H = helmert_submatrix(D)
+    H = helmert_submatrix(d + 1)
     outer = _outer_rows(X) if shared else None
-    size = _chunk_size(m, n, D, q, not shared)
+    size = _chunk_size(m, n, d + 1, q, not shared)
 
     def solve(first):
         block = slice(first, min(first + size, m))
         w = np.asarray(weights[block], dtype=np.float64)
-        if np.any(w < 0):
-            raise NegativeWeight("observation weights must be nonnegative")
+        if w.shape != (block.stop - block.start, n):
+            raise DimensionMismatch(f"weights {w.shape} do not fit {n} rows")
+        if not np.all(np.isfinite(w)) or np.any(w < 0):
+            raise NegativeWeight("observation weights must be finite and nonnegative")
         live = np.flatnonzero(np.max(w, axis=1) > 0)
         Xs = X if shared else np.asarray(X[block], dtype=np.float64)[live]
         if Xs.shape[-2:] != (n, q):
@@ -425,8 +431,7 @@ def fit_alpha_batch(Y, X, alpha, weights, theta0, opts=None, threads=1):
             outs[j] = outcome
         return outs
 
-    chunks = parallel_map(solve, range(0, m, size), threads=threads)
-    return [outcome for chunk in chunks for outcome in chunk]
+    return [outcome for first in range(0, m, size) for outcome in solve(first)]
 
 
 def _outer_rows(X):

@@ -46,7 +46,7 @@ class RunConfig:
     solver: LmOptions = field(default_factory=LmOptions)
     bootstrap_replicates: int = 0
     seed: int = 0
-    threads: int = 1
+    threads: int = 1  # bootstrap workers
     with_se: bool = False
 
     def __post_init__(self):
@@ -92,7 +92,7 @@ def run_fit(config, Y, X, coords=None, covariate_names=None):
         # a fixed value narrows its grid axis (alphas, ks or hs) to itself
         grid = replace(config.grid, **{
             f"{name}s": (v,) for name, v in zip(names, values) if v is not None})
-        cv = select(config.model, Y, X, coords, grid, config.solver, threads)
+        cv = select(config.model, Y, X, coords, grid, config.solver)
         selection = _selection_doc(cv)
         values = cv.best
     if config.model == "alpha":
@@ -133,7 +133,7 @@ def run_fit(config, Y, X, coords=None, covariate_names=None):
         se = _standard_errors(config, Y, X_aug, alpha, fit, threads)
     else:  # gwar
         alpha, h = values
-        fit = fit_gwar(Y, X, coords, alpha, h, opts=config.solver, threads=threads)
+        fit = fit_gwar(Y, X, coords, alpha, h, opts=config.solver)
         hyper = {"alpha": float(alpha), "h": float(h)}
         doc_fit = {
             "local_coefficients": fit.local_coefficients.tolist(),

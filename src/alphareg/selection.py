@@ -13,16 +13,14 @@ is identical to the table of the retained locations and uses nothing of i.
 
 A fold is the full system with weight 0 on its held-out row, so it needs no
 re-sliced data and no re-transformed response: the n folds of a grid point
-are one set of weighted fits (``regression.fit_alpha_batch``), solved in
-chunks of folds whose weights and designs are built chunk by chunk, so no
-n x n array appears.  Chunks do not depend on the thread count and scores
-are reduced in index order, making results identical for any thread count.
-Held-out rows are scored by one vectorised divergence.  A fold whose solve
-fails or whose weights are degenerate scores +inf instead of aborting the
-search; a
-grid on which every point scores +inf raises :class:`NumericalError` rather
-than naming a winner.  Ties at the minimum resolve to the smallest alpha,
-then the smallest k or h.
+are one set of weighted fits (``regression.fit_alpha_batch``), solved
+chunk by chunk on one thread (two measured slower), with weights and
+designs built per chunk, so no n x n array appears.  Held-out rows are
+scored by one vectorised divergence.  A fold whose solve fails or whose
+weights are degenerate scores +inf instead of aborting the search; a grid
+on which every point scores +inf raises :class:`NumericalError` rather than
+naming a winner.  Ties at the minimum resolve to the smallest alpha, then
+the smallest k or h.
 """
 
 from dataclasses import dataclass, replace
@@ -125,19 +123,19 @@ def default_k_grid(n):
     return tuple(k for k in DEFAULT_KS if k <= n - 2)
 
 
-def select(model, Y, X, coords=None, grid=None, opts=None, threads=1):
+def select(model, Y, X, coords=None, grid=None, opts=None):
     """Leave-one-out search for ``model`` ("alpha", "slx" or "gwar") over ``grid``,
     the one place a missing k or h grid gets its default (:func:`default_k_grid`
     of the sample size, :func:`default_h_grid` of the coordinates)."""
     grid = grid or CvGrid()
     if model == "alpha":
-        return loocv_alpha(Y, X, grid, opts, threads=threads)
+        return loocv_alpha(Y, X, grid, opts)
     if model == "slx":
         grid = replace(grid, ks=grid.ks or default_k_grid(len(Y)))
-        return loocv_slx(Y, X, coords, grid, opts, threads=threads)
+        return loocv_slx(Y, X, coords, grid, opts)
     if model == "gwar":
         grid = replace(grid, hs=grid.hs or tuple(default_h_grid(coords)))
-        return loocv_gwar(Y, X, coords, grid, opts, threads=threads)
+        return loocv_gwar(Y, X, coords, grid, opts)
     raise InvalidParameters(f"unknown model {model!r}")
 
 
@@ -160,7 +158,7 @@ def _check_zeros_rule(Y, alphas):
         )
 
 
-def _loocv(Y, X, grid, axis, setup, opts, threads):
+def _loocv(Y, X, grid, axis, setup, opts):
     """The leave-one-out search of every model, over ``grid.alphas`` x the
     ``axis`` grid ("ks" or "hs"; ``None`` for alpha alone).
 
@@ -196,8 +194,7 @@ def _loocv(Y, X, grid, axis, setup, opts, threads):
         for e, design in enumerate(designs):
             if design is not None:
                 weights, fold_X = folds(extras[e])
-                outcomes = fit_alpha_batch(Y, fold_X, a, weights, warm[id(design)],
-                                           opts, threads)
+                outcomes = fit_alpha_batch(Y, fold_X, a, weights, warm[id(design)], opts)
                 per_fold[:, ai, e] = _heldout_divergence(Y, design, outcomes)
 
     if axis is None:
@@ -234,7 +231,7 @@ def _unit_fold_weights(n):
     return RowBlocks(n, lambda rows: _drop_own_row(np.ones((len(rows), n)), rows))
 
 
-def loocv_alpha(Y, X, grid=None, opts=None, threads=1):
+def loocv_alpha(Y, X, grid=None, opts=None):
     """Select alpha for the plain model by leave-one-out divergence.
 
     For every grid alpha and every observation, the model is refit without
@@ -247,10 +244,10 @@ def loocv_alpha(Y, X, grid=None, opts=None, threads=1):
     def setup(X, n):
         return [X], lambda _: (_unit_fold_weights(n), X)
 
-    return _loocv(Y, X, grid, None, setup, opts, threads)
+    return _loocv(Y, X, grid, None, setup, opts)
 
 
-def loocv_slx(Y, X, coords, grid=None, opts=None, threads=1):
+def loocv_slx(Y, X, coords, grid=None, opts=None):
     """Select (alpha, k) for the lagged-covariate model.
 
     One neighbor table (``max(ks)+1`` columns) serves every fold: fold i lags
@@ -286,10 +283,10 @@ def loocv_slx(Y, X, coords, grid=None, opts=None, threads=1):
         # every k gives the same design width, so the chain carries across k
         return [np.hstack([X, lag[k]]) if k <= n - 2 else None for k in grid.ks], folds
 
-    return _loocv(Y, X, grid, "ks", setup, opts, threads)
+    return _loocv(Y, X, grid, "ks", setup, opts)
 
 
-def loocv_gwar(Y, X, coords, grid=None, opts=None, threads=1):
+def loocv_gwar(Y, X, coords, grid=None, opts=None):
     """Select (alpha, bandwidth) for the locally weighted model.
 
     Each fold fits the local model at the held-out location's coordinates
@@ -308,4 +305,4 @@ def loocv_gwar(Y, X, coords, grid=None, opts=None, threads=1):
 
         return [X] * len(grid.hs), folds
 
-    return _loocv(Y, X, grid, "hs", setup, opts, threads)
+    return _loocv(Y, X, grid, "hs", setup, opts)

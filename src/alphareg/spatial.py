@@ -279,16 +279,15 @@ def _local_coefficients(outcomes, n_cols, d, degenerate):
     return np.stack([theta_to_coef(o.theta, n_cols, d) for o in outcomes])
 
 
-def fit_gwar(Y, X, coords, alpha, h, opts=None, threads=1):
+def fit_gwar(Y, X, coords, alpha, h, opts=None):
     """Fit the locally weighted model at every observed location.
 
     Each location minimizes the kernel-weighted squared residuals over the
     whole sample, its own weight 1; local solves warm-start from the global
     fit.  The n locations are one set of weighted fits
-    (:func:`fit_alpha_batch`), solved in chunks on ``threads`` workers;
-    results do not depend on the thread count.  Raises the exception of the
-    lowest-index location that fails, :class:`DegenerateWeights` where all
-    its other weights underflow.
+    (:func:`fit_alpha_batch`), solved chunk by chunk on one thread.  Raises
+    the exception of the lowest-index location that fails,
+    :class:`DegenerateWeights` where all its other weights underflow.
     """
     Y = np.asarray(Y, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
@@ -306,7 +305,7 @@ def fit_gwar(Y, X, coords, alpha, h, opts=None, threads=1):
         return w
 
     outcomes = fit_alpha_batch(Y, X, alpha, RowBlocks(n, location_weights),
-                               global_fit.lm.theta, opts, threads)
+                               global_fit.lm.theta, opts)
     local = _local_coefficients(
         outcomes, X.shape[1], D - 1,
         lambda i: f"all non-self kernel weights underflowed at location {i} (h={h:g})")
@@ -330,7 +329,7 @@ def local_fitted_mean(X, local):
     return _inverse_logit(np.einsum("ip,ipd->id", X, local))
 
 
-def predict_gwar(fit, X_new, coords_new, threads=1):
+def predict_gwar(fit, X_new, coords_new):
     """Mean compositions at new locations.
 
     Each new location gets its own kernel-weighted fit on the training data
@@ -342,7 +341,7 @@ def predict_gwar(fit, X_new, coords_new, threads=1):
     weights = RowBlocks(coords_new.n, lambda rows: kernel_weights_at(
         fit.train_coords, coords_new.cart[rows], fit.h))
     outcomes = fit_alpha_batch(fit.train_Y, fit.train_X, fit.alpha, weights,
-                               coef_to_theta(fit.global_coefficients), fit.opts, threads)
+                               coef_to_theta(fit.global_coefficients), fit.opts)
     local = _local_coefficients(
         outcomes, fit.train_X.shape[1], fit.train_Y.shape[1] - 1,
         lambda j: f"all kernel weights underflowed at prediction point {j} (h={fit.h:g})")

@@ -233,11 +233,11 @@ def test_criterion_6_sandwich_coverage():
 
 
 def test_criterion_7_loocv_oracle():
-    """Threaded scores equal a hand-written sequential recomputation."""
+    """Engine scores equal a hand-written sequential recomputation."""
     sim = synthesize(n=60, D=3, p=1, alpha=0.5, noise_scale=0.1, seed=77)
     Y, X = sim["Y"], sim["X"]
     alphas = (0.5, 1.0)
-    cv = loocv_alpha(Y, X, CvGrid(alphas=alphas), threads=4)
+    cv = loocv_alpha(Y, X, CvGrid(alphas=alphas))
 
     # brute force: same protocol (fold fits warm-started from the chained
     # full-data fit), written as plain loops
@@ -256,7 +256,7 @@ def test_criterion_7_loocv_oracle():
             total += kld(Y[i:i + 1], fitted_mean(X[i:i + 1], fold.coefficients))
         brute.append(total)
     gap = float(np.max(np.abs(cv.scores - np.array(brute))))
-    assert gap <= 1e-10, f"parallel vs brute-force gap {gap:.2e}"
+    assert gap <= 1e-10, f"engine vs brute-force gap {gap:.2e}"
     print(f"criterion 7 leave-one-out oracle: PASS (gap {gap:.1e})")
 
 

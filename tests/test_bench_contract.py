@@ -1,6 +1,7 @@
 """The benchmark's tracing contract: every function ``perfbench/spans.py``
-wraps by name exists, and a traced bootstrap run reports one solve per
-replicate.
+wraps by name exists, a traced bootstrap run reports one solve per
+replicate, and a traced leave-one-out search hands no work to the thread
+pool.
 
 ``spans.py`` is loaded by file path (it imports only the standard library and
 numpy); a renamed or removed target then fails here rather than partway
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from alphareg import RunConfig, run_fit
+from alphareg import CvGrid, RunConfig, run_fit, select
 from alphareg.datasets import synthesize
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -49,3 +50,15 @@ def test_traced_bootstrap_counts_one_solve_per_replicate(spans):
     assert metrics["regression.fit.calls"] == 6
     assert metrics["parallel.parallel_map.items"] == 5
     assert metrics["inference.bootstrap.failed"] == 0
+
+
+@pytest.mark.parametrize("model", ["alpha", "gwar"])
+def test_traced_selection_uses_no_thread_pool(spans, model):
+    sim = synthesize(n=20, D=3, p=1, alpha=0.5, noise_scale=0.1,
+                     spatial_mode="two_cluster", seed=14)
+    grid = CvGrid(alphas=(0.5, 1.0), hs=(0.05, 1e6))
+    with spans.Tracer(spans.Recorder()) as recorder:
+        select(model, sim["Y"], sim["X"], sim["coords"], grid)
+    metrics = spans.layer_metrics(recorder.spans, wall=0.0)
+    assert metrics["selection.loocv.s"] > 0
+    assert metrics["parallel.parallel_map.items"] == 0

@@ -230,7 +230,7 @@ class TestOtherCommands:
         out = tmp_path / "cv.json"
         code = main(["cv", "--data", str(dataset), *DATA_ARGS, *GEO_ARGS,
                      "--model", "slx", "--alphas", "0.5", "--ks", "3,39",
-                     "--threads", "1", "--out", str(out)])
+                     "--out", str(out)])
         assert code == 0
 
         def reject(name):
@@ -247,7 +247,7 @@ class TestOtherCommands:
         out = tmp_path / "doc.json"
         code = main([command, "--data", str(dataset), *DATA_ARGS, *GEO_ARGS,
                      "--model", "slx", "--alphas", "0.5,1.0", "--ks", "3,39",
-                     "--threads", "1", "--out", str(out)])
+                     "--out", str(out)])
         assert code == 0
         selection = json.loads(out.read_text())["selection"]
         assert selection["failed_folds"] == [[0, 40], [0, 40]]
@@ -305,7 +305,7 @@ class TestExitCodes:
         out = tmp_path / "cv.json"
         code = main(["cv", "--data", str(dataset), *DATA_ARGS, *GEO_ARGS,
                      "--model", "slx", "--alphas", "0.5", "--ks", "39",
-                     "--threads", "1", "--out", str(out)])
+                     "--out", str(out)])
         assert code == 3
         assert not out.exists()
 
@@ -314,12 +314,16 @@ class TestExitCodes:
                      "--model", "gwar", "--alpha", "0.5", "--h", "1e-9"])
         assert code == 3
 
-    @pytest.mark.parametrize("command", ["fit", "cv", "margins", "predict"])
+    @pytest.mark.parametrize("command", ["fit", "margins"])
     def test_bad_thread_count_is_usage_error(self, command, capsys):
-        args = (["--model-doc", "doc.json", "--data", "new.csv"] if command == "predict"
-                else ["--data", "data.csv", *DATA_ARGS])
-        assert main([command, *args, "--threads", "abc"]) == 1
+        assert main([command, "--data", "data.csv", *DATA_ARGS, "--threads", "abc"]) == 1
         assert "'auto' or an integer" in capsys.readouterr().err
+
+    def test_threads_only_where_there_is_a_bootstrap(self, capsys):
+        for command, has_threads in (("fit", True), ("margins", True),
+                                     ("cv", False), ("predict", False)):
+            assert main([command, "--help"]) == 0
+            assert ("--threads" in capsys.readouterr().out) == has_threads, command
 
     def test_non_integer_threads_variable_is_data_error(self, dataset, monkeypatch,
                                                         capsys):

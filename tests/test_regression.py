@@ -7,6 +7,7 @@ import pytest
 from alphareg import (
     DegenerateWeights,
     DimensionMismatch,
+    NegativeWeight,
     NonFiniteResidual,
     alpha_transform,
     fit_alpha_regression,
@@ -14,6 +15,7 @@ from alphareg import (
     gradient,
     hessian_exact,
     hessian_gauss_newton,
+    kld,
     levenberg_marquardt,
     predict,
     residual_system,
@@ -212,6 +214,8 @@ class TestFit:
         Y, X, _ = random_instance(rng, n=30, D=3, p=1)
         fit_alpha_regression(Y, X, 0.5)
         assert len(calls) == 1
+        fit_alpha_regression(Y, X, 0.5, weights=np.linspace(0.5, 1.5, 30))
+        assert len(calls) == 2
 
     def test_deterministic(self, rng):
         Y, X, _ = random_instance(rng, n=30, D=3, p=1)
@@ -392,7 +396,7 @@ class TestFitAlphaBatch:
             assert (got.iterations, got.converged_by) == (want.iterations, want.converged_by)
             np.testing.assert_allclose(got.theta, want.theta, rtol=0, atol=1e-10)
 
-    def test_chunks_and_threads_do_not_change_results(self, rng, monkeypatch):
+    def test_chunks_do_not_change_results(self, rng, monkeypatch):
         Y, X, Xs, W, _ = batch_problems(rng, n=20, D=3, p=1, m=9)
         theta0 = fit_alpha_regression(Y, X, 0.5).lm.theta
         whole = fit_alpha_batch(Y, Xs, 0.5, W, theta0)
@@ -400,9 +404,67 @@ class TestFitAlphaBatch:
         assert regression._chunk_size(9, 20, 3, 2, True) < 9
         lazy_W = RowBlocks(9, lambda rows: W[rows])
         lazy_X = RowBlocks(9, lambda rows: Xs[rows])
-        for threads in (1, 2):
-            chunked = fit_alpha_batch(Y, lazy_X, 0.5, lazy_W, theta0, threads=threads)
-            for a, b in zip(whole, chunked):
-                np.testing.assert_array_equal(a.theta, b.theta)
-                assert (a.iterations, a.rejections, a.converged_by) == \
-                    (b.iterations, b.rejections, b.converged_by)
+        chunked = fit_alpha_batch(Y, lazy_X, 0.5, lazy_W, theta0)
+        for a, b in zip(whole, chunked):
+            np.testing.assert_array_equal(a.theta, b.theta)
+            assert (a.iterations, a.rejections, a.converged_by) == \
+                (b.iterations, b.rejections, b.converged_by)
+
+
+class TestOneSolvePath:
+    """A plain or weighted fit is the one-problem call of the batch kernel;
+    the stacked residual system and its solver are the reference."""
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.1, 0.0, -0.5])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_matches_stacked_residual_solve(self, alpha, weighted, rng):
+        Y, X, _ = random_instance(rng, n=40, D=4, p=2)
+        w = rng.uniform(0.2, 2.0, size=40) if weighted else None
+        fit = fit_alpha_regression(Y, X, alpha, weights=w)
+        system = residual_system(Y, X, alpha, weights=w)
+        want = levenberg_marquardt(system, np.zeros(system.n_params))
+        assert (fit.lm.iterations, fit.lm.converged_by) == \
+            (want.iterations, want.converged_by)
+        np.testing.assert_allclose(fit.lm.theta, want.theta, rtol=0, atol=1e-10)
+        r = system.residual_fn(want.theta)  # unweighted
+        B = want.theta.reshape(fit.coefficients.shape, order="F")
+        np.testing.assert_allclose(fit.sse, r @ r, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(fit.kld, kld(Y, fitted_mean(X, B)), rtol=1e-12, atol=0)
+
+    def test_zero_weights_are_degenerate(self, rng):
+        Y, X, _ = random_instance(rng, n=20, D=3, p=1)
+        with pytest.raises(DegenerateWeights):
+            fit_alpha_regression(Y, X, 0.5, weights=np.zeros(20))
+
+    @pytest.mark.parametrize("case", [
+        "batch_nan_row", "batch_inf", "batch_minus_inf", "batch_wrong_length",
+        "fit_nan", "fit_inf", "fit_wrong_length", "fit_1d_design", "fit_wrong_start",
+    ])
+    def test_bad_weights_and_designs_are_data_errors(self, case, rng):
+        Y, X, _ = random_instance(rng, n=20, D=3, p=1)
+
+        def one_bad(value):  # weight 1 but at row 3
+            return np.where(np.arange(20) == 3, value, 1.0)
+
+        def batch(row, n=20):
+            W = np.ones((3, n))
+            W[1] = row
+            return fit_alpha_batch(Y, X, 0.5, W, np.zeros(4))
+
+        def fit(**kwargs):
+            return fit_alpha_regression(Y, kwargs.pop("X", X), 0.5, **kwargs)
+
+        error, call = {
+            "batch_nan_row": (NegativeWeight, lambda: batch(np.nan)),
+            "batch_inf": (NegativeWeight, lambda: batch(one_bad(np.inf))),
+            "batch_minus_inf": (NegativeWeight, lambda: batch(one_bad(-np.inf))),
+            "batch_wrong_length": (DimensionMismatch, lambda: batch(1.0, n=19)),
+            "fit_nan": (NegativeWeight, lambda: fit(weights=one_bad(np.nan))),
+            "fit_inf": (NegativeWeight, lambda: fit(weights=one_bad(np.inf))),
+            "fit_wrong_length": (DimensionMismatch, lambda: fit(weights=np.ones(19))),
+            "fit_1d_design": (DimensionMismatch, lambda: fit(X=X[:, 1])),
+            "fit_wrong_start": (DimensionMismatch, lambda: fit(theta0=np.zeros(3))),
+        }[case]
+        with pytest.raises(error, match="finite and nonnegative" if error is NegativeWeight
+                           else None):
+            call()

@@ -27,7 +27,7 @@ from alphareg import (
     median_heuristic_bandwidth,
     select,
 )
-from alphareg import selection, spatial
+from alphareg import regression, selection, spatial
 from alphareg.datasets import synthesize
 from alphareg.spatial import pairwise_chordal_sq
 
@@ -125,13 +125,6 @@ class TestLoocvAlpha:
         assert cv.scores.min() == cv.scores[list(cv.alphas).index(cv.best[0])]
         assert np.all(cv.scores >= 0)
 
-    def test_parallel_equals_serial(self, rng):
-        sim = synthesize(n=24, D=3, p=1, alpha=0.5, noise_scale=0.1, seed=2)
-        grid = CvGrid(alphas=(0.5, 1.0))
-        cv1 = loocv_alpha(sim["Y"], sim["X"], grid, threads=1)
-        cv4 = loocv_alpha(sim["Y"], sim["X"], grid, threads=4)
-        np.testing.assert_array_equal(cv1.scores, cv4.scores)
-
     def test_zeros_with_nonpositive_alpha_rejected(self, rng):
         sim = synthesize(n=20, D=3, p=1, alpha=0.5, noise_scale=0.05, seed=3)
         Y = sim["Y"].copy()
@@ -182,7 +175,7 @@ class TestLoocvAlpha:
                 oracle[i, ai] = kld(Y[i : i + 1],
                                     fitted_mean(X[i : i + 1], fit.coefficients))
         calls = count_engine_calls(monkeypatch)
-        cv = loocv_alpha(Y, X, CvGrid(alphas=alphas), threads=2)
+        cv = loocv_alpha(Y, X, CvGrid(alphas=alphas))
         # a fold is a zero-weight row, so J'WJ sums in another order
         np.testing.assert_allclose(cv.per_fold, oracle, rtol=1e-9, atol=0)
         np.testing.assert_allclose(cv.scores, oracle.sum(axis=0), rtol=1e-11, atol=0)
@@ -207,15 +200,6 @@ class TestLoocvSlx:
             if slx.scores.min() < plain.scores.min():
                 wins += 1
         assert wins <= 5
-
-    def test_parallel_equals_serial(self):
-        sim = synthesize(n=20, D=3, p=1, alpha=0.5, noise_scale=0.1,
-                         spatial_mode="slx", seed=6)
-        grid = CvGrid(alphas=(0.5,), ks=(3, 5))
-        cv1 = loocv_slx(sim["Y"], sim["X"], sim["coords"], grid, threads=1)
-        cv4 = loocv_slx(sim["Y"], sim["X"], sim["coords"], grid, threads=4)
-        np.testing.assert_array_equal(cv1.scores, cv4.scores)
-        assert cv1.scores.shape == (1, 2)
 
     def test_boundary_k_values_score_without_errors(self):
         sim = synthesize(n=12, D=3, p=1, alpha=0.5, noise_scale=0.1,
@@ -432,14 +416,6 @@ class TestLoocvGwar:
                         CvGrid(alphas=(0.5,), hs=(med / 8.0, 1e6)))
         assert cv.best[1] == med / 8.0
 
-    def test_deterministic_across_threads(self):
-        sim = synthesize(n=18, D=3, p=1, alpha=0.5, noise_scale=0.1,
-                         spatial_mode="two_cluster", seed=10)
-        grid = CvGrid(alphas=(0.5,), hs=(0.02, 1e6))
-        cv1 = loocv_gwar(sim["Y"], sim["X"], sim["coords"], grid, threads=1)
-        cv4 = loocv_gwar(sim["Y"], sim["X"], sim["coords"], grid, threads=4)
-        np.testing.assert_array_equal(cv1.scores, cv4.scores)
-
     def test_degenerate_bandwidth_scores_inf(self):
         sim = synthesize(n=15, D=3, p=1, alpha=0.5, noise_scale=0.1,
                          spatial_mode="two_cluster", seed=11)
@@ -483,7 +459,7 @@ class TestLoocvGwar:
                             fails_without_row_4_at_alpha_1)
         monkeypatch.setattr(selection, "fit_alpha_batch", fold_4_fails_at_alpha_1)
         oracle = plain_gwar_folds(Y, X, coords, alphas, hs)
-        cv = loocv_gwar(Y, X, coords, CvGrid(alphas=alphas, hs=hs), threads=2)
+        cv = loocv_gwar(Y, X, coords, CvGrid(alphas=alphas, hs=hs))
         np.testing.assert_array_equal(np.isinf(cv.per_fold), np.isinf(oracle))
         finite = np.isfinite(oracle)
         # a fold is a zero-weight row, so J'WJ sums in another order
@@ -496,14 +472,16 @@ class TestLoocvGwar:
 
 
 class TestScoreSum:
-    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("chunks", [1, 2])
     @pytest.mark.parametrize("model", ["alpha", "slx", "gwar"])
-    def test_scores_are_the_fold_sum_bitwise(self, model, threads):
+    def test_scores_are_the_fold_sum_bitwise(self, model, chunks, monkeypatch):
+        # the 15 folds of a fold set are solved in one chunk or in two
+        monkeypatch.setattr(regression, "_chunk_size", lambda m, *shape: -(-m // chunks))
         sim = synthesize(n=15, D=3, p=1, alpha=0.5, noise_scale=0.1,
                          spatial_mode="two_cluster", seed=11)
         med = median_heuristic_bandwidth(sim["coords"])
         grid = CvGrid(alphas=(0.5, 1.0), ks=(3, 5), hs=(med / 4.0, 1e6))
-        cv = select(model, sim["Y"], sim["X"], sim["coords"], grid, threads=threads)
+        cv = select(model, sim["Y"], sim["X"], sim["coords"], grid)
         assert cv.per_fold.shape == (15,) + cv.scores.shape
         assert cv.per_fold.flags.c_contiguous  # fold axis first, in memory too
         np.testing.assert_array_equal(cv.scores, cv.per_fold.sum(axis=0))
