@@ -103,7 +103,8 @@ from .selection import (
     median_heuristic_bandwidth,
     select,
 )
-from .datasets import DatasetSpec, generate_synthetic, load_dataset, synthesize
-from .run import RunConfig, run_fit
+from .datasets import (DatasetSpec, generate_synthetic, load_covariates, load_dataset,
+                       synthesize)
+from .run import RunConfig, run_cv, run_fit
 
 __version__ = "0.1.0"

@@ -14,25 +14,25 @@ import hashlib
 import json
 import logging
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
-from .datasets import DatasetSpec, generate_synthetic, load_dataset
+from .datasets import DatasetSpec, generate_synthetic, load_covariates, load_dataset
 from .exceptions import (
     AlphaRegError,
     DataError,
     InvalidParameters,
-    MissingColumn,
     NumericalError,
     TrainingDataChanged,
 )
 from .optim import LmOptions
 from .regression import fitted_mean, kld
-from .run import RunConfig, _selection_doc, run_fit
-from .selection import CvGrid, select
-from .spatial import (GeoCoordinates, GwarFit, local_fitted_mean, neighbor_lag,
-                      neighbor_table, predict_gwar, row_weights)
+from .run import MODELS, RunConfig, run_cv, run_fit
+from .selection import CvGrid
+from .spatial import (GwarFit, local_fitted_mean, neighbor_lag, neighbor_table,
+                      predict_gwar, row_weights)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -77,29 +77,28 @@ def _add_dataset_args(sp):
 
 
 def _add_model_args(sp):
-    sp.add_argument("--model", choices=("alpha", "slx", "gwar"), default="alpha")
-    sp.add_argument("--alpha", type=float, default=None,
+    """Model settings; one left out of the command line keeps the default of
+    its :class:`RunConfig`, :class:`CvGrid` or :class:`LmOptions` field."""
+    sp.add_argument("--model", choices=MODELS)
+    sp.add_argument("--alpha", type=float,
                     help="fix the transform power instead of cross-validating")
-    sp.add_argument("--k", type=int, default=None, help="fix the neighbor count")
-    sp.add_argument("--h", type=float, default=None, help="fix the bandwidth")
-    sp.add_argument("--alphas", type=_float_list, default=None,
-                    help="comma-separated alpha grid")
-    sp.add_argument("--ks", type=_int_list, default=None)
-    sp.add_argument("--hs", type=_float_list, default=None)
-    sp.add_argument("--max-iterations", type=int, default=LmOptions.max_iterations)
-    sp.add_argument("--sse-rel-tol", type=float, default=LmOptions.sse_rel_tol)
-    sp.add_argument("--grad-inf-tol", type=float, default=LmOptions.grad_inf_tol)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--k", type=int, help="fix the neighbor count")
+    sp.add_argument("--h", type=float, help="fix the bandwidth")
+    sp.add_argument("--alphas", type=_float_list, help="comma-separated alpha grid")
+    sp.add_argument("--ks", type=_int_list)
+    sp.add_argument("--hs", type=_float_list)
+    sp.add_argument("--max-iterations", type=int)
+    sp.add_argument("--sse-rel-tol", type=float)
+    sp.add_argument("--grad-inf-tol", type=float)
     sp.add_argument("--out", default=None, help="result path (default stdout)")
-    sp.add_argument("--csv-dir", default=None,
-                    help="additionally export tables as CSV files here")
 
 
 def _add_se_args(sp):
     sp.add_argument("--with-se", action="store_true",
                     help="include sandwich standard errors")
-    sp.add_argument("--bootstrap-replicates", type=int, default=0,
+    sp.add_argument("--bootstrap-replicates", type=int,
                     help="use a pairs bootstrap of this size for the SEs")
+    sp.add_argument("--seed", type=int, help="bootstrap seed")
     sp.add_argument("--threads", type=_threads, default="auto",
                     help="bootstrap worker threads (or 'auto'); "
                          "ALPHAREG_THREADS overrides")
@@ -110,16 +109,22 @@ def build_parser():
                      description="Compositional regression toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    fit = sub.add_parser("fit", help="select, fit, and report")
+    # an option not given sets no attribute (SUPPRESS), see _run_config
+    fit = sub.add_parser("fit", help="select, fit, and report",
+                         argument_default=argparse.SUPPRESS)
     _add_dataset_args(fit)
     _add_model_args(fit)
     _add_se_args(fit)
+    fit.add_argument("--csv-dir", default=None,
+                     help="additionally export tables as CSV files here")
 
-    cv = sub.add_parser("cv", help="cross-validation scores only")
+    cv = sub.add_parser("cv", help="cross-validation scores only",
+                        argument_default=argparse.SUPPRESS)
     _add_dataset_args(cv)
     _add_model_args(cv)
 
-    margins = sub.add_parser("margins", help="marginal-effect tables")
+    margins = sub.add_parser("margins", help="marginal-effect tables",
+                             argument_default=argparse.SUPPRESS)
     _add_dataset_args(margins)
     _add_model_args(margins)
     _add_se_args(margins)
@@ -155,29 +160,14 @@ def _dataset_spec(args):
 
 
 def _run_config(args):
-    grid_kwargs = {}
-    if args.alphas is not None:
-        grid_kwargs["alphas"] = args.alphas
-    if args.ks is not None:
-        grid_kwargs["ks"] = args.ks
-    if args.hs is not None:
-        grid_kwargs["hs"] = args.hs
-    return RunConfig(
-        model=args.model,
-        alpha=args.alpha,
-        k=args.k,
-        h=args.h,
-        grid=CvGrid(**grid_kwargs),
-        solver=LmOptions(
-            max_iterations=args.max_iterations,
-            sse_rel_tol=args.sse_rel_tol,
-            grad_inf_tol=args.grad_inf_tol,
-        ),
-        bootstrap_replicates=getattr(args, "bootstrap_replicates", 0),
-        seed=args.seed,
-        threads=getattr(args, "threads", 1),
-        with_se=getattr(args, "with_se", False),
-    )
+    """The run settings given on the command line; the rest keep their defaults."""
+    given = vars(args)
+
+    def settings(cls):
+        return {f.name: given[f.name] for f in fields(cls) if f.name in given}
+
+    return RunConfig(**settings(RunConfig), grid=CvGrid(**settings(CvGrid)),
+                     solver=LmOptions(**settings(LmOptions)))
 
 
 def _emit(doc, out_path):
@@ -214,12 +204,14 @@ def _export_tables(doc, fitted, csv_dir, D):
                [[float(v) for v in row] for row in fitted])
 
 
-def _cmd_fit(args, margins_only=False):
-    spec = _dataset_spec(args)
-    Y, X, coords = load_dataset(spec)
-    config = _run_config(args)
-    doc, fit = run_fit(config, Y, X, coords,
-                       covariate_names=args.covariate_cols)
+def _run(args):
+    Y, X, coords = load_dataset(_dataset_spec(args))
+    return run_fit(_run_config(args), Y, X, coords,
+                   covariate_names=args.covariate_cols)
+
+
+def _cmd_fit(args):
+    doc, fit = _run(args)
     doc["dataset"] = {
         "path": args.data,
         "resolved_path": str(Path(args.data).resolve()),
@@ -229,25 +221,27 @@ def _cmd_fit(args, margins_only=False):
         "lat_column": args.lat_col,
         "lon_column": args.lon_col,
     }
-    if margins_only:
-        doc = {
-            "hyperparameters": doc["hyperparameters"],
-            "marginal_effects": doc["marginal_effects"],
-            "standard_errors": doc["standard_errors"],
-            "covariate_names": args.covariate_cols,
-        }
-    if getattr(args, "csv_dir", None) and not margins_only:
-        _export_tables(doc, fit.fitted, args.csv_dir, Y.shape[1])
+    if args.csv_dir:
+        _export_tables(doc, fit.fitted, args.csv_dir, fit.fitted.shape[1])
     _emit(doc, args.out)
     return 0
 
 
+def _cmd_margins(args):
+    doc, _ = _run(args)
+    _emit({
+        "hyperparameters": doc["hyperparameters"],
+        "marginal_effects": doc["marginal_effects"],
+        "standard_errors": doc["standard_errors"],
+        "covariate_names": args.covariate_cols,
+    }, args.out)
+    return 0
+
+
 def _cmd_cv(args):
-    spec = _dataset_spec(args)
-    Y, X, coords = load_dataset(spec)
     config = _run_config(args)
-    cv = select(config.model, Y, X, coords, config.grid, config.solver)
-    _emit({"model": config.model, "selection": _selection_doc(cv)}, args.out)
+    selection, _ = run_cv(config, *load_dataset(_dataset_spec(args)))
+    _emit({"model": config.model, "selection": selection}, args.out)
     return 0
 
 
@@ -260,7 +254,7 @@ def _cmd_predict(args):
         lat_column=columns.get("lat_column"),
         lon_column=columns.get("lon_column"),
     )
-    _, X_new, coords_new = _load_for_predict(new_spec)
+    X_new, coords_new = load_covariates(new_spec)
 
     if model == "alpha":
         mu = fitted_mean(X_new, params["coefficients"])
@@ -312,26 +306,6 @@ def _read_model_doc(path):
             f"model document {path} is not readable as a fit result: "
             f"{type(exc).__name__}: {exc}") from None
     return model, columns, dataset, params
-
-
-def _load_for_predict(spec):
-    """Load new observations; composition columns may be absent for predict."""
-    try:
-        return load_dataset(spec)
-    except MissingColumn:
-        # fall back to covariates only (no response in the new file)
-        from .datasets import _column, _read_table
-
-        header, rows = _read_table(spec.path)
-        covs = [_column(header, rows, c, spec.path) for c in spec.covariate_columns]
-        X = np.column_stack([np.ones(len(rows))] + covs)
-        coords = None
-        if spec.lat_column is not None:
-            coords = GeoCoordinates.from_degrees(
-                _column(header, rows, spec.lat_column, spec.path),
-                _column(header, rows, spec.lon_column, spec.path),
-            )
-        return None, X, coords
 
 
 def _sha256(path):
@@ -406,7 +380,7 @@ def main(argv=None):
         if args.command == "cv":
             return _cmd_cv(args)
         if args.command == "margins":
-            return _cmd_fit(args, margins_only=True)
+            return _cmd_margins(args)
         if args.command == "predict":
             return _cmd_predict(args)
         if args.command == "generate":

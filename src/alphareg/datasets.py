@@ -11,8 +11,10 @@ The generator draws covariates and known coefficients, builds mean
 compositions from the multinomial-logit map, and perturbs them with
 independent Gaussian noise in transformed space before inverting back to
 the simplex, so the fitted model is correctly specified for the synthetic
-data.  Components pushed below zero by the inversion are clipped to exact
-zeros.  A ground-truth sidecar (JSON) records coefficients and settings.
+data.  For alpha > 0, components pushed below zero by the inversion are
+clipped to exact zeros; for alpha <= 0 noise that leaves the transform's
+image is an error.  A ground-truth sidecar (JSON) records coefficients and
+settings.
 """
 
 import csv
@@ -31,7 +33,8 @@ from .exceptions import (
     NonNumericCell,
 )
 from .regression import fitted_mean
-from .simplex import ROW_SUM_TOL, closure, helmert_submatrix
+from .simplex import (ROW_SUM_TOL, alpha_transform, alpha_transform_inverse, closure,
+                      helmert_submatrix)
 from .spatial import GeoCoordinates, contiguity_matrix, spatial_lag
 
 log = logging.getLogger(__name__)
@@ -80,17 +83,19 @@ def _column(header, rows, name, path):
         try:
             out[i] = float(cell)
         except ValueError:
+            out[i] = np.nan
+        if not np.isfinite(out[i]):  # "nan" and "inf" parse, but are no data
             raise NonNumericCell(
-                f"cell at data row {i + 1}, column {name!r} is not numeric: {cell!r}"
-            ) from None
+                f"cell at data row {i + 1}, column {name!r} is not a finite "
+                f"number: {cell!r}")
     return out
 
 
 def load_dataset(spec):
     """Load (compositions, design matrix, coordinates) from a CSV file.
 
-    Returns ``(Y, X, coords)`` where ``X`` has an intercept column prepended
-    and ``coords`` is ``None`` unless both coordinate columns are named.
+    Returns ``(Y, X, coords)`` where ``X`` and ``coords`` are as in
+    :func:`load_covariates`.
     """
     header, rows = _read_table(spec.path)
     Y_raw = np.column_stack(
@@ -111,7 +116,20 @@ def load_dataset(spec):
                 int(off.sum()),
             )
         Y[off] = closure(Y_raw[off])
+    return (Y, *_covariates(header, rows, spec))
 
+
+def load_covariates(spec):
+    """Load (design matrix, coordinates) from a CSV file, which need not hold
+    the composition columns (new observations to predict at).
+
+    ``X`` has an intercept column prepended and ``coords`` is ``None`` unless
+    both coordinate columns are named.
+    """
+    return _covariates(*_read_table(spec.path), spec)
+
+
+def _covariates(header, rows, spec):
     covs = [_column(header, rows, c, spec.path) for c in spec.covariate_columns]
     X = np.column_stack([np.ones(len(rows))] + covs)
 
@@ -123,7 +141,7 @@ def load_dataset(spec):
             _column(header, rows, spec.lat_column, spec.path),
             _column(header, rows, spec.lon_column, spec.path),
         )
-    return Y, X, coords
+    return X, coords
 
 
 # -- synthetic data ------------------------------------------------------------
@@ -208,24 +226,16 @@ def _cluster_coords(rng, n):
 def _perturb_transformed(mu, alpha, scale, rng):
     """Add Gaussian noise in transformed space and invert to the simplex.
 
-    Inversion clips components pushed below zero to exact zeros (only
-    possible for alpha > 0), producing datasets with natural zeros at
-    larger noise scales.
+    For alpha > 0 the inversion clips components pushed below zero to exact
+    zeros, producing datasets with natural zeros at larger noise scales.
+    For alpha <= 0 a zero cannot be inverted, and noise that leaves the
+    transform's image raises :class:`OutOfImage`.
     """
     n, D = mu.shape
-    H = helmert_submatrix(D)
-    eps = scale * rng.standard_normal((n, D - 1))
-    if alpha == 0.0:
-        logs = np.log(mu)
-        clr = logs - logs.mean(axis=1, keepdims=True)
-        z = (clr @ H.T + eps) @ H
-        e = np.exp(z - z.max(axis=1, keepdims=True))
-        return e / e.sum(axis=1, keepdims=True)
-    powered = mu**alpha
-    u = powered / powered.sum(axis=1, keepdims=True)
-    z = ((D * u - 1.0) @ H.T) / alpha + eps
-    u_new = np.maximum((alpha * (z @ H) + 1.0) / D, 0.0)
-    y = u_new ** (1.0 / alpha)
+    z = alpha_transform(mu, alpha) + scale * rng.standard_normal((n, D - 1))
+    if alpha <= 0:
+        return alpha_transform_inverse(z, alpha)
+    y = np.maximum((alpha * (z @ helmert_submatrix(D)) + 1.0) / D, 0.0) ** (1.0 / alpha)
     return y / y.sum(axis=1, keepdims=True)
 
 

@@ -1,7 +1,8 @@
 """End-to-end runs: selection, final fit, and the result document.
 
 A run selects any hyper-parameters the caller left unset (by leave-one-out
-cross-validation), fits the requested model, and assembles a JSON-ready
+cross-validation, :func:`run_cv`, where a fixed value narrows its grid axis
+to itself), fits the requested model, and assembles a JSON-ready
 document: config echo, selection scores, coefficients, per-component
 observed-fitted correlations, divergence, and average marginal effects per
 covariate.  Documents are deterministic for a fixed config, dataset, and
@@ -11,7 +12,7 @@ log instead).
 
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -69,16 +70,36 @@ def _ame_table(effects_fn, p):
     return {f"x{k}": [float(v) for v in effects_fn(k)] for k in range(1, p + 1)}
 
 
+def _check_coords(config, coords):
+    if config.model in ("slx", "gwar") and coords is None:
+        raise MissingColumn(
+            f"model {config.model!r} requires latitude and longitude columns"
+        )
+
+
+def run_cv(config, Y, X, coords=None):
+    """Leave-one-out search over ``config.grid``; return ``(doc, cv)``.
+
+    A fixed hyper-parameter (``config.alpha``, ``k`` or ``h``) narrows its
+    grid axis to itself, so only the unset ones are searched.  ``doc`` is
+    the JSON-ready selection block and ``cv`` the :class:`CvResult`.
+    """
+    _check_coords(config, coords)
+    fixed = {f"{name}s": (getattr(config, name),)
+             for name in HYPERPARAMETERS[config.model]
+             if getattr(config, name) is not None}
+    cv = select(config.model, Y, X, coords, replace(config.grid, **fixed),
+                config.solver)
+    return _selection_doc(cv), cv
+
+
 def run_fit(config, Y, X, coords=None, covariate_names=None):
     """Run selection (if needed) and the final fit; return the result document."""
     threads = resolve_threads(config.threads)
     Y = np.asarray(Y, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
     p = X.shape[1] - 1
-    if config.model in ("slx", "gwar") and coords is None:
-        raise MissingColumn(
-            f"model {config.model!r} requires latitude and longitude columns"
-        )
+    _check_coords(config, coords)
     if config.model == "gwar" and (config.with_se or config.bootstrap_replicates):
         raise InvalidParameters(
             "standard errors are not available for the locally weighted model"
@@ -86,14 +107,9 @@ def run_fit(config, Y, X, coords=None, covariate_names=None):
     t0 = time.perf_counter()
 
     selection = None
-    names = HYPERPARAMETERS[config.model]
-    values = tuple(getattr(config, name) for name in names)
+    values = tuple(getattr(config, name) for name in HYPERPARAMETERS[config.model])
     if None in values:
-        # a fixed value narrows its grid axis (alphas, ks or hs) to itself
-        grid = replace(config.grid, **{
-            f"{name}s": (v,) for name, v in zip(names, values) if v is not None})
-        cv = select(config.model, Y, X, coords, grid, config.solver)
-        selection = _selection_doc(cv)
+        selection, cv = run_cv(config, Y, X, coords)
         values = cv.best
     if config.model == "alpha":
         (alpha,) = values
@@ -147,7 +163,7 @@ def run_fit(config, Y, X, coords=None, covariate_names=None):
         se = None
 
     doc = {
-        "config": _config_doc(config),
+        "config": asdict(config),
         "selection": selection,
         "hyperparameters": hyper,
         "fit": doc_fit | {
@@ -175,32 +191,6 @@ def _selection_doc(cv):
     if cv.hs is not None:
         doc["hs"] = list(cv.hs)
     return doc
-
-
-def _config_doc(config):
-    return {
-        "model": config.model,
-        "alpha": config.alpha,
-        "k": config.k,
-        "h": config.h,
-        "grid": {
-            "alphas": list(config.grid.alphas),
-            "ks": None if config.grid.ks is None else list(config.grid.ks),
-            "hs": None if config.grid.hs is None else list(config.grid.hs),
-        },
-        "solver": {
-            "max_iterations": config.solver.max_iterations,
-            "sse_rel_tol": config.solver.sse_rel_tol,
-            "grad_inf_tol": config.solver.grad_inf_tol,
-            "initial_damping_scale": config.solver.initial_damping_scale,
-            "damping_increase": config.solver.damping_increase,
-            "damping_decrease": config.solver.damping_decrease,
-        },
-        "bootstrap_replicates": config.bootstrap_replicates,
-        "seed": config.seed,
-        "threads": config.threads,
-        "with_se": config.with_se,
-    }
 
 
 def _standard_errors(config, Y, X_model, alpha, fit, threads):

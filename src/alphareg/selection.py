@@ -124,17 +124,12 @@ def default_k_grid(n):
 
 
 def select(model, Y, X, coords=None, grid=None, opts=None):
-    """Leave-one-out search for ``model`` ("alpha", "slx" or "gwar") over ``grid``,
-    the one place a missing k or h grid gets its default (:func:`default_k_grid`
-    of the sample size, :func:`default_h_grid` of the coordinates)."""
-    grid = grid or CvGrid()
+    """Leave-one-out search for ``model`` ("alpha", "slx" or "gwar") over ``grid``."""
     if model == "alpha":
         return loocv_alpha(Y, X, grid, opts)
     if model == "slx":
-        grid = replace(grid, ks=grid.ks or default_k_grid(len(Y)))
         return loocv_slx(Y, X, coords, grid, opts)
     if model == "gwar":
-        grid = replace(grid, hs=grid.hs or tuple(default_h_grid(coords)))
         return loocv_gwar(Y, X, coords, grid, opts)
     raise InvalidParameters(f"unknown model {model!r}")
 
@@ -255,11 +250,11 @@ def loocv_slx(Y, X, coords, grid=None, opts=None):
     held-out row by its own k nearest (the full-data lag).  Fold designs are
     built a chunk of folds at a time.  A fold keeps n-1 locations, so
     ``k > n-2`` scores +inf, without a full-data warm-start fit.  Scores form
-    a (len(alphas), len(ks)) matrix.
+    a (len(alphas), len(ks)) matrix.  A grid without ``ks`` searches
+    :func:`default_k_grid` of the sample size.
     """
-    grid = grid or CvGrid(ks=(5,))
-    if grid.ks is None:
-        raise InvalidParameters("the lagged-covariate search needs a k grid")
+    grid = grid or CvGrid()
+    grid = replace(grid, ks=grid.ks or default_k_grid(len(Y)))
 
     def setup(X, n):
         if max(grid.ks) > n - 1:
@@ -292,11 +287,11 @@ def loocv_gwar(Y, X, coords, grid=None, opts=None):
     Each fold fits the local model at the held-out location's coordinates
     using the other observations (its own row at weight 0), warm-started
     from the full-data global fit at the same alpha.  A fold whose kernel
-    weights all underflow scores +inf, and so does its grid point.
+    weights all underflow scores +inf, and so does its grid point.  A grid
+    without ``hs`` searches :func:`default_h_grid` of the coordinates.
     """
-    grid = grid or CvGrid(hs=tuple(default_h_grid(coords)))
-    if grid.hs is None:
-        raise InvalidParameters("the locally weighted search needs an h grid")
+    grid = grid or CvGrid()
+    grid = replace(grid, hs=grid.hs or tuple(default_h_grid(coords)))
 
     def setup(X, n):
         def folds(h):

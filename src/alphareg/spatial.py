@@ -181,11 +181,16 @@ def kernel_weights_at(coords, cart_point, h):
     or one row per point for a (k, 3) block of points.
 
     Uses the simplification ``exp(-d2/(2 h^2)) = exp((c_i'c_j - 1)/h^2)``.
+    ``h^2`` is floored at the smallest normal double, so it never underflows
+    to 0 (as it would below h ~ 1.5e-162): a gap of 0 (coincident points)
+    keeps weight 1 at any ``h``, and a nonzero gap over so small an ``h^2``
+    overflows to -inf, so weight 0.
     """
     if h <= 0:
         raise NonpositiveBandwidth(f"bandwidth must be > 0, got {h}")
     dots = (coords.cart @ np.asarray(cart_point, dtype=np.float64).T).T
-    return np.exp(_dot_gap(dots) / (h * h))
+    with np.errstate(over="ignore"):
+        return np.exp(_dot_gap(dots) / max(h * h, np.finfo(float).tiny))
 
 
 def spatial_lag(W, X):

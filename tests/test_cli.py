@@ -1,13 +1,15 @@
 """Command-line behavior: subcommands end to end, determinism of emitted
 documents, and the exit-code contract (0 ok, 1 usage, 2 data, 3 numerical)."""
 
+import csv
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from alphareg import InvalidParameters
+from alphareg import CvGrid, InvalidParameters, RunConfig
 from alphareg._parallel import THREADS_ENV_VAR, resolve_threads
 from alphareg.cli import main
 
@@ -38,6 +40,15 @@ class TestFitCommand:
         assert doc["hyperparameters"] == {"alpha": 0.5}
         assert np.asarray(doc["fit"]["coefficients"]).shape == (3, 2)
         assert "x1" in doc["marginal_effects"]["ame"]
+
+    def test_unset_options_keep_the_run_config_defaults(self, dataset, tmp_path):
+        out = tmp_path / "fit.json"
+        assert main(["fit", "--data", str(dataset), *DATA_ARGS, "--alphas", "0.5",
+                     "--out", str(out)]) == 0
+        config = json.loads(out.read_text())["config"]
+        # `--threads auto` (0) is the one default the command line sets itself
+        expected = asdict(RunConfig(grid=CvGrid(alphas=(0.5,)), threads=0))
+        assert config == json.loads(json.dumps(expected))
 
     def test_repeat_runs_byte_identical(self, dataset, tmp_path):
         args = ["fit", "--data", str(dataset), *DATA_ARGS,
@@ -121,6 +132,28 @@ class TestPredictCommand:
         code = main(["predict", "--model-doc", str(doc_path),
                      "--data", str(dataset), "--out", str(tmp_path / "p.csv")])
         assert code == 0
+
+    @pytest.mark.parametrize("model, fixed", [("alpha", []), ("slx", ["--k", "4"])])
+    def test_new_data_needs_no_composition_columns(self, model, fixed, dataset,
+                                                   tmp_path):
+        doc_path = tmp_path / "fit.json"
+        assert main(["fit", "--data", str(dataset), *DATA_ARGS, *GEO_ARGS,
+                     "--model", model, "--alpha", "0.5", *fixed,
+                     "--out", str(doc_path)]) == 0
+        with open(dataset, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        new_data = tmp_path / "new.csv"
+        with open(new_data, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, ["x1", "x2", "lat", "lon"], extrasaction="ignore")
+            writer.writeheader()
+            writer.writerows(rows)
+        preds = []
+        for data in (dataset, new_data):
+            out = tmp_path / f"{data.stem}-pred.csv"
+            assert main(["predict", "--model-doc", str(doc_path), "--data", str(data),
+                         "--out", str(out)]) == 0
+            preds.append(out.read_bytes())
+        assert preds[0] == preds[1]
 
     def test_slx_prediction_lags_are_rows_of_w(self, dataset, tmp_path):
         # predicting at the training locations: each row's lag is the row
@@ -225,6 +258,20 @@ class TestOtherCommands:
         doc = json.loads(out.read_text())
         assert len(doc["selection"]["scores"]) == 2
 
+    @pytest.mark.parametrize("model, fixed, axis, searched", [
+        ("alpha", ["--alpha", "0.5"], "alphas", [0.5]),
+        ("slx", ["--k", "3"], "ks", [3]),
+        ("gwar", ["--h", "0.05", "--alphas", "0.5,1"], "hs", [0.05]),
+    ])
+    def test_fixed_value_narrows_the_search(self, model, fixed, axis, searched,
+                                            dataset, tmp_path):
+        out = tmp_path / "cv.json"
+        assert main(["cv", "--data", str(dataset), *DATA_ARGS, *GEO_ARGS,
+                     "--model", model, *fixed, "--out", str(out)]) == 0
+        selection = json.loads(out.read_text())["selection"]
+        assert selection[axis] == searched
+        assert selection["best"][0 if axis == "alphas" else 1] == searched[0]
+
     def test_failed_grid_point_serialised_as_null(self, dataset, tmp_path):
         # k = 39 = n-1 is infeasible inside every fold and scores +inf
         out = tmp_path / "cv.json"
@@ -320,10 +367,47 @@ class TestExitCodes:
         assert "'auto' or an integer" in capsys.readouterr().err
 
     def test_threads_only_where_there_is_a_bootstrap(self, capsys):
-        for command, has_threads in (("fit", True), ("margins", True),
-                                     ("cv", False), ("predict", False)):
+        # --seed seeds the bootstrap too, and only fit writes CSV tables
+        where = {"--threads": {"fit", "margins"}, "--seed": {"fit", "margins"},
+                 "--csv-dir": {"fit"}}
+        for command in ("fit", "margins", "cv", "predict"):
             assert main([command, "--help"]) == 0
-            assert ("--threads" in capsys.readouterr().out) == has_threads, command
+            text = capsys.readouterr().out
+            for option, commands in where.items():
+                assert (option in text) == (command in commands), (command, option)
+
+    @pytest.mark.parametrize("command, option", [
+        ("cv", ["--seed", "3"]), ("cv", ["--csv-dir", "tables"]),
+        ("margins", ["--csv-dir", "tables"]),
+    ])
+    def test_option_that_would_do_nothing_is_usage_error(self, command, option,
+                                                         dataset, tmp_path,
+                                                         monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main([command, "--data", str(dataset), *DATA_ARGS, "--alpha", "0.5",
+                     *option]) == 1
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+        assert not (tmp_path / "tables").exists()
+
+    @pytest.mark.parametrize("column, cell", [("y2", "nan"), ("x1", "inf")])
+    def test_non_finite_cell_is_data_error(self, column, cell, dataset, tmp_path,
+                                           capsys):
+        with open(dataset, newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[3][rows[0].index(column)] = cell
+        data = tmp_path / "bad.csv"
+        with open(data, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        assert main(["fit", "--data", str(data), *DATA_ARGS, "--alpha", "0.5"]) == 2
+        assert f"row 3, column '{column}'" in capsys.readouterr().err
+
+    def test_generator_noise_outside_the_image_is_numerical_error(self, tmp_path):
+        # at alpha < 0 a component pushed to zero has no inverse
+        out = tmp_path / "ds"
+        assert main(["generate", "--n", "120", "--components", "3", "--covariates",
+                     "2", "--alpha", "-0.5", "--noise-scale", "0.5",
+                     "--out-dir", str(out)]) == 3
+        assert not out.exists()
 
     def test_non_integer_threads_variable_is_data_error(self, dataset, monkeypatch,
                                                         capsys):

@@ -12,9 +12,11 @@ from alphareg import (
     InvalidParameters,
     MissingColumn,
     NonNumericCell,
+    OutOfImage,
     ZeroRow,
     fitted_mean,
     generate_synthetic,
+    load_covariates,
     load_dataset,
 )
 from alphareg.datasets import synthesize
@@ -68,6 +70,32 @@ class TestLoadDataset:
         with pytest.raises(NonNumericCell, match="row 2.*'b'"):
             load_dataset(DatasetSpec(path=str(path), **SPEC_KW))
 
+    @pytest.mark.parametrize("column, cell", [("a", "nan"), ("x", "inf"),
+                                              ("b", "-Infinity")])
+    def test_non_finite_cell_located(self, tmp_path, column, cell):
+        row = {"a": 0.2, "b": 0.3, "c": 0.5, "x": 1.0} | {column: cell}
+        path = tmp_path / "d.csv"
+        write_csv(path, ["a", "b", "c", "x"], [[0.2, 0.3, 0.5, 1.0], list(row.values())])
+        with pytest.raises(NonNumericCell, match=f"row 2, column '{column}'.*'{cell}'"):
+            load_dataset(DatasetSpec(path=str(path), **SPEC_KW))
+
+    def test_covariates_load_without_composition_columns(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_csv(path, ["x", "lat", "lon"], [[1.5, 39.5, 22.0], [-0.5, 38.0, 21.0]])
+        spec = DatasetSpec(path=str(path), lat_column="lat", lon_column="lon",
+                           **SPEC_KW)
+        X, coords = load_covariates(spec)
+        np.testing.assert_array_equal(X, [[1.0, 1.5], [1.0, -0.5]])
+        np.testing.assert_array_equal(coords.lat, [39.5, 38.0])
+        with pytest.raises(MissingColumn, match="'a'"):
+            load_dataset(spec)
+
+    def test_covariates_need_both_coordinates(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_csv(path, ["x", "lat"], [[1.5, 39.5]])
+        with pytest.raises(MissingColumn, match="both"):
+            load_covariates(DatasetSpec(path=str(path), lat_column="lat", **SPEC_KW))
+
     def test_zero_row_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         write_csv(path, ["a", "b", "c", "x"], [[0.0, 0.0, 0.0, 1.0]])
@@ -108,6 +136,17 @@ class TestSynthesize:
                          spatial_mode="two_cluster", seed=4)
         assert set(np.unique(sim["clusters"])) == {0, 1}
         assert sim["coords"].n == 30
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0])
+    def test_nonpositive_alpha_rows_are_positive_compositions(self, alpha):
+        sim = synthesize(n=50, D=4, p=2, alpha=alpha, noise_scale=0.1, seed=2)
+        np.testing.assert_allclose(sim["Y"].sum(axis=1), 1.0, atol=1e-12)
+        assert np.all(sim["Y"] > 0)
+
+    def test_noise_outside_the_image_raises_for_nonpositive_alpha(self):
+        # a component pushed to zero has no inverse at alpha < 0
+        with pytest.raises(OutOfImage):
+            synthesize(120, 3, 2, alpha=-0.5, noise_scale=0.5, seed=0)
 
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameters):

@@ -3,6 +3,7 @@ intercept-only closed form."""
 
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from alphareg import (
     RunConfig,
     bootstrap_covariance,
     contiguity_matrix,
+    default_k_grid,
+    run_cv,
     run_fit,
 )
 from alphareg import regression
@@ -57,6 +60,26 @@ class TestRunFit:
         sim = synthesize(n=20, D=3, p=1, alpha=0.5, noise_scale=0.1, seed=4)
         with pytest.raises(MissingColumn):
             run_fit(RunConfig(model="slx", alpha=0.5, k=3), sim["Y"], sim["X"])
+        with pytest.raises(MissingColumn):
+            run_cv(RunConfig(model="gwar"), sim["Y"], sim["X"])
+
+    def test_config_echo_is_the_config(self):
+        sim = synthesize(n=20, D=3, p=1, alpha=0.5, noise_scale=0.1, seed=4)
+        config = RunConfig(model="alpha", alpha=0.5, with_se=True, seed=3)
+        doc, _ = run_fit(config, sim["Y"], sim["X"])
+        assert doc["config"] == asdict(config)
+
+    def test_fixed_values_narrow_the_search(self):
+        sim = synthesize(n=16, D=3, p=1, alpha=0.5, noise_scale=0.1,
+                         spatial_mode="slx", seed=10)
+        args = (sim["Y"], sim["X"], sim["coords"])
+        config = RunConfig(model="slx", alpha=0.5)
+        doc, cv = run_cv(config, *args)
+        assert cv.alphas == (0.5,) and cv.ks == default_k_grid(16)
+        assert doc["best"] == [0.5, cv.best[1]]
+        assert run_fit(config, *args)[0]["selection"] == doc
+        _, cv = run_cv(RunConfig(model="slx", k=3, grid=CvGrid(alphas=(0.5, 1.0))), *args)
+        assert cv.alphas == (0.5, 1.0) and cv.ks == (3,)
 
     def test_gwar_with_duplicated_location_runs(self):
         sim = synthesize(n=20, D=3, p=1, alpha=0.5, noise_scale=0.1,

@@ -232,6 +232,16 @@ class TestLoocvSlx:
             loocv_slx(sim["Y"], sim["X"], sim["coords"],
                       CvGrid(alphas=(0.5,), ks=(11,)))
 
+    def test_missing_k_grid_is_the_default_k_grid(self):
+        # the same default as select("slx", ...): no grid, or one without ks
+        sim = synthesize(n=12, D=3, p=1, alpha=0.5, noise_scale=0.1,
+                         spatial_mode="slx", seed=7)
+        args = (sim["Y"], sim["X"], sim["coords"])
+        bare = loocv_slx(*args)
+        assert bare.ks == default_k_grid(12) and bare.alphas == CvGrid().alphas
+        assert loocv_slx(*args, CvGrid(alphas=(0.5,))).ks == default_k_grid(12)
+        np.testing.assert_array_equal(bare.scores, select("slx", *args).scores)
+
     def test_default_k_grid_fits_inside_folds(self):
         assert default_k_grid(40) == (3, 5, 7, 9)
         assert default_k_grid(9) == (3, 5, 7)
@@ -340,11 +350,12 @@ class TestLoocvSlxNeighborTable:
 class TestSelect:
     @staticmethod
     def searched_grids(monkeypatch, grid):
-        """The grid each model's search receives from ``select``."""
+        """The grid each model's search, called through ``select``, hands the
+        leave-one-out engine."""
         seen = {}
-        for name in ("loocv_alpha", "loocv_slx", "loocv_gwar"):
-            monkeypatch.setattr(selection, name, lambda *args, name=name, **kw:
-                                seen.__setitem__(name, args[-2]))
+        names = {None: "loocv_alpha", "ks": "loocv_slx", "hs": "loocv_gwar"}
+        monkeypatch.setattr(selection, "_loocv", lambda Y, X, grid, axis, *rest:
+                            seen.__setitem__(names[axis], grid))
         coords = GeoCoordinates.from_degrees(TIE_LAT, TIE_LON)
         for model in ("alpha", "slx", "gwar"):
             select(model, np.zeros((12, 3)), None, coords, grid)
@@ -424,6 +435,12 @@ class TestLoocvGwar:
         assert np.isinf(cv.scores[0, 0])
         assert np.isfinite(cv.scores[0, 1])
 
+
+    def test_missing_h_grid_is_the_default_h_grid(self):
+        sim = synthesize(n=15, D=3, p=1, alpha=0.5, noise_scale=0.1,
+                         spatial_mode="two_cluster", seed=11)
+        cv = loocv_gwar(sim["Y"], sim["X"], sim["coords"], CvGrid(alphas=(0.5,)))
+        np.testing.assert_array_equal(cv.hs, default_h_grid(sim["coords"]))
 
     def test_every_bandwidth_degenerate_raises(self):
         sim = synthesize(n=15, D=3, p=1, alpha=0.5, noise_scale=0.1,

@@ -300,6 +300,20 @@ class TestGwarFit:
         with pytest.raises(DegenerateWeights):
             fit_gwar(sim["Y"], sim["X"], coords, 0.5, 1e-9)
 
+    @pytest.mark.parametrize("h", [1e-158, 1e-170, 1e-300])
+    def test_tiny_bandwidth_is_degenerate_without_warnings(self, rng, h):
+        # h * h is subnormal or 0 here; a coincident pair keeps weight 1, any
+        # other pair gets 0, and no NaN weight or numpy warning appears
+        coords = random_coords(rng, 12)
+        lat, lon = coords.lat.copy(), coords.lon.copy()
+        lat[1], lon[1] = lat[0], lon[0]
+        coords = GeoCoordinates.from_degrees(lat, lon)
+        w = kernel_weights_at(coords, coords.cart[0], h)
+        np.testing.assert_array_equal(w, [1.0, 1.0] + [0.0] * 10)
+        sim = synthesize(n=12, D=3, p=1, alpha=0.5, noise_scale=0.05, seed=1)
+        with pytest.raises(DegenerateWeights):
+            fit_gwar(sim["Y"], sim["X"], coords, 0.5, h)
+
     def test_batched_fitted_rows_match_per_location_loop(self):
         sim = synthesize(n=40, D=4, p=2, alpha=0.5, noise_scale=0.05,
                          spatial_mode="two_cluster", seed=6)
