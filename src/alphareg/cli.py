@@ -229,12 +229,9 @@ def _cmd_fit(args):
 
 def _cmd_margins(args):
     doc, _ = _run(args)
-    _emit({
-        "hyperparameters": doc["hyperparameters"],
-        "marginal_effects": doc["marginal_effects"],
-        "standard_errors": doc["standard_errors"],
-        "covariate_names": args.covariate_cols,
-    }, args.out)
+    keys = ("hyperparameters", "marginal_effects", "standard_errors", "diagnostics")
+    _emit({key: doc[key] for key in keys if key in doc}
+          | {"covariate_names": args.covariate_cols}, args.out)
     return 0
 
 

@@ -17,11 +17,12 @@ Coefficient covariance comes in three flavors: the sandwich estimator
 outer products, its spherical special case ``sigma2 * H^-1 / n``, and a
 nonparametric pairs bootstrap that resamples whole observation rows.  The
 bootstrap makes one pass: each replicate is refit once, warm-started from the
-full-data fit, and that refit yields both its coefficients and its average
-marginal effects, so the covariance and the effects' standard errors come
-from the same replicates.
+full-data fit's parameters and final damping, and that refit yields both its
+coefficients and its average marginal effects, so the covariance and the
+effects' standard errors come from the same replicates.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,6 +36,7 @@ from .exceptions import (
     NumericalError,
     SingularH,
 )
+from .optim import Convergence
 from .regression import (
     _mean_jacobian,
     fit_alpha_regression,
@@ -107,6 +109,7 @@ class CovarianceEstimate:
     replicates: int = 0
     failed_replicates: int = 0
     ame_standard_errors: Optional[np.ndarray] = None  # p x D, bootstrap only
+    diagnostics: Optional[dict] = None  # bootstrap only, see _replicate_diagnostics
 
 
 def _enforce_psd(M):
@@ -162,18 +165,21 @@ def sandwich_covariance(Y, X, alpha, B_hat, kind="sandwich"):
 
 
 def bootstrap_covariance(Y, X, alpha, opts=None, replicates=200, seed=0, threads=1,
-                         theta0=None):
+                         start=None):
     """Pairs-bootstrap covariance of ``vec(B_hat)`` and of the AMEs, in one pass.
 
     Observation rows ``(y_i, x_i)`` are resampled with replacement and the
-    model refit once per replicate, warm-started from ``theta0``: the
-    full-data fit's parameters, fit here when ``None``.  Each refit gives
-    its coefficients and the average marginal effect of every covariate, so
+    model refit once per replicate, warm-started from ``start``: the
+    full-data fit's :class:`LmResult`, fit here when ``None``.  A replicate
+    starts at that fit's parameters and continues from its final damping
+    (the warm rule of :mod:`alphareg.optim`).  Each refit gives its
+    coefficients and the average marginal effect of every covariate, so
     ``matrix`` and the p x D ``ame_standard_errors`` come from the same
     replicates.  Replicate RNG streams derive from the seed by replicate
     index, so results are identical for any thread count.  A failed
     replicate is dropped from both statistics and counted once; more than
-    20% failing is an error.
+    20% failing is an error.  ``diagnostics`` records how the replicates
+    converged (:func:`_replicate_diagnostics`).
     """
     if replicates < 2:
         raise InvalidParameters("bootstrap needs at least 2 replicates")
@@ -181,17 +187,20 @@ def bootstrap_covariance(Y, X, alpha, opts=None, replicates=200, seed=0, threads
     X = np.asarray(X, dtype=np.float64)
     n, D = Y.shape
     p = X.shape[1] - 1
-    if theta0 is None:
-        theta0 = fit_alpha_regression(Y, X, alpha, opts=opts).lm.theta
+    if start is None:
+        start = fit_alpha_regression(Y, X, alpha, opts=opts).lm
+    errors = [None] * replicates  # exception type name of each failed replicate
 
     def one(rep):
         idx = np.random.default_rng([seed, rep]).integers(0, n, size=n)
         try:
-            fit = fit_alpha_regression(Y[idx], X[idx], alpha, opts=opts, theta0=theta0)
-        except NumericalError:
+            fit = fit_alpha_regression(Y[idx], X[idx], alpha, opts=opts,
+                                       theta0=start.theta, damping0=start.damping)
+        except NumericalError as exc:
+            errors[rep] = type(exc).__name__
             return None
         ames = [average_marginal_effects(fit, k) for k in range(1, p + 1)]
-        return fit.lm.theta, np.array(ames).reshape(p, D)
+        return fit.lm, np.array(ames).reshape(p, D)
 
     draws = [r for r in parallel_map(one, range(replicates), threads=threads)
              if r is not None]
@@ -200,15 +209,30 @@ def bootstrap_covariance(Y, X, alpha, opts=None, replicates=200, seed=0, threads
         raise NumericalError(
             f"{failed} of {replicates} bootstrap replicates failed to fit"
         )
-    thetas, ames = zip(*draws)
-    cov = np.cov(np.vstack(thetas), rowvar=False, ddof=1)
+    lms, ames = zip(*draws)
+    cov = np.cov(np.vstack([lm.theta for lm in lms]), rowvar=False, ddof=1)
     return CovarianceEstimate(
         matrix=np.atleast_2d(cov),
         kind="bootstrap",
         replicates=len(draws),
         failed_replicates=failed,
         ame_standard_errors=np.std(np.stack(ames), axis=0, ddof=1),
+        diagnostics=_replicate_diagnostics(lms, errors),
     )
+
+
+def _replicate_diagnostics(lms, errors):
+    """JSON-ready record of the replicate solves ``lms``: the count per
+    convergence reason, a histogram of LM iterations (keyed by the count,
+    ascending), and the failed replicates by exception type (the names in
+    ``errors``, ``None`` for a replicate that did not fail)."""
+    iterations = Counter(lm.iterations for lm in lms)
+    return {
+        "converged_by": {c.value: sum(lm.converged_by is c for lm in lms)
+                         for c in Convergence},
+        "iterations": {str(i): iterations[i] for i in sorted(iterations)},
+        "failed": dict(sorted(Counter(filter(None, errors)).items())),
+    }
 
 
 def bootstrap_ame_standard_errors(Y, X, alpha, opts=None, replicates=200, seed=0,

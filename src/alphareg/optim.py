@@ -9,6 +9,17 @@ with ``lam`` decreased after an accepted step and increased after a
 rejection.  The normal equations are solved by Cholesky factorization with a
 pseudo-inverse fallback when the damped matrix is not positive definite.
 
+The starting damping follows one of two rules.  The cold rule starts at
+``lam0 = initial_damping_scale * max diag(J'J)`` at the start point.  The
+warm rule serves a start that continues a converged fit, such as a bootstrap
+replicate started from the full-data fit: it starts at ``min(lam0, lam_end)``
+with ``lam_end`` the damping that fit ended with (:attr:`LmResult.damping`),
+so the first steps near the optimum are not heavily damped (Madsen, Nielsen
+& Tingleff 2004, *Methods for Non-Linear Least Squares Problems*, 3.2).  A
+``lam_end`` that is not positive, as left by a fit that met ``grad_inf_tol``
+before its first step, falls back to ``lam0``: a rejected step at damping 0
+would retry at 0 forever.
+
 There is one loop, :func:`lm_batch`, over a leading problem axis: a stack of
 m independent problems, each with its own damping, acceptance test,
 stopping reason, iteration and rejection counts.  A problem whose residuals
@@ -83,6 +94,7 @@ class LmResult:
     converged_by: Convergence
     trace: list = field(default_factory=list)  # (sse, damping) per accepted step
     rejections: int = 0
+    damping: float = 0.0  # the damping a further step would use; 0 if none was set
 
 
 def apply_weights(system):
@@ -139,7 +151,21 @@ def _solve_damped(JtJ, g, lam):
         return np.full_like(g, np.nan)
 
 
-def lm_batch(residuals, normal_equations, theta0, opts=None):
+def _initial_damping(JtJ, inherited, opts):
+    """Starting damping of each problem from its first ``J'J`` (k, P, P).
+
+    Cold: ``initial_damping_scale * max diag(J'J)``.  A warm start that
+    inherits a positive damping (k,) from the fit it continues starts at the
+    smaller of the two; a nonpositive or NaN one falls back to cold.
+    """
+    peak = np.diagonal(JtJ, axis1=1, axis2=2).max(axis=1, initial=0.0)
+    cold = opts.initial_damping_scale * np.maximum(peak, TINY)
+    if inherited is None:
+        return cold
+    return np.where(inherited > 0, np.minimum(cold, inherited), cold)
+
+
+def lm_batch(residuals, normal_equations, theta0, opts=None, damping0=None):
     """Minimize m independent (weighted) sums of squares from ``theta0`` (m, P).
 
     ``residuals(theta, rows)`` evaluates problems ``rows`` at the parameter
@@ -154,6 +180,10 @@ def lm_batch(residuals, normal_equations, theta0, opts=None):
     shares the numpy calls.  Returns one outcome per problem, in order: its
     :class:`LmResult`, or the :class:`NonFiniteResidual` or
     :class:`SingularNormalEquations` that failed it.
+
+    ``damping0`` (m,), when given, is the damping each problem's start fit
+    ended with (:attr:`LmResult.damping`), and sets its starting damping by
+    the warm rule of :func:`_initial_damping`; ``None`` keeps the cold rule.
     """
     opts = opts or LmOptions()
     theta = np.array(theta0, dtype=np.float64)
@@ -183,8 +213,8 @@ def lm_batch(residuals, normal_equations, theta0, opts=None):
         going = finite & ~small
         rows, JtJ, g = active[going], JtJ[going], g[going]
         if it == 1:
-            peak = np.diagonal(JtJ, axis1=1, axis2=2).max(axis=1, initial=0.0)
-            lam[rows] = opts.initial_damping_scale * np.maximum(peak, TINY)
+            lam[rows] = _initial_damping(
+                JtJ, None if damping0 is None else damping0[rows], opts)
         carry_on = np.zeros(m, dtype=bool)  # accepted a step short of convergence
 
         pending = np.arange(rows.size)  # positions in rows
@@ -234,6 +264,7 @@ def lm_batch(residuals, normal_equations, theta0, opts=None):
             converged_by=converged_by[j],
             trace=traces[j],
             rejections=int(rejections[j]),
+            damping=float(lam[j]),
         )
         for j in range(m)
     ]

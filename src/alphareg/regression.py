@@ -310,14 +310,18 @@ def residual_system(Y, X, alpha, weights=None):
     )
 
 
-def fit_alpha_regression(Y, X, alpha, opts=None, theta0=None, weights=None):
+def fit_alpha_regression(Y, X, alpha, opts=None, theta0=None, weights=None,
+                         damping0=None):
     """Estimate the coefficient matrix at a fixed alpha.
 
     Starts from ``B = 0`` (uniform fitted compositions) unless ``theta0`` is
     given; deterministic for fixed inputs.  ``weights`` (length n, finite,
     nonnegative, not all zero) fit the kernel-weighted objective of the
-    locally weighted model; ``sse`` is unweighted either way.  This is the
-    one-problem call of :func:`fit_alpha_batch`; a failed outcome is raised.
+    locally weighted model; ``sse`` is unweighted either way.  ``damping0``
+    is the damping the fit that gave ``theta0`` ended with; given, the solve
+    continues from it by the warm rule of :mod:`alphareg.optim`, else it
+    starts by the cold rule.  This is the one-problem call of
+    :func:`fit_alpha_batch`; a failed outcome is raised.
     """
     alpha = _check_alpha(alpha)
     Y = np.asarray(Y, dtype=np.float64)
@@ -328,7 +332,8 @@ def fit_alpha_regression(Y, X, alpha, opts=None, theta0=None, weights=None):
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
     y_a = alpha_transform(Y, alpha)
     lm, = _fit_batch(y_a, X, alpha, w[None],
-                     np.zeros(q * (D - 1)) if theta0 is None else theta0, opts)
+                     np.zeros(q * (D - 1)) if theta0 is None else theta0, opts,
+                     damping0)
     if isinstance(lm, Exception):
         raise lm
     B = theta_to_coef(lm.theta, q, D - 1)
@@ -393,8 +398,9 @@ def fit_alpha_batch(Y, X, alpha, weights, theta0, opts=None):
     return _fit_batch(alpha_transform(Y, alpha), X, alpha, weights, theta0, opts)
 
 
-def _fit_batch(y_a, X, alpha, weights, theta0, opts):
-    """:func:`fit_alpha_batch` on the transformed response ``y_a``."""
+def _fit_batch(y_a, X, alpha, weights, theta0, opts, damping0=None):
+    """:func:`fit_alpha_batch` on the transformed response ``y_a``; ``damping0``
+    (scalar or (m,)) is passed to :func:`optim.lm_batch` as its warm start."""
     opts = opts or LmOptions()
     n, d = y_a.shape
     if not isinstance(X, RowBlocks):
@@ -408,6 +414,8 @@ def _fit_batch(y_a, X, alpha, weights, theta0, opts):
     if q * d != theta0.shape[-1] or (shared and X.shape[1] != q):
         raise DimensionMismatch(f"{theta0.shape[-1]} start parameters do not fit the design")
     starts = np.broadcast_to(theta0, (m, q * d))
+    if damping0 is not None:
+        damping0 = np.broadcast_to(np.asarray(damping0, dtype=np.float64), (m,))
     H = helmert_submatrix(d + 1)
     outer = _outer_rows(X) if shared else None
     size = _chunk_size(m, n, d + 1, q, not shared)
@@ -425,8 +433,9 @@ def _fit_batch(y_a, X, alpha, weights, theta0, opts):
             raise DimensionMismatch(f"designs {Xs.shape} do not fit {n} rows and {q} columns")
         outs = [DegenerateWeights(f"every weight of problem {j} is zero")
                 for j in range(block.start, block.stop)]
+        warm = None if damping0 is None else damping0[block][live]
         solved = lm_batch(*_batch_system(y_a, Xs, outer, w[live], alpha, H),
-                          starts[block][live], opts) if live.size else []
+                          starts[block][live], opts, warm) if live.size else []
         for j, outcome in zip(live, solved):
             outs[j] = outcome
         return outs

@@ -53,6 +53,13 @@ class RunConfig:
     def __post_init__(self):
         if self.model not in MODELS:
             raise InvalidParameters(f"model must be one of {MODELS}")
+        for name in ("k", "h"):
+            if name not in HYPERPARAMETERS[self.model] and (
+                    getattr(self, name) is not None
+                    or getattr(self.grid, f"{name}s") is not None):
+                raise InvalidParameters(
+                    f"model {self.model!r} has no {name!r}: set neither "
+                    f"{name} nor grid.{name}s")
 
 
 def _correlations(Y, fitted):
@@ -124,7 +131,7 @@ def run_fit(config, Y, X, coords=None, covariate_names=None):
         }
         ame = _ame_table(lambda k: average_marginal_effects(fit, k), p)
         margins = {"ame": ame}
-        se = _standard_errors(config, Y, X, alpha, fit, threads)
+        se, diagnostics = _standard_errors(config, Y, X, alpha, fit, threads)
     elif config.model == "slx":
         alpha, k = values
         W = contiguity_matrix(coords, int(k))
@@ -146,7 +153,7 @@ def run_fit(config, Y, X, coords=None, covariate_names=None):
             for part in ("direct", "indirect", "total")
         }
         X_aug = np.hstack([X, W @ X[:, 1:]])
-        se = _standard_errors(config, Y, X_aug, alpha, fit, threads)
+        se, diagnostics = _standard_errors(config, Y, X_aug, alpha, fit, threads)
     else:  # gwar
         alpha, h = values
         fit = fit_gwar(Y, X, coords, alpha, h, opts=config.solver)
@@ -160,7 +167,7 @@ def run_fit(config, Y, X, coords=None, covariate_names=None):
             "ame": _ame_table(
                 lambda kk: gwar_marginal_effects(fit, kk).mean(axis=0), p)
         }
-        se = None
+        se = diagnostics = None
 
     doc = {
         "config": asdict(config),
@@ -172,6 +179,8 @@ def run_fit(config, Y, X, coords=None, covariate_names=None):
         "marginal_effects": margins,
         "standard_errors": se,
     }
+    if diagnostics is not None:
+        doc["diagnostics"] = {"bootstrap": diagnostics}
     if covariate_names:
         doc["covariate_names"] = list(covariate_names)
     log.info("run completed in %.2fs", time.perf_counter() - t0)
@@ -198,16 +207,18 @@ def _standard_errors(config, Y, X_model, alpha, fit, threads):
 
     The bootstrap replicates warm-start from ``fit``, the final fit on
     ``X_model``, and give the coefficient and AME standard errors together.
-    Also attaches the covariance matrix to the fit object.
+    Returns the ``standard_errors`` block and the bootstrap's diagnostics
+    (``None`` without a bootstrap).  Also attaches the covariance matrix to
+    the fit object.
     """
     if not (config.with_se or config.bootstrap_replicates):
-        return None
+        return None, None
     shape = (X_model.shape[1], Y.shape[1] - 1)
     if config.bootstrap_replicates:
         cov = bootstrap_covariance(
             Y, X_model, alpha, opts=config.solver,
             replicates=config.bootstrap_replicates, seed=config.seed,
-            threads=threads, theta0=fit.lm.theta,
+            threads=threads, start=fit.lm,
         )
         fit.covariance = cov.matrix
         return {
@@ -216,13 +227,13 @@ def _standard_errors(config, Y, X_model, alpha, fit, threads):
             "failed_replicates": cov.failed_replicates,
             "coefficients": _se_matrix(cov.matrix, shape).tolist(),
             "ame": cov.ame_standard_errors.tolist(),
-        }
+        }, cov.diagnostics
     cov = sandwich_covariance(Y, X_model, alpha, fit.coefficients)
     fit.covariance = cov.matrix
     return {
         "kind": cov.kind,
         "coefficients": _se_matrix(cov.matrix, shape).tolist(),
-    }
+    }, None
 
 
 def _se_matrix(cov, shape):

@@ -322,6 +322,19 @@ class TestOtherCommands:
         ame_se = np.asarray(doc["standard_errors"]["ame"])
         assert ame_se.shape == (2, 3) and np.all(ame_se >= 0)
 
+    @pytest.mark.parametrize("command", ["fit", "margins"])
+    def test_bootstrap_diagnostics_in_the_document(self, command, dataset, tmp_path):
+        out = tmp_path / "d.json"
+        assert main([command, "--data", str(dataset), *DATA_ARGS, "--alpha", "0.5",
+                     "--bootstrap-replicates", "5", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        diag = doc["diagnostics"]["bootstrap"]
+        assert sum(diag["converged_by"].values()) == 5
+        assert sum(diag["iterations"].values()) == 5
+        assert diag["failed"] == {}
+        keys = list(doc)
+        assert keys.index("diagnostics") == keys.index("standard_errors") + 1
+
 
 class TestExitCodes:
     def test_usage_error(self, capsys):
@@ -355,6 +368,19 @@ class TestExitCodes:
                      "--out", str(out)])
         assert code == 3
         assert not out.exists()
+
+    @pytest.mark.parametrize("model, foreign", [
+        ("alpha", ["--k", "3"]),
+        ("alpha", ["--k", "3", "--hs", "0.1"]),
+        ("slx", ["--h", "0.1"]),
+        ("gwar", ["--ks", "3,5"]),
+    ])
+    def test_setting_of_another_model_is_data_error(self, model, foreign, dataset,
+                                                    capsys):
+        code = main(["fit", "--data", str(dataset), *DATA_ARGS, *GEO_ARGS,
+                     "--model", model, "--alpha", "0.5", *foreign])
+        assert code == 2
+        assert f"model {model!r} has no" in capsys.readouterr().err
 
     def test_degenerate_bandwidth_is_numerical_error(self, dataset):
         code = main(["fit", "--data", str(dataset), *DATA_ARGS, *GEO_ARGS,

@@ -2,11 +2,16 @@
 covariance estimators, cross-checked against finite differences and each
 other on simulated data."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 from alphareg import (
+    Convergence,
     InterceptEffectRequested,
+    LmOptions,
     NumericalError,
     SingularH,
     average_marginal_effects,
@@ -254,16 +259,18 @@ class TestBootstrap:
 
 def two_pass_oracle(Y, X, alpha, replicates, seed, skip=()):
     """The bootstrap as two loops over the same resamples, each refit from the
-    full-data fit: coefficient draws for the covariance, AME draws for the SEs."""
+    full-data fit's parameters and final damping: coefficient draws for the
+    covariance, AME draws for the SEs."""
     n, p = len(Y), X.shape[1] - 1
-    theta_hat = fit_alpha_regression(Y, X, alpha).lm.theta
+    start = fit_alpha_regression(Y, X, alpha).lm
+    warm = {"theta0": start.theta, "damping0": start.damping}
     resamples = [np.random.default_rng([seed, rep]).integers(0, n, size=n)
                  for rep in range(replicates) if rep not in skip]
-    thetas = [fit_alpha_regression(Y[i], X[i], alpha, theta0=theta_hat).lm.theta
+    thetas = [fit_alpha_regression(Y[i], X[i], alpha, **warm).lm.theta
               for i in resamples]
     ames = []
     for i in resamples:
-        fit = fit_alpha_regression(Y[i], X[i], alpha, theta0=theta_hat)
+        fit = fit_alpha_regression(Y[i], X[i], alpha, **warm)
         ames.append([average_marginal_effects(fit, k) for k in range(1, p + 1)])
     cov = np.cov(np.vstack(thetas), rowvar=False, ddof=1)
     return cov, np.std(np.array(ames), axis=0, ddof=1)
@@ -294,17 +301,19 @@ class TestBootstrapSinglePass:
 
     def test_one_refit_per_replicate_from_theta0(self, rng, monkeypatch):
         Y, X, _ = homoskedastic_sim(rng, 50)
-        theta0 = fit_alpha_regression(Y, X, 0.5).lm.theta
+        start = fit_alpha_regression(Y, X, 0.5).lm
+        assert start.damping > 0
         real_fit = inference.fit_alpha_regression
         starts = []
 
         def counted(*args, **kwargs):
-            starts.append(kwargs.get("theta0"))
+            starts.append((kwargs.get("theta0"), kwargs.get("damping0")))
             return real_fit(*args, **kwargs)
 
         monkeypatch.setattr(inference, "fit_alpha_regression", counted)
-        warm = bootstrap_covariance(Y, X, 0.5, replicates=8, seed=2, theta0=theta0)
-        assert len(starts) == 8 and all(t is theta0 for t in starts)
+        warm = bootstrap_covariance(Y, X, 0.5, replicates=8, seed=2, start=start)
+        assert len(starts) == 8
+        assert all(t is start.theta and lam == start.damping for t, lam in starts)
         cold = bootstrap_covariance(Y, X, 0.5, replicates=8, seed=2)
         assert len(starts) == 8 + 1 + 8  # the full-data fit when theta0 is None
         np.testing.assert_array_equal(warm.matrix, cold.matrix)
@@ -338,3 +347,143 @@ class TestBootstrapSinglePass:
         for kind in ("sandwich", "spherical"):
             cov = sandwich_covariance(Y, X, 0.5, fit.coefficients, kind=kind)
             assert cov.ame_standard_errors is None
+
+
+def mean_iterations(cov):
+    histogram = cov.diagnostics["iterations"]
+    return sum(int(i) * count for i, count in histogram.items()) / cov.replicates
+
+
+class TestWarmBootstrap:
+    """Replicates continue from the full-data fit's final damping."""
+
+    @pytest.fixture
+    def data(self, rng):
+        Y, X, _ = homoskedastic_sim(rng, 500, D=4, p=2)
+        return Y, X, fit_alpha_regression(Y, X, 0.5).lm
+
+    def test_zero_damping_start_uses_the_cold_rule(self, rng):
+        Y, X, _ = homoskedastic_sim(rng, 80, D=3, p=1)
+        full = fit_alpha_regression(Y, X, 0.5).lm
+        # refit at the optimum with a loose gradient test: stops before a step
+        start = fit_alpha_regression(Y, X, 0.5, opts=LmOptions(grad_inf_tol=1e3),
+                                     theta0=full.theta).lm
+        assert start.converged_by is Convergence.GRAD_TOL
+        assert start.iterations == 0 and start.damping == 0.0
+        cov = bootstrap_covariance(Y, X, 0.5, replicates=6, seed=5, start=start)
+        resamples = [np.random.default_rng([5, rep]).integers(0, 80, size=80)
+                     for rep in range(6)]
+        cold = [fit_alpha_regression(Y[i], X[i], 0.5, theta0=start.theta).lm.theta
+                for i in resamples]
+        np.testing.assert_array_equal(cov.matrix, np.cov(np.vstack(cold), rowvar=False))
+
+    def test_fewer_iterations_than_the_cold_rule(self, data):
+        Y, X, full = data
+        warm = bootstrap_covariance(Y, X, 0.5, replicates=12, seed=1, start=full)
+        cold = bootstrap_covariance(Y, X, 0.5, replicates=12, seed=1,
+                                    start=dataclasses.replace(full, damping=0.0))
+        assert mean_iterations(warm) < mean_iterations(cold)
+        # a fresh bootstrap fits its own start and continues from it too
+        fresh = bootstrap_covariance(Y, X, 0.5, replicates=12, seed=1)
+        np.testing.assert_array_equal(fresh.matrix, warm.matrix)
+
+    def test_no_farther_from_a_tight_oracle_than_the_cold_rule(self, rng):
+        # the worst error over three data sets; on a single one the cold rule
+        # can come out slightly closer (2.2e-8 against 2.5e-8 on the first)
+        tight = LmOptions(sse_rel_tol=1e-15)
+        worst = {"warm": np.zeros(2), "cold": np.zeros(2)}
+        for _ in range(3):
+            Y, X, _ = homoskedastic_sim(rng, 500, D=4, p=2)
+            full = fit_alpha_regression(Y, X, 0.5).lm
+            oracle = bootstrap_covariance(Y, X, 0.5, opts=tight, replicates=12, seed=2)
+            se_o = np.sqrt(np.diag(oracle.matrix))
+            for rule, damping in (("warm", full.damping), ("cold", 0.0)):
+                cov = bootstrap_covariance(Y, X, 0.5, replicates=12, seed=2,
+                                           start=dataclasses.replace(full, damping=damping))
+                errors = (np.max(np.abs(np.sqrt(np.diag(cov.matrix)) - se_o)) / np.max(se_o),
+                          np.max(np.abs(cov.ame_standard_errors - oracle.ame_standard_errors))
+                          / np.max(oracle.ame_standard_errors))
+                worst[rule] = np.maximum(worst[rule], errors)
+        assert np.all(worst["warm"] <= worst["cold"])
+
+    def test_bitwise_equal_at_one_and_two_threads(self, data):
+        Y, X, full = data
+        one = bootstrap_covariance(Y, X, 0.5, replicates=8, seed=3, start=full)
+        two = bootstrap_covariance(Y, X, 0.5, replicates=8, seed=3, start=full,
+                                   threads=2)
+        np.testing.assert_array_equal(one.matrix, two.matrix)
+        np.testing.assert_array_equal(one.ame_standard_errors, two.ame_standard_errors)
+        assert json.dumps(one.diagnostics) == json.dumps(two.diagnostics)
+
+
+class TestBootstrapDiagnostics:
+    def test_counts_cover_every_replicate(self, rng):
+        Y, X, _ = homoskedastic_sim(rng, 60)
+        cov = bootstrap_covariance(Y, X, 0.5, replicates=9, seed=6)
+        diag = cov.diagnostics
+        assert list(diag["converged_by"]) == [c.value for c in Convergence]
+        assert sum(diag["converged_by"].values()) == 9
+        assert sum(diag["iterations"].values()) == 9
+        keys = [int(i) for i in diag["iterations"]]
+        assert keys == sorted(keys) and min(keys) >= 0
+        assert diag["failed"] == {}
+
+    def test_failed_replicates_by_exception_type(self, rng, monkeypatch):
+        from alphareg import exceptions
+
+        Y, X, _ = homoskedastic_sim(rng, 50)
+        real_fit = inference.fit_alpha_regression
+        calls = {"n": 0}
+
+        def flaky(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] in (3, 7):
+                raise exceptions.SingularNormalEquations("forced")
+            if calls["n"] == 5:
+                raise exceptions.NonFiniteResidual("forced")
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(inference, "fit_alpha_regression", flaky)
+        start = real_fit(Y, X, 0.5).lm
+        cov = bootstrap_covariance(Y, X, 0.5, replicates=20, seed=1, start=start)
+        assert cov.failed_replicates == 3
+        assert cov.diagnostics["failed"] == {"NonFiniteResidual": 1,
+                                             "SingularNormalEquations": 2}
+        assert sum(cov.diagnostics["converged_by"].values()) == 17
+        assert sum(cov.diagnostics["iterations"].values()) == 17
+
+    def test_failures_recorded_exactly_under_many_threads(self, rng, monkeypatch):
+        # replicate workers write the failure record concurrently; more workers
+        # than cores and a short switch interval would expose a lost write
+        import sys
+
+        from alphareg import exceptions
+
+        Y, X, _ = homoskedastic_sim(rng, 40)
+        R, seed, failing = 24, 7, (2, 9, 15, 20)
+        bad = [Y[np.random.default_rng([seed, rep]).integers(0, 40, size=40)]
+               for rep in failing]
+        real_fit = inference.fit_alpha_regression
+
+        def fail_some(Yb, *args, **kwargs):
+            if any(np.array_equal(Yb, b) for b in bad):
+                raise exceptions.SingularNormalEquations("forced")
+            return real_fit(Yb, *args, **kwargs)
+
+        monkeypatch.setattr(inference, "fit_alpha_regression", fail_some)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = [bootstrap_covariance(Y, X, 0.5, replicates=R, seed=seed, threads=8)
+                       for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        for cov in results:
+            assert cov.failed_replicates == len(failing)
+            assert cov.diagnostics == results[0].diagnostics
+            assert cov.diagnostics["failed"] == {"SingularNormalEquations": len(failing)}
+
+    def test_analytic_estimators_have_no_diagnostics(self, rng):
+        Y, X, _ = homoskedastic_sim(rng, 40)
+        fit = fit_alpha_regression(Y, X, 0.5)
+        assert sandwich_covariance(Y, X, 0.5, fit.coefficients).diagnostics is None

@@ -213,3 +213,63 @@ class TestDamping:
             LmOptions(max_iterations=0)
         with pytest.raises(ValueError):
             LmOptions(damping_decrease=1.5)
+
+
+def same_outcome(got, want):
+    np.testing.assert_array_equal(got.theta, want.theta)
+    assert (got.iterations, got.rejections, got.converged_by, got.trace,
+            got.final_sse, got.damping) == \
+        (want.iterations, want.rejections, want.converged_by, want.trace,
+         want.final_sse, want.damping)
+
+
+class TestWarmDamping:
+    """The starting damping: the cold rule by default, the warm rule
+    ``min(lam0, inherited)`` when a start fit's final damping is passed."""
+
+    def problems(self, rng):
+        systems = [rosenbrock_system(), linear_system(rng.normal(size=(2, 2)), np.ones(2))]
+        return systems, np.array([[-1.2, 1.0], [0.0, 0.0]])
+
+    def test_no_inherited_damping_is_the_cold_rule_bitwise(self, rng):
+        systems, theta0 = self.problems(rng)
+        cold = optim.lm_batch(*stacked(systems), theta0)
+        # min(lam0, inf) = lam0: an infinite inheritance takes the same path
+        for got, want in zip(optim.lm_batch(*stacked(systems), theta0,
+                                            damping0=np.full(2, np.inf)), cold):
+            same_outcome(got, want)
+        A = systems[1].jacobian_fn(theta0[1])
+        lam0 = LmOptions().initial_damping_scale * np.max(np.diag(A.T @ A))
+        assert cold[1].trace[0][1] == lam0  # the first step, accepted at lam0
+
+    def test_small_inherited_damping_starts_the_first_step(self, rng):
+        systems, theta0 = self.problems(rng)
+        got = optim.lm_batch(*stacked(systems), theta0, damping0=np.full(2, 1e-9))
+        assert got[1].trace[0][1] == 1e-9
+        np.testing.assert_allclose(got[0].theta, [1.0, 1.0], atol=1e-6)
+
+    def test_final_damping_is_the_next_steps(self, rng):
+        systems, theta0 = self.problems(rng)
+        for got in optim.lm_batch(*stacked(systems), theta0):
+            assert got.damping == got.trace[-1][1] * LmOptions().damping_decrease
+
+    def test_warm_rule_takes_the_smaller_positive_damping(self):
+        JtJ = np.stack([np.diag([4.0, 2.0])] * 5)
+        inherited = np.array([0.0, -1.0, np.nan, 1e-9, 1.0])
+        lam = optim._initial_damping(JtJ, inherited, LmOptions())
+        np.testing.assert_array_equal(lam, [4e-3, 4e-3, 4e-3, 1e-9, 4e-3])
+
+    @pytest.mark.parametrize("inherited", [0.0, -1.0, np.nan])
+    def test_nonpositive_inherited_damping_falls_back_to_cold(self, inherited):
+        # a fit that meets grad_inf_tol before its first step ends at damping 0;
+        # continuing from it must not retry rejected steps at 0 * 2 = 0 forever
+        at_optimum = levenberg_marquardt(rosenbrock_system(), np.array([1.0, 1.0]))
+        assert at_optimum.converged_by is Convergence.GRAD_TOL
+        assert at_optimum.iterations == 0 and at_optimum.damping == 0.0
+        start = np.array([[-1.2, 1.0]])
+        cold, = optim.lm_batch(*stacked([rosenbrock_system()]), start)
+        warm, = optim.lm_batch(*stacked([rosenbrock_system()]), start,
+                               damping0=np.array([at_optimum.damping if inherited == 0
+                                                  else inherited]))
+        assert cold.rejections > 0
+        same_outcome(warm, cold)

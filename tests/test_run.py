@@ -132,6 +132,19 @@ class TestRunFit:
         with pytest.raises(InvalidParameters):
             RunConfig(model="nope")
 
+    @pytest.mark.parametrize("model, settings", [
+        ("alpha", {"k": 3}),
+        ("alpha", {"grid": CvGrid(hs=(0.1,))}),
+        ("alpha", {"k": 3, "grid": CvGrid(hs=(0.1,))}),
+        ("slx", {"h": 0.1}),
+        ("slx", {"grid": CvGrid(hs=(0.1,))}),
+        ("gwar", {"k": 3}),
+        ("gwar", {"grid": CvGrid(ks=(3,))}),
+    ])
+    def test_settings_of_another_model_rejected(self, model, settings):
+        with pytest.raises(InvalidParameters, match="has no"):
+            RunConfig(model=model, **settings)
+
     def test_slx_default_neighbor_grid(self):
         sim = synthesize(n=16, D=3, p=1, alpha=0.5, noise_scale=0.1,
                          spatial_mode="slx", seed=10)
@@ -165,6 +178,11 @@ def count_fits(monkeypatch):
     return calls
 
 
+def slx_k(model):
+    """The neighbour count k = 3, for the one model that has it."""
+    return {"k": 3} if model == "slx" else {}
+
+
 class TestBootstrapRun:
     @pytest.mark.parametrize("model", ["alpha", "slx"])
     def test_one_fit_per_replicate_plus_the_final_fit(self, monkeypatch, model):
@@ -172,7 +190,8 @@ class TestBootstrapRun:
                          spatial_mode="slx", seed=12)
         calls = count_fits(monkeypatch)
         R = 7
-        config = RunConfig(model=model, alpha=0.5, k=3, bootstrap_replicates=R)
+        config = RunConfig(model=model, alpha=0.5, bootstrap_replicates=R,
+                           **slx_k(model))
         doc, fit = run_fit(config, sim["Y"], sim["X"], sim["coords"])
         assert len(calls) == R + 1
         assert all(t is fit.lm.theta for t in calls[1:])
@@ -186,11 +205,46 @@ class TestBootstrapRun:
         X = sim["X"]
         if model == "slx":
             X = np.hstack([X, contiguity_matrix(sim["coords"], 3) @ X[:, 1:]])
-        config = RunConfig(model=model, alpha=0.5, k=3, bootstrap_replicates=6,
-                           seed=4)
+        config = RunConfig(model=model, alpha=0.5, bootstrap_replicates=6, seed=4,
+                           **slx_k(model))
         doc, _ = run_fit(config, sim["Y"], sim["X"], sim["coords"])
         cov = bootstrap_covariance(sim["Y"], X, 0.5, replicates=6, seed=4)
         se = doc["standard_errors"]
         assert se["ame"] == cov.ame_standard_errors.tolist()
         assert se["coefficients"] == np.sqrt(np.diag(cov.matrix)).reshape(
             (X.shape[1], 2), order="F").tolist()
+
+
+class TestBootstrapDiagnostics:
+    @pytest.mark.parametrize("model", ["alpha", "slx"])
+    def test_document_records_the_replicate_solves(self, model):
+        sim = synthesize(n=40, D=3, p=2, alpha=0.5, noise_scale=0.1,
+                         spatial_mode="slx", seed=15)
+        config = RunConfig(model=model, alpha=0.5, bootstrap_replicates=6,
+                           **slx_k(model))
+        doc, _ = run_fit(config, sim["Y"], sim["X"], sim["coords"])
+        assert list(doc)[-2:] == ["standard_errors", "diagnostics"]
+        diag = doc["diagnostics"]["bootstrap"]
+        assert set(diag) == {"converged_by", "iterations", "failed"}
+        assert sum(diag["converged_by"].values()) == 6
+        assert sum(diag["iterations"].values()) == 6
+        assert diag["failed"] == {}
+        assert "diagnostics" not in doc["standard_errors"]
+
+    @pytest.mark.parametrize("settings", [{}, {"with_se": True}])
+    def test_no_block_without_a_bootstrap(self, settings):
+        sim = synthesize(n=30, D=3, p=1, alpha=0.5, noise_scale=0.1, seed=16)
+        doc, _ = run_fit(RunConfig(model="alpha", alpha=0.5, **settings),
+                         sim["Y"], sim["X"])
+        assert "diagnostics" not in doc
+
+    def test_document_byte_identical_at_one_and_two_threads(self):
+        sim = synthesize(n=60, D=3, p=2, alpha=0.5, noise_scale=0.1, seed=17)
+        texts = []
+        for threads in (1, 2):
+            config = RunConfig(model="alpha", alpha=0.5, seed=2,
+                               bootstrap_replicates=8, threads=threads)
+            doc, _ = run_fit(config, sim["Y"], sim["X"])
+            del doc["config"]  # echoes the thread count
+            texts.append(json.dumps(doc))
+        assert texts[0] == texts[1]
