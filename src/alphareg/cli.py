@@ -60,10 +60,13 @@ def _threads(text):
     if text == "auto":
         return 0
     try:
-        return int(text)
+        count = int(text)
     except ValueError:
+        count = None
+    if count is None or count < 0:
         raise argparse.ArgumentTypeError(
-            f"expected 'auto' or an integer, got {text!r}") from None
+            f"expected 'auto' or an integer >= 0, got {text!r}")
+    return count
 
 
 def _add_dataset_args(sp):
@@ -99,9 +102,9 @@ def _add_se_args(sp):
     sp.add_argument("--bootstrap-replicates", type=int,
                     help="use a pairs bootstrap of this size for the SEs")
     sp.add_argument("--seed", type=int, help="bootstrap seed")
-    sp.add_argument("--threads", type=_threads, default="auto",
-                    help="bootstrap worker threads (or 'auto'); "
-                         "ALPHAREG_THREADS overrides")
+    sp.add_argument("--threads", type=_threads,
+                    help="bootstrap worker threads (default 1; 'auto' or 0 "
+                         "is one per CPU); ALPHAREG_THREADS overrides")
 
 
 def build_parser():

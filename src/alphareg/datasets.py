@@ -20,6 +20,7 @@ settings.
 import csv
 import json
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -77,18 +78,23 @@ def _column(header, rows, name, path):
     if name not in header:
         raise MissingColumn(f"column {name!r} not found in {path}")
     j = header.index(name)
-    out = np.empty(len(rows))
-    for i, row in enumerate(rows):
-        cell = row[j].strip() if j < len(row) else ""
-        try:
-            out[i] = float(cell)
-        except ValueError:
-            out[i] = np.nan
-        if not np.isfinite(out[i]):  # "nan" and "inf" parse, but are no data
-            raise NonNumericCell(
-                f"cell at data row {i + 1}, column {name!r} is not a finite "
-                f"number: {cell!r}")
+    cells = [row[j].strip() if j < len(row) else "" for row in rows]
+    out = np.array([_parse_cell(cell) for cell in cells], dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(out))  # "nan" and "inf" parse, but are no data
+    if bad.size:
+        i = bad[0]
+        raise NonNumericCell(
+            f"cell at data row {i + 1}, column {name!r} is not a finite "
+            f"number: {cells[i]!r}")
     return out
+
+
+def _parse_cell(cell):
+    """The cell as Python's ``float`` reads it, NaN when it reads no number."""
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
 
 
 def load_dataset(spec):

@@ -19,7 +19,10 @@ nonparametric pairs bootstrap that resamples whole observation rows.  The
 bootstrap makes one pass: each replicate is refit once, warm-started from the
 full-data fit's parameters and final damping, and that refit yields both its
 coefficients and its average marginal effects, so the covariance and the
-effects' standard errors come from the same replicates.
+effects' standard errors come from the same replicates.  A replicate is the
+count-weighted fit on its distinct rows: the objective over a resample sums
+each drawn row once per draw, so weighting the distinct rows (about 63% of n)
+by their draw counts gives the same fit without refitting the duplicates.
 """
 
 from collections import Counter
@@ -172,8 +175,11 @@ def bootstrap_covariance(Y, X, alpha, opts=None, replicates=200, seed=0, threads
     model refit once per replicate, warm-started from ``start``: the
     full-data fit's :class:`LmResult`, fit here when ``None``.  A replicate
     starts at that fit's parameters and continues from its final damping
-    (the warm rule of :mod:`alphareg.optim`).  Each refit gives its
-    coefficients and the average marginal effect of every covariate, so
+    (the warm rule of :mod:`alphareg.optim`).  The refit runs on the
+    replicate's distinct rows, each weighted by how often it was drawn,
+    which is the fit on the resample itself up to rounding.  Each refit
+    gives its coefficients and the average marginal effect of every
+    covariate (the count-weighted mean over the distinct rows), so
     ``matrix`` and the p x D ``ame_standard_errors`` come from the same
     replicates.  Replicate RNG streams derive from the seed by replicate
     index, so results are identical for any thread count.  A failed
@@ -193,13 +199,16 @@ def bootstrap_covariance(Y, X, alpha, opts=None, replicates=200, seed=0, threads
 
     def one(rep):
         idx = np.random.default_rng([seed, rep]).integers(0, n, size=n)
+        rows, counts = np.unique(idx, return_counts=True)
         try:
-            fit = fit_alpha_regression(Y[idx], X[idx], alpha, opts=opts,
-                                       theta0=start.theta, damping0=start.damping)
+            fit = fit_alpha_regression(Y[rows], X[rows], alpha, opts=opts,
+                                       theta0=start.theta, damping0=start.damping,
+                                       weights=counts)
         except NumericalError as exc:
             errors[rep] = type(exc).__name__
             return None
-        ames = [average_marginal_effects(fit, k) for k in range(1, p + 1)]
+        ames = [counts @ marginal_effects(fit.coefficients, fit.fitted, k) / n
+                for k in range(1, p + 1)]
         return fit.lm, np.array(ames).reshape(p, D)
 
     draws = [r for r in parallel_map(one, range(replicates), threads=threads)

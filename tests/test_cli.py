@@ -46,8 +46,7 @@ class TestFitCommand:
         assert main(["fit", "--data", str(dataset), *DATA_ARGS, "--alphas", "0.5",
                      "--out", str(out)]) == 0
         config = json.loads(out.read_text())["config"]
-        # `--threads auto` (0) is the one default the command line sets itself
-        expected = asdict(RunConfig(grid=CvGrid(alphas=(0.5,)), threads=0))
+        expected = asdict(RunConfig(grid=CvGrid(alphas=(0.5,))))
         assert config == json.loads(json.dumps(expected))
 
     def test_repeat_runs_byte_identical(self, dataset, tmp_path):
@@ -392,6 +391,11 @@ class TestExitCodes:
         assert main([command, "--data", "data.csv", *DATA_ARGS, "--threads", "abc"]) == 1
         assert "'auto' or an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["fit", "margins"])
+    def test_negative_thread_count_is_usage_error(self, command, capsys):
+        assert main([command, "--data", "data.csv", *DATA_ARGS, "--threads", "-3"]) == 1
+        assert "'auto' or an integer >= 0, got '-3'" in capsys.readouterr().err
+
     def test_threads_only_where_there_is_a_bootstrap(self, capsys):
         # --seed seeds the bootstrap too, and only fit writes CSV tables
         where = {"--threads": {"fit", "margins"}, "--seed": {"fit", "margins"},
@@ -441,6 +445,13 @@ class TestExitCodes:
         code = main(["fit", "--data", str(dataset), *DATA_ARGS, "--alpha", "0.5"])
         assert code == 2
         assert "ALPHAREG_THREADS" in capsys.readouterr().err
+
+    def test_negative_threads_variable_is_data_error(self, dataset, monkeypatch,
+                                                     capsys):
+        monkeypatch.setenv("ALPHAREG_THREADS", "-3")
+        code = main(["fit", "--data", str(dataset), *DATA_ARGS, "--alpha", "0.5"])
+        assert code == 2
+        assert "ALPHAREG_THREADS must be 0 (auto) or positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("content", [None, "not json", "{}"])
     def test_unreadable_model_document_is_data_error(self, content, dataset, tmp_path,
@@ -502,3 +513,15 @@ class TestResolveThreads:
         monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
         assert resolve_threads("auto") == resolve_threads(0) == (os.cpu_count() or 1)
         assert resolve_threads(2) == 2
+
+    def test_zero_variable_is_auto(self, monkeypatch):
+        monkeypatch.setenv(THREADS_ENV_VAR, "0")
+        assert resolve_threads(1) == resolve_threads("auto") == (os.cpu_count() or 1)
+
+    def test_negative_count_is_invalid(self, monkeypatch):
+        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+        with pytest.raises(InvalidParameters, match="-3"):
+            resolve_threads(-3)
+        monkeypatch.setenv(THREADS_ENV_VAR, "-3")
+        with pytest.raises(InvalidParameters, match=THREADS_ENV_VAR):
+            resolve_threads(1)

@@ -257,21 +257,34 @@ class TestBootstrap:
             bootstrap_covariance(Y, X, 0.5, replicates=20, seed=1)
 
 
+def resample(seed, rep, n):
+    """Replicate ``rep``'s draw of row indices, as the bootstrap makes it."""
+    return np.random.default_rng([seed, rep]).integers(0, n, size=n)
+
+
+def distinct(idx):
+    """The distinct rows of a resample and how often each was drawn."""
+    return np.unique(idx, return_counts=True)
+
+
 def two_pass_oracle(Y, X, alpha, replicates, seed, skip=()):
-    """The bootstrap as two loops over the same resamples, each refit from the
-    full-data fit's parameters and final damping: coefficient draws for the
-    covariance, AME draws for the SEs."""
+    """The bootstrap as two loops over the same resamples, each refit on its
+    distinct rows weighted by their draw counts, from the full-data fit's
+    parameters and final damping: coefficient draws for the covariance,
+    count-weighted AME draws for the SEs."""
     n, p = len(Y), X.shape[1] - 1
     start = fit_alpha_regression(Y, X, alpha).lm
     warm = {"theta0": start.theta, "damping0": start.damping}
-    resamples = [np.random.default_rng([seed, rep]).integers(0, n, size=n)
+    resamples = [distinct(resample(seed, rep, n))
                  for rep in range(replicates) if rep not in skip]
-    thetas = [fit_alpha_regression(Y[i], X[i], alpha, **warm).lm.theta
-              for i in resamples]
+    thetas = [fit_alpha_regression(Y[rows], X[rows], alpha, weights=counts,
+                                   **warm).lm.theta
+              for rows, counts in resamples]
     ames = []
-    for i in resamples:
-        fit = fit_alpha_regression(Y[i], X[i], alpha, **warm)
-        ames.append([average_marginal_effects(fit, k) for k in range(1, p + 1)])
+    for rows, counts in resamples:
+        fit = fit_alpha_regression(Y[rows], X[rows], alpha, weights=counts, **warm)
+        ames.append([counts @ marginal_effects(fit.coefficients, fit.fitted, k) / n
+                     for k in range(1, p + 1)])
     cov = np.cov(np.vstack(thetas), rowvar=False, ddof=1)
     return cov, np.std(np.array(ames), axis=0, ddof=1)
 
@@ -284,7 +297,7 @@ class TestBootstrapSinglePass:
         oracle_cov, oracle_se = two_pass_oracle(
             Y, X, 0.5, R, seed, skip=() if failing_rep is None else (failing_rep,))
         if failing_rep is not None:
-            bad = np.random.default_rng([seed, failing_rep]).integers(0, 60, size=60)
+            bad, _ = distinct(resample(seed, failing_rep, 60))
             real_fit = inference.fit_alpha_regression
 
             def fail_one(Yb, *args, **kwargs):
@@ -349,6 +362,40 @@ class TestBootstrapSinglePass:
             assert cov.ame_standard_errors is None
 
 
+class TestCountWeightedReplicates:
+    """A replicate refits only its distinct rows, weighted by draw counts."""
+
+    def test_matches_the_fit_on_the_resampled_rows(self, rng, monkeypatch):
+        n, R, seed = 200, 8, 4
+        Y, X, _ = homoskedastic_sim(rng, n, D=4, p=2)
+        start = fit_alpha_regression(Y, X, 0.5).lm
+        real_fit = inference.fit_alpha_regression
+        fits = []
+
+        def recorded(*args, **kwargs):
+            fits.append(real_fit(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(inference, "fit_alpha_regression", recorded)
+        cov = bootstrap_covariance(Y, X, 0.5, replicates=R, seed=seed, start=start)
+        assert len(fits) == R
+
+        def assert_close(got, want):
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+
+        thetas, ames = [], []
+        for rep, fit in enumerate(fits):
+            idx = resample(seed, rep, n)
+            assert len(fit.fitted) == len(np.unique(idx)) < n
+            full = real_fit(Y[idx], X[idx], 0.5, theta0=start.theta,
+                            damping0=start.damping)
+            assert_close(fit.coefficients, full.coefficients)
+            thetas.append(full.lm.theta)
+            ames.append([average_marginal_effects(full, k) for k in (1, 2)])
+        assert_close(cov.matrix, np.cov(np.vstack(thetas), rowvar=False, ddof=1))
+        assert_close(cov.ame_standard_errors, np.std(np.array(ames), axis=0, ddof=1))
+
+
 def mean_iterations(cov):
     histogram = cov.diagnostics["iterations"]
     return sum(int(i) * count for i, count in histogram.items()) / cov.replicates
@@ -371,10 +418,10 @@ class TestWarmBootstrap:
         assert start.converged_by is Convergence.GRAD_TOL
         assert start.iterations == 0 and start.damping == 0.0
         cov = bootstrap_covariance(Y, X, 0.5, replicates=6, seed=5, start=start)
-        resamples = [np.random.default_rng([5, rep]).integers(0, 80, size=80)
-                     for rep in range(6)]
-        cold = [fit_alpha_regression(Y[i], X[i], 0.5, theta0=start.theta).lm.theta
-                for i in resamples]
+        resamples = [distinct(resample(5, rep, 80)) for rep in range(6)]
+        cold = [fit_alpha_regression(Y[rows], X[rows], 0.5, theta0=start.theta,
+                                     weights=counts).lm.theta
+                for rows, counts in resamples]
         np.testing.assert_array_equal(cov.matrix, np.cov(np.vstack(cold), rowvar=False))
 
     def test_fewer_iterations_than_the_cold_rule(self, data):
@@ -461,8 +508,7 @@ class TestBootstrapDiagnostics:
 
         Y, X, _ = homoskedastic_sim(rng, 40)
         R, seed, failing = 24, 7, (2, 9, 15, 20)
-        bad = [Y[np.random.default_rng([seed, rep]).integers(0, 40, size=40)]
-               for rep in failing]
+        bad = [Y[distinct(resample(seed, rep, 40))[0]] for rep in failing]
         real_fit = inference.fit_alpha_regression
 
         def fail_some(Yb, *args, **kwargs):

@@ -145,6 +145,14 @@ class TestRunFit:
         with pytest.raises(InvalidParameters, match="has no"):
             RunConfig(model=model, **settings)
 
+    def test_negative_thread_count_rejected(self, monkeypatch):
+        # a negative setting is an error even where ALPHAREG_THREADS would replace it
+        monkeypatch.setenv("ALPHAREG_THREADS", "2")
+        sim = synthesize(n=20, D=3, p=1, alpha=0.5, noise_scale=0.1, seed=9)
+        config = RunConfig(alpha=0.5, bootstrap_replicates=4, threads=-3)
+        with pytest.raises(InvalidParameters, match="thread count"):
+            run_fit(config, sim["Y"], sim["X"])
+
     def test_slx_default_neighbor_grid(self):
         sim = synthesize(n=16, D=3, p=1, alpha=0.5, noise_scale=0.1,
                          spatial_mode="slx", seed=10)
