@@ -46,7 +46,6 @@ from .optim import (
     LmOptions,
     LmResult,
     ResidualSystem,
-    apply_weights,
     levenberg_marquardt,
 )
 from .regression import (

@@ -208,9 +208,9 @@ def _export_tables(doc, fitted, csv_dir, D):
 
 
 def _run(args):
+    config = _run_config(args)  # settings are checked before the data are read
     Y, X, coords = load_dataset(_dataset_spec(args))
-    return run_fit(_run_config(args), Y, X, coords,
-                   covariate_names=args.covariate_cols)
+    return run_fit(config, Y, X, coords, covariate_names=args.covariate_cols)
 
 
 def _cmd_fit(args):
@@ -301,7 +301,7 @@ def _read_model_doc(path):
                 "h": float(doc["hyperparameters"]["h"]),
                 "opts": LmOptions(**doc["config"]["solver"]),
             }
-    except (OSError, ValueError, LookupError, TypeError) as exc:
+    except (OSError, ValueError, LookupError, TypeError, InvalidParameters) as exc:
         raise DataError(
             f"model document {path} is not readable as a fit result: "
             f"{type(exc).__name__}: {exc}") from None

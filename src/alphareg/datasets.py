@@ -170,6 +170,8 @@ def synthesize(n, D, p, alpha, noise_scale=0.0, spatial_mode="none", seed=0,
         raise InvalidParameters(f"spatial_mode must be one of {SPATIAL_MODES}")
     if noise_scale < 0:
         raise InvalidParameters("noise_scale must be >= 0")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise InvalidParameters(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
     d = D - 1
     X = np.hstack([np.ones((n, 1)), rng.normal(size=(n, p))])

@@ -21,24 +21,25 @@ before its first step, falls back to ``lam0``: a rejected step at damping 0
 would retry at 0 forever.
 
 There is one loop, :func:`lm_batch`, over a leading problem axis: a stack of
-m independent problems, each with its own damping, acceptance test,
-stopping reason, iteration and rejection counts.  A problem whose residuals
-or Jacobian turn non-finite, or whose damped equations cannot be solved, is
-marked failed with that exception and the others go on.
+m independent problems, each with its own damping, acceptance test, stopping
+reason, iteration and rejection counts, kept in arrays.  A problem whose
+residuals or Jacobian turn non-finite, or whose damped equations cannot be
+solved, leaves the stack failed and the others go on.
 Every fit of the package (``regression.fit_alpha_batch``) hands that loop
 its normal equations in closed form.  :func:`levenberg_marquardt` is the
-one-problem call of the same loop on a generic :class:`ResidualSystem`,
-which forms ``J'J`` from the stacked Jacobian; it serves as the reference
-for the closed forms and the damping schedule.
+one-problem call of the same loop on a generic :class:`ResidualSystem`: it
+folds in the weights and forms ``J'J`` from the stacked Jacobian, as the
+reference for the closed forms and the damping schedule.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
 
-from .exceptions import NegativeWeight, NonFiniteResidual, SingularNormalEquations
+from .exceptions import (InvalidParameters, NegativeWeight, NonFiniteResidual,
+                         SingularNormalEquations)
 
 MAX_DAMPING = 1e12
 TINY = np.finfo(float).tiny
@@ -49,6 +50,12 @@ class Convergence(Enum):
     GRAD_TOL = "grad_tol"
     MAX_ITER = "max_iter"
     STALLED = "stalled"  # no step lowers the SSE, even at MAX_DAMPING
+
+
+# lm_batch keeps a problem's stopping reason as an index into REASONS, and a
+# failure as one of these codes (0: none)
+REASONS = tuple(Convergence)
+BAD_RESIDUAL, BAD_JACOBIAN, SINGULAR = 1, 2, 3
 
 
 @dataclass
@@ -77,13 +84,16 @@ class LmOptions:
     damping_decrease: float = 1.0 / 3.0
 
     def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
+        if not isinstance(self.max_iterations, (int, np.integer)) or self.max_iterations < 1:
+            raise InvalidParameters(
+                f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
         for name in ("sse_rel_tol", "grad_inf_tol", "initial_damping_scale"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be > 0")
-        if self.damping_increase <= 1 or not 0 < self.damping_decrease < 1:
-            raise ValueError("damping factors must satisfy inc > 1, 0 < dec < 1")
+            if not 0 < getattr(self, name) < np.inf:  # False for NaN too
+                raise InvalidParameters(
+                    f"{name} must be finite and > 0, got {getattr(self, name)!r}")
+        if not (1 < self.damping_increase < np.inf and 0 < self.damping_decrease < 1):
+            raise InvalidParameters(
+                "damping factors must satisfy 1 < inc < inf, 0 < dec < 1")
 
 
 @dataclass
@@ -92,31 +102,8 @@ class LmResult:
     final_sse: float
     iterations: int
     converged_by: Convergence
-    trace: list = field(default_factory=list)  # (sse, damping) per accepted step
     rejections: int = 0
     damping: float = 0.0  # the damping a further step would use; 0 if none was set
-
-
-def apply_weights(system):
-    """Fold nonnegative per-residual weights into an unweighted system.
-
-    Residuals are scaled by ``sqrt(w_k)`` and Jacobian rows likewise, so an
-    unweighted solver on the result minimizes ``sum w_k r_k**2`` exactly.
-    """
-    if system.weights is None:
-        return system
-    w = np.asarray(system.weights, dtype=np.float64)
-    if np.any(w < 0):
-        raise NegativeWeight("residual weights must be nonnegative")
-    sw = np.sqrt(w)
-    res, jac = system.residual_fn, system.jacobian_fn
-    return ResidualSystem(
-        residual_fn=lambda theta: sw * res(theta),
-        jacobian_fn=lambda theta: sw[:, None] * jac(theta),
-        n_params=system.n_params,
-        n_residuals=system.n_residuals,
-        weights=None,
-    )
 
 
 def _next_damping(lam, accepted, opts):
@@ -173,7 +160,8 @@ def lm_batch(residuals, normal_equations, theta0, opts=None, damping0=None):
     and their SSEs, NaN where a residual is non-finite.
     ``normal_equations(theta, r, rows)`` returns, for the same problems at
     their residuals ``r``, the stacks ``J'J`` (k, P, P) and ``J'r`` (k, P)
-    and whether each Jacobian is finite.
+    and whether each Jacobian is finite.  ``r`` is only stored and indexed,
+    so it may carry more of its point for ``normal_equations`` to read.
 
     Every problem runs the schedule of :func:`levenberg_marquardt` with its
     own damping, acceptance test, stopping reason and counts; the stack only
@@ -189,27 +177,22 @@ def lm_batch(residuals, normal_equations, theta0, opts=None, damping0=None):
     theta = np.array(theta0, dtype=np.float64)
     m = theta.shape[0]
     r, sse = residuals(theta, np.arange(m))
-    out = [None] * m
-    for j in np.flatnonzero(np.isnan(sse)):
-        out[j] = NonFiniteResidual(f"residual is non-finite at theta={theta[j]!r}")
+    failed = np.where(np.isnan(sse), BAD_RESIDUAL, 0)
+    reason = np.full(m, REASONS.index(Convergence.MAX_ITER))
     lam = np.zeros(m)
     iterations = np.zeros(m, dtype=int)
     rejections = np.zeros(m, dtype=int)
-    converged_by = [Convergence.MAX_ITER] * m
-    traces = [[] for _ in range(m)]
-    active = np.flatnonzero(~np.isnan(sse))
+    active = np.flatnonzero(failed == 0)
 
     for it in range(1, opts.max_iterations + 1):
         if active.size == 0:
             break
         iterations[active] = it
         JtJ, g, finite = normal_equations(theta[active], r[active], active)
-        for j in active[~finite]:
-            out[j] = NonFiniteResidual(f"Jacobian is non-finite at theta={theta[j]!r}")
+        failed[active[~finite]] = BAD_JACOBIAN
         small = finite & (np.abs(g).max(axis=1, initial=0.0) <= opts.grad_inf_tol)
-        for j in active[small]:
-            converged_by[j] = Convergence.GRAD_TOL
-            iterations[j] = it - 1
+        reason[active[small]] = REASONS.index(Convergence.GRAD_TOL)
+        iterations[active[small]] = it - 1
         going = finite & ~small
         rows, JtJ, g = active[going], JtJ[going], g[going]
         if it == 1:
@@ -223,9 +206,7 @@ def lm_batch(residuals, normal_equations, theta0, opts=None, damping0=None):
             delta = _solve_damped(JtJ[pending], g[pending], lam[now])
             solved = np.isfinite(delta).all(axis=1)
             capped = lam[now] >= MAX_DAMPING
-            for j in now[~solved & capped]:
-                out[j] = SingularNormalEquations(
-                    f"damped normal equations unsolvable at damping {lam[j]:.3e}")
+            failed[now[~solved & capped]] = SINGULAR
             accepted = np.zeros(now.size, dtype=bool)
             tried = now[solved]
             if tried.size:
@@ -239,16 +220,12 @@ def lm_batch(residuals, normal_equations, theta0, opts=None, damping0=None):
                 theta[won] = candidate[better]
                 r[won] = r_new[better]
                 sse[won] = new
-                for j, s in zip(won, new):
-                    traces[j].append((float(s), float(lam[j])))
                 lam[won] = _next_damping(lam[won], accepted=True, opts=opts)
-                for j in won[rel_drop <= opts.sse_rel_tol]:
-                    converged_by[j] = Convergence.SSE_TOL
+                reason[won[rel_drop <= opts.sse_rel_tol]] = REASONS.index(Convergence.SSE_TOL)
                 carry_on[won[rel_drop > opts.sse_rel_tol]] = True
 
-            for j in now[solved & ~accepted & capped]:
-                # no descent direction remains at machine precision
-                converged_by[j] = Convergence.STALLED
+            # no descent direction remains at machine precision
+            reason[now[solved & ~accepted & capped]] = REASONS.index(Convergence.STALLED)
             retry = ~accepted & ~capped
             again = now[retry]
             lam[again] = _next_damping(lam[again], accepted=False, opts=opts)
@@ -256,13 +233,14 @@ def lm_batch(residuals, normal_equations, theta0, opts=None, damping0=None):
             pending = pending[retry]
         active = np.flatnonzero(carry_on)
 
+    # a failed problem left the stack at once, so its theta and damping are
+    # still those it failed at
     return [
-        out[j] if out[j] is not None else LmResult(
+        _failure(failed[j], theta[j], lam[j]) if failed[j] else LmResult(
             theta=theta[j],
             final_sse=float(sse[j]),
             iterations=int(iterations[j]),
-            converged_by=converged_by[j],
-            trace=traces[j],
+            converged_by=REASONS[reason[j]],
             rejections=int(rejections[j]),
             damping=float(lam[j]),
         )
@@ -270,32 +248,48 @@ def lm_batch(residuals, normal_equations, theta0, opts=None, damping0=None):
     ]
 
 
+def _failure(code, theta, lam):
+    """The exception of a problem that failed with ``code`` at ``theta``, ``lam``."""
+    if code == SINGULAR:
+        return SingularNormalEquations(f"damped normal equations unsolvable at damping {lam:.3e}")
+    return NonFiniteResidual(f"{'residual' if code == BAD_RESIDUAL else 'Jacobian'} "
+                             f"is non-finite at theta={theta!r}")
+
+
 def levenberg_marquardt(system, theta0, opts=None):
     """Minimize the (weighted) sum of squared residuals from ``theta0``.
 
-    The one-problem call of :func:`lm_batch`.  Returns an :class:`LmResult`
-    whose trace of accepted steps has non-increasing SSE.  Stops when the
-    gradient infinity norm falls below ``grad_inf_tol``, the relative SSE
-    decrease of an accepted step falls below ``sse_rel_tol``,
-    ``max_iterations`` is reached, or no step lowers the SSE even at
-    ``MAX_DAMPING`` (stalled).
+    The one-problem call of :func:`lm_batch`.  The system's weights are
+    folded in: residuals and Jacobian rows are scaled by ``sqrt(w_k)``, so
+    the unweighted loop minimizes ``sum w_k r_k**2`` exactly.  Returns an
+    :class:`LmResult`.  Stops when the gradient infinity norm falls below
+    ``grad_inf_tol``, the relative SSE decrease of an accepted step falls
+    below ``sse_rel_tol``, ``max_iterations`` is reached, or no step lowers
+    the SSE even at ``MAX_DAMPING`` (stalled).
 
     Raises
     ------
+    NegativeWeight
+        If a residual weight is negative.
     NonFiniteResidual
         If the residual or Jacobian is non-finite at the starting point or
         at an accepted point.
     SingularNormalEquations
         If the damped system cannot be solved even at maximum damping.
     """
-    system = apply_weights(system)
+    sw = 1.0  # sqrt of the weights; multiplying by 1.0 changes no value
+    if system.weights is not None:
+        w = np.asarray(system.weights, dtype=np.float64)
+        if np.any(w < 0):
+            raise NegativeWeight("residual weights must be nonnegative")
+        sw = np.sqrt(w)
 
     def residuals(theta, rows):
-        r = system.residual_fn(theta[0])
+        r = sw * system.residual_fn(theta[0])
         return r[None], np.array([float(r @ r) if np.all(np.isfinite(r)) else np.nan])
 
     def normal_equations(theta, r, rows):
-        J = system.jacobian_fn(theta[0])
+        J = (sw * system.jacobian_fn(theta[0]).T).T  # row k scaled by sw[k]
         if not np.all(np.isfinite(J)):
             n_params = theta.shape[1]
             return np.zeros((1, n_params, n_params)), np.zeros((1, n_params)), np.array([False])

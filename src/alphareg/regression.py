@@ -108,11 +108,13 @@ def fitted_mean(X, B):
 
 
 def _transformed_mean(X, B, alpha, H):
-    """:func:`transformed_mean` for checked inputs and a precomputed Helmert H."""
+    """:func:`transformed_mean` for checked inputs and a precomputed Helmert H,
+    and the logit map ``u = fitted_mean(X, alpha*B)`` (uniform at alpha 0)."""
     if alpha == 0.0:
-        return np.clip(X @ B, -LINPRED_CLAMP, LINPRED_CLAMP) @ H[:, 1:].T
+        eta = np.clip(X @ B, -LINPRED_CLAMP, LINPRED_CLAMP)
+        return eta @ H[:, 1:].T, np.full(eta.shape[:-1] + H.shape[1:], 1.0 / H.shape[1])
     u = _logit_map(X, alpha * B)
-    return (H.shape[1] * u - 1.0) @ H.T / alpha
+    return (H.shape[1] * u - 1.0) @ H.T / alpha, u
 
 
 def transformed_mean(X, B, alpha):
@@ -125,7 +127,7 @@ def transformed_mean(X, B, alpha):
     """
     alpha = _check_alpha(alpha)
     X, B = _check_design(X, B)
-    return _transformed_mean(X, B, alpha, helmert_submatrix(B.shape[1] + 1))
+    return _transformed_mean(X, B, alpha, helmert_submatrix(B.shape[1] + 1))[0]
 
 
 def _check_response(Y, X, B):
@@ -254,7 +256,7 @@ def hessian_exact(Y, X, alpha, B):
     X, B = _check_design(X, B)
     Y = _check_response(Y, X, B)
     H = helmert_submatrix(B.shape[1] + 1)
-    r = alpha_transform(Y, alpha) - _transformed_mean(X, B, alpha, H)
+    r = alpha_transform(Y, alpha) - _transformed_mean(X, B, alpha, H)[0]
     u, G = _jacobian_factors(X, B, alpha, H)
     v = u[:, 1:]
     J = _stacked_jacobian(H.shape[1] * G * v[:, None, :], X)
@@ -292,7 +294,7 @@ def residual_system(Y, X, alpha, weights=None):
 
     def res(theta):
         B = theta_to_coef(theta, n_cols, d)
-        return (y_a - _transformed_mean(X, B, alpha, H)).ravel()
+        return (y_a - _transformed_mean(X, B, alpha, H)[0]).ravel()
 
     def jac(theta):
         B = theta_to_coef(theta, n_cols, d)
@@ -338,7 +340,7 @@ def fit_alpha_regression(Y, X, alpha, opts=None, theta0=None, weights=None,
         raise lm
     B = theta_to_coef(lm.theta, q, D - 1)
     mu = fitted_mean(X, B)
-    r = y_a - _transformed_mean(X, B, alpha, helmert_submatrix(D))
+    r = y_a - _transformed_mean(X, B, alpha, helmert_submatrix(D))[0]
     return FitResult(coefficients=B, fitted=mu, sse=float(np.sum(r * r)), kld=kld(Y, mu),
                      alpha=float(alpha), lm=lm)
 
@@ -434,7 +436,8 @@ def _fit_batch(y_a, X, alpha, weights, theta0, opts, damping0=None):
         outs = [DegenerateWeights(f"every weight of problem {j} is zero")
                 for j in range(block.start, block.stop)]
         warm = None if damping0 is None else damping0[block][live]
-        solved = lm_batch(*_batch_system(y_a, Xs, outer, w[live], alpha, H),
+        solved = lm_batch(*_batch_system(y_a, Xs, outer if shared else _outer_rows(Xs),
+                                          w[live], alpha, H),
                           starts[block][live], opts, warm) if live.size else []
         for j, outcome in zip(live, solved):
             outs[j] = outcome
@@ -450,32 +453,30 @@ def _outer_rows(X):
 
 def _batch_system(y_a, X, outer, w, alpha, H):
     """The ``residuals`` and ``normal_equations`` of :func:`optim.lm_batch`
-    for weighted fits at one alpha; ``X`` is shared (n, q) with its
-    :func:`_outer_rows` ``outer``, or per problem (k, n, q) with ``outer``
-    ``None``."""
+    for weighted fits at one alpha; ``X`` is shared (n, q) or per problem
+    (k, n, q), and ``outer`` is its :func:`_outer_rows`, formed once per
+    stack.  The residuals (k, n, d) carry their logit map ``u`` (k, n, D)
+    stacked on the last axis, so the normal equations need not form it again."""
     n, d = y_a.shape
     D, q = d + 1, X.shape[-1]
-
-    def coefficients(theta):  # parameter rows to (k, q, d), as theta_to_coef
-        return theta.reshape(-1, d, q).transpose(0, 2, 1)
 
     def design(rows):
         return X if X.ndim == 2 else X[rows]
 
     def residuals(theta, rows):
-        r = y_a - _transformed_mean(design(rows), coefficients(theta), alpha, H)
-        finite = np.all(np.isfinite(r), axis=(1, 2))
+        B = theta.reshape(-1, d, q).transpose(0, 2, 1)  # (k, q, d), as theta_to_coef
+        mean, u = _transformed_mean(design(rows), B, alpha, H)
+        r = y_a - mean
+        # an infinite parameter can leave a clipped mean finite; it fails here
+        finite = np.all(np.isfinite(r), axis=(1, 2)) & np.all(np.isfinite(theta), axis=1)
         if not finite.all():
             r = np.where(finite[:, None, None], r, 0.0)
         sse = np.einsum("kn,kn->k", w[rows], np.einsum("knm,knm->kn", r, r))
-        return r, np.where(finite, sse, np.nan)
+        return np.concatenate([r, u], axis=-1), np.where(finite, sse, np.nan)
 
-    def normal_equations(theta, r, rows):
+    def normal_equations(theta, ru, rows):
+        r, u = ru[..., :d], ru[..., d:]  # u is finite wherever r is
         Xr = design(rows)
-        u = _logit_map(Xr, alpha * coefficients(theta))
-        finite = np.all(np.isfinite(u), axis=(1, 2))
-        if not finite.all():
-            u = np.where(finite[:, None, None], u, 0.0)
         k, wk = len(rows), w[rows]
         # With A_i = D (H[:, 1:] - H u_i 1') diag(v_i), v_i = u_i[1:], and
         # Helmert rows orthonormal and orthogonal to 1:
@@ -489,13 +490,13 @@ def _batch_system(y_a, X, outer, w, alpha, H):
         C *= v[:, None]
         C = C.reshape(k, d * d, n) * (D * D * wk)[:, None, :]
         # J'WJ[(a, j), (b, l)] = sum_i w_i (A_i'A_i)[a, b] x_ij x_il
-        XX = outer if outer is not None else _outer_rows(Xr)
+        XX = outer if outer.ndim == 2 else outer[rows]
         JtJ = (C @ XX).reshape(k, d, d, q, q).transpose(0, 1, 3, 2, 4)
         # J'Wr[(a, j)] = -sum_i w_i (A_i'r_i)[a] x_ij, since J = -A kron x
         hr = np.einsum("knm,knm->kn", u @ H.T, r)
         Ar = (H[:, 1:].T @ np.swapaxes(r, 1, 2) - hr[:, None, :]) * v * (D * wk)[:, None, :]
         g = -(Ar @ Xr)
-        return JtJ.reshape(k, d * q, d * q), g.reshape(k, d * q), finite
+        return JtJ.reshape(k, d * q, d * q), g.reshape(k, d * q), np.ones(k, dtype=bool)
 
     return residuals, normal_equations
 

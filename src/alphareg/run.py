@@ -60,6 +60,15 @@ class RunConfig:
                 raise InvalidParameters(
                     f"model {self.model!r} has no {name!r}: set neither "
                     f"{name} nor grid.{name}s")
+        # checked here, so a bad setting fails before selection and the fit
+        if self.h is not None and not 0 < self.h < np.inf:  # False for NaN too
+            raise InvalidParameters(f"bandwidth h must be finite and > 0, got {self.h!r}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise InvalidParameters(f"seed must be an integer >= 0, got {self.seed!r}")
+        replicates = self.bootstrap_replicates
+        if not isinstance(replicates, (int, np.integer)) or replicates < 0 or replicates == 1:
+            raise InvalidParameters(
+                f"bootstrap_replicates must be 0 (none) or an integer >= 2, got {replicates!r}")
 
 
 def _correlations(Y, fitted):

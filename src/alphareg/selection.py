@@ -76,8 +76,8 @@ class CvGrid:
                 raise InvalidParameters("neighbor grid must hold integers >= 1")
         if self.hs is not None:
             self.hs = tuple(sorted(float(h) for h in self.hs))
-            if not self.hs or any(h <= 0 for h in self.hs):
-                raise InvalidParameters("bandwidth grid must be strictly positive")
+            if not self.hs or any(not 0 < h < np.inf for h in self.hs):
+                raise InvalidParameters("bandwidth grid must be finite and strictly positive")
 
 
 @dataclass

@@ -431,6 +431,54 @@ class TestExitCodes:
         assert main(["fit", "--data", str(data), *DATA_ARGS, "--alpha", "0.5"]) == 2
         assert f"row 3, column '{column}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, options", [
+        ("fit", ["--bootstrap-replicates", "5", "--seed", "-1"]),
+        ("margins", ["--bootstrap-replicates", "5", "--seed", "-1"]),
+        ("fit", ["--max-iterations", "0"]),
+        ("fit", ["--sse-rel-tol", "-1"]),
+        ("fit", ["--sse-rel-tol", "nan"]),
+        ("fit", ["--sse-rel-tol", "inf"]),
+        ("cv", ["--grad-inf-tol", "nan"]),
+        ("fit", ["--model", "gwar", "--h", "inf"]),
+        ("fit", ["--model", "gwar", "--h", "nan"]),
+    ], ids=["fit-seed", "margins-seed", "max-iterations", "sse-rel-tol-negative",
+            "sse-rel-tol-nan", "sse-rel-tol-inf", "cv-grad-inf-tol-nan", "h-inf", "h-nan"])
+    def test_bad_setting_fails_before_any_work(self, command, options, dataset,
+                                               tmp_path, monkeypatch, capsys):
+        # these used to run the search and the fit, then end in a traceback
+        # or an invalid document
+        def no_work(spec):
+            raise AssertionError("the data were read")
+
+        monkeypatch.setattr("alphareg.cli.load_dataset", no_work)
+        out = tmp_path / "out.json"
+        assert main([command, "--data", str(dataset), *DATA_ARGS, *GEO_ARGS,
+                     "--alpha", "0.5", *options, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("data error: ")
+        assert not out.exists()
+
+    def test_negative_generator_seed_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "ds"
+        assert main(["generate", "--n", "20", "--components", "3", "--covariates",
+                     "1", "--seed", "-1", "--out-dir", str(out)]) == 2
+        assert "seed must be an integer >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_solver_settings_in_model_document_is_data_error(self, dataset,
+                                                                 tmp_path, capsys):
+        doc_path = tmp_path / "doc.json"
+        assert main(["fit", "--data", str(dataset), *DATA_ARGS, *GEO_ARGS,
+                     "--model", "gwar", "--alpha", "0.5", "--h", "0.05",
+                     "--out", str(doc_path)]) == 0
+        doc = json.loads(doc_path.read_text())
+        doc["config"]["solver"]["max_iterations"] = 0
+        doc_path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        code = main(["predict", "--model-doc", str(doc_path), "--data", str(dataset)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(doc_path) in err and "max_iterations" in err
+
     def test_generator_noise_outside_the_image_is_numerical_error(self, tmp_path):
         # at alpha < 0 a component pushed to zero has no inverse
         out = tmp_path / "ds"

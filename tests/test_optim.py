@@ -6,12 +6,12 @@ import pytest
 
 from alphareg import (
     Convergence,
+    InvalidParameters,
     LmOptions,
     NegativeWeight,
     NonFiniteResidual,
     ResidualSystem,
     SingularNormalEquations,
-    apply_weights,
     levenberg_marquardt,
 )
 from alphareg import optim
@@ -59,9 +59,14 @@ class TestSolver:
         assert abs(result.final_sse - direct) < 1e-12
 
     def test_trace_sse_non_increasing(self):
-        result = levenberg_marquardt(rosenbrock_system(), np.array([-1.2, 1.0]))
-        sses = [s for s, _ in result.trace]
+        # a solve cut at i iterations is the full solve's first i steps
+        start = np.array([-1.2, 1.0])
+        full = levenberg_marquardt(rosenbrock_system(), start)
+        sses = [levenberg_marquardt(rosenbrock_system(), start,
+                                    LmOptions(max_iterations=i)).final_sse
+                for i in range(1, full.iterations + 1)]
         assert all(b <= a for a, b in zip(sses, sses[1:]))
+        assert sses[-1] == full.final_sse
 
     def test_converges_by_reported(self, rng):
         A = rng.normal(size=(8, 2))
@@ -90,7 +95,7 @@ class TestSolver:
         assert result.converged_by is Convergence.STALLED
         assert result.theta[0] == 0.0
         assert result.final_sse == 1.0
-        assert result.rejections > 0 and result.trace == []
+        assert result.rejections > 0 and result.iterations == 1
 
     def test_non_finite_residual_at_start(self):
         bad = ResidualSystem(
@@ -143,8 +148,8 @@ class TestBatch:
                 continue
             want = levenberg_marquardt(system, start)
             np.testing.assert_array_equal(got.theta, want.theta)
-            assert (got.iterations, got.rejections, got.converged_by, got.trace) == \
-                (want.iterations, want.rejections, want.converged_by, want.trace)
+            assert (got.iterations, got.rejections, got.converged_by, got.damping) == \
+                (want.iterations, want.rejections, want.converged_by, want.damping)
             assert got.final_sse == want.final_sse
             reasons.add(got.converged_by)
         assert Convergence.STALLED in reasons and outcomes[0].rejections > 0
@@ -168,10 +173,9 @@ class TestWeights:
     def test_unit_weights_change_nothing(self, rng):
         A = rng.normal(size=(6, 2))
         b = rng.normal(size=6)
-        sys_w = apply_weights(linear_system(A, b, weights=np.ones(6)))
-        theta = rng.normal(size=2)
-        np.testing.assert_allclose(sys_w.residual_fn(theta), A @ theta - b)
-        np.testing.assert_allclose(sys_w.jacobian_fn(theta), A)
+        same_outcome(levenberg_marquardt(linear_system(A, b, weights=np.ones(6)),
+                                         np.zeros(2)),
+                     levenberg_marquardt(linear_system(A, b), np.zeros(2)))
 
     def test_zero_weight_removes_influence(self, rng):
         A = rng.normal(size=(7, 2))
@@ -196,7 +200,8 @@ class TestWeights:
     def test_negative_weight_rejected(self):
         A = np.eye(2)
         with pytest.raises(NegativeWeight):
-            apply_weights(linear_system(A, np.ones(2), weights=np.array([1.0, -1.0])))
+            levenberg_marquardt(
+                linear_system(A, np.ones(2), weights=np.array([1.0, -1.0])), np.zeros(2))
 
 
 class TestDamping:
@@ -209,17 +214,31 @@ class TestDamping:
         assert optim._next_damping(1.0, accepted=True, opts=opts) < 1.0
 
     def test_options_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameters):
             LmOptions(max_iterations=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidParameters):
             LmOptions(damping_decrease=1.5)
+
+    @pytest.mark.parametrize("field, value", [
+        ("max_iterations", -1), ("max_iterations", 2.5),
+        ("sse_rel_tol", -1.0), ("sse_rel_tol", np.nan), ("sse_rel_tol", np.inf),
+        ("grad_inf_tol", 0.0), ("grad_inf_tol", np.nan), ("grad_inf_tol", np.inf),
+        ("initial_damping_scale", np.nan), ("initial_damping_scale", np.inf),
+        ("damping_increase", 1.0), ("damping_increase", np.nan),
+        ("damping_increase", np.inf),
+        ("damping_decrease", 0.0), ("damping_decrease", np.nan),
+    ])
+    def test_out_of_range_or_non_finite_option_rejected(self, field, value):
+        # an infinite sse_rel_tol used to stop every solve after its first step
+        with pytest.raises(InvalidParameters, match=field.split("_")[0]):
+            LmOptions(**{field: value})
 
 
 def same_outcome(got, want):
     np.testing.assert_array_equal(got.theta, want.theta)
-    assert (got.iterations, got.rejections, got.converged_by, got.trace,
+    assert (got.iterations, got.rejections, got.converged_by,
             got.final_sse, got.damping) == \
-        (want.iterations, want.rejections, want.converged_by, want.trace,
+        (want.iterations, want.rejections, want.converged_by,
          want.final_sse, want.damping)
 
 
@@ -240,18 +259,32 @@ class TestWarmDamping:
             same_outcome(got, want)
         A = systems[1].jacobian_fn(theta0[1])
         lam0 = LmOptions().initial_damping_scale * np.max(np.diag(A.T @ A))
-        assert cold[1].trace[0][1] == lam0  # the first step, accepted at lam0
+        # the first step of the linear problem is accepted at lam0
+        first, = optim.lm_batch(*stacked(systems[1:]), theta0[1:],
+                                LmOptions(max_iterations=1))
+        assert first.rejections == 0
+        assert first.damping == lam0 * LmOptions().damping_decrease
 
     def test_small_inherited_damping_starts_the_first_step(self, rng):
         systems, theta0 = self.problems(rng)
         got = optim.lm_batch(*stacked(systems), theta0, damping0=np.full(2, 1e-9))
-        assert got[1].trace[0][1] == 1e-9
         np.testing.assert_allclose(got[0].theta, [1.0, 1.0], atol=1e-6)
+        first, = optim.lm_batch(*stacked(systems[1:]), theta0[1:],
+                                LmOptions(max_iterations=1), damping0=np.full(1, 1e-9))
+        assert first.rejections == 0
+        assert first.damping == 1e-9 * LmOptions().damping_decrease
 
     def test_final_damping_is_the_next_steps(self, rng):
         systems, theta0 = self.problems(rng)
-        for got in optim.lm_batch(*stacked(systems), theta0):
-            assert got.damping == got.trace[-1][1] * LmOptions().damping_decrease
+        opts = LmOptions()
+        for system, start, got in zip(systems, theta0, optim.lm_batch(*stacked(systems),
+                                                                      theta0)):
+            # one accepted step per iteration, and the rejections between them
+            J = system.jacobian_fn(start)
+            lam0 = opts.initial_damping_scale * np.max(np.diag(J.T @ J))
+            expected = (lam0 * opts.damping_decrease ** got.iterations
+                        * opts.damping_increase ** got.rejections)
+            np.testing.assert_allclose(got.damping, expected, rtol=1e-14)
 
     def test_warm_rule_takes_the_smaller_positive_damping(self):
         JtJ = np.stack([np.diag([4.0, 2.0])] * 5)

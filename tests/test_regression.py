@@ -362,9 +362,9 @@ class TestFitAlphaBatch:
         Y, X, Xs, W, theta = batch_problems(rng)
         design = Xs if per_problem else X
         D = Y.shape[1]
-        outer = None if per_problem else regression._outer_rows(X)
         residuals, normal_equations = regression._batch_system(
-            alpha_transform(Y, alpha), design, outer, W, alpha, helmert_submatrix(D))
+            alpha_transform(Y, alpha), design, regression._outer_rows(design), W, alpha,
+            helmert_submatrix(D))
         rows = np.arange(len(W))
         r, sse_ = residuals(theta, rows)
         JtJ, g, finite = normal_equations(theta, r, rows)
@@ -395,6 +395,27 @@ class TestFitAlphaBatch:
             got = outcomes[j]
             assert (got.iterations, got.converged_by) == (want.iterations, want.converged_by)
             np.testing.assert_allclose(got.theta, want.theta, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5])
+    def test_infinite_start_is_a_non_finite_residual(self, alpha, rng):
+        # the clamp keeps the mean finite at an infinite coefficient, so the
+        # start is checked itself: at alpha 0.5 it used to return a fit at inf
+        Y, X, _ = random_instance(rng, n=20, D=3, p=1)
+        theta0 = np.array([np.inf, 0.0, 0.0, 0.0])
+        with pytest.raises(NonFiniteResidual, match="residual is non-finite"):
+            fit_alpha_regression(Y, X, alpha, theta0=theta0)
+
+    def test_residuals_carry_the_logit_map(self, rng):
+        # normal_equations reads u from the residuals instead of forming it
+        Y, X, Xs, W, theta = batch_problems(rng)
+        H = helmert_submatrix(Y.shape[1])
+        for alpha in (0.5, 0.0):
+            residuals, _ = regression._batch_system(
+                alpha_transform(Y, alpha), X, regression._outer_rows(X), W, alpha, H)
+            ru, _ = residuals(theta, np.arange(len(W)))
+            B = theta.reshape(len(W), -1, X.shape[1]).transpose(0, 2, 1)
+            np.testing.assert_array_equal(ru[..., Y.shape[1] - 1:],
+                                          regression._logit_map(X, alpha * B))
 
     def test_chunks_do_not_change_results(self, rng, monkeypatch):
         Y, X, Xs, W, _ = batch_problems(rng, n=20, D=3, p=1, m=9)

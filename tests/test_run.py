@@ -153,6 +153,26 @@ class TestRunFit:
         with pytest.raises(InvalidParameters, match="thread count"):
             run_fit(config, sim["Y"], sim["X"])
 
+    @pytest.mark.parametrize("settings, name", [
+        ({"seed": -1, "bootstrap_replicates": 5}, "seed"),
+        ({"seed": -1}, "seed"),
+        ({"seed": 1.5}, "seed"),
+        ({"bootstrap_replicates": -2}, "bootstrap_replicates"),
+        ({"bootstrap_replicates": 1}, "bootstrap_replicates"),
+        ({"bootstrap_replicates": 2.5}, "bootstrap_replicates"),
+        ({"model": "gwar", "h": np.inf}, "bandwidth"),
+        ({"model": "gwar", "h": np.nan}, "bandwidth"),
+        ({"model": "gwar", "hs": (0.1, np.inf)}, "bandwidth"),
+        ({"model": "gwar", "hs": (np.nan,)}, "bandwidth"),
+    ], ids=["seed-with-bootstrap", "seed", "seed-fraction", "replicates-negative",
+            "replicates-one", "replicates-fraction", "h-inf", "h-nan", "hs-inf", "hs-nan"])
+    def test_bad_setting_rejected_by_the_config(self, settings, name):
+        # so it fails before any work: a negative seed used to pass until the
+        # bootstrap's first draw, after selection and the final fit
+        settings = dict(settings)
+        with pytest.raises(InvalidParameters, match=name):
+            RunConfig(grid=CvGrid(hs=settings.pop("hs", None)), **settings)
+
     def test_slx_default_neighbor_grid(self):
         sim = synthesize(n=16, D=3, p=1, alpha=0.5, noise_scale=0.1,
                          spatial_mode="slx", seed=10)
