@@ -77,7 +77,6 @@ from .spatial import (
     pairwise_chordal_sq,
     predict_gwar,
     row_weights,
-    spatial_lag,
     to_cartesian,
 )
 from .inference import (

@@ -31,8 +31,7 @@ from .optim import LmOptions
 from .regression import fitted_mean, kld
 from .run import MODELS, RunConfig, run_cv, run_fit
 from .selection import CvGrid
-from .spatial import (GwarFit, local_fitted_mean, neighbor_lag, neighbor_table,
-                      predict_gwar, row_weights)
+from .spatial import GwarFit, local_fitted_mean, neighbor_lag, neighbor_table, predict_gwar
 
 
 class _Parser(argparse.ArgumentParser):
@@ -326,12 +325,12 @@ def _train_data(dataset):
 
 
 def _predict_slx(params, dataset, X_new, coords_new):
-    """Lag each new row by its k nearest training locations, as fit-time W does."""
+    """Lag each new row by its k nearest training locations, as the fit does."""
     if coords_new is None:
         raise InvalidParameters("prediction for this model needs coordinates")
     _, X_train, coords_train = _train_data(dataset)
-    idx, d2 = neighbor_table(coords_train, params["k"], query=coords_new)
-    lags = neighbor_lag(idx, row_weights(d2), X_train)
+    lags = neighbor_lag(*neighbor_table(coords_train, params["k"], query=coords_new),
+                        X_train)
     return fitted_mean(np.hstack([X_new, lags]), params["coefficients"])
 
 

@@ -36,7 +36,7 @@ from .exceptions import (
 from .regression import fitted_mean
 from .simplex import (ROW_SUM_TOL, alpha_transform, alpha_transform_inverse, closure,
                       helmert_submatrix)
-from .spatial import GeoCoordinates, contiguity_matrix, spatial_lag
+from .spatial import GeoCoordinates, neighbor_lag, neighbor_table
 
 log = logging.getLogger(__name__)
 
@@ -168,8 +168,8 @@ def synthesize(n, D, p, alpha, noise_scale=0.0, spatial_mode="none", seed=0,
         raise InvalidParameters("need n >= 10, D >= 2, p >= 1")
     if spatial_mode not in SPATIAL_MODES:
         raise InvalidParameters(f"spatial_mode must be one of {SPATIAL_MODES}")
-    if noise_scale < 0:
-        raise InvalidParameters("noise_scale must be >= 0")
+    if not 0 <= noise_scale < np.inf:  # False for NaN too
+        raise InvalidParameters(f"noise_scale must be finite and >= 0, got {noise_scale!r}")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise InvalidParameters(f"seed must be an integer >= 0, got {seed!r}")
     rng = np.random.default_rng(seed)
@@ -187,10 +187,10 @@ def synthesize(n, D, p, alpha, noise_scale=0.0, spatial_mode="none", seed=0,
         mu = fitted_mean(X, B)
     elif spatial_mode == "slx":
         coords = _random_coords(rng, n)
-        W = contiguity_matrix(coords, min(slx_k, n - 1))
+        lag = neighbor_lag(*neighbor_table(coords, min(slx_k, n - 1)), X)
         gamma_rows = rng.uniform(-0.5, 0.5, size=(p, d))
         gamma = np.vstack([np.zeros((1, d)), gamma_rows])
-        mu = fitted_mean(np.hstack([X, spatial_lag(W, X)]), np.vstack([B, gamma_rows]))
+        mu = fitted_mean(np.hstack([X, lag]), np.vstack([B, gamma_rows]))
     else:  # two_cluster: one covariate's coefficient flips sign across clusters
         coords, clusters = _cluster_coords(rng, n)
         B_flip = B.copy()

@@ -29,7 +29,7 @@ from .inference import (
 from .optim import LmOptions
 from .regression import fit_alpha_regression
 from .selection import CvGrid, select
-from .spatial import contiguity_matrix, fit_alpha_slx, fit_gwar
+from .spatial import fit_alpha_slx, fit_gwar, neighbor_lag, neighbor_table
 
 log = logging.getLogger(__name__)
 
@@ -61,6 +61,9 @@ class RunConfig:
                     f"model {self.model!r} has no {name!r}: set neither "
                     f"{name} nor grid.{name}s")
         # checked here, so a bad setting fails before selection and the fit
+        if self.k is not None and (not isinstance(self.k, (int, np.integer)) or self.k < 1):
+            raise InvalidParameters(
+                f"neighbor count k must be an integer >= 1, got {self.k!r}")
         if self.h is not None and not 0 < self.h < np.inf:  # False for NaN too
             raise InvalidParameters(f"bandwidth h must be finite and > 0, got {self.h!r}")
         if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
@@ -143,8 +146,8 @@ def run_fit(config, Y, X, coords=None, covariate_names=None):
         se, diagnostics = _standard_errors(config, Y, X, alpha, fit, threads)
     elif config.model == "slx":
         alpha, k = values
-        W = contiguity_matrix(coords, int(k))
-        fit = fit_alpha_slx(Y, X, W, alpha, opts=config.solver)
+        lag = neighbor_lag(*neighbor_table(coords, int(k)), X)
+        fit = fit_alpha_slx(Y, X, lag, alpha, opts=config.solver)
         hyper = {"alpha": float(alpha), "k": int(k)}
         doc_fit = {
             "beta": fit.beta.tolist(),
@@ -161,8 +164,8 @@ def run_fit(config, Y, X, coords=None, covariate_names=None):
                 lambda kk: getattr(effects[kk], part).mean(axis=0), p)
             for part in ("direct", "indirect", "total")
         }
-        X_aug = np.hstack([X, W @ X[:, 1:]])
-        se, diagnostics = _standard_errors(config, Y, X_aug, alpha, fit, threads)
+        se, diagnostics = _standard_errors(config, Y, np.hstack([X, lag]), alpha,
+                                           fit, threads)
     else:  # gwar
         alpha, h = values
         fit = fit_gwar(Y, X, coords, alpha, h, opts=config.solver)

@@ -49,7 +49,6 @@ from .spatial import (
     neighbor_lag,
     neighbor_table,
     pairwise_chordal_sq,
-    row_weights,
 )
 
 DEFAULT_ALPHAS = (0.1, 0.25, 0.5, 0.75, 1.0)
@@ -261,16 +260,16 @@ def loocv_slx(Y, X, coords, grid=None, opts=None):
             raise InvalidK(f"k={max(grid.ks)} exceeds n-1={n - 1} neighbors")
         idx, d2 = neighbor_table(coords, min(max(grid.ks) + 1, n - 1))
         # full-data lags: the warm starts' design, and held-out row i's lag
-        lag = {k: neighbor_lag(idx[:, :k], row_weights(d2[:, :k]), X) for k in grid.ks}
+        lag = {k: neighbor_lag(idx[:, :k], d2[:, :k], X) for k in grid.ks}
 
         def fold_designs(rows, k):
             shape = (len(rows), n, k + 1)
             keep = idx[:, : k + 1] != rows[:, None, None]
             keep[:, :, k] = ~keep[:, :, :k].all(axis=2)  # entry k only replaces a dropped i
             nb = np.broadcast_to(idx[:, : k + 1], shape)[keep].reshape(shape[:2] + (k,))
-            w = row_weights(np.broadcast_to(d2[:, : k + 1], shape)[keep].reshape(nb.shape))
+            nb_d2 = np.broadcast_to(d2[:, : k + 1], shape)[keep].reshape(nb.shape)
             return np.concatenate([np.broadcast_to(X, shape[:2] + X.shape[1:]),
-                                   neighbor_lag(nb, w, X)], axis=2)
+                                   neighbor_lag(nb, nb_d2, X)], axis=2)
 
         def folds(k):
             return _unit_fold_weights(n), RowBlocks(n, lambda rows: fold_designs(rows, k))

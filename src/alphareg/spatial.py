@@ -9,8 +9,10 @@ Subtracting raw degrees would misjudge pairs that straddle the +-180
 longitude seam; the chordal route does not.
 
 Neighbors come from one table per dataset (:func:`neighbor_table`, ties to
-the lower index); the dense :func:`contiguity_matrix`, leave-one-out folds
-and out-of-sample lags are all read off it with :func:`row_weights`.
+the lower index).  Every spatial lag, of the full data, of a leave-one-out
+fold or of a new location, is read off it by :func:`neighbor_lag`;
+:func:`contiguity_matrix` is the same weights as a dense matrix, kept as
+the reference the table is checked against.
 
 Two models build on the plain compositional regression:
 
@@ -18,7 +20,7 @@ Two models build on the plain compositional regression:
   covariates as extra regressors (coefficients split into local ``beta``
   and spillover ``gamma``), and
 * the locally weighted model refits at every location with Gaussian kernel
-  weights ``w_ij = exp((c_i'c_j - 1) / h^2)``, giving location-specific
+  weights ``w_ij = exp(-d2_ij / (2 h^2))``, giving location-specific
   coefficient matrices.  :func:`fit_gwar` and :func:`predict_gwar` solve
   their locations as one set of weighted fits
   (``regression.fit_alpha_batch``), with kernel weights built a chunk of
@@ -122,8 +124,13 @@ def neighbor_table(coords, m, query=None):
     chordal distances.  Ties keep the lower index, so ``idx[:, :k]`` is the
     k-nearest set, and dropping a location from a row leaves the nearest
     sets of the remaining data.  With ``query``, rows are the query
-    locations' nearest among ``coords``, a coincident one included.
+    locations' nearest among ``coords``, a coincident one included.  Raises
+    :class:`InvalidK` unless ``1 <= m <= n-1`` for the n locations in
+    ``coords`` (``m <= n`` with ``query``).
     """
+    top = coords.n - (query is None)
+    if not 1 <= m <= top:
+        raise InvalidK(f"k must satisfy 1 <= k <= {top} for {coords.n} locations, got {m}")
     if query is None:
         d2 = pairwise_chordal_sq(coords.cart)
         np.fill_diagonal(d2, np.inf)
@@ -139,25 +146,26 @@ def row_weights(d2):
     return w / w.sum(axis=-1, keepdims=True)
 
 
-def neighbor_lag(idx, w, X):
-    """Spatial lags from a neighbor table: ``sum_t w[i, t] X[idx[i, t], 1:]``
-    (tables may carry leading axes, e.g. one per leave-one-out fold)."""
-    return np.einsum("...t,...tp->...p", w, X[idx, 1:])
+def neighbor_lag(idx, d2, X):
+    """Neighborhood averages of the covariates from a neighbor table:
+    ``sum_t w[i, t] X[idx[i, t], 1:]`` with ``w = row_weights(d2)`` (the
+    intercept is never lagged).  Tables may carry leading axes, e.g. one per
+    leave-one-out fold."""
+    return np.einsum("...t,...tp->...p", row_weights(d2), X[idx, 1:])
 
 
 def contiguity_matrix(coords, k):
-    """Row-standardized k-nearest-neighbor inverse squared-distance weights.
+    """Row-standardized k-nearest-neighbor inverse squared-distance weights,
+    as a dense n x n matrix ``W`` with ``W @ X[:, 1:]`` the spatial lag.
 
     Each row keeps its k nearest non-self neighbors at weight ``1/d2``
     (capped at 1e12 for coincident locations) and zeros elsewhere, then is
     divided by its sum.  Distance ties at the k-th position keep the
     lower-index observation (the first k columns of :func:`neighbor_table`).
+    The models lag through :func:`neighbor_lag`; this is the dense reference.
     """
-    n = coords.n
-    if not 1 <= k <= n - 1:
-        raise InvalidK(f"k must satisfy 1 <= k <= n-1 = {n - 1}, got {k}")
     idx, d2 = neighbor_table(coords, k)
-    W = np.zeros((n, n))
+    W = np.zeros((coords.n, coords.n))
     np.put_along_axis(W, idx, row_weights(d2), axis=1)
     return W
 
@@ -170,38 +178,22 @@ def gaussian_kernel_weights(coords, focal, h):
     return w
 
 
-def _dot_gap(dots):
-    """Clamp c'c - 1 into [-2, 0], snapping sub-resolution gaps to 0."""
-    gap = np.minimum(dots - 1.0, 0.0)
-    return np.where(gap > -0.5 * ROUNDING_DIST_SQ, 0.0, gap)
-
-
 def kernel_weights_at(coords, cart_point, h):
-    """Gaussian kernel weights of training locations relative to any point,
-    or one row per point for a (k, 3) block of points.
+    """Gaussian kernel weights ``exp(-d2 / (2 h^2))`` of training locations
+    relative to any point, or one row per point for a (k, 3) block of points.
 
-    Uses the simplification ``exp(-d2/(2 h^2)) = exp((c_i'c_j - 1)/h^2)``.
-    ``h^2`` is floored at the smallest normal double, so it never underflows
-    to 0 (as it would below h ~ 1.5e-162): a gap of 0 (coincident points)
-    keeps weight 1 at any ``h``, and a nonzero gap over so small an ``h^2``
-    overflows to -inf, so weight 0.
+    ``d2`` is :func:`pairwise_chordal_sq`, so sub-resolution distances are
+    exactly 0.  ``h^2`` is floored at the smallest normal double, so it never
+    underflows to 0 (as it would below h ~ 1.5e-162): a distance of 0
+    (coincident points) keeps weight 1 at any ``h``, and a nonzero one over
+    so small an ``h^2`` overflows to inf, so weight 0.
     """
     if h <= 0:
         raise NonpositiveBandwidth(f"bandwidth must be > 0, got {h}")
-    dots = (coords.cart @ np.asarray(cart_point, dtype=np.float64).T).T
+    points = np.asarray(cart_point, dtype=np.float64)
     with np.errstate(over="ignore"):
-        return np.exp(_dot_gap(dots) / max(h * h, np.finfo(float).tiny))
-
-
-def spatial_lag(W, X):
-    """Neighborhood averages of the covariates (the intercept is never lagged)."""
-    W = np.asarray(W, dtype=np.float64)
-    X = np.asarray(X, dtype=np.float64)
-    if W.shape[0] != W.shape[1] or W.shape[0] != X.shape[0]:
-        raise DimensionMismatch(
-            f"weight matrix {W.shape} does not conform with design {X.shape}"
-        )
-    return W @ X[:, 1:]
+        return np.exp(-pairwise_chordal_sq(coords.cart, points).T
+                      / (2.0 * max(h * h, np.finfo(float).tiny)))
 
 
 @dataclass
@@ -211,7 +203,7 @@ class SlxFit:
     ``beta`` holds intercept and local covariate coefficients; ``gamma`` has
     the same shape with a structurally zero intercept row, so both slot into
     the marginal-effects formulas unchanged.  ``coefficients`` is the full
-    matrix on the augmented design ``[X | WX]``.
+    matrix on the augmented design ``[X | lag]``.
     """
 
     beta: np.ndarray
@@ -225,16 +217,21 @@ class SlxFit:
     covariance: Optional[np.ndarray] = None
 
 
-def fit_alpha_slx(Y, X, W, alpha, opts=None, theta0=None):
+def fit_alpha_slx(Y, X, lag, alpha, opts=None, theta0=None):
     """Fit the lagged-covariate model: linear predictors ``x'b + (Wx)'g``.
 
-    Reduces by construction to the plain regression on the augmented design
-    ``[X | WX]``; the coefficient matrix is split back into local and
+    ``lag`` holds the rows ``(Wx)'``, an n x p array such as
+    ``neighbor_lag(*neighbor_table(coords, k), X)``.  Reduces by
+    construction to the plain regression on the augmented design
+    ``[X | lag]``; the coefficient matrix is split back into local and
     spillover parts.
     """
     X = np.asarray(X, dtype=np.float64)
+    lag = np.asarray(lag, dtype=np.float64)
     p = X.shape[1] - 1
-    X_aug = np.hstack([X, spatial_lag(W, X)])
+    if lag.shape != (X.shape[0], p):
+        raise DimensionMismatch(f"lag {lag.shape} does not conform with design {X.shape}")
+    X_aug = np.hstack([X, lag])
     fit = fit_alpha_regression(Y, X_aug, alpha, opts=opts, theta0=theta0)
     C = fit.coefficients
     d = C.shape[1]

@@ -31,6 +31,8 @@ from alphareg import (
     loocv_gwar,
     marginal_effects,
     median_heuristic_bandwidth,
+    neighbor_lag,
+    neighbor_table,
     sandwich_covariance,
     slx_effects,
     to_cartesian,
@@ -127,8 +129,8 @@ def test_criterion_4_marginal_effect_validity():
     # lagged-covariate decomposition
     sim = synthesize(n=60, D=3, p=2, alpha=0.5, noise_scale=0.05,
                      spatial_mode="slx", seed=44)
-    W = contiguity_matrix(sim["coords"], 4)
-    slx = fit_alpha_slx(sim["Y"], sim["X"], W, 0.5)
+    lag = neighbor_lag(*neighbor_table(sim["coords"], 4), sim["X"])
+    slx = fit_alpha_slx(sim["Y"], sim["X"], lag, 0.5)
     for k in (1, 2):
         eff = slx_effects(slx, k)
         np.testing.assert_allclose(eff.total, eff.direct + eff.indirect,

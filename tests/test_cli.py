@@ -464,6 +464,43 @@ class TestExitCodes:
         assert "seed must be an integer >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("noise_scale", ["nan", "inf"])
+    def test_non_finite_noise_scale_is_data_error(self, noise_scale, tmp_path, capsys):
+        # NaN used to pass and write a data.csv of NaN compositions
+        out = tmp_path / "ds"
+        assert main(["generate", "--n", "30", "--components", "3", "--covariates", "2",
+                     "--noise-scale", noise_scale, "--out-dir", str(out)]) == 2
+        assert "noise_scale must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_zero_generator_neighbor_count_is_data_error(self, tmp_path, capsys):
+        out = tmp_path / "ds"
+        assert main(["generate", "--n", "30", "--components", "3", "--covariates", "2",
+                     "--spatial-mode", "slx", "--slx-k", "0", "--out-dir", str(out)]) == 2
+        assert "k must satisfy 1 <= k <= 29" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_neighbor_count_fails_before_the_data_are_read(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        assert main(["fit", "--data", str(missing), *DATA_ARGS, *GEO_ARGS,
+                     "--model", "slx", "--alpha", "0.5", "--k", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "neighbor count k must be an integer >= 1" in err
+        assert str(missing) not in err
+
+    def test_neighbor_count_of_n_is_data_error(self, tmp_path, capsys):
+        # 30 locations have 29 others each
+        assert main(["generate", "--n", "30", "--components", "3", "--covariates", "2",
+                     "--noise-scale", "0.05", "--spatial-mode", "slx",
+                     "--out-dir", str(tmp_path / "ds")]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out.json"
+        assert main(["fit", "--data", str(tmp_path / "ds" / "data.csv"), *DATA_ARGS,
+                     *GEO_ARGS, "--model", "slx", "--alpha", "0.5", "--k", "30",
+                     "--out", str(out)]) == 2
+        assert "k must satisfy 1 <= k <= 29" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_solver_settings_in_model_document_is_data_error(self, dataset,
                                                                  tmp_path, capsys):
         doc_path = tmp_path / "doc.json"

@@ -154,6 +154,12 @@ class TestSynthesize:
         with pytest.raises(InvalidParameters):
             synthesize(n=20, D=3, p=1, alpha=0.5, spatial_mode="bogus")
 
+    @pytest.mark.parametrize("noise_scale", [np.nan, np.inf])
+    def test_non_finite_noise_scale_rejected(self, noise_scale):
+        # NaN passed a `< 0` check and gave compositions of NaN
+        with pytest.raises(InvalidParameters, match="noise_scale"):
+            synthesize(n=20, D=3, p=1, alpha=0.5, noise_scale=noise_scale)
+
 
 class TestGenerateFiles:
     def test_round_trip_exact(self, tmp_path):

@@ -17,13 +17,14 @@ from alphareg import (
     average_marginal_effects,
     bootstrap_ame_standard_errors,
     bootstrap_covariance,
-    contiguity_matrix,
     fit_alpha_regression,
     fit_alpha_slx,
     fit_gwar,
     fitted_mean,
     gwar_marginal_effects,
     marginal_effects,
+    neighbor_lag,
+    neighbor_table,
     sandwich_covariance,
     slx_effects,
 )
@@ -101,8 +102,8 @@ class TestSlxEffects:
     def slx_fit(self, rng):
         sim = synthesize(n=60, D=3, p=2, alpha=0.5, noise_scale=0.05,
                          spatial_mode="slx", seed=12)
-        W = contiguity_matrix(sim["coords"], 4)
-        return fit_alpha_slx(sim["Y"], sim["X"], W, 0.5)
+        lag = neighbor_lag(*neighbor_table(sim["coords"], 4), sim["X"])
+        return fit_alpha_slx(sim["Y"], sim["X"], lag, 0.5)
 
     def test_zero_gamma_collapses(self, slx_fit):
         import dataclasses

@@ -14,8 +14,9 @@ from alphareg import (
     MissingColumn,
     RunConfig,
     bootstrap_covariance,
-    contiguity_matrix,
     default_k_grid,
+    neighbor_lag,
+    neighbor_table,
     run_cv,
     run_fit,
 )
@@ -164,8 +165,11 @@ class TestRunFit:
         ({"model": "gwar", "h": np.nan}, "bandwidth"),
         ({"model": "gwar", "hs": (0.1, np.inf)}, "bandwidth"),
         ({"model": "gwar", "hs": (np.nan,)}, "bandwidth"),
+        ({"model": "slx", "k": 0}, "neighbor count"),
+        ({"model": "slx", "k": 2.5}, "neighbor count"),
     ], ids=["seed-with-bootstrap", "seed", "seed-fraction", "replicates-negative",
-            "replicates-one", "replicates-fraction", "h-inf", "h-nan", "hs-inf", "hs-nan"])
+            "replicates-one", "replicates-fraction", "h-inf", "h-nan", "hs-inf", "hs-nan",
+            "k-zero", "k-fraction"])
     def test_bad_setting_rejected_by_the_config(self, settings, name):
         # so it fails before any work: a negative seed used to pass until the
         # bootstrap's first draw, after selection and the final fit
@@ -232,7 +236,7 @@ class TestBootstrapRun:
                          spatial_mode="slx", seed=13)
         X = sim["X"]
         if model == "slx":
-            X = np.hstack([X, contiguity_matrix(sim["coords"], 3) @ X[:, 1:]])
+            X = np.hstack([X, neighbor_lag(*neighbor_table(sim["coords"], 3), X)])
         config = RunConfig(model=model, alpha=0.5, bootstrap_replicates=6, seed=4,
                            **slx_k(model))
         doc, _ = run_fit(config, sim["Y"], sim["X"], sim["coords"])

@@ -261,7 +261,7 @@ def rebuilt_fold_scores(Y, X, coords, alphas, ks):
     warm = None
     for ai, a in enumerate(alphas):
         for ki, k in enumerate(ks):
-            warm = fit_alpha_slx(Y, X, contiguity_matrix(coords, k), a,
+            warm = fit_alpha_slx(Y, X, contiguity_matrix(coords, k) @ X[:, 1:], a,
                                  theta0=warm).lm.theta
             if k > n - 2:
                 continue  # an (n-1)-point fold has no k nearest others
@@ -269,7 +269,8 @@ def rebuilt_fold_scores(Y, X, coords, alphas, ks):
                 mask = np.arange(n) != i
                 sub = GeoCoordinates(lat=coords.lat[mask], lon=coords.lon[mask],
                                      cart=coords.cart[mask])
-                fit = fit_alpha_slx(Y[mask], X[mask], contiguity_matrix(sub, k),
+                fit = fit_alpha_slx(Y[mask], X[mask],
+                                    contiguity_matrix(sub, k) @ X[mask][:, 1:],
                                     a, theta0=warm)
                 d2 = np.maximum(2.0 * (1.0 - sub.cart @ coords.cart[i]), 0.0)
                 nb = np.argsort(d2, kind="stable")[:k]

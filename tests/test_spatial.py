@@ -23,7 +23,6 @@ from alphareg import (
     pairwise_chordal_sq,
     predict_gwar,
     row_weights,
-    spatial_lag,
     to_cartesian,
 )
 from alphareg.datasets import synthesize
@@ -150,6 +149,18 @@ class TestNeighborTable:
         full = pairwise_chordal_sq(coords.cart)
         np.testing.assert_array_equal(d2, np.take_along_axis(full, idx, axis=1))
 
+    def test_neighbor_count_out_of_range(self, rng):
+        # without the check, m = 0 would give an empty table and NaN lags
+        coords, query = random_coords(rng, 6), random_coords(rng, 2)
+        for m in (0, 6):
+            with pytest.raises(InvalidK):
+                neighbor_table(coords, m)
+        for m in (0, 7):
+            with pytest.raises(InvalidK):
+                neighbor_table(coords, m, query=query)
+        idx, _ = neighbor_table(coords, 6, query=query)  # every training location
+        assert sorted(idx[0]) == list(range(6))
+
     def test_tie_keeps_lower_index(self):
         coords = GeoCoordinates.from_degrees([10.0, 10.0, 10.0], [20.0, 21.0, 19.0])
         idx, d2 = neighbor_table(coords, 2)
@@ -163,9 +174,9 @@ class TestNeighborTable:
         X = np.hstack([np.ones((8, 1)), rng.normal(size=(8, 2))])
         idx, d2 = neighbor_table(coords, 7)
         for k in range(1, 8):
-            lag = neighbor_lag(idx[:, :k], row_weights(d2[:, :k]), X)
+            lag = neighbor_lag(idx[:, :k], d2[:, :k], X)
             W = contiguity_matrix(coords, k)
-            np.testing.assert_allclose(lag, spatial_lag(W, X), rtol=1e-13, atol=1e-13)
+            np.testing.assert_allclose(lag, W @ X[:, 1:], rtol=1e-13, atol=1e-13)
 
     def test_query_at_a_duplicated_location_is_a_row_of_w(self, rng):
         # a query point appended to the training locations gets the row of W
@@ -179,7 +190,7 @@ class TestNeighborTable:
             both = GeoCoordinates.from_degrees(np.append(train.lat, train.lat[j]),
                                                np.append(train.lon, train.lon[j]))
             W_row = contiguity_matrix(both, 4)[12, :12]
-            np.testing.assert_allclose(neighbor_lag(idx, row_weights(d2), X),
+            np.testing.assert_allclose(neighbor_lag(idx, d2, X),
                                        (W_row @ X[:, 1:])[None], rtol=1e-13)
 
     def test_row_weights_cap_coincident(self):
@@ -222,38 +233,39 @@ class TestKernel:
 
 class TestSpatialLag:
     def test_two_neighbor_average(self):
-        W = np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [0.5, 0.5, 0.0]])
+        # equal distances weigh equally; row 1 lists observation 0 twice
+        idx = np.array([[1, 2], [0, 0], [0, 1]])
         X = np.column_stack([np.ones(3), [1.0, 3.0, 5.0]])
-        lag = spatial_lag(W, X)
+        lag = neighbor_lag(idx, np.ones((3, 2)), X)
         np.testing.assert_allclose(lag[:, 0], [4.0, 1.0, 2.0])
 
     def test_constant_covariate_unchanged(self, rng):
         coords = random_coords(rng, 12)
-        W = contiguity_matrix(coords, 3)
         X = np.column_stack([np.ones(12), np.full(12, 7.0)])
-        np.testing.assert_allclose(spatial_lag(W, X)[:, 0], 7.0, atol=1e-12)
+        np.testing.assert_allclose(neighbor_lag(*neighbor_table(coords, 3), X)[:, 0],
+                                   7.0, atol=1e-12)
 
     def test_permutation_equivariance(self, rng):
         coords = random_coords(rng, 15)
-        W = contiguity_matrix(coords, 4)
         X = np.column_stack([np.ones(15), rng.normal(size=15)])
         perm = rng.permutation(15)
-        lag = spatial_lag(W, X)
-        lag_perm = spatial_lag(W[np.ix_(perm, perm)], X[perm])
+        lag = neighbor_lag(*neighbor_table(coords, 4), X)
+        permuted = GeoCoordinates.from_degrees(coords.lat[perm], coords.lon[perm])
+        lag_perm = neighbor_lag(*neighbor_table(permuted, 4), X[perm])
         np.testing.assert_allclose(lag_perm, lag[perm], atol=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
-            spatial_lag(np.eye(3), np.ones((4, 2)))
+            fit_alpha_slx(np.full((4, 3), 1 / 3), np.ones((4, 2)), np.ones((3, 1)), 0.5)
 
 
 class TestSlxFit:
     def test_reduces_to_augmented_plain_fit(self, rng):
         sim = synthesize(n=80, D=3, p=2, alpha=0.5, noise_scale=0.05,
                          spatial_mode="slx", seed=5)
-        W = contiguity_matrix(sim["coords"], 5)
-        slx = fit_alpha_slx(sim["Y"], sim["X"], W, 0.5)
-        X_aug = np.hstack([sim["X"], spatial_lag(W, sim["X"])])
+        lag = neighbor_lag(*neighbor_table(sim["coords"], 5), sim["X"])
+        slx = fit_alpha_slx(sim["Y"], sim["X"], lag, 0.5)
+        X_aug = np.hstack([sim["X"], lag])
         plain = fit_alpha_regression(sim["Y"], X_aug, 0.5)
         np.testing.assert_array_equal(slx.coefficients, plain.coefficients)
         assert slx.gamma.shape == slx.beta.shape
@@ -263,15 +275,15 @@ class TestSlxFit:
         sim = synthesize(n=500, D=3, p=2, alpha=0.5, noise_scale=0.02,
                          spatial_mode="none", seed=9)
         coords = random_coords(rng, 500)
-        W = contiguity_matrix(coords, 5)
-        slx = fit_alpha_slx(sim["Y"], sim["X"], W, 0.5)
+        lag = neighbor_lag(*neighbor_table(coords, 5), sim["X"])
+        slx = fit_alpha_slx(sim["Y"], sim["X"], lag, 0.5)
         assert np.max(np.abs(slx.beta - sim["B"])) < 1e-2
 
     def test_fitted_rows_sum_to_one(self, rng):
         sim = synthesize(n=50, D=4, p=1, alpha=1.0, noise_scale=0.05,
                          spatial_mode="slx", seed=2)
-        W = contiguity_matrix(sim["coords"], 4)
-        slx = fit_alpha_slx(sim["Y"], sim["X"], W, 1.0)
+        lag = neighbor_lag(*neighbor_table(sim["coords"], 4), sim["X"])
+        slx = fit_alpha_slx(sim["Y"], sim["X"], lag, 1.0)
         np.testing.assert_allclose(slx.fitted.sum(axis=1), 1.0, atol=1e-12)
 
 
