@@ -103,7 +103,7 @@ def _add_se_args(sp):
     sp.add_argument("--seed", type=int, help="bootstrap seed")
     sp.add_argument("--threads", type=_threads,
                     help="bootstrap worker threads (default 1; 'auto' or 0 "
-                         "is one per CPU); ALPHAREG_THREADS overrides")
+                         "is one per CPU)")
 
 
 def build_parser():

@@ -22,9 +22,11 @@ would retry at 0 forever.
 
 There is one loop, :func:`lm_batch`, over a leading problem axis: a stack of
 m independent problems, each with its own damping, acceptance test, stopping
-reason, iteration and rejection counts, kept in arrays.  A problem whose
-residuals or Jacobian turn non-finite, or whose damped equations cannot be
-solved, leaves the stack failed and the others go on.
+reason, iteration and rejection counts, kept in arrays.  The problems advance
+independently: a problem forms ``J'J`` only at a newly accepted point and
+reuses it across its rejections, and never waits for another problem's.  A
+problem whose residuals or Jacobian turn non-finite, or whose damped
+equations cannot be solved, leaves the stack failed and the others go on.
 Every fit of the package (``regression.fit_alpha_batch``) hands that loop
 its normal equations in closed form.  :func:`levenberg_marquardt` is the
 one-problem call of the same loop on a generic :class:`ResidualSystem`: it
@@ -164,10 +166,14 @@ def lm_batch(residuals, normal_equations, theta0, opts=None, damping0=None):
     so it may carry more of its point for ``normal_equations`` to read.
 
     Every problem runs the schedule of :func:`levenberg_marquardt` with its
-    own damping, acceptance test, stopping reason and counts; the stack only
-    shares the numpy calls.  Returns one outcome per problem, in order: its
-    :class:`LmResult`, or the :class:`NonFiniteResidual` or
-    :class:`SingularNormalEquations` that failed it.
+    own damping, acceptance test, stopping reason and counts, and advances
+    on its own: each pass of the loop tries one damped step for every live
+    problem, and forms ``J'J`` and ``J'r`` only for the problems whose last
+    step was accepted, so a rejected step is retried on the ``J'J`` kept for
+    its point.  The stack only shares the numpy calls.  Returns one outcome
+    per problem, in order: its :class:`LmResult`, or the
+    :class:`NonFiniteResidual` or :class:`SingularNormalEquations` that
+    failed it.
 
     ``damping0`` (m,), when given, is the damping each problem's start fit
     ended with (:attr:`LmResult.damping`), and sets its starting damping by
@@ -175,63 +181,66 @@ def lm_batch(residuals, normal_equations, theta0, opts=None, damping0=None):
     """
     opts = opts or LmOptions()
     theta = np.array(theta0, dtype=np.float64)
-    m = theta.shape[0]
+    m, n_params = theta.shape
     r, sse = residuals(theta, np.arange(m))
     failed = np.where(np.isnan(sse), BAD_RESIDUAL, 0)
     reason = np.full(m, REASONS.index(Convergence.MAX_ITER))
     lam = np.zeros(m)
     iterations = np.zeros(m, dtype=int)
     rejections = np.zeros(m, dtype=int)
-    active = np.flatnonzero(failed == 0)
+    JtJ, g = np.empty((m, n_params, n_params)), np.empty((m, n_params))
+    live = failed == 0  # still stepping
+    fresh = live.copy()  # at a newly accepted point, its J'J not formed yet
 
-    for it in range(1, opts.max_iterations + 1):
-        if active.size == 0:
+    while True:
+        new = np.flatnonzero(fresh)
+        if new.size:
+            JtJ_new, g_new, finite = normal_equations(theta[new], r[new], new)
+            failed[new[~finite]] = BAD_JACOBIAN
+            small = finite & (np.abs(g_new).max(axis=1, initial=0.0) <= opts.grad_inf_tol)
+            reason[new[small]] = REASONS.index(Convergence.GRAD_TOL)
+            JtJ[new], g[new] = JtJ_new, g_new  # kept for the retries at this point
+            live[new[~finite | small]] = False
+            new = new[finite & ~small]
+            iterations[new] += 1
+            first = new[iterations[new] == 1]
+            lam[first] = _initial_damping(
+                JtJ[first], None if damping0 is None else damping0[first], opts)
+        now = np.flatnonzero(live)
+        if now.size == 0:
             break
-        iterations[active] = it
-        JtJ, g, finite = normal_equations(theta[active], r[active], active)
-        failed[active[~finite]] = BAD_JACOBIAN
-        small = finite & (np.abs(g).max(axis=1, initial=0.0) <= opts.grad_inf_tol)
-        reason[active[small]] = REASONS.index(Convergence.GRAD_TOL)
-        iterations[active[small]] = it - 1
-        going = finite & ~small
-        rows, JtJ, g = active[going], JtJ[going], g[going]
-        if it == 1:
-            lam[rows] = _initial_damping(
-                JtJ, None if damping0 is None else damping0[rows], opts)
-        carry_on = np.zeros(m, dtype=bool)  # accepted a step short of convergence
 
-        pending = np.arange(rows.size)  # positions in rows
-        while pending.size:
-            now = rows[pending]
-            delta = _solve_damped(JtJ[pending], g[pending], lam[now])
-            solved = np.isfinite(delta).all(axis=1)
-            capped = lam[now] >= MAX_DAMPING
-            failed[now[~solved & capped]] = SINGULAR
-            accepted = np.zeros(now.size, dtype=bool)
-            tried = now[solved]
-            if tried.size:
-                candidate = theta[tried] - delta[solved]
-                r_new, sse_new = residuals(candidate, tried)
-                better = sse_new <= sse[tried]  # never at a non-finite (NaN) residual
-                accepted[solved] = better
-                won, new = tried[better], sse_new[better]
-                old = sse[won]
-                rel_drop = (old - new) / np.maximum(old, TINY)
-                theta[won] = candidate[better]
-                r[won] = r_new[better]
-                sse[won] = new
-                lam[won] = _next_damping(lam[won], accepted=True, opts=opts)
-                reason[won[rel_drop <= opts.sse_rel_tol]] = REASONS.index(Convergence.SSE_TOL)
-                carry_on[won[rel_drop > opts.sse_rel_tol]] = True
+        delta = _solve_damped(JtJ[now], g[now], lam[now])
+        solved = np.isfinite(delta).all(axis=1)
+        capped = lam[now] >= MAX_DAMPING
+        failed[now[~solved & capped]] = SINGULAR
+        accepted = np.zeros(now.size, dtype=bool)
+        fresh[:] = False
+        tried = now[solved]
+        if tried.size:
+            candidate = theta[tried] - delta[solved]
+            r_new, sse_new = residuals(candidate, tried)
+            better = sse_new <= sse[tried]  # never at a non-finite (NaN) residual
+            accepted[solved] = better
+            won, new_sse = tried[better], sse_new[better]
+            old = sse[won]
+            rel_drop = (old - new_sse) / np.maximum(old, TINY)
+            theta[won] = candidate[better]
+            r[won] = r_new[better]
+            sse[won] = new_sse
+            lam[won] = _next_damping(lam[won], accepted=True, opts=opts)
+            reason[won[rel_drop <= opts.sse_rel_tol]] = REASONS.index(Convergence.SSE_TOL)
+            fresh[won[(rel_drop > opts.sse_rel_tol)
+                      & (iterations[won] < opts.max_iterations)]] = True
 
-            # no descent direction remains at machine precision
-            reason[now[solved & ~accepted & capped]] = REASONS.index(Convergence.STALLED)
-            retry = ~accepted & ~capped
-            again = now[retry]
-            lam[again] = _next_damping(lam[again], accepted=False, opts=opts)
-            rejections[again] += 1
-            pending = pending[retry]
-        active = np.flatnonzero(carry_on)
+        # no descent direction remains at machine precision
+        reason[now[solved & ~accepted & capped]] = REASONS.index(Convergence.STALLED)
+        retry = ~accepted & ~capped
+        again = now[retry]
+        lam[again] = _next_damping(lam[again], accepted=False, opts=opts)
+        rejections[again] += 1
+        done = now[~retry]  # accepted, stalled or singular
+        live[done] = fresh[done]  # an accepted step short of convergence goes on
 
     # a failed problem left the stack at once, so its theta and damping are
     # still those it failed at

@@ -34,7 +34,6 @@ non-reference component ``k+2``.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -62,7 +61,6 @@ class FitResult:
     kld: float
     alpha: float
     lm: LmResult
-    covariance: Optional[np.ndarray] = None
 
 
 def _check_design(X, B):

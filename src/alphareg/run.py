@@ -29,6 +29,7 @@ from .inference import (
 from .optim import LmOptions
 from .regression import fit_alpha_regression
 from .selection import CvGrid, select
+from .simplex import _check_alpha
 from .spatial import fit_alpha_slx, fit_gwar, neighbor_lag, neighbor_table
 
 log = logging.getLogger(__name__)
@@ -61,6 +62,8 @@ class RunConfig:
                     f"model {self.model!r} has no {name!r}: set neither "
                     f"{name} nor grid.{name}s")
         # checked here, so a bad setting fails before selection and the fit
+        if self.alpha is not None:
+            _check_alpha(self.alpha)  # NaN fails too
         if self.k is not None and (not isinstance(self.k, (int, np.integer)) or self.k < 1):
             raise InvalidParameters(
                 f"neighbor count k must be an integer >= 1, got {self.k!r}")
@@ -220,8 +223,7 @@ def _standard_errors(config, Y, X_model, alpha, fit, threads):
     The bootstrap replicates warm-start from ``fit``, the final fit on
     ``X_model``, and give the coefficient and AME standard errors together.
     Returns the ``standard_errors`` block and the bootstrap's diagnostics
-    (``None`` without a bootstrap).  Also attaches the covariance matrix to
-    the fit object.
+    (``None`` without a bootstrap).
     """
     if not (config.with_se or config.bootstrap_replicates):
         return None, None
@@ -232,7 +234,6 @@ def _standard_errors(config, Y, X_model, alpha, fit, threads):
             replicates=config.bootstrap_replicates, seed=config.seed,
             threads=threads, start=fit.lm,
         )
-        fit.covariance = cov.matrix
         return {
             "kind": cov.kind,
             "replicates": cov.replicates,
@@ -241,7 +242,6 @@ def _standard_errors(config, Y, X_model, alpha, fit, threads):
             "ame": cov.ame_standard_errors.tolist(),
         }, cov.diagnostics
     cov = sandwich_covariance(Y, X_model, alpha, fit.coefficients)
-    fit.covariance = cov.matrix
     return {
         "kind": cov.kind,
         "coefficients": _se_matrix(cov.matrix, shape).tolist(),

@@ -70,9 +70,10 @@ class CvGrid:
         if any(not -1.0 <= a <= 1.0 for a in self.alphas):
             raise InvalidParameters("alpha grid values must lie in [-1, 1]")
         if self.ks is not None:
-            self.ks = tuple(sorted(int(k) for k in self.ks))
-            if not self.ks or any(k < 1 for k in self.ks):
-                raise InvalidParameters("neighbor grid must hold integers >= 1")
+            ks = tuple(self.ks)  # integers by the rule of RunConfig.k, never truncated
+            if not ks or any(not isinstance(k, (int, np.integer)) or k < 1 for k in ks):
+                raise InvalidParameters(f"neighbor grid must hold integers >= 1, got {ks!r}")
+            self.ks = tuple(sorted(int(k) for k in ks))
         if self.hs is not None:
             self.hs = tuple(sorted(float(h) for h in self.hs))
             if not self.hs or any(not 0 < h < np.inf for h in self.hs):

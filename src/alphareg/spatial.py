@@ -28,7 +28,6 @@ Two models build on the plain compositional regression:
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -39,8 +38,9 @@ from .exceptions import (
     NonpositiveBandwidth,
     OutOfRangeCoordinate,
 )
-from .optim import LmOptions, LmResult
+from .optim import LmOptions
 from .regression import (
+    FitResult,
     RowBlocks,
     _inverse_logit,
     coef_to_theta,
@@ -197,7 +197,7 @@ def kernel_weights_at(coords, cart_point, h):
 
 
 @dataclass
-class SlxFit:
+class SlxFit(FitResult):
     """Fit with spatially lagged covariates.
 
     ``beta`` holds intercept and local covariate coefficients; ``gamma`` has
@@ -208,13 +208,6 @@ class SlxFit:
 
     beta: np.ndarray
     gamma: np.ndarray
-    coefficients: np.ndarray
-    fitted: np.ndarray
-    sse: float
-    kld: float
-    alpha: float
-    lm: LmResult
-    covariance: Optional[np.ndarray] = None
 
 
 def fit_alpha_slx(Y, X, lag, alpha, opts=None, theta0=None):
@@ -231,22 +224,10 @@ def fit_alpha_slx(Y, X, lag, alpha, opts=None, theta0=None):
     p = X.shape[1] - 1
     if lag.shape != (X.shape[0], p):
         raise DimensionMismatch(f"lag {lag.shape} does not conform with design {X.shape}")
-    X_aug = np.hstack([X, lag])
-    fit = fit_alpha_regression(Y, X_aug, alpha, opts=opts, theta0=theta0)
+    fit = fit_alpha_regression(Y, np.hstack([X, lag]), alpha, opts=opts, theta0=theta0)
     C = fit.coefficients
-    d = C.shape[1]
-    beta = C[: p + 1]
-    gamma = np.vstack([np.zeros((1, d)), C[p + 1 :]])
-    return SlxFit(
-        beta=beta,
-        gamma=gamma,
-        coefficients=C,
-        fitted=fit.fitted,
-        sse=fit.sse,
-        kld=fit.kld,
-        alpha=fit.alpha,
-        lm=fit.lm,
-    )
+    gamma = np.vstack([np.zeros((1, C.shape[1])), C[p + 1 :]])
+    return SlxFit(**vars(fit), beta=C[: p + 1], gamma=gamma)
 
 
 @dataclass

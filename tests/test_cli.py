@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from alphareg import CvGrid, InvalidParameters, RunConfig
-from alphareg._parallel import THREADS_ENV_VAR, resolve_threads
+from alphareg._parallel import resolve_threads
 from alphareg.cli import main
 
 
@@ -488,6 +488,13 @@ class TestExitCodes:
         assert "neighbor count k must be an integer >= 1" in err
         assert str(missing) not in err
 
+    def test_bad_alpha_fails_before_the_data_are_read(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        assert main(["fit", "--data", str(missing), *DATA_ARGS, "--alpha", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "alpha must lie in [-1, 1]" in err
+        assert str(missing) not in err
+
     def test_neighbor_count_of_n_is_data_error(self, tmp_path, capsys):
         # 30 locations have 29 others each
         assert main(["generate", "--n", "30", "--components", "3", "--covariates", "2",
@@ -523,20 +530,6 @@ class TestExitCodes:
                      "2", "--alpha", "-0.5", "--noise-scale", "0.5",
                      "--out-dir", str(out)]) == 3
         assert not out.exists()
-
-    def test_non_integer_threads_variable_is_data_error(self, dataset, monkeypatch,
-                                                        capsys):
-        monkeypatch.setenv("ALPHAREG_THREADS", "two")
-        code = main(["fit", "--data", str(dataset), *DATA_ARGS, "--alpha", "0.5"])
-        assert code == 2
-        assert "ALPHAREG_THREADS" in capsys.readouterr().err
-
-    def test_negative_threads_variable_is_data_error(self, dataset, monkeypatch,
-                                                     capsys):
-        monkeypatch.setenv("ALPHAREG_THREADS", "-3")
-        code = main(["fit", "--data", str(dataset), *DATA_ARGS, "--alpha", "0.5"])
-        assert code == 2
-        assert "ALPHAREG_THREADS must be 0 (auto) or positive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("content", [None, "not json", "{}"])
     def test_unreadable_model_document_is_data_error(self, content, dataset, tmp_path,
@@ -585,28 +578,18 @@ class TestExitCodes:
 
 
 class TestResolveThreads:
-    def test_non_integer_variable(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV_VAR, "two")
-        with pytest.raises(InvalidParameters, match="two"):
-            resolve_threads("auto")
-
-    def test_variable_overrides_setting(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV_VAR, "3")
-        assert resolve_threads("auto") == resolve_threads(1) == 3
-
-    def test_auto_is_one_per_cpu(self, monkeypatch):
-        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+    def test_auto_is_one_per_cpu(self):
         assert resolve_threads("auto") == resolve_threads(0) == (os.cpu_count() or 1)
+        assert resolve_threads(None) == resolve_threads("auto")
         assert resolve_threads(2) == 2
 
-    def test_zero_variable_is_auto(self, monkeypatch):
-        monkeypatch.setenv(THREADS_ENV_VAR, "0")
-        assert resolve_threads(1) == resolve_threads("auto") == (os.cpu_count() or 1)
-
-    def test_negative_count_is_invalid(self, monkeypatch):
-        monkeypatch.delenv(THREADS_ENV_VAR, raising=False)
+    def test_negative_count_is_invalid(self):
         with pytest.raises(InvalidParameters, match="-3"):
             resolve_threads(-3)
-        monkeypatch.setenv(THREADS_ENV_VAR, "-3")
-        with pytest.raises(InvalidParameters, match=THREADS_ENV_VAR):
-            resolve_threads(1)
+
+    def test_environment_does_not_change_the_count(self, monkeypatch):
+        # ALPHAREG_THREADS once replaced the setting; it is no longer read
+        for value in ("two", "3", "0", "-3"):
+            monkeypatch.setenv("ALPHAREG_THREADS", value)
+            assert resolve_threads(2) == 2
+            assert resolve_threads("auto") == (os.cpu_count() or 1)

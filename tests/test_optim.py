@@ -154,6 +154,23 @@ class TestBatch:
             reasons.add(got.converged_by)
         assert Convergence.STALLED in reasons and outcomes[0].rejections > 0
 
+    def test_no_lockstep(self, monkeypatch):
+        # each pass takes one damped step for every live problem, so the
+        # stack makes as many solves as its longest problem, no more
+        calls = []
+        real = optim._solve_damped
+
+        def counted(JtJ, g, lam):
+            calls.append(len(g))
+            return real(JtJ, g, lam)
+
+        monkeypatch.setattr(optim, "_solve_damped", counted)
+        theta0 = np.array([[-1.2, 1.0], [2.0, 2.0], [-2.0, 3.0]])
+        outcomes = optim.lm_batch(*stacked([rosenbrock_system()] * 3), theta0)
+        longest = max(o.iterations + o.rejections for o in outcomes)
+        assert len(calls) == longest == 47
+        assert sum(calls) == sum(o.iterations + o.rejections for o in outcomes)
+
     def test_singular_problem_fails_alone(self, monkeypatch):
         real = optim._solve_damped
 

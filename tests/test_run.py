@@ -146,9 +146,7 @@ class TestRunFit:
         with pytest.raises(InvalidParameters, match="has no"):
             RunConfig(model=model, **settings)
 
-    def test_negative_thread_count_rejected(self, monkeypatch):
-        # a negative setting is an error even where ALPHAREG_THREADS would replace it
-        monkeypatch.setenv("ALPHAREG_THREADS", "2")
+    def test_negative_thread_count_rejected(self):
         sim = synthesize(n=20, D=3, p=1, alpha=0.5, noise_scale=0.1, seed=9)
         config = RunConfig(alpha=0.5, bootstrap_replicates=4, threads=-3)
         with pytest.raises(InvalidParameters, match="thread count"):
@@ -167,9 +165,11 @@ class TestRunFit:
         ({"model": "gwar", "hs": (np.nan,)}, "bandwidth"),
         ({"model": "slx", "k": 0}, "neighbor count"),
         ({"model": "slx", "k": 2.5}, "neighbor count"),
+        ({"alpha": 2.0}, "alpha"),
+        ({"alpha": np.nan}, "alpha"),
     ], ids=["seed-with-bootstrap", "seed", "seed-fraction", "replicates-negative",
             "replicates-one", "replicates-fraction", "h-inf", "h-nan", "hs-inf", "hs-nan",
-            "k-zero", "k-fraction"])
+            "k-zero", "k-fraction", "alpha-out-of-range", "alpha-nan"])
     def test_bad_setting_rejected_by_the_config(self, settings, name):
         # so it fails before any work: a negative seed used to pass until the
         # bootstrap's first draw, after selection and the final fit

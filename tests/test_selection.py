@@ -517,3 +517,13 @@ class TestCvGrid:
             CvGrid(hs=(0.0,))
         with pytest.raises(InvalidParameters):
             CvGrid(alphas=(2.0,))
+
+    @pytest.mark.parametrize("ks", [(2.7, 3), (3.0,), ("3",), (0, 3), ()])
+    def test_non_integer_or_small_k_rejected(self, ks):
+        # a fractional k used to be truncated; RunConfig.k follows the same rule
+        with pytest.raises(InvalidParameters, match="neighbor grid"):
+            CvGrid(ks=ks)
+
+    def test_numpy_integer_k_kept_as_int(self):
+        grid = CvGrid(ks=np.array([5, 3]))
+        assert grid.ks == (3, 5) and all(type(k) is int for k in grid.ks)
