@@ -587,9 +587,20 @@ class TestResolveThreads:
         with pytest.raises(InvalidParameters, match="-3"):
             resolve_threads(-3)
 
-    def test_environment_does_not_change_the_count(self, monkeypatch):
-        # ALPHAREG_THREADS once replaced the setting; it is no longer read
-        for value in ("two", "3", "0", "-3"):
+    # ALPHAREG_THREADS once replaced the setting; it is no longer read, and the
+    # three tests below, named for that old override, pin that it is ignored.
+
+    def test_non_integer_variable(self, monkeypatch):
+        monkeypatch.setenv("ALPHAREG_THREADS", "two")
+        assert resolve_threads("auto") == (os.cpu_count() or 1)
+        assert resolve_threads(2) == 2
+
+    def test_variable_overrides_setting(self, monkeypatch):
+        for value in ("3", "-3"):
             monkeypatch.setenv("ALPHAREG_THREADS", value)
             assert resolve_threads(2) == 2
-            assert resolve_threads("auto") == (os.cpu_count() or 1)
+
+    def test_zero_variable_is_auto(self, monkeypatch):
+        monkeypatch.setenv("ALPHAREG_THREADS", "0")
+        assert resolve_threads(2) == 2
+        assert resolve_threads("auto") == (os.cpu_count() or 1)
