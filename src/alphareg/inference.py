@@ -13,8 +13,10 @@ with identical functional form, and locally weighted fits evaluate the same
 formula per location with that location's coefficients.
 
 Coefficient covariance comes in three flavors: the sandwich estimator
-``H^-1 J H^-1 / n`` built from per-observation mean Jacobians and residual
-outer products, its spherical special case ``sigma2 * H^-1 / n``, and a
+``H^-1 M H^-1 / n``, whose bread ``H = J'J / n`` and meat ``M`` (the
+residual scores' outer products) come from the same closed-form blocks
+``A_i'A_i`` and ``A_i'r_i`` as the solver's normal equations, its
+spherical special case ``sigma2 * H^-1 / n``, and a
 nonparametric pairs bootstrap that resamples whole observation rows.  The
 bootstrap makes one pass: each replicate is refit once, warm-started from the
 full-data fit's parameters and final damping, and that refit yields both its
@@ -40,13 +42,7 @@ from .exceptions import (
     SingularH,
 )
 from .optim import Convergence
-from .regression import (
-    _mean_jacobian,
-    fit_alpha_regression,
-    sse,
-    transformed_mean,
-)
-from .simplex import alpha_transform
+from .regression import _derivatives, _kron_rows, _outer_rows, fit_alpha_regression
 
 COND_LIMIT = 1e12
 PSD_TOL = -1e-10
@@ -129,41 +125,34 @@ def _enforce_psd(M):
 def sandwich_covariance(Y, X, alpha, B_hat, kind="sandwich"):
     """Asymptotic covariance of ``vec(B_hat)`` from the NLS sandwich form.
 
-    With per-observation mean Jacobians ``G_i`` and transformed-space
-    residuals ``e_i``:
+    With the stacked residual Jacobian J and the per-observation scores
+    ``s_i = (A_i'r_i) kron x_i`` of the transformed-space residuals ``r_i``,
+    both from the closed-form blocks of :func:`regression._normal_blocks`:
 
-        H = (1/n) sum G_i' G_i,    J = (1/n) sum G_i' e_i e_i' G_i,
+        H = J'J / n,    M = (1/n) sum s_i s_i',
 
-    the estimate is ``H^-1 J H^-1 / n``.  ``kind="spherical"`` instead
+    the estimate is ``H^-1 M H^-1 / n``.  ``kind="spherical"`` instead
     returns ``sigma2 * H^-1 / n`` with ``sigma2 = SSE / (n d - (p+1) d)``,
     valid when residuals are i.i.d. with a scalar covariance.
     """
     if kind not in ("sandwich", "spherical"):
         raise InvalidParameters(f"unknown covariance kind {kind!r}")
-    Y = np.asarray(Y, dtype=np.float64)
-    X = np.asarray(X, dtype=np.float64)
-    B_hat = np.asarray(B_hat, dtype=np.float64)
-    n, D = Y.shape
-    d = D - 1
-    A = _mean_jacobian(X, B_hat, alpha)  # (n, d, d)
-    G = np.einsum("imk,ia->imka", A, X).reshape(n, d, B_hat.size)
-    H = np.einsum("imp,imq->pq", G, G) / n
+    X, _, r, AtA, Atr = _derivatives(Y, X, alpha, B_hat)
+    n, d = r.shape
+    H = _kron_rows(AtA, _outer_rows(X))[0] / n
     if np.linalg.cond(H) > COND_LIMIT:
         raise SingularH(
             f"curvature matrix condition number exceeds {COND_LIMIT:.0e}"
         )
     H_inv = np.linalg.inv(H)
     if kind == "spherical":
-        dof = n * d - B_hat.size
+        dof = n * d - len(H)
         if dof <= 0:
             raise InvalidParameters("nonpositive degrees of freedom")
-        sigma2 = sse(Y, X, alpha, B_hat) / dof
-        cov = sigma2 * H_inv / n
+        cov = float(np.sum(r * r)) / dof * H_inv / n
     else:
-        eps = alpha_transform(Y, alpha) - transformed_mean(X, B_hat, alpha)
-        S = np.einsum("im,imp->ip", eps, G)
-        J = S.T @ S / n
-        cov = H_inv @ J @ H_inv / n
+        S = (Atr[0].T[:, :, None] * X[:, None, :]).reshape(n, -1)  # scores s_i
+        cov = H_inv @ (S.T @ S / n) @ H_inv / n
     return CovarianceEstimate(matrix=_enforce_psd(cov), kind=kind)
 
 

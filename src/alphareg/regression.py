@@ -18,21 +18,25 @@ mean: the power transform of ``mu`` equals the multinomial-logit map of
 
 The same identity collapses the derivatives.  With ``u = fitted_mean(X,
 alpha*B)`` the Jacobian of the transformed mean in the linear predictors is
-``D * H @ logit_jacobian(u)`` and its second derivative is
-``D * alpha * H @ logit_hessian(u)``: the ``1/alpha`` of the transform
+``A_i = D * H @ logit_jacobian(u_i)`` and its second derivative is
+``D * alpha * H @ logit_hessian(u_i)``: the ``1/alpha`` of the transform
 cancels against the chain rule through ``alpha * eta``, no power of ``mu``
 is ever formed, and ``alpha == 0`` (uniform ``u``, ``H @ 1 = 0``) needs no
-special case.  The analytic gradient and Hessian of ``l = -SSE/2`` are built
-from these closed forms and exposed for diagnostics and covariance
-estimation.  Every fit goes through :func:`fit_alpha_batch`, which hands
-the solver ``J'WJ`` and ``J'Wr`` in closed form from the same mean Jacobian;
-:func:`residual_system` keeps the stacked residual Jacobian as a reference.
+special case.  One function, :func:`_normal_blocks`, turns u and the
+residuals into the closed-form blocks ``w_i A_i'A_i`` and ``w_i A_i'r_i``,
+and every derivative is assembled from them through ``kron x_i``: the
+normal equations ``J'WJ`` and ``J'Wr`` the solver of
+:func:`fit_alpha_batch` consumes, the analytic gradient and both Hessians
+of ``l = -SSE/2``, and the sandwich covariance of
+:mod:`alphareg.inference`.  Only :func:`residual_system`, kept as the tests'
+reference, forms the explicit A and the stacked (n*d, P) Jacobian.
 
 Parameter layout: ``theta = B.ravel(order="F")`` stacks coefficient columns
 component by component, so ``theta[k*(p+1) + a]`` is covariate ``a`` of
 non-reference component ``k+2``.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,67 +177,75 @@ def _kld_terms(obs, fit):
 
 # -- derivative chain ---------------------------------------------------------
 
-def _jacobian_factors(X, B, alpha, H):
-    """``u = fitted_mean(X, alpha*B)`` and ``G[i, m, k] = H[m, k+1] - (H u_i)_m``."""
-    u = _logit_map(X, alpha * B)
-    G = H[None, :, 1:] - (u @ H.T)[:, :, None]
-    return u, G
+def _contract_residuals(u, r, H):
+    """``g_i = H[:, 1:]'r_i - (H u_i)'r_i`` as (k, d, n), for logit maps u
+    (k, n, D) and residuals r (k, n, d): the residuals contracted with
+    ``G_i = H[:, 1:] - H u_i 1'``, of which ``A_i = D G_i diag(v_i)``."""
+    hr = np.einsum("knm,knm->kn", u @ H.T, r)
+    return H[:, 1:].T @ np.swapaxes(r, 1, 2) - hr[:, None, :]
 
 
-def _mean_jacobian_unchecked(X, B, alpha, H):
-    u, G = _jacobian_factors(X, B, alpha, H)
-    return H.shape[1] * G * u[:, None, 1:]
+def _normal_blocks(u, r, w, H):
+    """``w_i A_i'A_i`` as (k, d*d, n) and ``w_i A_i'r_i`` as (k, d, n) for a
+    stack of logit maps u (k, n, D), residuals r (k, n, d) and weights w (k, n).
 
+    ``A_i`` is the mean Jacobian of observation i in its linear predictors,
+    ``D (H[:, 1:] - H u_i 1') diag(v_i)`` with ``v_i = u_i[1:]``.  Helmert
+    rows are orthonormal and orthogonal to 1, so
 
-def _mean_jacobian(X, B, alpha):
-    """Sensitivity of the transformed mean to the linear predictors.
+        A_i'A_i = D^2 v_a v_b (delta_ab - v_a - v_b + u_i'u_i)
+        A_i'r_i = D v_i * g_i   (g of :func:`_contract_residuals`)
 
-    Returns A with shape (n, d, d): ``A[i, m, k] = d z(mu_i)_m / d eta_{ik}``,
-    which is ``D * H @ logit_jacobian(u_i)`` with ``u = fitted_mean(X, alpha*B)``:
-
-        A[i, m, k] = D * (H[m, k+1] - (H u_i)_m) * u_i[k+1]
-
-    The full parameter Jacobian is ``A[i, m, k] * X[i, a]``.
+    computed observation-last, for long inner loops.
     """
-    alpha = _check_alpha(alpha)
-    X, B = _check_design(X, B)
-    return _mean_jacobian_unchecked(X, B, alpha, helmert_submatrix(B.shape[1] + 1))
+    k, n, D = u.shape
+    d = D - 1
+    v = np.ascontiguousarray(np.swapaxes(u[..., 1:], 1, 2))
+    C = np.einsum("knm,knm->kn", u, u)[:, None, None, :] - v[:, :, None, :] - v[:, None]
+    C[:, np.arange(d), np.arange(d)] += 1.0
+    C *= v[:, :, None, :]
+    C *= v[:, None]
+    C = C.reshape(k, d * d, n) * (D * D * w)[:, None, :]
+    return C, _contract_residuals(u, r, H) * v * (D * w)[:, None, :]
 
 
-def _stacked_jacobian(A, X):
-    """Parameter Jacobian of the stacked means, shape (n*d, (p+1)*d).
-
-    Row ``i*d + m``, column ``k*(p+1) + a`` holds ``A[i, m, k] * X[i, a]``.
-    """
-    n, d, _ = A.shape
-    return (A[:, :, :, None] * X[:, None, None, :]).reshape(n * d, d * X.shape[1])
+def _kron_rows(C, outer):
+    """``sum_i C_i kron x_i x_i'`` in the theta layout, (k, d*q, d*q), for
+    blocks C (k, d*d, n) and row outer products (n, q*q) or (k, n, q*q)."""
+    k, d, q = len(C), math.isqrt(C.shape[1]), math.isqrt(outer.shape[-1])
+    return (C @ outer).reshape(k, d, d, q, q).transpose(0, 1, 3, 2, 4).reshape(k, d * q, d * q)
 
 
-def gradient(Y, X, alpha, B):
-    """Gradient of ``l = -SSE/2`` with respect to ``theta = vec(B)``.
-
-    Assembled as ``sum_i sum_m r_im * A[i, m, k] * x_ia`` with the residuals
-    ``r = z(y) - z(mu)`` and the mean Jacobian of :func:`_mean_jacobian`.
-    """
+def _derivatives(Y, X, alpha, B):
+    """Checked ``X``, the logit map u (n, D), residuals r (n, d) and the
+    :func:`_normal_blocks` of one unweighted problem at B, with k = 1."""
     alpha = _check_alpha(alpha)
     X, B = _check_design(X, B)
     Y = _check_response(Y, X, B)
-    r = alpha_transform(Y, alpha) - transformed_mean(X, B, alpha)
-    A = _mean_jacobian(X, B, alpha)
-    return (np.einsum("im,imk->ki", r, A) @ X).ravel()
+    H = helmert_submatrix(B.shape[1] + 1)
+    mean, u = _transformed_mean(X, B, alpha, H)
+    r = alpha_transform(Y, alpha) - mean
+    return (X, u, r) + _normal_blocks(u[None], r[None], np.ones((1, len(X))), H)
+
+
+def gradient(Y, X, alpha, B):
+    """Gradient of ``l = -SSE/2`` with respect to ``theta = vec(B)``: the sum
+    of the per-observation scores ``(A_i'r_i) kron x_i`` with the residuals
+    ``r = z(y) - z(mu)`` (blocks of :func:`_normal_blocks`).
+    """
+    X, _, _, _, Atr = _derivatives(Y, X, alpha, B)
+    return (Atr[0] @ X).ravel()
 
 
 def hessian_gauss_newton(Y, X, alpha, B):
     """First-order (Gauss-Newton) block of the Hessian of ``l = -SSE/2``.
 
-    ``-sum_i sum_m (dm_im/dtheta)(dm_im/dtheta)'``; symmetric and negative
-    semi-definite by construction, and equal to ``-J'J`` for the stacked
-    residual Jacobian consumed by the solver.
+    ``-J'J = -sum_i (A_i'A_i) kron x_i x_i'`` for the stacked residual
+    Jacobian J of :func:`residual_system`; symmetric and negative
+    semi-definite by construction.
     """
-    alpha = _check_alpha(alpha)
-    X, B = _check_design(X, B)
-    J = _stacked_jacobian(_mean_jacobian(X, B, alpha), X)
-    return -(J.T @ J)
+    X, _, _, AtA, _ = _derivatives(Y, X, alpha, B)
+    return -_kron_rows(AtA, _outer_rows(X))[0]
 
 
 def hessian_exact(Y, X, alpha, B):
@@ -242,29 +254,23 @@ def hessian_exact(Y, X, alpha, B):
 
     The second derivative of the transformed mean is
     ``D * alpha * H @ logit_hessian(u)`` with ``u = fitted_mean(X, alpha*B)``;
-    per row, with ``v = u[1:]`` and G as in :func:`_jacobian_factors`,
+    contracted with the residuals it is, per row, with ``v = u[1:]`` and g
+    of :func:`_contract_residuals`,
 
-        d2 z_m / (d eta_k d eta_j) = D * alpha * (delta_kj v_k G[m, k]
-                                     - v_k v_j (G[m, k] + G[m, j]))
+        W[k, j] = D * alpha * (delta_kj v_k g_k - v_k v_j (g_k + g_j))
 
-    It vanishes at ``alpha == 0`` (the mean is linear in B there) and the
-    correction vanishes when the residuals are identically zero.
+    and the Hessian is ``sum_i (W_i - A_i'A_i) kron x_i x_i'``.  W vanishes
+    at ``alpha == 0`` (the mean is linear in B there) and when the
+    residuals are identically zero.
     """
-    alpha = _check_alpha(alpha)
-    X, B = _check_design(X, B)
-    Y = _check_response(Y, X, B)
-    H = helmert_submatrix(B.shape[1] + 1)
-    r = alpha_transform(Y, alpha) - _transformed_mean(X, B, alpha, H)[0]
-    u, G = _jacobian_factors(X, B, alpha, H)
-    v = u[:, 1:]
-    J = _stacked_jacobian(H.shape[1] * G * v[:, None, :], X)
-    g = np.einsum("im,imk->ik", r, G)  # residual-contracted G
-    w = -v[:, :, None] * v[:, None, :] * (g[:, :, None] + g[:, None, :])
-    idx = np.arange(v.shape[1])
-    w[:, idx, idx] += v * g
-    w *= H.shape[1] * alpha
-    H2 = np.einsum("ikj,ia,ib->kajb", w, X, X).reshape(B.size, B.size)
-    return H2 - J.T @ J
+    X, u, r, AtA, _ = _derivatives(Y, X, alpha, B)
+    n, D = u.shape
+    v = u[:, 1:].T
+    g = _contract_residuals(u[None], r[None], helmert_submatrix(D))[0]
+    W = -v[:, None] * v[None] * (g[:, None] + g[None])
+    W[np.arange(D - 1), np.arange(D - 1)] += v * g
+    W *= D * float(alpha)
+    return _kron_rows(W.reshape(1, -1, n) - AtA, _outer_rows(X))[0]
 
 
 # -- fitting ------------------------------------------------------------------
@@ -295,8 +301,11 @@ def residual_system(Y, X, alpha, weights=None):
         return (y_a - _transformed_mean(X, B, alpha, H)[0]).ravel()
 
     def jac(theta):
-        B = theta_to_coef(theta, n_cols, d)
-        return _stacked_jacobian(_mean_jacobian_unchecked(X, B, alpha, H), neg_X)
+        # row i*d + m, column k*n_cols + a: -A[i, m, k] * X[i, a], with the
+        # explicit mean Jacobian A[i, m, k] = D (H[m, k+1] - (H u_i)_m) u_i[k+1]
+        u = _logit_map(X, alpha * theta_to_coef(theta, n_cols, d))
+        A = D * (H[None, :, 1:] - (u @ H.T)[:, :, None]) * u[:, None, 1:]
+        return (A[:, :, :, None] * neg_X[:, None, None, :]).reshape(n * d, d * n_cols)
 
     w = None
     if weights is not None:
@@ -384,10 +393,10 @@ def fit_alpha_batch(Y, X, alpha, weights, theta0, opts=None):
 
     ``Y`` is transformed once, and the normal equations come from the
     Kronecker form ``J'WJ = sum_i w_i (A_i'A_i) kron (x_i x_i')`` with the
-    mean Jacobian ``A_i`` of :func:`_mean_jacobian` (``A_i'A_i`` and
-    ``A_i'r_i`` in closed form), so the (n*d, P) stacked Jacobian is never
-    formed.  Chunks of problems, sized by ``CHUNK_DOUBLES``, are solved one
-    after another, each as one :func:`optim.lm_batch` stack.
+    closed-form blocks of :func:`_normal_blocks`, so neither the mean
+    Jacobian A nor the (n*d, P) stacked Jacobian is formed.  Chunks of
+    problems, sized by ``CHUNK_DOUBLES``, are solved one after another, each
+    as one :func:`optim.lm_batch` stack.
 
     Returns m outcomes in problem order: the problem's :class:`LmResult`, or
     the :class:`NumericalError` that failed it (:class:`DegenerateWeights`
@@ -455,8 +464,7 @@ def _batch_system(y_a, X, outer, w, alpha, H):
     (k, n, q), and ``outer`` is its :func:`_outer_rows`, formed once per
     stack.  The residuals (k, n, d) carry their logit map ``u`` (k, n, D)
     stacked on the last axis, so the normal equations need not form it again."""
-    n, d = y_a.shape
-    D, q = d + 1, X.shape[-1]
+    d, q = y_a.shape[1], X.shape[-1]
 
     def design(rows):
         return X if X.ndim == 2 else X[rows]
@@ -474,27 +482,13 @@ def _batch_system(y_a, X, outer, w, alpha, H):
 
     def normal_equations(theta, ru, rows):
         r, u = ru[..., :d], ru[..., d:]  # u is finite wherever r is
-        Xr = design(rows)
-        k, wk = len(rows), w[rows]
-        # With A_i = D (H[:, 1:] - H u_i 1') diag(v_i), v_i = u_i[1:], and
-        # Helmert rows orthonormal and orthogonal to 1:
-        #   A_i'A_i = D^2 v_a v_b (delta_ab - v_a - v_b + u_i'u_i)
-        #   A_i'r_i = D v_i * (H[:, 1:]'r_i - (H u_i)'r_i)
-        # computed observation-last, (k, d, d, n), for long inner loops
-        v = np.ascontiguousarray(np.swapaxes(u[..., 1:], 1, 2))
-        C = np.einsum("knm,knm->kn", u, u)[:, None, None, :] - v[:, :, None, :] - v[:, None]
-        C[:, np.arange(d), np.arange(d)] += 1.0
-        C *= v[:, :, None, :]
-        C *= v[:, None]
-        C = C.reshape(k, d * d, n) * (D * D * wk)[:, None, :]
-        # J'WJ[(a, j), (b, l)] = sum_i w_i (A_i'A_i)[a, b] x_ij x_il
-        XX = outer if outer.ndim == 2 else outer[rows]
-        JtJ = (C @ XX).reshape(k, d, d, q, q).transpose(0, 1, 3, 2, 4)
-        # J'Wr[(a, j)] = -sum_i w_i (A_i'r_i)[a] x_ij, since J = -A kron x
-        hr = np.einsum("knm,knm->kn", u @ H.T, r)
-        Ar = (H[:, 1:].T @ np.swapaxes(r, 1, 2) - hr[:, None, :]) * v * (D * wk)[:, None, :]
-        g = -(Ar @ Xr)
-        return JtJ.reshape(k, d * q, d * q), g.reshape(k, d * q), np.ones(k, dtype=bool)
+        k = len(rows)
+        AtA, Atr = _normal_blocks(u, r, w[rows], H)
+        # J'WJ = sum_i w_i (A_i'A_i) kron x_i x_i', and J'Wr = -sum_i w_i
+        # (A_i'r_i) kron x_i, since J = -A kron x
+        JtJ = _kron_rows(AtA, outer if outer.ndim == 2 else outer[rows])
+        g = -(Atr @ design(rows))
+        return JtJ, g.reshape(k, d * q), np.ones(k, dtype=bool)
 
     return residuals, normal_equations
 

@@ -75,6 +75,9 @@ class RunConfig:
         if not isinstance(replicates, (int, np.integer)) or replicates < 0 or replicates == 1:
             raise InvalidParameters(
                 f"bootstrap_replicates must be 0 (none) or an integer >= 2, got {replicates!r}")
+        if self.model == "gwar" and (self.with_se or replicates):
+            raise InvalidParameters(
+                "standard errors are not available for the locally weighted model")
 
 
 def _correlations(Y, fitted):
@@ -122,10 +125,6 @@ def run_fit(config, Y, X, coords=None, covariate_names=None):
     X = np.asarray(X, dtype=np.float64)
     p = X.shape[1] - 1
     _check_coords(config, coords)
-    if config.model == "gwar" and (config.with_se or config.bootstrap_replicates):
-        raise InvalidParameters(
-            "standard errors are not available for the locally weighted model"
-        )
     t0 = time.perf_counter()
 
     selection = None

@@ -251,10 +251,17 @@ def loocv_slx(Y, X, coords, grid=None, opts=None):
     built a chunk of folds at a time.  A fold keeps n-1 locations, so
     ``k > n-2`` scores +inf, without a full-data warm-start fit.  Scores form
     a (len(alphas), len(ks)) matrix.  A grid without ``ks`` searches
-    :func:`default_k_grid` of the sample size.
+    :func:`default_k_grid` of the sample size, and :class:`InvalidK` is
+    raised when that is empty (n < 5).
     """
     grid = grid or CvGrid()
-    grid = replace(grid, ks=grid.ks or default_k_grid(len(Y)))
+    n = len(Y)
+    if grid.ks is None and n >= 3:  # fewer rows fail the size check of _loocv
+        ks = default_k_grid(n)
+        if not ks:
+            raise InvalidK(f"no default neighbor count fits n={n} observations: a leave-one-out "
+                           f"fold needs k <= n-2 = {n - 2}, and the defaults start at {DEFAULT_KS[0]}")
+        grid = replace(grid, ks=ks)
 
     def setup(X, n):
         if max(grid.ks) > n - 1:

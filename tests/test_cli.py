@@ -441,8 +441,11 @@ class TestExitCodes:
         ("cv", ["--grad-inf-tol", "nan"]),
         ("fit", ["--model", "gwar", "--h", "inf"]),
         ("fit", ["--model", "gwar", "--h", "nan"]),
+        ("fit", ["--model", "gwar", "--with-se"]),
+        ("fit", ["--model", "gwar", "--bootstrap-replicates", "5"]),
     ], ids=["fit-seed", "margins-seed", "max-iterations", "sse-rel-tol-negative",
-            "sse-rel-tol-nan", "sse-rel-tol-inf", "cv-grad-inf-tol-nan", "h-inf", "h-nan"])
+            "sse-rel-tol-nan", "sse-rel-tol-inf", "cv-grad-inf-tol-nan", "h-inf", "h-nan",
+            "gwar-with-se", "gwar-bootstrap"])
     def test_bad_setting_fails_before_any_work(self, command, options, dataset,
                                                tmp_path, monkeypatch, capsys):
         # these used to run the search and the fit, then end in a traceback
@@ -494,6 +497,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "alpha must lie in [-1, 1]" in err
         assert str(missing) not in err
+
+    @pytest.mark.parametrize("rows, message", [
+        (2, "leave-one-out needs at least 3 observations"),
+        (4, "no default neighbor count fits n=4 observations"),
+    ])
+    def test_slx_on_tiny_data_names_the_sample_size(self, dataset, tmp_path, capsys,
+                                                     rows, message):
+        # no --ks: the error must not blame a neighbor grid the user never gave
+        tiny = tmp_path / "tiny.csv"
+        tiny.write_text("".join(dataset.read_text().splitlines(keepends=True)[:rows + 1]))
+        assert main(["fit", "--data", str(tiny), *DATA_ARGS, *GEO_ARGS,
+                     "--model", "slx", "--alpha", "0.5"]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "neighbor grid" not in err
 
     def test_neighbor_count_of_n_is_data_error(self, tmp_path, capsys):
         # 30 locations have 29 others each

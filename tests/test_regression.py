@@ -275,10 +275,12 @@ class TestResidualSystem:
 
     def test_mean_jacobian_at_alpha_zero_is_helmert_block(self, rng):
         from alphareg import helmert_submatrix
-        from alphareg.regression import _mean_jacobian
 
-        _, X, B = random_instance(rng, n=20, D=4, p=2)
-        A = _mean_jacobian(X, B, 0.0)
+        Y, X, B = random_instance(rng, n=20, D=4, p=2)
+        # the reference's explicit A, read off the intercept columns of
+        # J = -A kron x (column k*(p+1) + 0 holds -A[:, :, k] * 1)
+        J = residual_system(Y, X, 0.0).jacobian_fn(coef_to_theta(B))
+        A = -J[:, ::X.shape[1]].reshape(20, 3, 3)
         H = helmert_submatrix(4)
         np.testing.assert_allclose(A, np.broadcast_to(H[:, 1:], A.shape), atol=1e-15)
 
@@ -289,6 +291,47 @@ class TestResidualSystem:
         assert system.n_params == 2 * 3
         assert system.residual_fn(np.zeros(6)).shape == (30,)
         assert system.jacobian_fn(np.zeros(6)).shape == (30, 6)
+
+
+class TestClosedFormsAgainstStackedReference:
+    """The gradient and the sandwich covariance come from the closed-form
+    blocks; the explicit stacked J and residuals of ``residual_system`` give
+    the same numbers by the textbook formulas."""
+
+    @staticmethod
+    def _reference(Y, X, alpha, B):
+        system = residual_system(Y, X, alpha)
+        theta = coef_to_theta(B)
+        J, r = system.jacobian_fn(theta), system.residual_fn(theta)
+        n, d = Y.shape[0], Y.shape[1] - 1
+        scores = np.einsum("imp,im->ip", J.reshape(n, d, -1), r.reshape(n, d))
+        return J, r, scores
+
+    @staticmethod
+    def _close(approx, exact):
+        return np.max(np.abs(approx - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("D", [2, 4])
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5])
+    def test_gradient_is_minus_jtr(self, D, alpha, rng):
+        Y, X, B = random_instance(rng, n=30, D=D, p=2)
+        J, r, _ = self._reference(Y, X, alpha, B)
+        assert self._close(gradient(Y, X, alpha, B), -(J.T @ r))
+
+    @pytest.mark.parametrize("D", [2, 4])
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5])
+    def test_sandwich_is_h_inv_m_h_inv(self, D, alpha, rng):
+        from alphareg import sandwich_covariance
+
+        Y, X, B = random_instance(rng, n=30, D=D, p=2)
+        J, r, scores = self._reference(Y, X, alpha, B)
+        n, P = len(Y), B.size
+        H_inv = np.linalg.inv(J.T @ J / n)
+        sandwich = H_inv @ (scores.T @ scores / n) @ H_inv / n
+        spherical = (r @ r) / (len(r) - P) * H_inv / n
+        assert self._close(sandwich_covariance(Y, X, alpha, B).matrix, sandwich)
+        assert self._close(
+            sandwich_covariance(Y, X, alpha, B, kind="spherical").matrix, spherical)
 
 
 class TestMinimumComponents:

@@ -123,11 +123,8 @@ class TestRunFit:
         assert doc["standard_errors"]["replicates"] == 10
 
     def test_gwar_rejects_se_request(self):
-        sim = synthesize(n=20, D=3, p=1, alpha=0.5, noise_scale=0.1,
-                         spatial_mode="two_cluster", seed=9)
-        config = RunConfig(model="gwar", alpha=0.5, h=0.02, with_se=True)
-        with pytest.raises(InvalidParameters):
-            run_fit(config, sim["Y"], sim["X"], sim["coords"])
+        with pytest.raises(InvalidParameters, match="standard errors"):
+            RunConfig(model="gwar", alpha=0.5, h=0.02, with_se=True)
 
     def test_invalid_model_rejected(self):
         with pytest.raises(InvalidParameters):
@@ -167,9 +164,12 @@ class TestRunFit:
         ({"model": "slx", "k": 2.5}, "neighbor count"),
         ({"alpha": 2.0}, "alpha"),
         ({"alpha": np.nan}, "alpha"),
+        ({"model": "gwar", "with_se": True}, "standard errors"),
+        ({"model": "gwar", "bootstrap_replicates": 5}, "standard errors"),
     ], ids=["seed-with-bootstrap", "seed", "seed-fraction", "replicates-negative",
             "replicates-one", "replicates-fraction", "h-inf", "h-nan", "hs-inf", "hs-nan",
-            "k-zero", "k-fraction", "alpha-out-of-range", "alpha-nan"])
+            "k-zero", "k-fraction", "alpha-out-of-range", "alpha-nan", "gwar-with-se",
+            "gwar-bootstrap"])
     def test_bad_setting_rejected_by_the_config(self, settings, name):
         # so it fails before any work: a negative seed used to pass until the
         # bootstrap's first draw, after selection and the final fit

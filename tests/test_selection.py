@@ -8,6 +8,7 @@ from alphareg import (
     AllCoincident,
     CvGrid,
     GeoCoordinates,
+    InvalidK,
     InvalidParameters,
     NonpositiveFitted,
     NumericalError,
@@ -184,6 +185,19 @@ class TestLoocvAlpha:
 
 
 class TestLoocvSlx:
+    @pytest.mark.parametrize("n, error, message", [
+        (2, InvalidParameters, "at least 3 observations"),
+        (3, InvalidK, r"n=3 .* k <= n-2 = 1"),
+        (4, InvalidK, r"n=4 .* k <= n-2 = 2"),
+    ])
+    def test_too_few_rows_for_the_default_k_grid(self, n, error, message):
+        # no ks given: the error names the sample size, not an empty grid
+        sim = synthesize(n=12, D=3, p=1, alpha=0.5, noise_scale=0.1,
+                         spatial_mode="slx", seed=7)
+        coords = GeoCoordinates.from_degrees(sim["coords"].lat[:n], sim["coords"].lon[:n])
+        with pytest.raises(error, match=message):
+            loocv_slx(sim["Y"][:n], sim["X"][:n], coords, CvGrid(alphas=(0.5,)))
+
     def test_gamma_zero_keeps_plain_competitive(self):
         # without true spillovers the lagged model should not win decisively
         wins = 0
