@@ -34,8 +34,8 @@ from .exceptions import (
     NonNumericCell,
 )
 from .regression import fitted_mean
-from .simplex import (ROW_SUM_TOL, alpha_transform, alpha_transform_inverse, closure,
-                      helmert_submatrix)
+from .simplex import (ROW_SUM_TOL, _check_alpha, alpha_transform, alpha_transform_inverse,
+                      closure, helmert_submatrix)
 from .spatial import GeoCoordinates, neighbor_lag, neighbor_table
 
 log = logging.getLogger(__name__)
@@ -163,11 +163,19 @@ def synthesize(n, D, p, alpha, noise_scale=0.0, spatial_mode="none", seed=0,
     (None for mode "none"), ``B`` (true coefficients), ``gamma`` (mode
     "slx"), ``clusters`` (mode "two_cluster"), and the generator settings.
     With ``noise_scale=0`` the responses are exactly the model means.
+    ``alpha`` must lie in [-1, 1] and, in mode "slx", ``slx_k`` must be an
+    integer in [1, n-1]; anything else is :class:`InvalidParameters`.
     """
+    alpha = _check_alpha(alpha)  # at any noise, so NaN never reaches the sidecar
     if n < 10 or D < 2 or p < 1:
         raise InvalidParameters("need n >= 10, D >= 2, p >= 1")
     if spatial_mode not in SPATIAL_MODES:
         raise InvalidParameters(f"spatial_mode must be one of {SPATIAL_MODES}")
+    if spatial_mode == "slx" and (not isinstance(slx_k, (int, np.integer))
+                                  or not 1 <= slx_k <= n - 1):
+        raise InvalidParameters(
+            f"neighbor count slx_k must satisfy 1 <= k <= {n - 1} (an integer) for "
+            f"{n} locations, got {slx_k!r}")
     if not 0 <= noise_scale < np.inf:  # False for NaN too
         raise InvalidParameters(f"noise_scale must be finite and >= 0, got {noise_scale!r}")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
@@ -187,7 +195,7 @@ def synthesize(n, D, p, alpha, noise_scale=0.0, spatial_mode="none", seed=0,
         mu = fitted_mean(X, B)
     elif spatial_mode == "slx":
         coords = _random_coords(rng, n)
-        lag = neighbor_lag(*neighbor_table(coords, min(slx_k, n - 1)), X)
+        lag = neighbor_lag(*neighbor_table(coords, slx_k), X)
         gamma_rows = rng.uniform(-0.5, 0.5, size=(p, d))
         gamma = np.vstack([np.zeros((1, d)), gamma_rows])
         mu = fitted_mean(np.hstack([X, lag]), np.vstack([B, gamma_rows]))

@@ -41,7 +41,7 @@ from .exceptions import (
     NumericalError,
     SingularH,
 )
-from .optim import Convergence
+from .optim import Convergence, LmResult
 from .regression import _derivatives, _kron_rows, _outer_rows, fit_alpha_regression
 
 COND_LIMIT = 1e12
@@ -108,7 +108,7 @@ class CovarianceEstimate:
     replicates: int = 0
     failed_replicates: int = 0
     ame_standard_errors: Optional[np.ndarray] = None  # p x D, bootstrap only
-    diagnostics: Optional[dict] = None  # bootstrap only, see _replicate_diagnostics
+    diagnostics: Optional[dict] = None  # bootstrap only, see solver_diagnostics
 
 
 def _enforce_psd(M):
@@ -174,7 +174,7 @@ def bootstrap_covariance(Y, X, alpha, opts=None, replicates=200, seed=0, threads
     index, so results are identical for any thread count.  A failed
     replicate is dropped from both statistics and counted once; more than
     20% failing is an error.  ``diagnostics`` records how the replicates
-    converged (:func:`_replicate_diagnostics`).
+    converged (:func:`solver_diagnostics`).
     """
     if replicates < 2:
         raise InvalidParameters("bootstrap needs at least 2 replicates")
@@ -184,7 +184,7 @@ def bootstrap_covariance(Y, X, alpha, opts=None, replicates=200, seed=0, threads
     p = X.shape[1] - 1
     if start is None:
         start = fit_alpha_regression(Y, X, alpha, opts=opts).lm
-    errors = [None] * replicates  # exception type name of each failed replicate
+    errors = [None] * replicates  # the exception of each failed replicate
 
     def one(rep):
         idx = np.random.default_rng([seed, rep]).integers(0, n, size=n)
@@ -194,7 +194,7 @@ def bootstrap_covariance(Y, X, alpha, opts=None, replicates=200, seed=0, threads
                                        theta0=start.theta, damping0=start.damping,
                                        weights=counts)
         except NumericalError as exc:
-            errors[rep] = type(exc).__name__
+            errors[rep] = exc
             return None
         ames = [counts @ marginal_effects(fit.coefficients, fit.fitted, k) / n
                 for k in range(1, p + 1)]
@@ -215,21 +215,23 @@ def bootstrap_covariance(Y, X, alpha, opts=None, replicates=200, seed=0, threads
         replicates=len(draws),
         failed_replicates=failed,
         ame_standard_errors=np.std(np.stack(ames), axis=0, ddof=1),
-        diagnostics=_replicate_diagnostics(lms, errors),
+        diagnostics=solver_diagnostics(list(lms) + [e for e in errors if e is not None]),
     )
 
 
-def _replicate_diagnostics(lms, errors):
-    """JSON-ready record of the replicate solves ``lms``: the count per
-    convergence reason, a histogram of LM iterations (keyed by the count,
-    ascending), and the failed replicates by exception type (the names in
-    ``errors``, ``None`` for a replicate that did not fail)."""
+def solver_diagnostics(outcomes):
+    """JSON-ready record of a set of solves, each outcome an :class:`LmResult`
+    or the exception that failed it: the count per convergence reason, a
+    histogram of LM iterations (keyed by the count, ascending), and the
+    failures by exception type.  Counts only, so it is deterministic."""
+    lms = [o for o in outcomes if isinstance(o, LmResult)]
     iterations = Counter(lm.iterations for lm in lms)
+    failed = Counter(type(o).__name__ for o in outcomes if not isinstance(o, LmResult))
     return {
         "converged_by": {c.value: sum(lm.converged_by is c for lm in lms)
                          for c in Convergence},
         "iterations": {str(i): iterations[i] for i in sorted(iterations)},
-        "failed": dict(sorted(Counter(filter(None, errors)).items())),
+        "failed": dict(sorted(failed.items())),
     }
 
 

@@ -379,7 +379,7 @@ def _chunk_size(m, n, D, q, per_problem_design):
     return max(1, -(-m // chunks))
 
 
-def fit_alpha_batch(Y, X, alpha, weights, theta0, opts=None):
+def fit_alpha_batch(Y, X, alpha, weights, theta0, opts=None, damping0=None):
     """Weighted fits of m problems that share the response ``Y``, at one alpha.
 
     Problem j minimizes ``sum_i weights[j, i] * ||z(y_i) - z(mu_ji)||^2``: a
@@ -389,7 +389,10 @@ def fit_alpha_batch(Y, X, alpha, weights, theta0, opts=None):
     ``X`` is one (n, q) design for every problem or per-problem designs
     (m, n, q); ``weights`` is (m, n), finite and nonnegative.  Either
     per-problem argument may be a :class:`RowBlocks`.  ``theta0`` is one
-    start (P,) for every problem, or (m, P).
+    start (P,) for every problem, or (m, P).  ``damping0`` (scalar or (m,)),
+    when given, is the damping each start's fit ended with: a problem
+    continues from it by the warm rule of :mod:`alphareg.optim`, and a
+    nonpositive entry starts cold; ``None`` starts every problem cold.
 
     ``Y`` is transformed once, and the normal equations come from the
     Kronecker form ``J'WJ = sum_i w_i (A_i'A_i) kron (x_i x_i')`` with the
@@ -404,7 +407,7 @@ def fit_alpha_batch(Y, X, alpha, weights, theta0, opts=None):
     """
     alpha = _check_alpha(alpha)
     Y = np.asarray(Y, dtype=np.float64)
-    return _fit_batch(alpha_transform(Y, alpha), X, alpha, weights, theta0, opts)
+    return _fit_batch(alpha_transform(Y, alpha), X, alpha, weights, theta0, opts, damping0)
 
 
 def _fit_batch(y_a, X, alpha, weights, theta0, opts, damping0=None):

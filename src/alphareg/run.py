@@ -5,7 +5,11 @@ cross-validation, :func:`run_cv`, where a fixed value narrows its grid axis
 to itself), fits the requested model, and assembles a JSON-ready
 document: config echo, selection scores, coefficients, per-component
 observed-fitted correlations, divergence, and average marginal effects per
-covariate.  Documents are deterministic for a fixed config, dataset, and
+covariate.  After a selection the final fit continues from the search's
+solutions at the winning point: the plain and lagged-covariate fits are
+the search's full-data fits, and each GWaR location starts from its
+leave-one-out fold; only a run with every hyper-parameter fixed fits from
+scratch.  Documents are deterministic for a fixed config, dataset, and
 seed: no timestamps or wall-clock values are included (timing goes to the
 log instead).
 """
@@ -30,7 +34,7 @@ from .optim import LmOptions
 from .regression import fit_alpha_regression
 from .selection import CvGrid, select
 from .simplex import _check_alpha
-from .spatial import fit_alpha_slx, fit_gwar, neighbor_lag, neighbor_table
+from .spatial import fit_alpha_slx, fit_gwar, neighbor_lag, neighbor_table, split_slx
 
 log = logging.getLogger(__name__)
 
@@ -119,7 +123,12 @@ def run_cv(config, Y, X, coords=None):
 
 
 def run_fit(config, Y, X, coords=None, covariate_names=None):
-    """Run selection (if needed) and the final fit; return the result document."""
+    """Run selection (if needed) and the final fit; return the result document.
+
+    After a selection nothing the search has solved is solved again (see
+    the module docstring); with every hyper-parameter fixed, the model is
+    fit from B = 0.
+    """
     threads = resolve_threads(config.threads)
     Y = np.asarray(Y, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
@@ -127,14 +136,14 @@ def run_fit(config, Y, X, coords=None, covariate_names=None):
     _check_coords(config, coords)
     t0 = time.perf_counter()
 
-    selection = None
+    selection = cv = None
     values = tuple(getattr(config, name) for name in HYPERPARAMETERS[config.model])
     if None in values:
         selection, cv = run_cv(config, Y, X, coords)
         values = cv.best
     if config.model == "alpha":
         (alpha,) = values
-        fit = fit_alpha_regression(Y, X, alpha, opts=config.solver)
+        fit = cv.fit if cv else fit_alpha_regression(Y, X, alpha, opts=config.solver)
         hyper = {"alpha": float(alpha)}
         doc_fit = {
             "coefficients": fit.coefficients.tolist(),
@@ -148,8 +157,10 @@ def run_fit(config, Y, X, coords=None, covariate_names=None):
         se, diagnostics = _standard_errors(config, Y, X, alpha, fit, threads)
     elif config.model == "slx":
         alpha, k = values
+        # the first k columns of the search's table, so cv.fit is on [X | lag]
         lag = neighbor_lag(*neighbor_table(coords, int(k)), X)
-        fit = fit_alpha_slx(Y, X, lag, alpha, opts=config.solver)
+        fit = (split_slx(cv.fit, p) if cv
+               else fit_alpha_slx(Y, X, lag, alpha, opts=config.solver))
         hyper = {"alpha": float(alpha), "k": int(k)}
         doc_fit = {
             "beta": fit.beta.tolist(),
@@ -170,7 +181,8 @@ def run_fit(config, Y, X, coords=None, covariate_names=None):
                                            fit, threads)
     else:  # gwar
         alpha, h = values
-        fit = fit_gwar(Y, X, coords, alpha, h, opts=config.solver)
+        start = None if cv is None else (cv.fit, cv.fold_theta, cv.fold_damping)
+        fit = fit_gwar(Y, X, coords, alpha, h, opts=config.solver, start=start)
         hyper = {"alpha": float(alpha), "h": float(h)}
         doc_fit = {
             "local_coefficients": fit.local_coefficients.tolist(),
@@ -181,7 +193,7 @@ def run_fit(config, Y, X, coords=None, covariate_names=None):
             "ame": _ame_table(
                 lambda kk: gwar_marginal_effects(fit, kk).mean(axis=0), p)
         }
-        se = diagnostics = None
+        se, diagnostics = None, {"gwar": fit.diagnostics}
 
     doc = {
         "config": asdict(config),
@@ -194,7 +206,7 @@ def run_fit(config, Y, X, coords=None, covariate_names=None):
         "standard_errors": se,
     }
     if diagnostics is not None:
-        doc["diagnostics"] = {"bootstrap": diagnostics}
+        doc["diagnostics"] = diagnostics
     if covariate_names:
         doc["covariate_names"] = list(covariate_names)
     log.info("run completed in %.2fs", time.perf_counter() - t0)
@@ -221,8 +233,8 @@ def _standard_errors(config, Y, X_model, alpha, fit, threads):
 
     The bootstrap replicates warm-start from ``fit``, the final fit on
     ``X_model``, and give the coefficient and AME standard errors together.
-    Returns the ``standard_errors`` block and the bootstrap's diagnostics
-    (``None`` without a bootstrap).
+    Returns the ``standard_errors`` block and the document's ``diagnostics``
+    block, which holds the bootstrap's (``None`` without a bootstrap).
     """
     if not (config.with_se or config.bootstrap_replicates):
         return None, None
@@ -239,7 +251,7 @@ def _standard_errors(config, Y, X_model, alpha, fit, threads):
             "failed_replicates": cov.failed_replicates,
             "coefficients": _se_matrix(cov.matrix, shape).tolist(),
             "ame": cov.ame_standard_errors.tolist(),
-        }, cov.diagnostics
+        }, {"bootstrap": cov.diagnostics}
     cov = sandwich_covariance(Y, X_model, alpha, fit.coefficients)
     return {
         "kind": cov.kind,

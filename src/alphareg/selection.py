@@ -16,7 +16,9 @@ re-sliced data and no re-transformed response: the n folds of a grid point
 are one set of weighted fits (``regression.fit_alpha_batch``), solved
 chunk by chunk on one thread (two measured slower), with weights and
 designs built per chunk, so no n x n array appears.  Held-out rows are
-scored by one vectorised divergence.  A fold whose solve fails or whose
+scored by one vectorised divergence.  The winning point's full-data fit
+and fold solutions are returned with the scores, and the final fit of
+:mod:`alphareg.run` continues from them.  A fold whose solve fails or whose
 weights are degenerate scores +inf instead of aborting the search; a grid
 on which every point scores +inf raises :class:`NumericalError` rather than
 naming a winner.  Ties at the minimum resolve to the smallest alpha, then
@@ -37,6 +39,7 @@ from .exceptions import (
 )
 from .optim import LmOptions
 from .regression import (
+    FitResult,
     RowBlocks,
     _kld_terms,
     fit_alpha_batch,
@@ -85,7 +88,12 @@ class CvResult:
     """Grid scores (sums of held-out divergences) and the winning point.
 
     ``per_fold[i]`` holds fold i's score at every grid point (+inf where the
-    fold failed), so ``scores`` is its sum over folds.
+    fold failed), so ``scores`` is its sum over folds.  The search's
+    solutions at the winning point come with it, so the final fit need not
+    solve them again: ``fit`` is the full-data :class:`FitResult` there (on
+    ``[X | lag_k]`` for the lagged-covariate model), ``fold_theta`` (n, P)
+    the folds' parameters and ``fold_damping`` (n,) their final dampings.  A
+    failed fold holds ``fit``'s parameters at damping 0 (a cold start).
     """
 
     scores: np.ndarray
@@ -94,6 +102,9 @@ class CvResult:
     per_fold: np.ndarray
     ks: Optional[tuple] = None
     hs: Optional[tuple] = None
+    fit: Optional[FitResult] = None
+    fold_theta: Optional[np.ndarray] = None
+    fold_damping: Optional[np.ndarray] = None
 
 
 def median_heuristic_bandwidth(coords):
@@ -167,7 +178,9 @@ def _loocv(Y, X, grid, axis, setup, opts):
     or a shared design): fold i is the full data with weight 0 on row i, and
     row i of a per-fold design is row i of the full-data design, on which
     the fold is scored.  Per-fold scores have shape (n, alphas[, extras]),
-    C-contiguous, and ``scores`` is their sum over axis 0.
+    C-contiguous, and ``scores`` is their sum over axis 0.  Each grid
+    point's full-data fit and fold solutions are kept until the winner is
+    known, and the winner's are returned on the :class:`CvResult`.
     """
     opts = opts or LmOptions()
     Y = np.asarray(Y, dtype=np.float64)
@@ -180,37 +193,53 @@ def _loocv(Y, X, grid, axis, setup, opts):
     extras = (None,) if axis is None else getattr(grid, axis)
 
     per_fold = np.full((n, len(grid.alphas), len(extras)), np.inf)
+    solutions = {}  # (alpha, extra) index: full-data fit, fold thetas, fold dampings
     theta = None
     for ai, a in enumerate(grid.alphas):
         warm = {}
         for design in {id(d): d for d in designs if d is not None}.values():
-            theta = fit_alpha_regression(Y, design, a, opts=opts, theta0=theta).lm.theta
-            warm[id(design)] = theta
+            warm[id(design)] = fit_alpha_regression(Y, design, a, opts=opts, theta0=theta)
+            theta = warm[id(design)].lm.theta
         for e, design in enumerate(designs):
             if design is not None:
                 weights, fold_X = folds(extras[e])
-                outcomes = fit_alpha_batch(Y, fold_X, a, weights, warm[id(design)], opts)
-                per_fold[:, ai, e] = _heldout_divergence(Y, design, outcomes)
+                fit = warm[id(design)]
+                outcomes = fit_alpha_batch(Y, fold_X, a, weights, fit.lm.theta, opts)
+                ok, fold_theta, fold_damping = _fold_solutions(outcomes, fit.lm.theta)
+                per_fold[:, ai, e] = _heldout_divergence(Y, design, ok, fold_theta)
+                solutions[ai, e] = fit, fold_theta, fold_damping
 
     if axis is None:
         per_fold = per_fold.reshape(n, len(grid.alphas))
     scores = per_fold.sum(axis=0)
     best = _best_point(scores)
+    fit, fold_theta, fold_damping = solutions[best if axis else (best[0], 0)]
     point = {"alphas": grid.alphas}
     if axis is not None:
         point[axis] = extras
     return CvResult(scores=scores, best=tuple(v[i] for v, i in zip(point.values(), best)),
-                    per_fold=per_fold, **point)
+                    per_fold=per_fold, fit=fit, fold_theta=fold_theta,
+                    fold_damping=fold_damping, **point)
 
 
-def _heldout_divergence(Y, design, outcomes):
-    """Divergence of each fold's prediction at its held-out row i (row i of
-    ``design``), +inf where the fold's fit failed."""
+def _fold_solutions(outcomes, start):
+    """Which folds solved, and every fold's parameters (n, P) and final
+    damping (n,); a failed fold keeps ``start`` at damping 0, which the warm
+    rule of :mod:`alphareg.optim` reads as cold."""
     ok = np.array([not isinstance(o, NumericalError) for o in outcomes])
-    out = np.full(len(outcomes), np.inf)
+    theta = np.array([o.theta if good else start for o, good in zip(outcomes, ok)])
+    damping = np.array([o.damping if good else 0.0 for o, good in zip(outcomes, ok)])
+    return ok, theta, damping
+
+
+def _heldout_divergence(Y, design, ok, theta):
+    """Divergence of each fold's prediction at its held-out row i (row i of
+    ``design``) from its parameters ``theta[i]``, +inf where the fold failed
+    (``ok`` false)."""
+    out = np.full(len(ok), np.inf)
     if ok.any():
         q, d = design.shape[1], Y.shape[1] - 1
-        B = np.stack([theta_to_coef(o.theta, q, d) for o, good in zip(outcomes, ok) if good])
+        B = np.stack([theta_to_coef(t, q, d) for t in theta[ok]])
         out[ok] = _kld_terms(Y[ok], local_fitted_mean(design[ok], B)).sum(axis=1)
     return out
 

@@ -24,10 +24,12 @@ Two models build on the plain compositional regression:
   coefficient matrices.  :func:`fit_gwar` and :func:`predict_gwar` solve
   their locations as one set of weighted fits
   (``regression.fit_alpha_batch``), with kernel weights built a chunk of
-  locations at a time.
+  locations at a time.  After a bandwidth search, :func:`fit_gwar`
+  continues each location from its leave-one-out fold's solution.
 """
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -35,9 +37,11 @@ from .exceptions import (
     DegenerateWeights,
     DimensionMismatch,
     InvalidK,
+    InvalidParameters,
     NonpositiveBandwidth,
     OutOfRangeCoordinate,
 )
+from .inference import solver_diagnostics
 from .optim import LmOptions
 from .regression import (
     FitResult,
@@ -224,7 +228,14 @@ def fit_alpha_slx(Y, X, lag, alpha, opts=None, theta0=None):
     p = X.shape[1] - 1
     if lag.shape != (X.shape[0], p):
         raise DimensionMismatch(f"lag {lag.shape} does not conform with design {X.shape}")
-    fit = fit_alpha_regression(Y, np.hstack([X, lag]), alpha, opts=opts, theta0=theta0)
+    return split_slx(fit_alpha_regression(Y, np.hstack([X, lag]), alpha, opts=opts,
+                                          theta0=theta0), p)
+
+
+def split_slx(fit, p):
+    """The :class:`SlxFit` of a fit on an augmented design ``[X | lag]`` with
+    p covariates (so ``2p + 1`` columns): its coefficient matrix split into
+    local and spillover parts."""
     C = fit.coefficients
     gamma = np.vstack([np.zeros((1, C.shape[1])), C[p + 1 :]])
     return SlxFit(**vars(fit), beta=C[: p + 1], gamma=gamma)
@@ -236,6 +247,9 @@ class GwarFit:
 
     Training inputs and the global warm-start solution are retained so that
     out-of-sample locations can be fit on demand (see :func:`predict_gwar`).
+    ``diagnostics`` records how the location solves stopped
+    (:func:`inference.solver_diagnostics`); a fit rebuilt from a document has
+    none.
     """
 
     local_coefficients: np.ndarray  # n x (p+1) x d
@@ -248,6 +262,7 @@ class GwarFit:
     train_X: np.ndarray
     train_coords: GeoCoordinates
     opts: LmOptions
+    diagnostics: Optional[dict] = None
 
 
 def _local_coefficients(outcomes, n_cols, d, degenerate):
@@ -262,21 +277,35 @@ def _local_coefficients(outcomes, n_cols, d, degenerate):
     return np.stack([theta_to_coef(o.theta, n_cols, d) for o in outcomes])
 
 
-def fit_gwar(Y, X, coords, alpha, h, opts=None):
+def fit_gwar(Y, X, coords, alpha, h, opts=None, start=None):
     """Fit the locally weighted model at every observed location.
 
     Each location minimizes the kernel-weighted squared residuals over the
-    whole sample, its own weight 1; local solves warm-start from the global
-    fit.  The n locations are one set of weighted fits
-    (:func:`fit_alpha_batch`), solved chunk by chunk on one thread.  Raises
-    the exception of the lowest-index location that fails,
-    :class:`DegenerateWeights` where all its other weights underflow.
+    whole sample, its own weight 1.  The n locations are one set of weighted
+    fits (:func:`fit_alpha_batch`), solved chunk by chunk on one thread.
+    Without ``start``, the global fit is solved from B = 0 and every
+    location starts at its solution by the cold damping rule.  ``start`` is
+    ``(global_fit, theta, damping)`` from a leave-one-out search at this
+    (alpha, h): the full-data :class:`FitResult`, which is kept, and fold
+    i's parameters ``theta[i]`` and final damping ``damping[i]``.  Fold i
+    has location i's kernel weights except on row i (0 there), so location
+    i continues from its solution by the warm rule of :mod:`alphareg.optim`
+    (a damping of 0 starts cold).  Raises the exception of the lowest-index
+    location that fails, :class:`DegenerateWeights` where all its other
+    weights underflow.
     """
     Y = np.asarray(Y, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
     opts = opts or LmOptions()
     n, D = Y.shape
-    global_fit = fit_alpha_regression(Y, X, alpha, opts=opts)
+    if start is None:
+        global_fit = fit_alpha_regression(Y, X, alpha, opts=opts)
+        theta0, damping0 = global_fit.lm.theta, None
+    else:
+        global_fit, theta0, damping0 = start
+        if global_fit.alpha != float(alpha):
+            raise InvalidParameters(
+                f"start was fit at alpha={global_fit.alpha}, not at alpha={alpha}")
 
     def location_weights(rows):
         w = kernel_weights_at(coords, coords.cart[rows], h)
@@ -288,7 +317,7 @@ def fit_gwar(Y, X, coords, alpha, h, opts=None):
         return w
 
     outcomes = fit_alpha_batch(Y, X, alpha, RowBlocks(n, location_weights),
-                               global_fit.lm.theta, opts)
+                               theta0, opts, damping0)
     local = _local_coefficients(
         outcomes, X.shape[1], D - 1,
         lambda i: f"all non-self kernel weights underflowed at location {i} (h={h:g})")
@@ -304,6 +333,7 @@ def fit_gwar(Y, X, coords, alpha, h, opts=None):
         train_X=X,
         train_coords=coords,
         opts=opts,
+        diagnostics=solver_diagnostics(outcomes),
     )
 
 

@@ -108,6 +108,18 @@ class TestFitCommand:
         assert doc["selection"] is not None
         assert doc["hyperparameters"]["h"] in (0.02, 1000000.0)
 
+    def test_selected_gwar_fit_records_its_locations_and_predicts(self, dataset,
+                                                                  tmp_path):
+        out = tmp_path / "gwar.json"
+        assert main(["fit", "--data", str(dataset), *DATA_ARGS, *GEO_ARGS,
+                     "--model", "gwar", "--alpha", "0.5", "--hs", "0.02,0.05",
+                     "--out", str(out)]) == 0
+        diag = json.loads(out.read_text())["diagnostics"]["gwar"]
+        assert sum(diag["iterations"].values()) == 40
+        assert sum(diag["converged_by"].values()) == 40
+        assert main(["predict", "--model-doc", str(out), "--data", str(dataset),
+                     "--out", str(tmp_path / "p.csv")]) == 0
+
 
 class TestPredictCommand:
     def test_alpha_model_round_trip(self, dataset, tmp_path):
@@ -474,6 +486,20 @@ class TestExitCodes:
         assert main(["generate", "--n", "30", "--components", "3", "--covariates", "2",
                      "--noise-scale", noise_scale, "--out-dir", str(out)]) == 2
         assert "noise_scale must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("settings", [
+        ["--alpha", "nan"],
+        ["--alpha", "2"],
+        ["--alpha", "2", "--noise-scale", "0.05"],
+        ["--spatial-mode", "slx", "--slx-k", "40"],
+    ], ids=["alpha-nan", "alpha-two", "alpha-two-noisy", "slx-k-above-n"])
+    def test_bad_generator_setting_is_data_error(self, settings, tmp_path, capsys):
+        # NaN used to reach truth.json, not strict JSON, and k = 40 became 29
+        out = tmp_path / "ds"
+        assert main(["generate", "--n", "30", "--components", "3", "--covariates", "1",
+                     *settings, "--out-dir", str(out)]) == 2
+        assert "must" in capsys.readouterr().err
         assert not out.exists()
 
     def test_zero_generator_neighbor_count_is_data_error(self, tmp_path, capsys):

@@ -160,6 +160,24 @@ class TestSynthesize:
         with pytest.raises(InvalidParameters, match="noise_scale"):
             synthesize(n=20, D=3, p=1, alpha=0.5, noise_scale=noise_scale)
 
+    @pytest.mark.parametrize("noise_scale", [0.0, 0.05])
+    @pytest.mark.parametrize("alpha", [np.nan, 2.0, -1.5])
+    def test_alpha_checked_at_any_noise(self, alpha, noise_scale):
+        # at noise 0 the transform never ran, so NaN reached the sidecar
+        with pytest.raises(InvalidParameters, match="alpha must lie in"):
+            synthesize(n=20, D=3, p=1, alpha=alpha, noise_scale=noise_scale)
+
+    @pytest.mark.parametrize("slx_k", [0, 30, 40, 2.5, "3", None])
+    def test_slx_neighbor_count_must_fit_the_locations(self, slx_k):
+        # 40 was clamped to 29 and 2.5 raised a bare TypeError
+        with pytest.raises(InvalidParameters, match="1 <= k <= 29"):
+            synthesize(n=30, D=3, p=1, alpha=0.5, spatial_mode="slx", slx_k=slx_k)
+
+    def test_largest_slx_neighbor_count_accepted(self):
+        sim = synthesize(n=30, D=3, p=1, alpha=0.5, spatial_mode="slx",
+                         slx_k=np.int64(29))
+        assert sim["settings"]["slx_k"] == 29
+
 
 class TestGenerateFiles:
     def test_round_trip_exact(self, tmp_path):

@@ -534,3 +534,24 @@ class TestBootstrapDiagnostics:
         Y, X, _ = homoskedastic_sim(rng, 40)
         fit = fit_alpha_regression(Y, X, 0.5)
         assert sandwich_covariance(Y, X, 0.5, fit.coefficients).diagnostics is None
+
+
+class TestSolverDiagnostics:
+    def test_counts_reasons_iterations_and_failures(self):
+        from alphareg import LmResult, NonFiniteResidual, SingularNormalEquations
+
+        lm = [LmResult(theta=np.zeros(1), final_sse=0.0, iterations=i, converged_by=c)
+              for i, c in [(3, Convergence.SSE_TOL), (2, Convergence.GRAD_TOL),
+                           (3, Convergence.SSE_TOL), (10, Convergence.MAX_ITER)]]
+        outcomes = [lm[0], NonFiniteResidual("x"), lm[1], lm[2],
+                    SingularNormalEquations("y"), lm[3], NonFiniteResidual("z")]
+        assert inference.solver_diagnostics(outcomes) == {
+            "converged_by": {"sse_tol": 2, "grad_tol": 1, "max_iter": 1, "stalled": 0},
+            "iterations": {"2": 1, "3": 2, "10": 1},
+            "failed": {"NonFiniteResidual": 2, "SingularNormalEquations": 1},
+        }
+
+    def test_empty(self):
+        assert inference.solver_diagnostics([]) == {
+            "converged_by": {c.value: 0 for c in Convergence},
+            "iterations": {}, "failed": {}}

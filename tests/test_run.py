@@ -12,15 +12,19 @@ from alphareg import (
     CvGrid,
     InvalidParameters,
     MissingColumn,
+    NonFiniteResidual,
     RunConfig,
     bootstrap_covariance,
     default_k_grid,
+    fit_alpha_regression,
+    fit_alpha_slx,
+    fit_gwar,
     neighbor_lag,
     neighbor_table,
     run_cv,
     run_fit,
 )
-from alphareg import regression
+from alphareg import regression, selection, spatial
 from alphareg.datasets import synthesize
 
 
@@ -280,3 +284,131 @@ class TestBootstrapDiagnostics:
             del doc["config"]  # echoes the thread count
             texts.append(json.dumps(doc))
         assert texts[0] == texts[1]
+
+
+def record_location_solves(monkeypatch):
+    """Record the outcomes of every location set ``fit_gwar`` solves."""
+    sets = []
+    original = spatial.fit_alpha_batch
+
+    def recorded(*args, **kwargs):
+        sets.append(original(*args, **kwargs))
+        return sets[-1]
+
+    monkeypatch.setattr(spatial, "fit_alpha_batch", recorded)
+    return sets
+
+
+def gwar_case():
+    sim = synthesize(n=60, D=3, p=2, alpha=0.5, noise_scale=0.05,
+                     spatial_mode="two_cluster", seed=21)
+    config = RunConfig(model="gwar", alpha=0.5, grid=CvGrid(hs=(0.01, 0.02, 0.05)))
+    return config, (sim["Y"], sim["X"], sim["coords"])
+
+
+class TestFinalFitFromTheSelection:
+    def test_selected_gwar_continues_from_the_folds(self, monkeypatch):
+        config, args = gwar_case()
+        fits = count_fits(monkeypatch)
+        _, cv = run_cv(config, *args)
+        searched = len(fits)
+        solves = record_location_solves(monkeypatch)
+        doc, fit = run_fit(config, *args)
+        assert len(fits) == 2 * searched  # the search's own, and no global refit
+        np.testing.assert_array_equal(fit.global_coefficients, cv.fit.coefficients)
+        cold = fit_gwar(*args, 0.5, cv.best[1])
+        scale = np.max(np.abs(cold.local_coefficients))
+        np.testing.assert_allclose(fit.local_coefficients, cold.local_coefficients,
+                                   rtol=0, atol=1e-7 * scale)
+        continued, from_scratch = ([o.iterations for o in s] for s in solves)
+        assert all(c <= f for c, f in zip(continued, from_scratch))
+        assert np.mean(continued) < np.mean(from_scratch)
+        histogram = doc["diagnostics"]["gwar"]["iterations"]
+        assert histogram == {str(i): continued.count(i) for i in sorted(set(continued))}
+
+    def test_failed_fold_location_starts_from_the_global_fit(self, monkeypatch):
+        # a failed fold scores +inf, so the winner never has one: hand the
+        # winning fold set, with fold j failed, to fit_gwar directly
+        config, (Y, X, coords) = gwar_case()
+        outcomes = []
+        original = selection.fit_alpha_batch
+
+        def kept(*args, **kwargs):
+            outcomes.append(original(*args, **kwargs))
+            return outcomes[-1]
+
+        monkeypatch.setattr(selection, "fit_alpha_batch", kept)
+        _, cv = run_cv(config, Y, X, coords)
+        won = outcomes[cv.hs.index(cv.best[1])]
+        j = 7
+        won[j] = NonFiniteResidual("forced failure")
+        ok, theta, damping = selection._fold_solutions(won, cv.fit.lm.theta)
+        assert not ok[j] and ok.sum() == len(won) - 1
+        np.testing.assert_array_equal(theta[j], cv.fit.lm.theta)
+        assert damping[j] == 0.0
+        others = np.arange(len(won)) != j
+        np.testing.assert_array_equal(theta[others], cv.fold_theta[others])
+        np.testing.assert_array_equal(damping[others], cv.fold_damping[others])
+
+        solves = record_location_solves(monkeypatch)
+        fit_gwar(Y, X, coords, 0.5, cv.best[1], start=(cv.fit, theta, damping))
+        fit_gwar(Y, X, coords, 0.5, cv.best[1], start=(cv.fit, cv.fold_theta,
+                                                       cv.fold_damping))
+        fit_gwar(Y, X, coords, 0.5, cv.best[1])
+        fell_back, continued, from_scratch = solves
+        assert fell_back[j].iterations == from_scratch[j].iterations
+        np.testing.assert_allclose(fell_back[j].theta, from_scratch[j].theta,
+                                   rtol=0, atol=1e-12)
+        assert continued[j].iterations < from_scratch[j].iterations
+
+    @pytest.mark.parametrize("model", ["alpha", "slx"])
+    def test_selected_fit_is_the_search_fit(self, monkeypatch, model):
+        sim = synthesize(n=30, D=3, p=2, alpha=0.5, noise_scale=0.1,
+                         spatial_mode="slx", seed=23)
+        grid = CvGrid(alphas=(0.5, 1.0), ks=(3, 5) if model == "slx" else None)
+        config = RunConfig(model=model, grid=grid, with_se=True)
+        args = (sim["Y"], sim["X"], sim["coords"])
+        fits = count_fits(monkeypatch)
+        _, cv = run_cv(config, *args)
+        searched = len(fits)
+        doc, fit = run_fit(config, *args)
+        assert len(fits) == 2 * searched
+        assert fit.coefficients.tobytes() == cv.fit.coefficients.tobytes()
+        assert doc["fit"]["coefficients"] == cv.fit.coefficients.tolist()
+        if model == "slx":  # split as fit_alpha_slx splits, 3 = p + 1 rows each
+            C = cv.fit.coefficients
+            assert doc["fit"]["beta"] == C[:3].tolist()
+            assert doc["fit"]["gamma"] == [[0.0, 0.0]] + C[3:].tolist()
+
+    @pytest.mark.parametrize("model", ["alpha", "slx", "gwar"])
+    def test_fixed_hyperparameters_fit_from_scratch(self, monkeypatch, model):
+        sim = synthesize(n=30, D=3, p=2, alpha=0.5, noise_scale=0.05,
+                         spatial_mode="two_cluster", seed=24)
+        Y, X, coords = sim["Y"], sim["X"], sim["coords"]
+        fixed = {"alpha": {}, "slx": {"k": 3}, "gwar": {"h": 0.02}}[model]
+        fits = count_fits(monkeypatch)
+        doc, fit = run_fit(RunConfig(model=model, alpha=0.5, **fixed), Y, X, coords)
+        assert doc["selection"] is None
+        assert fits == [None]  # one full-data fit, from B = 0
+        if model == "alpha":
+            expected = fit_alpha_regression(Y, X, 0.5).coefficients
+        elif model == "slx":
+            lag = neighbor_lag(*neighbor_table(coords, 3), X)
+            expected = fit_alpha_slx(Y, X, lag, 0.5).coefficients
+        else:
+            expected = fit_gwar(Y, X, coords, 0.5, 0.02).local_coefficients
+        got = fit.local_coefficients if model == "gwar" else fit.coefficients
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("h", [None, 0.02])
+    def test_gwar_document_records_the_location_solves(self, h):
+        config, args = gwar_case()
+        doc, _ = run_fit(RunConfig(model="gwar", alpha=0.5, h=h, grid=config.grid), *args)
+        assert list(doc)[-1] == "diagnostics"
+        diag = doc["diagnostics"]["gwar"]
+        assert set(diag) == {"converged_by", "iterations", "failed"}
+        assert sum(diag["converged_by"].values()) == 60
+        assert sum(diag["iterations"].values()) == 60
+        assert diag["failed"] == {}
+        assert json.dumps(doc) == json.dumps(
+            run_fit(RunConfig(model="gwar", alpha=0.5, h=h, grid=config.grid), *args)[0])

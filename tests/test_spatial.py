@@ -9,6 +9,7 @@ from alphareg import (
     DimensionMismatch,
     GeoCoordinates,
     InvalidK,
+    InvalidParameters,
     NonpositiveBandwidth,
     OutOfRangeCoordinate,
     chordal_distance_sq,
@@ -336,6 +337,14 @@ class TestGwarFit:
         np.testing.assert_allclose(gfit.fitted, loop, rtol=0, atol=1e-14)
         np.testing.assert_allclose(local_fitted_mean(sim["X"], local), loop,
                                    rtol=0, atol=1e-14)
+
+    def test_start_at_another_alpha_rejected(self):
+        sim = synthesize(n=20, D=3, p=1, alpha=0.5, noise_scale=0.05,
+                         spatial_mode="two_cluster", seed=4)
+        glob = fit_alpha_regression(sim["Y"], sim["X"], 1.0)
+        start = (glob, glob.lm.theta, np.zeros(20))
+        with pytest.raises(InvalidParameters, match="alpha=1.0"):
+            fit_gwar(sim["Y"], sim["X"], sim["coords"], 0.5, 0.02, start=start)
 
     def test_kld_and_fitted_rows(self):
         sim = synthesize(n=40, D=3, p=1, alpha=0.5, noise_scale=0.05,
