@@ -163,16 +163,16 @@ def synthesize(n, D, p, alpha, noise_scale=0.0, spatial_mode="none", seed=0,
     (None for mode "none"), ``B`` (true coefficients), ``gamma`` (mode
     "slx"), ``clusters`` (mode "two_cluster"), and the generator settings.
     With ``noise_scale=0`` the responses are exactly the model means.
-    ``alpha`` must lie in [-1, 1] and, in mode "slx", ``slx_k`` must be an
-    integer in [1, n-1]; anything else is :class:`InvalidParameters`.
+    ``alpha`` must lie in [-1, 1] and ``slx_k``, in every mode since the
+    settings record it, must be an integer in [1, n-1]; anything else is
+    :class:`InvalidParameters`.
     """
     alpha = _check_alpha(alpha)  # at any noise, so NaN never reaches the sidecar
     if n < 10 or D < 2 or p < 1:
         raise InvalidParameters("need n >= 10, D >= 2, p >= 1")
     if spatial_mode not in SPATIAL_MODES:
         raise InvalidParameters(f"spatial_mode must be one of {SPATIAL_MODES}")
-    if spatial_mode == "slx" and (not isinstance(slx_k, (int, np.integer))
-                                  or not 1 <= slx_k <= n - 1):
+    if not isinstance(slx_k, (int, np.integer)) or not 1 <= slx_k <= n - 1:
         raise InvalidParameters(
             f"neighbor count slx_k must satisfy 1 <= k <= {n - 1} (an integer) for "
             f"{n} locations, got {slx_k!r}")

@@ -162,8 +162,10 @@ def lm_batch(residuals, normal_equations, theta0, opts=None, damping0=None):
     and their SSEs, NaN where a residual is non-finite.
     ``normal_equations(theta, r, rows)`` returns, for the same problems at
     their residuals ``r``, the stacks ``J'J`` (k, P, P) and ``J'r`` (k, P)
-    and whether each Jacobian is finite.  ``r`` is only stored and indexed,
-    so it may carry more of its point for ``normal_equations`` to read.
+    and whether each Jacobian is finite.  ``r`` is only indexed, so it may
+    carry more of its point for ``normal_equations`` to read, and it is read
+    before the next call of ``residuals``, so ``residuals`` may write every
+    call into the same storage.
 
     Every problem runs the schedule of :func:`levenberg_marquardt` with its
     own damping, acceptance test, stopping reason and counts, and advances
@@ -182,7 +184,9 @@ def lm_batch(residuals, normal_equations, theta0, opts=None, damping0=None):
     opts = opts or LmOptions()
     theta = np.array(theta0, dtype=np.float64)
     m, n_params = theta.shape
-    r, sse = residuals(theta, np.arange(m))
+    rows = np.arange(m)  # the problems of the last residuals call, sorted
+    r, sse = residuals(theta, rows)
+    picked = np.empty_like(r)  # the rows of r one normal_equations call reads
     failed = np.where(np.isnan(sse), BAD_RESIDUAL, 0)
     reason = np.full(m, REASONS.index(Convergence.MAX_ITER))
     lam = np.zeros(m)
@@ -195,7 +199,10 @@ def lm_batch(residuals, normal_equations, theta0, opts=None, damping0=None):
     while True:
         new = np.flatnonzero(fresh)
         if new.size:
-            JtJ_new, g_new, finite = normal_equations(theta[new], r[new], new)
+            # every new problem had its residuals in the last call, at this point
+            at = r if new.size == rows.size else np.take(
+                r, np.searchsorted(rows, new), axis=0, out=picked[:new.size])
+            JtJ_new, g_new, finite = normal_equations(theta[new], at, new)
             failed[new[~finite]] = BAD_JACOBIAN
             small = finite & (np.abs(g_new).max(axis=1, initial=0.0) <= opts.grad_inf_tol)
             reason[new[small]] = REASONS.index(Convergence.GRAD_TOL)
@@ -219,14 +226,14 @@ def lm_batch(residuals, normal_equations, theta0, opts=None, damping0=None):
         tried = now[solved]
         if tried.size:
             candidate = theta[tried] - delta[solved]
-            r_new, sse_new = residuals(candidate, tried)
+            rows = tried
+            r, sse_new = residuals(candidate, tried)
             better = sse_new <= sse[tried]  # never at a non-finite (NaN) residual
             accepted[solved] = better
             won, new_sse = tried[better], sse_new[better]
             old = sse[won]
             rel_drop = (old - new_sse) / np.maximum(old, TINY)
             theta[won] = candidate[better]
-            r[won] = r_new[better]
             sse[won] = new_sse
             lam[won] = _next_damping(lam[won], accepted=True, opts=opts)
             reason[won[rel_drop <= opts.sse_rel_tol]] = REASONS.index(Convergence.SSE_TOL)

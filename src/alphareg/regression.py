@@ -52,7 +52,7 @@ from .optim import LmOptions, LmResult, ResidualSystem, lm_batch
 from .simplex import alpha_transform, helmert_submatrix, _check_alpha
 
 LINPRED_CLAMP = 700.0
-CHUNK_DOUBLES = 1 << 17  # working set of one chunk of batched fits (1 MiB)
+CHUNK_DOUBLES = 1 << 18  # doubles in the working set of one chunk of fits (2 MiB), see _chunk_size
 
 
 @dataclass
@@ -92,11 +92,60 @@ def _logit_map(X, B):
     return _inverse_logit(X @ B)
 
 
-def _inverse_logit(eta):
-    """Compositions from (..., n, d) linear predictors; component 1 is the reference."""
-    e = np.exp(np.clip(eta, -LINPRED_CLAMP, LINPRED_CLAMP))
-    denom = 1.0 + e.sum(axis=-1, keepdims=True)
-    return np.concatenate([1.0 / denom, e / denom], axis=-1)
+def _fresh(name, shape, dtype=np.float64):
+    """The work allocator of one-off calls: a new array every time."""
+    return np.empty(shape, dtype)
+
+
+class _Work:
+    """Work arrays kept by name over the LM steps of a batch of fits.
+
+    ``work(name, shape)`` returns the first ``shape[0]`` problems of the
+    array kept under ``name``.  On first use the array is cut, with room
+    for ``capacity`` problems, from one block of ``doubles`` doubles per
+    problem, so every step of every chunk writes into the arrays of the
+    first.  A boolean array, or one the block has no room left for, is
+    allocated apart.  Two calls for one name share storage, so a caller
+    must not hold one across the other.  Functions that take ``work``
+    default to :func:`_fresh`.
+
+    One block rather than an allocation per array keeps the heap in place
+    between batches: glibc trims its heap only when more than twice the
+    largest block it has unmapped (up to 32 MiB) is free at the top, so a
+    batch's block, once freed, is reused by the next batch instead of being
+    given back to the system and faulted in again.
+    """
+
+    def __init__(self, capacity, doubles):
+        self.capacity = capacity
+        self.block = np.empty(capacity * doubles)
+        self.used = 0  # doubles of the block cut so far
+        self.arrays = {}
+
+    def __call__(self, name, shape, dtype=np.float64):
+        kept = self.arrays.get(name)
+        if kept is None:
+            full = (self.capacity,) + tuple(shape[1:])
+            size = math.prod(full)
+            if dtype == np.float64 and self.used + size <= self.block.size:
+                kept = self.block[self.used:self.used + size].reshape(full)
+                self.used += size
+            else:
+                kept = np.empty(full, dtype)
+            self.arrays[name] = kept
+        return kept[:shape[0]]
+
+
+def _inverse_logit(eta, work=_fresh, out=None):
+    """Compositions from (..., n, d) linear predictors; component 1 is the
+    reference.  ``eta`` is overwritten; the result goes to ``out`` if given."""
+    e = np.exp(np.clip(eta, -LINPRED_CLAMP, LINPRED_CLAMP, out=eta), out=eta)
+    denom = np.sum(e, axis=-1, keepdims=True, out=work("denom", e.shape[:-1] + (1,)))
+    denom += 1.0
+    u = work("u", e.shape[:-1] + (e.shape[-1] + 1,)) if out is None else out
+    np.divide(1.0, denom, out=u[..., :1])
+    np.divide(e, denom, out=u[..., 1:])
+    return u
 
 
 def fitted_mean(X, B):
@@ -109,14 +158,26 @@ def fitted_mean(X, B):
     return _logit_map(X, B)
 
 
-def _transformed_mean(X, B, alpha, H):
+def _transformed_mean(X, B, alpha, H, work=_fresh, u=None):
     """:func:`transformed_mean` for checked inputs and a precomputed Helmert H,
-    and the logit map ``u = fitted_mean(X, alpha*B)`` (uniform at alpha 0)."""
+    and the logit map ``u = fitted_mean(X, alpha*B)`` (uniform at alpha 0),
+    written to ``u`` if given; ``work`` allocates the rest (:class:`_Work`)."""
+    d, D = H.shape
+    shape = np.broadcast_shapes(X.shape[:-2], B.shape[:-2]) + (X.shape[-2], d)
+    if u is None:
+        u = work("u", shape[:-1] + (D,))
+    mean = work("mean", shape)
     if alpha == 0.0:
-        eta = np.clip(X @ B, -LINPRED_CLAMP, LINPRED_CLAMP)
-        return eta @ H[:, 1:].T, np.full(eta.shape[:-1] + H.shape[1:], 1.0 / H.shape[1])
-    u = _logit_map(X, alpha * B)
-    return (H.shape[1] * u - 1.0) @ H.T / alpha, u
+        eta = np.matmul(X, B, out=work("eta", shape))
+        np.clip(eta, -LINPRED_CLAMP, LINPRED_CLAMP, out=eta)
+        u[...] = 1.0 / D
+        return np.matmul(eta, H[:, 1:].T, out=mean), u
+    _inverse_logit(np.matmul(X, alpha * B, out=work("eta", shape)), work, u)
+    t = np.multiply(u, D, out=work("t", u.shape))
+    t -= 1.0
+    np.matmul(t, H.T, out=mean)
+    mean /= alpha
+    return mean, u
 
 
 def transformed_mean(X, B, alpha):
@@ -177,17 +238,22 @@ def _kld_terms(obs, fit):
 
 # -- derivative chain ---------------------------------------------------------
 
-def _contract_residuals(u, r, H):
+def _contract_residuals(u, r, H, work=_fresh):
     """``g_i = H[:, 1:]'r_i - (H u_i)'r_i`` as (k, d, n), for logit maps u
     (k, n, D) and residuals r (k, n, d): the residuals contracted with
     ``G_i = H[:, 1:] - H u_i 1'``, of which ``A_i = D G_i diag(v_i)``."""
-    hr = np.einsum("knm,knm->kn", u @ H.T, r)
-    return H[:, 1:].T @ np.swapaxes(r, 1, 2) - hr[:, None, :]
+    k, n, d = r.shape
+    uH = np.matmul(u, H.T, out=work("uH", r.shape))
+    hr = np.einsum("knm,knm->kn", uH, r, out=work("hr", (k, n)))
+    g = np.matmul(H[:, 1:].T, np.swapaxes(r, 1, 2), out=work("g", (k, d, n)))
+    g -= hr[:, None, :]
+    return g
 
 
-def _normal_blocks(u, r, w, H):
+def _normal_blocks(u, r, w, H, work=_fresh):
     """``w_i A_i'A_i`` as (k, d*d, n) and ``w_i A_i'r_i`` as (k, d, n) for a
-    stack of logit maps u (k, n, D), residuals r (k, n, d) and weights w (k, n).
+    stack of logit maps u (k, n, D), residuals r (k, n, d) and weights w (k, n),
+    in arrays of ``work`` (:class:`_Work`).
 
     ``A_i`` is the mean Jacobian of observation i in its linear predictors,
     ``D (H[:, 1:] - H u_i 1') diag(v_i)`` with ``v_i = u_i[1:]``.  Helmert
@@ -200,13 +266,22 @@ def _normal_blocks(u, r, w, H):
     """
     k, n, D = u.shape
     d = D - 1
-    v = np.ascontiguousarray(np.swapaxes(u[..., 1:], 1, 2))
-    C = np.einsum("knm,knm->kn", u, u)[:, None, None, :] - v[:, :, None, :] - v[:, None]
-    C[:, np.arange(d), np.arange(d)] += 1.0
+    v = work("v", (k, d, n))
+    np.copyto(v, np.swapaxes(u[..., 1:], 1, 2))
+    uu = np.einsum("knm,knm->kn", u, u, out=work("uu", (k, n)))
+    C = np.subtract(uu[:, None, None, :], v[:, :, None, :], out=work("C", (k, d, d, n)))
+    C -= v[:, None]
+    for a in range(d):
+        C[:, a, a] += 1.0
     C *= v[:, :, None, :]
     C *= v[:, None]
-    C = C.reshape(k, d * d, n) * (D * D * w)[:, None, :]
-    return C, _contract_residuals(u, r, H) * v * (D * w)[:, None, :]
+    C = C.reshape(k, d * d, n)
+    wD = np.multiply(w, D * D, out=work("wD", (k, n)))
+    C *= wD[:, None, :]
+    Atr = _contract_residuals(u, r, H, work)
+    Atr *= v
+    Atr *= np.multiply(w, D, out=wD)[:, None, :]
+    return C, Atr
 
 
 def _kron_rows(C, outer):
@@ -370,11 +445,29 @@ class RowBlocks:
         return self.build(np.arange(*block.indices(self.m)))
 
 
+def _work_doubles(n, D, q, per_problem_design):
+    """Doubles per problem of the work arrays (:class:`_Work`) of
+    :func:`_batch_system`: for each of the n observations, the d + D
+    residuals and logit map, the d*d block of :func:`_normal_blocks`, 6d + 7
+    more values of the mean and the blocks, and for per-problem designs the
+    outer product of the design row and the design row and outer product
+    gathered for a step."""
+    d = D - 1
+    return n * (d * d + 8 * d + 8 + (q + 2 * q * q if per_problem_design else 0))
+
+
 def _chunk_size(m, n, D, q, per_problem_design):
     """Problems per chunk: at most ``CHUNK_DOUBLES`` over one problem's
-    working set, evened out over the chunks that m problems need."""
+    working set, evened out over the chunks that m problems need.
+
+    The working set counts, in doubles, what stays allocated while a chunk
+    steps: the work arrays (:func:`_work_doubles`), the residuals and logit
+    maps that :func:`optim.lm_batch` gathers for a step and the J'J it
+    keeps, and a per-problem design.
+    """
     d = D - 1
-    footprint = n * (3 * d * d + 4 * D + q + (q * q if per_problem_design else 0))
+    footprint = (_work_doubles(n, D, q, per_problem_design) + n * (d + D) + (d * q) ** 2
+                 + (n * q if per_problem_design else 0))
     chunks = max(1, -(-m // max(1, CHUNK_DOUBLES // footprint)))
     return max(1, -(-m // chunks))
 
@@ -399,7 +492,8 @@ def fit_alpha_batch(Y, X, alpha, weights, theta0, opts=None, damping0=None):
     closed-form blocks of :func:`_normal_blocks`, so neither the mean
     Jacobian A nor the (n*d, P) stacked Jacobian is formed.  Chunks of
     problems, sized by ``CHUNK_DOUBLES``, are solved one after another, each
-    as one :func:`optim.lm_batch` stack.
+    as one :func:`optim.lm_batch` stack, and every step of every chunk
+    writes into one block of work arrays (:class:`_Work`).
 
     Returns m outcomes in problem order: the problem's :class:`LmResult`, or
     the :class:`NumericalError` that failed it (:class:`DegenerateWeights`
@@ -431,6 +525,7 @@ def _fit_batch(y_a, X, alpha, weights, theta0, opts, damping0=None):
     H = helmert_submatrix(d + 1)
     outer = _outer_rows(X) if shared else None
     size = _chunk_size(m, n, d + 1, q, not shared)
+    work = _Work(size, _work_doubles(n, d + 1, q, not shared))  # for every chunk in turn
 
     def solve(first):
         block = slice(first, min(first + size, m))
@@ -440,14 +535,17 @@ def _fit_batch(y_a, X, alpha, weights, theta0, opts, damping0=None):
         if not np.all(np.isfinite(w)) or np.any(w < 0):
             raise NegativeWeight("observation weights must be finite and nonnegative")
         live = np.flatnonzero(np.max(w, axis=1) > 0)
-        Xs = X if shared else np.asarray(X[block], dtype=np.float64)[live]
+        Xs = X if shared else np.asarray(X[block], dtype=np.float64)
         if Xs.shape[-2:] != (n, q):
             raise DimensionMismatch(f"designs {Xs.shape} do not fit {n} rows and {q} columns")
+        if live.size < len(w):
+            w = w[live]
+            Xs = Xs if shared else Xs[live]
         outs = [DegenerateWeights(f"every weight of problem {j} is zero")
                 for j in range(block.start, block.stop)]
         warm = None if damping0 is None else damping0[block][live]
-        solved = lm_batch(*_batch_system(y_a, Xs, outer if shared else _outer_rows(Xs),
-                                          w[live], alpha, H),
+        solved = lm_batch(*_batch_system(y_a, Xs, outer if shared else _outer_rows(Xs, work),
+                                          w, alpha, H, work),
                           starts[block][live], opts, warm) if live.size else []
         for j, outcome in zip(live, solved):
             outs[j] = outcome
@@ -456,40 +554,59 @@ def _fit_batch(y_a, X, alpha, weights, theta0, opts, damping0=None):
     return [outcome for first in range(0, m, size) for outcome in solve(first)]
 
 
-def _outer_rows(X):
-    """Row outer products ``x_i x_i'`` flattened to (..., n, q*q)."""
-    return (X[..., :, None] * X[..., None, :]).reshape(X.shape[:-1] + (-1,))
+def _outer_rows(X, work=_fresh):
+    """Row outer products ``x_i x_i'`` flattened to (..., n, q*q), in an
+    array of ``work`` (:class:`_Work`)."""
+    outer = np.multiply(X[..., :, None], X[..., None, :], out=work("outer", X.shape + X.shape[-1:]))
+    return outer.reshape(X.shape[:-1] + (-1,))
 
 
-def _batch_system(y_a, X, outer, w, alpha, H):
+def _batch_system(y_a, X, outer, w, alpha, H, work=None):
     """The ``residuals`` and ``normal_equations`` of :func:`optim.lm_batch`
     for weighted fits at one alpha; ``X`` is shared (n, q) or per problem
     (k, n, q), and ``outer`` is its :func:`_outer_rows`, formed once per
     stack.  The residuals (k, n, d) carry their logit map ``u`` (k, n, D)
-    stacked on the last axis, so the normal equations need not form it again."""
-    d, q = y_a.shape[1], X.shape[-1]
+    stacked on the last axis, so the normal equations need not form it again.
+
+    Every (k, n, .) array of a step is written into the stack's work arrays
+    (:class:`_Work`), so the residuals returned are overwritten by the next
+    call: the caller keeps what it needs (:func:`optim.lm_batch` does)."""
+    n, d = y_a.shape
+    q = X.shape[-1]
+    if work is None:
+        work = _Work(len(w), _work_doubles(n, d + 1, q, X.ndim == 3))
+
+    def gather(a, rows, name):
+        # rows are sorted and unique, so as many rows as problems are all of them
+        if len(rows) == len(a):
+            return a
+        return np.take(a, rows, axis=0, out=work(name + " rows", (len(rows),) + a.shape[1:]))
 
     def design(rows):
-        return X if X.ndim == 2 else X[rows]
+        return X if X.ndim == 2 else gather(X, rows, "X")
 
     def residuals(theta, rows):
+        k = len(rows)
         B = theta.reshape(-1, d, q).transpose(0, 2, 1)  # (k, q, d), as theta_to_coef
-        mean, u = _transformed_mean(design(rows), B, alpha, H)
-        r = y_a - mean
+        ru = work("ru", (k, n, 2 * d + 1))
+        mean, _ = _transformed_mean(design(rows), B, alpha, H, work, ru[..., d:])
+        r = np.subtract(y_a, mean, out=ru[..., :d])
         # an infinite parameter can leave a clipped mean finite; it fails here
-        finite = np.all(np.isfinite(r), axis=(1, 2)) & np.all(np.isfinite(theta), axis=1)
+        finite = (np.isfinite(r, out=work("finite", r.shape, bool)).all(axis=(1, 2))
+                  & np.all(np.isfinite(theta), axis=1))
         if not finite.all():
-            r = np.where(finite[:, None, None], r, 0.0)
-        sse = np.einsum("kn,kn->k", w[rows], np.einsum("knm,knm->kn", r, r))
-        return np.concatenate([r, u], axis=-1), np.where(finite, sse, np.nan)
+            r[~finite] = 0.0
+        rr = np.einsum("knm,knm->kn", r, r, out=work("rr", (k, n)))
+        sse = np.einsum("kn,kn->k", gather(w, rows, "w"), rr)
+        return ru, np.where(finite, sse, np.nan)
 
     def normal_equations(theta, ru, rows):
         r, u = ru[..., :d], ru[..., d:]  # u is finite wherever r is
         k = len(rows)
-        AtA, Atr = _normal_blocks(u, r, w[rows], H)
+        AtA, Atr = _normal_blocks(u, r, gather(w, rows, "w"), H, work)
         # J'WJ = sum_i w_i (A_i'A_i) kron x_i x_i', and J'Wr = -sum_i w_i
         # (A_i'r_i) kron x_i, since J = -A kron x
-        JtJ = _kron_rows(AtA, outer if outer.ndim == 2 else outer[rows])
+        JtJ = _kron_rows(AtA, outer if outer.ndim == 2 else gather(outer, rows, "outer"))
         g = -(Atr @ design(rows))
         return JtJ, g.reshape(k, d * q), np.ones(k, dtype=bool)
 

@@ -493,7 +493,9 @@ class TestExitCodes:
         ["--alpha", "2"],
         ["--alpha", "2", "--noise-scale", "0.05"],
         ["--spatial-mode", "slx", "--slx-k", "40"],
-    ], ids=["alpha-nan", "alpha-two", "alpha-two-noisy", "slx-k-above-n"])
+        ["--slx-k", "-4"],
+    ], ids=["alpha-nan", "alpha-two", "alpha-two-noisy", "slx-k-above-n",
+            "slx-k-negative-without-slx"])
     def test_bad_generator_setting_is_data_error(self, settings, tmp_path, capsys):
         # NaN used to reach truth.json, not strict JSON, and k = 40 became 29
         out = tmp_path / "ds"

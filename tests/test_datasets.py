@@ -173,6 +173,14 @@ class TestSynthesize:
         with pytest.raises(InvalidParameters, match="1 <= k <= 29"):
             synthesize(n=30, D=3, p=1, alpha=0.5, spatial_mode="slx", slx_k=slx_k)
 
+    @pytest.mark.parametrize("spatial_mode", ["none", "two_cluster"])
+    @pytest.mark.parametrize("slx_k", [2.5, "abc", -4, 0, 20])
+    def test_slx_neighbor_count_checked_in_every_mode(self, slx_k, spatial_mode):
+        # the settings record slx_k in every mode: 2.5 was recorded as 2,
+        # "abc" raised a bare ValueError and -4 was accepted
+        with pytest.raises(InvalidParameters, match="1 <= k <= 19"):
+            synthesize(n=20, D=3, p=1, alpha=0.5, spatial_mode=spatial_mode, slx_k=slx_k)
+
     def test_largest_slx_neighbor_count_accepted(self):
         sim = synthesize(n=30, D=3, p=1, alpha=0.5, spatial_mode="slx",
                          slx_k=np.int64(29))

@@ -1,6 +1,8 @@
 """Model core: mean map, collapsed transform identity, objective, analytic
 derivatives against finite differences, and the fit itself."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from alphareg import (
     transformed_mean,
 )
 from alphareg import regression
+from alphareg.optim import lm_batch
 from alphareg.regression import RowBlocks, coef_to_theta, fit_alpha_batch
 from alphareg.simplex import helmert_submatrix
 from conftest import fd_gradient, fd_hessian, random_instance, rel_err
@@ -461,18 +464,141 @@ class TestFitAlphaBatch:
                                           regression._logit_map(X, alpha * B))
 
     def test_chunks_do_not_change_results(self, rng, monkeypatch):
-        Y, X, Xs, W, _ = batch_problems(rng, n=20, D=3, p=1, m=9)
-        theta0 = fit_alpha_regression(Y, X, 0.5).lm.theta
-        whole = fit_alpha_batch(Y, Xs, 0.5, W, theta0)
-        monkeypatch.setattr(regression, "CHUNK_DOUBLES", 2000)  # chunks of 3 or fewer
-        assert regression._chunk_size(9, 20, 3, 2, True) < 9
-        lazy_W = RowBlocks(9, lambda rows: W[rows])
-        lazy_X = RowBlocks(9, lambda rows: Xs[rows])
-        chunked = fit_alpha_batch(Y, lazy_X, 0.5, lazy_W, theta0)
-        for a, b in zip(whole, chunked):
-            np.testing.assert_array_equal(a.theta, b.theta)
-            assert (a.iterations, a.rejections, a.converged_by) == \
-                (b.iterations, b.rejections, b.converged_by)
+        # three kinds of stack: one shared design (alpha), per-problem designs
+        # (slx) and kernel weights (gwar), the last two built lazily.  Starts
+        # near, at zero and far out make the problems stop on different
+        # passes, so steps run on proper subsets of a chunk.  7 problems in
+        # chunks of 3 (the last has 1) or in one chunk match one per chunk.
+        Y, X, Xs, W, _ = batch_problems(rng, n=20, D=3, p=1, m=7)
+        coords = rng.uniform(size=(20, 2))
+        K = np.exp(-((coords[:7, None] - coords[None]) ** 2).sum(axis=-1) / 0.1)
+        theta0 = np.tile(fit_alpha_regression(Y, X, 0.5).lm.theta, (7, 1))
+        theta0[1::3] = 10.0
+        theta0[2::3] = 0.0
+        kinds = {
+            "alpha": (X, W),
+            "slx": (RowBlocks(7, lambda rows: Xs[rows]), RowBlocks(7, lambda rows: W[rows])),
+            "gwar": (X, RowBlocks(7, lambda rows: K[rows])),
+        }
+        monkeypatch.setattr(regression, "CHUNK_DOUBLES", 1)  # one problem per chunk
+        assert regression._chunk_size(7, 20, 3, 2, True) == 1
+        for kind, (design, weights) in kinds.items():
+            alone = fit_alpha_batch(Y, design, 0.5, weights, theta0)
+            assert len({o.iterations for o in alone}) > 1, kind
+            assert any(o.rejections for o in alone), kind
+            for size in (3, 7):
+                monkeypatch.setattr(regression, "_chunk_size", lambda m, *shape: size)
+                chunked = fit_alpha_batch(Y, design, 0.5, weights, theta0)
+                for a, b in zip(alone, chunked):
+                    np.testing.assert_array_equal(a.theta, b.theta)
+                    assert (a.iterations, a.rejections, a.converged_by) == \
+                        (b.iterations, b.rejections, b.converged_by), (kind, size)
+
+    @pytest.mark.parametrize("per_problem", [False, True])
+    def test_rejected_step_beside_an_accepted_one(self, per_problem, rng):
+        # the first problem starts far out, and its steps are rejected on
+        # passes where the second's are accepted, so normal_equations reads
+        # some of the rows of a trial's residuals; each outcome must still be
+        # its one-problem solve
+        Y, X, Xs, W, _ = batch_problems(rng, n=20, D=3, p=1, m=2)
+        design = Xs if per_problem else X
+        near = fit_alpha_regression(Y, X, 0.5).lm.theta
+        theta0 = np.stack([np.full_like(near, -6.0), near + 0.05])
+        y_a, H = alpha_transform(Y, 0.5), helmert_submatrix(3)
+        residuals, normal_equations = regression._batch_system(
+            y_a, design, regression._outer_rows(design), W, 0.5, H)
+        formed = []
+
+        def spy(theta, r, rows):
+            formed.append(tuple(rows))
+            return normal_equations(theta, r, rows)
+
+        stacked = lm_batch(residuals, spy, theta0)
+        assert stacked[0].rejections > 0
+        assert (1,) in formed and formed.index((1,)) < max(
+            i for i, rows in enumerate(formed) if 0 in rows)
+        for j in range(2):
+            alone, = lm_batch(*regression._batch_system(
+                y_a, design[j:j + 1] if per_problem else X,
+                regression._outer_rows(design[j:j + 1] if per_problem else X),
+                W[j:j + 1], 0.5, H), theta0[j:j + 1])
+            np.testing.assert_array_equal(stacked[j].theta, alone.theta)
+            assert (stacked[j].iterations, stacked[j].rejections, stacked[j].converged_by) \
+                == (alone.iterations, alone.rejections, alone.converged_by)
+
+
+class TestHeapStableSteps:
+    """An LM step of a chunk writes its (k, n, .) arrays into work arrays
+    allocated by the chunk's first step, and the chunk size counts them."""
+
+    N, D, P = 150, 4, 3  # an alpha-cv fold set
+
+    def chunk(self, rng, per_problem=False):
+        Y, X, _ = random_instance(rng, n=self.N, D=self.D, p=self.P)
+        q = self.P + 1
+        k = regression._chunk_size(self.N, self.N, self.D, q, per_problem)
+        W = np.ones((k, self.N))
+        W[np.arange(k), np.arange(k)] = 0.0  # leave-one-out folds
+        design = X + rng.normal(scale=0.1, size=(k, self.N, q)) * (np.arange(q) > 0) \
+            if per_problem else X
+        theta = rng.normal(scale=0.3, size=(k, q * (self.D - 1)))
+        work = regression._Work(k, regression._work_doubles(self.N, self.D, q, per_problem))
+        # a per-problem outer is a work array, as in _fit_batch
+        outer = regression._outer_rows(design, work if per_problem else regression._fresh)
+        system = regression._batch_system(alpha_transform(Y, 0.5), design, outer, W, 0.5,
+                                          helmert_submatrix(self.D), work)
+        return system, theta, work, design
+
+    @staticmethod
+    def step(system, theta, rows):
+        residuals, normal_equations = system
+        ru, _ = residuals(theta[rows], rows)
+        normal_equations(theta[rows], ru, rows)
+
+    def test_steady_step_allocates_no_stack_sized_arrays(self, rng):
+        system, theta, _, _ = self.chunk(rng)
+        k = len(theta)
+        every, some = np.arange(k), np.arange(1, k, 2)
+        for rows in (every, some):  # the work arrays exist from here on
+            self.step(system, theta, rows)
+        residuals, normal_equations = system
+        peaks = []
+
+        def peak(name, call, *args):
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            out = call(*args)
+            peaks.append((name, tracemalloc.get_traced_memory()[1] - held))
+            return out
+
+        tracemalloc.start()
+        try:
+            for rows in (every, some):
+                ru, _ = peak("residuals", residuals, theta[rows] + 0.01, rows)
+                peak("normal_equations", normal_equations, theta[rows], ru, rows)
+        finally:
+            tracemalloc.stop()
+        # at most half of what a whole-stack step of 17 problems allocated
+        # when every step made its own arrays: 342 KiB in residuals and
+        # 643 KiB in normal_equations; and less than one (k, n, d+D) array
+        limit = {"residuals": 342 * 1024 // 2, "normal_equations": 643 * 1024 // 2}
+        for name, size in peaks:
+            assert size <= limit[name], (name, size)
+            assert size < k * self.N * (2 * self.D - 1) * 8, (name, size)
+
+    @pytest.mark.parametrize("per_problem", [False, True])
+    def test_one_block_holds_the_work_arrays(self, per_problem, rng):
+        # after steps on all problems of a chunk and on the most a proper
+        # subset has, every float work array is cut from the block, which
+        # _work_doubles, and so _chunk_size, sizes exactly
+        system, theta, work, _ = self.chunk(rng, per_problem)
+        k = len(theta)
+        self.step(system, theta, np.arange(k))
+        self.step(system, theta, np.arange(1, k))
+        floats = [a for a in work.arrays.values() if a.dtype == np.float64]
+        assert all(np.shares_memory(a, work.block) for a in floats)
+        assert work.used == work.block.size == k * regression._work_doubles(
+            self.N, self.D, self.P + 1, per_problem)
 
 
 class TestOneSolvePath:
