@@ -55,10 +55,13 @@ def marginal_effects(B, mu, k):
     ``k`` indexes both the covariate and its coefficient row; ``mu`` holds
     the fitted compositions.  ``B`` may also be an n x (p+1) x d stack, row
     i of ``mu`` then using ``B[i]`` (locally weighted fits).  Returns an
-    n x D table whose rows sum to 0.
+    n x D table whose rows sum to 0.  ``k`` must be an ``int`` or numpy
+    integer; anything else is :class:`InvalidParameters`.
     """
     B = np.asarray(B, dtype=np.float64)
     mu = np.atleast_2d(np.asarray(mu, dtype=np.float64))
+    if not isinstance(k, (int, np.integer)):  # the rule of CvGrid.ks: never truncated
+        raise InvalidParameters(f"covariate index must be an integer, got {k!r}")
     if k == 0:
         raise InterceptEffectRequested("the intercept has no marginal effect")
     if not 1 <= k < B.shape[-2]:
@@ -138,7 +141,7 @@ def sandwich_covariance(Y, X, alpha, B_hat, kind="sandwich"):
     if kind not in ("sandwich", "spherical"):
         raise InvalidParameters(f"unknown covariance kind {kind!r}")
     X, _, r, AtA, Atr = _derivatives(Y, X, alpha, B_hat)
-    n, d = r.shape
+    d, n = r.shape
     H = _kron_rows(AtA, _outer_rows(X))[0] / n
     if np.linalg.cond(H) > COND_LIMIT:
         raise SingularH(
@@ -149,6 +152,7 @@ def sandwich_covariance(Y, X, alpha, B_hat, kind="sandwich"):
         dof = n * d - len(H)
         if dof <= 0:
             raise InvalidParameters("nonpositive degrees of freedom")
+        r = np.ascontiguousarray(r.T)  # observation-major, the order its SSE is summed in
         cov = float(np.sum(r * r)) / dof * H_inv / n
     else:
         S = (Atr[0].T[:, :, None] * X[:, None, :]).reshape(n, -1)  # scores s_i

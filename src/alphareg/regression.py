@@ -33,7 +33,20 @@ reference, forms the explicit A and the stacked (n*d, P) Jacobian.
 
 Parameter layout: ``theta = B.ravel(order="F")`` stacks coefficient columns
 component by component, so ``theta[k*(p+1) + a]`` is covariate ``a`` of
-non-reference component ``k+2``.
+non-reference component ``k+2``.  Its reshape to (d, p+1) is ``B'``, so the
+linear predictors of a stack of k fits are ``theta.reshape(k, d, p+1) @ X'``.
+
+Array layout: the whole chain, from linear predictors through the logit map,
+transformed mean and residuals to the blocks of :func:`_normal_blocks`, is
+component-major.  Every per-observation quantity of a stack of k fits is a
+(k, component, n) array, so each numpy call runs over rows of n contiguous
+values and no reduction runs over a short last axis; the public functions
+transpose only the arrays they take and return, which are (n, component).
+A sum over components adds whole rows: the denominator of the logit map in
+row order, and the products ``r'r``, ``u'u`` and ``(Hu)'r`` by
+:func:`_sum_components`, even-indexed rows first, then odd, then the two.
+Those are the orders numpy's sum and einsum use over a short contiguous axis
+(up to seven terms), so both layouts give the same fits bit for bit.
 """
 
 import math
@@ -88,8 +101,9 @@ def coef_to_theta(B):
 
 
 def _logit_map(X, B):
-    """:func:`fitted_mean` without the shape checks (hot-loop form)."""
-    return _inverse_logit(X @ B)
+    """:func:`fitted_mean` without the shape checks, component-major: the
+    logit map (..., D, n) of a design X (n, q) and coefficients B (..., q, d)."""
+    return _inverse_logit(np.swapaxes(B, -1, -2) @ X.T)
 
 
 def _fresh(name, shape, dtype=np.float64):
@@ -137,15 +151,38 @@ class _Work:
 
 
 def _inverse_logit(eta, work=_fresh, out=None):
-    """Compositions from (..., n, d) linear predictors; component 1 is the
-    reference.  ``eta`` is overwritten; the result goes to ``out`` if given."""
+    """Compositions (..., D, n) from linear predictors (..., d, n), one row
+    per component; row 0 is the reference.  The denominator adds the rows in
+    order.  ``eta`` is overwritten; the result goes to ``out`` if given."""
     e = np.exp(np.clip(eta, -LINPRED_CLAMP, LINPRED_CLAMP, out=eta), out=eta)
-    denom = np.sum(e, axis=-1, keepdims=True, out=work("denom", e.shape[:-1] + (1,)))
+    denom = work("denom", e.shape[:-2] + e.shape[-1:])
+    np.copyto(denom, e[..., 0, :])
+    for j in range(1, e.shape[-2]):
+        denom += e[..., j, :]
     denom += 1.0
-    u = work("u", e.shape[:-1] + (e.shape[-1] + 1,)) if out is None else out
-    np.divide(1.0, denom, out=u[..., :1])
-    np.divide(e, denom, out=u[..., 1:])
+    u = work("u", e.shape[:-2] + (e.shape[-2] + 1, e.shape[-1])) if out is None else out
+    np.divide(1.0, denom, out=u[..., 0, :])
+    np.divide(e, denom[..., None, :], out=u[..., 1:, :])
     return u
+
+
+def _sum_components(a, out):
+    """The sum over the rows of a (..., m, n) stack, into ``out`` (..., n);
+    ``a`` is overwritten.
+
+    The even-indexed rows are added first, then the odd-indexed ones, then
+    the two partial sums.  That is the order in which numpy's einsum adds a
+    product over a short contiguous axis (up to seven terms), so these sums
+    equal those of the observation-major ``einsum("...nm,...nm->...n")``
+    bit for bit, and fits do not depend on the layout that computed them.
+    """
+    m = a.shape[-2]
+    for j in range(2, m, 2):  # rows 0 and 1 gather the even and odd partial sums
+        a[..., :min(2, m - j), :] += a[..., j:j + 2, :]
+    if m == 1:
+        np.copyto(out, a[..., 0, :])
+        return out
+    return np.add(a[..., 0, :], a[..., 1, :], out=out)
 
 
 def fitted_mean(X, B):
@@ -155,27 +192,40 @@ def fitted_mean(X, B):
     never overflows; rows sum to 1 with all entries in (0, 1).
     """
     X, B = _check_design(X, B)
-    return _logit_map(X, B)
+    return np.ascontiguousarray(_logit_map(X, B).T)
 
 
-def _transformed_mean(X, B, alpha, H, work=_fresh, u=None):
-    """:func:`transformed_mean` for checked inputs and a precomputed Helmert H,
-    and the logit map ``u = fitted_mean(X, alpha*B)`` (uniform at alpha 0),
-    written to ``u`` if given; ``work`` allocates the rest (:class:`_Work`)."""
+def _transformed_mean(XT, BT, alpha, H, work=_fresh, u=None):
+    """:func:`transformed_mean` component-major, for checked inputs and a
+    precomputed Helmert H, of the linear predictors ``eta = BT @ XT`` with
+    coefficient rows BT (..., d, q) and design columns XT (..., q, n).
+
+    Returns the transformed mean (..., d, n) and the logit map ``u`` of
+    ``alpha * eta`` (..., D, n), uniform at alpha 0, written to ``u`` if
+    given; ``work`` allocates the rest (:class:`_Work`).
+    """
     d, D = H.shape
-    shape = np.broadcast_shapes(X.shape[:-2], B.shape[:-2]) + (X.shape[-2], d)
+    shape = np.broadcast_shapes(XT.shape[:-2], BT.shape[:-2])
+    n = XT.shape[-1]
+    t = work("t", shape + (D, n))
     if u is None:
-        u = work("u", shape[:-1] + (D,))
-    mean = work("mean", shape)
+        u = work("u", shape + (D, n))
+    mean = work("mean", shape + (d, n))
+    # at alpha 0 the mean is formed from eta, so eta goes to t; elsewhere
+    # mean holds eta until it becomes u
+    eta = t[..., 1:, :] if alpha == 0.0 else mean
+    # a huge or infinite parameter is clipped below, or fails as a non-finite
+    # residual, so its overflow and inf * 0 are not errors here
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.matmul(BT if alpha == 0.0 else alpha * BT, XT, out=eta)
     if alpha == 0.0:
-        eta = np.matmul(X, B, out=work("eta", shape))
         np.clip(eta, -LINPRED_CLAMP, LINPRED_CLAMP, out=eta)
         u[...] = 1.0 / D
-        return np.matmul(eta, H[:, 1:].T, out=mean), u
-    _inverse_logit(np.matmul(X, alpha * B, out=work("eta", shape)), work, u)
-    t = np.multiply(u, D, out=work("t", u.shape))
+        return np.matmul(H[:, 1:], eta, out=mean), u
+    _inverse_logit(eta, work, u)
+    np.multiply(u, D, out=t)
     t -= 1.0
-    np.matmul(t, H.T, out=mean)
+    np.matmul(H, t, out=mean)
     mean /= alpha
     return mean, u
 
@@ -190,7 +240,8 @@ def transformed_mean(X, B, alpha):
     """
     alpha = _check_alpha(alpha)
     X, B = _check_design(X, B)
-    return _transformed_mean(X, B, alpha, helmert_submatrix(B.shape[1] + 1))[0]
+    mean, _ = _transformed_mean(X.T, B.T, alpha, helmert_submatrix(B.shape[1] + 1))
+    return np.ascontiguousarray(mean.T)
 
 
 def _check_response(Y, X, B):
@@ -240,19 +291,21 @@ def _kld_terms(obs, fit):
 
 def _contract_residuals(u, r, H, work=_fresh):
     """``g_i = H[:, 1:]'r_i - (H u_i)'r_i`` as (k, d, n), for logit maps u
-    (k, n, D) and residuals r (k, n, d): the residuals contracted with
+    (k, D, n) and residuals r (k, d, n): the residuals contracted with
     ``G_i = H[:, 1:] - H u_i 1'``, of which ``A_i = D G_i diag(v_i)``."""
-    k, n, d = r.shape
-    uH = np.matmul(u, H.T, out=work("uH", r.shape))
-    hr = np.einsum("knm,knm->kn", uH, r, out=work("hr", (k, n)))
-    g = np.matmul(H[:, 1:].T, np.swapaxes(r, 1, 2), out=work("g", (k, d, n)))
+    k, d, n = r.shape
+    g = work("g", r.shape)
+    Hur = np.matmul(H, u, out=g)  # g's array holds H u until (H u)'r is summed
+    Hur *= r
+    hr = _sum_components(Hur, work("hr", (k, n)))
+    np.matmul(H[:, 1:].T, r, out=g)
     g -= hr[:, None, :]
     return g
 
 
 def _normal_blocks(u, r, w, H, work=_fresh):
     """``w_i A_i'A_i`` as (k, d*d, n) and ``w_i A_i'r_i`` as (k, d, n) for a
-    stack of logit maps u (k, n, D), residuals r (k, n, d) and weights w (k, n),
+    stack of logit maps u (k, D, n), residuals r (k, d, n) and weights w (k, n),
     in arrays of ``work`` (:class:`_Work`).
 
     ``A_i`` is the mean Jacobian of observation i in its linear predictors,
@@ -261,21 +314,21 @@ def _normal_blocks(u, r, w, H, work=_fresh):
 
         A_i'A_i = D^2 v_a v_b (delta_ab - v_a - v_b + u_i'u_i)
         A_i'r_i = D v_i * g_i   (g of :func:`_contract_residuals`)
-
-    computed observation-last, for long inner loops.
     """
-    k, n, D = u.shape
+    k, D, n = u.shape
     d = D - 1
-    v = work("v", (k, d, n))
-    np.copyto(v, np.swapaxes(u[..., 1:], 1, 2))
-    uu = np.einsum("knm,knm->kn", u, u, out=work("uu", (k, n)))
-    C = np.subtract(uu[:, None, None, :], v[:, :, None, :], out=work("C", (k, d, d, n)))
-    C -= v[:, None]
-    for a in range(d):
-        C[:, a, a] += 1.0
-    C *= v[:, :, None, :]
-    C *= v[:, None]
-    C = C.reshape(k, d * d, n)
+    v = u[:, 1:]
+    products = np.multiply(u, u, out=work("products", u.shape))
+    uu = _sum_components(products, work("uu", (k, n)))
+    C = work("C", (k, d * d, n))
+    Cab = C.reshape(k, d, d, n)
+    # u'u - v_a once, not for every b, in the array g of _contract_residuals
+    uu_va = np.subtract(uu[:, None, :], v, out=work("g", v.shape))
+    np.copyto(Cab, uu_va[:, :, None, :])
+    Cab -= v[:, None]
+    C[:, ::d + 1] += 1.0  # a == b
+    Cab *= v[:, :, None, :]
+    Cab *= v[:, None]
     wD = np.multiply(w, D * D, out=work("wD", (k, n)))
     C *= wD[:, None, :]
     Atr = _contract_residuals(u, r, H, work)
@@ -292,14 +345,14 @@ def _kron_rows(C, outer):
 
 
 def _derivatives(Y, X, alpha, B):
-    """Checked ``X``, the logit map u (n, D), residuals r (n, d) and the
+    """Checked ``X``, the logit map u (D, n), residuals r (d, n) and the
     :func:`_normal_blocks` of one unweighted problem at B, with k = 1."""
     alpha = _check_alpha(alpha)
     X, B = _check_design(X, B)
     Y = _check_response(Y, X, B)
     H = helmert_submatrix(B.shape[1] + 1)
-    mean, u = _transformed_mean(X, B, alpha, H)
-    r = alpha_transform(Y, alpha) - mean
+    mean, u = _transformed_mean(X.T, B.T, alpha, H)
+    r = np.subtract(alpha_transform(Y, alpha).T, mean, out=mean)
     return (X, u, r) + _normal_blocks(u[None], r[None], np.ones((1, len(X))), H)
 
 
@@ -339,8 +392,8 @@ def hessian_exact(Y, X, alpha, B):
     residuals are identically zero.
     """
     X, u, r, AtA, _ = _derivatives(Y, X, alpha, B)
-    n, D = u.shape
-    v = u[:, 1:].T
+    D, n = u.shape
+    v = u[1:]
     g = _contract_residuals(u[None], r[None], helmert_submatrix(D))[0]
     W = -v[:, None] * v[None] * (g[:, None] + g[None])
     W[np.arange(D - 1), np.arange(D - 1)] += v * g
@@ -373,13 +426,13 @@ def residual_system(Y, X, alpha, weights=None):
 
     def res(theta):
         B = theta_to_coef(theta, n_cols, d)
-        return (y_a - _transformed_mean(X, B, alpha, H)[0]).ravel()
+        return (y_a - _transformed_mean(X.T, B.T, alpha, H)[0].T).ravel()
 
     def jac(theta):
         # row i*d + m, column k*n_cols + a: -A[i, m, k] * X[i, a], with the
         # explicit mean Jacobian A[i, m, k] = D (H[m, k+1] - (H u_i)_m) u_i[k+1]
         u = _logit_map(X, alpha * theta_to_coef(theta, n_cols, d))
-        A = D * (H[None, :, 1:] - (u @ H.T)[:, :, None]) * u[:, None, 1:]
+        A = D * (H[None, :, 1:] - (H @ u).T[:, :, None]) * u[1:].T[:, None, :]
         return (A[:, :, :, None] * neg_X[:, None, None, :]).reshape(n * d, d * n_cols)
 
     w = None
@@ -422,7 +475,7 @@ def fit_alpha_regression(Y, X, alpha, opts=None, theta0=None, weights=None,
         raise lm
     B = theta_to_coef(lm.theta, q, D - 1)
     mu = fitted_mean(X, B)
-    r = y_a - _transformed_mean(X, B, alpha, helmert_submatrix(D))[0]
+    r = y_a - _transformed_mean(X.T, B.T, alpha, helmert_submatrix(D))[0].T
     return FitResult(coefficients=B, fitted=mu, sse=float(np.sum(r * r)), kld=kld(Y, mu),
                      alpha=float(alpha), lm=lm)
 
@@ -447,13 +500,17 @@ class RowBlocks:
 
 def _work_doubles(n, D, q, per_problem_design):
     """Doubles per problem of the work arrays (:class:`_Work`) of
-    :func:`_batch_system`: for each of the n observations, the d + D
-    residuals and logit map, the d*d block of :func:`_normal_blocks`, 6d + 7
-    more values of the mean and the blocks, and for per-problem designs the
-    outer product of the design row and the design row and outer product
-    gathered for a step."""
+    :func:`_batch_system`.  For each of the n observations: the d + D
+    residuals and logit map, the D rows of ``t`` and the d of the mean of
+    :func:`_transformed_mean`, the D products that :func:`_normal_blocks`
+    sums, its d*d block and the d entries of ``g``, and 6 single values
+    (the denominator of the logit map, the weight gathered for a step,
+    ``w D^2``, and the sums ``r'r``, ``u'u`` and ``(Hu)'r``).  For
+    per-problem designs also the transposed design row, the design row in
+    both layouts as gathered for a step, and the row's outer product, kept
+    and gathered."""
     d = D - 1
-    return n * (d * d + 8 * d + 8 + (q + 2 * q * q if per_problem_design else 0))
+    return n * (d * d + 3 * d + 3 * D + 6 + (3 * q + 2 * q * q if per_problem_design else 0))
 
 
 def _chunk_size(m, n, D, q, per_problem_design):
@@ -565,16 +622,24 @@ def _batch_system(y_a, X, outer, w, alpha, H, work=None):
     """The ``residuals`` and ``normal_equations`` of :func:`optim.lm_batch`
     for weighted fits at one alpha; ``X`` is shared (n, q) or per problem
     (k, n, q), and ``outer`` is its :func:`_outer_rows`, formed once per
-    stack.  The residuals (k, n, d) carry their logit map ``u`` (k, n, D)
-    stacked on the last axis, so the normal equations need not form it again.
+    stack, as are the transposes of ``y_a`` and ``X``.  The residuals
+    (k, d, n) carry their logit map ``u`` (k, D, n) stacked on the component
+    axis, as one (k, d + D, n) array, so the normal equations need not form
+    it again.
 
-    Every (k, n, .) array of a step is written into the stack's work arrays
+    Every (k, ., n) array of a step is written into the stack's work arrays
     (:class:`_Work`), so the residuals returned are overwritten by the next
     call: the caller keeps what it needs (:func:`optim.lm_batch` does)."""
     n, d = y_a.shape
     q = X.shape[-1]
     if work is None:
         work = _Work(len(w), _work_doubles(n, d + 1, q, X.ndim == 3))
+    yT = np.ascontiguousarray(y_a.T)
+    if X.ndim == 2:
+        XT = np.ascontiguousarray(X.T)
+    else:
+        XT = work("XT", (len(X), q, n))
+        np.copyto(XT, np.swapaxes(X, 1, 2))
 
     def gather(a, rows, name):
         # rows are sorted and unique, so as many rows as problems are all of them
@@ -582,32 +647,35 @@ def _batch_system(y_a, X, outer, w, alpha, H, work=None):
             return a
         return np.take(a, rows, axis=0, out=work(name + " rows", (len(rows),) + a.shape[1:]))
 
-    def design(rows):
-        return X if X.ndim == 2 else gather(X, rows, "X")
+    def design(a, rows, name):  # X or XT for the problems rows
+        return a if a.ndim == 2 else gather(a, rows, name)
 
     def residuals(theta, rows):
         k = len(rows)
-        B = theta.reshape(-1, d, q).transpose(0, 2, 1)  # (k, q, d), as theta_to_coef
-        ru = work("ru", (k, n, 2 * d + 1))
-        mean, _ = _transformed_mean(design(rows), B, alpha, H, work, ru[..., d:])
-        r = np.subtract(y_a, mean, out=ru[..., :d])
+        ru = work("ru", (k, 2 * d + 1, n))
+        # theta.reshape(k, d, q) is B' of theta_to_coef; r is formed in the
+        # contiguous mean array, where numpy need not buffer, then copied into ru
+        r, _ = _transformed_mean(design(XT, rows, "XT"), theta.reshape(k, d, q), alpha, H, work,
+                                 ru[:, d:])
+        np.subtract(yT, r, out=r)
         # an infinite parameter can leave a clipped mean finite; it fails here
         finite = (np.isfinite(r, out=work("finite", r.shape, bool)).all(axis=(1, 2))
                   & np.all(np.isfinite(theta), axis=1))
         if not finite.all():
             r[~finite] = 0.0
-        rr = np.einsum("knm,knm->kn", r, r, out=work("rr", (k, n)))
+        np.copyto(ru[:, :d], r)
+        rr = _sum_components(np.multiply(r, r, out=r), work("rr", (k, n)))
         sse = np.einsum("kn,kn->k", gather(w, rows, "w"), rr)
         return ru, np.where(finite, sse, np.nan)
 
     def normal_equations(theta, ru, rows):
-        r, u = ru[..., :d], ru[..., d:]  # u is finite wherever r is
+        r, u = ru[:, :d], ru[:, d:]  # u is finite wherever r is
         k = len(rows)
         AtA, Atr = _normal_blocks(u, r, gather(w, rows, "w"), H, work)
         # J'WJ = sum_i w_i (A_i'A_i) kron x_i x_i', and J'Wr = -sum_i w_i
         # (A_i'r_i) kron x_i, since J = -A kron x
         JtJ = _kron_rows(AtA, outer if outer.ndim == 2 else gather(outer, rows, "outer"))
-        g = -(Atr @ design(rows))
+        g = -(Atr @ design(X, rows, "X"))
         return JtJ, g.reshape(k, d * q), np.ones(k, dtype=bool)
 
     return residuals, normal_equations

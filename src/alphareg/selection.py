@@ -44,7 +44,6 @@ from .regression import (
     _kld_terms,
     fit_alpha_batch,
     fit_alpha_regression,
-    theta_to_coef,
 )
 from .spatial import (
     kernel_weights_at,
@@ -239,7 +238,7 @@ def _heldout_divergence(Y, design, ok, theta):
     out = np.full(len(ok), np.inf)
     if ok.any():
         q, d = design.shape[1], Y.shape[1] - 1
-        B = np.stack([theta_to_coef(t, q, d) for t in theta[ok]])
+        B = theta[ok].reshape(-1, d, q).transpose(0, 2, 1)  # theta_to_coef of each fold
         out[ok] = _kld_terms(Y[ok], local_fitted_mean(design[ok], B)).sum(axis=1)
     return out
 

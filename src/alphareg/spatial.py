@@ -339,7 +339,7 @@ def fit_gwar(Y, X, coords, alpha, h, opts=None, start=None):
 
 def local_fitted_mean(X, local):
     """Mean compositions where row i of ``X`` uses its own coefficients ``local[i]``."""
-    return _inverse_logit(np.einsum("ip,ipd->id", X, local))
+    return np.ascontiguousarray(_inverse_logit(np.einsum("ip,ipd->di", X, local)).T)
 
 
 def predict_gwar(fit, X_new, coords_new):

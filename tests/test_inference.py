@@ -4,6 +4,7 @@ other on simulated data."""
 
 import dataclasses
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from alphareg import (
     Convergence,
     InterceptEffectRequested,
+    InvalidParameters,
     LmOptions,
     NumericalError,
     SingularH,
@@ -67,6 +69,27 @@ class TestMarginalEffects:
         Y, X, B = random_instance(rng, n=5, D=3, p=1)
         with pytest.raises(InterceptEffectRequested):
             marginal_effects(B, fitted_mean(X, B), 0)
+
+    @pytest.mark.parametrize("k", [1.5, np.float64(2.0), "1"],
+                             ids=["float", "numpy-float", "string"])
+    @pytest.mark.parametrize("entry", ["marginal_effects", "average_marginal_effects",
+                                       "slx_effects", "gwar_marginal_effects"])
+    def test_non_integer_covariate_index_rejected(self, entry, k, rng):
+        # an int or numpy integer, never truncated: 1.5 used to raise a bare
+        # IndexError, and "1" a TypeError
+        Y, X, B = random_instance(rng, n=6, D=3, p=2)
+        mu = fitted_mean(X, B)
+        calls = {
+            "marginal_effects": lambda k: marginal_effects(B, mu, k),
+            "average_marginal_effects": lambda k: average_marginal_effects(
+                SimpleNamespace(coefficients=B, fitted=mu), k),
+            "slx_effects": lambda k: slx_effects(SimpleNamespace(beta=B, gamma=B, fitted=mu), k).total,
+            "gwar_marginal_effects": lambda k: gwar_marginal_effects(
+                SimpleNamespace(local_coefficients=np.stack([B] * 6), fitted=mu), k),
+        }
+        with pytest.raises(InvalidParameters, match="must be an integer"):
+            calls[entry](k)
+        np.testing.assert_array_equal(calls[entry](np.int64(2)), calls[entry](2))
 
     def test_matches_finite_difference_of_mean(self, rng):
         Y, X, B = random_instance(rng, n=12, D=4, p=2)

@@ -405,23 +405,25 @@ class TestFitAlphaBatch:
     @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.1, 0.0, -0.5])
     @pytest.mark.parametrize("per_problem", [False, True])
     def test_normal_equations_match_residual_system(self, alpha, per_problem, rng):
-        Y, X, Xs, W, theta = batch_problems(rng)
-        design = Xs if per_problem else X
-        D = Y.shape[1]
-        residuals, normal_equations = regression._batch_system(
-            alpha_transform(Y, alpha), design, regression._outer_rows(design), W, alpha,
-            helmert_submatrix(D))
-        rows = np.arange(len(W))
-        r, sse_ = residuals(theta, rows)
-        JtJ, g, finite = normal_equations(theta, r, rows)
-        assert finite.all()
-        for j in rows:
-            system = residual_system(Y, design[j] if per_problem else X, alpha, weights=W[j])
-            J, res, w = system.jacobian_fn(theta[j]), system.residual_fn(theta[j]), system.weights
-            want_JtJ, want_g = J.T @ (w[:, None] * J), J.T @ (w * res)
-            assert np.max(np.abs(JtJ[j] - want_JtJ)) <= 1e-12 * np.max(np.abs(want_JtJ))
-            assert np.max(np.abs(g[j] - want_g)) <= 1e-12 * np.max(np.abs(want_g))
-            assert abs(sse_[j] - w @ res ** 2) <= 1e-12 * (w @ res ** 2)
+        # D = 2 sums one residual component (no odd partial sum), D = 5 is
+        # the bootstrap benchmark's shape
+        for D in (2, 3, 4, 5):
+            Y, X, Xs, W, theta = batch_problems(rng, D=D)
+            design = Xs if per_problem else X
+            residuals, normal_equations = regression._batch_system(
+                alpha_transform(Y, alpha), design, regression._outer_rows(design), W, alpha,
+                helmert_submatrix(D))
+            rows = np.arange(len(W))
+            r, sse_ = residuals(theta, rows)
+            JtJ, g, finite = normal_equations(theta, r, rows)
+            assert finite.all()
+            for j in rows:
+                system = residual_system(Y, design[j] if per_problem else X, alpha, weights=W[j])
+                J, res, w = system.jacobian_fn(theta[j]), system.residual_fn(theta[j]), system.weights
+                want_JtJ, want_g = J.T @ (w[:, None] * J), J.T @ (w * res)
+                assert np.max(np.abs(JtJ[j] - want_JtJ)) <= 1e-12 * np.max(np.abs(want_JtJ)), D
+                assert np.max(np.abs(g[j] - want_g)) <= 1e-12 * np.max(np.abs(want_g)), D
+                assert abs(sse_[j] - w @ res ** 2) <= 1e-12 * (w @ res ** 2), D
 
     @pytest.mark.parametrize("per_problem", [False, True])
     def test_matches_independent_solves(self, per_problem, rng):
@@ -460,7 +462,7 @@ class TestFitAlphaBatch:
                 alpha_transform(Y, alpha), X, regression._outer_rows(X), W, alpha, H)
             ru, _ = residuals(theta, np.arange(len(W)))
             B = theta.reshape(len(W), -1, X.shape[1]).transpose(0, 2, 1)
-            np.testing.assert_array_equal(ru[..., Y.shape[1] - 1:],
+            np.testing.assert_array_equal(ru[:, Y.shape[1] - 1:],
                                           regression._logit_map(X, alpha * B))
 
     def test_chunks_do_not_change_results(self, rng, monkeypatch):
@@ -527,8 +529,21 @@ class TestFitAlphaBatch:
                 == (alone.iterations, alone.rejections, alone.converged_by)
 
 
+def test_component_sums_add_even_rows_then_odd_rows():
+    # rows 1e16, 1, -1e16, 1: in order the first 1 is lost (1e16 + 1 rounds
+    # to 1e16) and the sum is 1; even rows then odd rows give 0 + 2
+    a = np.array([1e16, 1.0, -1e16, 1.0])[None, :, None] * np.ones((2, 1, 3))
+    out = regression._sum_components(a.copy(), np.empty((2, 3)))
+    np.testing.assert_array_equal(out, 2.0)
+    for m in range(1, 8):
+        rows = np.random.default_rng(m).normal(size=(3, m, 5))
+        got = regression._sum_components(rows.copy(), np.empty((3, 5)))
+        want = rows[:, 0::2].sum(axis=1) + (rows[:, 1::2].sum(axis=1) if m > 1 else 0.0)
+        np.testing.assert_array_equal(got, want)
+
+
 class TestHeapStableSteps:
-    """An LM step of a chunk writes its (k, n, .) arrays into work arrays
+    """An LM step of a chunk writes its (k, ., n) arrays into work arrays
     allocated by the chunk's first step, and the chunk size counts them."""
 
     N, D, P = 150, 4, 3  # an alpha-cv fold set
@@ -580,7 +595,7 @@ class TestHeapStableSteps:
             tracemalloc.stop()
         # at most half of what a whole-stack step of 17 problems allocated
         # when every step made its own arrays: 342 KiB in residuals and
-        # 643 KiB in normal_equations; and less than one (k, n, d+D) array
+        # 643 KiB in normal_equations; and less than one (k, d+D, n) array
         limit = {"residuals": 342 * 1024 // 2, "normal_equations": 643 * 1024 // 2}
         for name, size in peaks:
             assert size <= limit[name], (name, size)
