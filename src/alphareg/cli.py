@@ -55,7 +55,8 @@ def _int_list(text):
 
 
 def _threads(text):
-    """A worker-thread count, or ``auto`` (0) for one per CPU."""
+    """A thread count, or ``auto`` (0), checked and then ignored: ``--threads``
+    stays accepted so that command lines that give it still run."""
     if text == "auto":
         return 0
     try:
@@ -102,8 +103,8 @@ def _add_se_args(sp):
                     help="use a pairs bootstrap of this size for the SEs")
     sp.add_argument("--seed", type=int, help="bootstrap seed")
     sp.add_argument("--threads", type=_threads,
-                    help="bootstrap worker threads (default 1; 'auto' or 0 "
-                         "is one per CPU)")
+                    help="accepted ('auto' or an integer >= 0) and ignored: the "
+                         "bootstrap is one batched solve on one thread")
 
 
 def build_parser():

@@ -18,13 +18,13 @@ residual scores' outer products) come from the same closed-form blocks
 ``A_i'A_i`` and ``A_i'r_i`` as the solver's normal equations, its
 spherical special case ``sigma2 * H^-1 / n``, and a
 nonparametric pairs bootstrap that resamples whole observation rows.  The
-bootstrap makes one pass: each replicate is refit once, warm-started from the
-full-data fit's parameters and final damping, and that refit yields both its
+bootstrap makes one pass: its replicates are one stack of weighted fits of
+:func:`regression.fit_alpha_batch`, warm-started from the full-data fit's
+parameters and final damping, and each solved replicate yields both its
 coefficients and its average marginal effects, so the covariance and the
 effects' standard errors come from the same replicates.  A replicate is the
-count-weighted fit on its distinct rows: the objective over a resample sums
-each drawn row once per draw, so weighting the distinct rows (about 63% of n)
-by their draw counts gives the same fit without refitting the duplicates.
+full data with each row weighted by how often it was drawn (0 for rows not
+drawn): the objective over a resample sums each drawn row once per draw.
 """
 
 from collections import Counter
@@ -33,7 +33,6 @@ from typing import Optional
 
 import numpy as np
 
-from ._parallel import parallel_map
 from .exceptions import (
     CovarianceNotPsd,
     InterceptEffectRequested,
@@ -42,7 +41,8 @@ from .exceptions import (
     SingularH,
 )
 from .optim import Convergence, LmResult
-from .regression import _derivatives, _kron_rows, _outer_rows, fit_alpha_regression
+from .regression import (RowBlocks, _derivatives, _kron_rows, _outer_rows, fit_alpha_batch,
+                         fit_alpha_regression, fitted_mean, theta_to_coef)
 
 COND_LIMIT = 1e12
 PSD_TOL = -1e-10
@@ -160,66 +160,67 @@ def sandwich_covariance(Y, X, alpha, B_hat, kind="sandwich"):
     return CovarianceEstimate(matrix=_enforce_psd(cov), kind=kind)
 
 
-def bootstrap_covariance(Y, X, alpha, opts=None, replicates=200, seed=0, threads=1,
-                         start=None):
+def _check_integer(name, value, least):
+    """:class:`InvalidParameters` unless ``value`` is an integer (never a
+    truncated float) of at least ``least``."""
+    if not isinstance(value, (int, np.integer)) or value < least:
+        raise InvalidParameters(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def bootstrap_covariance(Y, X, alpha, opts=None, replicates=200, seed=0, start=None):
     """Pairs-bootstrap covariance of ``vec(B_hat)`` and of the AMEs, in one pass.
 
-    Observation rows ``(y_i, x_i)`` are resampled with replacement and the
-    model refit once per replicate, warm-started from ``start``: the
-    full-data fit's :class:`LmResult`, fit here when ``None``.  A replicate
-    starts at that fit's parameters and continues from its final damping
-    (the warm rule of :mod:`alphareg.optim`).  The refit runs on the
-    replicate's distinct rows, each weighted by how often it was drawn,
-    which is the fit on the resample itself up to rounding.  Each refit
-    gives its coefficients and the average marginal effect of every
-    covariate (the count-weighted mean over the distinct rows), so
-    ``matrix`` and the p x D ``ame_standard_errors`` come from the same
-    replicates.  Replicate RNG streams derive from the seed by replicate
-    index, so results are identical for any thread count.  A failed
-    replicate is dropped from both statistics and counted once; more than
-    20% failing is an error.  ``diagnostics`` records how the replicates
-    converged (:func:`solver_diagnostics`).
+    Observation rows ``(y_i, x_i)`` are resampled with replacement, and the
+    ``replicates`` (an integer >= 2) are solved as one stack of
+    :func:`fit_alpha_batch`: replicate r is the full data with each row
+    weighted by how often ``default_rng([seed, r])`` drew it, which is the
+    fit on the resample itself.  The counts are drawn again for each chunk
+    of the stack, so no (replicates, n) array is formed.  Every replicate
+    starts at ``start``, the full-data fit's :class:`LmResult` (fit here
+    when ``None``), and continues from its final damping (the warm rule of
+    :mod:`alphareg.optim`).  Each solved replicate gives its coefficients
+    and the average marginal effect of every covariate (the count-weighted
+    mean over the rows), so ``matrix`` and the p x D ``ame_standard_errors``
+    come from the same replicates.  A failed replicate is dropped from both
+    statistics and counted once; more than 20% failing is an error.
+    ``diagnostics`` records how the replicates converged
+    (:func:`solver_diagnostics`).
     """
-    if replicates < 2:
-        raise InvalidParameters("bootstrap needs at least 2 replicates")
+    _check_integer("replicates", replicates, 2)
+    _check_integer("seed", seed, 0)
     Y = np.asarray(Y, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
     n, D = Y.shape
     p = X.shape[1] - 1
     if start is None:
         start = fit_alpha_regression(Y, X, alpha, opts=opts).lm
-    errors = [None] * replicates  # the exception of each failed replicate
 
-    def one(rep):
-        idx = np.random.default_rng([seed, rep]).integers(0, n, size=n)
-        rows, counts = np.unique(idx, return_counts=True)
-        try:
-            fit = fit_alpha_regression(Y[rows], X[rows], alpha, opts=opts,
-                                       theta0=start.theta, damping0=start.damping,
-                                       weights=counts)
-        except NumericalError as exc:
-            errors[rep] = exc
-            return None
-        ames = [counts @ marginal_effects(fit.coefficients, fit.fitted, k) / n
-                for k in range(1, p + 1)]
-        return fit.lm, np.array(ames).reshape(p, D)
+    def counts(reps):  # each replicate's draw count of every row
+        return np.array([np.bincount(np.random.default_rng([seed, rep]).integers(0, n, size=n),
+                                     minlength=n) for rep in reps])
 
-    draws = [r for r in parallel_map(one, range(replicates), threads=threads)
-             if r is not None]
-    failed = replicates - len(draws)
+    outcomes = fit_alpha_batch(Y, X, alpha, RowBlocks(replicates, counts), start.theta, opts,
+                               start.damping)
+    solved = [(rep, lm) for rep, lm in enumerate(outcomes) if isinstance(lm, LmResult)]
+    failed = replicates - len(solved)
     if failed > 0.2 * replicates:
         raise NumericalError(
             f"{failed} of {replicates} bootstrap replicates failed to fit"
         )
-    lms, ames = zip(*draws)
-    cov = np.cov(np.vstack([lm.theta for lm in lms]), rowvar=False, ddof=1)
+    ames = []
+    for rep, lm in solved:
+        B = theta_to_coef(lm.theta, p + 1, D - 1)
+        mu, c = fitted_mean(X, B), counts([rep])[0]
+        ames.append(np.array([c @ marginal_effects(B, mu, k) / n
+                              for k in range(1, p + 1)]).reshape(p, D))
+    cov = np.cov(np.vstack([lm.theta for _, lm in solved]), rowvar=False, ddof=1)
     return CovarianceEstimate(
         matrix=np.atleast_2d(cov),
         kind="bootstrap",
-        replicates=len(draws),
+        replicates=len(solved),
         failed_replicates=failed,
         ame_standard_errors=np.std(np.stack(ames), axis=0, ddof=1),
-        diagnostics=solver_diagnostics(list(lms) + [e for e in errors if e is not None]),
+        diagnostics=solver_diagnostics(outcomes),
     )
 
 
@@ -239,9 +240,7 @@ def solver_diagnostics(outcomes):
     }
 
 
-def bootstrap_ame_standard_errors(Y, X, alpha, opts=None, replicates=200, seed=0,
-                                  threads=1):
+def bootstrap_ame_standard_errors(Y, X, alpha, opts=None, replicates=200, seed=0):
     """Bootstrap standard errors (p x D) of the average marginal effects: the
     ``ame_standard_errors`` of :func:`bootstrap_covariance`."""
-    return bootstrap_covariance(
-        Y, X, alpha, opts, replicates, seed, threads).ame_standard_errors
+    return bootstrap_covariance(Y, X, alpha, opts, replicates, seed).ame_standard_errors

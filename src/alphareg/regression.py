@@ -534,7 +534,8 @@ def fit_alpha_batch(Y, X, alpha, weights, theta0, opts=None, damping0=None):
 
     Problem j minimizes ``sum_i weights[j, i] * ||z(y_i) - z(mu_ji)||^2``: a
     leave-one-out fold is the full data with weight 0 on its row, a local
-    fit is the data under its kernel weights, and a plain fit
+    fit is the data under its kernel weights, a bootstrap replicate is the
+    data with each row weighted by its draw count, and a plain fit
     (:func:`fit_alpha_regression`) is one problem with weights all ones.
     ``X`` is one (n, q) design for every problem or per-problem designs
     (m, n, q); ``weights`` is (m, n), finite and nonnegative.  Either

@@ -21,9 +21,9 @@ from typing import Optional
 
 import numpy as np
 
-from ._parallel import resolve_threads
 from .exceptions import InvalidParameters, MissingColumn
 from .inference import (
+    _check_integer,
     average_marginal_effects,
     bootstrap_covariance,
     gwar_marginal_effects,
@@ -52,7 +52,6 @@ class RunConfig:
     solver: LmOptions = field(default_factory=LmOptions)
     bootstrap_replicates: int = 0
     seed: int = 0
-    threads: int = 1  # bootstrap workers
     with_se: bool = False
 
     def __post_init__(self):
@@ -68,18 +67,15 @@ class RunConfig:
         # checked here, so a bad setting fails before selection and the fit
         if self.alpha is not None:
             _check_alpha(self.alpha)  # NaN fails too
-        if self.k is not None and (not isinstance(self.k, (int, np.integer)) or self.k < 1):
-            raise InvalidParameters(
-                f"neighbor count k must be an integer >= 1, got {self.k!r}")
+        if self.k is not None:
+            _check_integer("neighbor count k", self.k, 1)
         if self.h is not None and not 0 < self.h < np.inf:  # False for NaN too
             raise InvalidParameters(f"bandwidth h must be finite and > 0, got {self.h!r}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise InvalidParameters(f"seed must be an integer >= 0, got {self.seed!r}")
-        replicates = self.bootstrap_replicates
-        if not isinstance(replicates, (int, np.integer)) or replicates < 0 or replicates == 1:
-            raise InvalidParameters(
-                f"bootstrap_replicates must be 0 (none) or an integer >= 2, got {replicates!r}")
-        if self.model == "gwar" and (self.with_se or replicates):
+        _check_integer("seed", self.seed, 0)
+        # any count but 0 (no bootstrap) must be one bootstrap_covariance takes
+        _check_integer("bootstrap_replicates (0 for none)", self.bootstrap_replicates,
+                       2 if self.bootstrap_replicates else 0)
+        if self.model == "gwar" and (self.with_se or self.bootstrap_replicates):
             raise InvalidParameters(
                 "standard errors are not available for the locally weighted model")
 
@@ -129,7 +125,6 @@ def run_fit(config, Y, X, coords=None, covariate_names=None):
     the module docstring); with every hyper-parameter fixed, the model is
     fit from B = 0.
     """
-    threads = resolve_threads(config.threads)
     Y = np.asarray(Y, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
     p = X.shape[1] - 1
@@ -154,7 +149,7 @@ def run_fit(config, Y, X, coords=None, covariate_names=None):
         }
         ame = _ame_table(lambda k: average_marginal_effects(fit, k), p)
         margins = {"ame": ame}
-        se, diagnostics = _standard_errors(config, Y, X, alpha, fit, threads)
+        se, diagnostics = _standard_errors(config, Y, X, alpha, fit)
     elif config.model == "slx":
         alpha, k = values
         # the first k columns of the search's table, so cv.fit is on [X | lag]
@@ -177,8 +172,7 @@ def run_fit(config, Y, X, coords=None, covariate_names=None):
                 lambda kk: getattr(effects[kk], part).mean(axis=0), p)
             for part in ("direct", "indirect", "total")
         }
-        se, diagnostics = _standard_errors(config, Y, np.hstack([X, lag]), alpha,
-                                           fit, threads)
+        se, diagnostics = _standard_errors(config, Y, np.hstack([X, lag]), alpha, fit)
     else:  # gwar
         alpha, h = values
         start = None if cv is None else (cv.fit, cv.fold_theta, cv.fold_damping)
@@ -228,7 +222,7 @@ def _selection_doc(cv):
     return doc
 
 
-def _standard_errors(config, Y, X_model, alpha, fit, threads):
+def _standard_errors(config, Y, X_model, alpha, fit):
     """Sandwich SEs by default; pairs bootstrap when replicates requested.
 
     The bootstrap replicates warm-start from ``fit``, the final fit on
@@ -242,8 +236,7 @@ def _standard_errors(config, Y, X_model, alpha, fit, threads):
     if config.bootstrap_replicates:
         cov = bootstrap_covariance(
             Y, X_model, alpha, opts=config.solver,
-            replicates=config.bootstrap_replicates, seed=config.seed,
-            threads=threads, start=fit.lm,
+            replicates=config.bootstrap_replicates, seed=config.seed, start=fit.lm,
         )
         return {
             "kind": cov.kind,

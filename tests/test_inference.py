@@ -3,7 +3,6 @@ covariance estimators, cross-checked against finite differences and each
 other on simulated data."""
 
 import dataclasses
-import json
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +14,7 @@ from alphareg import (
     InvalidParameters,
     LmOptions,
     NumericalError,
+    RowBlocks,
     SingularH,
     average_marginal_effects,
     bootstrap_ame_standard_errors,
@@ -230,11 +230,13 @@ class TestBootstrap:
         np.testing.assert_array_equal(cov1.matrix, cov2.matrix)
         assert cov1.replicates == 20
 
-    def test_thread_count_does_not_change_result(self, rng):
-        Y, X, B = homoskedastic_sim(rng, 60)
-        cov1 = bootstrap_covariance(Y, X, 0.5, replicates=16, seed=3, threads=1)
-        cov4 = bootstrap_covariance(Y, X, 0.5, replicates=16, seed=3, threads=4)
-        np.testing.assert_array_equal(cov1.matrix, cov4.matrix)
+    @pytest.mark.parametrize("settings", [
+        {"replicates": 2.5}, {"replicates": "5"}, {"seed": -1}, {"seed": 1.5},
+    ], ids=["replicates-fraction", "replicates-text", "seed-negative", "seed-fraction"])
+    def test_bad_setting_rejected(self, rng, settings):
+        Y, X, _ = homoskedastic_sim(rng, 20)
+        with pytest.raises(InvalidParameters, match=next(iter(settings))):
+            bootstrap_covariance(Y, X, 0.5, **settings)
 
     def test_zero_noise_collapses(self, rng):
         n, p = 150, 1
@@ -254,31 +256,31 @@ class TestBootstrap:
         assert np.all(np.abs(se_b / se_s - 1.0) < 0.25)
 
     def test_failed_replicates_counted_and_bounded(self, rng, monkeypatch):
-        from alphareg import NumericalError, exceptions, inference
+        from alphareg import NumericalError, exceptions
 
         Y, X, B = homoskedastic_sim(rng, 50)
-        real_fit = inference.fit_alpha_regression
-        calls = {"n": 0}
-
-        def flaky(*args, **kwargs):
-            calls["n"] += 1
-            if kwargs.get("theta0") is not None and calls["n"] % 10 == 0:
-                raise exceptions.SingularNormalEquations("forced")
-            return real_fit(*args, **kwargs)
-
-        monkeypatch.setattr(inference, "fit_alpha_regression", flaky)
+        fail_replicates(monkeypatch, {rep: exceptions.SingularNormalEquations("forced")
+                                      for rep in (9, 19)})
         cov = bootstrap_covariance(Y, X, 0.5, replicates=20, seed=1)
-        assert cov.failed_replicates >= 1
+        assert cov.failed_replicates == 2
         assert cov.replicates + cov.failed_replicates == 20
 
-        def broken(*args, **kwargs):
-            if kwargs.get("theta0") is not None:
-                raise exceptions.SingularNormalEquations("forced")
-            return real_fit(*args, **kwargs)
-
-        monkeypatch.setattr(inference, "fit_alpha_regression", broken)
+        fail_replicates(monkeypatch, {rep: exceptions.SingularNormalEquations("forced")
+                                      for rep in range(20)})
         with pytest.raises(NumericalError):
             bootstrap_covariance(Y, X, 0.5, replicates=20, seed=1)
+
+
+def fail_replicates(monkeypatch, failures):
+    """Make the bootstrap's batch return ``failures[rep]``, an exception, as
+    the outcome of each replicate ``rep`` it names."""
+    real_batch = inference.fit_alpha_batch
+
+    def batch(*args, **kwargs):
+        return [failures.get(rep, outcome)
+                for rep, outcome in enumerate(real_batch(*args, **kwargs))]
+
+    monkeypatch.setattr(inference, "fit_alpha_batch", batch)
 
 
 def resample(seed, rep, n):
@@ -286,27 +288,25 @@ def resample(seed, rep, n):
     return np.random.default_rng([seed, rep]).integers(0, n, size=n)
 
 
-def distinct(idx):
-    """The distinct rows of a resample and how often each was drawn."""
-    return np.unique(idx, return_counts=True)
+def draw_counts(seed, rep, n):
+    """How often replicate ``rep`` drew each of the n rows (0 if never)."""
+    return np.bincount(resample(seed, rep, n), minlength=n)
 
 
 def two_pass_oracle(Y, X, alpha, replicates, seed, skip=()):
-    """The bootstrap as two loops over the same resamples, each refit on its
-    distinct rows weighted by their draw counts, from the full-data fit's
-    parameters and final damping: coefficient draws for the covariance,
-    count-weighted AME draws for the SEs."""
+    """The bootstrap as two loops over the same resamples, each refit on all
+    rows weighted by their draw counts, from the full-data fit's parameters
+    and final damping: coefficient draws for the covariance, count-weighted
+    AME draws for the SEs."""
     n, p = len(Y), X.shape[1] - 1
     start = fit_alpha_regression(Y, X, alpha).lm
     warm = {"theta0": start.theta, "damping0": start.damping}
-    resamples = [distinct(resample(seed, rep, n))
-                 for rep in range(replicates) if rep not in skip]
-    thetas = [fit_alpha_regression(Y[rows], X[rows], alpha, weights=counts,
-                                   **warm).lm.theta
-              for rows, counts in resamples]
+    resamples = [draw_counts(seed, rep, n) for rep in range(replicates) if rep not in skip]
+    thetas = [fit_alpha_regression(Y, X, alpha, weights=counts, **warm).lm.theta
+              for counts in resamples]
     ames = []
-    for rows, counts in resamples:
-        fit = fit_alpha_regression(Y[rows], X[rows], alpha, weights=counts, **warm)
+    for counts in resamples:
+        fit = fit_alpha_regression(Y, X, alpha, weights=counts, **warm)
         ames.append([counts @ marginal_effects(fit.coefficients, fit.fitted, k) / n
                      for k in range(1, p + 1)])
     cov = np.cov(np.vstack(thetas), rowvar=False, ddof=1)
@@ -321,15 +321,7 @@ class TestBootstrapSinglePass:
         oracle_cov, oracle_se = two_pass_oracle(
             Y, X, 0.5, R, seed, skip=() if failing_rep is None else (failing_rep,))
         if failing_rep is not None:
-            bad, _ = distinct(resample(seed, failing_rep, 60))
-            real_fit = inference.fit_alpha_regression
-
-            def fail_one(Yb, *args, **kwargs):
-                if np.array_equal(Yb, Y[bad]):
-                    raise NumericalError("forced")
-                return real_fit(Yb, *args, **kwargs)
-
-            monkeypatch.setattr(inference, "fit_alpha_regression", fail_one)
+            fail_replicates(monkeypatch, {failing_rep: NumericalError("forced")})
         cov = bootstrap_covariance(Y, X, 0.5, replicates=R, seed=seed)
         np.testing.assert_array_equal(cov.matrix, oracle_cov)
         np.testing.assert_array_equal(cov.ame_standard_errors, oracle_se)
@@ -340,31 +332,29 @@ class TestBootstrapSinglePass:
         Y, X, _ = homoskedastic_sim(rng, 50)
         start = fit_alpha_regression(Y, X, 0.5).lm
         assert start.damping > 0
-        real_fit = inference.fit_alpha_regression
-        starts = []
+        real_fit, real_batch = inference.fit_alpha_regression, inference.fit_alpha_batch
+        fits, batches = [], []
 
-        def counted(*args, **kwargs):
-            starts.append((kwargs.get("theta0"), kwargs.get("damping0")))
+        def fit(*args, **kwargs):
+            fits.append(kwargs.get("theta0"))
             return real_fit(*args, **kwargs)
 
-        monkeypatch.setattr(inference, "fit_alpha_regression", counted)
+        def batch(Y, X, alpha, weights, theta0, opts=None, damping0=None):
+            batches.append((weights, theta0, damping0))
+            return real_batch(Y, X, alpha, weights, theta0, opts, damping0)
+
+        monkeypatch.setattr(inference, "fit_alpha_regression", fit)
+        monkeypatch.setattr(inference, "fit_alpha_batch", batch)
         warm = bootstrap_covariance(Y, X, 0.5, replicates=8, seed=2, start=start)
-        assert len(starts) == 8
-        assert all(t is start.theta and lam == start.damping for t, lam in starts)
+        assert fits == [] and len(batches) == 1
+        weights, theta0, damping0 = batches[0]
+        assert isinstance(weights, RowBlocks) and len(weights) == 8
+        assert theta0 is start.theta and damping0 == start.damping
         cold = bootstrap_covariance(Y, X, 0.5, replicates=8, seed=2)
-        assert len(starts) == 8 + 1 + 8  # the full-data fit when theta0 is None
+        assert fits == [None] and len(batches) == 2  # the full-data fit, from B = 0
         np.testing.assert_array_equal(warm.matrix, cold.matrix)
         np.testing.assert_array_equal(warm.ame_standard_errors,
                                       cold.ame_standard_errors)
-
-    def test_ame_standard_errors_thread_invariant(self, rng):
-        Y, X, _ = homoskedastic_sim(rng, 60, D=4, p=2)
-        one = bootstrap_covariance(Y, X, 0.5, replicates=10, seed=4, threads=1)
-        two = bootstrap_covariance(Y, X, 0.5, replicates=10, seed=4, threads=2)
-        assert one.ame_standard_errors.shape == (2, 4)
-        np.testing.assert_array_equal(one.ame_standard_errors,
-                                      two.ame_standard_errors)
-        np.testing.assert_array_equal(one.matrix, two.matrix)
 
     def test_ame_wrapper_returns_the_field(self, rng):
         Y, X, _ = homoskedastic_sim(rng, 40)
@@ -387,33 +377,23 @@ class TestBootstrapSinglePass:
 
 
 class TestCountWeightedReplicates:
-    """A replicate refits only its distinct rows, weighted by draw counts."""
+    """A replicate weights every row by its draw count, 0 if never drawn."""
 
-    def test_matches_the_fit_on_the_resampled_rows(self, rng, monkeypatch):
+    def test_matches_the_fit_on_the_resampled_rows(self, rng):
         n, R, seed = 200, 8, 4
         Y, X, _ = homoskedastic_sim(rng, n, D=4, p=2)
         start = fit_alpha_regression(Y, X, 0.5).lm
-        real_fit = inference.fit_alpha_regression
-        fits = []
-
-        def recorded(*args, **kwargs):
-            fits.append(real_fit(*args, **kwargs))
-            return fits[-1]
-
-        monkeypatch.setattr(inference, "fit_alpha_regression", recorded)
         cov = bootstrap_covariance(Y, X, 0.5, replicates=R, seed=seed, start=start)
-        assert len(fits) == R
 
         def assert_close(got, want):
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
         thetas, ames = [], []
-        for rep, fit in enumerate(fits):
+        for rep in range(R):
             idx = resample(seed, rep, n)
-            assert len(fit.fitted) == len(np.unique(idx)) < n
-            full = real_fit(Y[idx], X[idx], 0.5, theta0=start.theta,
-                            damping0=start.damping)
-            assert_close(fit.coefficients, full.coefficients)
+            assert len(np.unique(idx)) < n  # so some rows have weight 0
+            full = fit_alpha_regression(Y[idx], X[idx], 0.5, theta0=start.theta,
+                                        damping0=start.damping)
             thetas.append(full.lm.theta)
             ames.append([average_marginal_effects(full, k) for k in (1, 2)])
         assert_close(cov.matrix, np.cov(np.vstack(thetas), rowvar=False, ddof=1))
@@ -442,10 +422,9 @@ class TestWarmBootstrap:
         assert start.converged_by is Convergence.GRAD_TOL
         assert start.iterations == 0 and start.damping == 0.0
         cov = bootstrap_covariance(Y, X, 0.5, replicates=6, seed=5, start=start)
-        resamples = [distinct(resample(5, rep, 80)) for rep in range(6)]
-        cold = [fit_alpha_regression(Y[rows], X[rows], 0.5, theta0=start.theta,
-                                     weights=counts).lm.theta
-                for rows, counts in resamples]
+        cold = [fit_alpha_regression(Y, X, 0.5, theta0=start.theta,
+                                     weights=draw_counts(5, rep, 80)).lm.theta
+                for rep in range(6)]
         np.testing.assert_array_equal(cov.matrix, np.cov(np.vstack(cold), rowvar=False))
 
     def test_fewer_iterations_than_the_cold_rule(self, data):
@@ -477,15 +456,6 @@ class TestWarmBootstrap:
                 worst[rule] = np.maximum(worst[rule], errors)
         assert np.all(worst["warm"] <= worst["cold"])
 
-    def test_bitwise_equal_at_one_and_two_threads(self, data):
-        Y, X, full = data
-        one = bootstrap_covariance(Y, X, 0.5, replicates=8, seed=3, start=full)
-        two = bootstrap_covariance(Y, X, 0.5, replicates=8, seed=3, start=full,
-                                   threads=2)
-        np.testing.assert_array_equal(one.matrix, two.matrix)
-        np.testing.assert_array_equal(one.ame_standard_errors, two.ame_standard_errors)
-        assert json.dumps(one.diagnostics) == json.dumps(two.diagnostics)
-
 
 class TestBootstrapDiagnostics:
     def test_counts_cover_every_replicate(self, rng):
@@ -503,19 +473,10 @@ class TestBootstrapDiagnostics:
         from alphareg import exceptions
 
         Y, X, _ = homoskedastic_sim(rng, 50)
-        real_fit = inference.fit_alpha_regression
-        calls = {"n": 0}
-
-        def flaky(*args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] in (3, 7):
-                raise exceptions.SingularNormalEquations("forced")
-            if calls["n"] == 5:
-                raise exceptions.NonFiniteResidual("forced")
-            return real_fit(*args, **kwargs)
-
-        monkeypatch.setattr(inference, "fit_alpha_regression", flaky)
-        start = real_fit(Y, X, 0.5).lm
+        fail_replicates(monkeypatch, {2: exceptions.SingularNormalEquations("forced"),
+                                      4: exceptions.NonFiniteResidual("forced"),
+                                      6: exceptions.SingularNormalEquations("forced")})
+        start = fit_alpha_regression(Y, X, 0.5).lm
         cov = bootstrap_covariance(Y, X, 0.5, replicates=20, seed=1, start=start)
         assert cov.failed_replicates == 3
         assert cov.diagnostics["failed"] == {"NonFiniteResidual": 1,
@@ -523,31 +484,15 @@ class TestBootstrapDiagnostics:
         assert sum(cov.diagnostics["converged_by"].values()) == 17
         assert sum(cov.diagnostics["iterations"].values()) == 17
 
-    def test_failures_recorded_exactly_under_many_threads(self, rng, monkeypatch):
-        # replicate workers write the failure record concurrently; more workers
-        # than cores and a short switch interval would expose a lost write
-        import sys
-
+    def test_failures_recorded_exactly_on_every_run(self, rng, monkeypatch):
         from alphareg import exceptions
 
         Y, X, _ = homoskedastic_sim(rng, 40)
         R, seed, failing = 24, 7, (2, 9, 15, 20)
-        bad = [Y[distinct(resample(seed, rep, 40))[0]] for rep in failing]
-        real_fit = inference.fit_alpha_regression
-
-        def fail_some(Yb, *args, **kwargs):
-            if any(np.array_equal(Yb, b) for b in bad):
-                raise exceptions.SingularNormalEquations("forced")
-            return real_fit(Yb, *args, **kwargs)
-
-        monkeypatch.setattr(inference, "fit_alpha_regression", fail_some)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            results = [bootstrap_covariance(Y, X, 0.5, replicates=R, seed=seed, threads=8)
-                       for _ in range(3)]
-        finally:
-            sys.setswitchinterval(interval)
+        fail_replicates(monkeypatch, {rep: exceptions.SingularNormalEquations("forced")
+                                      for rep in failing})
+        results = [bootstrap_covariance(Y, X, 0.5, replicates=R, seed=seed)
+                   for _ in range(3)]
         for cov in results:
             assert cov.failed_replicates == len(failing)
             assert cov.diagnostics == results[0].diagnostics

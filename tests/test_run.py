@@ -13,6 +13,7 @@ from alphareg import (
     InvalidParameters,
     MissingColumn,
     NonFiniteResidual,
+    RowBlocks,
     RunConfig,
     bootstrap_covariance,
     default_k_grid,
@@ -24,7 +25,7 @@ from alphareg import (
     run_cv,
     run_fit,
 )
-from alphareg import regression, selection, spatial
+from alphareg import inference, regression, selection, spatial
 from alphareg.datasets import synthesize
 
 
@@ -147,12 +148,6 @@ class TestRunFit:
         with pytest.raises(InvalidParameters, match="has no"):
             RunConfig(model=model, **settings)
 
-    def test_negative_thread_count_rejected(self):
-        sim = synthesize(n=20, D=3, p=1, alpha=0.5, noise_scale=0.1, seed=9)
-        config = RunConfig(alpha=0.5, bootstrap_replicates=4, threads=-3)
-        with pytest.raises(InvalidParameters, match="thread count"):
-            run_fit(config, sim["Y"], sim["X"])
-
     @pytest.mark.parametrize("settings, name", [
         ({"seed": -1, "bootstrap_replicates": 5}, "seed"),
         ({"seed": -1}, "seed"),
@@ -225,12 +220,22 @@ class TestBootstrapRun:
         sim = synthesize(n=40, D=3, p=2, alpha=0.5, noise_scale=0.1,
                          spatial_mode="slx", seed=12)
         calls = count_fits(monkeypatch)
+        batches = []
+        real_batch = inference.fit_alpha_batch
+
+        def batch(Y, X, alpha, weights, theta0, opts=None, damping0=None):
+            batches.append((weights, theta0, damping0))
+            return real_batch(Y, X, alpha, weights, theta0, opts, damping0)
+
+        monkeypatch.setattr(inference, "fit_alpha_batch", batch)
         R = 7
         config = RunConfig(model=model, alpha=0.5, bootstrap_replicates=R,
                            **slx_k(model))
         doc, fit = run_fit(config, sim["Y"], sim["X"], sim["coords"])
-        assert len(calls) == R + 1
-        assert all(t is fit.lm.theta for t in calls[1:])
+        assert len(calls) == 1  # the final fit; the replicates are one batch
+        (weights, theta0, damping0), = batches
+        assert isinstance(weights, RowBlocks) and len(weights) == R
+        assert theta0 is fit.lm.theta and damping0 == fit.lm.damping
         assert doc["standard_errors"]["replicates"] == R
 
     @pytest.mark.parametrize("model", ["alpha", "slx"])
@@ -273,17 +278,6 @@ class TestBootstrapDiagnostics:
         doc, _ = run_fit(RunConfig(model="alpha", alpha=0.5, **settings),
                          sim["Y"], sim["X"])
         assert "diagnostics" not in doc
-
-    def test_document_byte_identical_at_one_and_two_threads(self):
-        sim = synthesize(n=60, D=3, p=2, alpha=0.5, noise_scale=0.1, seed=17)
-        texts = []
-        for threads in (1, 2):
-            config = RunConfig(model="alpha", alpha=0.5, seed=2,
-                               bootstrap_replicates=8, threads=threads)
-            doc, _ = run_fit(config, sim["Y"], sim["X"])
-            del doc["config"]  # echoes the thread count
-            texts.append(json.dumps(doc))
-        assert texts[0] == texts[1]
 
 
 def record_location_solves(monkeypatch):
