@@ -32,6 +32,7 @@ from .exceptions import (
     InvalidParameters,
     MissingColumn,
     NonNumericCell,
+    check_integer,
 )
 from .regression import fitted_mean
 from .simplex import (ROW_SUM_TOL, _check_alpha, alpha_transform, alpha_transform_inverse,
@@ -172,14 +173,14 @@ def synthesize(n, D, p, alpha, noise_scale=0.0, spatial_mode="none", seed=0,
         raise InvalidParameters("need n >= 10, D >= 2, p >= 1")
     if spatial_mode not in SPATIAL_MODES:
         raise InvalidParameters(f"spatial_mode must be one of {SPATIAL_MODES}")
-    if not isinstance(slx_k, (int, np.integer)) or not 1 <= slx_k <= n - 1:
+    check_integer(f"neighbor count slx_k (1 <= k <= {n - 1} for {n} locations)", slx_k)
+    if not 1 <= slx_k <= n - 1:
         raise InvalidParameters(
             f"neighbor count slx_k must satisfy 1 <= k <= {n - 1} (an integer) for "
             f"{n} locations, got {slx_k!r}")
     if not 0 <= noise_scale < np.inf:  # False for NaN too
         raise InvalidParameters(f"noise_scale must be finite and >= 0, got {noise_scale!r}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise InvalidParameters(f"seed must be an integer >= 0, got {seed!r}")
+    check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     d = D - 1
     X = np.hstack([np.ones((n, 1)), rng.normal(size=(n, p))])

@@ -8,7 +8,11 @@ Two branches below the package base class:
 * ``NumericalError`` -- the computation itself broke down (singular
   systems, non-finite residuals, degenerate kernel weights, ...).
   The CLI maps these to exit code 3.
+
+:func:`check_integer` is the one rule for an integer setting.
 """
+
+import numpy as np
 
 
 class AlphaRegError(Exception):
@@ -121,3 +125,13 @@ class DegenerateWeights(NumericalError):
 
 class CovarianceNotPsd(NumericalError):
     """A covariance estimate has eigenvalues below the rounding tolerance."""
+
+
+def check_integer(name, value, least=None):
+    """:class:`InvalidParameters` unless ``value`` is an ``int`` or a numpy
+    integer (never a bool, and never a float, which would be truncated) of
+    at least ``least``, when given."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or (least is not None and value < least)):
+        bounds = "" if least is None else f" >= {least}"
+        raise InvalidParameters(f"{name} must be an integer{bounds}, got {value!r}")

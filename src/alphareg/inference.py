@@ -39,6 +39,7 @@ from .exceptions import (
     InvalidParameters,
     NumericalError,
     SingularH,
+    check_integer,
 )
 from .optim import Convergence, LmResult
 from .regression import (RowBlocks, _derivatives, _kron_rows, _outer_rows, fit_alpha_batch,
@@ -56,12 +57,11 @@ def marginal_effects(B, mu, k):
     the fitted compositions.  ``B`` may also be an n x (p+1) x d stack, row
     i of ``mu`` then using ``B[i]`` (locally weighted fits).  Returns an
     n x D table whose rows sum to 0.  ``k`` must be an ``int`` or numpy
-    integer; anything else is :class:`InvalidParameters`.
+    integer, not a bool; anything else is :class:`InvalidParameters`.
     """
     B = np.asarray(B, dtype=np.float64)
     mu = np.atleast_2d(np.asarray(mu, dtype=np.float64))
-    if not isinstance(k, (int, np.integer)):  # the rule of CvGrid.ks: never truncated
-        raise InvalidParameters(f"covariate index must be an integer, got {k!r}")
+    check_integer("covariate index", k)
     if k == 0:
         raise InterceptEffectRequested("the intercept has no marginal effect")
     if not 1 <= k < B.shape[-2]:
@@ -152,19 +152,11 @@ def sandwich_covariance(Y, X, alpha, B_hat, kind="sandwich"):
         dof = n * d - len(H)
         if dof <= 0:
             raise InvalidParameters("nonpositive degrees of freedom")
-        r = np.ascontiguousarray(r.T)  # observation-major, the order its SSE is summed in
-        cov = float(np.sum(r * r)) / dof * H_inv / n
+        cov = float(np.einsum("dn,dn->", r, r)) / dof * H_inv / n
     else:
         S = (Atr[0].T[:, :, None] * X[:, None, :]).reshape(n, -1)  # scores s_i
         cov = H_inv @ (S.T @ S / n) @ H_inv / n
     return CovarianceEstimate(matrix=_enforce_psd(cov), kind=kind)
-
-
-def _check_integer(name, value, least):
-    """:class:`InvalidParameters` unless ``value`` is an integer (never a
-    truncated float) of at least ``least``."""
-    if not isinstance(value, (int, np.integer)) or value < least:
-        raise InvalidParameters(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def bootstrap_covariance(Y, X, alpha, opts=None, replicates=200, seed=0, start=None):
@@ -186,8 +178,8 @@ def bootstrap_covariance(Y, X, alpha, opts=None, replicates=200, seed=0, start=N
     ``diagnostics`` records how the replicates converged
     (:func:`solver_diagnostics`).
     """
-    _check_integer("replicates", replicates, 2)
-    _check_integer("seed", seed, 0)
+    check_integer("replicates", replicates, 2)
+    check_integer("seed", seed, 0)
     Y = np.asarray(Y, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
     n, D = Y.shape

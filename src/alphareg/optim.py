@@ -6,8 +6,9 @@ residual vector and its Jacobian.  Damping uses Marquardt scaling,
     (J'WJ + lam * diag(J'WJ)) delta = J'W r,      theta <- theta - delta,
 
 with ``lam`` decreased after an accepted step and increased after a
-rejection.  The normal equations are solved by Cholesky factorization with a
-pseudo-inverse fallback when the damped matrix is not positive definite.
+rejection.  The damped equations of a stack of problems are solved by one
+batched LU solve, with a pseudo-inverse for a damped matrix that is exactly
+singular.
 
 The starting damping follows one of two rules.  The cold rule starts at
 ``lam0 = initial_damping_scale * max diag(J'J)`` at the start point.  The
@@ -41,7 +42,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .exceptions import (InvalidParameters, NegativeWeight, NonFiniteResidual,
-                         SingularNormalEquations)
+                         SingularNormalEquations, check_integer)
 
 MAX_DAMPING = 1e12
 TINY = np.finfo(float).tiny
@@ -86,9 +87,7 @@ class LmOptions:
     damping_decrease: float = 1.0 / 3.0
 
     def __post_init__(self):
-        if not isinstance(self.max_iterations, (int, np.integer)) or self.max_iterations < 1:
-            raise InvalidParameters(
-                f"max_iterations must be an integer >= 1, got {self.max_iterations!r}")
+        check_integer("max_iterations", self.max_iterations, 1)
         for name in ("sse_rel_tol", "grad_inf_tol", "initial_damping_scale"):
             if not 0 < getattr(self, name) < np.inf:  # False for NaN too
                 raise InvalidParameters(
@@ -116,9 +115,11 @@ def _next_damping(lam, accepted, opts):
 def _solve_damped(JtJ, g, lam):
     """Solve (JtJ + lam*diag(JtJ)) delta = g for every problem of a stack.
 
-    ``JtJ`` is (m, P, P), ``g`` (m, P) and ``lam`` (m,).  A problem whose
-    damped matrix cannot be factorized, even by pseudo-inverse, gets a NaN
-    row.
+    ``JtJ`` is (m, P, P), ``g`` (m, P) and ``lam`` (m,).  The stack is one
+    batched LU solve, which solves each problem on its own.  If some damped
+    matrix is exactly singular, the problems are solved one at a time, and
+    a singular one gets ``pinv(M) @ g``; a problem that even the
+    pseudo-inverse cannot solve gets a NaN row.
     """
     on_diag = (slice(None),) + np.diag_indices(JtJ.shape[1])
     diag = JtJ[on_diag]
@@ -126,12 +127,10 @@ def _solve_damped(JtJ, g, lam):
     M = JtJ.copy()
     M[on_diag] += lam[:, None] * diag
     try:
-        L = np.linalg.cholesky(M)
-        z = np.linalg.solve(L, g[:, :, None])
-        return np.linalg.solve(np.swapaxes(L, 1, 2), z)[:, :, 0]
-    except np.linalg.LinAlgError:
+        return np.linalg.solve(M, g[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:  # some damped matrix is exactly singular
         pass
-    if len(M) > 1:  # factorize the problems one at a time
+    if len(M) > 1:  # solve the problems one at a time
         return np.concatenate([_solve_damped(JtJ[j : j + 1], g[j : j + 1], lam[j : j + 1])
                                for j in range(len(M))])
     try:

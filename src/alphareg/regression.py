@@ -42,11 +42,9 @@ component-major.  Every per-observation quantity of a stack of k fits is a
 (k, component, n) array, so each numpy call runs over rows of n contiguous
 values and no reduction runs over a short last axis; the public functions
 transpose only the arrays they take and return, which are (n, component).
-A sum over components adds whole rows: the denominator of the logit map in
-row order, and the products ``r'r``, ``u'u`` and ``(Hu)'r`` by
-:func:`_sum_components`, even-indexed rows first, then odd, then the two.
-Those are the orders numpy's sum and einsum use over a short contiguous axis
-(up to seven terms), so both layouts give the same fits bit for bit.
+A sum over components adds whole rows: ``np.sum`` over the component axis
+for the denominator of the logit map, and ``einsum`` for the products
+``r'r``, ``u'u`` and ``(Hu)'r``, which forms no array of the products.
 """
 
 import math
@@ -152,37 +150,15 @@ class _Work:
 
 def _inverse_logit(eta, work=_fresh, out=None):
     """Compositions (..., D, n) from linear predictors (..., d, n), one row
-    per component; row 0 is the reference.  The denominator adds the rows in
-    order.  ``eta`` is overwritten; the result goes to ``out`` if given."""
+    per component; row 0 is the reference.  ``eta`` is overwritten; the
+    result goes to ``out`` if given."""
     e = np.exp(np.clip(eta, -LINPRED_CLAMP, LINPRED_CLAMP, out=eta), out=eta)
-    denom = work("denom", e.shape[:-2] + e.shape[-1:])
-    np.copyto(denom, e[..., 0, :])
-    for j in range(1, e.shape[-2]):
-        denom += e[..., j, :]
+    denom = np.sum(e, axis=-2, out=work("denom", e.shape[:-2] + e.shape[-1:]))
     denom += 1.0
     u = work("u", e.shape[:-2] + (e.shape[-2] + 1, e.shape[-1])) if out is None else out
     np.divide(1.0, denom, out=u[..., 0, :])
     np.divide(e, denom[..., None, :], out=u[..., 1:, :])
     return u
-
-
-def _sum_components(a, out):
-    """The sum over the rows of a (..., m, n) stack, into ``out`` (..., n);
-    ``a`` is overwritten.
-
-    The even-indexed rows are added first, then the odd-indexed ones, then
-    the two partial sums.  That is the order in which numpy's einsum adds a
-    product over a short contiguous axis (up to seven terms), so these sums
-    equal those of the observation-major ``einsum("...nm,...nm->...n")``
-    bit for bit, and fits do not depend on the layout that computed them.
-    """
-    m = a.shape[-2]
-    for j in range(2, m, 2):  # rows 0 and 1 gather the even and odd partial sums
-        a[..., :min(2, m - j), :] += a[..., j:j + 2, :]
-    if m == 1:
-        np.copyto(out, a[..., 0, :])
-        return out
-    return np.add(a[..., 0, :], a[..., 1, :], out=out)
 
 
 def fitted_mean(X, B):
@@ -295,9 +271,8 @@ def _contract_residuals(u, r, H, work=_fresh):
     ``G_i = H[:, 1:] - H u_i 1'``, of which ``A_i = D G_i diag(v_i)``."""
     k, d, n = r.shape
     g = work("g", r.shape)
-    Hur = np.matmul(H, u, out=g)  # g's array holds H u until (H u)'r is summed
-    Hur *= r
-    hr = _sum_components(Hur, work("hr", (k, n)))
+    Hu = np.matmul(H, u, out=g)  # g's array holds H u until (H u)'r is summed
+    hr = np.einsum("kdn,kdn->kn", Hu, r, out=work("hr", (k, n)))
     np.matmul(H[:, 1:].T, r, out=g)
     g -= hr[:, None, :]
     return g
@@ -318,8 +293,7 @@ def _normal_blocks(u, r, w, H, work=_fresh):
     k, D, n = u.shape
     d = D - 1
     v = u[:, 1:]
-    products = np.multiply(u, u, out=work("products", u.shape))
-    uu = _sum_components(products, work("uu", (k, n)))
+    uu = np.einsum("kdn,kdn->kn", u, u, out=work("uu", (k, n)))
     C = work("C", (k, d * d, n))
     Cab = C.reshape(k, d, d, n)
     # u'u - v_a once, not for every b, in the array g of _contract_residuals
@@ -502,15 +476,15 @@ def _work_doubles(n, D, q, per_problem_design):
     """Doubles per problem of the work arrays (:class:`_Work`) of
     :func:`_batch_system`.  For each of the n observations: the d + D
     residuals and logit map, the D rows of ``t`` and the d of the mean of
-    :func:`_transformed_mean`, the D products that :func:`_normal_blocks`
-    sums, its d*d block and the d entries of ``g``, and 6 single values
+    :func:`_transformed_mean`, the d*d block of :func:`_normal_blocks` and
+    the d entries of ``g``, and 6 single values
     (the denominator of the logit map, the weight gathered for a step,
     ``w D^2``, and the sums ``r'r``, ``u'u`` and ``(Hu)'r``).  For
     per-problem designs also the transposed design row, the design row in
     both layouts as gathered for a step, and the row's outer product, kept
     and gathered."""
     d = D - 1
-    return n * (d * d + 3 * d + 3 * D + 6 + (3 * q + 2 * q * q if per_problem_design else 0))
+    return n * (d * d + 3 * d + 2 * D + 6 + (3 * q + 2 * q * q if per_problem_design else 0))
 
 
 def _chunk_size(m, n, D, q, per_problem_design):
@@ -665,7 +639,7 @@ def _batch_system(y_a, X, outer, w, alpha, H, work=None):
         if not finite.all():
             r[~finite] = 0.0
         np.copyto(ru[:, :d], r)
-        rr = _sum_components(np.multiply(r, r, out=r), work("rr", (k, n)))
+        rr = np.einsum("kdn,kdn->kn", r, r, out=work("rr", (k, n)))
         sse = np.einsum("kn,kn->k", gather(w, rows, "w"), rr)
         return ru, np.where(finite, sse, np.nan)
 

@@ -21,9 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .exceptions import InvalidParameters, MissingColumn
+from .exceptions import InvalidParameters, MissingColumn, check_integer
 from .inference import (
-    _check_integer,
     average_marginal_effects,
     bootstrap_covariance,
     gwar_marginal_effects,
@@ -68,12 +67,12 @@ class RunConfig:
         if self.alpha is not None:
             _check_alpha(self.alpha)  # NaN fails too
         if self.k is not None:
-            _check_integer("neighbor count k", self.k, 1)
+            check_integer("neighbor count k", self.k, 1)
         if self.h is not None and not 0 < self.h < np.inf:  # False for NaN too
             raise InvalidParameters(f"bandwidth h must be finite and > 0, got {self.h!r}")
-        _check_integer("seed", self.seed, 0)
+        check_integer("seed", self.seed, 0)
         # any count but 0 (no bootstrap) must be one bootstrap_covariance takes
-        _check_integer("bootstrap_replicates (0 for none)", self.bootstrap_replicates,
+        check_integer("bootstrap_replicates (0 for none)", self.bootstrap_replicates,
                        2 if self.bootstrap_replicates else 0)
         if self.model == "gwar" and (self.with_se or self.bootstrap_replicates):
             raise InvalidParameters(

@@ -36,6 +36,7 @@ from .exceptions import (
     InvalidParameters,
     ZeroWithNonpositiveAlpha,
     NumericalError,
+    check_integer,
 )
 from .optim import LmOptions
 from .regression import (
@@ -72,9 +73,11 @@ class CvGrid:
         if any(not -1.0 <= a <= 1.0 for a in self.alphas):
             raise InvalidParameters("alpha grid values must lie in [-1, 1]")
         if self.ks is not None:
-            ks = tuple(self.ks)  # integers by the rule of RunConfig.k, never truncated
-            if not ks or any(not isinstance(k, (int, np.integer)) or k < 1 for k in ks):
-                raise InvalidParameters(f"neighbor grid must hold integers >= 1, got {ks!r}")
+            ks = tuple(self.ks)
+            if not ks:
+                raise InvalidParameters("neighbor grid is empty")
+            for k in ks:  # the rule of RunConfig.k: never truncated
+                check_integer("neighbor grid value", k, 1)
             self.ks = tuple(sorted(int(k) for k in ks))
         if self.hs is not None:
             self.hs = tuple(sorted(float(h) for h in self.hs))

@@ -186,6 +186,36 @@ class TestBatch:
         np.testing.assert_allclose(outcomes[0].theta, [1.0, 1.0], atol=1e-6)
 
 
+class TestSolveDamped:
+    def test_exactly_singular_problem_gets_the_pseudo_inverse_step(self, rng):
+        # at damping 0 the matrix [[1, 1], [1, 1]] is exactly singular, so
+        # the stack's LU solve fails and every problem is solved alone
+        A = rng.normal(size=(4, 6, 2))
+        JtJ = A.transpose(0, 2, 1) @ A
+        JtJ[2] = [[1.0, 1.0], [1.0, 1.0]]
+        g = rng.normal(size=(4, 2))
+        lam = np.array([1e-3, 0.5, 0.0, 2.0])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(JtJ[2], g[2])
+        delta = optim._solve_damped(JtJ, g, lam)
+        np.testing.assert_array_equal(delta[2], np.linalg.pinv(JtJ[2]) @ g[2])
+        for j in (0, 1, 3):
+            alone = optim._solve_damped(JtJ[j:j + 1], g[j:j + 1], lam[j:j + 1])
+            np.testing.assert_array_equal(delta[j], alone[0])
+
+    def test_stack_solve_matches_least_squares(self, rng):
+        m, P = 25, 6
+        A = rng.normal(size=(m, 10, P))
+        JtJ = A.transpose(0, 2, 1) @ A  # symmetric positive definite
+        g = rng.normal(size=(m, P))
+        lam = 10.0 ** rng.uniform(-8, 2, size=m)
+        delta = optim._solve_damped(JtJ, g, lam)
+        for j in range(m):
+            M = JtJ[j] + lam[j] * np.diag(np.diag(JtJ[j]))
+            want = np.linalg.lstsq(M, g[j], rcond=None)[0]
+            assert np.linalg.norm(delta[j] - want) <= 1e-12 * np.linalg.norm(want)
+
+
 class TestWeights:
     def test_unit_weights_change_nothing(self, rng):
         A = rng.normal(size=(6, 2))

@@ -529,19 +529,6 @@ class TestFitAlphaBatch:
                 == (alone.iterations, alone.rejections, alone.converged_by)
 
 
-def test_component_sums_add_even_rows_then_odd_rows():
-    # rows 1e16, 1, -1e16, 1: in order the first 1 is lost (1e16 + 1 rounds
-    # to 1e16) and the sum is 1; even rows then odd rows give 0 + 2
-    a = np.array([1e16, 1.0, -1e16, 1.0])[None, :, None] * np.ones((2, 1, 3))
-    out = regression._sum_components(a.copy(), np.empty((2, 3)))
-    np.testing.assert_array_equal(out, 2.0)
-    for m in range(1, 8):
-        rows = np.random.default_rng(m).normal(size=(3, m, 5))
-        got = regression._sum_components(rows.copy(), np.empty((3, 5)))
-        want = rows[:, 0::2].sum(axis=1) + (rows[:, 1::2].sum(axis=1) if m > 1 else 0.0)
-        np.testing.assert_array_equal(got, want)
-
-
 class TestHeapStableSteps:
     """An LM step of a chunk writes its (k, ., n) arrays into work arrays
     allocated by the chunk's first step, and the chunk size counts them."""

@@ -11,6 +11,7 @@ import pytest
 from alphareg import (
     CvGrid,
     InvalidParameters,
+    LmOptions,
     MissingColumn,
     NonFiniteResidual,
     RowBlocks,
@@ -20,6 +21,7 @@ from alphareg import (
     fit_alpha_regression,
     fit_alpha_slx,
     fit_gwar,
+    marginal_effects,
     neighbor_lag,
     neighbor_table,
     run_cv,
@@ -191,6 +193,29 @@ class TestRunFit:
         doc, _ = run_fit(config, sim["Y"], sim["X"], sim["coords"])
         assert len(doc["selection"]["hs"]) == 10
         assert doc["hyperparameters"]["h"] in doc["selection"]["hs"]
+
+
+BOOLEAN_SETTINGS = {
+    "RunConfig.k": lambda b: RunConfig(model="slx", alpha=0.5, k=b),
+    "RunConfig.seed": lambda b: RunConfig(seed=b),
+    "RunConfig.bootstrap_replicates": lambda b: RunConfig(bootstrap_replicates=b),
+    "bootstrap_covariance.seed": lambda b: bootstrap_covariance(
+        np.full((10, 3), 1 / 3), np.ones((10, 1)), 0.5, replicates=2, seed=b),
+    "LmOptions.max_iterations": lambda b: LmOptions(max_iterations=b),
+    "CvGrid.ks": lambda b: CvGrid(ks=(3, b)),
+    "marginal_effects": lambda b: marginal_effects(np.ones((2, 2)), np.full((4, 3), 1 / 3), b),
+    "synthesize.slx_k": lambda b: synthesize(n=20, D=3, p=1, alpha=0.5, slx_k=b),
+    "synthesize.seed": lambda b: synthesize(n=20, D=3, p=1, alpha=0.5, seed=b),
+}
+
+
+@pytest.mark.parametrize("value", [True, np.True_], ids=["bool", "numpy-bool"])
+@pytest.mark.parametrize("site", list(BOOLEAN_SETTINGS))
+def test_boolean_integer_setting_rejected(site, value):
+    # True is an int to isinstance, so k=True, seed=True and
+    # max_iterations=True used to run and reach the document as `true`
+    with pytest.raises(InvalidParameters, match="must be an integer"):
+        BOOLEAN_SETTINGS[site](value)
 
 
 def count_fits(monkeypatch):
