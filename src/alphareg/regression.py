@@ -45,6 +45,16 @@ transpose only the arrays they take and return, which are (n, component).
 A sum over components adds whole rows: ``np.sum`` over the component axis
 for the denominator of the logit map, and ``einsum`` for the products
 ``r'r``, ``u'u`` and ``(Hu)'r``, which forms no array of the products.
+
+Patched designs: a set of fits whose designs differ from one shared (n, q)
+design in a few rows each, such as the leave-one-out folds of the
+lagged-covariate model, passes that design once with per-problem row
+patches ``(rows (m, r), values (m, r, q))`` (:func:`fit_alpha_batch`).  A
+step forms the linear predictors from the shared design and overwrites the
+r patched columns of each problem with ``B' values'``.  The normal
+equations take the patched rows' blocks out of the shared sums ``C @ x x'``
+and ``A'r @ X``, zeroing them there, and add them back with the patched
+rows' own products, so no per-problem (n, q) design is ever formed.
 """
 
 import math
@@ -55,6 +65,7 @@ import numpy as np
 from .exceptions import (
     DegenerateWeights,
     DimensionMismatch,
+    InvalidParameters,
     NegativeWeight,
     NonpositiveFitted,
     ShapeMismatch,
@@ -171,10 +182,12 @@ def fitted_mean(X, B):
     return np.ascontiguousarray(_logit_map(X, B).T)
 
 
-def _transformed_mean(XT, BT, alpha, H, work=_fresh, u=None):
+def _transformed_mean(XT, BT, alpha, H, work=_fresh, u=None, patch=None):
     """:func:`transformed_mean` component-major, for checked inputs and a
     precomputed Helmert H, of the linear predictors ``eta = BT @ XT`` with
     coefficient rows BT (..., d, q) and design columns XT (..., q, n).
+    ``patch``, rows (k, r) and their design rows (k, r, q), replaces those
+    columns of XT for each of k coefficient rows BT (k, d, q).
 
     Returns the transformed mean (..., d, n) and the logit map ``u`` of
     ``alpha * eta`` (..., D, n), uniform at alpha 0, written to ``u`` if
@@ -193,7 +206,13 @@ def _transformed_mean(XT, BT, alpha, H, work=_fresh, u=None):
     # a huge or infinite parameter is clipped below, or fails as a non-finite
     # residual, so its overflow and inf * 0 are not errors here
     with np.errstate(over="ignore", invalid="ignore"):
-        np.matmul(BT if alpha == 0.0 else alpha * BT, XT, out=eta)
+        aBT = BT if alpha == 0.0 else alpha * BT
+        np.matmul(aBT, XT, out=eta)
+        if patch is not None:
+            rows, values = patch
+            eta_rows = np.matmul(aBT, np.swapaxes(values, 1, 2),
+                                 out=work("eta rows", (len(rows), d, rows.shape[1])))
+            np.put_along_axis(eta, rows[:, None, :], eta_rows, axis=-1)
     if alpha == 0.0:
         np.clip(eta, -LINPRED_CLAMP, LINPRED_CLAMP, out=eta)
         u[...] = 1.0 / D
@@ -311,11 +330,16 @@ def _normal_blocks(u, r, w, H, work=_fresh):
     return C, Atr
 
 
-def _kron_rows(C, outer):
+def _kron_rows(C, outer, patch=None):
     """``sum_i C_i kron x_i x_i'`` in the theta layout, (k, d*q, d*q), for
-    blocks C (k, d*d, n) and row outer products (n, q*q) or (k, n, q*q)."""
+    blocks C (k, d*d, n) and row outer products (n, q*q).  ``patch``, the
+    blocks (k, d*d, r) and outer products (k, r, q*q) of each problem's
+    patched rows, adds their terms."""
     k, d, q = len(C), math.isqrt(C.shape[1]), math.isqrt(outer.shape[-1])
-    return (C @ outer).reshape(k, d, d, q, q).transpose(0, 1, 3, 2, 4).reshape(k, d * q, d * q)
+    S = C @ outer
+    if patch is not None:
+        S += patch[0] @ patch[1]
+    return S.reshape(k, d, d, q, q).transpose(0, 1, 3, 2, 4).reshape(k, d * q, d * q)
 
 
 def _derivatives(Y, X, alpha, B):
@@ -458,8 +482,8 @@ class RowBlocks:
     """A stack of ``m`` rows that is built a block at a time.
 
     ``stack[a:b]`` returns ``build(rows)`` for ``rows = np.arange(a, b)``, so
-    :func:`fit_alpha_batch` can take per-problem weights or designs without
-    the whole (m, ...) array ever existing.
+    :func:`fit_alpha_batch` can take per-problem weights without the whole
+    (m, n) array ever existing.
     """
 
     def __init__(self, m, build):
@@ -472,38 +496,45 @@ class RowBlocks:
         return self.build(np.arange(*block.indices(self.m)))
 
 
-def _work_doubles(n, D, q, per_problem_design):
+def _work_doubles(n, D, q, r):
     """Doubles per problem of the work arrays (:class:`_Work`) of
     :func:`_batch_system`.  For each of the n observations: the d + D
     residuals and logit map, the D rows of ``t`` and the d of the mean of
     :func:`_transformed_mean`, the d*d block of :func:`_normal_blocks` and
     the d entries of ``g``, and 6 single values
     (the denominator of the logit map, the weight gathered for a step,
-    ``w D^2``, and the sums ``r'r``, ``u'u`` and ``(Hu)'r``).  For
-    per-problem designs also the transposed design row, the design row in
-    both layouts as gathered for a step, and the row's outer product, kept
-    and gathered."""
+    ``w D^2``, and the sums ``r'r``, ``u'u`` and ``(Hu)'r``).  For each of
+    the r rows of a patch: the row's outer product, kept for the stack and
+    gathered for a step, the row gathered for a step, and its d linear
+    predictors."""
     d = D - 1
-    return n * (d * d + 3 * d + 2 * D + 6 + (3 * q + 2 * q * q if per_problem_design else 0))
+    return n * (d * d + 3 * d + 2 * D + 6) + r * (2 * q * q + q + d)
 
 
-def _chunk_size(m, n, D, q, per_problem_design):
+def _chunk_size(m, n, D, q, r):
     """Problems per chunk: at most ``CHUNK_DOUBLES`` over one problem's
     working set, evened out over the chunks that m problems need.
 
     The working set counts, in doubles, what stays allocated while a chunk
     steps: the work arrays (:func:`_work_doubles`), the residuals and logit
     maps that :func:`optim.lm_batch` gathers for a step and the J'J it
-    keeps, and a per-problem design.
+    keeps, and the problem's patch of r rows and their values.
     """
     d = D - 1
-    footprint = (_work_doubles(n, D, q, per_problem_design) + n * (d + D) + (d * q) ** 2
-                 + (n * q if per_problem_design else 0))
+    footprint = _work_doubles(n, D, q, r) + n * (d + D) + (d * q) ** 2 + r * (q + 1)
     chunks = max(1, -(-m // max(1, CHUNK_DOUBLES // footprint)))
     return max(1, -(-m // chunks))
 
 
-def fit_alpha_batch(Y, X, alpha, weights, theta0, opts=None, damping0=None):
+def _for_each_problem(a, shape, what):
+    """``a`` broadcast to ``shape``, whose first axis is the m problems."""
+    try:
+        return np.broadcast_to(a, shape)
+    except ValueError:
+        raise DimensionMismatch(f"{what} {np.shape(a)} do not fit {shape[0]} problems") from None
+
+
+def fit_alpha_batch(Y, X, alpha, weights, theta0, opts=None, damping0=None, patches=None):
     """Weighted fits of m problems that share the response ``Y``, at one alpha.
 
     Problem j minimizes ``sum_i weights[j, i] * ||z(y_i) - z(mu_ji)||^2``: a
@@ -511,21 +542,28 @@ def fit_alpha_batch(Y, X, alpha, weights, theta0, opts=None, damping0=None):
     fit is the data under its kernel weights, a bootstrap replicate is the
     data with each row weighted by its draw count, and a plain fit
     (:func:`fit_alpha_regression`) is one problem with weights all ones.
-    ``X`` is one (n, q) design for every problem or per-problem designs
-    (m, n, q); ``weights`` is (m, n), finite and nonnegative.  Either
-    per-problem argument may be a :class:`RowBlocks`.  ``theta0`` is one
-    start (P,) for every problem, or (m, P).  ``damping0`` (scalar or (m,)),
-    when given, is the damping each start's fit ended with: a problem
-    continues from it by the warm rule of :mod:`alphareg.optim`, and a
-    nonpositive entry starts cold; ``None`` starts every problem cold.
+    ``X`` is the (n, q) design of every problem; ``weights`` is (m, n),
+    finite and nonnegative, and may be a :class:`RowBlocks`.  ``patches``,
+    when given, is a pair ``(rows, values)`` of arrays (m, r) and (m, r, q):
+    problem j's design is ``X`` with rows ``rows[j]`` replaced by
+    ``values[j]``, as a lagged-covariate fold's is (the rows whose lag lost
+    the held-out location).  A row may appear twice in one patch only where
+    the problem's weight on it is 0, as when a narrower patch is padded with
+    its held-out row.  ``theta0`` is one start (P,) for every problem, or
+    (m, P).  ``damping0`` (scalar or (m,)), when given, is the damping each
+    start's fit ended with: a problem continues from it by the warm rule of
+    :mod:`alphareg.optim`, and a nonpositive entry starts cold; ``None``
+    starts every problem cold.
 
     ``Y`` is transformed once, and the normal equations come from the
     Kronecker form ``J'WJ = sum_i w_i (A_i'A_i) kron (x_i x_i')`` with the
     closed-form blocks of :func:`_normal_blocks`, so neither the mean
-    Jacobian A nor the (n*d, P) stacked Jacobian is formed.  Chunks of
-    problems, sized by ``CHUNK_DOUBLES``, are solved one after another, each
-    as one :func:`optim.lm_batch` stack, and every step of every chunk
-    writes into one block of work arrays (:class:`_Work`).
+    Jacobian A nor the (n*d, P) stacked Jacobian is formed; the outer
+    products ``x_i x_i'`` of the shared design are formed once, and those of
+    the patched rows once per chunk.  Chunks of problems, sized by
+    ``CHUNK_DOUBLES``, are solved one after another, each as one
+    :func:`optim.lm_batch` stack, and every step of every chunk writes into
+    one block of work arrays (:class:`_Work`).
 
     Returns m outcomes in problem order: the problem's :class:`LmResult`, or
     the :class:`NumericalError` that failed it (:class:`DegenerateWeights`
@@ -533,31 +571,40 @@ def fit_alpha_batch(Y, X, alpha, weights, theta0, opts=None, damping0=None):
     """
     alpha = _check_alpha(alpha)
     Y = np.asarray(Y, dtype=np.float64)
-    return _fit_batch(alpha_transform(Y, alpha), X, alpha, weights, theta0, opts, damping0)
+    return _fit_batch(alpha_transform(Y, alpha), X, alpha, weights, theta0, opts, damping0,
+                      patches)
 
 
-def _fit_batch(y_a, X, alpha, weights, theta0, opts, damping0=None):
+def _fit_batch(y_a, X, alpha, weights, theta0, opts, damping0=None, patches=None):
     """:func:`fit_alpha_batch` on the transformed response ``y_a``; ``damping0``
     (scalar or (m,)) is passed to :func:`optim.lm_batch` as its warm start."""
     opts = opts or LmOptions()
     n, d = y_a.shape
-    if not isinstance(X, RowBlocks):
-        X = np.asarray(X, dtype=np.float64)
-    shared = isinstance(X, np.ndarray) and X.ndim == 2
-    if shared and X.shape[0] != n:
-        raise DimensionMismatch("response and design row counts differ")
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] != n:
+        raise DimensionMismatch(f"design {X.shape} does not fit {n} response rows")
+    m, q = len(weights), X.shape[1]
     theta0 = np.asarray(theta0, dtype=np.float64)
-    m = len(weights)
-    q = theta0.shape[-1] // d
-    if q * d != theta0.shape[-1] or (shared and X.shape[1] != q):
-        raise DimensionMismatch(f"{theta0.shape[-1]} start parameters do not fit the design")
-    starts = np.broadcast_to(theta0, (m, q * d))
+    if theta0.shape[-1:] != (q * d,):
+        raise DimensionMismatch(f"start parameters {theta0.shape} do not fit the design")
+    starts = _for_each_problem(theta0, (m, q * d), "start parameters")
     if damping0 is not None:
-        damping0 = np.broadcast_to(np.asarray(damping0, dtype=np.float64), (m,))
+        damping0 = _for_each_problem(np.asarray(damping0, dtype=np.float64), (m,),
+                                     "start dampings")
+    r = 0
+    if patches is not None:
+        rows, values = np.asarray(patches[0]), np.asarray(patches[1], dtype=np.float64)
+        if (not np.issubdtype(rows.dtype, np.integer) or rows.ndim != 2 or len(rows) != m
+                or values.shape != rows.shape + (q,)):
+            raise DimensionMismatch(f"patch rows {rows.shape} and values {values.shape} do "
+                                    f"not fit {m} problems of {q} design columns")
+        if rows.size and not 0 <= rows.min() <= rows.max() < n:
+            raise DimensionMismatch(f"patch rows must lie in [0, {n})")
+        patches, r = (rows, values), rows.shape[1]
     H = helmert_submatrix(d + 1)
-    outer = _outer_rows(X) if shared else None
-    size = _chunk_size(m, n, d + 1, q, not shared)
-    work = _Work(size, _work_doubles(n, d + 1, q, not shared))  # for every chunk in turn
+    outer = _outer_rows(X)
+    size = _chunk_size(m, n, d + 1, q, r)
+    work = _Work(size, _work_doubles(n, d + 1, q, r))  # for every chunk in turn
 
     def solve(first):
         block = slice(first, min(first + size, m))
@@ -566,18 +613,22 @@ def _fit_batch(y_a, X, alpha, weights, theta0, opts, damping0=None):
             raise DimensionMismatch(f"weights {w.shape} do not fit {n} rows")
         if not np.all(np.isfinite(w)) or np.any(w < 0):
             raise NegativeWeight("observation weights must be finite and nonnegative")
+        patch = None
+        if patches is not None:
+            patch = tuple(a[block] for a in patches)
+            # a row patched twice would count twice in the normal equations
+            sort = np.sort(patch[0], axis=1)
+            j, c = np.nonzero(sort[:, 1:] == sort[:, :-1])
+            if np.any(w[j, sort[j, c]]):
+                raise InvalidParameters("a row patched twice must have weight 0")
         live = np.flatnonzero(np.max(w, axis=1) > 0)
-        Xs = X if shared else np.asarray(X[block], dtype=np.float64)
-        if Xs.shape[-2:] != (n, q):
-            raise DimensionMismatch(f"designs {Xs.shape} do not fit {n} rows and {q} columns")
         if live.size < len(w):
             w = w[live]
-            Xs = Xs if shared else Xs[live]
+            patch = None if patch is None else tuple(a[live] for a in patch)
         outs = [DegenerateWeights(f"every weight of problem {j} is zero")
                 for j in range(block.start, block.stop)]
         warm = None if damping0 is None else damping0[block][live]
-        solved = lm_batch(*_batch_system(y_a, Xs, outer if shared else _outer_rows(Xs, work),
-                                          w, alpha, H, work),
+        solved = lm_batch(*_batch_system(y_a, X, outer, w, alpha, H, work, patch),
                           starts[block][live], opts, warm) if live.size else []
         for j, outcome in zip(live, solved):
             outs[j] = outcome
@@ -590,17 +641,18 @@ def _outer_rows(X, work=_fresh):
     """Row outer products ``x_i x_i'`` flattened to (..., n, q*q), in an
     array of ``work`` (:class:`_Work`)."""
     outer = np.multiply(X[..., :, None], X[..., None, :], out=work("outer", X.shape + X.shape[-1:]))
-    return outer.reshape(X.shape[:-1] + (-1,))
+    return outer.reshape(X.shape[:-1] + (X.shape[-1] ** 2,))
 
 
-def _batch_system(y_a, X, outer, w, alpha, H, work=None):
+def _batch_system(y_a, X, outer, w, alpha, H, work=None, patches=None):
     """The ``residuals`` and ``normal_equations`` of :func:`optim.lm_batch`
-    for weighted fits at one alpha; ``X`` is shared (n, q) or per problem
-    (k, n, q), and ``outer`` is its :func:`_outer_rows`, formed once per
-    stack, as are the transposes of ``y_a`` and ``X``.  The residuals
-    (k, d, n) carry their logit map ``u`` (k, D, n) stacked on the component
-    axis, as one (k, d + D, n) array, so the normal equations need not form
-    it again.
+    for weighted fits at one alpha on the shared design ``X`` (n, q), with
+    ``outer`` its :func:`_outer_rows`.  ``patches``, rows (k, r) and values
+    (k, r, q), replaces rows of each problem's design (:func:`fit_alpha_batch`);
+    the outer products of the values are formed once per stack, as are the
+    transposes of ``y_a`` and ``X``.  The residuals (k, d, n) carry their
+    logit map ``u`` (k, D, n) stacked on the component axis, as one
+    (k, d + D, n) array, so the normal equations need not form it again.
 
     Every (k, ., n) array of a step is written into the stack's work arrays
     (:class:`_Work`), so the residuals returned are overwritten by the next
@@ -608,30 +660,31 @@ def _batch_system(y_a, X, outer, w, alpha, H, work=None):
     n, d = y_a.shape
     q = X.shape[-1]
     if work is None:
-        work = _Work(len(w), _work_doubles(n, d + 1, q, X.ndim == 3))
+        r = 0 if patches is None else patches[0].shape[1]
+        work = _Work(len(w), _work_doubles(n, d + 1, q, r))
     yT = np.ascontiguousarray(y_a.T)
-    if X.ndim == 2:
-        XT = np.ascontiguousarray(X.T)
-    else:
-        XT = work("XT", (len(X), q, n))
-        np.copyto(XT, np.swapaxes(X, 1, 2))
+    XT = np.ascontiguousarray(X.T)
+    if patches is not None:
+        patch_rows, patch_values = patches
+        patch_outer = _outer_rows(patch_values, work)
 
     def gather(a, rows, name):
         # rows are sorted and unique, so as many rows as problems are all of them
         if len(rows) == len(a):
             return a
-        return np.take(a, rows, axis=0, out=work(name + " rows", (len(rows),) + a.shape[1:]))
+        return np.take(a, rows, axis=0,
+                       out=work(name + " rows", (len(rows),) + a.shape[1:], a.dtype))
 
-    def design(a, rows, name):  # X or XT for the problems rows
-        return a if a.ndim == 2 else gather(a, rows, name)
+    def patch(rows):  # the patched rows and their values of the problems rows
+        return gather(patch_rows, rows, "patch"), gather(patch_values, rows, "values")
 
     def residuals(theta, rows):
         k = len(rows)
         ru = work("ru", (k, 2 * d + 1, n))
         # theta.reshape(k, d, q) is B' of theta_to_coef; r is formed in the
         # contiguous mean array, where numpy need not buffer, then copied into ru
-        r, _ = _transformed_mean(design(XT, rows, "XT"), theta.reshape(k, d, q), alpha, H, work,
-                                 ru[:, d:])
+        r, _ = _transformed_mean(XT, theta.reshape(k, d, q), alpha, H, work, ru[:, d:],
+                                 None if patches is None else patch(rows))
         np.subtract(yT, r, out=r)
         # an infinite parameter can leave a clipped mean finite; it fails here
         finite = (np.isfinite(r, out=work("finite", r.shape, bool)).all(axis=(1, 2))
@@ -649,9 +702,19 @@ def _batch_system(y_a, X, outer, w, alpha, H, work=None):
         AtA, Atr = _normal_blocks(u, r, gather(w, rows, "w"), H, work)
         # J'WJ = sum_i w_i (A_i'A_i) kron x_i x_i', and J'Wr = -sum_i w_i
         # (A_i'r_i) kron x_i, since J = -A kron x
-        JtJ = _kron_rows(AtA, outer if outer.ndim == 2 else gather(outer, rows, "outer"))
-        g = -(Atr @ design(X, rows, "X"))
-        return JtJ, g.reshape(k, d * q), np.ones(k, dtype=bool)
+        if patches is None:
+            JtJ, g = _kron_rows(AtA, outer), Atr @ X
+        else:
+            # a patched row's blocks leave the sums over the shared design
+            # and come back with the row's own values
+            at, values = patch(rows)
+            at = at[:, None, :]
+            AtA_at, Atr_at = np.take_along_axis(AtA, at, -1), np.take_along_axis(Atr, at, -1)
+            np.put_along_axis(AtA, at, 0.0, -1)
+            np.put_along_axis(Atr, at, 0.0, -1)
+            JtJ = _kron_rows(AtA, outer, (AtA_at, gather(patch_outer, rows, "outer")))
+            g = Atr @ X + Atr_at @ values
+        return JtJ, -g.reshape(k, d * q), np.ones(k, dtype=bool)
 
     return residuals, normal_equations
 

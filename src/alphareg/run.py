@@ -33,7 +33,8 @@ from .optim import LmOptions
 from .regression import fit_alpha_regression
 from .selection import CvGrid, select
 from .simplex import _check_alpha
-from .spatial import fit_alpha_slx, fit_gwar, neighbor_lag, neighbor_table, split_slx
+from .spatial import (_check_locations, fit_alpha_slx, fit_gwar, neighbor_lag, neighbor_table,
+                      split_slx)
 
 log = logging.getLogger(__name__)
 
@@ -94,11 +95,13 @@ def _ame_table(effects_fn, p):
     return {f"x{k}": [float(v) for v in effects_fn(k)] for k in range(1, p + 1)}
 
 
-def _check_coords(config, coords):
-    if config.model in ("slx", "gwar") and coords is None:
-        raise MissingColumn(
-            f"model {config.model!r} requires latitude and longitude columns"
-        )
+def _check_coords(config, coords, n):
+    if config.model in ("slx", "gwar"):
+        if coords is None:
+            raise MissingColumn(
+                f"model {config.model!r} requires latitude and longitude columns"
+            )
+        _check_locations(coords, n)
 
 
 def run_cv(config, Y, X, coords=None):
@@ -108,7 +111,7 @@ def run_cv(config, Y, X, coords=None):
     grid axis to itself, so only the unset ones are searched.  ``doc`` is
     the JSON-ready selection block and ``cv`` the :class:`CvResult`.
     """
-    _check_coords(config, coords)
+    _check_coords(config, coords, len(Y))
     fixed = {f"{name}s": (getattr(config, name),)
              for name in HYPERPARAMETERS[config.model]
              if getattr(config, name) is not None}
@@ -127,7 +130,7 @@ def run_fit(config, Y, X, coords=None, covariate_names=None):
     Y = np.asarray(Y, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
     p = X.shape[1] - 1
-    _check_coords(config, coords)
+    _check_coords(config, coords, len(Y))
     t0 = time.perf_counter()
 
     selection = cv = None

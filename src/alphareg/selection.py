@@ -14,8 +14,10 @@ is identical to the table of the retained locations and uses nothing of i.
 A fold is the full system with weight 0 on its held-out row, so it needs no
 re-sliced data and no re-transformed response: the n folds of a grid point
 are one set of weighted fits (``regression.fit_alpha_batch``), solved
-chunk by chunk on one thread (two measured slower), with weights and
-designs built per chunk, so no n x n array appears.  Held-out rows are
+chunk by chunk on one thread (two measured slower), with weights built per
+chunk, so no n x n array appears.  Every fold shares the full-data design;
+a lagged-covariate fold adds a patch of the few rows whose lag lost its
+held-out location, so no per-fold design appears either.  Held-out rows are
 scored by one vectorised divergence.  The winning point's full-data fit
 and fold solutions are returned with the scores, and the final fit of
 :mod:`alphareg.run` continues from them.  A fold whose solve fails or whose
@@ -47,6 +49,7 @@ from .regression import (
     fit_alpha_regression,
 )
 from .spatial import (
+    _check_locations,
     kernel_weights_at,
     local_fitted_mean,
     neighbor_lag,
@@ -176,11 +179,12 @@ def _loocv(Y, X, grid, axis, setup, opts):
     folds score +inf without a fit).  Full-data fits run once per (alpha,
     distinct design) in grid order, each warm-started from the previous, and
     warm-start the folds at their point.  ``folds(extra)`` gives the n folds'
-    weights and designs for :func:`fit_alpha_batch` (as :class:`RowBlocks`
-    or a shared design): fold i is the full data with weight 0 on row i, and
-    row i of a per-fold design is row i of the full-data design, on which
-    the fold is scored.  Per-fold scores have shape (n, alphas[, extras]),
-    C-contiguous, and ``scores`` is their sum over axis 0.  Each grid
+    weights (a :class:`RowBlocks`) and design patches (``None`` where every
+    fold has the full-data design) for :func:`fit_alpha_batch`: fold i is
+    the full data with weight 0 on row i, and its patch never changes row
+    i, on which the fold is scored.  Per-fold scores have shape (n,
+    alphas[, extras]), C-contiguous, and ``scores`` is their sum over axis
+    0.  Each grid
     point's full-data fit and fold solutions are kept until the winner is
     known, and the winner's are returned on the :class:`CvResult`.
     """
@@ -204,9 +208,10 @@ def _loocv(Y, X, grid, axis, setup, opts):
             theta = warm[id(design)].lm.theta
         for e, design in enumerate(designs):
             if design is not None:
-                weights, fold_X = folds(extras[e])
+                weights, patches = folds(extras[e])
                 fit = warm[id(design)]
-                outcomes = fit_alpha_batch(Y, fold_X, a, weights, fit.lm.theta, opts)
+                outcomes = fit_alpha_batch(Y, design, a, weights, fit.lm.theta, opts,
+                                           patches=patches)
                 ok, fold_theta, fold_damping = _fold_solutions(outcomes, fit.lm.theta)
                 per_fold[:, ai, e] = _heldout_divergence(Y, design, ok, fold_theta)
                 solutions[ai, e] = fit, fold_theta, fold_damping
@@ -268,9 +273,38 @@ def loocv_alpha(Y, X, grid=None, opts=None):
     grid = grid or CvGrid()
 
     def setup(X, n):
-        return [X], lambda _: (_unit_fold_weights(n), X)
+        return [X], lambda _: (_unit_fold_weights(n), None)
 
     return _loocv(Y, X, grid, None, setup, opts)
+
+
+def _fold_patches(design, X, idx, d2, k):
+    """Row patches (:func:`fit_alpha_batch`) that turn the full-data design
+    ``[X | lag_k]`` into every leave-one-out fold's.
+
+    Fold i's design differs from ``design`` only in the rows j that have i
+    among their k nearest (``idx[j, :k]``): j's lag drops i and takes the
+    next entry of its table row instead, so only those rows are lagged
+    again.  Patches are padded to the widest with the fold's own row i,
+    which has weight 0 and keeps its full-data values.  Returns the rows
+    (n, r) and their values (n, r, q).
+    """
+    n = len(X)
+    # the reverse neighbor lists: each pair (fold i, row j) with i among j's
+    # k nearest, sorted by fold
+    fold = idx[:, :k].ravel()
+    order = np.argsort(fold, kind="stable")
+    fold, owner = fold[order], order // k
+    counts = np.bincount(fold, minlength=n)
+    slot = np.arange(len(fold)) - np.repeat(np.cumsum(counts) - counts, counts)
+    rows = np.repeat(np.arange(n)[:, None], counts.max(), axis=1)
+    rows[fold, slot] = owner
+    table = idx[owner, : k + 1]
+    keep = table != fold[:, None]  # k of the k+1 entries: i is among the first k
+    values = design[rows]
+    values[fold, slot, X.shape[1]:] = neighbor_lag(
+        table[keep].reshape(-1, k), d2[owner, : k + 1][keep].reshape(-1, k), X)
+    return rows, values
 
 
 def loocv_slx(Y, X, coords, grid=None, opts=None):
@@ -278,13 +312,17 @@ def loocv_slx(Y, X, coords, grid=None, opts=None):
 
     One neighbor table (``max(ks)+1`` columns) serves every fold: fold i lags
     each retained row by its k nearest table entries other than i, and the
-    held-out row by its own k nearest (the full-data lag).  Fold designs are
-    built a chunk of folds at a time.  A fold keeps n-1 locations, so
-    ``k > n-2`` scores +inf, without a full-data warm-start fit.  Scores form
-    a (len(alphas), len(ks)) matrix.  A grid without ``ks`` searches
-    :func:`default_k_grid` of the sample size, and :class:`InvalidK` is
-    raised when that is empty (n < 5).
+    held-out row by its own k nearest (the full-data lag).  So fold i's
+    design is the full-data design ``[X | lag_k]`` with only the rows that
+    had i among their k nearest lagged again (:func:`_fold_patches`, built
+    once per k), and the folds are fits on the full-data design with those
+    row patches.  A fold keeps n-1 locations, so ``k > n-2`` scores +inf,
+    without a full-data warm-start fit.  Scores form a (len(alphas),
+    len(ks)) matrix.  A grid without ``ks`` searches :func:`default_k_grid`
+    of the sample size, and :class:`InvalidK` is raised when that is empty
+    (n < 5).  ``coords`` must hold one location per row of ``Y``.
     """
+    _check_locations(coords, len(Y))
     grid = grid or CvGrid()
     n = len(Y)
     if grid.ks is None and n >= 3:  # fewer rows fail the size check of _loocv
@@ -298,23 +336,17 @@ def loocv_slx(Y, X, coords, grid=None, opts=None):
         if max(grid.ks) > n - 1:
             raise InvalidK(f"k={max(grid.ks)} exceeds n-1={n - 1} neighbors")
         idx, d2 = neighbor_table(coords, min(max(grid.ks) + 1, n - 1))
-        # full-data lags: the warm starts' design, and held-out row i's lag
-        lag = {k: neighbor_lag(idx[:, :k], d2[:, :k], X) for k in grid.ks}
-
-        def fold_designs(rows, k):
-            shape = (len(rows), n, k + 1)
-            keep = idx[:, : k + 1] != rows[:, None, None]
-            keep[:, :, k] = ~keep[:, :, :k].all(axis=2)  # entry k only replaces a dropped i
-            nb = np.broadcast_to(idx[:, : k + 1], shape)[keep].reshape(shape[:2] + (k,))
-            nb_d2 = np.broadcast_to(d2[:, : k + 1], shape)[keep].reshape(nb.shape)
-            return np.concatenate([np.broadcast_to(X, shape[:2] + X.shape[1:]),
-                                   neighbor_lag(nb, nb_d2, X)], axis=2)
+        # the full-data designs: the warm starts', held-out row i's and, but
+        # for its patch, fold i's
+        designs = {k: np.hstack([X, neighbor_lag(idx[:, :k], d2[:, :k], X)])
+                   for k in grid.ks if k <= n - 2}
+        patches = {k: _fold_patches(design, X, idx, d2, k) for k, design in designs.items()}
 
         def folds(k):
-            return _unit_fold_weights(n), RowBlocks(n, lambda rows: fold_designs(rows, k))
+            return _unit_fold_weights(n), patches[k]
 
         # every k gives the same design width, so the chain carries across k
-        return [np.hstack([X, lag[k]]) if k <= n - 2 else None for k in grid.ks], folds
+        return [designs.get(k) for k in grid.ks], folds
 
     return _loocv(Y, X, grid, "ks", setup, opts)
 
@@ -326,15 +358,17 @@ def loocv_gwar(Y, X, coords, grid=None, opts=None):
     using the other observations (its own row at weight 0), warm-started
     from the full-data global fit at the same alpha.  A fold whose kernel
     weights all underflow scores +inf, and so does its grid point.  A grid
-    without ``hs`` searches :func:`default_h_grid` of the coordinates.
+    without ``hs`` searches :func:`default_h_grid` of the coordinates, which
+    must hold one location per row of ``Y``.
     """
+    _check_locations(coords, len(Y))
     grid = grid or CvGrid()
     grid = replace(grid, hs=grid.hs or tuple(default_h_grid(coords)))
 
     def setup(X, n):
         def folds(h):
             return RowBlocks(n, lambda rows: _drop_own_row(
-                kernel_weights_at(coords, coords.cart[rows], h), rows)), X
+                kernel_weights_at(coords, coords.cart[rows], h), rows)), None
 
         return [X] * len(grid.hs), folds
 

@@ -98,6 +98,13 @@ class GeoCoordinates:
         return self.lat.shape[0]
 
 
+def _check_locations(coords, n, rows="data rows"):
+    """Raise :class:`DimensionMismatch` unless ``coords`` hold n locations,
+    one per row."""
+    if coords.n != n:
+        raise DimensionMismatch(f"{coords.n} locations for {n} {rows}")
+
+
 def chordal_distance_sq(ci, cj):
     """Squared straight-line distance between unit vectors: 2 (1 - ci'cj).
 
@@ -298,6 +305,7 @@ def fit_gwar(Y, X, coords, alpha, h, opts=None, start=None):
     X = np.asarray(X, dtype=np.float64)
     opts = opts or LmOptions()
     n, D = Y.shape
+    _check_locations(coords, n)
     if start is None:
         global_fit = fit_alpha_regression(Y, X, alpha, opts=opts)
         theta0, damping0 = global_fit.lm.theta, None
@@ -348,9 +356,14 @@ def predict_gwar(fit, X_new, coords_new):
     Each new location gets its own kernel-weighted fit on the training data
     only (warm-started from the stored global solution), evaluated at the
     matching row of ``X_new``; the locations are one set of weighted fits,
-    as in :func:`fit_gwar`.
+    as in :func:`fit_gwar`.  ``X_new`` has the training design's columns,
+    and ``coords_new`` one location per row of it.
     """
     X_new = np.asarray(X_new, dtype=np.float64)
+    if X_new.ndim != 2 or X_new.shape[1] != fit.train_X.shape[1]:
+        raise DimensionMismatch(f"new rows {X_new.shape} do not have the "
+                                f"{fit.train_X.shape[1]} columns of the training design")
+    _check_locations(coords_new, len(X_new), "new rows")
     weights = RowBlocks(coords_new.n, lambda rows: kernel_weights_at(
         fit.train_coords, coords_new.cart[rows], fit.h))
     outcomes = fit_alpha_batch(fit.train_Y, fit.train_X, fit.alpha, weights,

@@ -58,6 +58,16 @@ def random_instance(rng, n=None, D=None, p=None, scale=0.5):
     return Y, X, B
 
 
+def patched_designs(X, patches):
+    """The (m, n, q) designs of a shared design X (n, q) and the row patches
+    ``(rows (m, r), values (m, r, q))`` of ``regression.fit_alpha_batch``."""
+    rows, values = patches
+    designs = np.repeat(X[None], len(rows), axis=0)
+    for j in range(len(rows)):
+        designs[j, rows[j]] = values[j]
+    return designs
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -9,6 +9,7 @@ import pytest
 from alphareg import (
     DegenerateWeights,
     DimensionMismatch,
+    InvalidParameters,
     NegativeWeight,
     NonFiniteResidual,
     alpha_transform,
@@ -28,7 +29,7 @@ from alphareg import regression
 from alphareg.optim import lm_batch
 from alphareg.regression import RowBlocks, coef_to_theta, fit_alpha_batch
 from alphareg.simplex import helmert_submatrix
-from conftest import fd_gradient, fd_hessian, random_instance, rel_err
+from conftest import fd_gradient, fd_hessian, patched_designs, random_instance, rel_err
 
 
 class TestFittedMean:
@@ -401,24 +402,33 @@ def batch_problems(rng, n=25, D=4, p=2, m=6):
     return Y, X, Xs, W, theta
 
 
+def whole_patches(rng, Xs):
+    """Patches of every row, in a random order per problem, that make
+    problem j's design ``Xs[j]`` (m, n, q)."""
+    m, n, _ = Xs.shape
+    rows = np.stack([rng.permutation(n) for _ in range(m)])
+    return rows, np.take_along_axis(Xs, rows[:, :, None], axis=1)
+
+
 class TestFitAlphaBatch:
     @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.1, 0.0, -0.5])
     @pytest.mark.parametrize("per_problem", [False, True])
     def test_normal_equations_match_residual_system(self, alpha, per_problem, rng):
         # D = 2 sums one residual component (no odd partial sum), D = 5 is
         # the bootstrap benchmark's shape
+        # per_problem: a patch of every row gives each problem its own design
         for D in (2, 3, 4, 5):
             Y, X, Xs, W, theta = batch_problems(rng, D=D)
-            design = Xs if per_problem else X
+            patches = whole_patches(rng, Xs) if per_problem else None
             residuals, normal_equations = regression._batch_system(
-                alpha_transform(Y, alpha), design, regression._outer_rows(design), W, alpha,
-                helmert_submatrix(D))
+                alpha_transform(Y, alpha), X, regression._outer_rows(X), W, alpha,
+                helmert_submatrix(D), patches=patches)
             rows = np.arange(len(W))
             r, sse_ = residuals(theta, rows)
             JtJ, g, finite = normal_equations(theta, r, rows)
             assert finite.all()
             for j in rows:
-                system = residual_system(Y, design[j] if per_problem else X, alpha, weights=W[j])
+                system = residual_system(Y, Xs[j] if per_problem else X, alpha, weights=W[j])
                 J, res, w = system.jacobian_fn(theta[j]), system.residual_fn(theta[j]), system.weights
                 want_JtJ, want_g = J.T @ (w[:, None] * J), J.T @ (w * res)
                 assert np.max(np.abs(JtJ[j] - want_JtJ)) <= 1e-12 * np.max(np.abs(want_JtJ)), D
@@ -428,17 +438,17 @@ class TestFitAlphaBatch:
     @pytest.mark.parametrize("per_problem", [False, True])
     def test_matches_independent_solves(self, per_problem, rng):
         Y, X, Xs, W, _ = batch_problems(rng, n=30, D=3, p=1)
-        design = Xs if per_problem else X
+        patches = whole_patches(rng, Xs) if per_problem else None
         W[4] = 0.0  # no data at all
         theta0 = np.tile(fit_alpha_regression(Y, X, 0.5).lm.theta, (len(W), 1))
         theta0[2] = -10.0  # far out: the damping must reject steps
         theta0[3, 0] = np.nan  # fails alone
-        outcomes = fit_alpha_batch(Y, design, 0.5, W, theta0)
+        outcomes = fit_alpha_batch(Y, X, 0.5, W, theta0, patches=patches)
         assert isinstance(outcomes[3], NonFiniteResidual)
         assert isinstance(outcomes[4], DegenerateWeights)
         assert outcomes[2].rejections > 0
         for j in (0, 1, 2, 5):
-            system = residual_system(Y, design[j] if per_problem else X, 0.5, weights=W[j])
+            system = residual_system(Y, Xs[j] if per_problem else X, 0.5, weights=W[j])
             want = levenberg_marquardt(system, theta0[j])
             got = outcomes[j]
             assert (got.iterations, got.converged_by) == (want.iterations, want.converged_by)
@@ -466,11 +476,12 @@ class TestFitAlphaBatch:
                                           regression._logit_map(X, alpha * B))
 
     def test_chunks_do_not_change_results(self, rng, monkeypatch):
-        # three kinds of stack: one shared design (alpha), per-problem designs
-        # (slx) and kernel weights (gwar), the last two built lazily.  Starts
-        # near, at zero and far out make the problems stop on different
-        # passes, so steps run on proper subsets of a chunk.  7 problems in
-        # chunks of 3 (the last has 1) or in one chunk match one per chunk.
+        # three kinds of stack: one shared design (alpha), patched designs
+        # (slx, with weights built lazily) and kernel weights (gwar, built
+        # lazily).  Starts near, at zero and far out make the problems stop
+        # on different passes, so steps run on proper subsets of a chunk.  7
+        # problems in chunks of 3 (the last has 1) or in one chunk match one
+        # per chunk.
         Y, X, Xs, W, _ = batch_problems(rng, n=20, D=3, p=1, m=7)
         coords = rng.uniform(size=(20, 2))
         K = np.exp(-((coords[:7, None] - coords[None]) ** 2).sum(axis=-1) / 0.1)
@@ -478,19 +489,19 @@ class TestFitAlphaBatch:
         theta0[1::3] = 10.0
         theta0[2::3] = 0.0
         kinds = {
-            "alpha": (X, W),
-            "slx": (RowBlocks(7, lambda rows: Xs[rows]), RowBlocks(7, lambda rows: W[rows])),
-            "gwar": (X, RowBlocks(7, lambda rows: K[rows])),
+            "alpha": (W, None),
+            "slx": (RowBlocks(7, lambda rows: W[rows]), whole_patches(rng, Xs)),
+            "gwar": (RowBlocks(7, lambda rows: K[rows]), None),
         }
         monkeypatch.setattr(regression, "CHUNK_DOUBLES", 1)  # one problem per chunk
-        assert regression._chunk_size(7, 20, 3, 2, True) == 1
-        for kind, (design, weights) in kinds.items():
-            alone = fit_alpha_batch(Y, design, 0.5, weights, theta0)
+        assert regression._chunk_size(7, 20, 3, 2, 20) == 1
+        for kind, (weights, patches) in kinds.items():
+            alone = fit_alpha_batch(Y, X, 0.5, weights, theta0, patches=patches)
             assert len({o.iterations for o in alone}) > 1, kind
             assert any(o.rejections for o in alone), kind
             for size in (3, 7):
                 monkeypatch.setattr(regression, "_chunk_size", lambda m, *shape: size)
-                chunked = fit_alpha_batch(Y, design, 0.5, weights, theta0)
+                chunked = fit_alpha_batch(Y, X, 0.5, weights, theta0, patches=patches)
                 for a, b in zip(alone, chunked):
                     np.testing.assert_array_equal(a.theta, b.theta)
                     assert (a.iterations, a.rejections, a.converged_by) == \
@@ -503,12 +514,12 @@ class TestFitAlphaBatch:
         # some of the rows of a trial's residuals; each outcome must still be
         # its one-problem solve
         Y, X, Xs, W, _ = batch_problems(rng, n=20, D=3, p=1, m=2)
-        design = Xs if per_problem else X
+        patches = whole_patches(rng, Xs) if per_problem else None
         near = fit_alpha_regression(Y, X, 0.5).lm.theta
         theta0 = np.stack([np.full_like(near, -6.0), near + 0.05])
-        y_a, H = alpha_transform(Y, 0.5), helmert_submatrix(3)
+        y_a, H, outer = alpha_transform(Y, 0.5), helmert_submatrix(3), regression._outer_rows(X)
         residuals, normal_equations = regression._batch_system(
-            y_a, design, regression._outer_rows(design), W, 0.5, H)
+            y_a, X, outer, W, 0.5, H, patches=patches)
         formed = []
 
         def spy(theta, r, rows):
@@ -521,12 +532,47 @@ class TestFitAlphaBatch:
             i for i, rows in enumerate(formed) if 0 in rows)
         for j in range(2):
             alone, = lm_batch(*regression._batch_system(
-                y_a, design[j:j + 1] if per_problem else X,
-                regression._outer_rows(design[j:j + 1] if per_problem else X),
-                W[j:j + 1], 0.5, H), theta0[j:j + 1])
+                y_a, X, outer, W[j:j + 1], 0.5, H,
+                patches=None if patches is None else tuple(a[j:j + 1] for a in patches)),
+                theta0[j:j + 1])
             np.testing.assert_array_equal(stacked[j].theta, alone.theta)
             assert (stacked[j].iterations, stacked[j].rejections, stacked[j].converged_by) \
                 == (alone.iterations, alone.rejections, alone.converged_by)
+
+
+    def test_padded_patch_solves_as_the_unpadded_one(self, rng):
+        # leave-one-out folds that each replace 3 other rows; padding a patch
+        # with the fold's own row (weight 0, shared values) changes nothing,
+        # and both solve as the fold's own design does
+        Y, X, Xs, _, _ = batch_problems(rng, n=20, D=3, p=1, m=5)
+        W = np.ones((5, 20))
+        W[np.arange(5), np.arange(5)] = 0.0
+        rows = np.stack([rng.choice(np.delete(np.arange(20), j), 3, replace=False)
+                         for j in range(5)])
+        patch = rows, Xs[np.arange(5)[:, None], rows]
+        own = np.repeat(np.arange(5)[:, None], 2, axis=1)
+        padded = np.hstack([rows, own]), np.concatenate([patch[1], X[own]], axis=1)
+        theta0 = fit_alpha_regression(Y, X, 0.5).lm.theta
+        narrow = fit_alpha_batch(Y, X, 0.5, W, theta0, patches=patch)
+        wide = fit_alpha_batch(Y, X, 0.5, W, theta0, patches=padded)
+        for j, (a, b) in enumerate(zip(narrow, wide)):
+            np.testing.assert_allclose(a.theta, b.theta, rtol=0, atol=1e-13)
+            assert (a.iterations, a.rejections, a.converged_by) == \
+                (b.iterations, b.rejections, b.converged_by)
+            design = patched_designs(X, patch)[j]
+            want = levenberg_marquardt(residual_system(Y, design, 0.5, weights=W[j]), theta0)
+            assert (a.iterations, a.converged_by) == (want.iterations, want.converged_by)
+            np.testing.assert_allclose(a.theta, want.theta, rtol=0, atol=1e-10)
+
+
+    def test_empty_patch_is_the_shared_design(self, rng):
+        Y, X, _, W, _ = batch_problems(rng, n=20, D=3, p=1, m=3)
+        theta0 = np.zeros(4)
+        empty = np.zeros((3, 0), int), np.zeros((3, 0, 2))
+        for a, b in zip(fit_alpha_batch(Y, X, 0.5, W, theta0),
+                        fit_alpha_batch(Y, X, 0.5, W, theta0, patches=empty)):
+            np.testing.assert_array_equal(a.theta, b.theta)
+            assert (a.iterations, a.rejections) == (b.iterations, b.rejections)
 
 
 class TestHeapStableSteps:
@@ -536,20 +582,19 @@ class TestHeapStableSteps:
     N, D, P = 150, 4, 3  # an alpha-cv fold set
 
     def chunk(self, rng, per_problem=False):
+        # per_problem: a patch of every row gives each problem its own design
         Y, X, _ = random_instance(rng, n=self.N, D=self.D, p=self.P)
-        q = self.P + 1
-        k = regression._chunk_size(self.N, self.N, self.D, q, per_problem)
+        q, r = self.P + 1, self.N if per_problem else 0
+        k = regression._chunk_size(self.N, self.N, self.D, q, r)
         W = np.ones((k, self.N))
         W[np.arange(k), np.arange(k)] = 0.0  # leave-one-out folds
-        design = X + rng.normal(scale=0.1, size=(k, self.N, q)) * (np.arange(q) > 0) \
-            if per_problem else X
+        patches = whole_patches(rng, X + rng.normal(scale=0.1, size=(k, self.N, q))
+                                * (np.arange(q) > 0)) if per_problem else None
         theta = rng.normal(scale=0.3, size=(k, q * (self.D - 1)))
-        work = regression._Work(k, regression._work_doubles(self.N, self.D, q, per_problem))
-        # a per-problem outer is a work array, as in _fit_batch
-        outer = regression._outer_rows(design, work if per_problem else regression._fresh)
-        system = regression._batch_system(alpha_transform(Y, 0.5), design, outer, W, 0.5,
-                                          helmert_submatrix(self.D), work)
-        return system, theta, work, design
+        work = regression._Work(k, regression._work_doubles(self.N, self.D, q, r))
+        system = regression._batch_system(alpha_transform(Y, 0.5), X, regression._outer_rows(X),
+                                          W, 0.5, helmert_submatrix(self.D), work, patches)
+        return system, theta, work, r
 
     @staticmethod
     def step(system, theta, rows):
@@ -593,14 +638,14 @@ class TestHeapStableSteps:
         # after steps on all problems of a chunk and on the most a proper
         # subset has, every float work array is cut from the block, which
         # _work_doubles, and so _chunk_size, sizes exactly
-        system, theta, work, _ = self.chunk(rng, per_problem)
+        system, theta, work, r = self.chunk(rng, per_problem)
         k = len(theta)
         self.step(system, theta, np.arange(k))
         self.step(system, theta, np.arange(1, k))
         floats = [a for a in work.arrays.values() if a.dtype == np.float64]
         assert all(np.shares_memory(a, work.block) for a in floats)
         assert work.used == work.block.size == k * regression._work_doubles(
-            self.N, self.D, self.P + 1, per_problem)
+            self.N, self.D, self.P + 1, r)
 
 
 class TestOneSolvePath:
@@ -631,6 +676,9 @@ class TestOneSolvePath:
     @pytest.mark.parametrize("case", [
         "batch_nan_row", "batch_inf", "batch_minus_inf", "batch_wrong_length",
         "fit_nan", "fit_inf", "fit_wrong_length", "fit_1d_design", "fit_wrong_start",
+        "batch_starts_of_other_m", "batch_dampings_of_other_m", "batch_patches_of_other_m",
+        "batch_patch_values_shape", "batch_patch_row_outside", "batch_patch_float_rows",
+        "batch_patch_row_twice",
     ])
     def test_bad_weights_and_designs_are_data_errors(self, case, rng):
         Y, X, _ = random_instance(rng, n=20, D=3, p=1)
@@ -646,6 +694,12 @@ class TestOneSolvePath:
         def fit(**kwargs):
             return fit_alpha_regression(Y, kwargs.pop("X", X), 0.5, **kwargs)
 
+        def stack(theta0=np.zeros(4), **kwargs):  # 3 problems
+            return fit_alpha_batch(Y, X, 0.5, np.ones((3, 20)), theta0, **kwargs)
+
+        def patched(rows, shape):  # zero values of the given shape
+            return stack(patches=(rows, np.zeros(shape)))
+
         error, call = {
             "batch_nan_row": (NegativeWeight, lambda: batch(np.nan)),
             "batch_inf": (NegativeWeight, lambda: batch(one_bad(np.inf))),
@@ -656,6 +710,19 @@ class TestOneSolvePath:
             "fit_wrong_length": (DimensionMismatch, lambda: fit(weights=np.ones(19))),
             "fit_1d_design": (DimensionMismatch, lambda: fit(X=X[:, 1])),
             "fit_wrong_start": (DimensionMismatch, lambda: fit(theta0=np.zeros(3))),
+            "batch_starts_of_other_m": (DimensionMismatch, lambda: stack(np.zeros((2, 4)))),
+            "batch_dampings_of_other_m": (DimensionMismatch, lambda: stack(damping0=np.ones(2))),
+            "batch_patches_of_other_m": (DimensionMismatch,
+                                         lambda: patched(np.zeros((2, 1), int), (2, 1, 2))),
+            "batch_patch_values_shape": (DimensionMismatch,
+                                         lambda: patched(np.zeros((3, 1), int), (3, 2, 2))),
+            "batch_patch_row_outside": (DimensionMismatch,
+                                        lambda: patched(np.full((3, 1), 20), (3, 1, 2))),
+            "batch_patch_float_rows": (DimensionMismatch,
+                                       lambda: patched(np.zeros((3, 1)), (3, 1, 2))),
+            # row 1 twice, at weight 1
+            "batch_patch_row_twice": (InvalidParameters,
+                                      lambda: patched(np.ones((3, 2), int), (3, 2, 2))),
         }[case]
         with pytest.raises(error, match="finite and nonnegative" if error is NegativeWeight
                            else None):

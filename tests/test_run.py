@@ -10,6 +10,8 @@ import pytest
 
 from alphareg import (
     CvGrid,
+    DimensionMismatch,
+    GeoCoordinates,
     InvalidParameters,
     LmOptions,
     MissingColumn,
@@ -21,9 +23,12 @@ from alphareg import (
     fit_alpha_regression,
     fit_alpha_slx,
     fit_gwar,
+    loocv_gwar,
+    loocv_slx,
     marginal_effects,
     neighbor_lag,
     neighbor_table,
+    predict_gwar,
     run_cv,
     run_fit,
 )
@@ -216,6 +221,60 @@ def test_boolean_integer_setting_rejected(site, value):
     # max_iterations=True used to run and reach the document as `true`
     with pytest.raises(InvalidParameters, match="must be an integer"):
         BOOLEAN_SETTINGS[site](value)
+
+
+def _first(coords, n):
+    """The first n locations of ``coords`` (n past the end repeats them)."""
+    rows = np.arange(n) % coords.n
+    return GeoCoordinates.from_degrees(coords.lat[rows], coords.lon[rows])
+
+
+LOCATION_COUNT_CALLS = {
+    "run_fit.gwar_fixed_h": lambda Y, X, c: run_fit(
+        RunConfig(model="gwar", alpha=0.5, h=0.1), Y, X, _first(c, 15)),
+    "run_fit.slx_fixed_k_longer": lambda Y, X, c: run_fit(
+        RunConfig(model="slx", alpha=0.5, k=3), Y, X, _first(c, 22)),
+    "run_cv.slx_shorter": lambda Y, X, c: run_cv(
+        RunConfig(model="slx", grid=CvGrid(alphas=(0.5,), ks=(3,))), Y, X, _first(c, 4)),
+    "loocv_slx.shorter": lambda Y, X, c: loocv_slx(
+        Y, X, _first(c, 4), CvGrid(alphas=(0.5,), ks=(3,))),
+    "loocv_slx.longer": lambda Y, X, c: loocv_slx(
+        Y, X, _first(c, 22), CvGrid(alphas=(0.5,), ks=(3,))),
+    "loocv_gwar.shorter": lambda Y, X, c: loocv_gwar(
+        Y, X, _first(c, 15), CvGrid(alphas=(0.5,), hs=(0.1,))),
+    "fit_gwar.shorter": lambda Y, X, c: fit_gwar(Y, X, _first(c, 15), 0.5, 0.1),
+}
+
+
+class TestLocationCounts:
+    """Coordinates must hold one location per data row; a count that differs
+    is a data error (exit 2), not an IndexError, a broadcast ValueError or
+    a neighbor count error."""
+
+    @staticmethod
+    def data():
+        sim = synthesize(n=20, D=3, p=1, alpha=0.5, noise_scale=0.1,
+                         spatial_mode="slx", seed=3)
+        return sim["Y"], sim["X"], sim["coords"]
+
+    @pytest.mark.parametrize("call", list(LOCATION_COUNT_CALLS))
+    def test_other_count_is_a_dimension_mismatch(self, call):
+        with pytest.raises(DimensionMismatch, match="locations for 20 data rows"):
+            LOCATION_COUNT_CALLS[call](*self.data())
+
+    def test_predict_gwar_checks_before_solving(self, monkeypatch):
+        Y, X, coords = self.data()
+        fit = fit_gwar(Y, X, coords, 0.5, 0.1)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a location was solved")
+
+        monkeypatch.setattr(spatial, "fit_alpha_batch", unreachable)
+        with pytest.raises(DimensionMismatch, match="4 locations for 5 new rows"):
+            predict_gwar(fit, X[:5], _first(coords, 4))
+        # a one-column X_new used to broadcast over both coefficient rows
+        with pytest.raises(DimensionMismatch, match="2 columns of the training design"):
+            predict_gwar(fit, X[:5, :1], _first(coords, 5))
 
 
 def count_fits(monkeypatch):

@@ -31,6 +31,7 @@ from alphareg import (
 from alphareg import regression, selection, spatial
 from alphareg.datasets import synthesize
 from alphareg.spatial import pairwise_chordal_sq
+from conftest import patched_designs
 
 
 class TestKld:
@@ -152,7 +153,7 @@ class TestLoocvAlpha:
         sim = synthesize(n=12, D=3, p=1, alpha=0.5, noise_scale=0.1, seed=4)
         calls = []
 
-        def every_fold_fails(Y, X, alpha, weights, theta0, *args):
+        def every_fold_fails(Y, X, alpha, weights, theta0, *args, **kwargs):
             calls.append(alpha)
             return [NonFiniteResidual("forced failure")] * len(weights)
 
@@ -312,15 +313,34 @@ def _fold_data(lat, lon, seed):
     return sim["Y"], sim["X"], GeoCoordinates.from_degrees(lat, lon)
 
 
+def _fold_layout(case):
+    """Latitudes, longitudes and k grid of a neighbor-table test layout."""
+    lat, lon, ks = TIE_LAT, TIE_LON, (1, 2)
+    if case == "coincident":
+        # observations 12 and 13 share the locations of 3 and 9
+        lat, lon, ks = lat + [lat[3], lat[9]], lon + [lon[3], lon[9]], (1, 3)
+    elif case == "boundary":
+        ks = (len(lat) - 2, len(lat) - 1)
+    return lat, lon, ks
+
+
+def reference_fold_designs(X, idx, d2, rows, k):
+    """The whole (len(rows), n, 2p+1) designs of folds ``rows``: every row j
+    lagged by its k nearest table entries other than fold i, entry k only
+    replacing a dropped i."""
+    shape = (len(rows), len(X), k + 1)
+    keep = idx[:, : k + 1] != rows[:, None, None]
+    keep[:, :, k] = ~keep[:, :, :k].all(axis=2)
+    nb = np.broadcast_to(idx[:, : k + 1], shape)[keep].reshape(shape[:2] + (k,))
+    nb_d2 = np.broadcast_to(d2[:, : k + 1], shape)[keep].reshape(nb.shape)
+    return np.concatenate([np.broadcast_to(X, shape[:2] + X.shape[1:]),
+                           spatial.neighbor_lag(nb, nb_d2, X)], axis=2)
+
+
 class TestLoocvSlxNeighborTable:
     @pytest.mark.parametrize("case", ["tie", "coincident", "boundary"])
     def test_matches_per_fold_rebuild(self, case):
-        lat, lon, ks = TIE_LAT, TIE_LON, (1, 2)
-        if case == "coincident":
-            # observations 12 and 13 share the locations of 3 and 9
-            lat, lon, ks = lat + [lat[3], lat[9]], lon + [lon[3], lon[9]], (1, 3)
-        elif case == "boundary":
-            ks = (len(lat) - 2, len(lat) - 1)
+        lat, lon, ks = _fold_layout(case)
         Y, X, coords = _fold_data(lat, lon, seed=11)
         n = len(lat)
         if case == "tie":
@@ -338,6 +358,27 @@ class TestLoocvSlxNeighborTable:
             assert np.all(np.isinf(cv.per_fold[:, :, 1]))  # k = n-1 in every fold
             assert np.all(np.isfinite(cv.per_fold[:, :, 0]))
         assert cv.per_fold.shape == (n, len(alphas), len(ks))
+
+    @pytest.mark.parametrize("case", ["tie", "coincident", "boundary"])
+    def test_patches_rebuild_every_fold_design(self, case):
+        # the full-data design with fold i's patch is fold i's whole design,
+        # bitwise, at the layout's ks, k = 1 and k = n-2; a patch holds the
+        # rows that had i among their k nearest, padded with i itself
+        lat, lon, ks = _fold_layout(case)
+        Y, X, coords = _fold_data(lat, lon, seed=11)
+        n = len(lat)
+        idx, d2 = spatial.neighbor_table(coords, n - 1)
+        for k in sorted({1, n - 2, *ks} - {n - 1}):
+            design = np.hstack([X, spatial.neighbor_lag(idx[:, :k], d2[:, :k], X)])
+            rows, values = selection._fold_patches(design, X, idx, d2, k)
+            np.testing.assert_array_equal(
+                patched_designs(design, (rows, values)),
+                reference_fold_designs(X, idx, d2, np.arange(n), k))
+            assert rows.shape[1] == np.bincount(idx[:, :k].ravel()).max()
+            for i in range(n):
+                lost = np.flatnonzero((idx[:, :k] == i).any(axis=1))
+                np.testing.assert_array_equal(rows[i, :len(lost)], lost)
+                assert np.all(rows[i, len(lost):] == i), (k, i)
 
     def test_geometry_built_once_per_search(self, monkeypatch):
         calls = {"contiguity_matrix": 0, "pairwise_chordal_sq": 0}
@@ -481,8 +522,8 @@ class TestLoocvGwar:
             return real_fit(Y_, X_, alpha, **kwargs)
 
         # ... and in the engine's fold sets
-        def fold_4_fails_at_alpha_1(Y_, X_, alpha, *args):
-            outcomes = real_batch(Y_, X_, alpha, *args)
+        def fold_4_fails_at_alpha_1(Y_, X_, alpha, *args, **kwargs):
+            outcomes = real_batch(Y_, X_, alpha, *args, **kwargs)
             if alpha == 1.0:
                 outcomes[4] = NonFiniteResidual("forced failure")
             return outcomes
