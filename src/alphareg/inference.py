@@ -42,7 +42,7 @@ from .exceptions import (
     check_integer,
 )
 from .optim import Convergence, LmResult
-from .regression import (RowBlocks, _derivatives, _kron_rows, _outer_rows, fit_alpha_batch,
+from .regression import (RowBlocks, _derivatives, _kron_matrix, fit_alpha_batch,
                          fit_alpha_regression, fitted_mean, theta_to_coef)
 
 COND_LIMIT = 1e12
@@ -142,7 +142,7 @@ def sandwich_covariance(Y, X, alpha, B_hat, kind="sandwich"):
         raise InvalidParameters(f"unknown covariance kind {kind!r}")
     X, _, r, AtA, Atr = _derivatives(Y, X, alpha, B_hat)
     d, n = r.shape
-    H = _kron_rows(AtA, _outer_rows(X))[0] / n
+    H = _kron_matrix(AtA, X) / n
     if np.linalg.cond(H) > COND_LIMIT:
         raise SingularH(
             f"curvature matrix condition number exceeds {COND_LIMIT:.0e}"
@@ -154,7 +154,7 @@ def sandwich_covariance(Y, X, alpha, B_hat, kind="sandwich"):
             raise InvalidParameters("nonpositive degrees of freedom")
         cov = float(np.einsum("dn,dn->", r, r)) / dof * H_inv / n
     else:
-        S = (Atr[0].T[:, :, None] * X[:, None, :]).reshape(n, -1)  # scores s_i
+        S = (Atr.T[:, :, None] * X[:, None, :]).reshape(n, -1)  # scores s_i
         cov = H_inv @ (S.T @ S / n) @ H_inv / n
     return CovarianceEstimate(matrix=_enforce_psd(cov), kind=kind)
 

@@ -115,24 +115,31 @@ def _next_damping(lam, accepted, opts):
 def _solve_damped(JtJ, g, lam):
     """Solve (JtJ + lam*diag(JtJ)) delta = g for every problem of a stack.
 
-    ``JtJ`` is (m, P, P), ``g`` (m, P) and ``lam`` (m,).  The stack is one
-    batched LU solve, which solves each problem on its own.  If some damped
-    matrix is exactly singular, the problems are solved one at a time, and
-    a singular one gets ``pinv(M) @ g``; a problem that even the
-    pseudo-inverse cannot solve gets a NaN row.
+    ``JtJ`` is (m, P, P), ``g`` (m, P) and ``lam`` (m,).  A C-contiguous
+    ``JtJ`` is damped in place, through a strided view of its diagonal, so
+    the caller passes a copy (:func:`lm_batch` passes the rows it takes of
+    its stack).  A nonpositive diagonal entry is damped by ``lam * TINY``
+    and keeps its own value.
     """
-    on_diag = (slice(None),) + np.diag_indices(JtJ.shape[1])
-    diag = JtJ[on_diag]
-    diag[diag <= 0] = TINY
-    M = JtJ.copy()
-    M[on_diag] += lam[:, None] * diag
+    m, P = g.shape
+    M = JtJ.reshape(m, P * P)
+    diag = M[:, ::P + 1]
+    diag += lam[:, None] * np.where(diag > 0, diag, TINY)
+    return _solve(M.reshape(m, P, P), g)
+
+
+def _solve(M, g):
+    """``M^-1 g`` for every problem of a stack, as one batched LU solve,
+    which solves each problem on its own.  If some M is exactly singular,
+    the problems are solved one at a time, and a singular one gets
+    ``pinv(M) @ g``; a problem that even the pseudo-inverse cannot solve
+    gets a NaN row."""
     try:
         return np.linalg.solve(M, g[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:  # some damped matrix is exactly singular
+    except np.linalg.LinAlgError:  # some matrix is exactly singular
         pass
     if len(M) > 1:  # solve the problems one at a time
-        return np.concatenate([_solve_damped(JtJ[j : j + 1], g[j : j + 1], lam[j : j + 1])
-                               for j in range(len(M))])
+        return np.concatenate([_solve(M[j:j + 1], g[j:j + 1]) for j in range(len(M))])
     try:
         return (np.linalg.pinv(M[0]) @ g[0])[None]
     except np.linalg.LinAlgError:
@@ -157,14 +164,16 @@ def lm_batch(residuals, normal_equations, theta0, opts=None, damping0=None):
     """Minimize m independent (weighted) sums of squares from ``theta0`` (m, P).
 
     ``residuals(theta, rows)`` evaluates problems ``rows`` at the parameter
-    rows ``theta`` and returns their residuals, stacked on a leading axis,
-    and their SSEs, NaN where a residual is non-finite.
-    ``normal_equations(theta, r, rows)`` returns, for the same problems at
-    their residuals ``r``, the stacks ``J'J`` (k, P, P) and ``J'r`` (k, P)
-    and whether each Jacobian is finite.  ``r`` is only indexed, so it may
-    carry more of its point for ``normal_equations`` to read, and it is read
-    before the next call of ``residuals``, so ``residuals`` may write every
-    call into the same storage.
+    rows ``theta`` and returns their residuals, in a layout of its own, and
+    their SSEs, NaN where a residual is non-finite; ``lm_batch`` reads only
+    the SSEs.  ``normal_equations(theta, at, rows, JtJ, g)`` forms, for
+    problems ``rows`` at the points ``theta``, whose residuals were entries
+    ``at`` of the last ``residuals`` call, ``J'J`` and ``J'r``, writes them
+    to rows ``rows`` of the stacks ``JtJ`` (m, P, P) and ``g`` (m, P) that
+    ``lm_batch`` keeps, and returns whether each Jacobian is finite.  Every
+    problem of a ``normal_equations`` call was in the last ``residuals``
+    call, so ``residuals`` may keep its residuals, and write every call into
+    the same storage.
 
     Every problem runs the schedule of :func:`levenberg_marquardt` with its
     own damping, acceptance test, stopping reason and counts, and advances
@@ -184,8 +193,7 @@ def lm_batch(residuals, normal_equations, theta0, opts=None, damping0=None):
     theta = np.array(theta0, dtype=np.float64)
     m, n_params = theta.shape
     rows = np.arange(m)  # the problems of the last residuals call, sorted
-    r, sse = residuals(theta, rows)
-    picked = np.empty_like(r)  # the rows of r one normal_equations call reads
+    _, sse = residuals(theta, rows)
     failed = np.where(np.isnan(sse), BAD_RESIDUAL, 0)
     reason = np.full(m, REASONS.index(Convergence.MAX_ITER))
     lam = np.zeros(m)
@@ -198,14 +206,12 @@ def lm_batch(residuals, normal_equations, theta0, opts=None, damping0=None):
     while True:
         new = np.flatnonzero(fresh)
         if new.size:
-            # every new problem had its residuals in the last call, at this point
-            at = r if new.size == rows.size else np.take(
-                r, np.searchsorted(rows, new), axis=0, out=picked[:new.size])
-            JtJ_new, g_new, finite = normal_equations(theta[new], at, new)
+            # every new problem had its residuals in the last call, at this
+            # point; its J'J is kept for the retries there
+            finite = normal_equations(theta[new], np.searchsorted(rows, new), new, JtJ, g)
             failed[new[~finite]] = BAD_JACOBIAN
-            small = finite & (np.abs(g_new).max(axis=1, initial=0.0) <= opts.grad_inf_tol)
+            small = finite & (np.abs(g[new]).max(axis=1, initial=0.0) <= opts.grad_inf_tol)
             reason[new[small]] = REASONS.index(Convergence.GRAD_TOL)
-            JtJ[new], g[new] = JtJ_new, g_new  # kept for the retries at this point
             live[new[~finite | small]] = False
             new = new[finite & ~small]
             iterations[new] += 1
@@ -226,7 +232,7 @@ def lm_batch(residuals, normal_equations, theta0, opts=None, damping0=None):
         if tried.size:
             candidate = theta[tried] - delta[solved]
             rows = tried
-            r, sse_new = residuals(candidate, tried)
+            _, sse_new = residuals(candidate, tried)
             better = sse_new <= sse[tried]  # never at a non-finite (NaN) residual
             accepted[solved] = better
             won, new_sse = tried[better], sse_new[better]
@@ -299,16 +305,19 @@ def levenberg_marquardt(system, theta0, opts=None):
             raise NegativeWeight("residual weights must be nonnegative")
         sw = np.sqrt(w)
 
+    r = None  # the residuals of the last call
+
     def residuals(theta, rows):
+        nonlocal r
         r = sw * system.residual_fn(theta[0])
         return r[None], np.array([float(r @ r) if np.all(np.isfinite(r)) else np.nan])
 
-    def normal_equations(theta, r, rows):
+    def normal_equations(theta, at, rows, JtJ, g):
         J = (sw * system.jacobian_fn(theta[0]).T).T  # row k scaled by sw[k]
         if not np.all(np.isfinite(J)):
-            n_params = theta.shape[1]
-            return np.zeros((1, n_params, n_params)), np.zeros((1, n_params)), np.array([False])
-        return (J.T @ J)[None], (J.T @ r[0])[None], np.array([True])
+            return np.array([False])
+        JtJ[rows], g[rows] = J.T @ J, J.T @ r
+        return np.array([True])
 
     theta = np.asarray(theta0, dtype=np.float64)
     outcome, = lm_batch(residuals, normal_equations, theta[None], opts)

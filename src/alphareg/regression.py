@@ -38,20 +38,26 @@ linear predictors of a stack of k fits are ``theta.reshape(k, d, p+1) @ X'``.
 
 Array layout: the whole chain, from linear predictors through the logit map,
 transformed mean and residuals to the blocks of :func:`_normal_blocks`, is
-component-major.  Every per-observation quantity of a stack of k fits is a
-(k, component, n) array, so each numpy call runs over rows of n contiguous
-values and no reduction runs over a short last axis; the public functions
-transpose only the arrays they take and return, which are (n, component).
-A sum over components adds whole rows: ``np.sum`` over the component axis
-for the denominator of the logit map, and ``einsum`` for the products
-``r'r``, ``u'u`` and ``(Hu)'r``, which forms no array of the products.
+component-major, and problem-inner.  Every per-observation quantity of a
+stack of k fits is a (component, k, n) array, one-off calls drop the k
+axis, and the public functions transpose only the arrays they take and
+return, which are (n, component).  So each elementwise numpy call runs over
+contiguous rows of k*n values, a sum over components adds whole rows
+(``np.sum`` over axis 0 for the denominator of the logit map, ``einsum`` for
+the products ``r'r``, ``u'u`` and ``(Hu)'r``, which forms no array of the
+products), and each Helmert product is one (d, D) @ (D, k*n) matrix
+product.  Every product that sums over a problem's own observations or
+coefficients stays one matrix product per problem, over a strided (k, ., n)
+view: the linear predictors ``B' x_i``, the Kronecker sums ``C @ x x'`` and
+the gradient ``A'r @ X``.  So a problem's arithmetic, and its result bit for
+bit, does not depend on the other problems of its stack.
 
 Patched designs: a set of fits whose designs differ from one shared (n, q)
 design in a few rows each, such as the leave-one-out folds of the
 lagged-covariate model, passes that design once with per-problem row
 patches ``(rows (m, r), values (m, r, q))`` (:func:`fit_alpha_batch`).  A
 step forms the linear predictors from the shared design and overwrites the
-r patched columns of each problem with ``B' values'``.  The normal
+r patched observations of each problem with ``B' values'``.  The normal
 equations take the patched rows' blocks out of the shared sums ``C @ x x'``
 and ``A'r @ X``, zeroing them there, and add them back with the patched
 rows' own products, so no per-problem (n, q) design is ever formed.
@@ -111,11 +117,11 @@ def coef_to_theta(B):
 
 def _logit_map(X, B):
     """:func:`fitted_mean` without the shape checks, component-major: the
-    logit map (..., D, n) of a design X (n, q) and coefficients B (..., q, d)."""
-    return _inverse_logit(np.swapaxes(B, -1, -2) @ X.T)
+    logit map (D, n) of a design X (n, q) and coefficients B (q, d)."""
+    return _inverse_logit(B.T @ X.T)
 
 
-def _fresh(name, shape, dtype=np.float64):
+def _fresh(name, shape, dtype=np.float64, axis=-2):
     """The work allocator of one-off calls: a new array every time."""
     return np.empty(shape, dtype)
 
@@ -123,14 +129,17 @@ def _fresh(name, shape, dtype=np.float64):
 class _Work:
     """Work arrays kept by name over the LM steps of a batch of fits.
 
-    ``work(name, shape)`` returns the first ``shape[0]`` problems of the
-    array kept under ``name``.  On first use the array is cut, with room
-    for ``capacity`` problems, from one block of ``doubles`` doubles per
-    problem, so every step of every chunk writes into the arrays of the
-    first.  A boolean array, or one the block has no room left for, is
-    allocated apart.  Two calls for one name share storage, so a caller
-    must not hold one across the other.  Functions that take ``work``
-    default to :func:`_fresh`.
+    ``work(name, shape)`` returns the first ``prod(shape)`` values of the
+    region kept under ``name``, reshaped to ``shape``, whose axis ``axis``
+    counts the problems: -2 for the (component, k, n) arrays of a step, 0
+    for the (k, row, column) arrays of a patch.  So an array for fewer
+    problems than ``capacity`` is as contiguous as one for all of them.  On
+    first use the region is cut, with room for ``capacity`` problems, from
+    one block of ``doubles`` doubles per problem, so every step of every
+    chunk writes into the regions of the first.  A boolean region, or one
+    the block has no room left for, is allocated apart.  Two calls for one
+    name share storage, so a caller must not hold one across the other.
+    Functions that take ``work`` default to :func:`_fresh`.
 
     One block rather than an allocation per array keeps the heap in place
     between batches: glibc trims its heap only when more than twice the
@@ -143,32 +152,32 @@ class _Work:
         self.capacity = capacity
         self.block = np.empty(capacity * doubles)
         self.used = 0  # doubles of the block cut so far
-        self.arrays = {}
+        self.arrays = {}  # name -> flat region
 
-    def __call__(self, name, shape, dtype=np.float64):
-        kept = self.arrays.get(name)
-        if kept is None:
-            full = (self.capacity,) + tuple(shape[1:])
-            size = math.prod(full)
-            if dtype == np.float64 and self.used + size <= self.block.size:
-                kept = self.block[self.used:self.used + size].reshape(full)
-                self.used += size
+    def __call__(self, name, shape, dtype=np.float64, axis=-2):
+        size = math.prod(shape)
+        region = self.arrays.get(name)
+        if region is None:
+            room = self.capacity * (size // shape[axis])
+            if dtype == np.float64 and self.used + room <= self.block.size:
+                region = self.block[self.used:self.used + room]
+                self.used += room
             else:
-                kept = np.empty(full, dtype)
-            self.arrays[name] = kept
-        return kept[:shape[0]]
+                region = np.empty(room, dtype)
+            self.arrays[name] = region
+        return region[:size].reshape(shape)
 
 
 def _inverse_logit(eta, work=_fresh, out=None):
-    """Compositions (..., D, n) from linear predictors (..., d, n), one row
+    """Compositions (D, ..., n) from linear predictors (d, ..., n), one row
     per component; row 0 is the reference.  ``eta`` is overwritten; the
     result goes to ``out`` if given."""
     e = np.exp(np.clip(eta, -LINPRED_CLAMP, LINPRED_CLAMP, out=eta), out=eta)
-    denom = np.sum(e, axis=-2, out=work("denom", e.shape[:-2] + e.shape[-1:]))
+    denom = np.sum(e, axis=0, out=work("denom", e.shape[1:]))
     denom += 1.0
-    u = work("u", e.shape[:-2] + (e.shape[-2] + 1, e.shape[-1])) if out is None else out
-    np.divide(1.0, denom, out=u[..., 0, :])
-    np.divide(e, denom[..., None, :], out=u[..., 1:, :])
+    u = work("u", (len(e) + 1,) + e.shape[1:]) if out is None else out
+    np.divide(1.0, denom, out=u[0])
+    np.divide(e, denom, out=u[1:])
     return u
 
 
@@ -182,45 +191,47 @@ def fitted_mean(X, B):
     return np.ascontiguousarray(_logit_map(X, B).T)
 
 
-def _transformed_mean(XT, BT, alpha, H, work=_fresh, u=None, patch=None):
+def _transformed_mean(XT, BT, alpha, H, work=_fresh, out=None, patch=None):
     """:func:`transformed_mean` component-major, for checked inputs and a
     precomputed Helmert H, of the linear predictors ``eta = BT @ XT`` with
-    coefficient rows BT (..., d, q) and design columns XT (..., q, n).
-    ``patch``, rows (k, r) and their design rows (k, r, q), replaces those
-    columns of XT for each of k coefficient rows BT (k, d, q).
+    coefficient rows BT (..., d, q) and the design's columns XT (q, n).
+    ``patch``, the positions (k, r) of rows in the (k*n) observations of k
+    problems and their design rows (k, r, q), replaces those columns of XT
+    for each of k coefficient rows BT (k, d, q).
 
-    Returns the transformed mean (..., d, n) and the logit map ``u`` of
-    ``alpha * eta`` (..., D, n), uniform at alpha 0, written to ``u`` if
-    given; ``work`` allocates the rest (:class:`_Work`).
+    Returns the transformed mean (d, ..., n) and the logit map ``u`` of
+    ``alpha * eta`` (D, ..., n), uniform at alpha 0, as the rows of ``out``
+    (d + D, ..., n) if given; ``work`` allocates the rest (:class:`_Work`).
     """
     d, D = H.shape
-    shape = np.broadcast_shapes(XT.shape[:-2], BT.shape[:-2])
-    n = XT.shape[-1]
-    t = work("t", shape + (D, n))
-    if u is None:
-        u = work("u", shape + (D, n))
-    mean = work("mean", shape + (d, n))
+    shape = BT.shape[:-2] + XT.shape[-1:]
+    t = work("t", (D,) + shape)
+    if out is None:
+        out = work("mean", (d + D,) + shape)
+    mean, u = out[:d], out[d:]
     # at alpha 0 the mean is formed from eta, so eta goes to t; elsewhere
     # mean holds eta until it becomes u
-    eta = t[..., 1:, :] if alpha == 0.0 else mean
+    eta = t[1:] if alpha == 0.0 else mean
     # a huge or infinite parameter is clipped below, or fails as a non-finite
     # residual, so its overflow and inf * 0 are not errors here
     with np.errstate(over="ignore", invalid="ignore"):
         aBT = BT if alpha == 0.0 else alpha * BT
-        np.matmul(aBT, XT, out=eta)
+        # one product per problem, as a one-problem call forms it
+        np.matmul(aBT, XT, out=eta.swapaxes(0, -2))
         if patch is not None:
-            rows, values = patch
-            eta_rows = np.matmul(aBT, np.swapaxes(values, 1, 2),
-                                 out=work("eta rows", (len(rows), d, rows.shape[1])))
-            np.put_along_axis(eta, rows[:, None, :], eta_rows, axis=-1)
+            cols, values = patch
+            eta_rows = work("eta rows", (d,) + cols.shape)
+            np.matmul(aBT, np.swapaxes(values, 1, 2), out=eta_rows.swapaxes(0, 1))
+            eta.reshape(d, -1)[:, cols] = eta_rows
     if alpha == 0.0:
         np.clip(eta, -LINPRED_CLAMP, LINPRED_CLAMP, out=eta)
         u[...] = 1.0 / D
-        return np.matmul(H[:, 1:], eta, out=mean), u
+        np.matmul(H[:, 1:], eta.reshape(d, -1), out=mean.reshape(d, -1))
+        return mean, u
     _inverse_logit(eta, work, u)
     np.multiply(u, D, out=t)
     t -= 1.0
-    np.matmul(H, t, out=mean)
+    np.matmul(H, t.reshape(D, -1), out=mean.reshape(d, -1))
     mean /= alpha
     return mean, u
 
@@ -285,22 +296,23 @@ def _kld_terms(obs, fit):
 # -- derivative chain ---------------------------------------------------------
 
 def _contract_residuals(u, r, H, work=_fresh):
-    """``g_i = H[:, 1:]'r_i - (H u_i)'r_i`` as (k, d, n), for logit maps u
-    (k, D, n) and residuals r (k, d, n): the residuals contracted with
+    """``g_i = H[:, 1:]'r_i - (H u_i)'r_i`` as (d, ..., n), for logit maps u
+    (D, ..., n) and residuals r (d, ..., n): the residuals contracted with
     ``G_i = H[:, 1:] - H u_i 1'``, of which ``A_i = D G_i diag(v_i)``."""
-    k, d, n = r.shape
+    d = len(r)
     g = work("g", r.shape)
-    Hu = np.matmul(H, u, out=g)  # g's array holds H u until (H u)'r is summed
-    hr = np.einsum("kdn,kdn->kn", Hu, r, out=work("hr", (k, n)))
-    np.matmul(H[:, 1:].T, r, out=g)
-    g -= hr[:, None, :]
+    # g's array holds H u until (H u)'r is summed
+    np.matmul(H, u.reshape(d + 1, -1), out=g.reshape(d, -1))
+    hr = np.einsum("i...,i...->...", g, r, out=work("hr", r.shape[1:]))
+    np.matmul(H[:, 1:].T, r.reshape(d, -1), out=g.reshape(d, -1))
+    g -= hr
     return g
 
 
 def _normal_blocks(u, r, w, H, work=_fresh):
-    """``w_i A_i'A_i`` as (k, d*d, n) and ``w_i A_i'r_i`` as (k, d, n) for a
-    stack of logit maps u (k, D, n), residuals r (k, d, n) and weights w (k, n),
-    in arrays of ``work`` (:class:`_Work`).
+    """``w_i A_i'A_i`` as (d, d, ..., n) and ``w_i A_i'r_i`` as (d, ..., n)
+    for logit maps u (D, ..., n), residuals r (d, ..., n) and weights
+    w (..., n), in arrays of ``work`` (:class:`_Work`).
 
     ``A_i`` is the mean Jacobian of observation i in its linear predictors,
     ``D (H[:, 1:] - H u_i 1') diag(v_i)`` with ``v_i = u_i[1:]``.  Helmert
@@ -309,49 +321,55 @@ def _normal_blocks(u, r, w, H, work=_fresh):
         A_i'A_i = D^2 v_a v_b (delta_ab - v_a - v_b + u_i'u_i)
         A_i'r_i = D v_i * g_i   (g of :func:`_contract_residuals`)
     """
-    k, D, n = u.shape
+    D = len(u)
     d = D - 1
-    v = u[:, 1:]
-    uu = np.einsum("kdn,kdn->kn", u, u, out=work("uu", (k, n)))
-    C = work("C", (k, d * d, n))
-    Cab = C.reshape(k, d, d, n)
+    v = u[1:]
+    uu = np.einsum("i...,i...->...", u, u, out=work("uu", u.shape[1:]))
+    C = work("C", (d, d) + u.shape[1:])
     # u'u - v_a once, not for every b, in the array g of _contract_residuals
-    uu_va = np.subtract(uu[:, None, :], v, out=work("g", v.shape))
-    np.copyto(Cab, uu_va[:, :, None, :])
-    Cab -= v[:, None]
-    C[:, ::d + 1] += 1.0  # a == b
-    Cab *= v[:, :, None, :]
-    Cab *= v[:, None]
-    wD = np.multiply(w, D * D, out=work("wD", (k, n)))
-    C *= wD[:, None, :]
+    np.copyto(C, np.subtract(uu, v, out=work("g", v.shape))[:, None])
+    C -= v
+    C.reshape(d * d, -1)[::d + 1] += 1.0  # a == b
+    C *= v[:, None]
+    C *= v
+    wD = np.multiply(w, D * D, out=work("wD", w.shape))
+    C *= wD
     Atr = _contract_residuals(u, r, H, work)
     Atr *= v
-    Atr *= np.multiply(w, D, out=wD)[:, None, :]
+    Atr *= np.multiply(w, D, out=wD)
     return C, Atr
 
 
-def _kron_rows(C, outer, patch=None):
-    """``sum_i C_i kron x_i x_i'`` in the theta layout, (k, d*q, d*q), for
-    blocks C (k, d*d, n) and row outer products (n, q*q).  ``patch``, the
-    blocks (k, d*d, r) and outer products (k, r, q*q) of each problem's
-    patched rows, adds their terms."""
-    k, d, q = len(C), math.isqrt(C.shape[1]), math.isqrt(outer.shape[-1])
-    S = C @ outer
-    if patch is not None:
-        S += patch[0] @ patch[1]
-    return S.reshape(k, d, d, q, q).transpose(0, 1, 3, 2, 4).reshape(k, d * q, d * q)
+def _kron_rows(C, outer, work=_fresh, name="S"):
+    """``sum_i C_i kron x_i x_i'`` in the theta layout, a (..., d, q, d, q)
+    view, for blocks C (d, d, ..., n) and row outer products (..., n, q*q).
+    Each problem's sum is one matrix product of its (d*d, n) rows of C, a
+    strided view, so it does not depend on the other problems; the products
+    go to the array ``name`` of ``work`` (:class:`_Work`)."""
+    d, q = len(C), math.isqrt(outer.shape[-1])
+    rows = C.reshape((d * d,) + C.shape[2:])
+    S = work(name, rows.shape[:-1] + outer.shape[-1:])
+    np.matmul(rows.swapaxes(0, -2), outer, out=S.swapaxes(0, -2))
+    S = S.reshape((d, d) + S.shape[1:-1] + (q, q))
+    return S.transpose(*range(2, S.ndim - 2), 0, -2, 1, -1)
+
+
+def _kron_matrix(C, X):
+    """:func:`_kron_rows` of one problem with design X (n, q), as (d*q, d*q)."""
+    P = len(C) * X.shape[1]
+    return _kron_rows(C, _outer_rows(X)).reshape(P, P)
 
 
 def _derivatives(Y, X, alpha, B):
     """Checked ``X``, the logit map u (D, n), residuals r (d, n) and the
-    :func:`_normal_blocks` of one unweighted problem at B, with k = 1."""
+    :func:`_normal_blocks` of one unweighted problem at B."""
     alpha = _check_alpha(alpha)
     X, B = _check_design(X, B)
     Y = _check_response(Y, X, B)
     H = helmert_submatrix(B.shape[1] + 1)
     mean, u = _transformed_mean(X.T, B.T, alpha, H)
     r = np.subtract(alpha_transform(Y, alpha).T, mean, out=mean)
-    return (X, u, r) + _normal_blocks(u[None], r[None], np.ones((1, len(X))), H)
+    return (X, u, r) + _normal_blocks(u, r, np.ones(len(X)), H)
 
 
 def gradient(Y, X, alpha, B):
@@ -360,7 +378,7 @@ def gradient(Y, X, alpha, B):
     ``r = z(y) - z(mu)`` (blocks of :func:`_normal_blocks`).
     """
     X, _, _, _, Atr = _derivatives(Y, X, alpha, B)
-    return (Atr[0] @ X).ravel()
+    return (Atr @ X).ravel()
 
 
 def hessian_gauss_newton(Y, X, alpha, B):
@@ -371,7 +389,7 @@ def hessian_gauss_newton(Y, X, alpha, B):
     semi-definite by construction.
     """
     X, _, _, AtA, _ = _derivatives(Y, X, alpha, B)
-    return -_kron_rows(AtA, _outer_rows(X))[0]
+    return -_kron_matrix(AtA, X)
 
 
 def hessian_exact(Y, X, alpha, B):
@@ -390,13 +408,13 @@ def hessian_exact(Y, X, alpha, B):
     residuals are identically zero.
     """
     X, u, r, AtA, _ = _derivatives(Y, X, alpha, B)
-    D, n = u.shape
+    D = len(u)
     v = u[1:]
-    g = _contract_residuals(u[None], r[None], helmert_submatrix(D))[0]
+    g = _contract_residuals(u, r, helmert_submatrix(D))
     W = -v[:, None] * v[None] * (g[:, None] + g[None])
     W[np.arange(D - 1), np.arange(D - 1)] += v * g
     W *= D * float(alpha)
-    return _kron_rows(W.reshape(1, -1, n) - AtA, _outer_rows(X))[0]
+    return _kron_matrix(W - AtA, X)
 
 
 # -- fitting ------------------------------------------------------------------
@@ -499,16 +517,18 @@ class RowBlocks:
 def _work_doubles(n, D, q, r):
     """Doubles per problem of the work arrays (:class:`_Work`) of
     :func:`_batch_system`.  For each of the n observations: the d + D
-    residuals and logit map, the D rows of ``t`` and the d of the mean of
-    :func:`_transformed_mean`, the d*d block of :func:`_normal_blocks` and
-    the d entries of ``g``, and 6 single values
-    (the denominator of the logit map, the weight gathered for a step,
-    ``w D^2``, and the sums ``r'r``, ``u'u`` and ``(Hu)'r``).  For each of
-    the r rows of a patch: the row's outer product, kept for the stack and
-    gathered for a step, the row gathered for a step, and its d linear
-    predictors."""
+    residuals and logit map of a ``residuals`` call, and again as gathered
+    for ``normal_equations``; the D rows of ``t`` of
+    :func:`_transformed_mean`; the d*d block ``C`` and the d entries of
+    ``g`` of :func:`_normal_blocks`; and 6 single values (the denominator of
+    the logit map, the weight gathered for a step, ``w D^2``, and the sums
+    ``r'r``, ``u'u`` and ``(Hu)'r``).  The (d*q)^2 sums ``S`` of
+    :func:`_kron_rows`, and with a patch those of its rows apart.  For each
+    of the r rows of a patch, gathered for a step: its outer product, its
+    values, its d linear predictors and its d*d + d blocks."""
     d = D - 1
-    return n * (d * d + 3 * d + 2 * D + 6) + r * (2 * q * q + q + d)
+    return (n * (d * d + 3 * d + 3 * D + 6) + (d * q) ** 2 * (2 if r else 1)
+            + r * (q * q + q + d * d + 2 * d))
 
 
 def _chunk_size(m, n, D, q, r):
@@ -516,12 +536,13 @@ def _chunk_size(m, n, D, q, r):
     working set, evened out over the chunks that m problems need.
 
     The working set counts, in doubles, what stays allocated while a chunk
-    steps: the work arrays (:func:`_work_doubles`), the residuals and logit
-    maps that :func:`optim.lm_batch` gathers for a step and the J'J it
-    keeps, and the problem's patch of r rows and their values.
+    steps: the work arrays (:func:`_work_doubles`), the J'J that
+    :func:`optim.lm_batch` keeps, into which ``normal_equations`` writes
+    the theta layout straight from ``S``, and the problem's patch of r rows
+    and their values.
     """
     d = D - 1
-    footprint = _work_doubles(n, D, q, r) + n * (d + D) + (d * q) ** 2 + r * (q + 1)
+    footprint = _work_doubles(n, D, q, r) + (d * q) ** 2 + r * (q + 1)
     chunks = max(1, -(-m // max(1, CHUNK_DOUBLES // footprint)))
     return max(1, -(-m // chunks))
 
@@ -560,7 +581,7 @@ def fit_alpha_batch(Y, X, alpha, weights, theta0, opts=None, damping0=None, patc
     closed-form blocks of :func:`_normal_blocks`, so neither the mean
     Jacobian A nor the (n*d, P) stacked Jacobian is formed; the outer
     products ``x_i x_i'`` of the shared design are formed once, and those of
-    the patched rows once per chunk.  Chunks of problems, sized by
+    the patched rows with each step's normal equations.  Chunks of problems, sized by
     ``CHUNK_DOUBLES``, are solved one after another, each as one
     :func:`optim.lm_batch` stack, and every step of every chunk writes into
     one block of work arrays (:class:`_Work`).
@@ -600,7 +621,8 @@ def _fit_batch(y_a, X, alpha, weights, theta0, opts, damping0=None, patches=None
                                     f"not fit {m} problems of {q} design columns")
         if rows.size and not 0 <= rows.min() <= rows.max() < n:
             raise DimensionMismatch(f"patch rows must lie in [0, {n})")
-        patches, r = (rows, values), rows.shape[1]
+        r = rows.shape[1]
+        patches = (rows, values) if r else None  # an empty patch is the shared design
     H = helmert_submatrix(d + 1)
     outer = _outer_rows(X)
     size = _chunk_size(m, n, d + 1, q, r)
@@ -639,8 +661,9 @@ def _fit_batch(y_a, X, alpha, weights, theta0, opts, damping0=None, patches=None
 
 def _outer_rows(X, work=_fresh):
     """Row outer products ``x_i x_i'`` flattened to (..., n, q*q), in an
-    array of ``work`` (:class:`_Work`)."""
-    outer = np.multiply(X[..., :, None], X[..., None, :], out=work("outer", X.shape + X.shape[-1:]))
+    array of ``work`` (:class:`_Work`) whose first axis counts problems."""
+    outer = np.multiply(X[..., :, None], X[..., None, :],
+                        out=work("outer", X.shape + X.shape[-1:], axis=0))
     return outer.reshape(X.shape[:-1] + (X.shape[-1] ** 2,))
 
 
@@ -649,72 +672,82 @@ def _batch_system(y_a, X, outer, w, alpha, H, work=None, patches=None):
     for weighted fits at one alpha on the shared design ``X`` (n, q), with
     ``outer`` its :func:`_outer_rows`.  ``patches``, rows (k, r) and values
     (k, r, q), replaces rows of each problem's design (:func:`fit_alpha_batch`);
-    the outer products of the values are formed once per stack, as are the
-    transposes of ``y_a`` and ``X``.  The residuals (k, d, n) carry their
-    logit map ``u`` (k, D, n) stacked on the component axis, as one
-    (k, d + D, n) array, so the normal equations need not form it again.
+    the outer products of a step's patched rows are formed with its normal
+    equations.  ``residuals`` returns, besides the SSEs, the residuals
+    (d, k, n) with their logit map ``u`` (D, k, n) under them on the
+    component axis, one (d + D, k, n) array, which it keeps for
+    ``normal_equations`` to gather from, so u is not formed again.
 
-    Every (k, ., n) array of a step is written into the stack's work arrays
+    Every (., k, n) array of a step is written into the stack's work arrays
     (:class:`_Work`), so the residuals returned are overwritten by the next
-    call: the caller keeps what it needs (:func:`optim.lm_batch` does)."""
+    call.  ``normal_equations`` writes J'J and J'r into the rows of the
+    caller's stacks."""
     n, d = y_a.shape
     q = X.shape[-1]
     if work is None:
         r = 0 if patches is None else patches[0].shape[1]
         work = _Work(len(w), _work_doubles(n, d + 1, q, r))
-    yT = np.ascontiguousarray(y_a.T)
+    yT = np.ascontiguousarray(y_a.T)[:, None]
     XT = np.ascontiguousarray(X.T)
-    if patches is not None:
-        patch_rows, patch_values = patches
-        patch_outer = _outer_rows(patch_values, work)
+    ru = None  # the residuals and logit maps of the last residuals call
 
     def gather(a, rows, name):
         # rows are sorted and unique, so as many rows as problems are all of them
         if len(rows) == len(a):
             return a
-        return np.take(a, rows, axis=0,
-                       out=work(name + " rows", (len(rows),) + a.shape[1:], a.dtype))
+        return np.take(a, rows, axis=0, mode="clip",
+                       out=work(name + " rows", (len(rows),) + a.shape[1:], a.dtype, axis=0))
 
-    def patch(rows):  # the patched rows and their values of the problems rows
-        return gather(patch_rows, rows, "patch"), gather(patch_values, rows, "values")
+    def patch(rows):
+        # the positions of the patched rows in the (k*n) observations of the
+        # problems rows, and their values
+        cols = patches[0][rows] + n * np.arange(len(rows))[:, None]
+        return cols, gather(patches[1], rows, "values")
 
     def residuals(theta, rows):
+        nonlocal ru
         k = len(rows)
-        ru = work("ru", (k, 2 * d + 1, n))
-        # theta.reshape(k, d, q) is B' of theta_to_coef; r is formed in the
-        # contiguous mean array, where numpy need not buffer, then copied into ru
-        r, _ = _transformed_mean(XT, theta.reshape(k, d, q), alpha, H, work, ru[:, d:],
+        ru = work("ru", (2 * d + 1, k, n))
+        # theta.reshape(k, d, q) is B' of theta_to_coef
+        r, _ = _transformed_mean(XT, theta.reshape(k, d, q), alpha, H, work, ru,
                                  None if patches is None else patch(rows))
         np.subtract(yT, r, out=r)
         # an infinite parameter can leave a clipped mean finite; it fails here
-        finite = (np.isfinite(r, out=work("finite", r.shape, bool)).all(axis=(1, 2))
+        finite = (np.isfinite(r, out=work("finite", r.shape, bool)).all(axis=(0, 2))
                   & np.all(np.isfinite(theta), axis=1))
         if not finite.all():
-            r[~finite] = 0.0
-        np.copyto(ru[:, :d], r)
-        rr = np.einsum("kdn,kdn->kn", r, r, out=work("rr", (k, n)))
+            r[:, ~finite] = 0.0
+        rr = np.einsum("i...,i...->...", r, r, out=work("rr", (k, n)))
         sse = np.einsum("kn,kn->k", gather(w, rows, "w"), rr)
         return ru, np.where(finite, sse, np.nan)
 
-    def normal_equations(theta, ru, rows):
-        r, u = ru[:, :d], ru[:, d:]  # u is finite wherever r is
+    def normal_equations(theta, at, rows, JtJ, g):
         k = len(rows)
-        AtA, Atr = _normal_blocks(u, r, gather(w, rows, "w"), H, work)
+        # as many positions as problems in the last call are all of them
+        ru_at = ru if k == ru.shape[1] else np.take(
+            ru, at, axis=1, mode="clip", out=work("ru rows", (2 * d + 1, k, n)))
+        r, u = ru_at[:d], ru_at[d:]  # u is finite wherever r is
+        C, Atr = _normal_blocks(u, r, gather(w, rows, "w"), H, work)
         # J'WJ = sum_i w_i (A_i'A_i) kron x_i x_i', and J'Wr = -sum_i w_i
         # (A_i'r_i) kron x_i, since J = -A kron x
-        if patches is None:
-            JtJ, g = _kron_rows(AtA, outer), Atr @ X
-        else:
+        if patches is not None:
             # a patched row's blocks leave the sums over the shared design
             # and come back with the row's own values
-            at, values = patch(rows)
-            at = at[:, None, :]
-            AtA_at, Atr_at = np.take_along_axis(AtA, at, -1), np.take_along_axis(Atr, at, -1)
-            np.put_along_axis(AtA, at, 0.0, -1)
-            np.put_along_axis(Atr, at, 0.0, -1)
-            JtJ = _kron_rows(AtA, outer, (AtA_at, gather(patch_outer, rows, "outer")))
-            g = Atr @ X + Atr_at @ values
-        return JtJ, -g.reshape(k, d * q), np.ones(k, dtype=bool)
+            cols, values = patch(rows)
+            C_flat, Atr_flat = C.reshape(d, d, -1), Atr.reshape(d, -1)
+            C_at = np.take(C_flat, cols, axis=-1, mode="clip",
+                           out=work("C rows", (d, d) + cols.shape))
+            Atr_at = np.take(Atr_flat, cols, axis=-1, mode="clip",
+                             out=work("Atr rows", (d,) + cols.shape))
+            C_flat[..., cols] = Atr_flat[..., cols] = 0.0
+        JtJ_rows = _kron_rows(C, outer, work)
+        gX = Atr.swapaxes(0, 1) @ X
+        if patches is not None:
+            JtJ_rows += _kron_rows(C_at, _outer_rows(values, work), work, "S rows")
+            gX += Atr_at.swapaxes(0, 1) @ values
+        JtJ.reshape(len(JtJ), d, q, d, q)[rows] = JtJ_rows
+        g.reshape(len(g), d, q)[rows] = np.negative(gX, out=gX)
+        return np.ones(k, dtype=bool)
 
     return residuals, normal_equations
 

@@ -47,7 +47,6 @@ from .regression import (
     FitResult,
     RowBlocks,
     _inverse_logit,
-    coef_to_theta,
     fit_alpha_batch,
     fit_alpha_regression,
     kld,
@@ -354,10 +353,11 @@ def predict_gwar(fit, X_new, coords_new):
     """Mean compositions at new locations.
 
     Each new location gets its own kernel-weighted fit on the training data
-    only (warm-started from the stored global solution), evaluated at the
-    matching row of ``X_new``; the locations are one set of weighted fits,
-    as in :func:`fit_gwar`.  ``X_new`` has the training design's columns,
-    and ``coords_new`` one location per row of it.
+    only, started from the local coefficients of its nearest training
+    location, evaluated at the matching row of ``X_new``; the locations are
+    one set of weighted fits, as in :func:`fit_gwar`.  ``X_new`` has the
+    training design's columns, and ``coords_new`` one location per row of
+    it.
     """
     X_new = np.asarray(X_new, dtype=np.float64)
     if X_new.ndim != 2 or X_new.shape[1] != fit.train_X.shape[1]:
@@ -366,8 +366,10 @@ def predict_gwar(fit, X_new, coords_new):
     _check_locations(coords_new, len(X_new), "new rows")
     weights = RowBlocks(coords_new.n, lambda rows: kernel_weights_at(
         fit.train_coords, coords_new.cart[rows], fit.h))
-    outcomes = fit_alpha_batch(fit.train_Y, fit.train_X, fit.alpha, weights,
-                               coef_to_theta(fit.global_coefficients), fit.opts)
+    nearest = neighbor_table(fit.train_coords, 1, query=coords_new)[0][:, 0]
+    # theta = vec(B) is B' row by row (coef_to_theta)
+    starts = fit.local_coefficients[nearest].transpose(0, 2, 1).reshape(len(nearest), -1)
+    outcomes = fit_alpha_batch(fit.train_Y, fit.train_X, fit.alpha, weights, starts, fit.opts)
     local = _local_coefficients(
         outcomes, fit.train_X.shape[1], fit.train_Y.shape[1] - 1,
         lambda j: f"all kernel weights underflowed at prediction point {j} (h={fit.h:g})")

@@ -119,16 +119,18 @@ def stacked(systems):
     """:func:`optim.lm_batch` callbacks for same-shaped systems, one per row,
     with the arithmetic of :func:`levenberg_marquardt`."""
 
+    last = {}  # the residuals of the last call
+
     def residuals(theta, rows):
-        r = np.array([systems[j].residual_fn(t) for t, j in zip(theta, rows)])
+        r = last["r"] = np.array([systems[j].residual_fn(t) for t, j in zip(theta, rows)])
         sse = [float(x @ x) if np.all(np.isfinite(x)) else np.nan for x in r]
         return r, np.array(sse)
 
-    def normal_equations(theta, r, rows):
+    def normal_equations(theta, at, rows, JtJ, g):
         J = np.array([systems[j].jacobian_fn(t) for t, j in zip(theta, rows)])
-        finite = np.all(np.isfinite(J), axis=(1, 2))
-        return (np.array([j.T @ j for j in J]), np.array([j.T @ x for j, x in zip(J, r)]),
-                finite)
+        JtJ[rows] = [j.T @ j for j in J]
+        g[rows] = [j.T @ x for j, x in zip(J, last["r"][at])]
+        return np.all(np.isfinite(J), axis=(1, 2))
 
     return residuals, normal_equations
 
@@ -175,8 +177,9 @@ class TestBatch:
         real = optim._solve_damped
 
         def second_unsolvable(JtJ, g, lam):
-            delta = real(JtJ, g, lam)
-            delta[np.isclose(JtJ[:, 0, 0], 1.0)] = np.nan  # the problem with J = I
+            identity = np.isclose(JtJ[:, 0, 0], 1.0)  # the problem with J = I
+            delta = real(JtJ, g, lam)  # damps JtJ in place
+            delta[identity] = np.nan
             return delta
 
         monkeypatch.setattr(optim, "_solve_damped", second_unsolvable)
@@ -197,11 +200,33 @@ class TestSolveDamped:
         lam = np.array([1e-3, 0.5, 0.0, 2.0])
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(JtJ[2], g[2])
-        delta = optim._solve_damped(JtJ, g, lam)
+        delta = optim._solve_damped(JtJ.copy(), g, lam)  # damps its JtJ in place
         np.testing.assert_array_equal(delta[2], np.linalg.pinv(JtJ[2]) @ g[2])
         for j in (0, 1, 3):
-            alone = optim._solve_damped(JtJ[j:j + 1], g[j:j + 1], lam[j:j + 1])
+            alone = optim._solve_damped(JtJ[j:j + 1].copy(), g[j:j + 1], lam[j:j + 1])
             np.testing.assert_array_equal(delta[j], alone[0])
+
+    def test_zero_column_is_damped_by_tiny(self, rng):
+        # a parameter no residual depends on leaves a zero row and column in
+        # J'J; its diagonal is damped by lam * TINY, and the step equals bit
+        # for bit that of the formula of fancy-index gets and sets
+        m, P = 5, 4
+        A = rng.normal(size=(m, 8, P))
+        A[:, :, 2] = 0.0
+        JtJ = A.transpose(0, 2, 1) @ A
+        g = rng.normal(size=(m, P))
+        g[:, 2] = 0.0
+        lam = 10.0 ** rng.uniform(-6, 1, size=m)
+        on_diag = (slice(None),) + np.diag_indices(P)
+        diag = JtJ[on_diag]
+        diag[diag <= 0] = optim.TINY
+        M = JtJ.copy()
+        M[on_diag] += lam[:, None] * diag
+        want = np.linalg.solve(M, g[:, :, None])[:, :, 0]
+        delta = optim._solve_damped(JtJ, g, lam)
+        np.testing.assert_array_equal(delta, want)
+        assert np.all(np.isfinite(delta)) and np.all(delta[:, 2] == 0.0)
+        np.testing.assert_array_equal(JtJ, M)  # damped in place
 
     def test_stack_solve_matches_least_squares(self, rng):
         m, P = 25, 6
@@ -209,7 +234,7 @@ class TestSolveDamped:
         JtJ = A.transpose(0, 2, 1) @ A  # symmetric positive definite
         g = rng.normal(size=(m, P))
         lam = 10.0 ** rng.uniform(-8, 2, size=m)
-        delta = optim._solve_damped(JtJ, g, lam)
+        delta = optim._solve_damped(JtJ.copy(), g, lam)
         for j in range(m):
             M = JtJ[j] + lam[j] * np.diag(np.diag(JtJ[j]))
             want = np.linalg.lstsq(M, g[j], rcond=None)[0]

@@ -424,9 +424,9 @@ class TestFitAlphaBatch:
                 alpha_transform(Y, alpha), X, regression._outer_rows(X), W, alpha,
                 helmert_submatrix(D), patches=patches)
             rows = np.arange(len(W))
-            r, sse_ = residuals(theta, rows)
-            JtJ, g, finite = normal_equations(theta, r, rows)
-            assert finite.all()
+            _, sse_ = residuals(theta, rows)
+            JtJ, g = np.empty((len(W),) + 2 * theta.shape[1:]), np.empty(theta.shape)
+            assert normal_equations(theta, rows, rows, JtJ, g).all()
             for j in rows:
                 system = residual_system(Y, Xs[j] if per_problem else X, alpha, weights=W[j])
                 J, res, w = system.jacobian_fn(theta[j]), system.residual_fn(theta[j]), system.weights
@@ -472,8 +472,46 @@ class TestFitAlphaBatch:
                 alpha_transform(Y, alpha), X, regression._outer_rows(X), W, alpha, H)
             ru, _ = residuals(theta, np.arange(len(W)))
             B = theta.reshape(len(W), -1, X.shape[1]).transpose(0, 2, 1)
-            np.testing.assert_array_equal(ru[:, Y.shape[1] - 1:],
-                                          regression._logit_map(X, alpha * B))
+            for j in range(len(W)):
+                np.testing.assert_array_equal(ru[Y.shape[1] - 1:, j],
+                                              regression._logit_map(X, alpha * B[j]))
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, -0.5])
+    @pytest.mark.parametrize("kind", ["shared", "patches", "kernel"])
+    def test_stack_system_is_each_problems_own_bitwise(self, alpha, kind, rng):
+        # what keeps results independent of chunking: a problem's SSE, J'WJ
+        # and J'Wr in a stack equal bit for bit those of its one-problem
+        # system, for residuals of the whole stack or of a proper subset,
+        # and for normal equations gathered from part of a residuals call
+        Y, X, Xs, W, theta = batch_problems(rng, n=30, D=4, p=2, m=7)
+        patches = None
+        if kind == "patches":  # 4 rows each, replaced by the problem's own
+            rows = np.stack([rng.choice(30, 4, replace=False) for _ in range(7)])
+            patches = rows, np.take_along_axis(Xs, rows[:, :, None], axis=1)
+        elif kind == "kernel":
+            coords = rng.uniform(size=(30, 2))
+            W = np.exp(-((coords[:7, None] - coords[None]) ** 2).sum(axis=-1) / 0.1)
+        y_a, H, outer = alpha_transform(Y, alpha), helmert_submatrix(4), regression._outer_rows(X)
+        m, P = theta.shape
+        residuals, normal_equations = regression._batch_system(y_a, X, outer, W, alpha, H,
+                                                               patches=patches)
+        for rows in (np.arange(m), np.array([0, 2, 3, 6])):
+            _, sse = residuals(theta[rows], rows)
+            part = rows[1:]
+            JtJ, g = np.full((m, P, P), np.nan), np.full((m, P), np.nan)
+            assert normal_equations(theta[part], np.arange(1, len(rows)), part, JtJ, g).all()
+            for at, j in enumerate(rows):
+                one = np.arange(1)
+                residuals1, normal_equations1 = regression._batch_system(
+                    y_a, X, outer, W[j:j + 1], alpha, H,
+                    patches=None if patches is None else tuple(a[j:j + 1] for a in patches))
+                _, sse1 = residuals1(theta[j:j + 1], one)
+                JtJ1, g1 = np.empty((1, P, P)), np.empty((1, P))
+                normal_equations1(theta[j:j + 1], one, one, JtJ1, g1)
+                assert sse[at] == sse1[0], (rows, j)
+                if j in part:
+                    np.testing.assert_array_equal(JtJ[j], JtJ1[0])
+                    np.testing.assert_array_equal(g[j], g1[0])
 
     def test_chunks_do_not_change_results(self, rng, monkeypatch):
         # three kinds of stack: one shared design (alpha), patched designs
@@ -522,9 +560,9 @@ class TestFitAlphaBatch:
             y_a, X, outer, W, 0.5, H, patches=patches)
         formed = []
 
-        def spy(theta, r, rows):
+        def spy(theta, at, rows, JtJ, g):
             formed.append(tuple(rows))
-            return normal_equations(theta, r, rows)
+            return normal_equations(theta, at, rows, JtJ, g)
 
         stacked = lm_batch(residuals, spy, theta0)
         assert stacked[0].rejections > 0
@@ -576,7 +614,7 @@ class TestFitAlphaBatch:
 
 
 class TestHeapStableSteps:
-    """An LM step of a chunk writes its (k, ., n) arrays into work arrays
+    """An LM step of a chunk writes its (., k, n) arrays into work arrays
     allocated by the chunk's first step, and the chunk size counts them."""
 
     N, D, P = 150, 4, 3  # an alpha-cv fold set
@@ -598,9 +636,12 @@ class TestHeapStableSteps:
 
     @staticmethod
     def step(system, theta, rows):
+        # the residuals of every problem, then the normal equations of rows,
+        # gathered from them
         residuals, normal_equations = system
-        ru, _ = residuals(theta[rows], rows)
-        normal_equations(theta[rows], ru, rows)
+        k, P = theta.shape
+        residuals(theta, np.arange(k))
+        normal_equations(theta[rows], rows, rows, np.empty((k, P, P)), np.empty((k, P)))
 
     def test_steady_step_allocates_no_stack_sized_arrays(self, rng):
         system, theta, _, _ = self.chunk(rng)
@@ -609,6 +650,7 @@ class TestHeapStableSteps:
         for rows in (every, some):  # the work arrays exist from here on
             self.step(system, theta, rows)
         residuals, normal_equations = system
+        JtJ, g = np.empty((k,) + 2 * theta.shape[1:]), np.empty(theta.shape)
         peaks = []
 
         def peak(name, call, *args):
@@ -621,13 +663,14 @@ class TestHeapStableSteps:
         tracemalloc.start()
         try:
             for rows in (every, some):
-                ru, _ = peak("residuals", residuals, theta[rows] + 0.01, rows)
-                peak("normal_equations", normal_equations, theta[rows], ru, rows)
+                peak("residuals", residuals, theta[rows] + 0.01, rows)
+                peak("normal_equations", normal_equations, theta[rows], np.arange(len(rows)),
+                     rows, JtJ, g)
         finally:
             tracemalloc.stop()
         # at most half of what a whole-stack step of 17 problems allocated
         # when every step made its own arrays: 342 KiB in residuals and
-        # 643 KiB in normal_equations; and less than one (k, d+D, n) array
+        # 643 KiB in normal_equations; and less than one (d+D, k, n) array
         limit = {"residuals": 342 * 1024 // 2, "normal_equations": 643 * 1024 // 2}
         for name, size in peaks:
             assert size <= limit[name], (name, size)

@@ -26,7 +26,9 @@ from alphareg import (
     row_weights,
     to_cartesian,
 )
+from alphareg import spatial
 from alphareg.datasets import synthesize
+from alphareg.regression import RowBlocks, coef_to_theta, theta_to_coef
 from alphareg.spatial import kernel_weights_at, local_fitted_mean
 
 
@@ -363,6 +365,31 @@ class TestGwarPredict:
                                                  sim["coords"].lon[:3])
         mu = predict_gwar(gfit, sim["X"][:3], coords_new)
         np.testing.assert_allclose(mu, gfit.fitted[:3], atol=1e-6)
+
+    def test_nearest_location_start_takes_fewer_iterations(self, rng, monkeypatch):
+        # each new point starts at the local coefficients of its nearest
+        # training location; the oracle starts every point at the global fit
+        sim = synthesize(n=200, D=3, p=1, alpha=0.5, noise_scale=0.05,
+                         spatial_mode="two_cluster", seed=8)
+        coords = sim["coords"]
+        gfit = fit_gwar(sim["Y"], sim["X"], coords, 0.5, 0.05)
+        near = rng.choice(200, 50, replace=False)
+        coords_new = GeoCoordinates.from_degrees(coords.lat[near] + rng.normal(scale=0.3, size=50),
+                                                 coords.lon[near] + rng.normal(scale=0.3, size=50))
+        X_new = np.column_stack([np.ones(50), rng.normal(size=50)])
+        solved, real = [], spatial.fit_alpha_batch
+
+        def spy(*args, **kwargs):
+            solved.append(real(*args, **kwargs))
+            return solved[-1]
+
+        monkeypatch.setattr(spatial, "fit_alpha_batch", spy)
+        mu = predict_gwar(gfit, X_new, coords_new)
+        weights = RowBlocks(50, lambda rows: kernel_weights_at(coords, coords_new.cart[rows], 0.05))
+        cold = real(sim["Y"], sim["X"], 0.5, weights, coef_to_theta(gfit.global_coefficients))
+        assert sum(o.iterations for o in solved[-1]) < sum(o.iterations for o in cold)
+        local = np.stack([theta_to_coef(o.theta, 2, 2) for o in cold])
+        np.testing.assert_allclose(mu, local_fitted_mean(X_new, local), rtol=0, atol=1e-6)
 
     def test_flat_kernel_matches_global_prediction(self, rng):
         sim = synthesize(n=40, D=3, p=1, alpha=0.5, noise_scale=0.05,
