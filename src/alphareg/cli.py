@@ -26,6 +26,8 @@ from .exceptions import (
     InvalidParameters,
     NumericalError,
     TrainingDataChanged,
+    check_integer,
+    check_real,
 )
 from .optim import LmOptions
 from .regression import fitted_mean, kld
@@ -256,12 +258,10 @@ def _cmd_predict(args):
     )
     X_new, coords_new = load_covariates(new_spec)
 
-    if model == "alpha":
-        mu = fitted_mean(X_new, params["coefficients"])
-    elif model == "slx":
-        mu = _predict_slx(params, dataset, X_new, coords_new)
-    else:
-        mu = _predict_gwar_from_doc(params, dataset, X_new, coords_new)
+    if model == "slx":
+        X_new = _slx_design(params["k"], dataset, X_new, coords_new)
+    mu = (_predict_gwar_from_doc(params, dataset, X_new, coords_new) if model == "gwar"
+          else fitted_mean(X_new, params["coefficients"]))
 
     comp = columns["composition_columns"]
     rows = [[float(v) for v in row] for row in mu]
@@ -279,33 +279,58 @@ def _read_model_doc(path):
     ``predict`` reads from a fit document.
 
     A missing or non-JSON file, or any missing or malformed field, is a
-    :class:`DataError` naming the file.
+    :class:`DataError` naming the file; so is a number that is not finite
+    (``NaN``, ``Infinity``, or one too large for a double), a coefficient
+    that is not a number, and a setting outside the range its
+    :class:`RunConfig` field allows.
     """
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        doc = json.loads(Path(path).read_text(encoding="utf-8"),
+                         parse_float=_finite_number, parse_constant=_finite_number)
         model, dataset, fit = doc["config"]["model"], doc["dataset"], doc["fit"]
+        if model not in MODELS:
+            raise ValueError(f"unknown model {model!r}")
         keys = ["composition_columns", "covariate_columns"]
         if model != "alpha":
             keys += ["lat_column", "lon_column"]
         columns = {key: dataset[key] for key in keys}
-        if model == "alpha":
-            params = {"coefficients": np.asarray(fit["coefficients"], dtype=np.float64)}
-        elif model == "slx":
-            params = {"coefficients": np.asarray(fit["coefficients"], dtype=np.float64),
-                      "k": int(doc["hyperparameters"]["k"])}
-        else:
+        if model == "gwar":
             params = {
-                "local": np.asarray(fit["local_coefficients"], dtype=np.float64),
-                "global": np.asarray(fit["global_coefficients"], dtype=np.float64),
-                "alpha": float(doc["hyperparameters"]["alpha"]),
-                "h": float(doc["hyperparameters"]["h"]),
+                "local": _real_array(fit["local_coefficients"]),
+                "global": _real_array(fit["global_coefficients"]),
+                "alpha": check_real("alpha", doc["hyperparameters"]["alpha"], "[-1, 1]"),
+                "h": check_real("bandwidth h", doc["hyperparameters"]["h"], "(0, inf)"),
                 "opts": LmOptions(**doc["config"]["solver"]),
             }
-    except (OSError, ValueError, LookupError, TypeError, InvalidParameters) as exc:
+        else:
+            params = {"coefficients": _real_array(fit["coefficients"])}
+            if model == "slx":
+                params["k"] = doc["hyperparameters"]["k"]
+                check_integer("neighbor count k", params["k"], 1)
+    except (OSError, ValueError, OverflowError, LookupError, TypeError,
+            InvalidParameters) as exc:
         raise DataError(
             f"model document {path} is not readable as a fit result: "
             f"{type(exc).__name__}: {exc}") from None
     return model, columns, dataset, params
+
+
+def _finite_number(text):
+    """A JSON number as a float, refusing ``NaN`` and ``Infinity`` (which
+    strict JSON forbids) and a literal that overflows to infinity."""
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
+def _real_array(value):
+    """Nested lists of JSON numbers as a float array; a bool or a string
+    among them, or a ragged list, is a ValueError."""
+    array = np.asarray(value, dtype=object)
+    if not all(type(v) in (int, float) for v in array.flat):
+        raise ValueError("coefficients must be nested lists of numbers")
+    return array.astype(np.float64)
 
 
 def _sha256(path):
@@ -325,14 +350,13 @@ def _train_data(dataset):
     return load_dataset(DatasetSpec(path=path, **{c: dataset[c] for c in columns}))
 
 
-def _predict_slx(params, dataset, X_new, coords_new):
-    """Lag each new row by its k nearest training locations, as the fit does."""
+def _slx_design(k, dataset, X_new, coords_new):
+    """``[X_new | lag]``, each new row lagged by its k nearest training locations."""
     if coords_new is None:
         raise InvalidParameters("prediction for this model needs coordinates")
     _, X_train, coords_train = _train_data(dataset)
-    lags = neighbor_lag(*neighbor_table(coords_train, params["k"], query=coords_new),
-                        X_train)
-    return fitted_mean(np.hstack([X_new, lags]), params["coefficients"])
+    return np.hstack([X_new, neighbor_lag(*neighbor_table(coords_train, k, query=coords_new),
+                                          X_train)])
 
 
 def _predict_gwar_from_doc(params, dataset, X_new, coords_new):

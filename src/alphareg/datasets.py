@@ -33,6 +33,7 @@ from .exceptions import (
     MissingColumn,
     NonNumericCell,
     check_integer,
+    check_real,
 )
 from .regression import fitted_mean
 from .simplex import (ROW_SUM_TOL, _check_alpha, alpha_transform, alpha_transform_inverse,
@@ -178,8 +179,7 @@ def synthesize(n, D, p, alpha, noise_scale=0.0, spatial_mode="none", seed=0,
         raise InvalidParameters(
             f"neighbor count slx_k must satisfy 1 <= k <= {n - 1} (an integer) for "
             f"{n} locations, got {slx_k!r}")
-    if not 0 <= noise_scale < np.inf:  # False for NaN too
-        raise InvalidParameters(f"noise_scale must be finite and >= 0, got {noise_scale!r}")
+    check_real("noise_scale", noise_scale, "[0, inf)")
     check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)
     d = D - 1

@@ -9,7 +9,8 @@ Two branches below the package base class:
   systems, non-finite residuals, degenerate kernel weights, ...).
   The CLI maps these to exit code 3.
 
-:func:`check_integer` is the one rule for an integer setting.
+:func:`check_integer` is the one rule for an integer setting, and
+:func:`check_real` the one for a real-valued setting.
 """
 
 import numpy as np
@@ -135,3 +136,18 @@ def check_integer(name, value, least=None):
             or (least is not None and value < least)):
         bounds = "" if least is None else f" >= {least}"
         raise InvalidParameters(f"{name} must be an integer{bounds}, got {value!r}")
+
+
+def check_real(name, value, interval):
+    """:class:`InvalidParameters` unless ``value`` is a real number (an
+    ``int``, a ``float`` or a numpy real; never a bool, a string or NaN) in
+    ``interval``, written as in mathematics: ``"[-1, 1]"``, ``"(0, inf)"``.
+    Returns it as a float."""
+    low, high = (float(bound) for bound in interval[1:-1].split(","))
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or not (low <= value if interval[0] == "[" else low < value)
+            or not (value <= high if interval[-1] == "]" else value < high)):
+        bound = (f"lie in {interval}" if high < np.inf
+                 else f"be finite and {'>=' if interval[0] == '[' else '>'} {low:g}")
+        raise InvalidParameters(f"{name} must {bound}, got {value!r}")
+    return float(value)

@@ -41,8 +41,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .exceptions import (InvalidParameters, NegativeWeight, NonFiniteResidual,
-                         SingularNormalEquations, check_integer)
+from .exceptions import (NegativeWeight, NonFiniteResidual, SingularNormalEquations,
+                         check_integer, check_real)
 
 MAX_DAMPING = 1e12
 TINY = np.finfo(float).tiny
@@ -89,12 +89,9 @@ class LmOptions:
     def __post_init__(self):
         check_integer("max_iterations", self.max_iterations, 1)
         for name in ("sse_rel_tol", "grad_inf_tol", "initial_damping_scale"):
-            if not 0 < getattr(self, name) < np.inf:  # False for NaN too
-                raise InvalidParameters(
-                    f"{name} must be finite and > 0, got {getattr(self, name)!r}")
-        if not (1 < self.damping_increase < np.inf and 0 < self.damping_decrease < 1):
-            raise InvalidParameters(
-                "damping factors must satisfy 1 < inc < inf, 0 < dec < 1")
+            check_real(name, getattr(self, name), "(0, inf)")
+        check_real("damping_increase", self.damping_increase, "(1, inf)")
+        check_real("damping_decrease", self.damping_decrease, "(0, 1)")
 
 
 @dataclass

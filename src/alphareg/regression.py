@@ -35,6 +35,8 @@ Parameter layout: ``theta = B.ravel(order="F")`` stacks coefficient columns
 component by component, so ``theta[k*(p+1) + a]`` is covariate ``a`` of
 non-reference component ``k+2``.  Its reshape to (d, p+1) is ``B'``, so the
 linear predictors of a stack of k fits are ``theta.reshape(k, d, p+1) @ X'``.
+No other module writes this layout out: :func:`theta_to_coef` and
+:func:`coef_to_theta` convert stacks ``(..., (p+1)*d) <-> (..., p+1, d)``.
 
 Array layout: the whole chain, from linear predictors through the logit map,
 transformed mean and residuals to the blocks of :func:`_normal_blocks`, is
@@ -108,11 +110,15 @@ def _check_design(X, B):
 
 
 def theta_to_coef(theta, n_cols, d):
-    return np.asarray(theta, dtype=np.float64).reshape((n_cols, d), order="F")
+    """Coefficient matrices (..., n_cols, d), views of vectors (..., n_cols*d)."""
+    theta = np.asarray(theta, dtype=np.float64)
+    return theta.reshape(theta.shape[:-1] + (d, n_cols)).swapaxes(-1, -2)
 
 
 def coef_to_theta(B):
-    return np.asarray(B, dtype=np.float64).ravel(order="F")
+    """Parameter vectors (..., q*d) of coefficient matrices (..., q, d)."""
+    B = np.asarray(B, dtype=np.float64)
+    return B.swapaxes(-1, -2).reshape(B.shape[:-2] + (B.shape[-2] * B.shape[-1],))
 
 
 def _logit_map(X, B):

@@ -5,13 +5,16 @@ cross-validation, :func:`run_cv`, where a fixed value narrows its grid axis
 to itself), fits the requested model, and assembles a JSON-ready
 document: config echo, selection scores, coefficients, per-component
 observed-fitted correlations, divergence, and average marginal effects per
-covariate.  After a selection the final fit continues from the search's
-solutions at the winning point: the plain and lagged-covariate fits are
-the search's full-data fits, and each GWaR location starts from its
-leave-one-out fold; only a run with every hyper-parameter fixed fits from
-scratch.  Documents are deterministic for a fixed config, dataset, and
-seed: no timestamps or wall-clock values are included (timing goes to the
-log instead).
+covariate.  The lagged-covariate (SLX) model is fit, given standard errors
+and predicted as the plain model on ``[X | lag_k]`` (``fit_alpha_slx`` in
+one call); ``split_slx`` only reports its ``beta``/``gamma`` split and the
+direct, indirect and total effects.  After a selection the final fit
+continues from the search's solutions at the winning point: the plain and
+lagged-covariate fits are the search's full-data fits, and each GWaR
+location starts from its leave-one-out fold; only a run with every
+hyper-parameter fixed fits from scratch.  Documents are deterministic for a
+fixed config, dataset, and seed: no timestamps or wall-clock values are
+included (timing goes to the log instead).
 """
 
 import logging
@@ -21,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .exceptions import InvalidParameters, MissingColumn, check_integer
+from .exceptions import InvalidParameters, MissingColumn, check_integer, check_real
 from .inference import (
     average_marginal_effects,
     bootstrap_covariance,
@@ -30,11 +33,10 @@ from .inference import (
     slx_effects,
 )
 from .optim import LmOptions
-from .regression import fit_alpha_regression
+from .regression import fit_alpha_regression, theta_to_coef
 from .selection import CvGrid, select
 from .simplex import _check_alpha
-from .spatial import (_check_locations, fit_alpha_slx, fit_gwar, neighbor_lag, neighbor_table,
-                      split_slx)
+from .spatial import _check_locations, fit_gwar, neighbor_lag, neighbor_table, split_slx
 
 log = logging.getLogger(__name__)
 
@@ -69,8 +71,10 @@ class RunConfig:
             _check_alpha(self.alpha)  # NaN fails too
         if self.k is not None:
             check_integer("neighbor count k", self.k, 1)
-        if self.h is not None and not 0 < self.h < np.inf:  # False for NaN too
-            raise InvalidParameters(f"bandwidth h must be finite and > 0, got {self.h!r}")
+        if self.h is not None:
+            check_real("bandwidth h", self.h, "(0, inf)")
+        if not isinstance(self.with_se, bool):
+            raise InvalidParameters(f"with_se must be a bool, got {self.with_se!r}")
         check_integer("seed", self.seed, 0)
         # any count but 0 (no bootstrap) must be one bootstrap_covariance takes
         check_integer("bootstrap_replicates (0 for none)", self.bootstrap_replicates,
@@ -138,48 +142,12 @@ def run_fit(config, Y, X, coords=None, covariate_names=None):
     if None in values:
         selection, cv = run_cv(config, Y, X, coords)
         values = cv.best
-    if config.model == "alpha":
-        (alpha,) = values
-        fit = cv.fit if cv else fit_alpha_regression(Y, X, alpha, opts=config.solver)
-        hyper = {"alpha": float(alpha)}
-        doc_fit = {
-            "coefficients": fit.coefficients.tolist(),
-            "sse": fit.sse,
-            "kld": fit.kld,
-            "iterations": fit.lm.iterations,
-            "converged_by": fit.lm.converged_by.value,
-        }
-        ame = _ame_table(lambda k: average_marginal_effects(fit, k), p)
-        margins = {"ame": ame}
-        se, diagnostics = _standard_errors(config, Y, X, alpha, fit)
-    elif config.model == "slx":
-        alpha, k = values
-        # the first k columns of the search's table, so cv.fit is on [X | lag]
-        lag = neighbor_lag(*neighbor_table(coords, int(k)), X)
-        fit = (split_slx(cv.fit, p) if cv
-               else fit_alpha_slx(Y, X, lag, alpha, opts=config.solver))
-        hyper = {"alpha": float(alpha), "k": int(k)}
-        doc_fit = {
-            "beta": fit.beta.tolist(),
-            "gamma": fit.gamma.tolist(),
-            "coefficients": fit.coefficients.tolist(),
-            "sse": fit.sse,
-            "kld": fit.kld,
-            "iterations": fit.lm.iterations,
-            "converged_by": fit.lm.converged_by.value,
-        }
-        effects = {kk: slx_effects(fit, kk) for kk in range(1, p + 1)}
-        margins = {
-            f"ame_{part}": _ame_table(
-                lambda kk: getattr(effects[kk], part).mean(axis=0), p)
-            for part in ("direct", "indirect", "total")
-        }
-        se, diagnostics = _standard_errors(config, Y, np.hstack([X, lag]), alpha, fit)
-    else:  # gwar
-        alpha, h = values
+    hyper = {name: (int if name == "k" else float)(v)
+             for name, v in zip(HYPERPARAMETERS[config.model], values)}
+    alpha = hyper["alpha"]
+    if config.model == "gwar":
         start = None if cv is None else (cv.fit, cv.fold_theta, cv.fold_damping)
-        fit = fit_gwar(Y, X, coords, alpha, h, opts=config.solver, start=start)
-        hyper = {"alpha": float(alpha), "h": float(h)}
+        fit = fit_gwar(Y, X, coords, alpha, hyper["h"], opts=config.solver, start=start)
         doc_fit = {
             "local_coefficients": fit.local_coefficients.tolist(),
             "global_coefficients": fit.global_coefficients.tolist(),
@@ -190,6 +158,31 @@ def run_fit(config, Y, X, coords=None, covariate_names=None):
                 lambda kk: gwar_marginal_effects(fit, kk).mean(axis=0), p)
         }
         se, diagnostics = None, {"gwar": fit.diagnostics}
+    else:
+        X_model = X
+        if config.model == "slx":
+            # the first k columns of the search's table, so cv.fit is on X_model
+            X_model = np.hstack([X, neighbor_lag(*neighbor_table(coords, hyper["k"]), X)])
+        fit = cv.fit if cv else fit_alpha_regression(Y, X_model, alpha, opts=config.solver)
+        doc_fit = {
+            "coefficients": fit.coefficients.tolist(),
+            "sse": fit.sse,
+            "kld": fit.kld,
+            "iterations": fit.lm.iterations,
+            "converged_by": fit.lm.converged_by.value,
+        }
+        if config.model == "alpha":
+            margins = {"ame": _ame_table(lambda kk: average_marginal_effects(fit, kk), p)}
+        else:
+            fit = split_slx(fit, p)
+            doc_fit = {"beta": fit.beta.tolist(), "gamma": fit.gamma.tolist()} | doc_fit
+            effects = {kk: slx_effects(fit, kk) for kk in range(1, p + 1)}
+            margins = {
+                f"ame_{part}": _ame_table(
+                    lambda kk: getattr(effects[kk], part).mean(axis=0), p)
+                for part in ("direct", "indirect", "total")
+            }
+        se, diagnostics = _standard_errors(config, Y, X_model, alpha, fit)
 
     doc = {
         "config": asdict(config),
@@ -234,7 +227,9 @@ def _standard_errors(config, Y, X_model, alpha, fit):
     """
     if not (config.with_se or config.bootstrap_replicates):
         return None, None
-    shape = (X_model.shape[1], Y.shape[1] - 1)
+
+    def coefficient_se(cov):  # one per entry of the coefficient matrix
+        return theta_to_coef(np.sqrt(np.diag(cov.matrix)), X_model.shape[1], Y.shape[1] - 1)
     if config.bootstrap_replicates:
         cov = bootstrap_covariance(
             Y, X_model, alpha, opts=config.solver,
@@ -244,15 +239,12 @@ def _standard_errors(config, Y, X_model, alpha, fit):
             "kind": cov.kind,
             "replicates": cov.replicates,
             "failed_replicates": cov.failed_replicates,
-            "coefficients": _se_matrix(cov.matrix, shape).tolist(),
+            "coefficients": coefficient_se(cov).tolist(),
             "ame": cov.ame_standard_errors.tolist(),
         }, {"bootstrap": cov.diagnostics}
     cov = sandwich_covariance(Y, X_model, alpha, fit.coefficients)
     return {
         "kind": cov.kind,
-        "coefficients": _se_matrix(cov.matrix, shape).tolist(),
+        "coefficients": coefficient_se(cov).tolist(),
     }, None
 
-
-def _se_matrix(cov, shape):
-    return np.sqrt(np.diag(cov)).reshape(shape, order="F")

@@ -39,6 +39,7 @@ from .exceptions import (
     ZeroWithNonpositiveAlpha,
     NumericalError,
     check_integer,
+    check_real,
 )
 from .optim import LmOptions
 from .regression import (
@@ -47,6 +48,7 @@ from .regression import (
     _kld_terms,
     fit_alpha_batch,
     fit_alpha_regression,
+    theta_to_coef,
 )
 from .spatial import (
     _check_locations,
@@ -70,11 +72,10 @@ class CvGrid:
     hs: Optional[tuple] = None
 
     def __post_init__(self):
-        self.alphas = tuple(sorted(float(a) for a in self.alphas))
+        self.alphas = tuple(sorted(check_real("alpha grid value", a, "[-1, 1]")
+                                   for a in self.alphas))
         if not self.alphas:
             raise InvalidParameters("alpha grid is empty")
-        if any(not -1.0 <= a <= 1.0 for a in self.alphas):
-            raise InvalidParameters("alpha grid values must lie in [-1, 1]")
         if self.ks is not None:
             ks = tuple(self.ks)
             if not ks:
@@ -83,9 +84,10 @@ class CvGrid:
                 check_integer("neighbor grid value", k, 1)
             self.ks = tuple(sorted(int(k) for k in ks))
         if self.hs is not None:
-            self.hs = tuple(sorted(float(h) for h in self.hs))
-            if not self.hs or any(not 0 < h < np.inf for h in self.hs):
-                raise InvalidParameters("bandwidth grid must be finite and strictly positive")
+            self.hs = tuple(sorted(check_real("bandwidth grid value", h, "(0, inf)")
+                                   for h in self.hs))
+            if not self.hs:
+                raise InvalidParameters("bandwidth grid is empty")
 
 
 @dataclass
@@ -178,15 +180,15 @@ def _loocv(Y, X, grid, axis, setup, opts):
     full-data design of extra e, or ``None`` when no fold can use e (its
     folds score +inf without a fit).  Full-data fits run once per (alpha,
     distinct design) in grid order, each warm-started from the previous, and
-    warm-start the folds at their point.  ``folds(extra)`` gives the n folds'
-    weights (a :class:`RowBlocks`) and design patches (``None`` where every
-    fold has the full-data design) for :func:`fit_alpha_batch`: fold i is
-    the full data with weight 0 on row i, and its patch never changes row
-    i, on which the fold is scored.  Per-fold scores have shape (n,
-    alphas[, extras]), C-contiguous, and ``scores`` is their sum over axis
-    0.  Each grid
-    point's full-data fit and fold solutions are kept until the winner is
-    known, and the winner's are returned on the :class:`CvResult`.
+    the folds at their point start from :func:`_fold_start` of it.
+    ``folds(extra)`` gives the n folds' weights (a :class:`RowBlocks`) and
+    design patches (``None`` where every fold has the full-data design) for
+    :func:`fit_alpha_batch`: fold i is the full data with weight 0 on row i,
+    and its patch never changes row i, on which the fold is scored.
+    Per-fold scores have shape (n, alphas[, extras]), C-contiguous, and
+    ``scores`` is their sum over axis 0.  Each grid point's full-data fit
+    and fold solutions are kept until the winner is known, and the winner's
+    are returned on the :class:`CvResult`.
     """
     opts = opts or LmOptions()
     Y = np.asarray(Y, dtype=np.float64)
@@ -210,9 +212,10 @@ def _loocv(Y, X, grid, axis, setup, opts):
             if design is not None:
                 weights, patches = folds(extras[e])
                 fit = warm[id(design)]
-                outcomes = fit_alpha_batch(Y, design, a, weights, fit.lm.theta, opts,
+                theta0, damping0 = _fold_start(fit)
+                outcomes = fit_alpha_batch(Y, design, a, weights, theta0, opts, damping0,
                                            patches=patches)
-                ok, fold_theta, fold_damping = _fold_solutions(outcomes, fit.lm.theta)
+                ok, fold_theta, fold_damping = _fold_solutions(outcomes, theta0)
                 per_fold[:, ai, e] = _heldout_divergence(Y, design, ok, fold_theta)
                 solutions[ai, e] = fit, fold_theta, fold_damping
 
@@ -227,6 +230,14 @@ def _loocv(Y, X, grid, axis, setup, opts):
     return CvResult(scores=scores, best=tuple(v[i] for v, i in zip(point.values(), best)),
                     per_fold=per_fold, fit=fit, fold_theta=fold_theta,
                     fold_damping=fold_damping, **point)
+
+
+def _fold_start(fit):
+    """Where the folds of a grid point start, ``(theta0, damping0)`` for
+    :func:`fit_alpha_batch`, from the full-data ``fit`` at that point: its
+    parameters, and no damping, so every fold starts by the cold rule of
+    :mod:`alphareg.optim`."""
+    return fit.lm.theta, None
 
 
 def _fold_solutions(outcomes, start):
@@ -245,8 +256,7 @@ def _heldout_divergence(Y, design, ok, theta):
     (``ok`` false)."""
     out = np.full(len(ok), np.inf)
     if ok.any():
-        q, d = design.shape[1], Y.shape[1] - 1
-        B = theta[ok].reshape(-1, d, q).transpose(0, 2, 1)  # theta_to_coef of each fold
+        B = theta_to_coef(theta[ok], design.shape[1], Y.shape[1] - 1)
         out[ok] = _kld_terms(Y[ok], local_fitted_mean(design[ok], B)).sum(axis=1)
     return out
 

@@ -26,6 +26,7 @@ from .exceptions import (
     ZeroRow,
     ZeroWithLogRatio,
     ZeroWithNonpositiveAlpha,
+    check_real,
 )
 
 ROW_SUM_TOL = 1e-10
@@ -42,10 +43,7 @@ def _as_rows(y):
 
 
 def _check_alpha(alpha):
-    alpha = float(alpha)
-    if not -1.0 <= alpha <= 1.0:
-        raise InvalidParameters(f"alpha must lie in [-1, 1], got {alpha}")
-    return alpha
+    return check_real("alpha", alpha, "[-1, 1]")
 
 
 def closure(raw):

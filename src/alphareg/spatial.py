@@ -47,6 +47,7 @@ from .regression import (
     FitResult,
     RowBlocks,
     _inverse_logit,
+    coef_to_theta,
     fit_alpha_batch,
     fit_alpha_regression,
     kld,
@@ -280,7 +281,7 @@ def _local_coefficients(outcomes, n_cols, d, degenerate):
             raise DegenerateWeights(degenerate(j))
         if isinstance(outcome, Exception):
             raise outcome
-    return np.stack([theta_to_coef(o.theta, n_cols, d) for o in outcomes])
+    return theta_to_coef(np.array([o.theta for o in outcomes]), n_cols, d)
 
 
 def fit_gwar(Y, X, coords, alpha, h, opts=None, start=None):
@@ -367,9 +368,8 @@ def predict_gwar(fit, X_new, coords_new):
     weights = RowBlocks(coords_new.n, lambda rows: kernel_weights_at(
         fit.train_coords, coords_new.cart[rows], fit.h))
     nearest = neighbor_table(fit.train_coords, 1, query=coords_new)[0][:, 0]
-    # theta = vec(B) is B' row by row (coef_to_theta)
-    starts = fit.local_coefficients[nearest].transpose(0, 2, 1).reshape(len(nearest), -1)
-    outcomes = fit_alpha_batch(fit.train_Y, fit.train_X, fit.alpha, weights, starts, fit.opts)
+    outcomes = fit_alpha_batch(fit.train_Y, fit.train_X, fit.alpha, weights,
+                               coef_to_theta(fit.local_coefficients[nearest]), fit.opts)
     local = _local_coefficients(
         outcomes, fit.train_X.shape[1], fit.train_Y.shape[1] - 1,
         lambda j: f"all kernel weights underflowed at prediction point {j} (h={fit.h:g})")

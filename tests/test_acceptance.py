@@ -40,6 +40,7 @@ from alphareg import (
 )
 from alphareg.datasets import synthesize
 from alphareg.regression import coef_to_theta
+from alphareg.selection import _fold_start
 from alphareg.simplex import alpha_transform, alpha_transform_inverse
 from conftest import fd_gradient, fd_hessian, random_instance, rel_err
 
@@ -241,20 +242,22 @@ def test_criterion_7_loocv_oracle():
     alphas = (0.5, 1.0)
     cv = loocv_alpha(Y, X, CvGrid(alphas=alphas))
 
-    # brute force: same protocol (fold fits warm-started from the chained
-    # full-data fit), written as plain loops
+    # brute force: same protocol (fold fits started as the engine starts
+    # them, from the chained full-data fit), written as plain loops
     brute = []
     warm = None
-    warm_by_alpha = {}
+    start_by_alpha = {}
     for a in alphas:
-        warm = fit_alpha_regression(Y, X, a, theta0=warm).lm.theta
-        warm_by_alpha[a] = warm
+        full = fit_alpha_regression(Y, X, a, theta0=warm)
+        warm = full.lm.theta
+        start_by_alpha[a] = _fold_start(full)
     for a in alphas:
         total = 0.0
+        theta0, damping0 = start_by_alpha[a]
         for i in range(60):
             mask = np.arange(60) != i
-            fold = fit_alpha_regression(Y[mask], X[mask], a,
-                                        theta0=warm_by_alpha[a])
+            fold = fit_alpha_regression(Y[mask], X[mask], a, theta0=theta0,
+                                        damping0=damping0)
             total += kld(Y[i:i + 1], fitted_mean(X[i:i + 1], fold.coefficients))
         brute.append(total)
     gap = float(np.max(np.abs(cv.scores - np.array(brute))))

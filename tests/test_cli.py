@@ -622,6 +622,57 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert str(doc_path) in err and key in err
 
+    @pytest.mark.parametrize("model, path, text", [
+        ("slx", "hyperparameters.k", "5.7"),
+        ("slx", "hyperparameters.k", "true"),
+        ("slx", "hyperparameters.k", '"3"'),
+        ("slx", "hyperparameters.k", "0"),
+        ("alpha", "fit.coefficients.0.0", "NaN"),
+        ("alpha", "fit.coefficients.0.0", "Infinity"),
+        ("alpha", "fit.coefficients.0.0", "-Infinity"),
+        ("alpha", "fit.coefficients.0.0", "1e400"),
+        ("alpha", "fit.coefficients.0.0", "1" + "0" * 400),
+        ("alpha", "fit.coefficients.0.0", "true"),
+        ("alpha", "fit.coefficients.0.0", '"0.25"'),
+        ("alpha", "fit.coefficients.0", "[0.1]"),
+        ("slx", "fit.coefficients.1.0", "NaN"),
+        ("gwar", "hyperparameters.alpha", "true"),
+        ("gwar", "hyperparameters.alpha", "NaN"),
+        ("gwar", "hyperparameters.h", '"0.05"'),
+        ("gwar", "hyperparameters.h", "0"),
+        ("gwar", "fit.local_coefficients.0.0.0", "NaN"),
+        ("gwar", "fit.global_coefficients.0.0", "true"),
+        ("alpha", "config.model", '"ols"'),
+    ], ids=["k-fraction", "k-true", "k-string", "k-zero", "coefficient-nan",
+            "coefficient-infinity", "coefficient-minus-infinity", "coefficient-overflow",
+            "coefficient-integer-overflow", "coefficient-true", "coefficient-string",
+            "coefficient-ragged", "slx-coefficient-nan", "alpha-true", "alpha-nan",
+            "h-string", "h-zero", "local-coefficient-nan", "global-coefficient-true",
+            "unknown-model"])
+    def test_edited_value_in_model_document_is_data_error(self, model, path, text,
+                                                          dataset, tmp_path, capsys):
+        # int() truncated k = 5.7 to 5 and read true as 1, json read a NaN
+        # coefficient and np.asarray read true and "0.25" as numbers, so these
+        # documents used to predict (rows of nan for NaN)
+        doc_path, pred_path = tmp_path / "doc.json", tmp_path / "p.csv"
+        fixed = {"alpha": [], "slx": ["--k", "4"], "gwar": ["--h", "0.05"]}[model]
+        assert main(["fit", "--data", str(dataset), *DATA_ARGS, *GEO_ARGS,
+                     "--model", model, "--alpha", "0.5", *fixed,
+                     "--out", str(doc_path)]) == 0
+        doc = json.loads(doc_path.read_text())
+        *parents, key = path.split(".")
+        block = doc
+        for name in parents:
+            block = block[int(name) if isinstance(block, list) else name]
+        block[int(key) if isinstance(block, list) else key] = "@edit@"
+        doc_path.write_text(json.dumps(doc).replace('"@edit@"', text), encoding="utf-8")
+        capsys.readouterr()
+        code = main(["predict", "--model-doc", str(doc_path), "--data", str(dataset),
+                     "--out", str(pred_path)])
+        assert code == 2
+        assert str(doc_path) in capsys.readouterr().err
+        assert not pred_path.exists()
+
 
 class TestResolveThreads:
     def test_auto_is_one_per_cpu(self):

@@ -223,6 +223,40 @@ def test_boolean_integer_setting_rejected(site, value):
         BOOLEAN_SETTINGS[site](value)
 
 
+REAL_SETTINGS = {
+    "RunConfig.alpha": lambda b: RunConfig(alpha=b),
+    "RunConfig.h": lambda b: RunConfig(model="gwar", alpha=0.5, h=b),
+    "CvGrid.alphas": lambda b: CvGrid(alphas=(0.5, b)),
+    "CvGrid.hs": lambda b: CvGrid(hs=(0.1, b)),
+    "LmOptions.sse_rel_tol": lambda b: LmOptions(sse_rel_tol=b),
+    "LmOptions.grad_inf_tol": lambda b: LmOptions(grad_inf_tol=b),
+    "LmOptions.initial_damping_scale": lambda b: LmOptions(initial_damping_scale=b),
+    "LmOptions.damping_increase": lambda b: LmOptions(damping_increase=b),
+    "LmOptions.damping_decrease": lambda b: LmOptions(damping_decrease=b),
+    "synthesize.alpha": lambda b: synthesize(n=20, D=3, p=1, alpha=b),
+    "synthesize.noise_scale": lambda b: synthesize(n=20, D=3, p=1, alpha=0.5, noise_scale=b),
+    "fit_alpha_regression.alpha": lambda b: fit_alpha_regression(
+        np.full((10, 3), 1 / 3), np.ones((10, 1)), b),
+}
+
+
+@pytest.mark.parametrize("value", [True, np.True_, "0.5"], ids=["bool", "numpy-bool", "string"])
+@pytest.mark.parametrize("site", list(REAL_SETTINGS))
+def test_non_real_setting_rejected(site, value):
+    # RunConfig(alpha=True) used to run at alpha = 1 and echo `true` in the
+    # document's config, and float() read the string "0.5" as 0.5
+    with pytest.raises(InvalidParameters, match="must (lie in|be finite)"):
+        REAL_SETTINGS[site](value)
+
+
+@pytest.mark.parametrize("value", ["no", 1, None, np.True_],
+                         ids=["string", "int", "none", "numpy-bool"])
+def test_with_se_must_be_a_bool(value):
+    # RunConfig(with_se="no") used to compute standard errors
+    with pytest.raises(InvalidParameters, match="with_se must be a bool"):
+        RunConfig(with_se=value)
+
+
 def _first(coords, n):
     """The first n locations of ``coords`` (n past the end repeats them)."""
     rows = np.arange(n) % coords.n

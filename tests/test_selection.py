@@ -12,6 +12,7 @@ from alphareg import (
     InvalidParameters,
     NonpositiveFitted,
     NumericalError,
+    RunConfig,
     ShapeMismatch,
     ZeroWithNonpositiveAlpha,
     closure,
@@ -19,17 +20,20 @@ from alphareg import (
     default_h_grid,
     default_k_grid,
     fit_alpha_regression,
-    fit_alpha_slx,
     fitted_mean,
     kld,
     loocv_alpha,
     loocv_gwar,
     loocv_slx,
     median_heuristic_bandwidth,
+    run_cv,
+    run_fit,
+    sandwich_covariance,
     select,
 )
 from alphareg import regression, selection, spatial
 from alphareg.datasets import synthesize
+from alphareg.regression import theta_to_coef
 from alphareg.spatial import pairwise_chordal_sq
 from conftest import patched_designs
 
@@ -170,10 +174,13 @@ class TestLoocvAlpha:
         oracle = np.empty((n, len(alphas)))
         warm = None
         for ai, a in enumerate(alphas):
-            warm = fit_alpha_regression(Y, X, a, theta0=warm).lm.theta
+            full = fit_alpha_regression(Y, X, a, theta0=warm)
+            warm = full.lm.theta
+            theta0, damping0 = selection._fold_start(full)
             for i in range(n):
                 mask = np.arange(n) != i
-                fit = fit_alpha_regression(Y[mask], X[mask], a, theta0=warm)
+                fit = fit_alpha_regression(Y[mask], X[mask], a, theta0=theta0,
+                                           damping0=damping0)
                 oracle[i, ai] = kld(Y[i : i + 1],
                                     fitted_mean(X[i : i + 1], fit.coefficients))
         calls = count_engine_calls(monkeypatch)
@@ -268,25 +275,29 @@ def rebuilt_fold_scores(Y, X, coords, alphas, ks):
 
     Each fold builds ``contiguity_matrix`` on the retained locations and lags
     the held-out row by its k nearest retained points, distances taken
-    directly against that row; warm starts chain through the full-data fits
-    in grid order.  Returns per-fold scores of shape (n, alphas, ks).
+    directly against that row.  Each model is the plain one on ``[X | W x]``;
+    warm starts chain through the full-data fits in grid order, and the
+    folds start from each one as the engine starts them.  Returns per-fold
+    scores of shape (n, alphas, ks).
     """
     n = Y.shape[0]
     out = np.full((n, len(alphas), len(ks)), np.inf)
     warm = None
     for ai, a in enumerate(alphas):
         for ki, k in enumerate(ks):
-            warm = fit_alpha_slx(Y, X, contiguity_matrix(coords, k) @ X[:, 1:], a,
-                                 theta0=warm).lm.theta
+            full = fit_alpha_regression(
+                Y, np.hstack([X, contiguity_matrix(coords, k) @ X[:, 1:]]), a, theta0=warm)
+            warm = full.lm.theta
             if k > n - 2:
                 continue  # an (n-1)-point fold has no k nearest others
+            theta0, damping0 = selection._fold_start(full)
             for i in range(n):
                 mask = np.arange(n) != i
                 sub = GeoCoordinates(lat=coords.lat[mask], lon=coords.lon[mask],
                                      cart=coords.cart[mask])
-                fit = fit_alpha_slx(Y[mask], X[mask],
-                                    contiguity_matrix(sub, k) @ X[mask][:, 1:],
-                                    a, theta0=warm)
+                design = np.hstack([X[mask], contiguity_matrix(sub, k) @ X[mask][:, 1:]])
+                fit = fit_alpha_regression(Y[mask], design, a, theta0=theta0,
+                                           damping0=damping0)
                 d2 = np.maximum(2.0 * (1.0 - sub.cart @ coords.cart[i]), 0.0)
                 nb = np.argsort(d2, kind="stable")[:k]
                 w = 1.0 / np.maximum(d2[nb], 1e-12)
@@ -380,6 +391,23 @@ class TestLoocvSlxNeighborTable:
                 np.testing.assert_array_equal(rows[i, :len(lost)], lost)
                 assert np.all(rows[i, len(lost):] == i), (k, i)
 
+    def test_selected_fit_standard_errors_use_the_search_design(self):
+        # run_fit lags the selected k with neighbor_table(coords, k), the
+        # search with the first k columns of its wider table: the two are one
+        # design only through the table's tie rule, which k = 1 exercises here
+        lat, lon, _ = _fold_layout("tie")
+        Y, X, coords = _fold_data(lat, lon, seed=11)
+        config = RunConfig(model="slx", grid=CvGrid(alphas=(0.5, 1.0), ks=(1,)),
+                           with_se=True)
+        doc, _ = run_fit(config, Y, X, coords)
+        _, cv = run_cv(config, Y, X, coords)
+        alpha, k = cv.best
+        idx, d2 = spatial.neighbor_table(coords, k + 1)  # the search's table
+        design = np.hstack([X, spatial.neighbor_lag(idx[:, :k], d2[:, :k], X)])
+        cov = sandwich_covariance(Y, design, alpha, cv.fit.coefficients)
+        se = theta_to_coef(np.sqrt(np.diag(cov.matrix)), design.shape[1], Y.shape[1] - 1)
+        assert doc["standard_errors"]["coefficients"] == se.tolist()
+
     def test_geometry_built_once_per_search(self, monkeypatch):
         calls = {"contiguity_matrix": 0, "pairwise_chordal_sq": 0}
 
@@ -441,15 +469,18 @@ def plain_gwar_folds(Y, X, coords, alphas, hs):
     """Leave-one-out gwar scores from a plain loop over (alpha, h, fold).
 
     Calls ``selection.fit_alpha_regression`` (so a test's patch applies) with
-    warm starts chained through the full-data fits in alpha order; a fold
-    whose kernel weights all underflow or whose fit fails stays +inf.
-    Returns per-fold scores of shape (n, alphas, hs).
+    warm starts chained through the full-data fits in alpha order, and the
+    folds started from each one as the engine starts them; a fold whose
+    kernel weights all underflow or whose fit fails stays +inf.  Returns
+    per-fold scores of shape (n, alphas, hs).
     """
     n = Y.shape[0]
     out = np.full((n, len(alphas), len(hs)), np.inf)
     warm = None
     for ai, a in enumerate(alphas):
-        warm = selection.fit_alpha_regression(Y, X, a, theta0=warm).lm.theta
+        full = selection.fit_alpha_regression(Y, X, a, theta0=warm)
+        warm = full.lm.theta
+        theta0, damping0 = selection._fold_start(full)
         for hi, h in enumerate(hs):
             for i in range(n):
                 mask = np.arange(n) != i
@@ -458,7 +489,7 @@ def plain_gwar_folds(Y, X, coords, alphas, hs):
                     continue
                 try:
                     fit = selection.fit_alpha_regression(
-                        Y[mask], X[mask], a, theta0=warm, weights=w)
+                        Y[mask], X[mask], a, theta0=theta0, damping0=damping0, weights=w)
                 except NumericalError:
                     continue
                 out[i, ai, hi] = kld(Y[i : i + 1],
