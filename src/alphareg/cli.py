@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 """
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
@@ -122,23 +123,27 @@ def build_parser():
     _add_se_args(fit)
     fit.add_argument("--csv-dir", default=None,
                      help="additionally export tables as CSV files here")
+    fit.set_defaults(handler=_cmd_fit)
 
     cv = sub.add_parser("cv", help="cross-validation scores only",
                         argument_default=argparse.SUPPRESS)
     _add_dataset_args(cv)
     _add_model_args(cv)
+    cv.set_defaults(handler=_cmd_cv)
 
     margins = sub.add_parser("margins", help="marginal-effect tables",
                              argument_default=argparse.SUPPRESS)
     _add_dataset_args(margins)
     _add_model_args(margins)
     _add_se_args(margins)
+    margins.set_defaults(handler=_cmd_margins)
 
     predict = sub.add_parser("predict", help="predict compositions for new data")
     predict.add_argument("--model-doc", required=True,
                          help="result document produced by `fit`")
     predict.add_argument("--data", required=True, help="CSV of new observations")
     predict.add_argument("--out", default=None, help="output CSV (default stdout)")
+    predict.set_defaults(handler=_cmd_predict)
 
     gen = sub.add_parser("generate", help="write a synthetic dataset")
     gen.add_argument("--n", type=int, required=True)
@@ -151,6 +156,7 @@ def build_parser():
     gen.add_argument("--slx-k", type=int, default=5)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out-dir", default=".")
+    gen.set_defaults(handler=_cmd_generate)
     return parser
 
 
@@ -187,7 +193,10 @@ def _emit(doc, out_path):
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    """Rows to the CSV file ``path``, or to stdout when it is None; a float
+    is written with 17 significant digits."""
+    with (open(path, "w", newline="", encoding="utf-8") if path
+          else contextlib.nullcontext(sys.stdout)) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
@@ -205,8 +214,7 @@ def _export_tables(doc, fitted, csv_dir, D):
     for name, table in doc["marginal_effects"].items():
         rows = [[cov] + [float(v) for v in vals] for cov, vals in table.items()]
         _write_csv(out / f"{name}.csv", ["covariate"] + comp, rows)
-    _write_csv(out / "fitted.csv", comp,
-               [[float(v) for v in row] for row in fitted])
+    _write_csv(out / "fitted.csv", comp, fitted.tolist())
 
 
 def _run(args):
@@ -249,28 +257,12 @@ def _cmd_cv(args):
 
 def _cmd_predict(args):
     model, columns, dataset, params = _read_model_doc(args.model_doc)
-    new_spec = DatasetSpec(
-        path=args.data,
-        composition_columns=columns["composition_columns"],
-        covariate_columns=columns["covariate_columns"],
-        lat_column=columns.get("lat_column"),
-        lon_column=columns.get("lon_column"),
-    )
-    X_new, coords_new = load_covariates(new_spec)
-
+    X_new, coords_new = load_covariates(DatasetSpec(path=args.data, **columns))
     if model == "slx":
         X_new = _slx_design(params["k"], dataset, X_new, coords_new)
     mu = (_predict_gwar_from_doc(params, dataset, X_new, coords_new) if model == "gwar"
           else fitted_mean(X_new, params["coefficients"]))
-
-    comp = columns["composition_columns"]
-    rows = [[float(v) for v in row] for row in mu]
-    if args.out:
-        _write_csv(args.out, comp, rows)
-    else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(comp)
-        writer.writerows([f"{v:.17g}" for v in row] for row in rows)
+    _write_csv(args.out, columns["composition_columns"], mu.tolist())
     return 0
 
 
@@ -399,17 +391,7 @@ def main(argv=None):
     except SystemExit as exc:  # argparse usage errors and --help
         return int(exc.code or 0)
     try:
-        if args.command == "fit":
-            return _cmd_fit(args)
-        if args.command == "cv":
-            return _cmd_cv(args)
-        if args.command == "margins":
-            return _cmd_margins(args)
-        if args.command == "predict":
-            return _cmd_predict(args)
-        if args.command == "generate":
-            return _cmd_generate(args)
-        parser.error(f"unknown command {args.command!r}")
+        return args.handler(args)
     except DataError as exc:
         sys.stderr.write(f"data error: {exc}\n")
         return 2
@@ -419,7 +401,6 @@ def main(argv=None):
     except AlphaRegError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
-    return 0
 
 
 if __name__ == "__main__":

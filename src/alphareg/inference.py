@@ -141,7 +141,7 @@ def sandwich_covariance(Y, X, alpha, B_hat, kind="sandwich"):
     if kind not in ("sandwich", "spherical"):
         raise InvalidParameters(f"unknown covariance kind {kind!r}")
     X, _, r, AtA, Atr = _derivatives(Y, X, alpha, B_hat)
-    d, n = r.shape
+    n, d = len(X), np.shape(B_hat)[1]
     H = _kron_matrix(AtA, X) / n
     if np.linalg.cond(H) > COND_LIMIT:
         raise SingularH(

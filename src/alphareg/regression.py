@@ -16,20 +16,24 @@ where ``z`` is the transform of :mod:`alphareg.simplex` at a fixed power
 mean: the power transform of ``mu`` equals the multinomial-logit map of
 ``alpha * eta``, so transformed means never require forming ``mu`` first.
 
-The same identity collapses the derivatives.  With ``u = fitted_mean(X,
-alpha*B)`` the Jacobian of the transformed mean in the linear predictors is
-``A_i = D * H @ logit_jacobian(u_i)`` and its second derivative is
-``D * alpha * H @ logit_hessian(u_i)``: the ``1/alpha`` of the transform
-cancels against the chain rule through ``alpha * eta``, no power of ``mu``
-is ever formed, and ``alpha == 0`` (uniform ``u``, ``H @ 1 = 0``) needs no
-special case.  One function, :func:`_normal_blocks`, turns u and the
-residuals into the closed-form blocks ``w_i A_i'A_i`` and ``w_i A_i'r_i``,
-and every derivative is assembled from them through ``kron x_i``: the
-normal equations ``J'WJ`` and ``J'Wr`` the solver of
-:func:`fit_alpha_batch` consumes, the analytic gradient and both Hessians
-of ``l = -SSE/2``, and the sandwich covariance of
-:mod:`alphareg.inference`.  Only :func:`residual_system`, kept as the tests'
-reference, forms the explicit A and the stacked (n*d, P) Jacobian.
+The same identity collapses the derivatives.  The solver works in the
+centred frame of D-vectors that sum to zero, where the transformed mean is
+``(D u - 1) / alpha`` with ``u = fitted_mean(X, alpha*B)`` and the response
+is ``alpha_transform(Y, alpha) @ H``.  The Helmert rows are an orthonormal
+basis of that frame, ``H'H = I - 11'/D``, so sums of squares, ``J'J`` and
+``J'r`` equal their ilr values, and ``H`` is applied only to the response
+and to ilr output.  The Jacobian of the centred mean in the linear
+predictors is ``A_i = D (E - u_i 1') diag(u_i[1:])``, E the last d columns
+of the identity: the ``1/alpha`` of the transform cancels against the chain
+rule through ``alpha * eta``, no power of ``mu`` is ever formed, and
+``alpha == 0`` (uniform ``u``) needs no special case.  :func:`_normal_blocks`
+turns u and the residuals into the closed-form blocks ``w_i A_i'A_i`` and
+``w_i A_i'r_i``, and every derivative is assembled from them through
+``kron x_i``: the normal equations ``J'WJ`` and ``J'Wr`` of
+:func:`fit_alpha_batch`, the gradient and both Hessians of ``l = -SSE/2``,
+and the sandwich covariance of :mod:`alphareg.inference`.  Only
+:func:`residual_system`, the tests' reference, forms the explicit ilr
+Jacobian and the stacked (n*d, P) Jacobian.
 
 Parameter layout: ``theta = B.ravel(order="F")`` stacks coefficient columns
 component by component, so ``theta[k*(p+1) + a]`` is covariate ``a`` of
@@ -39,16 +43,15 @@ No other module writes this layout out: :func:`theta_to_coef` and
 :func:`coef_to_theta` convert stacks ``(..., (p+1)*d) <-> (..., p+1, d)``.
 
 Array layout: the whole chain, from linear predictors through the logit map,
-transformed mean and residuals to the blocks of :func:`_normal_blocks`, is
+centred mean and residuals to the blocks of :func:`_normal_blocks`, is
 component-major, and problem-inner.  Every per-observation quantity of a
 stack of k fits is a (component, k, n) array, one-off calls drop the k
 axis, and the public functions transpose only the arrays they take and
 return, which are (n, component).  So each elementwise numpy call runs over
-contiguous rows of k*n values, a sum over components adds whole rows
+contiguous rows of k*n values, and a sum over components adds whole rows
 (``np.sum`` over axis 0 for the denominator of the logit map, ``einsum`` for
-the products ``r'r``, ``u'u`` and ``(Hu)'r``, which forms no array of the
-products), and each Helmert product is one (d, D) @ (D, k*n) matrix
-product.  Every product that sums over a problem's own observations or
+the products ``r'r``, ``u'u`` and ``u'r``, which forms no array of the
+products).  Every product that sums over a problem's own observations or
 coefficients stays one matrix product per problem, over a strided (k, ., n)
 view: the linear predictors ``B' x_i``, the Kronecker sums ``C @ x x'`` and
 the gradient ``A'r @ X``.  So a problem's arithmetic, and its result bit for
@@ -197,27 +200,25 @@ def fitted_mean(X, B):
     return np.ascontiguousarray(_logit_map(X, B).T)
 
 
-def _transformed_mean(XT, BT, alpha, H, work=_fresh, out=None, patch=None):
-    """:func:`transformed_mean` component-major, for checked inputs and a
-    precomputed Helmert H, of the linear predictors ``eta = BT @ XT`` with
+def _transformed_mean(XT, BT, alpha, work=_fresh, out=None, patch=None):
+    """:func:`transformed_mean` in the centred frame, component-major, for
+    checked inputs, of the linear predictors ``eta = BT @ XT`` with
     coefficient rows BT (..., d, q) and the design's columns XT (q, n).
     ``patch``, the positions (k, r) of rows in the (k*n) observations of k
     problems and their design rows (k, r, q), replaces those columns of XT
     for each of k coefficient rows BT (k, d, q).
 
-    Returns the transformed mean (d, ..., n) and the logit map ``u`` of
-    ``alpha * eta`` (D, ..., n), uniform at alpha 0, as the rows of ``out``
-    (d + D, ..., n) if given; ``work`` allocates the rest (:class:`_Work`).
+    Returns the centred mean ``(D u - 1) / alpha`` (D, ..., n) and the logit
+    map ``u`` of ``alpha * eta`` (D, ..., n), uniform at alpha 0, as the rows
+    of ``out`` (2D, ..., n) if given; ``work`` allocates the rest
+    (:class:`_Work`).
     """
-    d, D = H.shape
+    D = BT.shape[-2] + 1
     shape = BT.shape[:-2] + XT.shape[-1:]
-    t = work("t", (D,) + shape)
     if out is None:
-        out = work("mean", (d + D,) + shape)
-    mean, u = out[:d], out[d:]
-    # at alpha 0 the mean is formed from eta, so eta goes to t; elsewhere
-    # mean holds eta until it becomes u
-    eta = t[1:] if alpha == 0.0 else mean
+        out = work("mean", (2 * D,) + shape)
+    mean, u = out[:D], out[D:]
+    eta = mean[1:]  # until the mean is formed
     # a huge or infinite parameter is clipped below, or fails as a non-finite
     # residual, so its overflow and inf * 0 are not errors here
     with np.errstate(over="ignore", invalid="ignore"):
@@ -226,18 +227,19 @@ def _transformed_mean(XT, BT, alpha, H, work=_fresh, out=None, patch=None):
         np.matmul(aBT, XT, out=eta.swapaxes(0, -2))
         if patch is not None:
             cols, values = patch
-            eta_rows = work("eta rows", (d,) + cols.shape)
+            eta_rows = work("eta rows", (D - 1,) + cols.shape)
             np.matmul(aBT, np.swapaxes(values, 1, 2), out=eta_rows.swapaxes(0, 1))
-            eta.reshape(d, -1)[:, cols] = eta_rows
-    if alpha == 0.0:
+            eta.reshape(D - 1, -1)[:, cols] = eta_rows
+    if alpha == 0.0:  # the mean is (0, eta) less its mean over components
         np.clip(eta, -LINPRED_CLAMP, LINPRED_CLAMP, out=eta)
         u[...] = 1.0 / D
-        np.matmul(H[:, 1:], eta.reshape(d, -1), out=mean.reshape(d, -1))
+        mean[0] = 0.0
+        centre = np.sum(mean, axis=0, out=work("denom", shape))
+        mean -= np.divide(centre, D, out=centre)
         return mean, u
     _inverse_logit(eta, work, u)
-    np.multiply(u, D, out=t)
-    t -= 1.0
-    np.matmul(H, t.reshape(D, -1), out=mean.reshape(d, -1))
+    np.multiply(u, D, out=mean)
+    mean -= 1.0
     mean /= alpha
     return mean, u
 
@@ -252,8 +254,13 @@ def transformed_mean(X, B, alpha):
     """
     alpha = _check_alpha(alpha)
     X, B = _check_design(X, B)
-    mean, _ = _transformed_mean(X.T, B.T, alpha, helmert_submatrix(B.shape[1] + 1))
-    return np.ascontiguousarray(mean.T)
+    mean, _ = _transformed_mean(X.T, B.T, alpha)
+    return mean.T @ helmert_submatrix(len(mean)).T
+
+
+def _centred_response(Y, alpha):
+    """The transformed response (n, D) in the centred frame of the solver."""
+    return alpha_transform(Y, alpha) @ helmert_submatrix(Y.shape[-1])
 
 
 def _check_response(Y, X, B):
@@ -301,28 +308,22 @@ def _kld_terms(obs, fit):
 
 # -- derivative chain ---------------------------------------------------------
 
-def _contract_residuals(u, r, H, work=_fresh):
-    """``g_i = H[:, 1:]'r_i - (H u_i)'r_i`` as (d, ..., n), for logit maps u
-    (D, ..., n) and residuals r (d, ..., n): the residuals contracted with
-    ``G_i = H[:, 1:] - H u_i 1'``, of which ``A_i = D G_i diag(v_i)``."""
-    d = len(r)
-    g = work("g", r.shape)
-    # g's array holds H u until (H u)'r is summed
-    np.matmul(H, u.reshape(d + 1, -1), out=g.reshape(d, -1))
-    hr = np.einsum("i...,i...->...", g, r, out=work("hr", r.shape[1:]))
-    np.matmul(H[:, 1:].T, r.reshape(d, -1), out=g.reshape(d, -1))
-    g -= hr
-    return g
+def _contract_residuals(u, r, work=_fresh):
+    """``g_i = r_i[1:] - u_i'r_i`` as (d, ..., n), for logit maps u and
+    centred residuals r (D, ..., n): the residuals contracted with
+    ``E - u_i 1'``, of which ``A_i = D (E - u_i 1') diag(v_i)``."""
+    ur = np.einsum("i...,i...->...", u, r, out=work("ur", r.shape[1:]))
+    return np.subtract(r[1:], ur, out=work("g", r[1:].shape))
 
 
-def _normal_blocks(u, r, w, H, work=_fresh):
+def _normal_blocks(u, r, w, work=_fresh):
     """``w_i A_i'A_i`` as (d, d, ..., n) and ``w_i A_i'r_i`` as (d, ..., n)
-    for logit maps u (D, ..., n), residuals r (d, ..., n) and weights
-    w (..., n), in arrays of ``work`` (:class:`_Work`).
+    for logit maps u (D, ..., n), centred residuals r (D, ..., n) and
+    weights w (..., n), in arrays of ``work`` (:class:`_Work`).
 
-    ``A_i`` is the mean Jacobian of observation i in its linear predictors,
-    ``D (H[:, 1:] - H u_i 1') diag(v_i)`` with ``v_i = u_i[1:]``.  Helmert
-    rows are orthonormal and orthogonal to 1, so
+    ``A_i`` is the Jacobian of observation i's centred mean in its linear
+    predictors, ``D (E - u_i 1') diag(v_i)`` with ``v_i = u_i[1:]`` and E
+    the last d columns of the identity.  ``1'(E - u_i 1') = 0``, so
 
         A_i'A_i = D^2 v_a v_b (delta_ab - v_a - v_b + u_i'u_i)
         A_i'r_i = D v_i * g_i   (g of :func:`_contract_residuals`)
@@ -340,7 +341,7 @@ def _normal_blocks(u, r, w, H, work=_fresh):
     C *= v
     wD = np.multiply(w, D * D, out=work("wD", w.shape))
     C *= wD
-    Atr = _contract_residuals(u, r, H, work)
+    Atr = _contract_residuals(u, r, work)
     Atr *= v
     Atr *= np.multiply(w, D, out=wD)
     return C, Atr
@@ -367,15 +368,14 @@ def _kron_matrix(C, X):
 
 
 def _derivatives(Y, X, alpha, B):
-    """Checked ``X``, the logit map u (D, n), residuals r (d, n) and the
-    :func:`_normal_blocks` of one unweighted problem at B."""
+    """Checked ``X``, the logit map u (D, n), centred residuals r (D, n) and
+    the :func:`_normal_blocks` of one unweighted problem at B."""
     alpha = _check_alpha(alpha)
     X, B = _check_design(X, B)
     Y = _check_response(Y, X, B)
-    H = helmert_submatrix(B.shape[1] + 1)
-    mean, u = _transformed_mean(X.T, B.T, alpha, H)
-    r = np.subtract(alpha_transform(Y, alpha).T, mean, out=mean)
-    return (X, u, r) + _normal_blocks(u, r, np.ones(len(X)), H)
+    mean, u = _transformed_mean(X.T, B.T, alpha)
+    r = np.subtract(_centred_response(Y, alpha).T, mean, out=mean)
+    return (X, u, r) + _normal_blocks(u, r, np.ones(len(X)))
 
 
 def gradient(Y, X, alpha, B):
@@ -402,8 +402,8 @@ def hessian_exact(Y, X, alpha, B):
     """Exact Hessian of ``l = -SSE/2``: Gauss-Newton block plus the
     residual-weighted second-derivative correction.
 
-    The second derivative of the transformed mean is
-    ``D * alpha * H @ logit_hessian(u)`` with ``u = fitted_mean(X, alpha*B)``;
+    The second derivative of the centred mean is
+    ``D * alpha * logit_hessian(u)`` with ``u = fitted_mean(X, alpha*B)``;
     contracted with the residuals it is, per row, with ``v = u[1:]`` and g
     of :func:`_contract_residuals`,
 
@@ -416,7 +416,7 @@ def hessian_exact(Y, X, alpha, B):
     X, u, r, AtA, _ = _derivatives(Y, X, alpha, B)
     D = len(u)
     v = u[1:]
-    g = _contract_residuals(u, r, helmert_submatrix(D))
+    g = _contract_residuals(u, r)
     W = -v[:, None] * v[None] * (g[:, None] + g[None])
     W[np.arange(D - 1), np.arange(D - 1)] += v * g
     W *= D * float(alpha)
@@ -448,7 +448,7 @@ def residual_system(Y, X, alpha, weights=None):
 
     def res(theta):
         B = theta_to_coef(theta, n_cols, d)
-        return (y_a - _transformed_mean(X.T, B.T, alpha, H)[0].T).ravel()
+        return (y_a - _transformed_mean(X.T, B.T, alpha)[0].T @ H.T).ravel()
 
     def jac(theta):
         # row i*d + m, column k*n_cols + a: -A[i, m, k] * X[i, a], with the
@@ -489,15 +489,15 @@ def fit_alpha_regression(Y, X, alpha, opts=None, theta0=None, weights=None,
         raise DimensionMismatch("design matrix must be 2-D")
     (n, D), q = Y.shape, X.shape[1]
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
-    y_a = alpha_transform(Y, alpha)
-    lm, = _fit_batch(y_a, X, alpha, w[None],
+    y_c = _centred_response(Y, alpha)
+    lm, = _fit_batch(y_c, X, alpha, w[None],
                      np.zeros(q * (D - 1)) if theta0 is None else theta0, opts,
                      damping0)
     if isinstance(lm, Exception):
         raise lm
     B = theta_to_coef(lm.theta, q, D - 1)
     mu = fitted_mean(X, B)
-    r = y_a - _transformed_mean(X.T, B.T, alpha, helmert_submatrix(D))[0].T
+    r = y_c - _transformed_mean(X.T, B.T, alpha)[0].T
     return FitResult(coefficients=B, fitted=mu, sse=float(np.sum(r * r)), kld=kld(Y, mu),
                      alpha=float(alpha), lm=lm)
 
@@ -522,18 +522,17 @@ class RowBlocks:
 
 def _work_doubles(n, D, q, r):
     """Doubles per problem of the work arrays (:class:`_Work`) of
-    :func:`_batch_system`.  For each of the n observations: the d + D
-    residuals and logit map of a ``residuals`` call, and again as gathered
-    for ``normal_equations``; the D rows of ``t`` of
-    :func:`_transformed_mean`; the d*d block ``C`` and the d entries of
-    ``g`` of :func:`_normal_blocks`; and 6 single values (the denominator of
-    the logit map, the weight gathered for a step, ``w D^2``, and the sums
-    ``r'r``, ``u'u`` and ``(Hu)'r``).  The (d*q)^2 sums ``S`` of
+    :func:`_batch_system`.  For each of the n observations: the D centred
+    residuals and D entries of the logit map of a ``residuals`` call, and
+    again as gathered for ``normal_equations``; the d*d block ``C`` and the
+    d entries of ``g`` of :func:`_normal_blocks`; and 6 single values (the
+    denominator of the logit map, the weight gathered for a step, ``w D^2``,
+    and the sums ``r'r``, ``u'u`` and ``u'r``).  The (d*q)^2 sums ``S`` of
     :func:`_kron_rows`, and with a patch those of its rows apart.  For each
     of the r rows of a patch, gathered for a step: its outer product, its
     values, its d linear predictors and its d*d + d blocks."""
     d = D - 1
-    return (n * (d * d + 3 * d + 3 * D + 6) + (d * q) ** 2 * (2 if r else 1)
+    return (n * (d * d + d + 4 * D + 6) + (d * q) ** 2 * (2 if r else 1)
             + r * (q * q + q + d * d + 2 * d))
 
 
@@ -598,15 +597,15 @@ def fit_alpha_batch(Y, X, alpha, weights, theta0, opts=None, damping0=None, patc
     """
     alpha = _check_alpha(alpha)
     Y = np.asarray(Y, dtype=np.float64)
-    return _fit_batch(alpha_transform(Y, alpha), X, alpha, weights, theta0, opts, damping0,
+    return _fit_batch(_centred_response(Y, alpha), X, alpha, weights, theta0, opts, damping0,
                       patches)
 
 
-def _fit_batch(y_a, X, alpha, weights, theta0, opts, damping0=None, patches=None):
-    """:func:`fit_alpha_batch` on the transformed response ``y_a``; ``damping0``
+def _fit_batch(y_c, X, alpha, weights, theta0, opts, damping0=None, patches=None):
+    """:func:`fit_alpha_batch` on the centred response ``y_c``; ``damping0``
     (scalar or (m,)) is passed to :func:`optim.lm_batch` as its warm start."""
     opts = opts or LmOptions()
-    n, d = y_a.shape
+    n, d = len(y_c), y_c.shape[1] - 1
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != n:
         raise DimensionMismatch(f"design {X.shape} does not fit {n} response rows")
@@ -629,7 +628,6 @@ def _fit_batch(y_a, X, alpha, weights, theta0, opts, damping0=None, patches=None
             raise DimensionMismatch(f"patch rows must lie in [0, {n})")
         r = rows.shape[1]
         patches = (rows, values) if r else None  # an empty patch is the shared design
-    H = helmert_submatrix(d + 1)
     outer = _outer_rows(X)
     size = _chunk_size(m, n, d + 1, q, r)
     work = _Work(size, _work_doubles(n, d + 1, q, r))  # for every chunk in turn
@@ -656,7 +654,7 @@ def _fit_batch(y_a, X, alpha, weights, theta0, opts, damping0=None, patches=None
         outs = [DegenerateWeights(f"every weight of problem {j} is zero")
                 for j in range(block.start, block.stop)]
         warm = None if damping0 is None else damping0[block][live]
-        solved = lm_batch(*_batch_system(y_a, X, outer, w, alpha, H, work, patch),
+        solved = lm_batch(*_batch_system(y_c, X, outer, w, alpha, work, patch),
                           starts[block][live], opts, warm) if live.size else []
         for j, outcome in zip(live, solved):
             outs[j] = outcome
@@ -673,27 +671,27 @@ def _outer_rows(X, work=_fresh):
     return outer.reshape(X.shape[:-1] + (X.shape[-1] ** 2,))
 
 
-def _batch_system(y_a, X, outer, w, alpha, H, work=None, patches=None):
+def _batch_system(y_c, X, outer, w, alpha, work=None, patches=None):
     """The ``residuals`` and ``normal_equations`` of :func:`optim.lm_batch`
     for weighted fits at one alpha on the shared design ``X`` (n, q), with
     ``outer`` its :func:`_outer_rows`.  ``patches``, rows (k, r) and values
     (k, r, q), replaces rows of each problem's design (:func:`fit_alpha_batch`);
     the outer products of a step's patched rows are formed with its normal
     equations.  ``residuals`` returns, besides the SSEs, the residuals
-    (d, k, n) with their logit map ``u`` (D, k, n) under them on the
-    component axis, one (d + D, k, n) array, which it keeps for
+    (D, k, n) of the centred response ``y_c`` (n, D) with their logit map
+    ``u`` (D, k, n) under them, one (2D, k, n) array, which it keeps for
     ``normal_equations`` to gather from, so u is not formed again.
 
     Every (., k, n) array of a step is written into the stack's work arrays
     (:class:`_Work`), so the residuals returned are overwritten by the next
     call.  ``normal_equations`` writes J'J and J'r into the rows of the
     caller's stacks."""
-    n, d = y_a.shape
-    q = X.shape[-1]
+    n, D = y_c.shape
+    d, q = D - 1, X.shape[-1]
     if work is None:
         r = 0 if patches is None else patches[0].shape[1]
-        work = _Work(len(w), _work_doubles(n, d + 1, q, r))
-    yT = np.ascontiguousarray(y_a.T)[:, None]
+        work = _Work(len(w), _work_doubles(n, D, q, r))
+    yT = np.ascontiguousarray(y_c.T)[:, None]
     XT = np.ascontiguousarray(X.T)
     ru = None  # the residuals and logit maps of the last residuals call
 
@@ -713,9 +711,9 @@ def _batch_system(y_a, X, outer, w, alpha, H, work=None, patches=None):
     def residuals(theta, rows):
         nonlocal ru
         k = len(rows)
-        ru = work("ru", (2 * d + 1, k, n))
+        ru = work("ru", (2 * D, k, n))
         # theta.reshape(k, d, q) is B' of theta_to_coef
-        r, _ = _transformed_mean(XT, theta.reshape(k, d, q), alpha, H, work, ru,
+        r, _ = _transformed_mean(XT, theta.reshape(k, d, q), alpha, work, ru,
                                  None if patches is None else patch(rows))
         np.subtract(yT, r, out=r)
         # an infinite parameter can leave a clipped mean finite; it fails here
@@ -731,9 +729,9 @@ def _batch_system(y_a, X, outer, w, alpha, H, work=None, patches=None):
         k = len(rows)
         # as many positions as problems in the last call are all of them
         ru_at = ru if k == ru.shape[1] else np.take(
-            ru, at, axis=1, mode="clip", out=work("ru rows", (2 * d + 1, k, n)))
-        r, u = ru_at[:d], ru_at[d:]  # u is finite wherever r is
-        C, Atr = _normal_blocks(u, r, gather(w, rows, "w"), H, work)
+            ru, at, axis=1, mode="clip", out=work("ru rows", (2 * D, k, n)))
+        r, u = ru_at[:D], ru_at[D:]  # u is finite wherever r is
+        C, Atr = _normal_blocks(u, r, gather(w, rows, "w"), work)
         # J'WJ = sum_i w_i (A_i'A_i) kron x_i x_i', and J'Wr = -sum_i w_i
         # (A_i'r_i) kron x_i, since J = -A kron x
         if patches is not None:

@@ -40,6 +40,8 @@ from .exceptions import (
     InvalidParameters,
     NonpositiveBandwidth,
     OutOfRangeCoordinate,
+    check_integer,
+    check_real,
 )
 from .inference import solver_diagnostics
 from .optim import LmOptions
@@ -61,13 +63,15 @@ ROUNDING_DIST_SQ = 1e-15  # below the resolution of 2*(1 - c'c) in doubles
 def to_cartesian(lat, lon):
     """Unit 3-vector(s) for coordinates given in degrees.
 
-    Latitude must lie in [-90, 90] and longitude in (-180, 180].
+    Latitude must lie in [-90, 90] and longitude in (-180, 180], so neither
+    may be NaN or infinite.
     """
     lat = np.asarray(lat, dtype=np.float64)
     lon = np.asarray(lon, dtype=np.float64)
-    if np.any(lat < -90) or np.any(lat > 90):
+    # written so that NaN, which fails every comparison, fails the range
+    if not np.all((-90 <= lat) & (lat <= 90)):
         raise OutOfRangeCoordinate("latitude outside [-90, 90]")
-    if np.any(lon <= -180) or np.any(lon > 180):
+    if not np.all((-180 < lon) & (lon <= 180)):
         raise OutOfRangeCoordinate("longitude outside (-180, 180]")
     nu = np.radians(lat)
     v = np.radians(lon)
@@ -136,9 +140,10 @@ def neighbor_table(coords, m, query=None):
     k-nearest set, and dropping a location from a row leaves the nearest
     sets of the remaining data.  With ``query``, rows are the query
     locations' nearest among ``coords``, a coincident one included.  Raises
-    :class:`InvalidK` unless ``1 <= m <= n-1`` for the n locations in
-    ``coords`` (``m <= n`` with ``query``).
+    :class:`InvalidK` unless the integer ``m`` satisfies ``1 <= m <= n-1``
+    for the n locations in ``coords`` (``m <= n`` with ``query``).
     """
+    check_integer("neighbor count k", m)
     top = coords.n - (query is None)
     if not 1 <= m <= top:
         raise InvalidK(f"k must satisfy 1 <= k <= {top} for {coords.n} locations, got {m}")
@@ -197,10 +202,14 @@ def kernel_weights_at(coords, cart_point, h):
     exactly 0.  ``h^2`` is floored at the smallest normal double, so it never
     underflows to 0 (as it would below h ~ 1.5e-162): a distance of 0
     (coincident points) keeps weight 1 at any ``h``, and a nonzero one over
-    so small an ``h^2`` overflows to inf, so weight 0.
+    so small an ``h^2`` overflows to inf, so weight 0.  ``h`` must be a
+    finite real > 0, as ``RunConfig.h``; a real ``h <= 0`` raises
+    :class:`NonpositiveBandwidth`.
     """
-    if h <= 0:
+    real = isinstance(h, (int, float, np.integer, np.floating)) and not isinstance(h, bool)
+    if real and h <= 0:
         raise NonpositiveBandwidth(f"bandwidth must be > 0, got {h}")
+    h = check_real("bandwidth h", h, "(0, inf)")
     points = np.asarray(cart_point, dtype=np.float64)
     with np.errstate(over="ignore"):
         return np.exp(-pairwise_chordal_sq(coords.cart, points).T

@@ -144,6 +144,20 @@ class TestPredictCommand:
                      "--data", str(dataset), "--out", str(tmp_path / "p.csv")])
         assert code == 0
 
+    @pytest.mark.parametrize("model, fixed", [("alpha", []), ("slx", ["--k", "4"]),
+                                              ("gwar", ["--h", "0.05"])])
+    def test_stdout_is_the_out_file(self, model, fixed, dataset, tmp_path, capsysbinary):
+        # predict without --out writes the bytes that --out writes
+        doc_path, out = tmp_path / "fit.json", tmp_path / "pred.csv"
+        assert main(["fit", "--data", str(dataset), *DATA_ARGS, *GEO_ARGS,
+                     "--model", model, "--alpha", "0.5", *fixed,
+                     "--out", str(doc_path)]) == 0
+        predict = ["predict", "--model-doc", str(doc_path), "--data", str(dataset)]
+        assert main(predict + ["--out", str(out)]) == 0
+        capsysbinary.readouterr()
+        assert main(predict) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
+
     @pytest.mark.parametrize("model, fixed", [("alpha", []), ("slx", ["--k", "4"])])
     def test_new_data_needs_no_composition_columns(self, model, fixed, dataset,
                                                    tmp_path):

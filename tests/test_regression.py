@@ -28,7 +28,6 @@ from alphareg import (
 from alphareg import regression
 from alphareg.optim import lm_batch
 from alphareg.regression import RowBlocks, coef_to_theta, fit_alpha_batch
-from alphareg.simplex import helmert_submatrix
 from conftest import fd_gradient, fd_hessian, patched_designs, random_instance, rel_err
 
 
@@ -411,18 +410,20 @@ def whole_patches(rng, Xs):
 
 
 class TestFitAlphaBatch:
-    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.1, 0.0, -0.5])
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 0.1, 1e-3, 1e-6, 0.0, -1e-6, -0.5])
     @pytest.mark.parametrize("per_problem", [False, True])
     def test_normal_equations_match_residual_system(self, alpha, per_problem, rng):
         # D = 2 sums one residual component (no odd partial sum), D = 5 is
-        # the bootstrap benchmark's shape
+        # the bootstrap benchmark's shape; the centred normal equations
+        # against the explicit ilr Jacobian, down to where (D u - 1)/alpha
+        # cancels
         # per_problem: a patch of every row gives each problem its own design
         for D in (2, 3, 4, 5):
             Y, X, Xs, W, theta = batch_problems(rng, D=D)
             patches = whole_patches(rng, Xs) if per_problem else None
             residuals, normal_equations = regression._batch_system(
-                alpha_transform(Y, alpha), X, regression._outer_rows(X), W, alpha,
-                helmert_submatrix(D), patches=patches)
+                regression._centred_response(Y, alpha), X, regression._outer_rows(X), W, alpha,
+                patches=patches)
             rows = np.arange(len(W))
             _, sse_ = residuals(theta, rows)
             JtJ, g = np.empty((len(W),) + 2 * theta.shape[1:]), np.empty(theta.shape)
@@ -466,14 +467,13 @@ class TestFitAlphaBatch:
     def test_residuals_carry_the_logit_map(self, rng):
         # normal_equations reads u from the residuals instead of forming it
         Y, X, Xs, W, theta = batch_problems(rng)
-        H = helmert_submatrix(Y.shape[1])
         for alpha in (0.5, 0.0):
             residuals, _ = regression._batch_system(
-                alpha_transform(Y, alpha), X, regression._outer_rows(X), W, alpha, H)
+                regression._centred_response(Y, alpha), X, regression._outer_rows(X), W, alpha)
             ru, _ = residuals(theta, np.arange(len(W)))
             B = theta.reshape(len(W), -1, X.shape[1]).transpose(0, 2, 1)
             for j in range(len(W)):
-                np.testing.assert_array_equal(ru[Y.shape[1] - 1:, j],
+                np.testing.assert_array_equal(ru[Y.shape[1]:, j],
                                               regression._logit_map(X, alpha * B[j]))
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, -0.5])
@@ -491,9 +491,9 @@ class TestFitAlphaBatch:
         elif kind == "kernel":
             coords = rng.uniform(size=(30, 2))
             W = np.exp(-((coords[:7, None] - coords[None]) ** 2).sum(axis=-1) / 0.1)
-        y_a, H, outer = alpha_transform(Y, alpha), helmert_submatrix(4), regression._outer_rows(X)
+        y_c, outer = regression._centred_response(Y, alpha), regression._outer_rows(X)
         m, P = theta.shape
-        residuals, normal_equations = regression._batch_system(y_a, X, outer, W, alpha, H,
+        residuals, normal_equations = regression._batch_system(y_c, X, outer, W, alpha,
                                                                patches=patches)
         for rows in (np.arange(m), np.array([0, 2, 3, 6])):
             _, sse = residuals(theta[rows], rows)
@@ -503,7 +503,7 @@ class TestFitAlphaBatch:
             for at, j in enumerate(rows):
                 one = np.arange(1)
                 residuals1, normal_equations1 = regression._batch_system(
-                    y_a, X, outer, W[j:j + 1], alpha, H,
+                    y_c, X, outer, W[j:j + 1], alpha,
                     patches=None if patches is None else tuple(a[j:j + 1] for a in patches))
                 _, sse1 = residuals1(theta[j:j + 1], one)
                 JtJ1, g1 = np.empty((1, P, P)), np.empty((1, P))
@@ -555,9 +555,9 @@ class TestFitAlphaBatch:
         patches = whole_patches(rng, Xs) if per_problem else None
         near = fit_alpha_regression(Y, X, 0.5).lm.theta
         theta0 = np.stack([np.full_like(near, -6.0), near + 0.05])
-        y_a, H, outer = alpha_transform(Y, 0.5), helmert_submatrix(3), regression._outer_rows(X)
+        y_c, outer = regression._centred_response(Y, 0.5), regression._outer_rows(X)
         residuals, normal_equations = regression._batch_system(
-            y_a, X, outer, W, 0.5, H, patches=patches)
+            y_c, X, outer, W, 0.5, patches=patches)
         formed = []
 
         def spy(theta, at, rows, JtJ, g):
@@ -570,7 +570,7 @@ class TestFitAlphaBatch:
             i for i, rows in enumerate(formed) if 0 in rows)
         for j in range(2):
             alone, = lm_batch(*regression._batch_system(
-                y_a, X, outer, W[j:j + 1], 0.5, H,
+                y_c, X, outer, W[j:j + 1], 0.5,
                 patches=None if patches is None else tuple(a[j:j + 1] for a in patches)),
                 theta0[j:j + 1])
             np.testing.assert_array_equal(stacked[j].theta, alone.theta)
@@ -630,8 +630,8 @@ class TestHeapStableSteps:
                                 * (np.arange(q) > 0)) if per_problem else None
         theta = rng.normal(scale=0.3, size=(k, q * (self.D - 1)))
         work = regression._Work(k, regression._work_doubles(self.N, self.D, q, r))
-        system = regression._batch_system(alpha_transform(Y, 0.5), X, regression._outer_rows(X),
-                                          W, 0.5, helmert_submatrix(self.D), work, patches)
+        system = regression._batch_system(regression._centred_response(Y, 0.5), X,
+                                          regression._outer_rows(X), W, 0.5, work, patches)
         return system, theta, work, r
 
     @staticmethod

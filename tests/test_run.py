@@ -200,6 +200,8 @@ class TestRunFit:
         assert doc["hyperparameters"]["h"] in doc["selection"]["hs"]
 
 
+TEN_LOCATIONS = GeoCoordinates.from_degrees(np.linspace(-40.0, 40.0, 10), np.linspace(0.0, 90.0, 10))
+
 BOOLEAN_SETTINGS = {
     "RunConfig.k": lambda b: RunConfig(model="slx", alpha=0.5, k=b),
     "RunConfig.seed": lambda b: RunConfig(seed=b),
@@ -211,6 +213,7 @@ BOOLEAN_SETTINGS = {
     "marginal_effects": lambda b: marginal_effects(np.ones((2, 2)), np.full((4, 3), 1 / 3), b),
     "synthesize.slx_k": lambda b: synthesize(n=20, D=3, p=1, alpha=0.5, slx_k=b),
     "synthesize.seed": lambda b: synthesize(n=20, D=3, p=1, alpha=0.5, seed=b),
+    "neighbor_table.m": lambda b: neighbor_table(TEN_LOCATIONS, b),
 }
 
 
@@ -237,6 +240,10 @@ REAL_SETTINGS = {
     "synthesize.noise_scale": lambda b: synthesize(n=20, D=3, p=1, alpha=0.5, noise_scale=b),
     "fit_alpha_regression.alpha": lambda b: fit_alpha_regression(
         np.full((10, 3), 1 / 3), np.ones((10, 1)), b),
+    "fit_gwar.h": lambda b: fit_gwar(np.full((10, 3), 1 / 3), np.ones((10, 1)), TEN_LOCATIONS,
+                                     0.5, b),
+    "kernel_weights_at.h": lambda b: spatial.kernel_weights_at(
+        TEN_LOCATIONS, TEN_LOCATIONS.cart[0], b),
 }
 
 
@@ -247,6 +254,12 @@ def test_non_real_setting_rejected(site, value):
     # document's config, and float() read the string "0.5" as 0.5
     with pytest.raises(InvalidParameters, match="must (lie in|be finite)"):
         REAL_SETTINGS[site](value)
+
+
+def test_nan_bandwidth_rejected():
+    # NaN passed the h <= 0 check and failed later as negative weights
+    with pytest.raises(InvalidParameters, match="bandwidth h must be finite and > 0, got nan"):
+        REAL_SETTINGS["fit_gwar.h"](np.nan)
 
 
 @pytest.mark.parametrize("value", ["no", 1, None, np.True_],

@@ -54,6 +54,12 @@ class TestCartesian:
             to_cartesian(91.0, 0.0)
         with pytest.raises(OutOfRangeCoordinate):
             to_cartesian(0.0, -180.0)
+        # NaN fails both range comparisons, so it used to pass as a location
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(OutOfRangeCoordinate, match="latitude"):
+                to_cartesian([10.0, bad], [0.0, 0.0])
+            with pytest.raises(OutOfRangeCoordinate, match="longitude"):
+                GeoCoordinates.from_degrees([10.0, 0.0], [0.0, bad])
 
 
 class TestChordal:
