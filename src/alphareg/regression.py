@@ -85,7 +85,11 @@ from .optim import LmOptions, LmResult, ResidualSystem, lm_batch
 from .simplex import alpha_transform, helmert_submatrix, _check_alpha
 
 LINPRED_CLAMP = 700.0
-CHUNK_DOUBLES = 1 << 18  # doubles in the working set of one chunk of fits (2 MiB), see _chunk_size
+# doubles in the working set of one chunk of fits (_chunk_size), and about
+# the size of a set of fits' block of work arrays (_Work): 4 MiB less one
+# 4 KiB page, since numpy asks the kernel for huge pages for an array of
+# 4 MiB or more, which would make a block resident in 2 MiB steps
+CHUNK_DOUBLES = (1 << 19) - 512
 
 
 @dataclass
@@ -628,9 +632,16 @@ def _fit_batch(y_c, X, alpha, weights, theta0, opts, damping0=None, patches=None
             raise DimensionMismatch(f"patch rows must lie in [0, {n})")
         r = rows.shape[1]
         patches = (rows, values) if r else None  # an empty patch is the shared design
+    if m == 0:
+        return []
     outer = _outer_rows(X)
     size = _chunk_size(m, n, d + 1, q, r)
-    work = _Work(size, _work_doubles(n, d + 1, q, r))  # for every chunk in turn
+    # for every chunk in turn; padding the block up to within one problem of
+    # CHUNK_DOUBLES makes the blocks of successive sets of fits about one
+    # size, so each fits where the last was freed rather than the heap
+    # growing by a block a little larger than the last; only the pages a set
+    # writes are resident
+    work = _Work(size, max(_work_doubles(n, d + 1, q, r), CHUNK_DOUBLES // size))
 
     def solve(first):
         block = slice(first, min(first + size, m))

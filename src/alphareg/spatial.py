@@ -203,17 +203,23 @@ def kernel_weights_at(coords, cart_point, h):
     underflows to 0 (as it would below h ~ 1.5e-162): a distance of 0
     (coincident points) keeps weight 1 at any ``h``, and a nonzero one over
     so small an ``h^2`` overflows to inf, so weight 0.  ``h`` must be a
-    finite real > 0, as ``RunConfig.h``; a real ``h <= 0`` raises
-    :class:`NonpositiveBandwidth`.
+    finite real > 0 (:func:`_check_bandwidth`).
     """
-    real = isinstance(h, (int, float, np.integer, np.floating)) and not isinstance(h, bool)
-    if real and h <= 0:
-        raise NonpositiveBandwidth(f"bandwidth must be > 0, got {h}")
-    h = check_real("bandwidth h", h, "(0, inf)")
+    h = _check_bandwidth(h)
     points = np.asarray(cart_point, dtype=np.float64)
     with np.errstate(over="ignore"):
         return np.exp(-pairwise_chordal_sq(coords.cart, points).T
                       / (2.0 * max(h * h, np.finfo(float).tiny)))
+
+
+def _check_bandwidth(h):
+    """``h`` as a float if it is a finite real > 0, as ``RunConfig.h``: a
+    real ``h <= 0`` raises :class:`NonpositiveBandwidth`, and anything else
+    (NaN, inf, a bool, a string) :class:`InvalidParameters`."""
+    real = isinstance(h, (int, float, np.integer, np.floating)) and not isinstance(h, bool)
+    if real and h <= 0:
+        raise NonpositiveBandwidth(f"bandwidth must be > 0, got {h}")
+    return check_real("bandwidth h", h, "(0, inf)")
 
 
 @dataclass
@@ -290,7 +296,8 @@ def _local_coefficients(outcomes, n_cols, d, degenerate):
             raise DegenerateWeights(degenerate(j))
         if isinstance(outcome, Exception):
             raise outcome
-    return theta_to_coef(np.array([o.theta for o in outcomes]), n_cols, d)
+    theta = np.array([o.theta for o in outcomes]).reshape(len(outcomes), n_cols * d)
+    return theta_to_coef(theta, n_cols, d)  # (0, n_cols, d) for no outcomes
 
 
 def fit_gwar(Y, X, coords, alpha, h, opts=None, start=None):
@@ -306,10 +313,12 @@ def fit_gwar(Y, X, coords, alpha, h, opts=None, start=None):
     i's parameters ``theta[i]`` and final damping ``damping[i]``.  Fold i
     has location i's kernel weights except on row i (0 there), so location
     i continues from its solution by the warm rule of :mod:`alphareg.optim`
-    (a damping of 0 starts cold).  Raises the exception of the lowest-index
-    location that fails, :class:`DegenerateWeights` where all its other
-    weights underflow.
+    (a damping of 0 starts cold).  ``h`` is checked before any fit, by the
+    rule of :func:`kernel_weights_at`.  Raises the exception of the
+    lowest-index location that fails, :class:`DegenerateWeights` where all
+    its other weights underflow.
     """
+    h = _check_bandwidth(h)
     Y = np.asarray(Y, dtype=np.float64)
     X = np.asarray(X, dtype=np.float64)
     opts = opts or LmOptions()
@@ -342,7 +351,7 @@ def fit_gwar(Y, X, coords, alpha, h, opts=None, start=None):
     return GwarFit(
         local_coefficients=local,
         alpha=float(alpha),
-        h=float(h),
+        h=h,
         fitted=fitted,
         kld=kld(Y, fitted),
         global_coefficients=global_fit.coefficients,

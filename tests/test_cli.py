@@ -158,6 +158,23 @@ class TestPredictCommand:
         assert main(predict) == 0
         assert capsysbinary.readouterr().out == out.read_bytes()
 
+    @pytest.mark.parametrize("model, fixed", [("alpha", []), ("slx", ["--k", "4"]),
+                                              ("gwar", ["--h", "0.05"])])
+    def test_header_only_data_predicts_the_header(self, model, fixed, dataset, tmp_path):
+        # gwar used to stop with a ValueError traceback on no new rows
+        doc_path, out = tmp_path / "fit.json", tmp_path / "pred.csv"
+        assert main(["fit", "--data", str(dataset), *DATA_ARGS, *GEO_ARGS,
+                     "--model", model, "--alpha", "0.5", *fixed,
+                     "--out", str(doc_path)]) == 0
+        empty, full = tmp_path / "empty.csv", tmp_path / "full.csv"
+        empty.write_text(dataset.read_text().splitlines()[0] + "\n")
+        for data, path in ((dataset, full), (empty, out)):
+            assert main(["predict", "--model-doc", str(doc_path), "--data", str(data),
+                         "--out", str(path)]) == 0
+        header = full.read_bytes().splitlines(keepends=True)[0]
+        assert header.decode().rstrip() == "y1,y2,y3"
+        assert out.read_bytes() == header
+
     @pytest.mark.parametrize("model, fixed", [("alpha", []), ("slx", ["--k", "4"])])
     def test_new_data_needs_no_composition_columns(self, model, fixed, dataset,
                                                    tmp_path):

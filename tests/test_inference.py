@@ -30,7 +30,7 @@ from alphareg import (
     sandwich_covariance,
     slx_effects,
 )
-from alphareg import inference
+from alphareg import inference, regression
 from alphareg.datasets import synthesize
 from alphareg.simplex import alpha_transform, alpha_transform_inverse
 from conftest import random_instance
@@ -455,6 +455,26 @@ class TestWarmBootstrap:
                           / np.max(oracle.ame_standard_errors))
                 worst[rule] = np.maximum(worst[rule], errors)
         assert np.all(worst["warm"] <= worst["cold"])
+
+
+class TestBootstrapChunks:
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_chunks_do_not_change_the_estimate(self, size, rng, monkeypatch):
+        # count weights, drawn again for each chunk, warm damping, and one
+        # start shared by every replicate: 7 replicates in chunks of 1 or 3
+        # give what one chunk of all 7 gives, bit for bit
+        Y, X, _ = homoskedastic_sim(rng, 120, D=4, p=2)
+        start = fit_alpha_regression(Y, X, 0.5).lm
+        assert start.damping > 0
+        covs = []
+        for chunk in (7, size):
+            monkeypatch.setattr(regression, "_chunk_size", lambda m, *shape: chunk)
+            covs.append(bootstrap_covariance(Y, X, 0.5, replicates=7, seed=3, start=start))
+        whole, chunked = covs
+        np.testing.assert_array_equal(chunked.matrix, whole.matrix)
+        np.testing.assert_array_equal(chunked.ame_standard_errors, whole.ame_standard_errors)
+        assert chunked.diagnostics == whole.diagnostics
+        assert chunked.replicates == 7
 
 
 class TestBootstrapDiagnostics:

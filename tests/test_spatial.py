@@ -361,6 +361,22 @@ class TestGwarFit:
         np.testing.assert_allclose(gfit.fitted.sum(axis=1), 1.0, atol=1e-12)
         assert gfit.kld >= 0.0
 
+    @pytest.mark.parametrize("h, error", [
+        (np.nan, InvalidParameters), (True, InvalidParameters), ("0.3", InvalidParameters),
+        (0, NonpositiveBandwidth), (-1, NonpositiveBandwidth)])
+    def test_bandwidth_checked_before_the_global_fit(self, h, error, monkeypatch):
+        # a bad h used to fail only in the first location chunk, after a
+        # full plain fit
+        sim = synthesize(n=20, D=3, p=1, alpha=0.5, noise_scale=0.05,
+                         spatial_mode="two_cluster", seed=4)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the global fit ran")
+
+        monkeypatch.setattr(spatial, "fit_alpha_regression", no_fit)
+        with pytest.raises(error):
+            fit_gwar(sim["Y"], sim["X"], sim["coords"], 0.5, h)
+
 
 class TestGwarPredict:
     def test_coincident_location_reproduces_fitted(self):
@@ -396,6 +412,14 @@ class TestGwarPredict:
         assert sum(o.iterations for o in solved[-1]) < sum(o.iterations for o in cold)
         local = np.stack([theta_to_coef(o.theta, 2, 2) for o in cold])
         np.testing.assert_allclose(mu, local_fitted_mean(X_new, local), rtol=0, atol=1e-6)
+
+    def test_no_new_rows(self):
+        # a header-only file of new rows predicts a (0, D) array
+        sim = synthesize(n=20, D=3, p=1, alpha=0.5, noise_scale=0.05,
+                         spatial_mode="two_cluster", seed=4)
+        gfit = fit_gwar(sim["Y"], sim["X"], sim["coords"], 0.5, 0.05)
+        mu = predict_gwar(gfit, np.empty((0, 2)), GeoCoordinates.from_degrees([], []))
+        assert mu.shape == (0, 3)
 
     def test_flat_kernel_matches_global_prediction(self, rng):
         sim = synthesize(n=40, D=3, p=1, alpha=0.5, noise_scale=0.05,
