@@ -25,6 +25,10 @@ coefficients and its average marginal effects, so the covariance and the
 effects' standard errors come from the same replicates.  A replicate is the
 full data with each row weighted by how often it was drawn (0 for rows not
 drawn): the objective over a resample sums each drawn row once per draw.
+The effects are one vectorised pass over blocks of solved replicates: per
+block, the fitted means, two matrix products and one sum give every
+covariate's effect on every component, with no per-replicate or
+per-covariate call of :func:`marginal_effects`.
 """
 
 from collections import Counter
@@ -42,11 +46,15 @@ from .exceptions import (
     check_integer,
 )
 from .optim import Convergence, LmResult
-from .regression import (RowBlocks, _derivatives, _kron_matrix, fit_alpha_batch,
-                         fit_alpha_regression, fitted_mean, theta_to_coef)
+from .regression import (RowBlocks, _derivatives, _inverse_logit, _kron_matrix,
+                         fit_alpha_batch, fit_alpha_regression, theta_to_coef)
 
 COND_LIMIT = 1e12
 PSD_TOL = -1e-10
+# doubles of per-observation arrays, about n (3D + q) per replicate, in one
+# block of the bootstrap's AME pass: a few replicates at n = 2000, so the
+# pass runs in memory the replicate solves freed
+AME_DOUBLES = 1 << 17
 
 
 def marginal_effects(B, mu, k):
@@ -173,7 +181,12 @@ def bootstrap_covariance(Y, X, alpha, opts=None, replicates=200, seed=0, start=N
     :mod:`alphareg.optim`).  Each solved replicate gives its coefficients
     and the average marginal effect of every covariate (the count-weighted
     mean over the rows), so ``matrix`` and the p x D ``ame_standard_errors``
-    come from the same replicates.  A failed replicate is dropped from both
+    come from the same replicates.  The effects are one vectorised pass over
+    blocks of solved replicates (:func:`_count_weighted_ames`, about
+    ``AME_DOUBLES`` doubles of arrays per block), each block's counts drawn
+    again, so here too no (replicates, n) array is formed.  On a lagged
+    design ``[X | lag]`` the p rows are the p/2 direct (beta) effects, then
+    the p/2 spillover (gamma) ones.  A failed replicate is dropped from both
     statistics and counted once; more than 20% failing is an error.
     ``diagnostics`` records how the replicates converged
     (:func:`solver_diagnostics`).
@@ -193,27 +206,45 @@ def bootstrap_covariance(Y, X, alpha, opts=None, replicates=200, seed=0, start=N
 
     outcomes = fit_alpha_batch(Y, X, alpha, RowBlocks(replicates, counts), start.theta, opts,
                                start.damping)
-    solved = [(rep, lm) for rep, lm in enumerate(outcomes) if isinstance(lm, LmResult)]
+    solved = [rep for rep, lm in enumerate(outcomes) if isinstance(lm, LmResult)]
     failed = replicates - len(solved)
     if failed > 0.2 * replicates:
         raise NumericalError(
             f"{failed} of {replicates} bootstrap replicates failed to fit"
         )
-    ames = []
-    for rep, lm in solved:
-        B = theta_to_coef(lm.theta, p + 1, D - 1)
-        mu, c = fitted_mean(X, B), counts([rep])[0]
-        ames.append(np.array([c @ marginal_effects(B, mu, k) / n
-                              for k in range(1, p + 1)]).reshape(p, D))
-    cov = np.cov(np.vstack([lm.theta for _, lm in solved]), rowvar=False, ddof=1)
+    thetas = np.array([outcomes[rep].theta for rep in solved])
+    size = max(1, AME_DOUBLES // (n * (3 * D + p + 1)))
+    ames = np.concatenate([
+        _count_weighted_ames(X, theta_to_coef(thetas[a:a + size], p + 1, D - 1),
+                             counts(solved[a:a + size]))
+        for a in range(0, len(solved), size)])
+    cov = np.cov(thetas, rowvar=False, ddof=1)
     return CovarianceEstimate(
         matrix=np.atleast_2d(cov),
         kind="bootstrap",
         replicates=len(solved),
         failed_replicates=failed,
-        ame_standard_errors=np.std(np.stack(ames), axis=0, ddof=1),
+        ame_standard_errors=np.std(ames, axis=0, ddof=1),
         diagnostics=solver_diagnostics(outcomes),
     )
+
+
+def _count_weighted_ames(X, B, c):
+    """Average marginal effects (k, q-1, D) of every covariate for k fits,
+    with coefficients B (k, q, d) and draw counts c (k, n): the count-weighted
+    means of :func:`marginal_effects` over the rows of X.  With the fitted
+    means ``mu`` (k, D, n), ``cmu = c * mu`` and ``s = B[:, 1:] @ mu[:, 1:]``,
+    the effect of covariate j on component l is
+    ``(b[j, l] * sum_i cmu[l, i] - (s @ cmu')[j, l]) / n``, where b is
+    ``B[:, 1:]`` with a zero column for the reference component."""
+    n = len(X)
+    mu = np.empty((len(B), B.shape[2] + 1, n))
+    _inverse_logit((np.swapaxes(B, 1, 2) @ X.T).swapaxes(0, 1), out=mu.swapaxes(0, 1))
+    cmu = mu * np.asarray(c, dtype=np.float64)[:, None, :]
+    ame = -(B[:, 1:] @ mu[:, 1:] @ cmu.swapaxes(1, 2))
+    ame[..., 1:] += B[:, 1:] * cmu[:, 1:].sum(axis=2)[:, None, :]
+    ame /= n
+    return ame
 
 
 def solver_diagnostics(outcomes):

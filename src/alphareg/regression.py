@@ -640,8 +640,10 @@ def _fit_batch(y_c, X, alpha, weights, theta0, opts, damping0=None, patches=None
     # CHUNK_DOUBLES makes the blocks of successive sets of fits about one
     # size, so each fits where the last was freed rather than the heap
     # growing by a block a little larger than the last; only the pages a set
-    # writes are resident
-    work = _Work(size, max(_work_doubles(n, d + 1, q, r), CHUNK_DOUBLES // size))
+    # writes are resident.  Where one problem alone needs more, the regions
+    # the block has no room for are allocated apart, so no block reaches the
+    # size numpy backs with huge pages
+    work = _Work(size, CHUNK_DOUBLES // size)
 
     def solve(first):
         block = slice(first, min(first + size, m))

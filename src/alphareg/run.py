@@ -235,13 +235,18 @@ def _standard_errors(config, Y, X_model, alpha, fit):
             Y, X_model, alpha, opts=config.solver,
             replicates=config.bootstrap_replicates, seed=config.seed, start=fit.lm,
         )
+        ame = cov.ame_standard_errors.tolist()
+        if config.model == "slx":  # the rows of [X | lag]: beta's, then gamma's
+            p = len(ame) // 2
+            ames = {"ame_direct": ame[:p], "ame_indirect": ame[p:]}
+        else:
+            ames = {"ame": ame}
         return {
             "kind": cov.kind,
             "replicates": cov.replicates,
             "failed_replicates": cov.failed_replicates,
             "coefficients": coefficient_se(cov).tolist(),
-            "ame": cov.ame_standard_errors.tolist(),
-        }, {"bootstrap": cov.diagnostics}
+        } | ames, {"bootstrap": cov.diagnostics}
     cov = sandwich_covariance(Y, X_model, alpha, fit.coefficients)
     return {
         "kind": cov.kind,

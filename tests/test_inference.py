@@ -324,7 +324,9 @@ class TestBootstrapSinglePass:
             fail_replicates(monkeypatch, {failing_rep: NumericalError("forced")})
         cov = bootstrap_covariance(Y, X, 0.5, replicates=R, seed=seed)
         np.testing.assert_array_equal(cov.matrix, oracle_cov)
-        np.testing.assert_array_equal(cov.ame_standard_errors, oracle_se)
+        # the AME pass sums over rows and covariates in another order than
+        # marginal_effects does, so the effects move at rounding level
+        np.testing.assert_allclose(cov.ame_standard_errors, oracle_se, rtol=1e-13, atol=0)
         assert cov.failed_replicates == (0 if failing_rep is None else 1)
         assert cov.replicates + cov.failed_replicates == R
 
@@ -475,6 +477,27 @@ class TestBootstrapChunks:
         np.testing.assert_array_equal(chunked.ame_standard_errors, whole.ame_standard_errors)
         assert chunked.diagnostics == whole.diagnostics
         assert chunked.replicates == 7
+
+    def test_ame_blocks_do_not_change_the_effects(self, rng, monkeypatch):
+        # the AME pass over blocks of one replicate gives what one block of
+        # every solved replicate gives, bit for bit, with a failed replicate
+        # dropped from both
+        Y, X, _ = homoskedastic_sim(rng, 120, D=4, p=2)
+        start = fit_alpha_regression(Y, X, 0.5).lm
+        fail_replicates(monkeypatch, {2: NumericalError("forced")})
+        real_ames, blocks, covs = inference._count_weighted_ames, [], []
+
+        def ames(X, B, c):
+            blocks.append(len(B))
+            return real_ames(X, B, c)
+
+        monkeypatch.setattr(inference, "_count_weighted_ames", ames)
+        for doubles in (1 << 40, 1):
+            monkeypatch.setattr(inference, "AME_DOUBLES", doubles)
+            covs.append(bootstrap_covariance(Y, X, 0.5, replicates=7, seed=3, start=start))
+        assert blocks == [6] + [1] * 6
+        whole, single = covs
+        np.testing.assert_array_equal(single.ame_standard_errors, whole.ame_standard_errors)
 
 
 class TestBootstrapDiagnostics:

@@ -690,6 +690,30 @@ class TestHeapStableSteps:
         assert work.used == work.block.size == k * regression._work_doubles(
             self.N, self.D, self.P + 1, r)
 
+    def test_block_capped_at_the_chunk_budget(self, rng, monkeypatch):
+        # one problem that alone needs more than CHUNK_DOUBLES gets a block of
+        # at most CHUNK_DOUBLES; the regions it has no room for are allocated
+        # apart, and the fit is the same, bit for bit
+        Y, X, _ = random_instance(rng, n=300, D=self.D, p=self.P)
+        want = fit_alpha_regression(Y, X, 0.5)
+        works = []
+
+        class Recorded(regression._Work):
+            def __init__(self, capacity, doubles):
+                super().__init__(capacity, doubles)
+                works.append(self)
+
+        cap = regression._work_doubles(300, self.D, self.P + 1, 0) // 3
+        monkeypatch.setattr(regression, "_Work", Recorded)
+        monkeypatch.setattr(regression, "CHUNK_DOUBLES", cap)
+        got = fit_alpha_regression(Y, X, 0.5)
+        (work,) = works
+        assert 0 < work.used <= work.block.size <= cap
+        floats = [a for a in work.arrays.values() if a.dtype == np.float64]
+        assert not all(np.shares_memory(a, work.block) for a in floats)
+        np.testing.assert_array_equal(got.lm.theta, want.lm.theta)
+        assert (got.sse, got.lm.iterations) == (want.sse, want.lm.iterations)
+
 
 class TestOneSolvePath:
     """A plain or weighted fit is the one-problem call of the batch kernel;

@@ -381,10 +381,40 @@ class TestBootstrapRun:
                            **slx_k(model))
         doc, _ = run_fit(config, sim["Y"], sim["X"], sim["coords"])
         cov = bootstrap_covariance(sim["Y"], X, 0.5, replicates=6, seed=4)
-        se = doc["standard_errors"]
-        assert se["ame"] == cov.ame_standard_errors.tolist()
+        se, ame = doc["standard_errors"], cov.ame_standard_errors.tolist()
+        if model == "slx":  # the direct (beta) rows, then the spillover (gamma) rows
+            assert (se["ame_direct"], se["ame_indirect"]) == (ame[:2], ame[2:])
+            assert "ame" not in se
+        else:
+            assert se["ame"] == ame
         assert se["coefficients"] == np.sqrt(np.diag(cov.matrix)).reshape(
             (X.shape[1], 2), order="F").tolist()
+
+    def test_slx_effects_split_into_direct_and_indirect(self):
+        # on the slx design [X | lag] (q = 1 + 2p), replicate r's direct and
+        # indirect AMEs are the count-weighted means of marginal_effects on
+        # its beta and gamma rows
+        n, p, R, seed = 40, 2, 6, 4
+        sim = synthesize(n=n, D=3, p=p, alpha=0.5, noise_scale=0.1,
+                         spatial_mode="slx", seed=14)
+        Y, X = sim["Y"], sim["X"]
+        X_model = np.hstack([X, neighbor_lag(*neighbor_table(sim["coords"], 3), X)])
+        config = RunConfig(model="slx", alpha=0.5, k=3, bootstrap_replicates=R, seed=seed)
+        doc, fit = run_fit(config, Y, X, sim["coords"])
+        draws = []
+        for rep in range(R):
+            counts = np.bincount(np.random.default_rng([seed, rep]).integers(0, n, size=n),
+                                 minlength=n)
+            replicate = spatial.split_slx(fit_alpha_regression(
+                Y, X_model, 0.5, weights=counts, theta0=fit.lm.theta,
+                damping0=fit.lm.damping), p)
+            draws.append([[counts @ marginal_effects(B, replicate.fitted, k) / n
+                           for k in range(1, p + 1)] for B in (replicate.beta, replicate.gamma)])
+        se = doc["standard_errors"]
+        got = np.array([se["ame_direct"], se["ame_indirect"]])
+        assert got.shape == (2, p, 3)
+        np.testing.assert_allclose(got, np.std(np.array(draws), axis=0, ddof=1),
+                                   rtol=1e-13, atol=0)
 
 
 class TestBootstrapDiagnostics:
