@@ -7,14 +7,16 @@ document: config echo, selection scores, coefficients, per-component
 observed-fitted correlations, divergence, and average marginal effects per
 covariate.  The lagged-covariate (SLX) model is fit, given standard errors
 and predicted as the plain model on ``[X | lag_k]`` (``fit_alpha_slx`` in
-one call); ``split_slx`` only reports its ``beta``/``gamma`` split and the
-direct, indirect and total effects.  After a selection the final fit
-continues from the search's solutions at the winning point: the plain and
-lagged-covariate fits are the search's full-data fits, and each GWaR
-location starts from its leave-one-out fold; only a run with every
-hyper-parameter fixed fits from scratch.  Documents are deterministic for a
-fixed config, dataset, and seed: no timestamps or wall-clock values are
-included (timing goes to the log instead).
+one call); ``split_slx`` only reports its ``beta``/``gamma`` split.  The
+effects of both are one vectorised pass over the design's covariate columns
+(the bootstrap's formula), SLX's total the sum of its direct and indirect
+rows.  After a selection the final fit continues from the search's
+solutions at the winning point: the plain and lagged-covariate fits are the
+search's full-data fits, on the search's own design, and each GWaR location
+starts from its leave-one-out fold; only a run with every hyper-parameter
+fixed builds ``[X | lag_k]`` and fits from scratch.  Documents are
+deterministic for a fixed config, dataset, and seed: no timestamps or
+wall-clock values are included (timing goes to the log instead).
 """
 
 import logging
@@ -26,11 +28,10 @@ import numpy as np
 
 from .exceptions import InvalidParameters, MissingColumn, check_integer, check_real
 from .inference import (
-    average_marginal_effects,
+    _count_weighted_ames,
     bootstrap_covariance,
     gwar_marginal_effects,
     sandwich_covariance,
-    slx_effects,
 )
 from .optim import LmOptions
 from .regression import fit_alpha_regression, theta_to_coef
@@ -95,8 +96,18 @@ def _correlations(Y, fitted):
     return out
 
 
-def _ame_table(effects_fn, p):
-    return {f"x{k}": [float(v) for v in effects_fn(k)] for k in range(1, p + 1)}
+def _ame_table(rows):
+    """A (p, D) effects table as the document's ``{"x1": [...], ...}``."""
+    return {f"x{k}": [float(v) for v in row] for k, row in enumerate(rows, 1)}
+
+
+def _ame_rows(model, p, table):
+    """The effects ``table`` of a design's covariate columns, one row each,
+    named: ``ame`` for the plain model, and for SLX's ``[X | lag]`` its first
+    p rows ``ame_direct`` and its last p ``ame_indirect``."""
+    if model == "slx":
+        return {"ame_direct": table[:p], "ame_indirect": table[p:]}
+    return {"ame": table}
 
 
 def _check_coords(config, coords, n):
@@ -153,17 +164,16 @@ def run_fit(config, Y, X, coords=None, covariate_names=None):
             "global_coefficients": fit.global_coefficients.tolist(),
             "kld": fit.kld,
         }
-        margins = {
-            "ame": _ame_table(
-                lambda kk: gwar_marginal_effects(fit, kk).mean(axis=0), p)
-        }
+        margins = {"ame": _ame_table(
+            [gwar_marginal_effects(fit, kk).mean(axis=0) for kk in range(1, p + 1)])}
         se, diagnostics = None, {"gwar": fit.diagnostics}
     else:
-        X_model = X
-        if config.model == "slx":
-            # the first k columns of the search's table, so cv.fit is on X_model
-            X_model = np.hstack([X, neighbor_lag(*neighbor_table(coords, hyper["k"]), X)])
-        fit = cv.fit if cv else fit_alpha_regression(Y, X_model, alpha, opts=config.solver)
+        if cv:  # the search's fit, on its design: X, or [X | lag_k]
+            fit, X_model = cv.fit, cv.design
+        else:
+            X_model = X if config.model == "alpha" else np.hstack(
+                [X, neighbor_lag(*neighbor_table(coords, hyper["k"]), X)])
+            fit = fit_alpha_regression(Y, X_model, alpha, opts=config.solver)
         doc_fit = {
             "coefficients": fit.coefficients.tolist(),
             "sse": fit.sse,
@@ -171,18 +181,14 @@ def run_fit(config, Y, X, coords=None, covariate_names=None):
             "iterations": fit.lm.iterations,
             "converged_by": fit.lm.converged_by.value,
         }
-        if config.model == "alpha":
-            margins = {"ame": _ame_table(lambda kk: average_marginal_effects(fit, kk), p)}
-        else:
+        ames = _ame_rows(config.model, p, _count_weighted_ames(
+            X_model, fit.coefficients[None], np.ones((1, len(Y))))[0])
+        if config.model == "slx":
             fit = split_slx(fit, p)
             doc_fit = {"beta": fit.beta.tolist(), "gamma": fit.gamma.tolist()} | doc_fit
-            effects = {kk: slx_effects(fit, kk) for kk in range(1, p + 1)}
-            margins = {
-                f"ame_{part}": _ame_table(
-                    lambda kk: getattr(effects[kk], part).mean(axis=0), p)
-                for part in ("direct", "indirect", "total")
-            }
-        se, diagnostics = _standard_errors(config, Y, X_model, alpha, fit)
+            ames["ame_total"] = ames["ame_direct"] + ames["ame_indirect"]
+        margins = {name: _ame_table(table) for name, table in ames.items()}
+        se, diagnostics = _standard_errors(config, Y, X_model, alpha, fit, p)
 
     doc = {
         "config": asdict(config),
@@ -217,11 +223,12 @@ def _selection_doc(cv):
     return doc
 
 
-def _standard_errors(config, Y, X_model, alpha, fit):
+def _standard_errors(config, Y, X_model, alpha, fit, p):
     """Sandwich SEs by default; pairs bootstrap when replicates requested.
 
     The bootstrap replicates warm-start from ``fit``, the final fit on
-    ``X_model``, and give the coefficient and AME standard errors together.
+    ``X_model``, and give the coefficient and AME standard errors together,
+    the latter named by :func:`_ame_rows` like the marginal effects.
     Returns the ``standard_errors`` block and the document's ``diagnostics``
     block, which holds the bootstrap's (``None`` without a bootstrap).
     """
@@ -235,21 +242,15 @@ def _standard_errors(config, Y, X_model, alpha, fit):
             Y, X_model, alpha, opts=config.solver,
             replicates=config.bootstrap_replicates, seed=config.seed, start=fit.lm,
         )
-        ame = cov.ame_standard_errors.tolist()
-        if config.model == "slx":  # the rows of [X | lag]: beta's, then gamma's
-            p = len(ame) // 2
-            ames = {"ame_direct": ame[:p], "ame_indirect": ame[p:]}
-        else:
-            ames = {"ame": ame}
+        ames = _ame_rows(config.model, p, cov.ame_standard_errors)
         return {
             "kind": cov.kind,
             "replicates": cov.replicates,
             "failed_replicates": cov.failed_replicates,
             "coefficients": coefficient_se(cov).tolist(),
-        } | ames, {"bootstrap": cov.diagnostics}
+        } | {name: table.tolist() for name, table in ames.items()}, {"bootstrap": cov.diagnostics}
     cov = sandwich_covariance(Y, X_model, alpha, fit.coefficients)
     return {
         "kind": cov.kind,
         "coefficients": coefficient_se(cov).tolist(),
     }, None
-

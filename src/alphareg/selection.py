@@ -4,12 +4,13 @@ Every model is scored by the Kullback-Leibler divergence between held-out
 compositions and their predictions: the plain model grids over the transform
 power alpha, the lagged-covariate model over (alpha, k neighbors), and the
 locally weighted model over (alpha, bandwidth h).  One engine, ``_loocv``,
-runs all three searches; a model only says what its fold i fits on: the
-other rows (plain), those rows lagged without i (lagged-covariate), or those
-rows kernel-weighted at i (locally weighted).  Nothing about a held-out
-location leaks into its own prediction: lagged-covariate folds take their
-neighbors from the full data's neighbor table with location i dropped, which
-is identical to the table of the retained locations and uses nothing of i.
+runs all three searches; a search hands it, as data, what fold i of each of
+its grid points fits on: the other rows (plain), those rows lagged without i
+(lagged-covariate), or those rows kernel-weighted at i (locally weighted).
+Nothing about a held-out location leaks into its own prediction:
+lagged-covariate folds take their neighbors from the full data's neighbor
+table with location i dropped, which is identical to the table of the
+retained locations and uses nothing of i.
 
 A fold is the full system with weight 0 on its held-out row, so it needs no
 re-sliced data and no re-transformed response: the n folds of a grid point
@@ -18,13 +19,14 @@ chunk by chunk on one thread (two measured slower), with weights built per
 chunk, so no n x n array appears.  Every fold shares the full-data design;
 a lagged-covariate fold adds a patch of the few rows whose lag lost its
 held-out location, so no per-fold design appears either.  Held-out rows are
-scored by one vectorised divergence.  The winning point's full-data fit
-and fold solutions are returned with the scores, and the final fit of
-:mod:`alphareg.run` continues from them.  A fold whose solve fails or whose
-weights are degenerate scores +inf instead of aborting the search; a grid
-on which every point scores +inf raises :class:`NumericalError` rather than
-naming a winner.  Ties at the minimum resolve to the smallest alpha, then
-the smallest k or h.
+scored by one vectorised divergence, and a point's score sums its own fold
+scores alone, so it does not depend on the rest of the grid.  The winning
+point's full-data fit, design and fold solutions are returned with the
+scores, and the final fit of :mod:`alphareg.run` continues from them.  A
+fold whose solve fails or whose weights are degenerate scores +inf instead
+of aborting the search; a grid on which every point scores +inf raises
+:class:`NumericalError` rather than naming a winner.  Ties at the minimum
+resolve to the smallest alpha, then the smallest k or h.
 """
 
 from dataclasses import dataclass, replace
@@ -95,12 +97,14 @@ class CvResult:
     """Grid scores (sums of held-out divergences) and the winning point.
 
     ``per_fold[i]`` holds fold i's score at every grid point (+inf where the
-    fold failed), so ``scores`` is its sum over folds.  The search's
-    solutions at the winning point come with it, so the final fit need not
-    solve them again: ``fit`` is the full-data :class:`FitResult` there (on
-    ``[X | lag_k]`` for the lagged-covariate model), ``fold_theta`` (n, P)
-    the folds' parameters and ``fold_damping`` (n,) their final dampings.  A
-    failed fold holds ``fit``'s parameters at damping 0 (a cold start).
+    fold failed), a view of the search's point-major array, and each score
+    is the sum of its own point's fold scores.  The search's solutions at
+    the winning point come with it, so the final fit need not solve them
+    again: ``fit`` is the full-data :class:`FitResult` there, ``design`` its
+    design (``X``, or ``[X | lag_k]`` for the lagged-covariate model),
+    ``fold_theta`` (n, P) the folds' parameters and ``fold_damping`` (n,)
+    their final dampings.  A failed fold holds ``fit``'s parameters at
+    damping 0 (a cold start).
     """
 
     scores: np.ndarray
@@ -110,6 +114,7 @@ class CvResult:
     ks: Optional[tuple] = None
     hs: Optional[tuple] = None
     fit: Optional[FitResult] = None
+    design: Optional[np.ndarray] = None
     fold_theta: Optional[np.ndarray] = None
     fold_damping: Optional[np.ndarray] = None
 
@@ -171,65 +176,67 @@ def _check_zeros_rule(Y, alphas):
         )
 
 
-def _loocv(Y, X, grid, axis, setup, opts):
+def _check_rows(Y, X):
+    """``Y`` and ``X`` as float arrays, with the 3 rows leave-one-out needs."""
+    Y, X = np.asarray(Y, dtype=np.float64), np.asarray(X, dtype=np.float64)
+    if len(Y) < 3:
+        raise InvalidParameters("leave-one-out needs at least 3 observations")
+    return Y, X
+
+
+def _loocv(Y, grid, axis, points, opts):
     """The leave-one-out search of every model, over ``grid.alphas`` x the
     ``axis`` grid ("ks" or "hs"; ``None`` for alpha alone).
 
-    ``setup(X, n)`` runs after the size check and before the zero rule and
-    returns the model's ``(designs, folds)``.  ``designs[e]`` is the
-    full-data design of extra e, or ``None`` when no fold can use e (its
-    folds score +inf without a fit).  Full-data fits run once per (alpha,
-    distinct design) in grid order, each warm-started from the previous, and
-    the folds at their point start from :func:`_fold_start` of it.
-    ``folds(extra)`` gives the n folds' weights (a :class:`RowBlocks`) and
-    design patches (``None`` where every fold has the full-data design) for
-    :func:`fit_alpha_batch`: fold i is the full data with weight 0 on row i,
-    and its patch never changes row i, on which the fold is scored.
-    Per-fold scores have shape (n, alphas[, extras]), C-contiguous, and
-    ``scores`` is their sum over axis 0.  Each grid point's full-data fit
-    and fold solutions are kept until the winner is known, and the winner's
-    are returned on the :class:`CvResult`.
+    ``points[e]`` is extra e's grid point as data, ``(design, weights,
+    patches)``, or ``None`` when no fold can use e (its folds score +inf
+    without a fit): the full-data design, and the n folds' weights (a
+    :class:`RowBlocks`) and design patches (``None`` where every fold has
+    the full-data design) for :func:`fit_alpha_batch`.  Fold i is the full
+    data with weight 0 on row i, and its patch never changes row i, on which
+    the fold is scored.  For each alpha the full-data fits run first, once
+    per distinct design in grid order, each warm-started from the previous;
+    then each point's folds start from :func:`_fold_start` of its design's
+    fit.  Per-fold scores are point-major, (alphas, extras, n), and a
+    point's score is the sum of its own contiguous row.  The winner's
+    full-data fit, design and fold solutions are returned on the
+    :class:`CvResult`.
     """
     opts = opts or LmOptions()
-    Y = np.asarray(Y, dtype=np.float64)
-    X = np.asarray(X, dtype=np.float64)
-    n = Y.shape[0]
-    if n < 3:
-        raise InvalidParameters("leave-one-out needs at least 3 observations")
-    designs, folds = setup(X, n)
     _check_zeros_rule(Y, grid.alphas)
     extras = (None,) if axis is None else getattr(grid, axis)
 
-    per_fold = np.full((n, len(grid.alphas), len(extras)), np.inf)
-    solutions = {}  # (alpha, extra) index: full-data fit, fold thetas, fold dampings
+    per_fold = np.full((len(grid.alphas), len(extras), len(Y)), np.inf)
+    solutions = {}  # (alpha, extra) index: full-data fit, design, fold thetas, dampings
     theta = None
     for ai, a in enumerate(grid.alphas):
         warm = {}
-        for design in {id(d): d for d in designs if d is not None}.values():
-            warm[id(design)] = fit_alpha_regression(Y, design, a, opts=opts, theta0=theta)
-            theta = warm[id(design)].lm.theta
-        for e, design in enumerate(designs):
-            if design is not None:
-                weights, patches = folds(extras[e])
+        for design, *_ in filter(None, points):
+            if id(design) not in warm:
+                warm[id(design)] = fit_alpha_regression(Y, design, a, opts=opts, theta0=theta)
+                theta = warm[id(design)].lm.theta
+        for e, point in enumerate(points):
+            if point is not None:
+                design, weights, patches = point
                 fit = warm[id(design)]
                 theta0, damping0 = _fold_start(fit)
                 outcomes = fit_alpha_batch(Y, design, a, weights, theta0, opts, damping0,
                                            patches=patches)
                 ok, fold_theta, fold_damping = _fold_solutions(outcomes, theta0)
-                per_fold[:, ai, e] = _heldout_divergence(Y, design, ok, fold_theta)
-                solutions[ai, e] = fit, fold_theta, fold_damping
+                per_fold[ai, e] = _heldout_divergence(Y, design, ok, fold_theta)
+                solutions[ai, e] = fit, design, fold_theta, fold_damping
 
     if axis is None:
-        per_fold = per_fold.reshape(n, len(grid.alphas))
-    scores = per_fold.sum(axis=0)
+        per_fold = per_fold[:, 0]
+    scores = per_fold.sum(axis=-1)
     best = _best_point(scores)
-    fit, fold_theta, fold_damping = solutions[best if axis else (best[0], 0)]
+    fit, design, fold_theta, fold_damping = solutions[best if axis else (best[0], 0)]
     point = {"alphas": grid.alphas}
     if axis is not None:
         point[axis] = extras
     return CvResult(scores=scores, best=tuple(v[i] for v, i in zip(point.values(), best)),
-                    per_fold=per_fold, fit=fit, fold_theta=fold_theta,
-                    fold_damping=fold_damping, **point)
+                    per_fold=np.moveaxis(per_fold, -1, 0), fit=fit, design=design,
+                    fold_theta=fold_theta, fold_damping=fold_damping, **point)
 
 
 def _fold_start(fit):
@@ -272,6 +279,13 @@ def _unit_fold_weights(n):
     return RowBlocks(n, lambda rows: _drop_own_row(np.ones((len(rows), n)), rows))
 
 
+def _kernel_fold_weights(coords, h):
+    """Fold weights of the locally weighted model at bandwidth h: the kernel
+    at the fold's own location, and 0 on its own row."""
+    return RowBlocks(coords.n, lambda rows: _drop_own_row(
+        kernel_weights_at(coords, coords.cart[rows], h), rows))
+
+
 def loocv_alpha(Y, X, grid=None, opts=None):
     """Select alpha for the plain model by leave-one-out divergence.
 
@@ -281,11 +295,8 @@ def loocv_alpha(Y, X, grid=None, opts=None):
     alpha grid.
     """
     grid = grid or CvGrid()
-
-    def setup(X, n):
-        return [X], lambda _: (_unit_fold_weights(n), None)
-
-    return _loocv(Y, X, grid, None, setup, opts)
+    Y, X = _check_rows(Y, X)
+    return _loocv(Y, grid, None, [(X, _unit_fold_weights(len(Y)), None)], opts)
 
 
 def _fold_patches(design, X, idx, d2, k):
@@ -334,31 +345,25 @@ def loocv_slx(Y, X, coords, grid=None, opts=None):
     """
     _check_locations(coords, len(Y))
     grid = grid or CvGrid()
+    Y, X = _check_rows(Y, X)
     n = len(Y)
-    if grid.ks is None and n >= 3:  # fewer rows fail the size check of _loocv
+    if grid.ks is None:
         ks = default_k_grid(n)
         if not ks:
             raise InvalidK(f"no default neighbor count fits n={n} observations: a leave-one-out "
                            f"fold needs k <= n-2 = {n - 2}, and the defaults start at {DEFAULT_KS[0]}")
         grid = replace(grid, ks=ks)
-
-    def setup(X, n):
-        if max(grid.ks) > n - 1:
-            raise InvalidK(f"k={max(grid.ks)} exceeds n-1={n - 1} neighbors")
-        idx, d2 = neighbor_table(coords, min(max(grid.ks) + 1, n - 1))
-        # the full-data designs: the warm starts', held-out row i's and, but
-        # for its patch, fold i's
-        designs = {k: np.hstack([X, neighbor_lag(idx[:, :k], d2[:, :k], X)])
-                   for k in grid.ks if k <= n - 2}
-        patches = {k: _fold_patches(design, X, idx, d2, k) for k, design in designs.items()}
-
-        def folds(k):
-            return _unit_fold_weights(n), patches[k]
-
-        # every k gives the same design width, so the chain carries across k
-        return [designs.get(k) for k in grid.ks], folds
-
-    return _loocv(Y, X, grid, "ks", setup, opts)
+    if max(grid.ks) > n - 1:
+        raise InvalidK(f"k={max(grid.ks)} exceeds n-1={n - 1} neighbors")
+    idx, d2 = neighbor_table(coords, min(max(grid.ks) + 1, n - 1))
+    # the full-data designs: the warm starts', held-out row i's and, but for
+    # its patch, fold i's; of one width for every k, so the chain carries on
+    designs = {k: np.hstack([X, neighbor_lag(idx[:, :k], d2[:, :k], X)])
+               for k in grid.ks if k <= n - 2}
+    patches = {k: _fold_patches(design, X, idx, d2, k) for k, design in designs.items()}
+    weights = _unit_fold_weights(n)
+    points = [(designs[k], weights, patches[k]) if k in designs else None for k in grid.ks]
+    return _loocv(Y, grid, "ks", points, opts)
 
 
 def loocv_gwar(Y, X, coords, grid=None, opts=None):
@@ -374,12 +379,6 @@ def loocv_gwar(Y, X, coords, grid=None, opts=None):
     _check_locations(coords, len(Y))
     grid = grid or CvGrid()
     grid = replace(grid, hs=grid.hs or tuple(default_h_grid(coords)))
-
-    def setup(X, n):
-        def folds(h):
-            return RowBlocks(n, lambda rows: _drop_own_row(
-                kernel_weights_at(coords, coords.cart[rows], h), rows)), None
-
-        return [X] * len(grid.hs), folds
-
-    return _loocv(Y, X, grid, "hs", setup, opts)
+    Y, X = _check_rows(Y, X)
+    return _loocv(Y, grid, "hs", [(X, _kernel_fold_weights(coords, h), None) for h in grid.hs],
+                  opts)

@@ -32,7 +32,7 @@ from alphareg import (
     run_cv,
     run_fit,
 )
-from alphareg import inference, regression, selection, spatial
+from alphareg import inference, regression, run, selection, spatial
 from alphareg.datasets import synthesize
 
 
@@ -118,6 +118,25 @@ class TestRunFit:
         direct = np.asarray(doc["marginal_effects"]["ame_direct"]["x1"])
         indirect = np.asarray(doc["marginal_effects"]["ame_indirect"]["x1"])
         np.testing.assert_allclose(total, direct + indirect, atol=1e-12)
+
+    @pytest.mark.parametrize("model", ["alpha", "slx"])
+    def test_effect_tables_are_the_per_row_means(self, model):
+        # one vectorised pass gives the tables; they are the means of
+        # marginal_effects over the rows, on beta, gamma and beta + gamma
+        # for slx, at rounding level
+        sim = synthesize(n=40, D=4, p=2, alpha=0.5, noise_scale=0.1,
+                         spatial_mode="slx", seed=6)
+        doc, fit = run_fit(RunConfig(model=model, alpha=0.5, **slx_k(model)),
+                           sim["Y"], sim["X"], sim["coords"])
+        rows = {"ame": fit.coefficients} if model == "alpha" else {
+            "ame_direct": fit.beta, "ame_indirect": fit.gamma,
+            "ame_total": fit.beta + fit.gamma}
+        assert list(doc["marginal_effects"]) == list(rows)
+        for name, B in rows.items():
+            for k in (1, 2):
+                np.testing.assert_allclose(
+                    doc["marginal_effects"][name][f"x{k}"],
+                    marginal_effects(B, fit.fitted, k).mean(axis=0), rtol=1e-13, atol=1e-16)
 
     def test_sandwich_se_included_when_requested(self):
         sim = synthesize(n=40, D=3, p=1, alpha=0.5, noise_scale=0.1, seed=7)
@@ -534,6 +553,28 @@ class TestFinalFitFromTheSelection:
             C = cv.fit.coefficients
             assert doc["fit"]["beta"] == C[:3].tolist()
             assert doc["fit"]["gamma"] == [[0.0, 0.0]] + C[3:].tolist()
+
+    def test_selected_slx_takes_the_search_design(self, monkeypatch):
+        # after a search the final fit builds no neighbor table and no lag:
+        # its design, the standard errors' too, is the search's
+        sim = synthesize(n=30, D=3, p=2, alpha=0.5, noise_scale=0.1,
+                         spatial_mode="slx", seed=23)
+        config = RunConfig(model="slx", grid=CvGrid(alphas=(0.5, 1.0), ks=(3, 5)),
+                           with_se=True)
+        args = (sim["Y"], sim["X"], sim["coords"])
+        _, cv = run_cv(config, *args)
+        alpha, k = cv.best
+        lag = neighbor_lag(*neighbor_table(sim["coords"], k), sim["X"])
+        np.testing.assert_array_equal(cv.design, np.hstack([sim["X"], lag]))
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the final fit rebuilt the lag")
+        monkeypatch.setattr(run, "neighbor_table", refused)
+        monkeypatch.setattr(run, "neighbor_lag", refused)
+        doc, _ = run_fit(config, *args)
+        se = inference.sandwich_covariance(sim["Y"], cv.design, alpha, cv.fit.coefficients)
+        assert doc["standard_errors"]["coefficients"] == regression.theta_to_coef(
+            np.sqrt(np.diag(se.matrix)), cv.design.shape[1], 2).tolist()
 
     @pytest.mark.parametrize("model", ["alpha", "slx", "gwar"])
     def test_fixed_hyperparameters_fit_from_scratch(self, monkeypatch, model):

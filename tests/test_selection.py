@@ -392,9 +392,8 @@ class TestLoocvSlxNeighborTable:
                 assert np.all(rows[i, len(lost):] == i), (k, i)
 
     def test_selected_fit_standard_errors_use_the_search_design(self):
-        # run_fit lags the selected k with neighbor_table(coords, k), the
-        # search with the first k columns of its wider table: the two are one
-        # design only through the table's tie rule, which k = 1 exercises here
+        # run_fit takes the search's design, lagged with the first k columns
+        # of its wider table; k = 1 exercises the table's tie rule here
         lat, lon, _ = _fold_layout("tie")
         Y, X, coords = _fold_data(lat, lon, seed=11)
         config = RunConfig(model="slx", grid=CvGrid(alphas=(0.5, 1.0), ks=(1,)),
@@ -438,11 +437,12 @@ class TestSelect:
         leave-one-out engine."""
         seen = {}
         names = {None: "loocv_alpha", "ks": "loocv_slx", "hs": "loocv_gwar"}
-        monkeypatch.setattr(selection, "_loocv", lambda Y, X, grid, axis, *rest:
+        monkeypatch.setattr(selection, "_loocv", lambda Y, grid, axis, *rest:
                             seen.__setitem__(names[axis], grid))
         coords = GeoCoordinates.from_degrees(TIE_LAT, TIE_LON)
+        X = np.column_stack([np.ones(12), np.arange(12.0)])
         for model in ("alpha", "slx", "gwar"):
-            select(model, np.zeros((12, 3)), None, coords, grid)
+            select(model, np.zeros((12, 3)), X, coords, grid)
         return seen, coords
 
     def test_fills_only_the_missing_model_grid(self, monkeypatch):
@@ -579,16 +579,37 @@ class TestScoreSum:
     @pytest.mark.parametrize("chunks", [1, 2])
     @pytest.mark.parametrize("model", ["alpha", "slx", "gwar"])
     def test_scores_are_the_fold_sum_bitwise(self, model, chunks, monkeypatch):
-        # the 15 folds of a fold set are solved in one chunk or in two
+        # the 15 folds of a fold set are solved in one chunk or in two; each
+        # point's score is the sum of its own 15 fold scores taken alone
         monkeypatch.setattr(regression, "_chunk_size", lambda m, *shape: -(-m // chunks))
-        sim = synthesize(n=15, D=3, p=1, alpha=0.5, noise_scale=0.1,
-                         spatial_mode="two_cluster", seed=11)
-        med = median_heuristic_bandwidth(sim["coords"])
-        grid = CvGrid(alphas=(0.5, 1.0), ks=(3, 5), hs=(med / 4.0, 1e6))
-        cv = select(model, sim["Y"], sim["X"], sim["coords"], grid)
-        assert cv.per_fold.shape == (15,) + cv.scores.shape
-        assert cv.per_fold.flags.c_contiguous  # fold axis first, in memory too
-        np.testing.assert_array_equal(cv.scores, cv.per_fold.sum(axis=0))
+        for seed in range(11, 16):
+            sim = synthesize(n=15, D=3, p=1, alpha=0.5, noise_scale=0.1,
+                             spatial_mode="two_cluster", seed=seed)
+            med = median_heuristic_bandwidth(sim["coords"])
+            grid = CvGrid(alphas=(0.5, 1.0), ks=(3, 5), hs=(med / 4.0, 1e6))
+            cv = select(model, sim["Y"], sim["X"], sim["coords"], grid)
+            assert cv.per_fold.shape == (15,) + cv.scores.shape
+            for point in np.ndindex(cv.scores.shape):
+                folds = np.array([cv.per_fold[(i,) + point] for i in range(15)])
+                assert cv.scores[point] == np.sum(folds), (seed, point)
+
+
+class TestGridIndependence:
+    @pytest.mark.parametrize("seed", [1, 4, 5])
+    @pytest.mark.parametrize("model", ["alpha", "slx", "gwar"])
+    def test_first_point_scores_alike_alone_and_in_a_wider_grid(self, model, seed):
+        # fold sums strided across the grid summed in another order than a
+        # point's own: each of these seeds moved the last bit in all three
+        sim = synthesize(60, 4, 2, 0.5, 0.05, spatial_mode="slx", seed=seed)
+        h = median_heuristic_bandwidth(sim["coords"])
+        alone, wider = {
+            "alpha": (CvGrid(alphas=(0.5,)), CvGrid(alphas=(0.5, 1.0))),
+            "slx": (CvGrid(alphas=(0.5,), ks=(3,)), CvGrid(alphas=(0.5,), ks=(3, 5))),
+            "gwar": (CvGrid(alphas=(0.5,), hs=(h,)), CvGrid(alphas=(0.5,), hs=(h, 2 * h))),
+        }[model]
+        args = (sim["Y"], sim["X"], sim["coords"])
+        one = select(model, *args, alone).scores.ravel()[0]
+        assert one.tobytes() == select(model, *args, wider).scores.ravel()[0].tobytes()
 
 
 class TestCvGrid:
