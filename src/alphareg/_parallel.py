@@ -1,12 +1,14 @@
-"""Ordered thread mapping for embarrassingly parallel work units.
+"""The thread-count rule and an ordered map over work units.
 
-Inputs must be read-only for the workers; results are returned in the order
-of ``items`` regardless of scheduling, so callers are deterministic for any
-thread count.
+Every batched loop in the package (folds, GWaR locations, bootstrap
+replicates) runs on one thread, because on two it measured slower.
+``resolve_threads`` is still the one rule for a thread-count setting (the
+CLI's ``--threads`` is checked by it and then ignored), and
+``parallel_map`` is a plain loop that returns results in the order of
+``items``; both stay so that callers and the benchmark that name them run.
 """
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 from .exceptions import InvalidParameters
 
@@ -22,8 +24,5 @@ def resolve_threads(threads):
 
 
 def parallel_map(fn, items, threads=1):
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    """``[fn(item) for item in items]``; ``threads`` is accepted and ignored."""
+    return [fn(item) for item in items]

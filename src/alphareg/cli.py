@@ -5,12 +5,17 @@ document), ``cv`` (selection scores only), ``predict`` (new-data means from
 a saved document), ``margins`` (marginal-effect tables), and ``generate``
 (synthetic datasets with a ground-truth sidecar).
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
+Every subcommand passes on only the options given, so each default is
+defined once: a model setting on :class:`RunConfig`, :class:`CvGrid` or
+:class:`LmOptions`, a generator setting on :func:`synthesize`.  ``predict``
+checks a document's settings by building its :class:`RunConfig`, and every
+CSV is written by :func:`datasets.write_csv`.
+
+Exit codes: 0 success, 1 usage error, 2 data error (an unwritable output
+path too), 3 numerical failure.
 """
 
 import argparse
-import contextlib
-import csv
 import hashlib
 import json
 import logging
@@ -20,19 +25,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .datasets import DatasetSpec, generate_synthetic, load_covariates, load_dataset
+from ._parallel import resolve_threads
+from .datasets import (SPATIAL_MODES, DatasetSpec, generate_synthetic, load_covariates,
+                       load_dataset, path_errors, write_csv)
 from .exceptions import (
     AlphaRegError,
     DataError,
     InvalidParameters,
     NumericalError,
     TrainingDataChanged,
-    check_integer,
-    check_real,
 )
 from .optim import LmOptions
 from .regression import fitted_mean, kld
-from .run import MODELS, RunConfig, run_cv, run_fit
+from .run import HYPERPARAMETERS, MODELS, RunConfig, run_cv, run_fit
 from .selection import CvGrid
 from .spatial import GwarFit, local_fitted_mean, neighbor_lag, neighbor_table, predict_gwar
 
@@ -58,18 +63,13 @@ def _int_list(text):
 
 
 def _threads(text):
-    """A thread count, or ``auto`` (0), checked and then ignored: ``--threads``
-    stays accepted so that command lines that give it still run."""
-    if text == "auto":
-        return 0
+    """A thread count checked by :func:`resolve_threads` and then ignored:
+    ``--threads`` stays accepted so that command lines that give it still run."""
     try:
-        count = int(text)
-    except ValueError:
-        count = None
-    if count is None or count < 0:
+        return resolve_threads(text)
+    except (ValueError, InvalidParameters):
         raise argparse.ArgumentTypeError(
-            f"expected 'auto' or an integer >= 0, got {text!r}")
-    return count
+            f"expected 'auto' or an integer >= 0, got {text!r}") from None
 
 
 def _add_dataset_args(sp):
@@ -145,17 +145,18 @@ def build_parser():
     predict.add_argument("--out", default=None, help="output CSV (default stdout)")
     predict.set_defaults(handler=_cmd_predict)
 
-    gen = sub.add_parser("generate", help="write a synthetic dataset")
+    # dest names are synthesize's parameters; one not given keeps its default
+    gen = sub.add_parser("generate", help="write a synthetic dataset",
+                         argument_default=argparse.SUPPRESS)
     gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--components", type=int, required=True)
-    gen.add_argument("--covariates", type=int, required=True)
-    gen.add_argument("--alpha", type=float, default=0.5)
-    gen.add_argument("--noise-scale", type=float, default=0.0)
-    gen.add_argument("--spatial-mode", choices=("none", "two_cluster", "slx"),
-                     default="none")
-    gen.add_argument("--slx-k", type=int, default=5)
-    gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--out-dir", default=".")
+    gen.add_argument("--components", dest="D", type=int, required=True)
+    gen.add_argument("--covariates", dest="p", type=int, required=True)
+    gen.add_argument("--alpha", type=float)
+    gen.add_argument("--noise-scale", type=float)
+    gen.add_argument("--spatial-mode", choices=SPATIAL_MODES)
+    gen.add_argument("--slx-k", type=int)
+    gen.add_argument("--seed", type=int)
+    gen.add_argument("--out-dir")
     gen.set_defaults(handler=_cmd_generate)
     return parser
 
@@ -187,34 +188,25 @@ def _emit(doc, out_path):
     except ValueError as exc:  # NaN or infinity, which strict JSON forbids
         raise NumericalError(f"result document is not valid JSON: {exc}") from None
     if out_path:
-        Path(out_path).write_text(text, encoding="utf-8")
+        with path_errors(out_path, "write"):
+            Path(out_path).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
 
 
-def _write_csv(path, header, rows):
-    """Rows to the CSV file ``path``, or to stdout when it is None; a float
-    is written with 17 significant digits."""
-    with (open(path, "w", newline="", encoding="utf-8") if path
-          else contextlib.nullcontext(sys.stdout)) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
-
-
 def _export_tables(doc, fitted, csv_dir, D):
     out = Path(csv_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    with path_errors(out, "write"):
+        out.mkdir(parents=True, exist_ok=True)
     comp = [f"component_{j + 1}" for j in range(D)]
     corr = doc["fit"]["observed_fitted_correlation"]
     # a constant column has no correlation (None): its cell stays empty
-    _write_csv(out / "correlations.csv", comp,
-               [[None if v is None else float(v) for v in corr]])
+    write_csv(out / "correlations.csv", comp,
+              [[None if v is None else float(v) for v in corr]])
     for name, table in doc["marginal_effects"].items():
         rows = [[cov] + [float(v) for v in vals] for cov, vals in table.items()]
-        _write_csv(out / f"{name}.csv", ["covariate"] + comp, rows)
-    _write_csv(out / "fitted.csv", comp, fitted.tolist())
+        write_csv(out / f"{name}.csv", ["covariate"] + comp, rows)
+    write_csv(out / "fitted.csv", comp, fitted.tolist())
 
 
 def _run(args):
@@ -256,55 +248,51 @@ def _cmd_cv(args):
 
 
 def _cmd_predict(args):
-    model, columns, dataset, params = _read_model_doc(args.model_doc)
+    config, columns, dataset, coefficients = _read_model_doc(args.model_doc)
     X_new, coords_new = load_covariates(DatasetSpec(path=args.data, **columns))
-    if model == "slx":
-        X_new = _slx_design(params["k"], dataset, X_new, coords_new)
-    mu = (_predict_gwar_from_doc(params, dataset, X_new, coords_new) if model == "gwar"
-          else fitted_mean(X_new, params["coefficients"]))
-    _write_csv(args.out, columns["composition_columns"], mu.tolist())
+    if config.model != "alpha" and coords_new is None:
+        raise InvalidParameters("prediction for this model needs coordinates")
+    if config.model == "slx":
+        X_new = _slx_design(config.k, dataset, X_new, coords_new)
+    mu = (_predict_gwar_from_doc(config, coefficients, dataset, X_new, coords_new)
+          if config.model == "gwar" else fitted_mean(X_new, coefficients["coefficients"]))
+    write_csv(args.out, columns["composition_columns"], mu.tolist())
     return 0
 
 
 def _read_model_doc(path):
-    """The model, dataset columns, dataset block and fitted parameters that
-    ``predict`` reads from a fit document.
+    """The run settings, dataset columns, dataset block and fitted
+    coefficients that ``predict`` reads from a fit document.
 
     A missing or non-JSON file, or any missing or malformed field, is a
     :class:`DataError` naming the file; so is a number that is not finite
     (``NaN``, ``Infinity``, or one too large for a double), a coefficient
-    that is not a number, and a setting outside the range its
-    :class:`RunConfig` field allows.
+    that is not a number, and a hyper-parameter or solver setting that
+    :class:`RunConfig` refuses or that is unset.
     """
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"),
                          parse_float=_finite_number, parse_constant=_finite_number)
         model, dataset, fit = doc["config"]["model"], doc["dataset"], doc["fit"]
-        if model not in MODELS:
-            raise ValueError(f"unknown model {model!r}")
+        chosen = {name: doc["hyperparameters"][name]
+                  for name in HYPERPARAMETERS.get(model, ())}
+        if None in chosen.values():
+            raise ValueError(f"hyperparameters left unset: {chosen}")
+        config = RunConfig(model=model, solver=LmOptions(**doc["config"]["solver"]),
+                           **chosen)
         keys = ["composition_columns", "covariate_columns"]
         if model != "alpha":
             keys += ["lat_column", "lon_column"]
         columns = {key: dataset[key] for key in keys}
-        if model == "gwar":
-            params = {
-                "local": _real_array(fit["local_coefficients"]),
-                "global": _real_array(fit["global_coefficients"]),
-                "alpha": check_real("alpha", doc["hyperparameters"]["alpha"], "[-1, 1]"),
-                "h": check_real("bandwidth h", doc["hyperparameters"]["h"], "(0, inf)"),
-                "opts": LmOptions(**doc["config"]["solver"]),
-            }
-        else:
-            params = {"coefficients": _real_array(fit["coefficients"])}
-            if model == "slx":
-                params["k"] = doc["hyperparameters"]["k"]
-                check_integer("neighbor count k", params["k"], 1)
+        names = (("local_coefficients", "global_coefficients") if model == "gwar"
+                 else ("coefficients",))
+        coefficients = {name: _real_array(fit[name]) for name in names}
     except (OSError, ValueError, OverflowError, LookupError, TypeError,
             InvalidParameters) as exc:
         raise DataError(
             f"model document {path} is not readable as a fit result: "
             f"{type(exc).__name__}: {exc}") from None
-    return model, columns, dataset, params
+    return config, columns, dataset, coefficients
 
 
 def _finite_number(text):
@@ -344,40 +332,33 @@ def _train_data(dataset):
 
 def _slx_design(k, dataset, X_new, coords_new):
     """``[X_new | lag]``, each new row lagged by its k nearest training locations."""
-    if coords_new is None:
-        raise InvalidParameters("prediction for this model needs coordinates")
     _, X_train, coords_train = _train_data(dataset)
     return np.hstack([X_new, neighbor_lag(*neighbor_table(coords_train, k, query=coords_new),
                                           X_train)])
 
 
-def _predict_gwar_from_doc(params, dataset, X_new, coords_new):
+def _predict_gwar_from_doc(config, coefficients, dataset, X_new, coords_new):
     """Rebuild the locally weighted fit from its document (no refitting)."""
-    if coords_new is None:
-        raise InvalidParameters("prediction for this model needs coordinates")
     Y_train, X_train, coords_train = _train_data(dataset)
-    fitted = local_fitted_mean(X_train, params["local"])
+    fitted = local_fitted_mean(X_train, coefficients["local_coefficients"])
     fit = GwarFit(
-        local_coefficients=params["local"],
-        alpha=params["alpha"],
-        h=params["h"],
+        local_coefficients=coefficients["local_coefficients"],
+        alpha=config.alpha,
+        h=config.h,
         fitted=fitted,
         kld=kld(Y_train, fitted),
-        global_coefficients=params["global"],
+        global_coefficients=coefficients["global_coefficients"],
         train_Y=Y_train,
         train_X=X_train,
         train_coords=coords_train,
-        opts=params["opts"],
+        opts=config.solver,
     )
     return predict_gwar(fit, X_new, coords_new)
 
 
 def _cmd_generate(args):
-    data_path, truth_path = generate_synthetic(
-        n=args.n, D=args.components, p=args.covariates, alpha=args.alpha,
-        noise_scale=args.noise_scale, spatial_mode=args.spatial_mode,
-        seed=args.seed, out_dir=args.out_dir, slx_k=args.slx_k,
-    )
+    settings = {k: v for k, v in vars(args).items() if k not in ("command", "handler")}
+    data_path, truth_path = generate_synthetic(**settings)
     sys.stdout.write(json.dumps({"data": data_path, "truth": truth_path}) + "\n")
     return 0
 

@@ -1,7 +1,8 @@
 """Dataset ingestion and synthetic data generation.
 
 Input files are UTF-8 comma-separated values with a header row and decimal
-points.  Composition columns are closed to proportions at ingestion: rows
+points; a leading byte-order mark is dropped, and a requested column must be
+named once in the header.  Composition columns are closed to proportions at ingestion: rows
 already summing to 1 within 1e-10 are taken as-is (so a generate/load round
 trip is exact), anything else is re-closed with a logged warning.  Row sums
 near 100 are flagged as percentages in that warning.  Zero cells are kept
@@ -14,13 +15,16 @@ the simplex, so the fitted model is correctly specified for the synthetic
 data.  For alpha > 0, components pushed below zero by the inversion are
 clipped to exact zeros; for alpha <= 0 noise that leaves the transform's
 image is an error.  A ground-truth sidecar (JSON) records coefficients and
-settings.
+settings.  :func:`write_csv` is the one CSV writer, of data, predictions and
+tables alike: floats with 17 significant digits, so reloading is exact.
 """
 
+import contextlib
 import csv
 import json
 import logging
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -61,12 +65,17 @@ class DatasetSpec:
             raise InvalidParameters(f"columns used twice: {sorted(overlap)}")
 
 
-def _read_table(path):
+@contextlib.contextmanager
+def path_errors(path, action):
+    """An OSError in the block as a :class:`DataError`: cannot ``action`` ``path``."""
     try:
-        fh = open(path, newline="", encoding="utf-8")
+        yield
     except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from None
-    with fh:
+        raise DataError(f"cannot {action} {path}: {exc}") from None
+
+
+def _read_table(path):
+    with path_errors(path, "read"), open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -77,8 +86,11 @@ def _read_table(path):
 
 
 def _column(header, rows, name, path):
-    if name not in header:
+    count = header.count(name)
+    if not count:
         raise MissingColumn(f"column {name!r} not found in {path}")
+    if count > 1:
+        raise DataError(f"column {name!r} appears {count} times in the header of {path}")
     j = header.index(name)
     cells = [row[j].strip() if j < len(row) else "" for row in rows]
     out = np.array([_parse_cell(cell) for cell in cells], dtype=np.float64)
@@ -157,7 +169,7 @@ def _covariates(header, rows, spec):
 SPATIAL_MODES = ("none", "two_cluster", "slx")
 
 
-def synthesize(n, D, p, alpha, noise_scale=0.0, spatial_mode="none", seed=0,
+def synthesize(n, D, p, alpha=0.5, noise_scale=0.0, spatial_mode="none", seed=0,
                slx_k=5):
     """Draw a synthetic dataset with known coefficients.
 
@@ -256,34 +268,39 @@ def _perturb_transformed(mu, alpha, scale, rng):
     return y / y.sum(axis=1, keepdims=True)
 
 
-def generate_synthetic(n, D, p, alpha, noise_scale=0.0, spatial_mode="none",
-                       seed=0, out_dir=".", slx_k=5):
+def write_csv(path, header, rows):
+    """Rows to the CSV file ``path``, or to stdout when it is None; a float
+    is written with 17 significant digits."""
+    with path_errors(path, "write"), (open(path, "w", newline="", encoding="utf-8")
+                                      if path else contextlib.nullcontext(sys.stdout)) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
+
+
+def generate_synthetic(out_dir=".", **settings):
     """Write a synthetic dataset plus its ground-truth sidecar.
 
+    ``settings`` are :func:`synthesize`'s arguments, with its defaults.
     Produces ``data.csv`` (compositions, covariates, and coordinates when
-    spatial) and ``truth.json`` in ``out_dir``; returns both paths.  Values
-    are serialized with 17 significant digits so reloading is exact.
+    spatial) and ``truth.json`` in ``out_dir``; returns both paths.
     """
-    sim = synthesize(n, D, p, alpha, noise_scale, spatial_mode, seed, slx_k)
+    sim = synthesize(**settings)
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    with path_errors(out, "write"):
+        out.mkdir(parents=True, exist_ok=True)
     data_path = out / "data.csv"
     truth_path = out / "truth.json"
 
-    comp_cols = [f"y{j + 1}" for j in range(D)]
-    cov_cols = [f"x{j + 1}" for j in range(p)]
+    comp_cols = [f"y{j + 1}" for j in range(sim["Y"].shape[1])]
+    cov_cols = [f"x{j + 1}" for j in range(sim["X"].shape[1] - 1)]
     header = comp_cols + cov_cols
-    columns = [sim["Y"][:, j] for j in range(D)]
-    columns += [sim["X"][:, 1 + j] for j in range(p)]
+    columns = [sim["Y"], sim["X"][:, 1:]]
     if sim["coords"] is not None:
         header += ["lat", "lon"]
-        columns += [sim["coords"].lat, sim["coords"].lon]
-
-    with open(data_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(n):
-            writer.writerow([f"{col[i]:.17g}" for col in columns])
+        columns += [sim["coords"].lat[:, None], sim["coords"].lon[:, None]]
+    write_csv(data_path, header, np.hstack(columns).tolist())
 
     truth = {
         "settings": sim["settings"],

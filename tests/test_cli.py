@@ -632,6 +632,7 @@ class TestExitCodes:
         ("gwar", "fit.local_coefficients"),
         ("gwar", "fit.global_coefficients"),
         ("gwar", "config.solver"),
+        ("alpha", "config.solver"),
     ])
     def test_incomplete_model_document_is_data_error(self, model, path, dataset,
                                                      tmp_path, capsys):
@@ -674,17 +675,25 @@ class TestExitCodes:
         ("gwar", "fit.local_coefficients.0.0.0", "NaN"),
         ("gwar", "fit.global_coefficients.0.0", "true"),
         ("alpha", "config.model", '"ols"'),
+        ("slx", "hyperparameters.k", "null"),
+        ("gwar", "hyperparameters.h", "null"),
+        ("alpha", "hyperparameters.alpha", "2"),
+        ("slx", "hyperparameters.alpha", "NaN"),
+        ("alpha", "config.solver.max_iterations", "0"),
+        ("slx", "config.solver.sse_rel_tol", "-1"),
     ], ids=["k-fraction", "k-true", "k-string", "k-zero", "coefficient-nan",
             "coefficient-infinity", "coefficient-minus-infinity", "coefficient-overflow",
             "coefficient-integer-overflow", "coefficient-true", "coefficient-string",
             "coefficient-ragged", "slx-coefficient-nan", "alpha-true", "alpha-nan",
             "h-string", "h-zero", "local-coefficient-nan", "global-coefficient-true",
-            "unknown-model"])
+            "unknown-model", "k-null", "h-null", "plain-alpha-two", "slx-alpha-nan",
+            "plain-solver-max-iterations-zero", "slx-solver-negative-tolerance"])
     def test_edited_value_in_model_document_is_data_error(self, model, path, text,
                                                           dataset, tmp_path, capsys):
         # int() truncated k = 5.7 to 5 and read true as 1, json read a NaN
         # coefficient and np.asarray read true and "0.25" as numbers, so these
-        # documents used to predict (rows of nan for NaN)
+        # documents used to predict (rows of nan for NaN); the settings are
+        # RunConfig's, so the alpha and solver of a plain or slx document too
         doc_path, pred_path = tmp_path / "doc.json", tmp_path / "p.csv"
         fixed = {"alpha": [], "slx": ["--k", "4"], "gwar": ["--h", "0.05"]}[model]
         assert main(["fit", "--data", str(dataset), *DATA_ARGS, *GEO_ARGS,
@@ -703,6 +712,97 @@ class TestExitCodes:
         assert code == 2
         assert str(doc_path) in capsys.readouterr().err
         assert not pred_path.exists()
+
+
+class TestInputsAndOutputs:
+    @pytest.mark.parametrize("case", [
+        "fit-out-missing-dir", "cv-out-missing-dir", "fit-out-directory",
+        "fit-csv-dir-file", "predict-out-missing-dir", "generate-out-dir-file",
+    ])
+    def test_unwritable_output_is_data_error(self, case, dataset, tmp_path, capsys):
+        # each used to stop with a traceback (exit 1, the usage-error code)
+        a_file = tmp_path / "a-file"
+        a_file.write_text("keep\n", encoding="utf-8")
+        missing = tmp_path / "missing" / "x.json"
+        fit = ["fit", "--data", str(dataset), *DATA_ARGS, "--alpha", "0.5"]
+        doc_path = tmp_path / "doc.json"
+        if case.startswith("predict"):
+            assert main(fit + ["--out", str(doc_path)]) == 0
+        path, argv = {
+            "fit-out-missing-dir": (missing, fit + ["--out", str(missing)]),
+            "cv-out-missing-dir": (missing, ["cv", *fit[1:], "--out", str(missing)]),
+            "fit-out-directory": (tmp_path, fit + ["--out", str(tmp_path)]),
+            "fit-csv-dir-file": (a_file, fit + ["--csv-dir", str(a_file),
+                                                "--out", str(doc_path)]),
+            "predict-out-missing-dir": (missing, [
+                "predict", "--model-doc", str(doc_path), "--data", str(dataset),
+                "--out", str(missing)]),
+            "generate-out-dir-file": (a_file, [
+                "generate", "--n", "20", "--components", "3", "--covariates", "1",
+                "--out-dir", str(a_file)]),
+        }[case]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert f"cannot write {path}" in capsys.readouterr().err
+        assert not missing.parent.exists()
+        assert a_file.read_text(encoding="utf-8") == "keep\n"
+        assert doc_path.exists() == case.startswith("predict")
+
+    def test_byte_order_mark_fits_like_the_plain_file(self, dataset, tmp_path):
+        # the mark used to become part of 'y1': column 'y1' not found
+        marked = tmp_path / "bom.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + dataset.read_bytes())
+        docs = []
+        for data in (dataset, marked):
+            out = tmp_path / f"{data.stem}.json"
+            assert main(["fit", "--data", str(data), *DATA_ARGS, *GEO_ARGS,
+                         "--model", "slx", "--alpha", "0.5", "--k", "4",
+                         "--out", str(out)]) == 0
+            docs.append(json.loads(out.read_text()))
+            del docs[-1]["dataset"]
+        assert docs[0] == docs[1]
+
+    def test_requested_column_named_twice_is_data_error(self, dataset, tmp_path, capsys):
+        # with x2 renamed to x1, the first x1 used to be read silently
+        renamed = tmp_path / "renamed.csv"
+        header, rest = dataset.read_text().split("\n", 1)
+        renamed.write_text(header.replace("x2", "x1") + "\n" + rest)
+        assert main(["fit", "--data", str(renamed), "--composition-cols", "y1,y2,y3",
+                     "--covariate-cols", "x1", "--alpha", "0.5"]) == 2
+        assert "column 'x1' appears 2 times" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["auto", "0", "2"])
+    def test_accepted_thread_count_changes_nothing(self, threads, dataset, tmp_path):
+        argv = ["fit", "--data", str(dataset), *DATA_ARGS, "--alpha", "0.5",
+                "--bootstrap-replicates", "3"]
+        assert main(argv + ["--out", str(tmp_path / "a.json")]) == 0
+        assert main(argv + ["--threads", threads, "--out", str(tmp_path / "b.json")]) == 0
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    @pytest.mark.parametrize("command", ["fit", "cv", "margins"])
+    def test_document_on_stdout_is_the_out_file(self, command, dataset, tmp_path,
+                                                capsysbinary):
+        argv = [command, "--data", str(dataset), *DATA_ARGS, "--alphas", "0.5,1.0"]
+        out = tmp_path / "doc.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        capsysbinary.readouterr()
+        assert main(argv) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
+
+    @pytest.mark.parametrize("mode", ["none", "slx", "two_cluster"])
+    def test_generate_defaults_are_the_generators(self, mode, tmp_path, monkeypatch):
+        # generate sets no default of its own: left out, each is synthesize's
+        required = ["generate", "--n", "30", "--components", "3", "--covariates", "2"]
+        (tmp_path / "short").mkdir()
+        monkeypatch.chdir(tmp_path / "short")
+        assert main(required + ["--spatial-mode", mode]) == 0
+        monkeypatch.chdir(tmp_path)
+        assert main(required + ["--spatial-mode", mode, "--alpha", "0.5",
+                                "--noise-scale", "0", "--slx-k", "5", "--seed", "0",
+                                "--out-dir", "long"]) == 0
+        for name in ("data.csv", "truth.json"):
+            assert ((tmp_path / "short" / name).read_bytes()
+                    == (tmp_path / "long" / name).read_bytes())
 
 
 class TestResolveThreads:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from alphareg import (
+    DataError,
     DatasetSpec,
     InvalidParameters,
     MissingColumn,
@@ -110,6 +111,29 @@ class TestLoadDataset:
                            **SPEC_KW)
         _, _, coords = load_dataset(spec)
         assert coords is not None and coords.n == 1
+
+    def test_byte_order_mark_dropped(self, tmp_path):
+        # the mark used to become part of the first header name: 'a' not found
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        write_csv(plain, ["a", "b", "c", "x"], [[0.2, 0.3, 0.5, 1.5]])
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for got, want in zip(load_dataset(DatasetSpec(path=str(marked), **SPEC_KW)),
+                             load_dataset(DatasetSpec(path=str(plain), **SPEC_KW))):
+            np.testing.assert_array_equal(got, want)
+
+    def test_requested_column_named_twice_rejected(self, tmp_path):
+        # the first copy used to be read silently
+        path = tmp_path / "d.csv"
+        write_csv(path, ["a", "b", "c", "x", "x"], [[0.2, 0.3, 0.5, 1.0, 2.0]])
+        with pytest.raises(DataError, match="column 'x' appears 2 times"):
+            load_dataset(DatasetSpec(path=str(path), **SPEC_KW))
+
+    def test_duplicate_column_not_requested_is_harmless(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_csv(path, ["a", "b", "c", "x", "note", "note"],
+                  [[0.2, 0.3, 0.5, 1.0, 7.0, 8.0]])
+        _, X, _ = load_dataset(DatasetSpec(path=str(path), **SPEC_KW))
+        np.testing.assert_array_equal(X, [[1.0, 1.0]])
 
     def test_overlapping_columns_rejected(self):
         with pytest.raises(InvalidParameters):
