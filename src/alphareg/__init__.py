@@ -101,8 +101,8 @@ from .selection import (
     median_heuristic_bandwidth,
     select,
 )
-from .datasets import (DatasetSpec, generate_synthetic, load_covariates, load_dataset,
-                       synthesize)
-from .run import RunConfig, run_cv, run_fit
+from .datasets import (DatasetSpec, dataset_record, generate_synthetic, load_covariates,
+                       load_dataset, load_training, synthesize)
+from .run import RunConfig, SavedModel, predict_model, read_model, run_cv, run_fit
 
 __version__ = "0.1.0"

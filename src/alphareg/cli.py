@@ -7,16 +7,17 @@ a saved document), ``margins`` (marginal-effect tables), and ``generate``
 
 Every subcommand passes on only the options given, so each default is
 defined once: a model setting on :class:`RunConfig`, :class:`CvGrid` or
-:class:`LmOptions`, a generator setting on :func:`synthesize`.  ``predict``
-checks a document's settings by building its :class:`RunConfig`, and every
+:class:`LmOptions`, a generator setting on :func:`synthesize`.  Nothing here
+depends on the model: ``fit`` adds the document's dataset block by
+:func:`datasets.dataset_record`, ``predict`` reads a document back by
+:func:`run.read_model` and predicts by :func:`run.predict_model`, and every
 CSV is written by :func:`datasets.write_csv`.
 
 Exit codes: 0 success, 1 usage error, 2 data error (an unwritable output
-path too), 3 numerical failure.
+path too, checked before any data are read), 3 numerical failure.
 """
 
 import argparse
-import hashlib
 import json
 import logging
 import sys
@@ -26,20 +27,12 @@ from pathlib import Path
 import numpy as np
 
 from ._parallel import resolve_threads
-from .datasets import (SPATIAL_MODES, DatasetSpec, generate_synthetic, load_covariates,
-                       load_dataset, path_errors, write_csv)
-from .exceptions import (
-    AlphaRegError,
-    DataError,
-    InvalidParameters,
-    NumericalError,
-    TrainingDataChanged,
-)
+from .datasets import (SPATIAL_MODES, DatasetSpec, dataset_record, generate_synthetic,
+                       load_covariates, load_dataset, path_errors, write_csv)
+from .exceptions import AlphaRegError, DataError, InvalidParameters, NumericalError
 from .optim import LmOptions
-from .regression import fitted_mean, kld
-from .run import HYPERPARAMETERS, MODELS, RunConfig, run_cv, run_fit
+from .run import MODELS, RunConfig, predict_model, read_model, run_cv, run_fit
 from .selection import CvGrid
-from .spatial import GwarFit, local_fitted_mean, neighbor_lag, neighbor_table, predict_gwar
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,13 +66,14 @@ def _threads(text):
 
 
 def _add_dataset_args(sp):
-    sp.add_argument("--data", required=True, help="CSV file with a header row")
-    sp.add_argument("--composition-cols", required=True, type=_csv_list,
-                    help="comma-separated response column names")
-    sp.add_argument("--covariate-cols", required=True, type=_csv_list,
-                    help="comma-separated covariate column names")
-    sp.add_argument("--lat-col", default=None)
-    sp.add_argument("--lon-col", default=None)
+    """Data options, whose dest names are :class:`DatasetSpec`'s fields."""
+    sp.add_argument("--data", dest="path", required=True, help="CSV file with a header row")
+    sp.add_argument("--composition-cols", dest="composition_columns", required=True,
+                    type=_csv_list, help="comma-separated response column names")
+    sp.add_argument("--covariate-cols", dest="covariate_columns", required=True,
+                    type=_csv_list, help="comma-separated covariate column names")
+    sp.add_argument("--lat-col", dest="lat_column")
+    sp.add_argument("--lon-col", dest="lon_column")
 
 
 def _add_model_args(sp):
@@ -115,7 +109,7 @@ def build_parser():
                      description="Compositional regression toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # an option not given sets no attribute (SUPPRESS), see _run_config
+    # an option not given sets no attribute (SUPPRESS), see _given
     fit = sub.add_parser("fit", help="select, fit, and report",
                          argument_default=argparse.SUPPRESS)
     _add_dataset_args(fit)
@@ -161,25 +155,27 @@ def build_parser():
     return parser
 
 
-def _dataset_spec(args):
-    return DatasetSpec(
-        path=args.data,
-        composition_columns=args.composition_cols,
-        covariate_columns=args.covariate_cols,
-        lat_column=args.lat_col,
-        lon_column=args.lon_col,
-    )
+def _given(args, cls):
+    """The fields of ``cls`` given on the command line; the rest keep their defaults."""
+    return {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
 
 
 def _run_config(args):
-    """The run settings given on the command line; the rest keep their defaults."""
-    given = vars(args)
+    return RunConfig(**_given(args, RunConfig), grid=CvGrid(**_given(args, CvGrid)),
+                     solver=LmOptions(**_given(args, LmOptions)))
 
-    def settings(cls):
-        return {f.name: given[f.name] for f in fields(cls) if f.name in given}
 
-    return RunConfig(**settings(RunConfig), grid=CvGrid(**settings(CvGrid)),
-                     solver=LmOptions(**settings(LmOptions)))
+def _check_outputs(args):
+    """Fail before any work where an output cannot be written: an ``--out``
+    that is a directory or lies in a missing one, or a ``--csv-dir`` that is
+    a file or lies under one.  Creates nothing; the writes still map their
+    own errors (:func:`path_errors`), a denied permission among them."""
+    out, csv_dir = getattr(args, "out", None), getattr(args, "csv_dir", None)
+    if out and (Path(out).is_dir() or not Path(out).parent.is_dir()):
+        raise DataError(f"cannot write {out}: not a file in an existing directory")
+    existing = csv_dir and next(p for p in (Path(csv_dir), *Path(csv_dir).parents) if p.exists())
+    if existing and not existing.is_dir():
+        raise DataError(f"cannot write {csv_dir}: {existing} is not a directory")
 
 
 def _emit(doc, out_path):
@@ -194,11 +190,11 @@ def _emit(doc, out_path):
         sys.stdout.write(text)
 
 
-def _export_tables(doc, fitted, csv_dir, D):
+def _export_tables(doc, fitted, csv_dir):
     out = Path(csv_dir)
     with path_errors(out, "write"):
         out.mkdir(parents=True, exist_ok=True)
-    comp = [f"component_{j + 1}" for j in range(D)]
+    comp = [f"component_{j + 1}" for j in range(fitted.shape[1])]
     corr = doc["fit"]["observed_fitted_correlation"]
     # a constant column has no correlation (None): its cell stays empty
     write_csv(out / "correlations.csv", comp,
@@ -211,23 +207,15 @@ def _export_tables(doc, fitted, csv_dir, D):
 
 def _run(args):
     config = _run_config(args)  # settings are checked before the data are read
-    Y, X, coords = load_dataset(_dataset_spec(args))
-    return run_fit(config, Y, X, coords, covariate_names=args.covariate_cols)
+    Y, X, coords = load_dataset(DatasetSpec(**_given(args, DatasetSpec)))
+    return run_fit(config, Y, X, coords, covariate_names=args.covariate_columns)
 
 
 def _cmd_fit(args):
     doc, fit = _run(args)
-    doc["dataset"] = {
-        "path": args.data,
-        "resolved_path": str(Path(args.data).resolve()),
-        "sha256": _sha256(args.data),
-        "composition_columns": args.composition_cols,
-        "covariate_columns": args.covariate_cols,
-        "lat_column": args.lat_col,
-        "lon_column": args.lon_col,
-    }
+    doc["dataset"] = dataset_record(DatasetSpec(**_given(args, DatasetSpec)))
     if args.csv_dir:
-        _export_tables(doc, fit.fitted, args.csv_dir, fit.fitted.shape[1])
+        _export_tables(doc, fit.fitted, args.csv_dir)
     _emit(doc, args.out)
     return 0
 
@@ -236,63 +224,31 @@ def _cmd_margins(args):
     doc, _ = _run(args)
     keys = ("hyperparameters", "marginal_effects", "standard_errors", "diagnostics")
     _emit({key: doc[key] for key in keys if key in doc}
-          | {"covariate_names": args.covariate_cols}, args.out)
+          | {"covariate_names": args.covariate_columns}, args.out)
     return 0
 
 
 def _cmd_cv(args):
     config = _run_config(args)
-    selection, _ = run_cv(config, *load_dataset(_dataset_spec(args)))
+    selection, _ = run_cv(config, *load_dataset(DatasetSpec(**_given(args, DatasetSpec))))
     _emit({"model": config.model, "selection": selection}, args.out)
     return 0
 
 
 def _cmd_predict(args):
-    config, columns, dataset, coefficients = _read_model_doc(args.model_doc)
-    X_new, coords_new = load_covariates(DatasetSpec(path=args.data, **columns))
-    if config.model != "alpha" and coords_new is None:
-        raise InvalidParameters("prediction for this model needs coordinates")
-    if config.model == "slx":
-        X_new = _slx_design(config.k, dataset, X_new, coords_new)
-    mu = (_predict_gwar_from_doc(config, coefficients, dataset, X_new, coords_new)
-          if config.model == "gwar" else fitted_mean(X_new, coefficients["coefficients"]))
-    write_csv(args.out, columns["composition_columns"], mu.tolist())
-    return 0
-
-
-def _read_model_doc(path):
-    """The run settings, dataset columns, dataset block and fitted
-    coefficients that ``predict`` reads from a fit document.
-
-    A missing or non-JSON file, or any missing or malformed field, is a
-    :class:`DataError` naming the file; so is a number that is not finite
-    (``NaN``, ``Infinity``, or one too large for a double), a coefficient
-    that is not a number, and a hyper-parameter or solver setting that
-    :class:`RunConfig` refuses or that is unset.
-    """
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"),
-                         parse_float=_finite_number, parse_constant=_finite_number)
-        model, dataset, fit = doc["config"]["model"], doc["dataset"], doc["fit"]
-        chosen = {name: doc["hyperparameters"][name]
-                  for name in HYPERPARAMETERS.get(model, ())}
-        if None in chosen.values():
-            raise ValueError(f"hyperparameters left unset: {chosen}")
-        config = RunConfig(model=model, solver=LmOptions(**doc["config"]["solver"]),
-                           **chosen)
-        keys = ["composition_columns", "covariate_columns"]
-        if model != "alpha":
-            keys += ["lat_column", "lon_column"]
-        columns = {key: dataset[key] for key in keys}
-        names = (("local_coefficients", "global_coefficients") if model == "gwar"
-                 else ("coefficients",))
-        coefficients = {name: _real_array(fit[name]) for name in names}
+    try:  # a fit document that read_model refuses is a data error naming the file
+        model = read_model(json.loads(Path(args.model_doc).read_text(encoding="utf-8"),
+                                      parse_float=_finite_number,
+                                      parse_constant=_finite_number))
     except (OSError, ValueError, OverflowError, LookupError, TypeError,
             InvalidParameters) as exc:
         raise DataError(
-            f"model document {path} is not readable as a fit result: "
+            f"model document {args.model_doc} is not readable as a fit result: "
             f"{type(exc).__name__}: {exc}") from None
-    return config, columns, dataset, coefficients
+    X_new, coords_new = load_covariates(DatasetSpec(path=args.data, **model.columns))
+    write_csv(args.out, model.columns["composition_columns"],
+              predict_model(model, X_new, coords_new).tolist())
+    return 0
 
 
 def _finite_number(text):
@@ -302,58 +258,6 @@ def _finite_number(text):
     if not np.isfinite(value):
         raise ValueError(f"{text} is not a finite number")
     return value
-
-
-def _real_array(value):
-    """Nested lists of JSON numbers as a float array; a bool or a string
-    among them, or a ragged list, is a ValueError."""
-    array = np.asarray(value, dtype=object)
-    if not all(type(v) in (int, float) for v in array.flat):
-        raise ValueError("coefficients must be nested lists of numbers")
-    return array.astype(np.float64)
-
-
-def _sha256(path):
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _train_data(dataset):
-    """Reload the training file by its resolved path, checking its hash."""
-    path = dataset.get("resolved_path")
-    try:  # a document from before paths and hashes were recorded fails here too
-        same = _sha256(path) == dataset["sha256"]
-    except (OSError, KeyError, TypeError) as exc:
-        raise TrainingDataChanged(f"cannot check training file {path}: {exc}") from None
-    if not same:
-        raise TrainingDataChanged(f"training file {path} changed since the fit")
-    columns = ("composition_columns", "covariate_columns", "lat_column", "lon_column")
-    return load_dataset(DatasetSpec(path=path, **{c: dataset[c] for c in columns}))
-
-
-def _slx_design(k, dataset, X_new, coords_new):
-    """``[X_new | lag]``, each new row lagged by its k nearest training locations."""
-    _, X_train, coords_train = _train_data(dataset)
-    return np.hstack([X_new, neighbor_lag(*neighbor_table(coords_train, k, query=coords_new),
-                                          X_train)])
-
-
-def _predict_gwar_from_doc(config, coefficients, dataset, X_new, coords_new):
-    """Rebuild the locally weighted fit from its document (no refitting)."""
-    Y_train, X_train, coords_train = _train_data(dataset)
-    fitted = local_fitted_mean(X_train, coefficients["local_coefficients"])
-    fit = GwarFit(
-        local_coefficients=coefficients["local_coefficients"],
-        alpha=config.alpha,
-        h=config.h,
-        fitted=fitted,
-        kld=kld(Y_train, fitted),
-        global_coefficients=coefficients["global_coefficients"],
-        train_Y=Y_train,
-        train_X=X_train,
-        train_coords=coords_train,
-        opts=config.solver,
-    )
-    return predict_gwar(fit, X_new, coords_new)
 
 
 def _cmd_generate(args):
@@ -372,6 +276,7 @@ def main(argv=None):
     except SystemExit as exc:  # argparse usage errors and --help
         return int(exc.code or 0)
     try:
+        _check_outputs(args)
         return args.handler(args)
     except DataError as exc:
         sys.stderr.write(f"data error: {exc}\n")

@@ -1,8 +1,9 @@
 """Dataset ingestion and synthetic data generation.
 
 Input files are UTF-8 comma-separated values with a header row and decimal
-points; a leading byte-order mark is dropped, and a requested column must be
-named once in the header.  Composition columns are closed to proportions at ingestion: rows
+points; a leading byte-order mark is dropped, a file that is not UTF-8 is a
+:class:`DataError`, and a requested column must be named once in the
+header.  Composition columns are closed to proportions at ingestion: rows
 already summing to 1 within 1e-10 are taken as-is (so a generate/load round
 trip is exact), anything else is re-closed with a logged warning.  Row sums
 near 100 are flagged as percentages in that warning.  Zero cells are kept
@@ -17,10 +18,14 @@ clipped to exact zeros; for alpha <= 0 noise that leaves the transform's
 image is an error.  A ground-truth sidecar (JSON) records coefficients and
 settings.  :func:`write_csv` is the one CSV writer, of data, predictions and
 tables alike: floats with 17 significant digits, so reloading is exact.
+The fit document's ``dataset`` block is written by :func:`dataset_record`
+and read back by :func:`record_columns` and :func:`load_training`, which
+checks the training file's hash.
 """
 
 import contextlib
 import csv
+import hashlib
 import json
 import logging
 import math
@@ -36,6 +41,7 @@ from .exceptions import (
     InvalidParameters,
     MissingColumn,
     NonNumericCell,
+    TrainingDataChanged,
     check_integer,
     check_real,
 )
@@ -67,10 +73,11 @@ class DatasetSpec:
 
 @contextlib.contextmanager
 def path_errors(path, action):
-    """An OSError in the block as a :class:`DataError`: cannot ``action`` ``path``."""
+    """An OSError in the block, or text that is not UTF-8, as a
+    :class:`DataError`: cannot ``action`` ``path``."""
     try:
         yield
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         raise DataError(f"cannot {action} {path}: {exc}") from None
 
 
@@ -162,6 +169,40 @@ def _covariates(header, rows, spec):
             _column(header, rows, spec.lon_column, spec.path),
         )
     return X, coords
+
+
+RECORD_COLUMNS = ("composition_columns", "covariate_columns", "lat_column", "lon_column")
+
+
+def dataset_record(spec):
+    """The fit document's ``dataset`` block for the data ``spec`` names: the
+    file's path as given and resolved, its SHA-256, and the columns read."""
+    return {"path": spec.path, "resolved_path": str(Path(spec.path).resolve()),
+            "sha256": _sha256(spec.path)} | {c: getattr(spec, c) for c in RECORD_COLUMNS}
+
+
+def record_columns(record, coordinates=True):
+    """The columns a ``dataset`` block names, as :class:`DatasetSpec` keywords
+    (the coordinate ones only with ``coordinates``); a missing one is a KeyError."""
+    return {c: record[c] for c in (RECORD_COLUMNS if coordinates else RECORD_COLUMNS[:2])}
+
+
+def load_training(record):
+    """The data ``(Y, X, coords)`` of a ``dataset`` block, reloaded by its resolved
+    path; a missing file, another hash, or a block without them (an older
+    document) raises :class:`TrainingDataChanged`."""
+    path = record.get("resolved_path")
+    try:
+        same = _sha256(path) == record["sha256"]
+    except (OSError, KeyError, TypeError) as exc:
+        raise TrainingDataChanged(f"cannot check training file {path}: {exc}") from None
+    if not same:
+        raise TrainingDataChanged(f"training file {path} changed since the fit")
+    return load_dataset(DatasetSpec(path=path, **record_columns(record)))
+
+
+def _sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 # -- synthetic data ------------------------------------------------------------

@@ -31,7 +31,6 @@ covariate's effect on every component, with no per-replicate or
 per-covariate call of :func:`marginal_effects`.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -45,7 +44,7 @@ from .exceptions import (
     SingularH,
     check_integer,
 )
-from .optim import Convergence, LmResult
+from .optim import LmResult, solver_diagnostics
 from .regression import (RowBlocks, _derivatives, _inverse_logit, _kron_matrix,
                          fit_alpha_batch, fit_alpha_regression, theta_to_coef)
 
@@ -245,22 +244,6 @@ def _count_weighted_ames(X, B, c):
     ame[..., 1:] += B[:, 1:] * cmu[:, 1:].sum(axis=2)[:, None, :]
     ame /= n
     return ame
-
-
-def solver_diagnostics(outcomes):
-    """JSON-ready record of a set of solves, each outcome an :class:`LmResult`
-    or the exception that failed it: the count per convergence reason, a
-    histogram of LM iterations (keyed by the count, ascending), and the
-    failures by exception type.  Counts only, so it is deterministic."""
-    lms = [o for o in outcomes if isinstance(o, LmResult)]
-    iterations = Counter(lm.iterations for lm in lms)
-    failed = Counter(type(o).__name__ for o in outcomes if not isinstance(o, LmResult))
-    return {
-        "converged_by": {c.value: sum(lm.converged_by is c for lm in lms)
-                         for c in Convergence},
-        "iterations": {str(i): iterations[i] for i in sorted(iterations)},
-        "failed": dict(sorted(failed.items())),
-    }
 
 
 def bootstrap_ame_standard_errors(Y, X, alpha, opts=None, replicates=200, seed=0):

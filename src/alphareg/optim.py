@@ -35,6 +35,7 @@ folds in the weights and forms ``J'J`` from the stacked Jacobian, as the
 reference for the closed forms and the damping schedule.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -102,6 +103,22 @@ class LmResult:
     converged_by: Convergence
     rejections: int = 0
     damping: float = 0.0  # the damping a further step would use; 0 if none was set
+
+
+def solver_diagnostics(outcomes):
+    """JSON-ready record of a set of solves, each outcome an :class:`LmResult`
+    or the exception that failed it: the count per convergence reason, a
+    histogram of LM iterations (keyed by the count, ascending), and the
+    failures by exception type.  Counts only, so it is deterministic."""
+    lms = [o for o in outcomes if isinstance(o, LmResult)]
+    iterations = Counter(lm.iterations for lm in lms)
+    failed = Counter(type(o).__name__ for o in outcomes if not isinstance(o, LmResult))
+    return {
+        "converged_by": {c.value: sum(lm.converged_by is c for lm in lms)
+                         for c in Convergence},
+        "iterations": {str(i): iterations[i] for i in sorted(iterations)},
+        "failed": dict(sorted(failed.items())),
+    }
 
 
 def _next_damping(lam, accepted, opts):

@@ -17,6 +17,10 @@ starts from its leave-one-out fold; only a run with every hyper-parameter
 fixed builds ``[X | lag_k]`` and fits from scratch.  Documents are
 deterministic for a fixed config, dataset, and seed: no timestamps or
 wall-clock values are included (timing goes to the log instead).
+:func:`read_model` reads the blocks written here back, with the dataset
+block by :mod:`alphareg.datasets`, and :func:`predict_model` predicts
+from them; each model's coefficient arrays are named once, in
+``COEFFICIENT_ARRAYS``, for both.
 """
 
 import logging
@@ -26,6 +30,7 @@ from typing import Optional
 
 import numpy as np
 
+from .datasets import load_training, record_columns
 from .exceptions import InvalidParameters, MissingColumn, check_integer, check_real
 from .inference import (
     _count_weighted_ames,
@@ -34,15 +39,19 @@ from .inference import (
     sandwich_covariance,
 )
 from .optim import LmOptions
-from .regression import fit_alpha_regression, theta_to_coef
+from .regression import fit_alpha_regression, fitted_mean, theta_to_coef
 from .selection import CvGrid, select
 from .simplex import _check_alpha
-from .spatial import _check_locations, fit_gwar, neighbor_lag, neighbor_table, split_slx
+from .spatial import (GwarFit, _check_locations, fit_gwar, neighbor_lag, neighbor_table,
+                      predict_gwar, split_slx)
 
 log = logging.getLogger(__name__)
 
 HYPERPARAMETERS = {"alpha": ("alpha",), "slx": ("alpha", "k"), "gwar": ("alpha", "h")}
 MODELS = tuple(HYPERPARAMETERS)
+# each model's coefficient arrays, by fit attribute: run_fit writes, read_model reads
+COEFFICIENT_ARRAYS = {"alpha": ("coefficients",), "slx": ("coefficients",),
+                      "gwar": ("local_coefficients", "global_coefficients")}
 
 
 @dataclass
@@ -159,11 +168,7 @@ def run_fit(config, Y, X, coords=None, covariate_names=None):
     if config.model == "gwar":
         start = None if cv is None else (cv.fit, cv.fold_theta, cv.fold_damping)
         fit = fit_gwar(Y, X, coords, alpha, hyper["h"], opts=config.solver, start=start)
-        doc_fit = {
-            "local_coefficients": fit.local_coefficients.tolist(),
-            "global_coefficients": fit.global_coefficients.tolist(),
-            "kld": fit.kld,
-        }
+        doc_fit = _coefficient_arrays(config.model, fit) | {"kld": fit.kld}
         margins = {"ame": _ame_table(
             [gwar_marginal_effects(fit, kk).mean(axis=0) for kk in range(1, p + 1)])}
         se, diagnostics = None, {"gwar": fit.diagnostics}
@@ -174,8 +179,7 @@ def run_fit(config, Y, X, coords=None, covariate_names=None):
             X_model = X if config.model == "alpha" else np.hstack(
                 [X, neighbor_lag(*neighbor_table(coords, hyper["k"]), X)])
             fit = fit_alpha_regression(Y, X_model, alpha, opts=config.solver)
-        doc_fit = {
-            "coefficients": fit.coefficients.tolist(),
+        doc_fit = _coefficient_arrays(config.model, fit) | {
             "sse": fit.sse,
             "kld": fit.kld,
             "iterations": fit.lm.iterations,
@@ -206,6 +210,71 @@ def run_fit(config, Y, X, coords=None, covariate_names=None):
         doc["covariate_names"] = list(covariate_names)
     log.info("run completed in %.2fs", time.perf_counter() - t0)
     return doc, fit
+
+
+def _coefficient_arrays(model, fit):
+    """The coefficient arrays of ``fit`` that the fit block holds, as lists."""
+    return {name: getattr(fit, name).tolist() for name in COEFFICIENT_ARRAYS[model]}
+
+
+@dataclass
+class SavedModel:
+    """A fit document as :func:`read_model` reads it back; ``columns`` are
+    the :class:`DatasetSpec` keywords that new rows are read with."""
+
+    config: RunConfig
+    coefficients: dict
+    dataset: dict
+    columns: dict
+
+
+def read_model(doc):
+    """The :class:`SavedModel` of a parsed fit document: :func:`run_fit`'s
+    blocks and ``datasets.dataset_record``'s.  The settings are checked by
+    building their :class:`RunConfig` (:class:`InvalidParameters`); a missing
+    field is a KeyError; an unset hyper-parameter, a coefficient that is not
+    a number, and coefficient matrices without one column per composition
+    part but the first are a ValueError."""
+    model = doc["config"]["model"]
+    chosen = {name: doc["hyperparameters"][name] for name in HYPERPARAMETERS.get(model, ())}
+    if None in chosen.values():
+        raise ValueError(f"hyperparameters left unset: {chosen}")
+    config = RunConfig(model=model, solver=LmOptions(**doc["config"]["solver"]), **chosen)
+    columns = record_columns(doc["dataset"], coordinates=model != "alpha")
+    coefficients = {name: _real_array(doc["fit"][name]) for name in COEFFICIENT_ARRAYS[model]}
+    d = len(columns["composition_columns"]) - 1
+    for name, array in coefficients.items():
+        if array.shape[-1:] != (d,):
+            raise ValueError(f"{name} of shape {array.shape}, not {d} columns")
+    return SavedModel(config, coefficients, doc["dataset"], columns)
+
+
+def _real_array(value):
+    """Nested lists of JSON numbers as a float array; a bool or a string
+    among them, or a ragged list, is a ValueError."""
+    array = np.asarray(value, dtype=object)
+    if not all(type(v) in (int, float) for v in array.flat):
+        raise ValueError("coefficients must be nested lists of numbers")
+    return array.astype(np.float64)
+
+
+def predict_model(model, X_new, coords_new=None):
+    """Mean compositions of new rows ``X_new`` (the training design's
+    columns) at ``coords_new`` from a :class:`SavedModel`.  SLX lags each
+    row by its k nearest training locations and GWaR fits each location
+    (:func:`predict_gwar`); only these reload the training data, by
+    ``datasets.load_training``, which checks the file's hash."""
+    config, coefficients = model.config, model.coefficients
+    _check_coords(config, coords_new, len(X_new))
+    if config.model == "alpha":
+        return fitted_mean(X_new, coefficients["coefficients"])
+    Y, X, coords = load_training(model.dataset)
+    if config.model == "slx":
+        lag = neighbor_lag(*neighbor_table(coords, config.k, query=coords_new), X)
+        return fitted_mean(np.hstack([X_new, lag]), coefficients["coefficients"])
+    fit = GwarFit(alpha=config.alpha, h=config.h, train_Y=Y, train_X=X, train_coords=coords,
+                  opts=config.solver, **coefficients)
+    return predict_gwar(fit, X_new, coords_new)
 
 
 def _selection_doc(cv):

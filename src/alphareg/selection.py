@@ -54,8 +54,8 @@ from .regression import (
 )
 from .spatial import (
     _check_locations,
-    kernel_weights_at,
     local_fitted_mean,
+    location_weights,
     neighbor_lag,
     neighbor_table,
     pairwise_chordal_sq,
@@ -268,22 +268,9 @@ def _heldout_divergence(Y, design, ok, theta):
     return out
 
 
-def _drop_own_row(w, rows):
-    """Zero each fold's weight on its own row: fold ``rows[j]`` is row j of ``w``."""
-    w[np.arange(len(rows)), rows] = 0.0
-    return w
-
-
 def _unit_fold_weights(n):
     """Fold weights of the unweighted models: 1, and 0 on the fold's own row."""
-    return RowBlocks(n, lambda rows: _drop_own_row(np.ones((len(rows), n)), rows))
-
-
-def _kernel_fold_weights(coords, h):
-    """Fold weights of the locally weighted model at bandwidth h: the kernel
-    at the fold's own location, and 0 on its own row."""
-    return RowBlocks(coords.n, lambda rows: _drop_own_row(
-        kernel_weights_at(coords, coords.cart[rows], h), rows))
+    return RowBlocks(n, lambda rows: (rows[:, None] != np.arange(n)).astype(np.float64))
 
 
 def loocv_alpha(Y, X, grid=None, opts=None):
@@ -380,5 +367,5 @@ def loocv_gwar(Y, X, coords, grid=None, opts=None):
     grid = grid or CvGrid()
     grid = replace(grid, hs=grid.hs or tuple(default_h_grid(coords)))
     Y, X = _check_rows(Y, X)
-    return _loocv(Y, grid, "hs", [(X, _kernel_fold_weights(coords, h), None) for h in grid.hs],
+    return _loocv(Y, grid, "hs", [(X, location_weights(coords, h, 0.0), None) for h in grid.hs],
                   opts)

@@ -43,8 +43,7 @@ from .exceptions import (
     check_integer,
     check_real,
 )
-from .inference import solver_diagnostics
-from .optim import LmOptions
+from .optim import LmOptions, solver_diagnostics
 from .regression import (
     FitResult,
     RowBlocks,
@@ -212,6 +211,21 @@ def kernel_weights_at(coords, cart_point, h):
                       / (2.0 * max(h * h, np.finfo(float).tiny)))
 
 
+def location_weights(coords, h, own):
+    """The kernel weights of a fit at every location, as :class:`RowBlocks`:
+    row i is :func:`kernel_weights_at` location i, with weight ``own`` on
+    row i itself (1 for the locally weighted fit, 0 for its leave-one-out
+    fold).  A location whose other weights all underflow gets no data at
+    all, its own row included, so its fit fails as degenerate."""
+    def block(rows):
+        w = kernel_weights_at(coords, coords.cart[rows], h)
+        mine = (np.arange(len(rows)), rows)
+        w[mine] = 0.0
+        w[mine] = np.where((np.max(w, axis=1) == 0.0) & (coords.n > 1), 0.0, own)
+        return w
+    return RowBlocks(coords.n, block)
+
+
 def _check_bandwidth(h):
     """``h`` as a float if it is a finite real > 0, as ``RunConfig.h``: a
     real ``h <= 0`` raises :class:`NonpositiveBandwidth`, and anything else
@@ -269,21 +283,22 @@ class GwarFit:
 
     Training inputs and the global warm-start solution are retained so that
     out-of-sample locations can be fit on demand (see :func:`predict_gwar`).
-    ``diagnostics`` records how the location solves stopped
-    (:func:`inference.solver_diagnostics`); a fit rebuilt from a document has
-    none.
+    ``fitted`` and ``kld`` are the training data's, and ``diagnostics``
+    records how the location solves stopped
+    (:func:`optim.solver_diagnostics`); a fit rebuilt from a document, only
+    to predict, has none of these three.
     """
 
     local_coefficients: np.ndarray  # n x (p+1) x d
     alpha: float
     h: float
-    fitted: np.ndarray
-    kld: float
     global_coefficients: np.ndarray
     train_Y: np.ndarray
     train_X: np.ndarray
     train_coords: GeoCoordinates
     opts: LmOptions
+    fitted: Optional[np.ndarray] = None
+    kld: Optional[float] = None
     diagnostics: Optional[dict] = None
 
 
@@ -333,16 +348,7 @@ def fit_gwar(Y, X, coords, alpha, h, opts=None, start=None):
             raise InvalidParameters(
                 f"start was fit at alpha={global_fit.alpha}, not at alpha={alpha}")
 
-    def location_weights(rows):
-        w = kernel_weights_at(coords, coords.cart[rows], h)
-        own = (np.arange(len(rows)), rows)
-        w[own] = 0.0
-        # a location whose other weights all underflow gets no data at all,
-        # so its fit fails as degenerate
-        w[own] = np.where((np.max(w, axis=1) == 0.0) & (n > 1), 0.0, 1.0)
-        return w
-
-    outcomes = fit_alpha_batch(Y, X, alpha, RowBlocks(n, location_weights),
+    outcomes = fit_alpha_batch(Y, X, alpha, location_weights(coords, h, 1.0),
                                theta0, opts, damping0)
     local = _local_coefficients(
         outcomes, X.shape[1], D - 1,
@@ -376,12 +382,19 @@ def predict_gwar(fit, X_new, coords_new):
     location, evaluated at the matching row of ``X_new``; the locations are
     one set of weighted fits, as in :func:`fit_gwar`.  ``X_new`` has the
     training design's columns, and ``coords_new`` one location per row of
-    it.
+    it.  ``fit`` must hold one (q, d) coefficient matrix per training row
+    and one global one, else :class:`DimensionMismatch` names the field.
     """
+    n, q = fit.train_X.shape
+    d = fit.train_Y.shape[1] - 1
+    for name, shape in (("local_coefficients", (n, q, d)), ("global_coefficients", (q, d))):
+        if np.shape(getattr(fit, name)) != shape:
+            raise DimensionMismatch(f"{name} of shape {np.shape(getattr(fit, name))}, not "
+                                    f"{shape} ({n} training rows, {q} columns, {d + 1} parts)")
     X_new = np.asarray(X_new, dtype=np.float64)
-    if X_new.ndim != 2 or X_new.shape[1] != fit.train_X.shape[1]:
+    if X_new.ndim != 2 or X_new.shape[1] != q:
         raise DimensionMismatch(f"new rows {X_new.shape} do not have the "
-                                f"{fit.train_X.shape[1]} columns of the training design")
+                                f"{q} columns of the training design")
     _check_locations(coords_new, len(X_new), "new rows")
     weights = RowBlocks(coords_new.n, lambda rows: kernel_weights_at(
         fit.train_coords, coords_new.cart[rows], fit.h))

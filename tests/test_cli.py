@@ -9,7 +9,10 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from alphareg import CvGrid, InvalidParameters, RunConfig
+from alphareg import (CvGrid, DatasetSpec, InvalidParameters, RunConfig, TrainingDataChanged,
+                      dataset_record, load_covariates, load_dataset, load_training,
+                      predict_model, read_model)
+from alphareg.datasets import write_csv
 from alphareg._parallel import resolve_threads
 from alphareg.cli import main
 
@@ -288,6 +291,55 @@ class TestPredictCommand:
             fitted_mean(X_train[i:i + 1], local[i]) for i in range(len(local))
         ])
         np.testing.assert_allclose(pred, fitted, atol=1e-6)
+
+
+class TestLibraryPredict:
+    """``predict`` is ``read_model`` and ``predict_model`` of the library."""
+
+    @pytest.mark.parametrize("model, fixed", [("alpha", []), ("slx", ["--k", "4"]),
+                                              ("gwar", ["--h", "0.05"])])
+    def test_library_writes_the_bytes_of_the_command(self, model, fixed, dataset,
+                                                     tmp_path):
+        doc_path, out, lib = tmp_path / "fit.json", tmp_path / "cli.csv", tmp_path / "lib.csv"
+        assert main(["fit", "--data", str(dataset), *DATA_ARGS, *GEO_ARGS,
+                     "--model", model, "--alpha", "0.5", *fixed,
+                     "--out", str(doc_path)]) == 0
+        assert main(["predict", "--model-doc", str(doc_path), "--data", str(dataset),
+                     "--out", str(out)]) == 0
+        saved = read_model(json.loads(doc_path.read_text()))
+        mu = predict_model(saved, *load_covariates(
+            DatasetSpec(path=str(dataset), **saved.columns)))
+        write_csv(lib, saved.columns["composition_columns"], mu.tolist())
+        assert lib.read_bytes() == out.read_bytes()
+
+    def test_dataset_block_loads_the_training_data(self, dataset, tmp_path):
+        doc_path = tmp_path / "fit.json"
+        assert main(["fit", "--data", str(dataset), *DATA_ARGS, *GEO_ARGS,
+                     "--model", "slx", "--alpha", "0.5", "--k", "4",
+                     "--out", str(doc_path)]) == 0
+        spec = DatasetSpec(path=str(dataset), composition_columns=["y1", "y2", "y3"],
+                           covariate_columns=["x1", "x2"], lat_column="lat",
+                           lon_column="lon")
+        record = json.loads(doc_path.read_text())["dataset"]
+        assert record == dataset_record(spec)
+        (Y, X, coords), (Y0, X0, coords0) = load_training(record), load_dataset(spec)
+        np.testing.assert_array_equal(Y, Y0)
+        np.testing.assert_array_equal(X, X0)
+        np.testing.assert_array_equal(coords.cart, coords0.cart)
+
+    @pytest.mark.parametrize("model, fixed", [("slx", ["--k", "4"]),
+                                              ("gwar", ["--h", "0.05"])])
+    def test_edited_training_file_raises_through_the_library(self, model, fixed,
+                                                             dataset, tmp_path):
+        doc_path = tmp_path / "fit.json"
+        assert main(["fit", "--data", str(dataset), *DATA_ARGS, *GEO_ARGS,
+                     "--model", model, "--alpha", "0.5", *fixed,
+                     "--out", str(doc_path)]) == 0
+        saved = read_model(json.loads(doc_path.read_text()))
+        new_rows = load_covariates(DatasetSpec(path=str(dataset), **saved.columns))
+        dataset.write_text(dataset.read_text().replace("\n", "\n\n", 1))
+        with pytest.raises(TrainingDataChanged, match="changed since the fit"):
+            predict_model(saved, *new_rows)
 
 
 class TestOtherCommands:
@@ -713,13 +765,45 @@ class TestExitCodes:
         assert str(doc_path) in capsys.readouterr().err
         assert not pred_path.exists()
 
+    @pytest.mark.parametrize("model, field, edit", [
+        ("gwar", "local_coefficients", "row-dropped"),
+        ("gwar", "local_coefficients", "scalar"),
+        ("gwar", "local_coefficients", "narrow"),
+        ("gwar", "global_coefficients", "narrow"),
+        ("alpha", "coefficients", "narrow"),
+        ("slx", "coefficients", "narrow"),
+    ])
+    def test_coefficients_of_the_wrong_shape_are_data_error(self, model, field, edit,
+                                                            dataset, tmp_path, capsys):
+        # gwar: a dropped row or a scalar used to stop with a traceback, and
+        # narrow matrices named the fitted compositions' shape; without the
+        # check a dropped row would shift every location's coefficients by
+        # one.  alpha and slx: narrow matrices used to predict rows one
+        # value short of the header
+        doc_path, pred_path = tmp_path / "doc.json", tmp_path / "p.csv"
+        fixed = {"alpha": [], "slx": ["--k", "4"], "gwar": ["--h", "0.05"]}[model]
+        assert main(["fit", "--data", str(dataset), *DATA_ARGS, *GEO_ARGS, "--model", model,
+                     "--alpha", "0.5", *fixed, "--out", str(doc_path)]) == 0
+        doc = json.loads(doc_path.read_text())
+        value = np.asarray(doc["fit"][field])
+        doc["fit"][field] = {"row-dropped": value[:-1], "scalar": np.float64(0.5),
+                             "narrow": value[..., :-1]}[edit].tolist()
+        doc_path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["predict", "--model-doc", str(doc_path), "--data", str(dataset),
+                     "--out", str(pred_path)]) == 2
+        assert f"{field} of shape" in capsys.readouterr().err
+        assert not pred_path.exists()
+
 
 class TestInputsAndOutputs:
     @pytest.mark.parametrize("case", [
         "fit-out-missing-dir", "cv-out-missing-dir", "fit-out-directory",
-        "fit-csv-dir-file", "predict-out-missing-dir", "generate-out-dir-file",
+        "fit-csv-dir-file", "fit-csv-dir-under-file", "predict-out-missing-dir",
+        "generate-out-dir-file",
     ])
-    def test_unwritable_output_is_data_error(self, case, dataset, tmp_path, capsys):
+    def test_unwritable_output_is_data_error(self, case, dataset, tmp_path, monkeypatch,
+                                             capsys):
         # each used to stop with a traceback (exit 1, the usage-error code)
         a_file = tmp_path / "a-file"
         a_file.write_text("keep\n", encoding="utf-8")
@@ -734,6 +818,8 @@ class TestInputsAndOutputs:
             "fit-out-directory": (tmp_path, fit + ["--out", str(tmp_path)]),
             "fit-csv-dir-file": (a_file, fit + ["--csv-dir", str(a_file),
                                                 "--out", str(doc_path)]),
+            "fit-csv-dir-under-file": (a_file / "sub", fit + [
+                "--csv-dir", str(a_file / "sub"), "--out", str(doc_path)]),
             "predict-out-missing-dir": (missing, [
                 "predict", "--model-doc", str(doc_path), "--data", str(dataset),
                 "--out", str(missing)]),
@@ -741,6 +827,13 @@ class TestInputsAndOutputs:
                 "generate", "--n", "20", "--components", "3", "--covariates", "1",
                 "--out-dir", str(a_file)]),
         }[case]
+
+        def no_work(spec):
+            raise AssertionError("the data were read")
+
+        # the paths are checked before any data are read
+        monkeypatch.setattr("alphareg.cli.load_dataset", no_work)
+        monkeypatch.setattr("alphareg.cli.load_covariates", no_work)
         capsys.readouterr()
         assert main(argv) == 2
         assert f"cannot write {path}" in capsys.readouterr().err
@@ -761,6 +854,22 @@ class TestInputsAndOutputs:
             docs.append(json.loads(out.read_text()))
             del docs[-1]["dataset"]
         assert docs[0] == docs[1]
+
+    @pytest.mark.parametrize("command", ["fit", "predict"])
+    def test_data_file_that_is_not_utf8_is_data_error(self, command, dataset, tmp_path,
+                                                      capsys):
+        # a Latin-1 byte used to stop both with a UnicodeDecodeError traceback
+        latin1, out = tmp_path / "latin1.csv", tmp_path / "out"
+        latin1.write_bytes(dataset.read_bytes().replace(b"\n", b",caf\xe9\n", 1))
+        fit = ["fit", "--data", str(dataset), *DATA_ARGS, "--alpha", "0.5"]
+        argv = fit[:2] + [str(latin1)] + fit[3:]
+        if command == "predict":
+            assert main(fit + ["--out", str(tmp_path / "doc.json")]) == 0
+            argv = ["predict", "--model-doc", str(tmp_path / "doc.json"), "--data", str(latin1)]
+        capsys.readouterr()
+        assert main(argv + ["--out", str(out)]) == 2
+        assert f"data error: cannot read {latin1}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_requested_column_named_twice_is_data_error(self, dataset, tmp_path, capsys):
         # with x2 renamed to x1, the first x1 used to be read silently

@@ -135,6 +135,14 @@ class TestLoadDataset:
         _, X, _ = load_dataset(DatasetSpec(path=str(path), **SPEC_KW))
         np.testing.assert_array_equal(X, [[1.0, 1.0]])
 
+    @pytest.mark.parametrize("loader", [load_dataset, load_covariates])
+    def test_file_that_is_not_utf8_names_the_file(self, loader, tmp_path):
+        # a Latin-1 byte used to escape as a UnicodeDecodeError
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"a,b,c,x,note\n0.2,0.3,0.5,1.0,caf\xe9\n")
+        with pytest.raises(DataError, match=f"cannot read {path}: .*0xe9"):
+            loader(DatasetSpec(path=str(path), **SPEC_KW))
+
     def test_overlapping_columns_rejected(self):
         with pytest.raises(InvalidParameters):
             DatasetSpec(path="x.csv", composition_columns=["a", "b"],
