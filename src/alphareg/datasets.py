@@ -122,9 +122,11 @@ def load_dataset(spec):
     """Load (compositions, design matrix, coordinates) from a CSV file.
 
     Returns ``(Y, X, coords)`` where ``X`` and ``coords`` are as in
-    :func:`load_covariates`.
+    :func:`load_covariates`; a file without data rows is a :class:`DataError`.
     """
     header, rows = _read_table(spec.path)
+    if not rows:  # nothing to fit; new rows to predict at may be none (load_covariates)
+        raise DataError(f"{spec.path} has a header but no data rows")
     Y_raw = np.column_stack(
         [_column(header, rows, c, spec.path) for c in spec.composition_columns]
     )

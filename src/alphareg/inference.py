@@ -38,6 +38,7 @@ import numpy as np
 
 from .exceptions import (
     CovarianceNotPsd,
+    DimensionMismatch,
     InterceptEffectRequested,
     InvalidParameters,
     NumericalError,
@@ -45,8 +46,8 @@ from .exceptions import (
     check_integer,
 )
 from .optim import LmResult, solver_diagnostics
-from .regression import (RowBlocks, _derivatives, _inverse_logit, _kron_matrix,
-                         fit_alpha_batch, fit_alpha_regression, theta_to_coef)
+from .regression import (RowBlocks, _check_problem, _derivatives, _inverse_logit,
+                         _kron_matrix, fit_alpha_batch, fit_alpha_regression, theta_to_coef)
 
 COND_LIMIT = 1e12
 PSD_TOL = -1e-10
@@ -63,11 +64,15 @@ def marginal_effects(B, mu, k):
     ``k`` indexes both the covariate and its coefficient row; ``mu`` holds
     the fitted compositions.  ``B`` may also be an n x (p+1) x d stack, row
     i of ``mu`` then using ``B[i]`` (locally weighted fits).  Returns an
-    n x D table whose rows sum to 0.  ``k`` must be an ``int`` or numpy
-    integer, not a bool; anything else is :class:`InvalidParameters`.
+    n x D table whose rows sum to 0.  Shapes that do not fit are
+    :class:`DimensionMismatch`; ``k`` must be an ``int`` or numpy integer,
+    not a bool, and anything else is :class:`InvalidParameters`.
     """
     B = np.asarray(B, dtype=np.float64)
     mu = np.atleast_2d(np.asarray(mu, dtype=np.float64))
+    stack = () if B.ndim == 2 else (len(mu),)  # a stack holds one matrix per row of mu
+    if mu.ndim != 2 or B.shape[:-2] != stack or B.shape[-1:] != (mu.shape[1] - 1,):
+        raise DimensionMismatch(f"fitted means {mu.shape} do not fit coefficients {B.shape}")
     check_integer("covariate index", k)
     if k == 0:
         raise InterceptEffectRequested("the intercept has no marginal effect")
@@ -192,8 +197,7 @@ def bootstrap_covariance(Y, X, alpha, opts=None, replicates=200, seed=0, start=N
     """
     check_integer("replicates", replicates, 2)
     check_integer("seed", seed, 0)
-    Y = np.asarray(Y, dtype=np.float64)
-    X = np.asarray(X, dtype=np.float64)
+    X, _, Y = _check_problem(X, Y=Y)
     n, D = Y.shape
     p = X.shape[1] - 1
     if start is None:

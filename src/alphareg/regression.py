@@ -33,7 +33,10 @@ turns u and the residuals into the closed-form blocks ``w_i A_i'A_i`` and
 :func:`fit_alpha_batch`, the gradient and both Hessians of ``l = -SSE/2``,
 and the sandwich covariance of :mod:`alphareg.inference`.  Only
 :func:`residual_system`, the tests' reference, forms the explicit ilr
-Jacobian and the stacked (n*d, P) Jacobian.
+Jacobian and the stacked (n*d, P) Jacobian, and checks its arrays by rules
+of its own; every other public function checks a design, and the
+coefficients and response that come with it, by one rule,
+:func:`_check_problem`.
 
 Parameter layout: ``theta = B.ravel(order="F")`` stacks coefficient columns
 component by component, so ``theta[k*(p+1) + a]`` is covariate ``a`` of
@@ -104,16 +107,23 @@ class FitResult:
     lm: LmResult
 
 
-def _check_design(X, B):
-    X = np.asarray(X, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
-    if X.ndim != 2 or B.ndim != 2:
-        raise DimensionMismatch("design and coefficient matrices must be 2-D")
-    if X.shape[1] != B.shape[0]:
-        raise DimensionMismatch(
-            f"design has {X.shape[1]} columns but coefficients have {B.shape[0]} rows"
-        )
-    return X, B
+def _check_problem(X, B=None, Y=None):
+    """The one rule of a regression problem's arrays, returned as float arrays
+    ``(X, B, Y)``: a 2-D design X (n, q) and, if given, coefficients B (q, d)
+    and a response Y (n, d+1); else :class:`DimensionMismatch` names the shapes."""
+    X, B, Y = (None if a is None else np.asarray(a, dtype=np.float64) for a in (X, B, Y))
+    if X.ndim != 2:
+        raise DimensionMismatch(f"design {X.shape} is not 2-D")
+    if B is not None and (B.ndim != 2 or len(B) != X.shape[1]):
+        raise DimensionMismatch(f"coefficients {B.shape} are not 2-D with one row per "
+                                f"column of design {X.shape}")
+    if Y is not None and (Y.ndim != 2 or len(Y) != len(X)):
+        raise DimensionMismatch(f"response {Y.shape} is not 2-D with one row per row of "
+                                f"design {X.shape}")
+    if Y is not None and B is not None and Y.shape[1] != B.shape[1] + 1:
+        raise DimensionMismatch(f"response {Y.shape} does not have one component more than "
+                                f"coefficients {B.shape} have columns")
+    return X, B, Y
 
 
 def theta_to_coef(theta, n_cols, d):
@@ -200,7 +210,7 @@ def fitted_mean(X, B):
     Linear predictors are clamped to +-700 before exponentiation so the map
     never overflows; rows sum to 1 with all entries in (0, 1).
     """
-    X, B = _check_design(X, B)
+    X, B, _ = _check_problem(X, B)
     return np.ascontiguousarray(_logit_map(X, B).T)
 
 
@@ -257,7 +267,7 @@ def transformed_mean(X, B, alpha):
     ``eta_full = (0, eta_1, ..., eta_d)``.
     """
     alpha = _check_alpha(alpha)
-    X, B = _check_design(X, B)
+    X, B, _ = _check_problem(X, B)
     mean, _ = _transformed_mean(X.T, B.T, alpha)
     return mean.T @ helmert_submatrix(len(mean)).T
 
@@ -267,22 +277,9 @@ def _centred_response(Y, alpha):
     return alpha_transform(Y, alpha) @ helmert_submatrix(Y.shape[-1])
 
 
-def _check_response(Y, X, B):
-    Y = np.asarray(Y, dtype=np.float64)
-    B = np.asarray(B, dtype=np.float64)
-    if Y.shape[0] != np.asarray(X).shape[0]:
-        raise DimensionMismatch("response and design row counts differ")
-    if Y.shape[1] != B.shape[1] + 1:
-        raise DimensionMismatch(
-            f"response has {Y.shape[1]} components but coefficients cover "
-            f"{B.shape[1] + 1}"
-        )
-    return Y
-
-
 def sse(Y, X, alpha, B):
     """Sum of squared residuals between transformed data and fitted means."""
-    Y = _check_response(Y, X, B)
+    X, B, Y = _check_problem(X, B, Y)
     r = alpha_transform(Y, alpha) - transformed_mean(X, B, alpha)
     return float(np.sum(r * r))
 
@@ -375,8 +372,7 @@ def _derivatives(Y, X, alpha, B):
     """Checked ``X``, the logit map u (D, n), centred residuals r (D, n) and
     the :func:`_normal_blocks` of one unweighted problem at B."""
     alpha = _check_alpha(alpha)
-    X, B = _check_design(X, B)
-    Y = _check_response(Y, X, B)
+    X, B, Y = _check_problem(X, B, Y)
     mean, u = _transformed_mean(X.T, B.T, alpha)
     r = np.subtract(_centred_response(Y, alpha).T, mean, out=mean)
     return (X, u, r) + _normal_blocks(u, r, np.ones(len(X)))
@@ -487,10 +483,7 @@ def fit_alpha_regression(Y, X, alpha, opts=None, theta0=None, weights=None,
     :func:`fit_alpha_batch`; a failed outcome is raised.
     """
     alpha = _check_alpha(alpha)
-    Y = np.asarray(Y, dtype=np.float64)
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise DimensionMismatch("design matrix must be 2-D")
+    X, _, Y = _check_problem(X, Y=Y)
     (n, D), q = Y.shape, X.shape[1]
     w = np.ones(n) if weights is None else np.asarray(weights, dtype=np.float64)
     y_c = _centred_response(Y, alpha)
@@ -597,22 +590,19 @@ def fit_alpha_batch(Y, X, alpha, weights, theta0, opts=None, damping0=None, patc
 
     Returns m outcomes in problem order: the problem's :class:`LmResult`, or
     the :class:`NumericalError` that failed it (:class:`DegenerateWeights`
-    when every weight is zero, else the solver's error).
+    when every weight is zero, or there are no rows, else the solver's error).
     """
     alpha = _check_alpha(alpha)
-    Y = np.asarray(Y, dtype=np.float64)
+    X, _, Y = _check_problem(X, Y=Y)
     return _fit_batch(_centred_response(Y, alpha), X, alpha, weights, theta0, opts, damping0,
                       patches)
 
 
 def _fit_batch(y_c, X, alpha, weights, theta0, opts, damping0=None, patches=None):
-    """:func:`fit_alpha_batch` on the centred response ``y_c``; ``damping0``
-    (scalar or (m,)) is passed to :func:`optim.lm_batch` as its warm start."""
+    """:func:`fit_alpha_batch` on the centred response ``y_c`` and a checked X;
+    ``damping0`` (scalar or (m,)) is :func:`optim.lm_batch`'s warm start."""
     opts = opts or LmOptions()
     n, d = len(y_c), y_c.shape[1] - 1
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] != n:
-        raise DimensionMismatch(f"design {X.shape} does not fit {n} response rows")
     m, q = len(weights), X.shape[1]
     theta0 = np.asarray(theta0, dtype=np.float64)
     if theta0.shape[-1:] != (q * d,):
@@ -660,11 +650,11 @@ def _fit_batch(y_c, X, alpha, weights, theta0, opts, damping0=None, patches=None
             j, c = np.nonzero(sort[:, 1:] == sort[:, :-1])
             if np.any(w[j, sort[j, c]]):
                 raise InvalidParameters("a row patched twice must have weight 0")
-        live = np.flatnonzero(np.max(w, axis=1) > 0)
+        live = np.flatnonzero(np.max(w, axis=1, initial=0.0) > 0)  # no rows: no weight
         if live.size < len(w):
             w = w[live]
             patch = None if patch is None else tuple(a[live] for a in patch)
-        outs = [DegenerateWeights(f"every weight of problem {j} is zero")
+        outs = [DegenerateWeights(f"problem {j} has no row of nonzero weight")
                 for j in range(block.start, block.stop)]
         warm = None if damping0 is None else damping0[block][live]
         solved = lm_batch(*_batch_system(y_c, X, outer, w, alpha, work, patch),

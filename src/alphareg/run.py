@@ -14,7 +14,9 @@ rows.  After a selection the final fit continues from the search's
 solutions at the winning point: the plain and lagged-covariate fits are the
 search's full-data fits, on the search's own design, and each GWaR location
 starts from its leave-one-out fold; only a run with every hyper-parameter
-fixed builds ``[X | lag_k]`` and fits from scratch.  Documents are
+fixed builds ``[X | lag_k]`` and fits from scratch.  The final fit's
+design must have full column rank, checked after any search, else its
+coefficients are not identified (:class:`DataError`).  Documents are
 deterministic for a fixed config, dataset, and seed: no timestamps or
 wall-clock values are included (timing goes to the log instead).
 :func:`read_model` reads the blocks written here back, with the dataset
@@ -31,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .datasets import load_training, record_columns
-from .exceptions import InvalidParameters, MissingColumn, check_integer, check_real
+from .exceptions import DataError, InvalidParameters, check_integer, check_real
 from .inference import (
     _count_weighted_ames,
     bootstrap_covariance,
@@ -39,7 +41,7 @@ from .inference import (
     sandwich_covariance,
 )
 from .optim import LmOptions
-from .regression import fit_alpha_regression, fitted_mean, theta_to_coef
+from .regression import _check_problem, fit_alpha_regression, fitted_mean, theta_to_coef
 from .selection import CvGrid, select
 from .simplex import _check_alpha
 from .spatial import (GwarFit, _check_locations, fit_gwar, neighbor_lag, neighbor_table,
@@ -121,10 +123,6 @@ def _ame_rows(model, p, table):
 
 def _check_coords(config, coords, n):
     if config.model in ("slx", "gwar"):
-        if coords is None:
-            raise MissingColumn(
-                f"model {config.model!r} requires latitude and longitude columns"
-            )
         _check_locations(coords, n)
 
 
@@ -135,7 +133,6 @@ def run_cv(config, Y, X, coords=None):
     grid axis to itself, so only the unset ones are searched.  ``doc`` is
     the JSON-ready selection block and ``cv`` the :class:`CvResult`.
     """
-    _check_coords(config, coords, len(Y))
     fixed = {f"{name}s": (getattr(config, name),)
              for name in HYPERPARAMETERS[config.model]
              if getattr(config, name) is not None}
@@ -151,8 +148,7 @@ def run_fit(config, Y, X, coords=None, covariate_names=None):
     the module docstring); with every hyper-parameter fixed, the model is
     fit from B = 0.
     """
-    Y = np.asarray(Y, dtype=np.float64)
-    X = np.asarray(X, dtype=np.float64)
+    X, _, Y = _check_problem(X, Y=Y)
     p = X.shape[1] - 1
     _check_coords(config, coords, len(Y))
     t0 = time.perf_counter()
@@ -165,6 +161,14 @@ def run_fit(config, Y, X, coords=None, covariate_names=None):
     hyper = {name: (int if name == "k" else float)(v)
              for name, v in zip(HYPERPARAMETERS[config.model], values)}
     alpha = hyper["alpha"]
+    X_model = cv.design if cv else X  # the final fit's design: X, or [X | lag_k]
+    if cv is None and config.model == "slx":
+        X_model = np.hstack([X, neighbor_lag(*neighbor_table(coords, hyper["k"]), X)])
+    n, q = X_model.shape
+    # n < q is rank-deficient already, and numpy 1.x finds no rank for n = 0
+    if n < q or np.linalg.matrix_rank(X_model) < q:
+        raise DataError(f"the design of {n} rows and {q} columns has rank below {q}: the "
+                        "covariates are linearly dependent or the rows too few")
     if config.model == "gwar":
         start = None if cv is None else (cv.fit, cv.fold_theta, cv.fold_damping)
         fit = fit_gwar(Y, X, coords, alpha, hyper["h"], opts=config.solver, start=start)
@@ -173,12 +177,7 @@ def run_fit(config, Y, X, coords=None, covariate_names=None):
             [gwar_marginal_effects(fit, kk).mean(axis=0) for kk in range(1, p + 1)])}
         se, diagnostics = None, {"gwar": fit.diagnostics}
     else:
-        if cv:  # the search's fit, on its design: X, or [X | lag_k]
-            fit, X_model = cv.fit, cv.design
-        else:
-            X_model = X if config.model == "alpha" else np.hstack(
-                [X, neighbor_lag(*neighbor_table(coords, hyper["k"]), X)])
-            fit = fit_alpha_regression(Y, X_model, alpha, opts=config.solver)
+        fit = cv.fit if cv else fit_alpha_regression(Y, X_model, alpha, opts=config.solver)
         doc_fit = _coefficient_arrays(config.model, fit) | {
             "sse": fit.sse,
             "kld": fit.kld,

@@ -47,6 +47,7 @@ from .optim import LmOptions
 from .regression import (
     FitResult,
     RowBlocks,
+    _check_problem,
     _kld_terms,
     fit_alpha_batch,
     fit_alpha_regression,
@@ -177,8 +178,8 @@ def _check_zeros_rule(Y, alphas):
 
 
 def _check_rows(Y, X):
-    """``Y`` and ``X`` as float arrays, with the 3 rows leave-one-out needs."""
-    Y, X = np.asarray(Y, dtype=np.float64), np.asarray(X, dtype=np.float64)
+    """``Y`` and ``X`` by :func:`_check_problem`, with the 3 rows leave-one-out needs."""
+    X, _, Y = _check_problem(X, Y=Y)
     if len(Y) < 3:
         raise InvalidParameters("leave-one-out needs at least 3 observations")
     return Y, X

@@ -38,6 +38,7 @@ from .exceptions import (
     DimensionMismatch,
     InvalidK,
     InvalidParameters,
+    MissingColumn,
     NonpositiveBandwidth,
     OutOfRangeCoordinate,
     check_integer,
@@ -47,6 +48,7 @@ from .optim import LmOptions, solver_diagnostics
 from .regression import (
     FitResult,
     RowBlocks,
+    _check_problem,
     _inverse_logit,
     coef_to_theta,
     fit_alpha_batch,
@@ -102,8 +104,10 @@ class GeoCoordinates:
 
 
 def _check_locations(coords, n, rows="data rows"):
-    """Raise :class:`DimensionMismatch` unless ``coords`` hold n locations,
-    one per row."""
+    """Raise :class:`MissingColumn` when there are no ``coords``, and
+    :class:`DimensionMismatch` unless they hold n locations, one per row."""
+    if coords is None:
+        raise MissingColumn("the spatial models need latitude and longitude columns")
     if coords.n != n:
         raise DimensionMismatch(f"{coords.n} locations for {n} {rows}")
 
@@ -250,7 +254,7 @@ class SlxFit(FitResult):
     gamma: np.ndarray
 
 
-def fit_alpha_slx(Y, X, lag, alpha, opts=None, theta0=None):
+def fit_alpha_slx(Y, X, lag, alpha, opts=None):
     """Fit the lagged-covariate model: linear predictors ``x'b + (Wx)'g``.
 
     ``lag`` holds the rows ``(Wx)'``, an n x p array such as
@@ -259,13 +263,12 @@ def fit_alpha_slx(Y, X, lag, alpha, opts=None, theta0=None):
     ``[X | lag]``; the coefficient matrix is split back into local and
     spillover parts.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X, _, _ = _check_problem(X)
     lag = np.asarray(lag, dtype=np.float64)
     p = X.shape[1] - 1
     if lag.shape != (X.shape[0], p):
         raise DimensionMismatch(f"lag {lag.shape} does not conform with design {X.shape}")
-    return split_slx(fit_alpha_regression(Y, np.hstack([X, lag]), alpha, opts=opts,
-                                          theta0=theta0), p)
+    return split_slx(fit_alpha_regression(Y, np.hstack([X, lag]), alpha, opts=opts), p)
 
 
 def split_slx(fit, p):
@@ -334,8 +337,7 @@ def fit_gwar(Y, X, coords, alpha, h, opts=None, start=None):
     its other weights underflow.
     """
     h = _check_bandwidth(h)
-    Y = np.asarray(Y, dtype=np.float64)
-    X = np.asarray(X, dtype=np.float64)
+    X, _, Y = _check_problem(X, Y=Y)
     opts = opts or LmOptions()
     n, D = Y.shape
     _check_locations(coords, n)

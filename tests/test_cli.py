@@ -28,6 +28,19 @@ def dataset(tmp_path):
     return tmp_path / "ds" / "data.csv"
 
 
+def edited_copy(dataset, path, edit, rows=None):
+    """``path``, a copy of the CSV file ``dataset`` with each row (a dict of
+    cells by column) passed through ``edit``, kept to its first ``rows``."""
+    with open(dataset, newline="") as fh:
+        reader = csv.DictReader(fh)
+        header, table = reader.fieldnames, [edit(row) for row in reader][:rows]
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, header)
+        writer.writeheader()
+        writer.writerows(table)
+    return path
+
+
 DATA_ARGS = ["--composition-cols", "y1,y2,y3", "--covariate-cols", "x1,x2"]
 GEO_ARGS = ["--lat-col", "lat", "--lon-col", "lon"]
 
@@ -623,6 +636,45 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert message in err
         assert "neighbor grid" not in err
+
+    @pytest.mark.parametrize("command, fixed", [
+        ("fit", ["--alpha", "0.5"]),
+        ("margins", ["--alpha", "0.5"]),
+        ("fit", ["--model", "slx", "--alpha", "0.5", "--k", "3"]),
+        ("fit", ["--model", "gwar", "--alpha", "0.5", "--h", "0.05"]),
+    ], ids=["fit", "margins", "slx", "gwar"])
+    def test_training_file_without_rows_is_data_error(self, command, fixed, dataset,
+                                                       tmp_path, capsys):
+        # these used to end in numpy's ValueError, or blame k for 0 locations
+        empty, out = tmp_path / "empty.csv", tmp_path / "out.json"
+        empty.write_text(dataset.read_text().splitlines(keepends=True)[0])
+        assert main([command, "--data", str(empty), *DATA_ARGS, *GEO_ARGS, *fixed,
+                     "--out", str(out)]) == 2
+        assert f"{empty} has a header but no data rows" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rows, edit", [
+        (None, lambda row: row | {"x1": "1.0"}),  # a constant covariate
+        (None, lambda row: row | {"x2": row["x1"]}),  # one covariate twice
+        (2, lambda row: row),  # 2 rows for 3 design columns
+    ], ids=["constant", "repeated", "two-rows"])
+    @pytest.mark.parametrize("model", ["alpha", "gwar"])
+    def test_dependent_covariates_are_data_error(self, rows, edit, model, dataset,
+                                                 tmp_path, capsys):
+        # these used to exit 0 with coefficients that are not identified
+        data = edited_copy(dataset, tmp_path / "dependent.csv", edit, rows)
+        out = tmp_path / "out.json"
+        fixed = ["--h", "0.05"] if model == "gwar" else []
+        assert main(["fit", "--data", str(data), *DATA_ARGS, *GEO_ARGS, "--model", model,
+                     "--alpha", "0.5", *fixed, "--out", str(out)]) == 2
+        assert "linearly dependent or the rows too few" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cv_scores_dependent_covariates(self, dataset, tmp_path):
+        # leave-one-out scores do not depend on how the coefficients split
+        data = edited_copy(dataset, tmp_path / "constant.csv", lambda row: row | {"x1": "1.0"})
+        assert main(["cv", "--data", str(data), *DATA_ARGS, "--alphas", "0.5",
+                     "--out", str(tmp_path / "cv.json")]) == 0
 
     def test_neighbor_count_of_n_is_data_error(self, tmp_path, capsys):
         # 30 locations have 29 others each

@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 
 from alphareg import (
+    AlphaRegError,
     CvGrid,
+    DataError,
+    DegenerateWeights,
     DimensionMismatch,
     GeoCoordinates,
     InvalidParameters,
@@ -20,9 +23,15 @@ from alphareg import (
     RunConfig,
     bootstrap_covariance,
     default_k_grid,
+    fit_alpha_batch,
     fit_alpha_regression,
     fit_alpha_slx,
     fit_gwar,
+    fitted_mean,
+    gradient,
+    hessian_exact,
+    hessian_gauss_newton,
+    loocv_alpha,
     loocv_gwar,
     loocv_slx,
     marginal_effects,
@@ -31,6 +40,10 @@ from alphareg import (
     predict_gwar,
     run_cv,
     run_fit,
+    sandwich_covariance,
+    select,
+    sse,
+    transformed_mean,
 )
 from alphareg import inference, regression, run, selection, spatial
 from alphareg.datasets import synthesize
@@ -341,6 +354,111 @@ class TestLocationCounts:
         # a one-column X_new used to broadcast over both coefficient rows
         with pytest.raises(DimensionMismatch, match="2 columns of the training design"):
             predict_gwar(fit, X[:5, :1], _first(coords, 5))
+
+
+NO_LOCATIONS = GeoCoordinates.from_degrees([], [])
+B_ZERO = np.zeros((3, 2))
+MALFORMED_PROBLEM_CALLS = {
+    # a 1-D response
+    "fit_alpha_regression.response_1d": (DimensionMismatch, lambda Y, X, g: (
+        fit_alpha_regression(Y[:, 0], X, 0.5))),
+    "fit_alpha_batch.response_1d": (DimensionMismatch, lambda Y, X, g: (
+        fit_alpha_batch(Y[:, 0], X, 0.5, np.ones((2, 30)), np.zeros(6)))),
+    "loocv_alpha.response_1d": (DimensionMismatch, lambda Y, X, g: (
+        loocv_alpha(Y[:, 0], X, CvGrid(alphas=(0.5,))))),
+    "run_fit.response_1d": (DimensionMismatch, lambda Y, X, g: (
+        run_fit(RunConfig(alpha=0.5), Y[:, 0], X))),
+    "sandwich_covariance.response_1d": (DimensionMismatch, lambda Y, X, g: (
+        sandwich_covariance(Y[:, 0], X, 0.5, B_ZERO))),
+    "sse.response_1d": (DimensionMismatch, lambda Y, X, g: sse(Y[:, 0], X, 0.5, B_ZERO)),
+    "gradient.response_1d": (DimensionMismatch, lambda Y, X, g: (
+        gradient(Y[:, 0], X, 0.5, B_ZERO))),
+    # a response, design or coefficients that do not fit the others
+    "hessian_exact.response_of_other_width": (DimensionMismatch, lambda Y, X, g: (
+        hessian_exact(Y, X, 0.5, np.zeros((3, 3))))),
+    "hessian_gauss_newton.response_of_other_length": (DimensionMismatch, lambda Y, X, g: (
+        hessian_gauss_newton(Y[:29], X, 0.5, B_ZERO))),
+    "fitted_mean.coefficients_1d": (DimensionMismatch, lambda Y, X, g: (
+        fitted_mean(X, B_ZERO[:, 0]))),
+    "transformed_mean.coefficients_of_other_length": (DimensionMismatch, lambda Y, X, g: (
+        transformed_mean(X, B_ZERO[:2], 0.5))),
+    # a 1-D design
+    "run_fit.design_1d": (DimensionMismatch, lambda Y, X, g: (
+        run_fit(RunConfig(alpha=0.5), Y, X[:, 1]))),
+    "bootstrap_covariance.design_1d": (DimensionMismatch, lambda Y, X, g: (
+        bootstrap_covariance(Y, X[:, 1], 0.5, replicates=2))),
+    "fit_alpha_slx.design_1d": (DimensionMismatch, lambda Y, X, g: (
+        fit_alpha_slx(Y, X[:, 1], X[:, 1:], 0.5))),
+    # no rows: no weight, or no identified coefficients
+    "fit_alpha_regression.no_rows": (DegenerateWeights, lambda Y, X, g: (
+        fit_alpha_regression(Y[:0], X[:0], 0.5))),
+    "fit_gwar.no_rows": (DegenerateWeights, lambda Y, X, g: (
+        fit_gwar(Y[:0], X[:0], NO_LOCATIONS, 0.5, 0.05))),
+    "run_fit.no_rows": (DataError, lambda Y, X, g: (
+        run_fit(RunConfig(alpha=0.5), Y[:0], X[:0]))),
+    # no locations
+    "loocv_slx.no_locations": (MissingColumn, lambda Y, X, g: loocv_slx(Y, X, None)),
+    "loocv_gwar.no_locations": (MissingColumn, lambda Y, X, g: loocv_gwar(Y, X, None)),
+    "select.slx_no_locations": (MissingColumn, lambda Y, X, g: select("slx", Y, X)),
+    "select.gwar_no_locations": (MissingColumn, lambda Y, X, g: select("gwar", Y, X)),
+    "fit_gwar.no_locations": (MissingColumn, lambda Y, X, g: (
+        fit_gwar(Y, X, None, 0.5, 0.05))),
+    "predict_gwar.no_locations": (MissingColumn, lambda Y, X, g: predict_gwar(g, X, None)),
+    # fitted means that do not fit the coefficients, or a stack of them
+    "marginal_effects.means_of_other_width": (DimensionMismatch, lambda Y, X, g: (
+        marginal_effects(B_ZERO, Y[:, :2], 1))),
+    "marginal_effects.coefficients_1d": (DimensionMismatch, lambda Y, X, g: (
+        marginal_effects(B_ZERO[:, 0], Y, 1))),
+    "marginal_effects.stack_of_other_length": (DimensionMismatch, lambda Y, X, g: (
+        marginal_effects(np.zeros((29, 3, 2)), Y, 1))),
+}
+
+
+class TestMalformedProblem:
+    """A malformed problem is a typed error of its own, never numpy's
+    ValueError or IndexError or an AttributeError of None."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        sim = synthesize(n=30, D=3, p=2, alpha=0.5, noise_scale=0.05,
+                         spatial_mode="slx", seed=1)
+        Y, X, coords = sim["Y"], sim["X"], sim["coords"]
+        return Y, X, coords, fit_gwar(Y, X, coords, 0.5, 0.05)
+
+    @pytest.mark.parametrize("call", list(MALFORMED_PROBLEM_CALLS))
+    def test_is_a_typed_error(self, call, problem):
+        error, run_call = MALFORMED_PROBLEM_CALLS[call]
+        Y, X, _, gwar = problem
+        with pytest.raises(AlphaRegError) as raised:
+            run_call(Y, X, gwar)
+        assert raised.type is error
+
+    def test_names_the_shapes(self, problem):
+        Y, X, _, _ = problem
+        with pytest.raises(DimensionMismatch, match=r"response \(30,\) .* design \(30, 3\)"):
+            run_fit(RunConfig(alpha=0.5), Y[:, 0], X)
+        with pytest.raises(DimensionMismatch, match=r"response \(30, 3\) .* \(3, 3\)"):
+            sse(Y, X, 0.5, np.zeros((3, 3)))
+        with pytest.raises(DimensionMismatch, match=r"means \(30, 2\) .* \(3, 2\)"):
+            marginal_effects(B_ZERO, Y[:, :2], 1)
+
+    @pytest.mark.parametrize("X_of", [
+        lambda X: np.hstack([X, X[:, 1:2]]),  # a covariate twice
+        lambda X: np.hstack([X[:, :1], np.ones((len(X), 1)), X[:, 1:]]),  # a constant one
+    ], ids=["repeated-covariate", "constant-covariate"])
+    @pytest.mark.parametrize("model", ["alpha", "slx", "gwar"])
+    def test_dependent_covariates_are_refused_before_the_final_fit(self, model, X_of,
+                                                                   problem, monkeypatch):
+        Y, X, coords, _ = problem
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the final fit ran")
+
+        fixed = {"slx": {"k": 3}, "gwar": {"h": 0.05}}.get(model, {})
+        for name in ("fit_alpha_regression", "fit_gwar"):
+            monkeypatch.setattr(run, name, unreachable)
+        with pytest.raises(DataError, match="linearly dependent"):
+            run_fit(RunConfig(model=model, alpha=0.5, **fixed), Y, X_of(X), coords)
 
 
 def count_fits(monkeypatch):
