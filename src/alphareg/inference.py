@@ -10,7 +10,12 @@ so every effects row sums to zero exactly: raising one component must lower
 others by the same total.  Lagged-covariate fits decompose into direct
 (local beta), indirect (spillover gamma) and total (beta + gamma) effects
 with identical functional form, and locally weighted fits evaluate the same
-formula per location with that location's coefficients.
+formula per location with that location's coefficients.  These per-row
+tables are the reference; the runs' average effects, of every model and
+of the bootstrap's replicates, come from one vectorised pass
+(:func:`_count_weighted_ames`), which takes one design shared by all its
+fits or one design per fit, so a locally weighted fit is its n one-row
+fits.
 
 Coefficient covariance comes in three flavors: the sandwich estimator
 ``H^-1 M H^-1 / n``, whose bread ``H = J'J / n`` and meat ``M`` (the
@@ -234,15 +239,19 @@ def bootstrap_covariance(Y, X, alpha, opts=None, replicates=200, seed=0, start=N
 
 def _count_weighted_ames(X, B, c):
     """Average marginal effects (k, q-1, D) of every covariate for k fits,
-    with coefficients B (k, q, d) and draw counts c (k, n): the count-weighted
-    means of :func:`marginal_effects` over the rows of X.  With the fitted
-    means ``mu`` (k, D, n), ``cmu = c * mu`` and ``s = B[:, 1:] @ mu[:, 1:]``,
-    the effect of covariate j on component l is
-    ``(b[j, l] * sum_i cmu[l, i] - (s @ cmu')[j, l]) / n``, where b is
+    with coefficients B (k, q, d) and row counts c (k, n): the count-weighted
+    means of :func:`marginal_effects` over the n rows of each fit's design.
+    The design X is one (n, q) array shared by every fit, or one (k, n, q)
+    per fit: a locally weighted fit is n one-row fits ``(X[:, None],
+    local_coefficients, ones((n, 1)))``, whose AMEs are the mean of the
+    results.  With the fitted means ``mu`` (k, D, n), ``cmu = c * mu`` and
+    ``s = B[:, 1:] @ mu[:, 1:]``, the effect of covariate j on component l
+    is ``(b[j, l] * sum_i cmu[l, i] - (s @ cmu')[j, l]) / n``, where b is
     ``B[:, 1:]`` with a zero column for the reference component."""
-    n = len(X)
+    n = X.shape[-2]
     mu = np.empty((len(B), B.shape[2] + 1, n))
-    _inverse_logit((np.swapaxes(B, 1, 2) @ X.T).swapaxes(0, 1), out=mu.swapaxes(0, 1))
+    _inverse_logit((np.swapaxes(B, 1, 2) @ np.swapaxes(X, -1, -2)).swapaxes(0, 1),
+                   out=mu.swapaxes(0, 1))
     cmu = mu * np.asarray(c, dtype=np.float64)[:, None, :]
     ame = -(B[:, 1:] @ mu[:, 1:] @ cmu.swapaxes(1, 2))
     ame[..., 1:] += B[:, 1:] * cmu[:, 1:].sum(axis=2)[:, None, :]

@@ -8,13 +8,15 @@ observed-fitted correlations, divergence, and average marginal effects per
 covariate.  The lagged-covariate (SLX) model is fit, given standard errors
 and predicted as the plain model on ``[X | lag_k]`` (``fit_alpha_slx`` in
 one call); ``split_slx`` only reports its ``beta``/``gamma`` split.  The
-effects of both are one vectorised pass over the design's covariate columns
-(the bootstrap's formula), SLX's total the sum of its direct and indirect
-rows.  After a selection the final fit continues from the search's
-solutions at the winning point: the plain and lagged-covariate fits are the
-search's full-data fits, on the search's own design, and each GWaR location
-starts from its leave-one-out fold; only a run with every hyper-parameter
-fixed builds ``[X | lag_k]`` and fits from scratch.  The final fit's
+effects of all three models are one vectorised pass over the design's
+covariate columns (the bootstrap's formula): a GWaR fit is its n one-row
+fits, each at its location's coefficients, and its effects the mean of
+theirs; SLX's total is the sum of its direct and indirect rows.  After a
+selection the final fit continues from the search's solutions at the
+winning point: the plain and lagged-covariate fits are the search's
+full-data fits, on the search's own design, and each GWaR location starts
+from its leave-one-out fold; only a run with every hyper-parameter fixed
+builds ``[X | lag_k]`` and fits from scratch.  The final fit's
 design must have full column rank, checked after any search, else its
 coefficients are not identified (:class:`DataError`).  Documents are
 deterministic for a fixed config, dataset, and seed: no timestamps or
@@ -34,12 +36,7 @@ import numpy as np
 
 from .datasets import load_training, record_columns
 from .exceptions import DataError, InvalidParameters, check_integer, check_real
-from .inference import (
-    _count_weighted_ames,
-    bootstrap_covariance,
-    gwar_marginal_effects,
-    sandwich_covariance,
-)
+from .inference import _count_weighted_ames, bootstrap_covariance, sandwich_covariance
 from .optim import LmOptions
 from .regression import _check_problem, fit_alpha_regression, fitted_mean, theta_to_coef
 from .selection import CvGrid, select
@@ -173,8 +170,7 @@ def run_fit(config, Y, X, coords=None, covariate_names=None):
         start = None if cv is None else (cv.fit, cv.fold_theta, cv.fold_damping)
         fit = fit_gwar(Y, X, coords, alpha, hyper["h"], opts=config.solver, start=start)
         doc_fit = _coefficient_arrays(config.model, fit) | {"kld": fit.kld}
-        margins = {"ame": _ame_table(
-            [gwar_marginal_effects(fit, kk).mean(axis=0) for kk in range(1, p + 1)])}
+        effects = (X[:, None], fit.local_coefficients, np.ones((n, 1)))  # n one-row fits
         se, diagnostics = None, {"gwar": fit.diagnostics}
     else:
         fit = cv.fit if cv else fit_alpha_regression(Y, X_model, alpha, opts=config.solver)
@@ -184,14 +180,14 @@ def run_fit(config, Y, X, coords=None, covariate_names=None):
             "iterations": fit.lm.iterations,
             "converged_by": fit.lm.converged_by.value,
         }
-        ames = _ame_rows(config.model, p, _count_weighted_ames(
-            X_model, fit.coefficients[None], np.ones((1, len(Y))))[0])
+        effects = (X_model, fit.coefficients[None], np.ones((1, n)))
         if config.model == "slx":
             fit = split_slx(fit, p)
             doc_fit = {"beta": fit.beta.tolist(), "gamma": fit.gamma.tolist()} | doc_fit
-            ames["ame_total"] = ames["ame_direct"] + ames["ame_indirect"]
-        margins = {name: _ame_table(table) for name, table in ames.items()}
         se, diagnostics = _standard_errors(config, Y, X_model, alpha, fit, p)
+    ames = _ame_rows(config.model, p, _count_weighted_ames(*effects).mean(axis=0))
+    if config.model == "slx":
+        ames["ame_total"] = ames["ame_direct"] + ames["ame_indirect"]
 
     doc = {
         "config": asdict(config),
@@ -200,7 +196,7 @@ def run_fit(config, Y, X, coords=None, covariate_names=None):
         "fit": doc_fit | {
             "observed_fitted_correlation": _correlations(Y, fit.fitted)
         },
-        "marginal_effects": margins,
+        "marginal_effects": {name: _ame_table(table) for name, table in ames.items()},
         "standard_errors": se,
     }
     if diagnostics is not None:

@@ -286,10 +286,10 @@ class GwarFit:
 
     Training inputs and the global warm-start solution are retained so that
     out-of-sample locations can be fit on demand (see :func:`predict_gwar`).
-    ``fitted`` and ``kld`` are the training data's, and ``diagnostics``
-    records how the location solves stopped
-    (:func:`optim.solver_diagnostics`); a fit rebuilt from a document, only
-    to predict, has none of these three.
+    ``fitted`` and ``kld`` are the training data's, computed from the
+    training inputs and the local coefficients, so a fit rebuilt from a
+    document has them too.  ``diagnostics`` records how the location solves
+    stopped (:func:`optim.solver_diagnostics`); a rebuilt fit has none.
     """
 
     local_coefficients: np.ndarray  # n x (p+1) x d
@@ -300,9 +300,15 @@ class GwarFit:
     train_X: np.ndarray
     train_coords: GeoCoordinates
     opts: LmOptions
-    fitted: Optional[np.ndarray] = None
-    kld: Optional[float] = None
     diagnostics: Optional[dict] = None
+
+    @property
+    def fitted(self):
+        return local_fitted_mean(self.train_X, self.local_coefficients)
+
+    @property
+    def kld(self):
+        return kld(self.train_Y, self.fitted)
 
 
 def _local_coefficients(outcomes, n_cols, d, degenerate):
@@ -355,13 +361,10 @@ def fit_gwar(Y, X, coords, alpha, h, opts=None, start=None):
     local = _local_coefficients(
         outcomes, X.shape[1], D - 1,
         lambda i: f"all non-self kernel weights underflowed at location {i} (h={h:g})")
-    fitted = local_fitted_mean(X, local)
     return GwarFit(
         local_coefficients=local,
         alpha=float(alpha),
         h=h,
-        fitted=fitted,
-        kld=kld(Y, fitted),
         global_coefficients=global_fit.coefficients,
         train_Y=Y,
         train_X=X,

@@ -43,6 +43,21 @@ def edited_copy(dataset, path, edit, rows=None):
 
 DATA_ARGS = ["--composition-cols", "y1,y2,y3", "--covariate-cols", "x1,x2"]
 GEO_ARGS = ["--lat-col", "lat", "--lon-col", "lon"]
+# each model with its hyper-parameters fixed, and the effects tables it writes
+MODEL_ARGS = {"alpha": ["--model", "alpha", "--alpha", "1.0"],
+              "slx": ["--model", "slx", "--alpha", "0.5", "--k", "3", *GEO_ARGS],
+              "gwar": ["--model", "gwar", "--alpha", "0.5", "--h", "0.05", *GEO_ARGS]}
+EFFECT_TABLES = {"alpha": ("ame",), "slx": ("ame_direct", "ame_indirect", "ame_total"),
+                 "gwar": ("ame",)}
+
+
+def assert_effect_tables(doc):
+    """Every effects table of ``doc`` has one row per covariate (p = 2),
+    and each row sums to 0."""
+    for table in doc["marginal_effects"].values():
+        assert list(table) == ["x1", "x2"]
+        for row in table.values():
+            assert len(row) == 3 and abs(sum(row)) < 1e-12
 
 
 class TestFitCommand:
@@ -73,15 +88,22 @@ class TestFitCommand:
         assert main(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_csv_export(self, dataset, tmp_path):
+    @pytest.mark.parametrize("model", MODEL_ARGS)
+    def test_csv_export(self, model, dataset, tmp_path):
         exp = tmp_path / "tables"
-        code = main(["fit", "--data", str(dataset), *DATA_ARGS,
-                     "--model", "alpha", "--alpha", "1.0",
+        code = main(["fit", "--data", str(dataset), *DATA_ARGS, *MODEL_ARGS[model],
                      "--out", str(tmp_path / "f.json"), "--csv-dir", str(exp)])
         assert code == 0
-        assert (exp / "ame.csv").exists()
-        assert (exp / "correlations.csv").exists()
-        assert (exp / "fitted.csv").exists()
+        doc = json.loads((tmp_path / "f.json").read_text())
+        assert_effect_tables(doc)
+        assert sorted(f.name for f in exp.iterdir()) == sorted(
+            [f"{name}.csv" for name in EFFECT_TABLES[model]]
+            + ["correlations.csv", "fitted.csv"])
+        for name in EFFECT_TABLES[model]:
+            with open(exp / f"{name}.csv", newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert rows[0] == ["covariate", "component_1", "component_2", "component_3"]
+            assert [row[0] for row in rows[1:]] == ["x1", "x2"]
 
     @pytest.mark.parametrize("n", [30, 32])
     def test_csv_export_with_constant_component(self, n, tmp_path):
@@ -408,15 +430,16 @@ class TestOtherCommands:
         assert [[s is None for s in row] for row in selection["scores"]] == \
             [[False, True], [False, True]]
 
-    def test_margins(self, dataset, tmp_path):
+    @pytest.mark.parametrize("model", MODEL_ARGS)
+    def test_margins(self, model, dataset, tmp_path):
         out = tmp_path / "m.json"
-        code = main(["margins", "--data", str(dataset), *DATA_ARGS,
-                     "--model", "alpha", "--alpha", "1.0", "--out", str(out)])
+        code = main(["margins", "--data", str(dataset), *DATA_ARGS, *MODEL_ARGS[model],
+                     "--out", str(out)])
         assert code == 0
         doc = json.loads(out.read_text())
         assert set(doc) >= {"hyperparameters", "marginal_effects"}
-        ame = np.asarray(doc["marginal_effects"]["ame"]["x2"])
-        assert abs(ame.sum()) < 1e-12
+        assert list(doc["marginal_effects"]) == list(EFFECT_TABLES[model])
+        assert_effect_tables(doc)
 
     def test_margins_with_bootstrap_se(self, dataset, tmp_path):
         out = tmp_path / "mb.json"

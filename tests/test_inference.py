@@ -10,6 +10,7 @@ import pytest
 
 from alphareg import (
     Convergence,
+    GwarFit,
     InterceptEffectRequested,
     InvalidParameters,
     LmOptions,
@@ -183,6 +184,49 @@ class TestGwarEffects:
             ])
             np.testing.assert_allclose(gwar_marginal_effects(gfit, k), loop,
                                        rtol=0, atol=1e-14)
+
+    def test_rebuilt_fit_has_the_fitted_fits_effects(self):
+        # a fit rebuilt from its coefficients, as run.predict_model builds
+        # one, stores no means: they follow from its coefficients
+        sim = synthesize(n=40, D=3, p=2, alpha=0.5, noise_scale=0.05,
+                         spatial_mode="two_cluster", seed=5)
+        gfit = fit_gwar(sim["Y"], sim["X"], sim["coords"], 0.5, 0.02)
+        rebuilt = GwarFit(alpha=gfit.alpha, h=gfit.h, train_Y=sim["Y"], train_X=sim["X"],
+                          train_coords=sim["coords"], opts=LmOptions(),
+                          local_coefficients=gfit.local_coefficients,
+                          global_coefficients=gfit.global_coefficients)
+        assert rebuilt.diagnostics is None
+        for k in (1, 2):
+            np.testing.assert_array_equal(gwar_marginal_effects(rebuilt, k),
+                                          gwar_marginal_effects(gfit, k))
+        assert rebuilt.kld == gfit.kld
+
+
+class TestCountWeightedAmes:
+    """The vectorised AME pass on one design per fit (k, n_k, q): a locally
+    weighted fit is its n one-row fits."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 6])
+    def test_per_fit_designs(self, rows, rng):
+        k, q, D = 5, 3, 4
+        X = np.concatenate([np.ones((k, rows, 1)), rng.normal(size=(k, rows, q - 1))], axis=2)
+        B = rng.uniform(-1.0, 1.0, size=(k, q, D - 1))
+        c = rng.integers(1, 4, size=(k, rows)).astype(float)
+        got = inference._count_weighted_ames(X, B, c)
+        assert got.shape == (k, q - 1, D)
+        for f in range(k):
+            mu = fitted_mean(X[f], B[f])
+            want = [c[f] @ marginal_effects(B[f], mu, j) / rows for j in range(1, q)]
+            np.testing.assert_allclose(got[f], want, rtol=0, atol=1e-13)
+
+    def test_shared_design_is_the_broadcast_per_fit_design(self, rng):
+        k, n, q = 4, 7, 3
+        X = np.hstack([np.ones((n, 1)), rng.normal(size=(n, q - 1))])
+        B = rng.uniform(-1.0, 1.0, size=(k, q, 3))
+        c = rng.integers(0, 3, size=(k, n)).astype(float)
+        np.testing.assert_allclose(
+            inference._count_weighted_ames(np.broadcast_to(X, (k, n, q)), B, c),
+            inference._count_weighted_ames(X, B, c), rtol=0, atol=1e-13)
 
 
 class TestSandwich:

@@ -29,6 +29,7 @@ from alphareg import (
     fit_gwar,
     fitted_mean,
     gradient,
+    gwar_marginal_effects,
     hessian_exact,
     hessian_gauss_newton,
     loocv_alpha,
@@ -132,24 +133,30 @@ class TestRunFit:
         indirect = np.asarray(doc["marginal_effects"]["ame_indirect"]["x1"])
         np.testing.assert_allclose(total, direct + indirect, atol=1e-12)
 
-    @pytest.mark.parametrize("model", ["alpha", "slx"])
+    @pytest.mark.parametrize("model", ["alpha", "slx", "gwar"])
     def test_effect_tables_are_the_per_row_means(self, model):
-        # one vectorised pass gives the tables; they are the means of
-        # marginal_effects over the rows, on beta, gamma and beta + gamma
-        # for slx, at rounding level
+        # one vectorised pass gives the tables of every model; they are the
+        # means of marginal_effects over the rows, on beta, gamma and
+        # beta + gamma for slx and on each location's coefficients for gwar,
+        # at rounding level
         sim = synthesize(n=40, D=4, p=2, alpha=0.5, noise_scale=0.1,
                          spatial_mode="slx", seed=6)
-        doc, fit = run_fit(RunConfig(model=model, alpha=0.5, **slx_k(model)),
+        fixed = {"alpha": {}, "slx": {"k": 3}, "gwar": {"h": 0.05}}[model]
+        doc, fit = run_fit(RunConfig(model=model, alpha=0.5, **fixed),
                            sim["Y"], sim["X"], sim["coords"])
-        rows = {"ame": fit.coefficients} if model == "alpha" else {
-            "ame_direct": fit.beta, "ame_indirect": fit.gamma,
-            "ame_total": fit.beta + fit.gamma}
-        assert list(doc["marginal_effects"]) == list(rows)
-        for name, B in rows.items():
+        if model == "gwar":
+            tables = {"ame": lambda k: gwar_marginal_effects(fit, k)}
+        else:
+            rows = {"ame": fit.coefficients} if model == "alpha" else {
+                "ame_direct": fit.beta, "ame_indirect": fit.gamma,
+                "ame_total": fit.beta + fit.gamma}
+            tables = {name: lambda k, B=B: marginal_effects(B, fit.fitted, k)
+                      for name, B in rows.items()}
+        assert list(doc["marginal_effects"]) == list(tables)
+        for name, table in tables.items():
             for k in (1, 2):
-                np.testing.assert_allclose(
-                    doc["marginal_effects"][name][f"x{k}"],
-                    marginal_effects(B, fit.fitted, k).mean(axis=0), rtol=1e-13, atol=1e-16)
+                np.testing.assert_allclose(doc["marginal_effects"][name][f"x{k}"],
+                                           table(k).mean(axis=0), rtol=1e-13, atol=1e-16)
 
     def test_sandwich_se_included_when_requested(self):
         sim = synthesize(n=40, D=3, p=1, alpha=0.5, noise_scale=0.1, seed=7)
