@@ -7,7 +7,6 @@ inference.
 from .exceptions import (
     AlphaRegError,
     AllCoincident,
-    CovarianceNotPsd,
     DataError,
     DegenerateWeights,
     DimensionMismatch,

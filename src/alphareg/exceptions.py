@@ -117,15 +117,11 @@ class SingularNormalEquations(NumericalError):
 
 
 class SingularH(NumericalError):
-    """The curvature matrix of the covariance estimator is ill-conditioned."""
+    """The covariance estimator's design or curvature is ill-conditioned."""
 
 
 class DegenerateWeights(NumericalError):
     """All non-self kernel weights underflowed to zero at the given bandwidth."""
-
-
-class CovarianceNotPsd(NumericalError):
-    """A covariance estimate has eigenvalues below the rounding tolerance."""
 
 
 def check_integer(name, value, least=None):

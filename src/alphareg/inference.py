@@ -23,6 +23,9 @@ residual scores' outer products) come from the same closed-form blocks
 ``A_i'A_i`` and ``A_i'r_i`` as the solver's normal equations, its
 spherical special case ``sigma2 * H^-1 / n``, and a
 nonparametric pairs bootstrap that resamples whole observation rows.  The
+two asymptotic ones are Gram matrices of influence rows formed on the design's
+orthonormal factor, so a covariate's offset or units move no slope's
+standard error.  The
 bootstrap makes one pass: its replicates are one stack of weighted fits of
 :func:`regression.fit_alpha_batch`, warm-started from the full-data fit's
 parameters and final damping, and each solved replicate yields both its
@@ -42,7 +45,6 @@ from typing import Optional
 import numpy as np
 
 from .exceptions import (
-    CovarianceNotPsd,
     DimensionMismatch,
     InterceptEffectRequested,
     InvalidParameters,
@@ -53,9 +55,9 @@ from .exceptions import (
 from .optim import LmResult, solver_diagnostics
 from .regression import (RowBlocks, _check_problem, _derivatives, _inverse_logit,
                          _kron_matrix, fit_alpha_batch, fit_alpha_regression, theta_to_coef)
+from .simplex import _check_alpha
 
 COND_LIMIT = 1e12
-PSD_TOL = -1e-10
 # doubles of per-observation arrays, about n (3D + q) per replicate, in one
 # block of the bootstrap's AME pass: a few replicates at n = 2000, so the
 # pass runs in memory the replicate solves freed
@@ -131,17 +133,6 @@ class CovarianceEstimate:
     diagnostics: Optional[dict] = None  # bootstrap only, see solver_diagnostics
 
 
-def _enforce_psd(M):
-    M = 0.5 * (M + M.T)
-    eigvals, eigvecs = np.linalg.eigh(M)
-    if np.any(eigvals < PSD_TOL * max(1.0, eigvals.max(initial=0.0))):
-        raise CovarianceNotPsd(
-            f"covariance estimate has eigenvalue {eigvals.min():.3e}"
-        )
-    eigvals = np.maximum(eigvals, 0.0)
-    return (eigvecs * eigvals) @ eigvecs.T
-
-
 def sandwich_covariance(Y, X, alpha, B_hat, kind="sandwich"):
     """Asymptotic covariance of ``vec(B_hat)`` from the NLS sandwich form.
 
@@ -154,26 +145,41 @@ def sandwich_covariance(Y, X, alpha, B_hat, kind="sandwich"):
     the estimate is ``H^-1 M H^-1 / n``.  ``kind="spherical"`` instead
     returns ``sigma2 * H^-1 / n`` with ``sigma2 = SSE / (n d - (p+1) d)``,
     valid when residuals are i.i.d. with a scalar covariance.
+
+    Both are formed on Q of the reduced ``X = QR``, whose coefficients
+    ``R B_hat`` give the same means, with ``theta = K theta~`` for
+    ``K = I_d kron R^-1``.  With one ``eigh`` ``H~ = V L V'`` on Q, the
+    estimate is the Gram matrix ``A'A`` of the rows ``psi_i'K'/n``, where
+    ``psi_i = H~^-1 s~_i`` (spherical: of ``sqrt(sigma2/n) L^-1/2 V'K'``), so
+    it is positive semi-definite by construction.  :class:`SingularH`, before
+    the degrees of freedom are checked, means fewer rows than columns,
+    ``cond(R) > COND_LIMIT``, or ``L``'s largest over its smallest past it.
     """
     if kind not in ("sandwich", "spherical"):
         raise InvalidParameters(f"unknown covariance kind {kind!r}")
-    X, _, r, AtA, Atr = _derivatives(Y, X, alpha, B_hat)
-    n, d = len(X), np.shape(B_hat)[1]
-    H = _kron_matrix(AtA, X) / n
-    if np.linalg.cond(H) > COND_LIMIT:
-        raise SingularH(
-            f"curvature matrix condition number exceeds {COND_LIMIT:.0e}"
-        )
-    H_inv = np.linalg.inv(H)
+    alpha = _check_alpha(alpha)
+    X, B_hat, Y = _check_problem(X, B_hat, Y)
+    (n, q), d = X.shape, B_hat.shape[1]
+    if n < q:
+        raise SingularH(f"{n} rows do not identify {q} design columns")
+    Q, R = np.linalg.qr(X)
+    if np.linalg.cond(R) > COND_LIMIT:
+        raise SingularH(f"design condition number exceeds {COND_LIMIT:.0e}")
+    _, _, r, AtA, Atr = _derivatives(Y, Q, alpha, R @ B_hat)
+    lam, V = np.linalg.eigh(_kron_matrix(AtA, Q) / n)
+    if lam[0] <= lam[-1] / COND_LIMIT:
+        raise SingularH(f"curvature matrix condition number exceeds {COND_LIMIT:.0e}")
+    KV_T = np.linalg.solve(R, V.reshape(d, q, -1)).reshape(len(V), -1).T  # V'K'
     if kind == "spherical":
-        dof = n * d - len(H)
+        dof = n * d - len(V)
         if dof <= 0:
             raise InvalidParameters("nonpositive degrees of freedom")
-        cov = float(np.einsum("dn,dn->", r, r)) / dof * H_inv / n
+        sigma2 = float(np.einsum("dn,dn->", r, r)) / dof
+        A = np.sqrt(sigma2 / n) / np.sqrt(lam)[:, None] * KV_T
     else:
-        S = (Atr.T[:, :, None] * X[:, None, :]).reshape(n, -1)  # scores s_i
-        cov = H_inv @ (S.T @ S / n) @ H_inv / n
-    return CovarianceEstimate(matrix=_enforce_psd(cov), kind=kind)
+        S = (Atr.T[:, :, None] * Q[:, None, :]).reshape(n, -1)  # scores s~_i
+        A = S @ ((V / lam) @ KV_T) / n  # rows psi_i'K'/n, with (V / lam) @ V' = H~^-1
+    return CovarianceEstimate(matrix=A.T @ A, kind=kind)
 
 
 def bootstrap_covariance(Y, X, alpha, opts=None, replicates=200, seed=0, start=None):

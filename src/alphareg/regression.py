@@ -33,10 +33,9 @@ turns u and the residuals into the closed-form blocks ``w_i A_i'A_i`` and
 :func:`fit_alpha_batch`, the gradient and both Hessians of ``l = -SSE/2``,
 and the sandwich covariance of :mod:`alphareg.inference`.  Only
 :func:`residual_system`, the tests' reference, forms the explicit ilr
-Jacobian and the stacked (n*d, P) Jacobian, and checks its arrays by rules
-of its own; every other public function checks a design, and the
-coefficients and response that come with it, by one rule,
-:func:`_check_problem`.
+Jacobian and the stacked (n*d, P) Jacobian.  Every public function checks
+a design, and the coefficients and response that come with it, by one
+rule, :func:`_check_problem`.
 
 Parameter layout: ``theta = B.ravel(order="F")`` stacks coefficient columns
 component by component, so ``theta[k*(p+1) + a]`` is covariate ``a`` of
@@ -433,13 +432,8 @@ def residual_system(Y, X, alpha, weights=None):
     are expanded to all d component residuals of that observation.
     """
     alpha = _check_alpha(alpha)
-    Y = np.asarray(Y, dtype=np.float64)
-    X = np.asarray(X, dtype=np.float64)
+    X, _, Y = _check_problem(X, Y=Y)
     n, D = Y.shape
-    if X.ndim != 2:
-        raise DimensionMismatch("design matrix must be 2-D")
-    if X.shape[0] != n:
-        raise DimensionMismatch("response and design row counts differ")
     d = D - 1
     n_cols = X.shape[1]
     H = helmert_submatrix(D)
@@ -674,7 +668,7 @@ def _outer_rows(X, work=_fresh):
     return outer.reshape(X.shape[:-1] + (X.shape[-1] ** 2,))
 
 
-def _batch_system(y_c, X, outer, w, alpha, work=None, patches=None):
+def _batch_system(y_c, X, outer, w, alpha, work=_fresh, patches=None):
     """The ``residuals`` and ``normal_equations`` of :func:`optim.lm_batch`
     for weighted fits at one alpha on the shared design ``X`` (n, q), with
     ``outer`` its :func:`_outer_rows`.  ``patches``, rows (k, r) and values
@@ -691,9 +685,6 @@ def _batch_system(y_c, X, outer, w, alpha, work=None, patches=None):
     caller's stacks."""
     n, D = y_c.shape
     d, q = D - 1, X.shape[-1]
-    if work is None:
-        r = 0 if patches is None else patches[0].shape[1]
-        work = _Work(len(w), _work_doubles(n, D, q, r))
     yT = np.ascontiguousarray(y_c.T)[:, None]
     XT = np.ascontiguousarray(X.T)
     ru = None  # the residuals and logit maps of the last residuals call

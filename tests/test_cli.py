@@ -136,6 +136,22 @@ class TestFitCommand:
         doc = json.loads(out.read_text())
         assert doc["hyperparameters"] == {"alpha": 0.5, "k": 4}
 
+    def test_year_covariate_keeps_the_slope_standard_errors(self, tmp_path):
+        # x1 + 2000, a calendar year: the same model, with the intercept moved
+        assert main(["generate", "--n", "60", "--components", "3", "--covariates", "2",
+                     "--noise-scale", "0.05", "--seed", "1",
+                     "--out-dir", str(tmp_path / "ds")]) == 0
+        data = tmp_path / "ds" / "data.csv"
+        year = edited_copy(data, tmp_path / "year.csv",
+                           lambda row: row | {"x1": repr(float(row["x1"]) + 2000)})
+        se = {}
+        for name, path in (("data", data), ("year", year)):
+            out = tmp_path / f"{name}.json"
+            assert main(["fit", "--data", str(path), *DATA_ARGS, "--alpha", "0.5",
+                         "--with-se", "--out", str(out)]) == 0
+            se[name] = np.asarray(json.loads(out.read_text())["standard_errors"]["coefficients"])
+        np.testing.assert_allclose(se["year"][1:], se["data"][1:], rtol=1e-6, atol=0)
+
     def test_gwar_fit_with_selection(self, dataset, tmp_path):
         out = tmp_path / "gwar.json"
         code = main(["fit", "--data", str(dataset), *DATA_ARGS, *GEO_ARGS,

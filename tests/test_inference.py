@@ -262,8 +262,37 @@ class TestSandwich:
         Y, _, _ = random_instance(rng, n=40, D=3, p=1)
         x = rng.normal(size=40)
         X = np.column_stack([np.ones(40), x, x])  # duplicated covariate
-        with pytest.raises(SingularH):
-            sandwich_covariance(Y, X, 0.5, np.zeros((3, 2)))
+        for kind in ("sandwich", "spherical"):
+            with pytest.raises(SingularH):
+                sandwich_covariance(Y, X, 0.5, np.zeros((3, 2)), kind)
+            with pytest.raises(SingularH):  # fewer rows than design columns
+                sandwich_covariance(Y[:2], rng.normal(size=(2, 4)), 0.5, np.zeros((4, 2)), kind)
+
+    @pytest.mark.parametrize("kind", ["sandwich", "spherical"])
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_covariate_offset_and_units_keep_the_standard_errors(self, seed, kind):
+        # x1 + c with the intercept less c times x1's row, and x1 * s with x1's
+        # row over s, are the same model: the slopes' SEs stay, x1's over s
+        ds = synthesize(200, 4, 3, 0.5, 0.05, seed=seed)
+        Y, X = ds["Y"], ds["X"]
+        B = fit_alpha_regression(Y, X, 0.5).coefficients
+
+        def se(X_moved, B_moved):
+            cov = sandwich_covariance(Y, X_moved, 0.5, B_moved, kind).matrix
+            return regression.theta_to_coef(np.sqrt(np.diag(cov)), 4, 3)
+
+        base = se(X, B)
+        for c in (1e3, 1e4, 1e5):
+            X_c, B_c = X.copy(), B.copy()
+            X_c[:, 1] += c
+            B_c[0] -= c * B[1]
+            np.testing.assert_allclose(se(X_c, B_c)[1:], base[1:], rtol=1e-9, atol=0)
+        for s in (1e3, 1e-3):
+            X_s, B_s, expected = X.copy(), B.copy(), base.copy()
+            X_s[:, 1] *= s
+            B_s[1] /= s
+            expected[1] /= s
+            np.testing.assert_allclose(se(X_s, B_s), expected, rtol=1e-12, atol=0)
 
 
 class TestBootstrap:

@@ -39,6 +39,7 @@ from alphareg import (
     neighbor_lag,
     neighbor_table,
     predict_gwar,
+    residual_system,
     run_cv,
     run_fit,
     sandwich_covariance,
@@ -380,6 +381,8 @@ MALFORMED_PROBLEM_CALLS = {
     "sse.response_1d": (DimensionMismatch, lambda Y, X, g: sse(Y[:, 0], X, 0.5, B_ZERO)),
     "gradient.response_1d": (DimensionMismatch, lambda Y, X, g: (
         gradient(Y[:, 0], X, 0.5, B_ZERO))),
+    "residual_system.response_1d": (DimensionMismatch, lambda Y, X, g: (
+        residual_system(Y[:, 0], X, 0.5))),
     # a response, design or coefficients that do not fit the others
     "hessian_exact.response_of_other_width": (DimensionMismatch, lambda Y, X, g: (
         hessian_exact(Y, X, 0.5, np.zeros((3, 3))))),
