@@ -11,7 +11,8 @@ defined once: a model setting on :class:`RunConfig`, :class:`CvGrid` or
 depends on the model: ``fit`` adds the document's dataset block by
 :func:`datasets.dataset_record`, ``predict`` reads a document back by
 :func:`run.read_model` and predicts by :func:`run.predict_model`, and every
-CSV is written by :func:`datasets.write_csv`.
+CSV is written by :func:`datasets.write_csv` and every JSON document by
+:func:`datasets.write_json`.
 
 Exit codes: 0 success, 1 usage error, 2 data error (an unwritable output
 path too, checked before any data are read), 3 numerical failure.
@@ -28,7 +29,7 @@ import numpy as np
 
 from ._parallel import resolve_threads
 from .datasets import (SPATIAL_MODES, DatasetSpec, dataset_record, generate_synthetic,
-                       load_covariates, load_dataset, path_errors, write_csv)
+                       load_covariates, load_dataset, path_errors, write_csv, write_json)
 from .exceptions import AlphaRegError, DataError, InvalidParameters, NumericalError
 from .optim import LmOptions
 from .run import MODELS, RunConfig, predict_model, read_model, run_cv, run_fit
@@ -169,25 +170,15 @@ def _check_outputs(args):
     """Fail before any work where an output cannot be written: an ``--out``
     that is a directory or lies in a missing one, or a ``--csv-dir`` that is
     a file or lies under one.  Creates nothing; the writes still map their
-    own errors (:func:`path_errors`), a denied permission among them."""
+    own errors (:func:`path_errors`), a denied permission among them.
+    ``generate`` checks its own outputs before it synthesizes anything
+    (:func:`datasets.generate_synthetic`)."""
     out, csv_dir = getattr(args, "out", None), getattr(args, "csv_dir", None)
     if out and (Path(out).is_dir() or not Path(out).parent.is_dir()):
         raise DataError(f"cannot write {out}: not a file in an existing directory")
     existing = csv_dir and next(p for p in (Path(csv_dir), *Path(csv_dir).parents) if p.exists())
     if existing and not existing.is_dir():
         raise DataError(f"cannot write {csv_dir}: {existing} is not a directory")
-
-
-def _emit(doc, out_path):
-    try:
-        text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
-    except ValueError as exc:  # NaN or infinity, which strict JSON forbids
-        raise NumericalError(f"result document is not valid JSON: {exc}") from None
-    if out_path:
-        with path_errors(out_path, "write"):
-            Path(out_path).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
 
 
 def _export_tables(doc, fitted, csv_dir):
@@ -216,22 +207,22 @@ def _cmd_fit(args):
     doc["dataset"] = dataset_record(DatasetSpec(**_given(args, DatasetSpec)))
     if args.csv_dir:
         _export_tables(doc, fit.fitted, args.csv_dir)
-    _emit(doc, args.out)
+    write_json(args.out, doc)
     return 0
 
 
 def _cmd_margins(args):
     doc, _ = _run(args)
     keys = ("hyperparameters", "marginal_effects", "standard_errors", "diagnostics")
-    _emit({key: doc[key] for key in keys if key in doc}
-          | {"covariate_names": args.covariate_columns}, args.out)
+    write_json(args.out, {key: doc[key] for key in keys if key in doc}
+               | {"covariate_names": args.covariate_columns})
     return 0
 
 
 def _cmd_cv(args):
     config = _run_config(args)
     selection, _ = run_cv(config, *load_dataset(DatasetSpec(**_given(args, DatasetSpec))))
-    _emit({"model": config.model, "selection": selection}, args.out)
+    write_json(args.out, {"model": config.model, "selection": selection})
     return 0
 
 

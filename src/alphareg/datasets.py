@@ -18,6 +18,8 @@ clipped to exact zeros; for alpha <= 0 noise that leaves the transform's
 image is an error.  A ground-truth sidecar (JSON) records coefficients and
 settings.  :func:`write_csv` is the one CSV writer, of data, predictions and
 tables alike: floats with 17 significant digits, so reloading is exact.
+:func:`write_json` is the one JSON writer, of result documents and the
+sidecar alike: strict JSON, indented by 2, with a trailing newline.
 The fit document's ``dataset`` block is written by :func:`dataset_record`
 and read back by :func:`record_columns` and :func:`load_training`, which
 checks the training file's hash.
@@ -41,6 +43,7 @@ from .exceptions import (
     InvalidParameters,
     MissingColumn,
     NonNumericCell,
+    NumericalError,
     TrainingDataChanged,
     check_integer,
     check_real,
@@ -322,19 +325,40 @@ def write_csv(path, header, rows):
             writer.writerow([f"{v:.17g}" if isinstance(v, float) else v for v in row])
 
 
+def write_json(path, doc):
+    """``doc`` as strict JSON to the file ``path``, or to stdout when it is
+    None, indented by 2 with a trailing newline.  A NaN or an infinity in
+    it, which strict JSON forbids, is a :class:`NumericalError`, and nothing
+    is written."""
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericalError(f"result document is not valid JSON: {exc}") from None
+    if path:
+        with path_errors(path, "write"):
+            Path(path).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+
+
 def generate_synthetic(out_dir=".", **settings):
     """Write a synthetic dataset plus its ground-truth sidecar.
 
     ``settings`` are :func:`synthesize`'s arguments, with its defaults.
     Produces ``data.csv`` (compositions, covariates, and coordinates when
-    spatial) and ``truth.json`` in ``out_dir``; returns both paths.
+    spatial) and ``truth.json`` in ``out_dir``; returns both paths.  Where
+    either path is a directory, nothing is synthesized or written
+    (:class:`DataError`).
     """
-    sim = synthesize(**settings)
     out = Path(out_dir)
-    with path_errors(out, "write"):
-        out.mkdir(parents=True, exist_ok=True)
     data_path = out / "data.csv"
     truth_path = out / "truth.json"
+    for path in (data_path, truth_path):
+        if path.is_dir():
+            raise DataError(f"cannot write {path}: it is a directory")
+    sim = synthesize(**settings)
+    with path_errors(out, "write"):
+        out.mkdir(parents=True, exist_ok=True)
 
     comp_cols = [f"y{j + 1}" for j in range(sim["Y"].shape[1])]
     cov_cols = [f"x{j + 1}" for j in range(sim["X"].shape[1] - 1)]
@@ -353,6 +377,5 @@ def generate_synthetic(out_dir=".", **settings):
         "gamma": None if sim["gamma"] is None else sim["gamma"].tolist(),
         "clusters": None if sim["clusters"] is None else sim["clusters"].tolist(),
     }
-    with open(truth_path, "w", encoding="utf-8") as fh:
-        json.dump(truth, fh, indent=2)
+    write_json(truth_path, truth)
     return str(data_path), str(truth_path)

@@ -9,6 +9,13 @@ Two branches below the package base class:
   systems, non-finite residuals, degenerate kernel weights, ...).
   The CLI maps these to exit code 3.
 
+Three data errors refine others, so one ``except`` clause catches each
+kind at every entry point: :class:`ShapeMismatch` is a
+:class:`DimensionMismatch`, and :class:`NonpositiveBandwidth` and
+:class:`InvalidK` are :class:`InvalidParameters`.  A NaN or an infinity in
+an array, whether a cell of a file or an entry of an array passed to the
+library, is a :class:`NonNumericCell`.
+
 :func:`check_integer` is the one rule for an integer setting, and
 :func:`check_real` the one for a real-valued setting.
 """
@@ -46,7 +53,7 @@ class DimensionMismatch(DataError):
     """Matrix shapes are not conformable."""
 
 
-class ShapeMismatch(DataError):
+class ShapeMismatch(DimensionMismatch):
     """Two arrays that must share a shape do not."""
 
 
@@ -62,11 +69,15 @@ class NegativeWeight(DataError):
     """A residual weight is negative."""
 
 
-class InvalidK(DataError):
+class InvalidParameters(DataError):
+    """A parameter value violates its documented range."""
+
+
+class InvalidK(InvalidParameters):
     """Neighbor count outside 1 <= k <= n-1."""
 
 
-class NonpositiveBandwidth(DataError):
+class NonpositiveBandwidth(InvalidParameters):
     """Kernel bandwidth must be strictly positive."""
 
 
@@ -91,11 +102,8 @@ class MissingColumn(DataError):
 
 
 class NonNumericCell(DataError):
-    """A cell could not be parsed as a number (reports row and column)."""
-
-
-class InvalidParameters(DataError):
-    """A parameter value violates its documented range."""
+    """A cell of a file, or an entry of an array passed to the library, is
+    not a finite number; the message names the row and the column."""
 
 
 class TrainingDataChanged(DataError):

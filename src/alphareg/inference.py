@@ -55,7 +55,7 @@ from .exceptions import (
 from .optim import LmResult, solver_diagnostics
 from .regression import (RowBlocks, _check_problem, _derivatives, _inverse_logit,
                          _kron_matrix, fit_alpha_batch, fit_alpha_regression, theta_to_coef)
-from .simplex import _check_alpha
+from .simplex import _check_alpha, _check_finite
 
 COND_LIMIT = 1e12
 # doubles of per-observation arrays, about n (3D + q) per replicate, in one
@@ -72,7 +72,8 @@ def marginal_effects(B, mu, k):
     the fitted compositions.  ``B`` may also be an n x (p+1) x d stack, row
     i of ``mu`` then using ``B[i]`` (locally weighted fits).  Returns an
     n x D table whose rows sum to 0.  Shapes that do not fit are
-    :class:`DimensionMismatch`; ``k`` must be an ``int`` or numpy integer,
+    :class:`DimensionMismatch`, a NaN or an infinity in either array is
+    :class:`NonNumericCell`, and ``k`` must be an ``int`` or numpy integer,
     not a bool, and anything else is :class:`InvalidParameters`.
     """
     B = np.asarray(B, dtype=np.float64)
@@ -80,6 +81,8 @@ def marginal_effects(B, mu, k):
     stack = () if B.ndim == 2 else (len(mu),)  # a stack holds one matrix per row of mu
     if mu.ndim != 2 or B.shape[:-2] != stack or B.shape[-1:] != (mu.shape[1] - 1,):
         raise DimensionMismatch(f"fitted means {mu.shape} do not fit coefficients {B.shape}")
+    _check_finite("coefficients", B)
+    _check_finite("fitted means", mu)
     check_integer("covariate index", k)
     if k == 0:
         raise InterceptEffectRequested("the intercept has no marginal effect")

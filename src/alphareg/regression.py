@@ -35,7 +35,7 @@ and the sandwich covariance of :mod:`alphareg.inference`.  Only
 :func:`residual_system`, the tests' reference, forms the explicit ilr
 Jacobian and the stacked (n*d, P) Jacobian.  Every public function checks
 a design, and the coefficients and response that come with it, by one
-rule, :func:`_check_problem`.
+rule, :func:`_check_problem`: their shapes, then their values.
 
 Parameter layout: ``theta = B.ravel(order="F")`` stacks coefficient columns
 component by component, so ``theta[k*(p+1) + a]`` is covariate ``a`` of
@@ -84,7 +84,7 @@ from .exceptions import (
     ShapeMismatch,
 )
 from .optim import LmOptions, LmResult, ResidualSystem, lm_batch
-from .simplex import alpha_transform, helmert_submatrix, _check_alpha
+from .simplex import alpha_transform, helmert_submatrix, _check_alpha, _check_finite
 
 LINPRED_CLAMP = 700.0
 # doubles in the working set of one chunk of fits (_chunk_size), and about
@@ -109,7 +109,9 @@ class FitResult:
 def _check_problem(X, B=None, Y=None):
     """The one rule of a regression problem's arrays, returned as float arrays
     ``(X, B, Y)``: a 2-D design X (n, q) and, if given, coefficients B (q, d)
-    and a response Y (n, d+1); else :class:`DimensionMismatch` names the shapes."""
+    and a response Y (n, d+1), else :class:`DimensionMismatch` names the
+    shapes; then every entry finite, else :class:`NonNumericCell` names the
+    array ("design", "coefficients" or "response"), the row and the column."""
     X, B, Y = (None if a is None else np.asarray(a, dtype=np.float64) for a in (X, B, Y))
     if X.ndim != 2:
         raise DimensionMismatch(f"design {X.shape} is not 2-D")
@@ -122,6 +124,9 @@ def _check_problem(X, B=None, Y=None):
     if Y is not None and B is not None and Y.shape[1] != B.shape[1] + 1:
         raise DimensionMismatch(f"response {Y.shape} does not have one component more than "
                                 f"coefficients {B.shape} have columns")
+    for name, a in (("design", X), ("coefficients", B), ("response", Y)):
+        if a is not None:
+            _check_finite(name, a)
     return X, B, Y
 
 
@@ -295,9 +300,13 @@ def kld(observed, fitted):
 
 
 def _kld_terms(obs, fit):
-    """Cell terms ``y log(y/mu)`` of :func:`kld` (0 where y is 0), checked."""
+    """Cell terms ``y log(y/mu)`` of :func:`kld` (0 where y is 0), checked:
+    one shape (:class:`ShapeMismatch`), finite entries (:class:`NonNumericCell`)
+    and positive fitted ones (:class:`NonpositiveFitted`)."""
     if obs.shape != fit.shape:
         raise ShapeMismatch(f"observed {obs.shape} vs fitted {fit.shape}")
+    _check_finite("observed compositions", obs)
+    _check_finite("fitted compositions", fit)
     if np.any(fit <= 0):
         raise NonpositiveFitted("fitted compositions must be strictly positive")
     mask = obs > 0
@@ -566,11 +575,12 @@ def fit_alpha_batch(Y, X, alpha, weights, theta0, opts=None, damping0=None, patc
     ``values[j]``, as a lagged-covariate fold's is (the rows whose lag lost
     the held-out location).  A row may appear twice in one patch only where
     the problem's weight on it is 0, as when a narrower patch is padded with
-    its held-out row.  ``theta0`` is one start (P,) for every problem, or
-    (m, P).  ``damping0`` (scalar or (m,)), when given, is the damping each
-    start's fit ended with: a problem continues from it by the warm rule of
-    :mod:`alphareg.optim`, and a nonpositive entry starts cold; ``None``
-    starts every problem cold.
+    its held-out row.  ``Y``, ``X`` and the patch values are checked by
+    the rule of :func:`_check_problem`.  ``theta0`` is one start (P,) for
+    every problem, or (m, P).  ``damping0`` (scalar or (m,)), when given, is
+    the damping each start's fit ended with: a problem continues from it by
+    the warm rule of :mod:`alphareg.optim`, and a nonpositive entry starts
+    cold; ``None`` starts every problem cold.
 
     ``Y`` is transformed once, and the normal equations come from the
     Kronecker form ``J'WJ = sum_i w_i (A_i'A_i) kron (x_i x_i')`` with the
@@ -614,6 +624,7 @@ def _fit_batch(y_c, X, alpha, weights, theta0, opts, damping0=None, patches=None
                                     f"not fit {m} problems of {q} design columns")
         if rows.size and not 0 <= rows.min() <= rows.max() < n:
             raise DimensionMismatch(f"patch rows must lie in [0, {n})")
+        _check_finite("patch values", values)
         r = rows.shape[1]
         patches = (rows, values) if r else None  # an empty patch is the shared design
     if m == 0:

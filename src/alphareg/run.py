@@ -35,14 +35,14 @@ from typing import Optional
 import numpy as np
 
 from .datasets import load_training, record_columns
-from .exceptions import DataError, InvalidParameters, check_integer, check_real
+from .exceptions import DataError, InvalidParameters, check_integer
 from .inference import _count_weighted_ames, bootstrap_covariance, sandwich_covariance
 from .optim import LmOptions
 from .regression import _check_problem, fit_alpha_regression, fitted_mean, theta_to_coef
 from .selection import CvGrid, select
 from .simplex import _check_alpha
-from .spatial import (GwarFit, _check_locations, fit_gwar, neighbor_lag, neighbor_table,
-                      predict_gwar, split_slx)
+from .spatial import (GwarFit, _check_bandwidth, _check_locations, fit_gwar, neighbor_lag,
+                      neighbor_table, predict_gwar, split_slx)
 
 log = logging.getLogger(__name__)
 
@@ -81,7 +81,7 @@ class RunConfig:
         if self.k is not None:
             check_integer("neighbor count k", self.k, 1)
         if self.h is not None:
-            check_real("bandwidth h", self.h, "(0, inf)")
+            _check_bandwidth(self.h)
         if not isinstance(self.with_se, bool):
             raise InvalidParameters(f"with_se must be a bool, got {self.with_se!r}")
         check_integer("seed", self.seed, 0)

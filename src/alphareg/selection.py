@@ -41,7 +41,6 @@ from .exceptions import (
     ZeroWithNonpositiveAlpha,
     NumericalError,
     check_integer,
-    check_real,
 )
 from .optim import LmOptions
 from .regression import (
@@ -53,7 +52,9 @@ from .regression import (
     fit_alpha_regression,
     theta_to_coef,
 )
+from .simplex import _check_alpha
 from .spatial import (
+    _check_bandwidth,
     _check_locations,
     local_fitted_mean,
     location_weights,
@@ -68,15 +69,16 @@ DEFAULT_KS = (3, 5, 7, 9)
 
 @dataclass
 class CvGrid:
-    """Candidate hyper-parameter values; each list is kept sorted ascending."""
+    """Candidate hyper-parameter values; each list is kept sorted ascending.
+    Each alpha and each h is checked by the rule of ``RunConfig.alpha`` and
+    ``RunConfig.h`` (``simplex._check_alpha``, ``spatial._check_bandwidth``)."""
 
     alphas: tuple = DEFAULT_ALPHAS
     ks: Optional[tuple] = None
     hs: Optional[tuple] = None
 
     def __post_init__(self):
-        self.alphas = tuple(sorted(check_real("alpha grid value", a, "[-1, 1]")
-                                   for a in self.alphas))
+        self.alphas = tuple(sorted(_check_alpha(a) for a in self.alphas))
         if not self.alphas:
             raise InvalidParameters("alpha grid is empty")
         if self.ks is not None:
@@ -87,8 +89,7 @@ class CvGrid:
                 check_integer("neighbor grid value", k, 1)
             self.ks = tuple(sorted(int(k) for k in ks))
         if self.hs is not None:
-            self.hs = tuple(sorted(check_real("bandwidth grid value", h, "(0, inf)")
-                                   for h in self.hs))
+            self.hs = tuple(sorted(_check_bandwidth(h) for h in self.hs))
             if not self.hs:
                 raise InvalidParameters("bandwidth grid is empty")
 

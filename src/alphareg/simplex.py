@@ -13,7 +13,8 @@ isometric log-ratio (ilr) transform, which is used directly when ``a == 0``.
 Positive ``a`` handles zero proportions without imputation: ``0**a == 0``.
 
 All functions are pure and accept either a single composition (1-D) or a
-matrix of row compositions (2-D), returning the matching shape.
+matrix of row compositions (2-D), returning the matching shape; a NaN or an
+infinity in either is a :class:`NonNumericCell` (:func:`_as_rows`).
 """
 
 import numpy as np
@@ -22,6 +23,7 @@ from .exceptions import (
     InvalidDimension,
     InvalidParameters,
     NegativeEntry,
+    NonNumericCell,
     OutOfImage,
     ZeroRow,
     ZeroWithLogRatio,
@@ -32,14 +34,28 @@ from .exceptions import (
 ROW_SUM_TOL = 1e-10
 
 
-def _as_rows(y):
-    """Return (2-D float array, was_1d flag)."""
+def _check_finite(name, a):
+    """The one rule of an array's values: :class:`NonNumericCell` unless
+    every entry of ``a``, a 2-D array or a stack of them, is finite.  The
+    message names ``name`` and the first non-finite entry's row and column,
+    and its position in the stack."""
+    if not np.isfinite(a).all():
+        *block, i, j = (int(t) for t in np.argwhere(~np.isfinite(a))[0])
+        where = (f"block {tuple(block)}, " if block else "") + f"row {i}, column {j}"
+        raise NonNumericCell(f"{a[(*block, i, j)]} at {where} of the {name} is not a "
+                             "finite number")
+
+
+def _as_rows(y, name="compositions"):
+    """The one rule of the transforms' inputs: ``y`` as a (2-D float array,
+    was_1d flag), else :class:`InvalidDimension` for another ndim, and
+    :class:`NonNumericCell` naming ``name`` for a non-finite entry."""
     arr = np.asarray(y, dtype=np.float64)
-    if arr.ndim == 1:
-        return arr[None, :], True
-    if arr.ndim != 2:
+    if arr.ndim not in (1, 2):
         raise InvalidDimension(f"expected a vector or matrix, got ndim={arr.ndim}")
-    return arr, False
+    rows = np.atleast_2d(arr)
+    _check_finite(name, rows)
+    return rows, arr.ndim == 1
 
 
 def _check_alpha(alpha):
@@ -61,12 +77,14 @@ def closure(raw):
 
     Raises
     ------
+    NonNumericCell
+        If any entry is NaN or infinite.
     NegativeEntry
         If any entry is negative.
     ZeroRow
         If a row sums to zero.
     """
-    mat, squeeze = _as_rows(raw)
+    mat, squeeze = _as_rows(raw, "amounts")
     if np.any(mat < 0):
         i, j = np.argwhere(mat < 0)[0]
         raise NegativeEntry(f"negative amount at row {i}, column {j}")
@@ -162,7 +180,7 @@ def alpha_transform_inverse(z, alpha):
         not come from any composition), or is nonpositive with ``alpha < 0``.
     """
     alpha = _check_alpha(alpha)
-    zmat, squeeze = _as_rows(z)
+    zmat, squeeze = _as_rows(z, "scores")
     D = zmat.shape[1] + 1
     H = helmert_submatrix(D)
     if alpha == 0.0:

@@ -56,6 +56,7 @@ from .regression import (
     kld,
     theta_to_coef,
 )
+from .simplex import _check_finite
 
 COINCIDENT_DIST_SQ = 1e-12  # floor for inverse-distance weights
 ROUNDING_DIST_SQ = 1e-15  # below the resolution of 2*(1 - c'c) in doubles
@@ -231,9 +232,10 @@ def location_weights(coords, h, own):
 
 
 def _check_bandwidth(h):
-    """``h`` as a float if it is a finite real > 0, as ``RunConfig.h``: a
-    real ``h <= 0`` raises :class:`NonpositiveBandwidth`, and anything else
-    (NaN, inf, a bool, a string) :class:`InvalidParameters`."""
+    """The one rule of a bandwidth, at every entry point (``RunConfig.h``,
+    ``CvGrid.hs`` and the spatial functions): ``h`` as a float if it is a
+    finite real > 0, else :class:`InvalidParameters`, whose subclass
+    :class:`NonpositiveBandwidth` is raised for a real ``h <= 0``."""
     real = isinstance(h, (int, float, np.integer, np.floating)) and not isinstance(h, bool)
     if real and h <= 0:
         raise NonpositiveBandwidth(f"bandwidth must be > 0, got {h}")
@@ -386,9 +388,10 @@ def predict_gwar(fit, X_new, coords_new):
     only, started from the local coefficients of its nearest training
     location, evaluated at the matching row of ``X_new``; the locations are
     one set of weighted fits, as in :func:`fit_gwar`.  ``X_new`` has the
-    training design's columns, and ``coords_new`` one location per row of
-    it.  ``fit`` must hold one (q, d) coefficient matrix per training row
-    and one global one, else :class:`DimensionMismatch` names the field.
+    training design's columns, all finite (:class:`NonNumericCell`), and
+    ``coords_new`` one location per row of it.  ``fit`` must hold one (q, d)
+    coefficient matrix per training row and one global one, else
+    :class:`DimensionMismatch` names the field.
     """
     n, q = fit.train_X.shape
     d = fit.train_Y.shape[1] - 1
@@ -400,6 +403,7 @@ def predict_gwar(fit, X_new, coords_new):
     if X_new.ndim != 2 or X_new.shape[1] != q:
         raise DimensionMismatch(f"new rows {X_new.shape} do not have the "
                                 f"{q} columns of the training design")
+    _check_finite("new rows", X_new)
     _check_locations(coords_new, len(X_new), "new rows")
     weights = RowBlocks(coords_new.n, lambda rows: kernel_weights_at(
         fit.train_coords, coords_new.cart[rows], fit.h))

@@ -891,7 +891,7 @@ class TestInputsAndOutputs:
     @pytest.mark.parametrize("case", [
         "fit-out-missing-dir", "cv-out-missing-dir", "fit-out-directory",
         "fit-csv-dir-file", "fit-csv-dir-under-file", "predict-out-missing-dir",
-        "generate-out-dir-file",
+        "generate-out-dir-file", "generate-truth-is-directory",
     ])
     def test_unwritable_output_is_data_error(self, case, dataset, tmp_path, monkeypatch,
                                              capsys):
@@ -899,6 +899,8 @@ class TestInputsAndOutputs:
         a_file = tmp_path / "a-file"
         a_file.write_text("keep\n", encoding="utf-8")
         missing = tmp_path / "missing" / "x.json"
+        truth_dir = tmp_path / "gt" / "truth.json"
+        truth_dir.mkdir(parents=True)
         fit = ["fit", "--data", str(dataset), *DATA_ARGS, "--alpha", "0.5"]
         doc_path = tmp_path / "doc.json"
         if case.startswith("predict"):
@@ -917,6 +919,10 @@ class TestInputsAndOutputs:
             "generate-out-dir-file": (a_file, [
                 "generate", "--n", "20", "--components", "3", "--covariates", "1",
                 "--out-dir", str(a_file)]),
+            # used to stop with an IsADirectoryError after writing data.csv
+            "generate-truth-is-directory": (truth_dir, [
+                "generate", "--n", "20", "--components", "3", "--covariates", "1",
+                "--out-dir", str(truth_dir.parent)]),
         }[case]
 
         def no_work(spec):
@@ -931,6 +937,7 @@ class TestInputsAndOutputs:
         assert not missing.parent.exists()
         assert a_file.read_text(encoding="utf-8") == "keep\n"
         assert doc_path.exists() == case.startswith("predict")
+        assert not (truth_dir.parent / "data.csv").exists()
 
     def test_byte_order_mark_fits_like_the_plain_file(self, dataset, tmp_path):
         # the mark used to become part of 'y1': column 'y1' not found

@@ -15,13 +15,19 @@ from alphareg import (
     DegenerateWeights,
     DimensionMismatch,
     GeoCoordinates,
+    InvalidK,
     InvalidParameters,
     LmOptions,
     MissingColumn,
     NonFiniteResidual,
+    NonNumericCell,
+    NonpositiveBandwidth,
     RowBlocks,
     RunConfig,
+    ShapeMismatch,
+    alpha_transform,
     bootstrap_covariance,
+    closure,
     default_k_grid,
     fit_alpha_batch,
     fit_alpha_regression,
@@ -32,6 +38,7 @@ from alphareg import (
     gwar_marginal_effects,
     hessian_exact,
     hessian_gauss_newton,
+    kld,
     loocv_alpha,
     loocv_gwar,
     loocv_slx,
@@ -302,6 +309,28 @@ def test_nan_bandwidth_rejected():
         REAL_SETTINGS["fit_gwar.h"](np.nan)
 
 
+@pytest.mark.parametrize("site", ["RunConfig.h", "CvGrid.hs", "fit_gwar.h",
+                                  "kernel_weights_at.h"])
+def test_nonpositive_bandwidth_is_one_class_everywhere(site):
+    # RunConfig and CvGrid used to raise InvalidParameters and fit_gwar its
+    # sibling NonpositiveBandwidth, so no one except clause caught both
+    with pytest.raises(NonpositiveBandwidth, match="bandwidth must be > 0, got 0.0") as raised:
+        REAL_SETTINGS[site](0.0)
+    assert isinstance(raised.value, InvalidParameters)
+
+
+def test_alpha_grid_has_the_rule_of_alpha():
+    with pytest.raises(InvalidParameters, match=r"^alpha must lie in \[-1, 1\], got 2.0$"):
+        CvGrid(alphas=(2.0,))
+
+
+@pytest.mark.parametrize("refined, general", [
+    (NonpositiveBandwidth, InvalidParameters), (InvalidK, InvalidParameters),
+    (ShapeMismatch, DimensionMismatch)])
+def test_refined_errors_are_caught_by_their_general_class(refined, general):
+    assert issubclass(refined, general)
+
+
 @pytest.mark.parametrize("value", ["no", 1, None, np.True_],
                          ids=["string", "int", "none", "numpy-bool"])
 def test_with_se_must_be_a_bool(value):
@@ -469,6 +498,97 @@ class TestMalformedProblem:
             monkeypatch.setattr(run, name, unreachable)
         with pytest.raises(DataError, match="linearly dependent"):
             run_fit(RunConfig(model=model, alpha=0.5, **fixed), Y, X_of(X), coords)
+
+
+ARRAY_NAMES = {"Y": "response", "X": "design", "B": "coefficients"}
+# each call and the arrays of the problem (Y, X, B) that it takes
+NON_FINITE_CALLS = {
+    "fit_alpha_regression": ("YX", lambda Y, X, B, c, g: fit_alpha_regression(Y, X, 0.5)),
+    "fit_alpha_batch": ("YX", lambda Y, X, B, c, g: (
+        fit_alpha_batch(Y, X, 0.5, np.ones((2, 30)), np.zeros(6)))),
+    "loocv_alpha": ("YX", lambda Y, X, B, c, g: loocv_alpha(Y, X, CvGrid(alphas=(0.5,)))),
+    "loocv_slx": ("YX", lambda Y, X, B, c, g: loocv_slx(Y, X, c, CvGrid(ks=(3,)))),
+    "loocv_gwar": ("YX", lambda Y, X, B, c, g: loocv_gwar(Y, X, c, CvGrid(hs=(0.05,)))),
+    "select.slx": ("YX", lambda Y, X, B, c, g: select("slx", Y, X, c, CvGrid(ks=(3,)))),
+    "select.gwar": ("YX", lambda Y, X, B, c, g: select("gwar", Y, X, c, CvGrid(hs=(0.05,)))),
+    "run_fit.alpha": ("YX", lambda Y, X, B, c, g: run_fit(RunConfig(alpha=0.5), Y, X)),
+    "run_fit.slx": ("YX", lambda Y, X, B, c, g: (
+        run_fit(RunConfig(model="slx", alpha=0.5, k=3), Y, X, c))),
+    "run_fit.gwar": ("YX", lambda Y, X, B, c, g: (
+        run_fit(RunConfig(model="gwar", alpha=0.5, h=0.05), Y, X, c))),
+    "sandwich_covariance": ("YXB", lambda Y, X, B, c, g: sandwich_covariance(Y, X, 0.5, B)),
+    "bootstrap_covariance": ("YX", lambda Y, X, B, c, g: (
+        bootstrap_covariance(Y, X, 0.5, replicates=2))),
+    "sse": ("YXB", lambda Y, X, B, c, g: sse(Y, X, 0.5, B)),
+    "gradient": ("YXB", lambda Y, X, B, c, g: gradient(Y, X, 0.5, B)),
+    "hessian_exact": ("YXB", lambda Y, X, B, c, g: hessian_exact(Y, X, 0.5, B)),
+    "hessian_gauss_newton": ("YXB", lambda Y, X, B, c, g: hessian_gauss_newton(Y, X, 0.5, B)),
+    "residual_system": ("YX", lambda Y, X, B, c, g: residual_system(Y, X, 0.5)),
+    "fitted_mean": ("XB", lambda Y, X, B, c, g: fitted_mean(X, B)),
+    "transformed_mean": ("XB", lambda Y, X, B, c, g: transformed_mean(X, B, 0.5)),
+    "fit_alpha_slx": ("YX", lambda Y, X, B, c, g: fit_alpha_slx(Y, X, X[:, 1:], 0.5)),
+    "fit_gwar": ("YX", lambda Y, X, B, c, g: fit_gwar(Y, X, c, 0.5, 0.05)),
+    "predict_gwar": ("X", lambda Y, X, B, c, g: predict_gwar(g, X, c)),
+    "marginal_effects": ("YB", lambda Y, X, B, c, g: marginal_effects(B, Y, 1)),
+    "kld.observed": ("Y", lambda Y, X, B, c, g: kld(Y, np.full((30, 3), 1 / 3))),
+    "kld.fitted": ("Y", lambda Y, X, B, c, g: kld(np.full((30, 3), 1 / 3), Y)),
+    "alpha_transform": ("Y", lambda Y, X, B, c, g: alpha_transform(Y, 0.5)),
+    "closure": ("Y", lambda Y, X, B, c, g: closure(Y)),
+}
+# where a call's message names an array by its own argument
+OWN_NAMES = {("predict_gwar", "X"): "new rows", ("marginal_effects", "Y"): "fitted means",
+             ("kld.observed", "Y"): "observed compositions",
+             ("kld.fitted", "Y"): "fitted compositions",
+             ("alpha_transform", "Y"): "compositions", ("closure", "Y"): "amounts"}
+
+
+class TestNonFiniteProblem:
+    """A NaN or an infinity in a design, a response or coefficients is a
+    NonNumericCell naming the array, row and column, at every entry point."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        sim = synthesize(n=30, D=3, p=2, alpha=0.5, noise_scale=0.05,
+                         spatial_mode="slx", seed=1)
+        Y, X, coords = sim["Y"], sim["X"], sim["coords"]
+        B = fit_alpha_regression(Y, X, 0.5).coefficients
+        return Y, X, B, coords, fit_gwar(Y, X, coords, 0.5, 0.05)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("call, array", [(call, array)
+                                             for call, (arrays, _) in NON_FINITE_CALLS.items()
+                                             for array in arrays])
+    def test_is_a_non_numeric_cell(self, call, array, value, problem):
+        # each used to fail as LinAlgError (SVD did not converge), as
+        # NonFiniteResidual, as linearly dependent covariates, or to return NaN
+        arrays = dict(zip("YXB", problem[:3]))
+        arrays[array] = arrays[array].copy()
+        arrays[array][2, 1] = value
+        name = OWN_NAMES.get((call, array), ARRAY_NAMES[array])
+        with pytest.raises(NonNumericCell, match=f"^{value} at row 2, column 1 of the {name} "):
+            NON_FINITE_CALLS[call][1](arrays["Y"], arrays["X"], arrays["B"], *problem[3:])
+
+    def test_patch_values(self, problem):
+        Y, X = problem[:2]
+        values = X[[3, 4]][:, None].copy()
+        values[1, 0, 2] = np.inf
+        with pytest.raises(NonNumericCell, match=r"^inf at block \(1,\), row 0, column 2 of "
+                                                 "the patch values "):
+            fit_alpha_batch(Y, X, 0.5, np.ones((2, 30)), np.zeros(6),
+                            patches=(np.array([[3], [4]]), values))
+
+    def test_stacked_coefficients(self, problem):
+        gwar = problem[4]
+        local = gwar.local_coefficients.copy()
+        local[7, 2, 0] = np.nan
+        with pytest.raises(NonNumericCell, match=r"^nan at block \(7,\), row 2, column 0 of "
+                                                 "the coefficients "):
+            marginal_effects(local, gwar.fitted, 1)
+
+    def test_shapes_are_checked_first(self, problem):
+        Y, X = problem[:2]
+        with pytest.raises(DimensionMismatch):
+            fit_alpha_regression(np.full(30, np.nan), X, 0.5)
 
 
 def count_fits(monkeypatch):

@@ -175,6 +175,16 @@ class TestNeighborTable:
         idx, d2 = neighbor_table(coords, 2)
         assert idx[0].tolist() == [1, 2] and d2[0, 0] == d2[0, 1]
 
+    @pytest.mark.parametrize("order", [(0, 1, 2), (0, 2, 1), (1, 0, 2), (2, 1, 0)])
+    def test_tie_keeps_lower_index_under_a_row_permutation(self, order):
+        # the locations above in another row order: the tie stays exact, and
+        # the lower row index wins it, whichever location holds that row
+        coords = GeoCoordinates.from_degrees([10.0] * 3, np.array([20.0, 21.0, 19.0])[list(order)])
+        focal, tied = order.index(0), sorted(order.index(j) for j in (1, 2))
+        idx, d2 = neighbor_table(coords, 2)
+        assert idx[focal].tolist() == tied and d2[focal, 0] == d2[focal, 1]
+        assert contiguity_matrix(coords, 1)[focal, tied[0]] == 1.0
+
     def test_table_lags_are_rows_of_w(self, rng):
         # 3-5: symmetric longitudes that are 1 ulp apart in the Gram form
         lat = [10.0, 10.0, 10.0, 10.0, 10.0, 10.0, 12.0, 12.0]
