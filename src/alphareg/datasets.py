@@ -51,7 +51,7 @@ from .exceptions import (
 from .regression import fitted_mean
 from .simplex import (ROW_SUM_TOL, _check_alpha, alpha_transform, alpha_transform_inverse,
                       closure, helmert_submatrix)
-from .spatial import GeoCoordinates, neighbor_lag, neighbor_table
+from .spatial import GeoCoordinates, _check_k, neighbor_lag, neighbor_table
 
 log = logging.getLogger(__name__)
 
@@ -223,20 +223,18 @@ def synthesize(n, D, p, alpha=0.5, noise_scale=0.0, spatial_mode="none", seed=0,
     (None for mode "none"), ``B`` (true coefficients), ``gamma`` (mode
     "slx"), ``clusters`` (mode "two_cluster"), and the generator settings.
     With ``noise_scale=0`` the responses are exactly the model means.
+    ``n``, ``D`` and ``p`` must be integers of at least 10, 2 and 1,
     ``alpha`` must lie in [-1, 1] and ``slx_k``, in every mode since the
-    settings record it, must be an integer in [1, n-1]; anything else is
+    settings record it, must be an integer in [1, n-1] (``spatial._check_k``,
+    so :class:`InvalidK` when out of range); anything else is
     :class:`InvalidParameters`.
     """
     alpha = _check_alpha(alpha)  # at any noise, so NaN never reaches the sidecar
-    if n < 10 or D < 2 or p < 1:
-        raise InvalidParameters("need n >= 10, D >= 2, p >= 1")
+    for name, value, least in (("n", n, 10), ("D", D, 2), ("p", p, 1)):
+        check_integer(name, value, least)
     if spatial_mode not in SPATIAL_MODES:
         raise InvalidParameters(f"spatial_mode must be one of {SPATIAL_MODES}")
-    check_integer(f"neighbor count slx_k (1 <= k <= {n - 1} for {n} locations)", slx_k)
-    if not 1 <= slx_k <= n - 1:
-        raise InvalidParameters(
-            f"neighbor count slx_k must satisfy 1 <= k <= {n - 1} (an integer) for "
-            f"{n} locations, got {slx_k!r}")
+    _check_k(slx_k, n - 1, "neighbor count slx_k", f" for {n} locations")
     check_real("noise_scale", noise_scale, "[0, inf)")
     check_integer("seed", seed, 0)
     rng = np.random.default_rng(seed)

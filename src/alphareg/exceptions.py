@@ -12,7 +12,8 @@ Two branches below the package base class:
 Three data errors refine others, so one ``except`` clause catches each
 kind at every entry point: :class:`ShapeMismatch` is a
 :class:`DimensionMismatch`, and :class:`NonpositiveBandwidth` and
-:class:`InvalidK` are :class:`InvalidParameters`.  A NaN or an infinity in
+:class:`InvalidK` are :class:`InvalidParameters`, each raised by one rule
+(``spatial._check_bandwidth``, ``spatial._check_k``).  A NaN or an infinity in
 an array, whether a cell of a file or an entry of an array passed to the
 library, is a :class:`NonNumericCell`.
 
@@ -74,7 +75,8 @@ class InvalidParameters(DataError):
 
 
 class InvalidK(InvalidParameters):
-    """Neighbor count outside 1 <= k <= n-1."""
+    """Integer neighbor count below 1, or above what the locations allow:
+    n-1 for n locations, n-2 in a leave-one-out search."""
 
 
 class NonpositiveBandwidth(InvalidParameters):

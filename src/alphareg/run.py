@@ -41,8 +41,8 @@ from .optim import LmOptions
 from .regression import _check_problem, fit_alpha_regression, fitted_mean, theta_to_coef
 from .selection import CvGrid, select
 from .simplex import _check_alpha
-from .spatial import (GwarFit, _check_bandwidth, _check_locations, fit_gwar, neighbor_lag,
-                      neighbor_table, predict_gwar, split_slx)
+from .spatial import (GwarFit, _check_bandwidth, _check_k, _check_locations, fit_gwar,
+                      neighbor_lag, neighbor_table, predict_gwar, split_slx)
 
 log = logging.getLogger(__name__)
 
@@ -79,7 +79,7 @@ class RunConfig:
         if self.alpha is not None:
             _check_alpha(self.alpha)  # NaN fails too
         if self.k is not None:
-            check_integer("neighbor count k", self.k, 1)
+            self.k = _check_k(self.k)  # an int, which the document can hold
         if self.h is not None:
             _check_bandwidth(self.h)
         if not isinstance(self.with_se, bool):

@@ -25,7 +25,9 @@ point's full-data fit, design and fold solutions are returned with the
 scores, and the final fit of :mod:`alphareg.run` continues from them.  A
 fold whose solve fails or whose weights are degenerate scores +inf instead
 of aborting the search; a grid on which every point scores +inf raises
-:class:`NumericalError` rather than naming a winner.  Ties at the minimum
+:class:`NumericalError` rather than naming a winner.  A setting that no fold
+can fit is not a failed fold: a lagged-covariate grid with a k above n-2 is
+refused before any fit (:class:`InvalidK`).  Ties at the minimum
 resolve to the smallest alpha, then the smallest k or h.
 """
 
@@ -40,7 +42,6 @@ from .exceptions import (
     InvalidParameters,
     ZeroWithNonpositiveAlpha,
     NumericalError,
-    check_integer,
 )
 from .optim import LmOptions
 from .regression import (
@@ -55,6 +56,7 @@ from .regression import (
 from .simplex import _check_alpha
 from .spatial import (
     _check_bandwidth,
+    _check_k,
     _check_locations,
     local_fitted_mean,
     location_weights,
@@ -67,31 +69,37 @@ DEFAULT_ALPHAS = (0.1, 0.25, 0.5, 0.75, 1.0)
 DEFAULT_KS = (3, 5, 7, 9)
 
 
+def _check_axis(name, values, rule):
+    """The one rule of a grid axis: ``values`` as a sorted tuple if they are
+    a non-empty 1-D sequence whose every value passes ``rule``, its
+    setting's rule, else :class:`InvalidParameters`."""
+    values = np.asarray(values, dtype=object)  # a string or a scalar is 0-D
+    if values.ndim != 1:
+        raise InvalidParameters(f"{name} grid must be a sequence of values")
+    if not len(values):
+        raise InvalidParameters(f"{name} grid is empty")
+    return tuple(sorted(rule(v) for v in values))
+
+
 @dataclass
 class CvGrid:
-    """Candidate hyper-parameter values; each list is kept sorted ascending.
-    Each alpha and each h is checked by the rule of ``RunConfig.alpha`` and
-    ``RunConfig.h`` (``simplex._check_alpha``, ``spatial._check_bandwidth``)."""
+    """Candidate hyper-parameter values, each axis a sorted tuple by one rule
+    (:func:`_check_axis`); ``ks`` and ``hs`` may be ``None`` (their
+    defaults).  Each alpha, k and h passes the rule of its ``RunConfig``
+    setting (``simplex._check_alpha``, ``spatial._check_k``,
+    ``spatial._check_bandwidth``)."""
 
     alphas: tuple = DEFAULT_ALPHAS
     ks: Optional[tuple] = None
     hs: Optional[tuple] = None
 
     def __post_init__(self):
-        self.alphas = tuple(sorted(_check_alpha(a) for a in self.alphas))
-        if not self.alphas:
-            raise InvalidParameters("alpha grid is empty")
+        self.alphas = _check_axis("alpha", self.alphas, _check_alpha)
         if self.ks is not None:
-            ks = tuple(self.ks)
-            if not ks:
-                raise InvalidParameters("neighbor grid is empty")
-            for k in ks:  # the rule of RunConfig.k: never truncated
-                check_integer("neighbor grid value", k, 1)
-            self.ks = tuple(sorted(int(k) for k in ks))
+            self.ks = _check_axis("neighbor", self.ks,
+                                  lambda k: _check_k(k, name="neighbor grid value k"))
         if self.hs is not None:
-            self.hs = tuple(sorted(_check_bandwidth(h) for h in self.hs))
-            if not self.hs:
-                raise InvalidParameters("bandwidth grid is empty")
+            self.hs = _check_axis("bandwidth", self.hs, _check_bandwidth)
 
 
 @dataclass
@@ -191,8 +199,7 @@ def _loocv(Y, grid, axis, points, opts):
     ``axis`` grid ("ks" or "hs"; ``None`` for alpha alone).
 
     ``points[e]`` is extra e's grid point as data, ``(design, weights,
-    patches)``, or ``None`` when no fold can use e (its folds score +inf
-    without a fit): the full-data design, and the n folds' weights (a
+    patches)``: the full-data design, and the n folds' weights (a
     :class:`RowBlocks`) and design patches (``None`` where every fold has
     the full-data design) for :func:`fit_alpha_batch`.  Fold i is the full
     data with weight 0 on row i, and its patch never changes row i, on which
@@ -208,25 +215,23 @@ def _loocv(Y, grid, axis, points, opts):
     _check_zeros_rule(Y, grid.alphas)
     extras = (None,) if axis is None else getattr(grid, axis)
 
-    per_fold = np.full((len(grid.alphas), len(extras), len(Y)), np.inf)
+    per_fold = np.empty((len(grid.alphas), len(extras), len(Y)))
     solutions = {}  # (alpha, extra) index: full-data fit, design, fold thetas, dampings
     theta = None
     for ai, a in enumerate(grid.alphas):
         warm = {}
-        for design, *_ in filter(None, points):
+        for design, *_ in points:
             if id(design) not in warm:
                 warm[id(design)] = fit_alpha_regression(Y, design, a, opts=opts, theta0=theta)
                 theta = warm[id(design)].lm.theta
-        for e, point in enumerate(points):
-            if point is not None:
-                design, weights, patches = point
-                fit = warm[id(design)]
-                theta0, damping0 = _fold_start(fit)
-                outcomes = fit_alpha_batch(Y, design, a, weights, theta0, opts, damping0,
-                                           patches=patches)
-                ok, fold_theta, fold_damping = _fold_solutions(outcomes, theta0)
-                per_fold[ai, e] = _heldout_divergence(Y, design, ok, fold_theta)
-                solutions[ai, e] = fit, design, fold_theta, fold_damping
+        for e, (design, weights, patches) in enumerate(points):
+            fit = warm[id(design)]
+            theta0, damping0 = _fold_start(fit)
+            outcomes = fit_alpha_batch(Y, design, a, weights, theta0, opts, damping0,
+                                       patches=patches)
+            ok, fold_theta, fold_damping = _fold_solutions(outcomes, theta0)
+            per_fold[ai, e] = _heldout_divergence(Y, design, ok, fold_theta)
+            solutions[ai, e] = fit, design, fold_theta, fold_damping
 
     if axis is None:
         per_fold = per_fold[:, 0]
@@ -326,11 +331,12 @@ def loocv_slx(Y, X, coords, grid=None, opts=None):
     design is the full-data design ``[X | lag_k]`` with only the rows that
     had i among their k nearest lagged again (:func:`_fold_patches`, built
     once per k), and the folds are fits on the full-data design with those
-    row patches.  A fold keeps n-1 locations, so ``k > n-2`` scores +inf,
-    without a full-data warm-start fit.  Scores form a (len(alphas),
-    len(ks)) matrix.  A grid without ``ks`` searches :func:`default_k_grid`
-    of the sample size, and :class:`InvalidK` is raised when that is empty
-    (n < 5).  ``coords`` must hold one location per row of ``Y``.
+    row patches.  A fold keeps n-1 locations, so a grid whose ``k`` exceeds
+    n-2 is refused before any fit, by the rule of ``spatial._check_k``
+    (:class:`InvalidK`).  Scores form a (len(alphas), len(ks)) matrix.  A
+    grid without ``ks`` searches :func:`default_k_grid` of the sample size,
+    and :class:`InvalidK` is raised when that is empty (n < 5).  ``coords``
+    must hold one location per row of ``Y``.
     """
     _check_locations(coords, len(Y))
     grid = grid or CvGrid()
@@ -342,16 +348,14 @@ def loocv_slx(Y, X, coords, grid=None, opts=None):
             raise InvalidK(f"no default neighbor count fits n={n} observations: a leave-one-out "
                            f"fold needs k <= n-2 = {n - 2}, and the defaults start at {DEFAULT_KS[0]}")
         grid = replace(grid, ks=ks)
-    if max(grid.ks) > n - 1:
-        raise InvalidK(f"k={max(grid.ks)} exceeds n-1={n - 1} neighbors")
-    idx, d2 = neighbor_table(coords, min(max(grid.ks) + 1, n - 1))
+    _check_k(max(grid.ks), n - 2, where=f" in a leave-one-out fold of {n - 1} locations")
+    idx, d2 = neighbor_table(coords, max(grid.ks) + 1)
     # the full-data designs: the warm starts', held-out row i's and, but for
     # its patch, fold i's; of one width for every k, so the chain carries on
-    designs = {k: np.hstack([X, neighbor_lag(idx[:, :k], d2[:, :k], X)])
-               for k in grid.ks if k <= n - 2}
+    designs = {k: np.hstack([X, neighbor_lag(idx[:, :k], d2[:, :k], X)]) for k in grid.ks}
     patches = {k: _fold_patches(design, X, idx, d2, k) for k, design in designs.items()}
     weights = _unit_fold_weights(n)
-    points = [(designs[k], weights, patches[k]) if k in designs else None for k in grid.ks]
+    points = [(designs[k], weights, patches[k]) for k in grid.ks]
     return _loocv(Y, grid, "ks", points, opts)
 
 

@@ -143,14 +143,11 @@ def neighbor_table(coords, m, query=None):
     chordal distances.  Ties keep the lower index, so ``idx[:, :k]`` is the
     k-nearest set, and dropping a location from a row leaves the nearest
     sets of the remaining data.  With ``query``, rows are the query
-    locations' nearest among ``coords``, a coincident one included.  Raises
-    :class:`InvalidK` unless the integer ``m`` satisfies ``1 <= m <= n-1``
-    for the n locations in ``coords`` (``m <= n`` with ``query``).
+    locations' nearest among ``coords``, a coincident one included.  ``m``
+    must satisfy ``1 <= m <= n-1`` for the n locations in ``coords`` (``m <=
+    n`` with ``query``), by the rule of :func:`_check_k`.
     """
-    check_integer("neighbor count k", m)
-    top = coords.n - (query is None)
-    if not 1 <= m <= top:
-        raise InvalidK(f"k must satisfy 1 <= k <= {top} for {coords.n} locations, got {m}")
+    _check_k(m, coords.n - (query is None), where=f" for {coords.n} locations")
     if query is None:
         d2 = pairwise_chordal_sq(coords.cart)
         np.fill_diagonal(d2, np.inf)
@@ -207,10 +204,12 @@ def kernel_weights_at(coords, cart_point, h):
     underflows to 0 (as it would below h ~ 1.5e-162): a distance of 0
     (coincident points) keeps weight 1 at any ``h``, and a nonzero one over
     so small an ``h^2`` overflows to inf, so weight 0.  ``h`` must be a
-    finite real > 0 (:func:`_check_bandwidth`).
+    finite real > 0 (:func:`_check_bandwidth`), and every point finite
+    (:class:`NonNumericCell`).
     """
     h = _check_bandwidth(h)
     points = np.asarray(cart_point, dtype=np.float64)
+    _check_finite("kernel points", np.atleast_2d(points))
     with np.errstate(over="ignore"):
         return np.exp(-pairwise_chordal_sq(coords.cart, points).T
                       / (2.0 * max(h * h, np.finfo(float).tiny)))
@@ -229,6 +228,19 @@ def location_weights(coords, h, own):
         w[mine] = np.where((np.max(w, axis=1) == 0.0) & (coords.n > 1), 0.0, own)
         return w
     return RowBlocks(coords.n, block)
+
+
+def _check_k(k, top=None, name="neighbor count k", where=""):
+    """The one rule of a neighbor count, at every entry point: ``k`` as an
+    int if it is an integer >= 1, and <= ``top`` when given, else
+    :class:`InvalidParameters` (a bool or a float), whose subclass
+    :class:`InvalidK` is raised for an integer out of range.  The messages
+    name the setting, ``name``, and say ``where`` ``top`` comes from."""
+    check_integer(name if top is None else f"{name} (1 <= k <= {top}{where})", k)
+    if k < 1 or (top is not None and k > top):
+        bound = "be an integer >= 1" if top is None else f"satisfy 1 <= k <= {top}{where}"
+        raise InvalidK(f"{name} must {bound}, got {k}")
+    return int(k)
 
 
 def _check_bandwidth(h):

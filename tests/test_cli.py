@@ -418,10 +418,10 @@ class TestOtherCommands:
         assert selection["best"][0 if axis == "alphas" else 1] == searched[0]
 
     def test_failed_grid_point_serialised_as_null(self, dataset, tmp_path):
-        # k = 39 = n-1 is infeasible inside every fold and scores +inf
+        # at h = 1e-9 every fold's kernel weights underflow, so it scores +inf
         out = tmp_path / "cv.json"
         code = main(["cv", "--data", str(dataset), *DATA_ARGS, *GEO_ARGS,
-                     "--model", "slx", "--alphas", "0.5", "--ks", "3,39",
+                     "--model", "gwar", "--alphas", "0.5", "--hs", "1e-9,0.05",
                      "--out", str(out)])
         assert code == 0
 
@@ -430,21 +430,21 @@ class TestOtherCommands:
 
         doc = json.loads(out.read_text(), parse_constant=reject)
         scores = doc["selection"]["scores"]
-        assert scores[0][1] is None and scores[0][0] > 0
-        assert doc["selection"]["best"] == [0.5, 3]
+        assert scores[0][0] is None and scores[0][1] > 0
+        assert doc["selection"]["best"] == [0.5, 0.05]
 
     @pytest.mark.parametrize("command", ["cv", "fit"])
     def test_failed_folds_per_grid_point(self, command, dataset, tmp_path):
-        # k = 39 = n-1 fails in all 40 folds; k = 3 in none
+        # h = 1e-9 fails in all 40 folds (degenerate weights); h = 0.05 in none
         out = tmp_path / "doc.json"
         code = main([command, "--data", str(dataset), *DATA_ARGS, *GEO_ARGS,
-                     "--model", "slx", "--alphas", "0.5,1.0", "--ks", "3,39",
+                     "--model", "gwar", "--alphas", "0.5,1.0", "--hs", "1e-9,0.05",
                      "--out", str(out)])
         assert code == 0
         selection = json.loads(out.read_text())["selection"]
-        assert selection["failed_folds"] == [[0, 40], [0, 40]]
+        assert selection["failed_folds"] == [[40, 0], [40, 0]]
         assert [[s is None for s in row] for row in selection["scores"]] == \
-            [[False, True], [False, True]]
+            [[True, False], [True, False]]
 
     @pytest.mark.parametrize("model", MODEL_ARGS)
     def test_margins(self, model, dataset, tmp_path):
@@ -508,12 +508,27 @@ class TestExitCodes:
         assert code == 2
 
     def test_all_grid_points_failing_is_numerical_error(self, dataset, tmp_path):
+        # h = 1e-9 underflows every fold's kernel weights
+        out = tmp_path / "cv.json"
+        code = main(["cv", "--data", str(dataset), *DATA_ARGS, *GEO_ARGS,
+                     "--model", "gwar", "--alphas", "0.5", "--hs", "1e-9",
+                     "--out", str(out)])
+        assert code == 3
+        assert not out.exists()
+
+    def test_neighbor_count_no_fold_can_use_is_data_error(self, dataset, tmp_path, capsys):
+        # k = 39 = n-1 fits the full data, but no fold of 39 locations: a
+        # search refuses it as a setting (it used to exit 3), a fit takes it
         out = tmp_path / "cv.json"
         code = main(["cv", "--data", str(dataset), *DATA_ARGS, *GEO_ARGS,
                      "--model", "slx", "--alphas", "0.5", "--ks", "39",
                      "--out", str(out)])
-        assert code == 3
+        assert code == 2
+        assert "k must satisfy 1 <= k <= 38" in capsys.readouterr().err
         assert not out.exists()
+        assert main(["fit", "--data", str(dataset), *DATA_ARGS, *GEO_ARGS,
+                     "--model", "slx", "--alpha", "0.5", "--k", "39",
+                     "--out", str(out)]) == 0
 
     @pytest.mark.parametrize("model, foreign", [
         ("alpha", ["--k", "3"]),

@@ -261,6 +261,9 @@ BOOLEAN_SETTINGS = {
     "synthesize.slx_k": lambda b: synthesize(n=20, D=3, p=1, alpha=0.5, slx_k=b),
     "synthesize.seed": lambda b: synthesize(n=20, D=3, p=1, alpha=0.5, seed=b),
     "neighbor_table.m": lambda b: neighbor_table(TEN_LOCATIONS, b),
+    "synthesize.n": lambda b: synthesize(n=b, D=3, p=1),
+    "synthesize.D": lambda b: synthesize(n=20, D=b, p=1),
+    "synthesize.p": lambda b: synthesize(n=20, D=3, p=b),
 }
 
 
@@ -271,6 +274,14 @@ def test_boolean_integer_setting_rejected(site, value):
     # max_iterations=True used to run and reach the document as `true`
     with pytest.raises(InvalidParameters, match="must be an integer"):
         BOOLEAN_SETTINGS[site](value)
+
+
+@pytest.mark.parametrize("sizes", [(10.5, 3, 1), (20, 3.0, 1), (float("nan"), 3, 1)],
+                         ids=["n-fractional", "D-float", "n-nan"])
+def test_synthetic_sizes_must_be_integers(sizes):
+    # these stopped with a bare TypeError, and n = nan blamed slx_k
+    with pytest.raises(InvalidParameters, match=r"^(n|D) must be an integer >= (10|2), got"):
+        synthesize(*sizes)
 
 
 REAL_SETTINGS = {
@@ -317,6 +328,43 @@ def test_nonpositive_bandwidth_is_one_class_everywhere(site):
     with pytest.raises(NonpositiveBandwidth, match="bandwidth must be > 0, got 0.0") as raised:
         REAL_SETTINGS[site](0.0)
     assert isinstance(raised.value, InvalidParameters)
+
+
+SLX_30 = synthesize(30, 3, 2, 0.5, 0.05, spatial_mode="slx", seed=1)
+SLX_30_ARGS = (SLX_30["Y"], SLX_30["X"], SLX_30["coords"])
+OUT_OF_RANGE_K = {
+    "RunConfig.k": lambda: RunConfig(model="slx", alpha=0.5, k=0),
+    "CvGrid.ks": lambda: CvGrid(ks=(3, 0)),
+    "neighbor_table.m": lambda: neighbor_table(TEN_LOCATIONS, 10),
+    "contiguity_matrix.k": lambda: spatial.contiguity_matrix(TEN_LOCATIONS, 0),
+    "synthesize.slx_k": lambda: synthesize(30, 3, 2, 0.5, 0.05, spatial_mode="slx", slx_k=0),
+    # a fold keeps 29 locations, so k = 29 fits the full data but no fold
+    "loocv_slx.ks": lambda: loocv_slx(*SLX_30_ARGS, CvGrid(alphas=(0.5,), ks=(29,))),
+    "run_fit.k": lambda: run_fit(RunConfig(model="slx", k=29), *SLX_30_ARGS),
+}
+
+
+@pytest.mark.parametrize("site", list(OUT_OF_RANGE_K))
+def test_out_of_range_neighbor_count_is_one_class_everywhere(site):
+    # RunConfig, CvGrid and synthesize raised InvalidParameters, the
+    # neighbor table InvalidK, and a search at k = n-1 a NumericalError
+    with pytest.raises(InvalidK, match="must (be an integer >= 1|satisfy 1 <= k <= )") as raised:
+        OUT_OF_RANGE_K[site]()
+    assert isinstance(raised.value, InvalidParameters)
+
+
+def test_numpy_integer_k_is_kept_as_an_int():
+    # np.int64(3) used to reach the document's config, which json cannot write
+    assert type(RunConfig(model="slx", k=np.int64(3)).k) is int
+
+
+@pytest.mark.parametrize("kind", ["scalar", "string"])
+@pytest.mark.parametrize("axis, name, value", [
+    ("alphas", "alpha", 0.5), ("ks", "neighbor", 5), ("hs", "bandwidth", 0.1)])
+def test_grid_axis_must_be_a_sequence(axis, name, value, kind):
+    # a scalar was a bare TypeError, and "0.5" was read character by character
+    with pytest.raises(InvalidParameters, match=f"^{name} grid must be a sequence of values"):
+        CvGrid(**{axis: value if kind == "scalar" else str(value)})
 
 
 def test_alpha_grid_has_the_rule_of_alpha():

@@ -227,30 +227,28 @@ class TestLoocvSlx:
         sim = synthesize(n=12, D=3, p=1, alpha=0.5, noise_scale=0.1,
                          spatial_mode="slx", seed=7)
         n = 12
-        cv = loocv_slx(sim["Y"], sim["X"], sim["coords"],
-                       CvGrid(alphas=(0.5,), ks=(n - 2, n - 1)))
+        args = (sim["Y"], sim["X"], sim["coords"])
+        cv = loocv_slx(*args, CvGrid(alphas=(0.5,), ks=(n - 2,)))
         assert np.isfinite(cv.scores[0, 0])
-        assert np.isinf(cv.scores[0, 1])  # k = n-1 infeasible inside folds
         assert cv.best == (0.5, n - 2)
-
+        with pytest.raises(InvalidK, match=f"1 <= k <= {n - 2} .*, got {n - 1}$"):
+            loocv_slx(*args, CvGrid(alphas=(0.5,), ks=(n - 2, n - 1)))
 
     def test_infeasible_k_gets_no_warm_start_fit(self, monkeypatch):
+        # refused before any fit: no warm start and no fold set, for any k
         sim = synthesize(n=12, D=3, p=1, alpha=0.5, noise_scale=0.1,
                          spatial_mode="slx", seed=7)
-        args = (sim["Y"], sim["X"], sim["coords"])
-        feasible = loocv_slx(*args, CvGrid(alphas=(0.5,), ks=(10,)))
         calls = count_engine_calls(monkeypatch)
-        cv = loocv_slx(*args, CvGrid(alphas=(0.5,), ks=(10, 11)))
-        assert calls["fit"] == 1  # one warm start (k=10)
-        assert calls["batch"] == [12]  # and its 12 folds, as one set
-        np.testing.assert_array_equal(cv.scores[:, 0], feasible.scores[:, 0])
-        assert np.isinf(cv.scores[0, 1])
+        with pytest.raises(InvalidK):
+            loocv_slx(sim["Y"], sim["X"], sim["coords"], CvGrid(alphas=(0.5,), ks=(10, 11)))
+        assert calls == {"fit": 0, "batch": []}
 
     def test_every_grid_point_infeasible_raises(self):
-        # k = n-1 fits the full data but no (n-1)-point fold
+        # k = n-1 fits the full data but no (n-1)-point fold: a bad setting,
+        # not a numerical failure
         sim = synthesize(n=12, D=3, p=1, alpha=0.5, noise_scale=0.1,
                          spatial_mode="slx", seed=7)
-        with pytest.raises(NumericalError):
+        with pytest.raises(InvalidK, match="must satisfy 1 <= k <= 10 in a leave-one-out fold of 11"):
             loocv_slx(sim["Y"], sim["X"], sim["coords"],
                       CvGrid(alphas=(0.5,), ks=(11,)))
 
@@ -288,8 +286,6 @@ def rebuilt_fold_scores(Y, X, coords, alphas, ks):
             full = fit_alpha_regression(
                 Y, np.hstack([X, contiguity_matrix(coords, k) @ X[:, 1:]]), a, theta0=warm)
             warm = full.lm.theta
-            if k > n - 2:
-                continue  # an (n-1)-point fold has no k nearest others
             theta0, damping0 = selection._fold_start(full)
             for i in range(n):
                 mask = np.arange(n) != i
@@ -331,7 +327,7 @@ def _fold_layout(case):
         # observations 12 and 13 share the locations of 3 and 9
         lat, lon, ks = lat + [lat[3], lat[9]], lon + [lon[3], lon[9]], (1, 3)
     elif case == "boundary":
-        ks = (len(lat) - 2, len(lat) - 1)
+        ks = (1, len(lat) - 2)  # the least k and the largest a fold can use
     return lat, lon, ks
 
 
@@ -366,8 +362,7 @@ class TestLoocvSlxNeighborTable:
         np.testing.assert_allclose(cv.per_fold[finite], oracle[finite], rtol=1e-7)
         np.testing.assert_allclose(cv.scores, oracle.sum(axis=0), rtol=1e-9)
         if case == "boundary":
-            assert np.all(np.isinf(cv.per_fold[:, :, 1]))  # k = n-1 in every fold
-            assert np.all(np.isfinite(cv.per_fold[:, :, 0]))
+            assert np.all(np.isfinite(cv.per_fold))  # k = 1 and n-2 in every fold
         assert cv.per_fold.shape == (n, len(alphas), len(ks))
 
     @pytest.mark.parametrize("case", ["tie", "coincident", "boundary"])

@@ -10,6 +10,7 @@ from alphareg import (
     GeoCoordinates,
     InvalidK,
     InvalidParameters,
+    NonNumericCell,
     NonpositiveBandwidth,
     OutOfRangeCoordinate,
     chordal_distance_sq,
@@ -240,6 +241,17 @@ class TestKernel:
         coords = random_coords(rng, 4)
         with pytest.raises(NonpositiveBandwidth):
             gaussian_kernel_weights(coords, 0, 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_point_is_a_non_numeric_cell(self, rng, bad):
+        # a raw point holding a NaN used to give NaN weights without an error
+        coords = random_coords(rng, 10)
+        with pytest.raises(NonNumericCell, match="at row 0, column 0 of the kernel points"):
+            kernel_weights_at(coords, np.array([bad, 0.0, 0.0]), 0.1)
+        block = coords.cart[:3].copy()
+        block[2, 1] = bad
+        with pytest.raises(NonNumericCell, match="at row 2, column 1 of the kernel points"):
+            kernel_weights_at(coords, block, 0.1)
 
     def test_focal_form_is_the_point_form_with_self_weight_one(self, rng):
         coords = random_coords(rng, 20)
