@@ -9,16 +9,19 @@ Two branches below the package base class:
   systems, non-finite residuals, degenerate kernel weights, ...).
   The CLI maps these to exit code 3.
 
-Three data errors refine others, so one ``except`` clause catches each
+Four data errors refine others, so one ``except`` clause catches each
 kind at every entry point: :class:`ShapeMismatch` is a
-:class:`DimensionMismatch`, and :class:`NonpositiveBandwidth` and
+:class:`DimensionMismatch`; :class:`NonpositiveBandwidth` and
 :class:`InvalidK` are :class:`InvalidParameters`, each raised by one rule
-(``spatial._check_bandwidth``, ``spatial._check_k``).  A NaN or an infinity in
-an array, whether a cell of a file or an entry of an array passed to the
-library, is a :class:`NonNumericCell`.
+(``spatial._check_bandwidth``, ``spatial._check_k``); and
+:class:`ZeroWithLogRatio`, zeros at alpha = 0, is a
+:class:`ZeroWithNonpositiveAlpha`, whether alpha is fixed or on a grid.  A
+NaN or an infinity in an array, whether a cell of a file or an entry of an
+array passed to the library, is a :class:`NonNumericCell`.
 
 :func:`check_integer` is the one rule for an integer setting, and
-:func:`check_real` the one for a real-valued setting.
+:func:`check_real` the one for a real-valued setting; each returns the
+value as a Python ``int`` or ``float``, which a setting stores.
 """
 
 import numpy as np
@@ -62,8 +65,8 @@ class ZeroWithNonpositiveAlpha(DataError):
     """The data contain zeros but the transform parameter is <= 0."""
 
 
-class ZeroWithLogRatio(DataError):
-    """A log-ratio transform was requested on data containing zeros."""
+class ZeroWithLogRatio(ZeroWithNonpositiveAlpha):
+    """A log-ratio transform (alpha = 0) was requested on data containing zeros."""
 
 
 class NegativeWeight(DataError):
@@ -137,11 +140,12 @@ class DegenerateWeights(NumericalError):
 def check_integer(name, value, least=None):
     """:class:`InvalidParameters` unless ``value`` is an ``int`` or a numpy
     integer (never a bool, and never a float, which would be truncated) of
-    at least ``least``, when given."""
+    at least ``least``, when given.  Returns it as an int."""
     if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
             or (least is not None and value < least)):
         bounds = "" if least is None else f" >= {least}"
         raise InvalidParameters(f"{name} must be an integer{bounds}, got {value!r}")
+    return int(value)
 
 
 def check_real(name, value, interval):

@@ -88,11 +88,12 @@ class LmOptions:
     damping_decrease: float = 1.0 / 3.0
 
     def __post_init__(self):
-        check_integer("max_iterations", self.max_iterations, 1)
-        for name in ("sse_rel_tol", "grad_inf_tol", "initial_damping_scale"):
-            check_real(name, getattr(self, name), "(0, inf)")
-        check_real("damping_increase", self.damping_increase, "(1, inf)")
-        check_real("damping_decrease", self.damping_decrease, "(0, 1)")
+        # each stored as its rule returns it, a Python int or float
+        self.max_iterations = check_integer("max_iterations", self.max_iterations, 1)
+        for name, interval in (("sse_rel_tol", "(0, inf)"), ("grad_inf_tol", "(0, inf)"),
+                               ("initial_damping_scale", "(0, inf)"),
+                               ("damping_increase", "(1, inf)"), ("damping_decrease", "(0, 1)")):
+            setattr(self, name, check_real(name, getattr(self, name), interval))
 
 
 @dataclass

@@ -68,6 +68,10 @@ class RunConfig:
     def __post_init__(self):
         if self.model not in MODELS:
             raise InvalidParameters(f"model must be one of {MODELS}")
+        for name, kind in (("grid", CvGrid), ("solver", LmOptions)):
+            if not isinstance(getattr(self, name), kind):
+                raise InvalidParameters(
+                    f"{name} must be a {kind.__name__}, got {getattr(self, name)!r}")
         for name in ("k", "h"):
             if name not in HYPERPARAMETERS[self.model] and (
                     getattr(self, name) is not None
@@ -75,19 +79,19 @@ class RunConfig:
                 raise InvalidParameters(
                     f"model {self.model!r} has no {name!r}: set neither "
                     f"{name} nor grid.{name}s")
-        # checked here, so a bad setting fails before selection and the fit
-        if self.alpha is not None:
-            _check_alpha(self.alpha)  # NaN fails too
-        if self.k is not None:
-            self.k = _check_k(self.k)  # an int, which the document can hold
-        if self.h is not None:
-            _check_bandwidth(self.h)
+        # checked here, so a bad setting fails before selection and the fit;
+        # each is stored as its rule returns it, a Python int or float, which
+        # the document's config echo can hold
+        for name, rule in (("alpha", _check_alpha), ("k", _check_k), ("h", _check_bandwidth)):
+            if getattr(self, name) is not None:
+                setattr(self, name, rule(getattr(self, name)))  # NaN fails too
         if not isinstance(self.with_se, bool):
             raise InvalidParameters(f"with_se must be a bool, got {self.with_se!r}")
-        check_integer("seed", self.seed, 0)
+        self.seed = check_integer("seed", self.seed, 0)
         # any count but 0 (no bootstrap) must be one bootstrap_covariance takes
-        check_integer("bootstrap_replicates (0 for none)", self.bootstrap_replicates,
-                       2 if self.bootstrap_replicates else 0)
+        self.bootstrap_replicates = check_integer(
+            "bootstrap_replicates (0 for none)", self.bootstrap_replicates,
+            2 if self.bootstrap_replicates else 0)
         if self.model == "gwar" and (self.with_se or self.bootstrap_replicates):
             raise InvalidParameters(
                 "standard errors are not available for the locally weighted model")

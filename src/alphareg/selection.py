@@ -27,7 +27,10 @@ fold whose solve fails or whose weights are degenerate scores +inf instead
 of aborting the search; a grid on which every point scores +inf raises
 :class:`NumericalError` rather than naming a winner.  A setting that no fold
 can fit is not a failed fold: a lagged-covariate grid with a k above n-2 is
-refused before any fit (:class:`InvalidK`).  Ties at the minimum
+refused before any fit (:class:`InvalidK`), and zero compositions with a
+grid alpha <= 0 stop the first full-data fit, at the grid's smallest alpha,
+by the transform's own rule (:class:`ZeroWithNonpositiveAlpha`, of which
+:class:`ZeroWithLogRatio` at alpha = 0 is a kind).  Ties at the minimum
 resolve to the smallest alpha, then the smallest k or h.
 """
 
@@ -40,7 +43,6 @@ from .exceptions import (
     AllCoincident,
     InvalidK,
     InvalidParameters,
-    ZeroWithNonpositiveAlpha,
     NumericalError,
 )
 from .optim import LmOptions
@@ -179,13 +181,6 @@ def _best_point(scores):
     return np.unravel_index(int(np.argmin(scores)), scores.shape)
 
 
-def _check_zeros_rule(Y, alphas):
-    if np.any(np.asarray(Y) == 0) and any(a <= 0 for a in alphas):
-        raise ZeroWithNonpositiveAlpha(
-            "data contain zeros; every grid alpha must be > 0"
-        )
-
-
 def _check_rows(Y, X):
     """``Y`` and ``X`` by :func:`_check_problem`, with the 3 rows leave-one-out needs."""
     X, _, Y = _check_problem(X, Y=Y)
@@ -212,7 +207,6 @@ def _loocv(Y, grid, axis, points, opts):
     :class:`CvResult`.
     """
     opts = opts or LmOptions()
-    _check_zeros_rule(Y, grid.alphas)
     extras = (None,) if axis is None else getattr(grid, axis)
 
     per_fold = np.empty((len(grid.alphas), len(extras), len(Y)))

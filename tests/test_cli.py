@@ -4,11 +4,14 @@ documents, and the exit-code contract (0 ok, 1 usage, 2 data, 3 numerical)."""
 import csv
 import json
 import os
+import subprocess
+import sys
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+import alphareg
 from alphareg import (CvGrid, DatasetSpec, InvalidParameters, RunConfig, TrainingDataChanged,
                       dataset_record, load_covariates, load_dataset, load_training,
                       predict_model, read_model)
@@ -152,6 +155,27 @@ class TestFitCommand:
             se[name] = np.asarray(json.loads(out.read_text())["standard_errors"]["coefficients"])
         np.testing.assert_allclose(se["year"][1:], se["data"][1:], rtol=1e-6, atol=0)
 
+    def test_log_ratio_limit_end_to_end(self, tmp_path):
+        # alpha = 0: data, a fit with sandwich SEs, a grid through 0 (the "="
+        # form, so -0.5 does not read as an option) and a prediction
+        assert main(["generate", "--n", "60", "--components", "3", "--covariates", "2",
+                     "--alpha", "0", "--noise-scale", "0.05", "--seed", "1",
+                     "--out-dir", str(tmp_path / "ds")]) == 0
+        data = str(tmp_path / "ds" / "data.csv")
+        fit, cv, pred = tmp_path / "fit.json", tmp_path / "cv.json", tmp_path / "p.csv"
+        assert main(["fit", "--data", data, *DATA_ARGS, "--alpha", "0", "--with-se",
+                     "--out", str(fit)]) == 0
+        doc = json.loads(fit.read_text())
+        assert doc["hyperparameters"] == {"alpha": 0.0}
+        assert np.all(np.isfinite(doc["standard_errors"]["coefficients"]))
+        assert main(["cv", "--data", data, *DATA_ARGS, "--alphas=-0.5,0,0.5",
+                     "--out", str(cv)]) == 0
+        selection = json.loads(cv.read_text())["selection"]
+        assert selection["alphas"] == [-0.5, 0.0, 0.5] and None not in selection["scores"]
+        assert main(["predict", "--model-doc", str(fit), "--data", data,
+                     "--out", str(pred)]) == 0
+        assert len(pred.read_text().splitlines()) == 61
+
     def test_gwar_fit_with_selection(self, dataset, tmp_path):
         out = tmp_path / "gwar.json"
         code = main(["fit", "--data", str(dataset), *DATA_ARGS, *GEO_ARGS,
@@ -197,6 +221,26 @@ class TestPredictCommand:
         code = main(["predict", "--model-doc", str(doc_path),
                      "--data", str(dataset), "--out", str(tmp_path / "p.csv")])
         assert code == 0
+
+    @pytest.mark.parametrize("settings", [
+        ["--alphas", "0.5,1.0", "--ks", "3,5"],
+        # k = 38 = n-2: a fold's patch spans almost every row
+        ["--alphas", "0.5,1.0", "--ks", "1,3,38"],
+        ["--alpha", "0.5", "--k", "3", "--with-se"],
+    ], ids=["selected", "selected-boundary-k", "fixed-k-with-se"])
+    def test_slx_document_predicts_every_row(self, settings, dataset, tmp_path):
+        doc_path, pred_path = tmp_path / "slx.json", tmp_path / "p.csv"
+        assert main(["fit", "--data", str(dataset), *DATA_ARGS, *GEO_ARGS,
+                     "--model", "slx", *settings, "--out", str(doc_path)]) == 0
+        doc = json.loads(doc_path.read_text())
+        assert (doc["selection"] is None) == ("--k" in settings)
+        assert (doc["standard_errors"] is not None) == ("--with-se" in settings)
+        assert main(["predict", "--model-doc", str(doc_path), "--data", str(dataset),
+                     "--out", str(pred_path)]) == 0
+        rows = pred_path.read_text().splitlines()
+        assert rows[0] == "y1,y2,y3" and len(rows) == 41
+        values = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
+        np.testing.assert_allclose(values.sum(axis=1), 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("model, fixed", [("alpha", []), ("slx", ["--k", "4"]),
                                               ("gwar", ["--h", "0.05"])])
@@ -486,6 +530,23 @@ class TestExitCodes:
     def test_usage_error(self, capsys):
         code = main(["fit", "--bogus"])
         assert code == 1
+
+    @pytest.mark.parametrize("argv, code", [
+        (["generate", "--n", "20", "--components", "3", "--covariates", "1",
+          "--out-dir", "ds"], 0),
+        (["fit", "--bogus"], 1),
+        (["fit", "--data", "absent.csv", *DATA_ARGS, "--alpha", "0.5"], 2),
+    ], ids=["generate", "unknown-option", "missing-data"])
+    def test_exit_code_is_the_process_exit_status(self, argv, code, tmp_path):
+        # the other tests call main in-process; a process exits with its code
+        src = os.path.dirname(os.path.dirname(alphareg.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "alphareg.cli", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == code, done.stderr
+        assert "Traceback" not in done.stderr
+        assert (tmp_path / "ds" / "data.csv").exists() == (code == 0)
 
     def test_missing_column_is_data_error(self, dataset):
         code = main(["fit", "--data", str(dataset),

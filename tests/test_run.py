@@ -25,6 +25,8 @@ from alphareg import (
     RowBlocks,
     RunConfig,
     ShapeMismatch,
+    ZeroWithLogRatio,
+    ZeroWithNonpositiveAlpha,
     alpha_transform,
     bootstrap_covariance,
     closure,
@@ -55,7 +57,7 @@ from alphareg import (
     transformed_mean,
 )
 from alphareg import inference, regression, run, selection, spatial
-from alphareg.datasets import synthesize
+from alphareg.datasets import synthesize, write_json
 
 
 class TestRunFit:
@@ -358,6 +360,37 @@ def test_numpy_integer_k_is_kept_as_an_int():
     assert type(RunConfig(model="slx", k=np.int64(3)).k) is int
 
 
+NUMPY_SCALAR_SETTINGS = {
+    "RunConfig.alpha": lambda: RunConfig(alpha=np.float32(0.5)),
+    "RunConfig.h": lambda: RunConfig(model="gwar", alpha=0.5, h=np.float32(0.1)),
+    "RunConfig.seed": lambda: RunConfig(alpha=0.5, seed=np.int64(3)),
+    "RunConfig.bootstrap_replicates": lambda: RunConfig(alpha=0.5,
+                                                        bootstrap_replicates=np.int64(4)),
+    "LmOptions.max_iterations": lambda: RunConfig(
+        alpha=0.5, solver=LmOptions(max_iterations=np.int64(50))),
+    "LmOptions.sse_rel_tol": lambda: RunConfig(
+        alpha=0.5, solver=LmOptions(sse_rel_tol=np.float32(1e-10))),
+}
+
+
+def _numbers(value):
+    """The numbers among the leaves of a nested dict, list or tuple."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return [v for item in value for v in _numbers(item)]
+    return [] if isinstance(value, (str, bool, type(None))) else [value]
+
+
+@pytest.mark.parametrize("site", list(NUMPY_SCALAR_SETTINGS))
+def test_numpy_scalar_setting_is_stored_as_a_python_number(site, tmp_path):
+    # a numpy scalar passed its rule but was kept, and write_json stopped at
+    # the config echo: "Object of type float32 is not JSON serializable"
+    doc, _ = run_fit(NUMPY_SCALAR_SETTINGS[site](), *SLX_30_ARGS)
+    write_json(tmp_path / "doc.json", doc)
+    assert {type(v) for v in _numbers(doc["config"])} <= {int, float}
+
+
 @pytest.mark.parametrize("kind", ["scalar", "string"])
 @pytest.mark.parametrize("axis, name, value", [
     ("alphas", "alpha", 0.5), ("ks", "neighbor", 5), ("hs", "bandwidth", 0.1)])
@@ -374,9 +407,35 @@ def test_alpha_grid_has_the_rule_of_alpha():
 
 @pytest.mark.parametrize("refined, general", [
     (NonpositiveBandwidth, InvalidParameters), (InvalidK, InvalidParameters),
-    (ShapeMismatch, DimensionMismatch)])
+    (ShapeMismatch, DimensionMismatch), (ZeroWithLogRatio, ZeroWithNonpositiveAlpha)])
 def test_refined_errors_are_caught_by_their_general_class(refined, general):
     assert issubclass(refined, general)
+
+
+ZERO_Y = closure(np.where(np.arange(30)[:, None] == np.arange(3), 0.0, SLX_30["Y"]))
+ZERO_ARGS = (ZERO_Y, SLX_30["X"], SLX_30["coords"])
+ZERO_DATA_CALLS = {
+    "fit_alpha_regression.negative": lambda: fit_alpha_regression(ZERO_Y, SLX_30["X"], -0.5),
+    "fit_alpha_regression.zero": lambda: fit_alpha_regression(ZERO_Y, SLX_30["X"], 0.0),
+    "run_fit.zero": lambda: run_fit(RunConfig(alpha=0.0), *ZERO_ARGS),
+    "loocv_alpha.negative": lambda: loocv_alpha(*ZERO_ARGS[:2], CvGrid(alphas=(-0.5, 0.5))),
+    "loocv_alpha.zero": lambda: loocv_alpha(*ZERO_ARGS[:2], CvGrid(alphas=(0.0, 0.5))),
+    "loocv_slx.zero": lambda: loocv_slx(*ZERO_ARGS, CvGrid(alphas=(0.0, 0.5), ks=(3,))),
+    "loocv_gwar.zero": lambda: loocv_gwar(*ZERO_ARGS, CvGrid(alphas=(0.0, 0.5), hs=(0.1,))),
+}
+
+
+@pytest.mark.parametrize("site", list(ZERO_DATA_CALLS))
+def test_zeros_at_nonpositive_alpha_are_one_class_everywhere(site, monkeypatch):
+    # alpha = 0 fixed raised ZeroWithLogRatio and alpha = 0 on a grid its
+    # unrelated sibling ZeroWithNonpositiveAlpha; a search stops at its
+    # first full-data fit, at the smallest alpha, before any fold is solved
+    def no_folds(*args, **kwargs):
+        raise AssertionError("a fold was solved")
+
+    monkeypatch.setattr(selection, "fit_alpha_batch", no_folds)
+    with pytest.raises(ZeroWithNonpositiveAlpha):
+        ZERO_DATA_CALLS[site]()
 
 
 @pytest.mark.parametrize("value", ["no", 1, None, np.True_],
@@ -385,6 +444,19 @@ def test_with_se_must_be_a_bool(value):
     # RunConfig(with_se="no") used to compute standard errors
     with pytest.raises(InvalidParameters, match="with_se must be a bool"):
         RunConfig(with_se=value)
+
+
+@pytest.mark.parametrize("setting, value", [
+    ("grid", None), ("grid", (0.5, 1.0)), ("grid", {"alphas": (0.5,)}),
+    ("solver", None), ("solver", {"max_iterations": 50}), ("solver", CvGrid()),
+], ids=["grid-none", "grid-tuple", "grid-dict", "solver-none", "solver-dict",
+        "solver-grid"])
+def test_grid_and_solver_must_be_their_classes(setting, value):
+    # grid=None and a dict used to stop with an AttributeError, and
+    # solver=None fitted and wrote "solver": null, which read_model refused
+    kind = {"grid": "CvGrid", "solver": "LmOptions"}[setting]
+    with pytest.raises(InvalidParameters, match=f"^{setting} must be a {kind}, got"):
+        RunConfig(alpha=0.5, **{setting: value})
 
 
 def _first(coords, n):
