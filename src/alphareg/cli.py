@@ -73,24 +73,29 @@ def _add_dataset_args(sp):
                     type=_csv_list, help="comma-separated response column names")
     sp.add_argument("--covariate-cols", dest="covariate_columns", required=True,
                     type=_csv_list, help="comma-separated covariate column names")
-    sp.add_argument("--lat-col", dest="lat_column")
-    sp.add_argument("--lon-col", dest="lon_column")
+    sp.add_argument("--lat-col", dest="lat_column",
+                    help="latitude column in degrees, which the spatial models need")
+    sp.add_argument("--lon-col", dest="lon_column",
+                    help="longitude column in degrees, which the spatial models need")
 
 
 def _add_model_args(sp):
     """Model settings; one left out of the command line keeps the default of
     its :class:`RunConfig`, :class:`CvGrid` or :class:`LmOptions` field."""
-    sp.add_argument("--model", choices=MODELS)
+    sp.add_argument("--model", choices=MODELS,
+                    help="alpha (plain), slx (lagged covariates) or gwar (locally weighted)")
     sp.add_argument("--alpha", type=float,
                     help="fix the transform power instead of cross-validating")
     sp.add_argument("--k", type=int, help="fix the neighbor count")
     sp.add_argument("--h", type=float, help="fix the bandwidth")
     sp.add_argument("--alphas", type=_float_list, help="comma-separated alpha grid")
-    sp.add_argument("--ks", type=_int_list)
-    sp.add_argument("--hs", type=_float_list)
-    sp.add_argument("--max-iterations", type=int)
-    sp.add_argument("--sse-rel-tol", type=float)
-    sp.add_argument("--grad-inf-tol", type=float)
+    sp.add_argument("--ks", type=_int_list, help="comma-separated neighbor-count grid (slx)")
+    sp.add_argument("--hs", type=_float_list, help="comma-separated bandwidth grid (gwar)")
+    sp.add_argument("--max-iterations", type=int, help="the solver's iteration cap per fit")
+    sp.add_argument("--sse-rel-tol", type=float,
+                    help="stop a fit when a step lowers its SSE by no more than this fraction")
+    sp.add_argument("--grad-inf-tol", type=float,
+                    help="stop a fit when no gradient entry exceeds this in size")
     sp.add_argument("--out", default=None, help="result path (default stdout)")
 
 
@@ -143,15 +148,20 @@ def build_parser():
     # dest names are synthesize's parameters; one not given keeps its default
     gen = sub.add_parser("generate", help="write a synthetic dataset",
                          argument_default=argparse.SUPPRESS)
-    gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--components", dest="D", type=int, required=True)
-    gen.add_argument("--covariates", dest="p", type=int, required=True)
-    gen.add_argument("--alpha", type=float)
-    gen.add_argument("--noise-scale", type=float)
-    gen.add_argument("--spatial-mode", choices=SPATIAL_MODES)
-    gen.add_argument("--slx-k", type=int)
-    gen.add_argument("--seed", type=int)
-    gen.add_argument("--out-dir")
+    gen.add_argument("--n", type=int, required=True, help="number of rows")
+    gen.add_argument("--components", dest="D", type=int, required=True,
+                     help="number of composition parts")
+    gen.add_argument("--covariates", dest="p", type=int, required=True,
+                     help="number of covariates besides the intercept")
+    gen.add_argument("--alpha", type=float, help="transform power the noise is added under")
+    gen.add_argument("--noise-scale", type=float,
+                     help="scale of the Gaussian noise in transformed space")
+    gen.add_argument("--spatial-mode", choices=SPATIAL_MODES,
+                     help="none, two_cluster (one covariate's effect flips between two "
+                          "clusters) or slx (lagged covariates)")
+    gen.add_argument("--slx-k", type=int, help="neighbor count of the lagged covariates")
+    gen.add_argument("--seed", type=int, help="random seed")
+    gen.add_argument("--out-dir", help="directory to write data.csv and truth.json to")
     gen.set_defaults(handler=_cmd_generate)
     return parser
 

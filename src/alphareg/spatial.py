@@ -352,7 +352,7 @@ def fit_gwar(Y, X, coords, alpha, h, opts=None, start=None):
     has location i's kernel weights except on row i (0 there), so location
     i continues from its solution by the warm rule of :mod:`alphareg.optim`
     (a damping of 0 starts cold).  ``h`` is checked before any fit, by the
-    rule of :func:`kernel_weights_at`.  Raises the exception of the
+    rule of :func:`_check_bandwidth`.  Raises the exception of the
     lowest-index location that fails, :class:`DegenerateWeights` where all
     its other weights underflow.
     """

@@ -1,6 +1,7 @@
 """Command-line behavior: subcommands end to end, determinism of emitted
 documents, and the exit-code contract (0 ok, 1 usage, 2 data, 3 numerical)."""
 
+import argparse
 import csv
 import json
 import os
@@ -17,7 +18,7 @@ from alphareg import (CvGrid, DatasetSpec, InvalidParameters, RunConfig, Trainin
                       predict_model, read_model)
 from alphareg.datasets import write_csv
 from alphareg._parallel import resolve_threads
-from alphareg.cli import main
+from alphareg.cli import build_parser, main
 
 
 @pytest.fixture
@@ -961,6 +962,16 @@ class TestExitCodes:
                      "--out", str(pred_path)]) == 2
         assert f"{field} of shape" in capsys.readouterr().err
         assert not pred_path.exists()
+
+
+class TestHelp:
+    def test_every_option_has_help(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        missing = [f"{name} {'/'.join(action.option_strings)}"
+                   for name, subparser in sub.choices.items()
+                   for action in subparser._actions if not action.help]
+        assert missing == []
 
 
 class TestInputsAndOutputs:
